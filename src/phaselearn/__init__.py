@@ -18,14 +18,12 @@ from .errors import (
 from .lattice import (
     Lattice,
     LocalObservable,
-    ParamVector,
     Region,
     ball,
     distance,
     embed,
     enlarge,
     observable_from_string,
-    restrict,
 )
 from .lindblad import (
     AncillaSpec,
@@ -50,10 +48,8 @@ from .models import (
     sample_parameters,
 )
 from .shadows import (
-    LocalEstimate,
     ShadowSnapshot,
     TrainingSet,
-    aggregate,
     measure_snapshot,
     median_of_means,
     required_shadow_count,

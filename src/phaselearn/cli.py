@@ -36,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", required=True, help="experiment config file")
     ap.add_argument("--seed", type=int, default=None, help="override the root seed")
     ap.add_argument("--out", default=None, help="override the output directory")
-    ap.add_argument("--workers", type=int, default=None, help="worker pool size")
     ap.add_argument("--mode", choices=sorted(_MODE_MAP), default=None,
                     help="override the learning mode")
     return ap
@@ -50,8 +49,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out_dir = args.out
-        if args.workers is not None:
-            cfg.workers = args.workers
         if args.mode is not None:
             cfg.mode = _MODE_MAP[args.mode]
         cfg.validate()

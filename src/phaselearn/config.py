@@ -67,7 +67,6 @@ class ExperimentConfig:
     mom_batches: int | None = None
     seed: int = 0
     out_dir: str = "out"
-    workers: int = 1
     diagnostics_regions: dict = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -85,8 +84,8 @@ class ExperimentConfig:
             raise ConfigError("slow mode requires a positive f_n")
         if not self.observables:
             raise ConfigError("at least one observable is required")
-        if self.k0 < 0 or self.n_test < 1 or self.workers < 1:
-            raise ConfigError("k0 >= 0, n_test >= 1, workers >= 1 required")
+        if self.k0 < 0 or self.n_test < 1:
+            raise ConfigError("k0 >= 0 and n_test >= 1 required")
         if self.n_cap is not None and self.n_cap < 1:
             raise ConfigError("n_cap must be positive (or null for uncapped)")
         if any(s < 1 for s in self.sweep):
@@ -207,7 +206,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         mom_batches=opt(training, "mom_batches"),
         seed=run.get("seed", 0),
         out_dir=run.get("out", "out"),
-        workers=run.get("workers", 1),
         diagnostics_regions=diag,
     )
     cfg.validate()

@@ -12,10 +12,8 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,14 +50,6 @@ __all__ = [
     "run_diagnostic_battery",
     "emit_plots",
 ]
-
-
-def _pmap(fn: Callable, items: Sequence, workers: int) -> list:
-    """Order-preserving map over an optional thread pool."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _digest(x: np.ndarray) -> str:
@@ -123,28 +113,26 @@ def _apply_overrides(cfg: ExperimentConfig, p: LearnerPlan) -> LearnerPlan:
     return replace(p, **fields) if fields else p
 
 
-def _training_states(model: Model, samples, seed: int, workers: int) -> list:
+def _training_states(model: Model, samples, seed: int) -> list:
     """One snapshot per sample; product oracle states use the fast sampler."""
-    if model.oracle is not None:
-        def one(item):
-            i, s = item
-            n_sys = model.family.n_system
+    n_sys = model.family.n_system
+    snaps = []
+    for i, s in enumerate(samples):
+        if model.oracle is not None:
             site_states = np.stack(
                 [model.oracle.site_state(float(s.x[j]), s.tau) for j in range(n_sys)]
             )
-            return measure_snapshot_product(
+            snaps.append(measure_snapshot_product(
                 site_states, stream_seed(seed, "measurement", i),
                 x=s.x, tau=s.tau, omega=s.omega,
-            )
-    else:
-        def one(item):
-            i, s = item
+            ))
+        else:
             rho = generate_state(model, s.x, s.tau)
-            return measure_snapshot(
+            snaps.append(measure_snapshot(
                 rho, stream_seed(seed, "measurement", i),
-                x=s.x, tau=s.tau, omega=s.omega, n_system=model.family.n_system,
-            )
-    return _pmap(one, list(enumerate(samples)), workers)
+                x=s.x, tau=s.tau, omega=s.omega, n_system=n_sys,
+            ))
+    return snaps
 
 
 def _exact_value(model: Model, x: np.ndarray, tau: float, observables, rtol=1e-9):
@@ -185,7 +173,7 @@ def run_plan_stage(cfg: ExperimentConfig) -> LearnerPlan:
 def _make_training(cfg: ExperimentConfig, model: Model, p: LearnerPlan) -> TrainingSet:
     samples = sample_parameters(model, p.N, p.t_eps, stream_seed(cfg.seed, "sampling"),
                                 cfg.mode)
-    snaps = _training_states(model, samples, cfg.seed, cfg.workers)
+    snaps = _training_states(model, samples, cfg.seed)
     return TrainingSet(snaps, model_name=model.name,
                        lattice_json=cfg.lattice.to_json(), mode=cfg.mode,
                        seed=cfg.seed, m=model.family.m)
@@ -212,14 +200,16 @@ def _predictions_stage(cfg: ExperimentConfig, model: Model, observables,
     else:
         test_t = rng_test.uniform(0.0, p.t_eps, size=cfg.n_test)
 
+    # exact values do not depend on the training set: one per test point
+    exacts = [_exact_value(model, test_x[i], float(test_t[i]), observables)
+              for i in range(cfg.n_test)]
+
     def eval_point(i: int, tr: TrainingSet):
         pred = predict(observables, test_x[i], float(test_t[i]), tr, p,
                        model.family, omega=cfg.omega, mom_batches=cfg.mom_batches)
-        exact = _exact_value(model, test_x[i], float(test_t[i]), observables)
-        return pred, exact
+        return pred, exacts[i]
 
-    results = _pmap(lambda i: eval_point(i, training), list(range(cfg.n_test)),
-                    cfg.workers)
+    results = [eval_point(i, training) for i in range(cfg.n_test)]
     lines = ["index,x_digest,tau,f_exact,f_pred,abs_error,min_cell_count,fallback"]
     errors = []
     for i, (pred, exact) in enumerate(results):
@@ -244,8 +234,7 @@ def _predictions_stage(cfg: ExperimentConfig, model: Model, observables,
         for n_k in sorted(cfg.sweep):
             n_k = min(n_k, len(training))
             sub = training.subset(n_k)
-            sub_res = _pmap(lambda i: eval_point(i, sub), list(range(cfg.n_test)),
-                            cfg.workers)
+            sub_res = [eval_point(i, sub) for i in range(cfg.n_test)]
             errs = [abs(pr.value - ex) for pr, ex in sub_res if ex is not None]
             med = float(np.median(errs)) if errs else math.nan
             sweep_rows.append((n_k, med))
@@ -273,7 +262,7 @@ def _predictions_stage(cfg: ExperimentConfig, model: Model, observables,
         "sweep": [[n, e] for n, e in sweep_rows],
     }
     _write_json(out / "summary.json", summary)
-    manifest = emit_plots(out, planned_n=2.0**p.N_log2)
+    manifest = emit_plots(out)
     with open(out / "timing.log", "w") as fh:
         fh.write(f"wall_clock_seconds {time.perf_counter() - t_start:.3f}\n")
     manifest.update(
@@ -348,7 +337,7 @@ def _auto_regions(cfg: ExperimentConfig) -> tuple[Region, Region, Region]:
 def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     """All five structural scans on the configured model; per-scan CSV + SVG.
 
-    The battery aggregates a pass flag per scan: positive decay certified
+    The battery records a pass flag per scan: positive decay certified
     (lower bootstrap CI bound above zero) or an identically-zero curve.
     """
     t_start = time.perf_counter()
@@ -413,17 +402,25 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     return files
 
 
-def emit_plots(out_dir: str | Path, planned_n: float | None = None) -> dict:
+def _planned_n(out: Path) -> float | None:
+    """The prescribed N of the bundle's plan.json; None without a plan or when
+    2**N_log2 overflows a float."""
+    if not (out / "plan.json").exists():
+        return None
+    n_log2 = json.loads((out / "plan.json").read_text())["N_log2"]
+    return 2.0**n_log2 if n_log2 < 1024.0 else None
+
+
+def emit_plots(out_dir: str | Path) -> dict:
     """(Re)build SVG plots from the CSV files present in the bundle.
 
-    The planned-N marker on the sweep plot defaults to the prescription in
-    the bundle's own plan.json (off-scale prescriptions simply fall outside
-    the frame).
+    The planned-N marker on the sweep plot shows the prescription in the
+    bundle's own plan.json; off-scale prescriptions fall outside the frame,
+    and one too large for a float is not drawn.
     """
     out = Path(out_dir)
     manifest = {}
-    if planned_n is None and (out / "plan.json").exists():
-        planned_n = 2.0 ** json.loads((out / "plan.json").read_text())["N_log2"]
+    planned_n = _planned_n(out)
     sweep = out / "sweep.csv"
     if sweep.exists():
         rows = sweep.read_text().strip().split("\n")[1:]

@@ -1,4 +1,4 @@
-"""Lattice geometry, regions, local observables, and parameter-vector restriction.
+"""Lattice geometry, regions, local observables, and parameter-coordinate ownership.
 
 Conventions fixed here and used identically by every other module:
 
@@ -13,7 +13,7 @@ Conventions fixed here and used identically by every other module:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -25,11 +25,9 @@ __all__ = [
     "Region",
     "LocalObservable",
     "CoordInfo",
-    "ParamVector",
     "distance",
     "ball",
     "enlarge",
-    "restrict",
     "embed",
     "embed_sparse_indices",
     "pauli_matrix",
@@ -265,46 +263,7 @@ class CoordInfo:
     """Where one parameter coordinate lives: owning term and its support."""
 
     term_index: int
-    sub_index: int
     support: frozenset[int]
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    """A point of the parameter box [-1, 1]^m with its coordinate-to-term map."""
-
-    values: np.ndarray
-    coords: tuple[CoordInfo, ...]
-    indices: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if not self.indices:
-            object.__setattr__(self, "indices", tuple(range(len(vals))))
-        if len(vals) != len(self.coords) or len(vals) != len(self.indices):
-            raise ValueError("values, coords, and indices must have matching lengths")
-        if vals.size and (np.max(vals) > 1.0 + 1e-12 or np.min(vals) < -1.0 - 1e-12):
-            raise ValueError("parameter values outside [-1, 1]")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def restrict(x: ParamVector, region: Region) -> ParamVector:
-    """Coordinates whose owning term's support intersects ``region``.
-
-    Original coordinate indices are retained, so restriction is idempotent.
-    """
-    if not x.coords:
-        raise ValueError("parameter vector has no coordinate-to-term map")
-    target = region.as_set()
-    keep = [k for k, c in enumerate(x.coords) if c.support & target]
-    return ParamVector(
-        values=x.values[keep],
-        coords=tuple(x.coords[k] for k in keep),
-        indices=tuple(x.indices[k] for k in keep),
-    )
 
 
 def embed_sparse_indices(

@@ -225,18 +225,19 @@ def plan(epsilon: float, delta: float, delta_prime: float,
     )
 
 
-def _restricted_distances(x_values: np.ndarray, t: float, training: TrainingSet,
-                          indices: np.ndarray, mode: str) -> np.ndarray:
-    """l-infinity distance of each training tag from (x restricted, t)."""
-    if len(training) == 0:
-        return np.zeros(0)
+def _restricted_distances(X: np.ndarray, taus: np.ndarray | None,
+                          x_values: np.ndarray, t: float,
+                          indices: np.ndarray) -> np.ndarray:
+    """l-infinity distance of each tag (row of X, tau) from (x restricted, t).
+
+    ``taus`` is None in steady-state mode, where time does not count.
+    """
     if indices.size:
-        diff = np.abs(training.X[:, indices] - x_values[indices][None, :])
-        dist = diff.max(axis=1)
+        dist = np.abs(X[:, indices] - x_values[indices][None, :]).max(axis=1)
     else:
-        dist = np.zeros(len(training))
-    if mode != "steady_state":
-        dist = np.maximum(dist, np.abs(training.taus - t))
+        dist = np.zeros(len(X))
+    if taus is not None:
+        dist = np.maximum(dist, np.abs(taus - t))
     return dist
 
 
@@ -253,7 +254,8 @@ def nearest_patch(x_values: np.ndarray, t: float, training: TrainingSet,
     mask = training.omegas == omega
     if not mask.any():
         raise EmptyCellError(f"no training samples with ancilla choice {omega}")
-    dist = _restricted_distances(x_values, t, training, indices, mode)
+    taus = None if mode == "steady_state" else training.taus
+    dist = _restricted_distances(training.X, taus, x_values, t, indices)
     dist = np.where(mask, dist, np.inf)
     idx = int(np.argmin(dist))
     return idx, float(dist[idx])
@@ -267,7 +269,8 @@ def select_cell(x_values: np.ndarray, t: float, training: TrainingSet,
         raise ValueError("gamma must be positive")
     if len(training) == 0:
         return np.zeros(0, dtype=int)
-    dist = _restricted_distances(x_values, t, training, indices, mode)
+    taus = None if mode == "steady_state" else training.taus
+    dist = _restricted_distances(training.X, taus, x_values, t, indices)
     ok = (dist <= gamma) & (training.omegas == omega)
     return np.nonzero(ok)[0]
 
@@ -355,19 +358,15 @@ def predict_from_states(observables: Sequence[LocalObservable], x, t: float,
     if not samples:
         raise EmptyCellError("no samples")
     X = np.vstack([s.x for s in samples])
-    taus = np.array([s.tau for s in samples])
+    taus = (None if plan_.mode == "steady_state"
+            else np.array([s.tau for s in samples]))
     omegas = np.array([s.omega for s in samples], dtype=int)
     x_values = family.as_values(x)
     per_term = []
     for obs in observables:
         patch = enlarge(family.lattice, obs.support, plan_.r)
         indices = family.coords_for_region(patch)
-        if indices.size:
-            dist = np.abs(X[:, indices] - x_values[indices][None, :]).max(axis=1)
-        else:
-            dist = np.zeros(len(samples))
-        if plan_.mode != "steady_state":
-            dist = np.maximum(dist, np.abs(taus - t))
+        dist = _restricted_distances(X, taus, x_values, t, indices)
         dist = np.where(omegas == omega, dist, np.inf)
         j = int(np.argmin(dist))
         per_term.append(value_fn(samples[j].x, samples[j].tau, obs))

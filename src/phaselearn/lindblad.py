@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from .errors import DegenerateSteadyStateError, NumericalError
-from .lattice import CoordInfo, Lattice, ParamVector, Region, embed_sparse_indices
+from .lattice import CoordInfo, Lattice, Region, embed_sparse_indices
 
 __all__ = [
     "SUPEROP_SITE_CAP",
@@ -113,10 +113,10 @@ class ParamLindbladian:
 
         coords: dict[int, CoordInfo] = {}
         for ti, term in enumerate(self.terms):
-            for si, ci in enumerate(term.coord_indices):
+            for ci in term.coord_indices:
                 if ci in coords:
                     raise ValueError(f"coordinate {ci} owned by two terms")
-                coords[ci] = CoordInfo(ti, si, term.support.as_set())
+                coords[ci] = CoordInfo(ti, term.support.as_set())
         self.m = len(coords)
         if sorted(coords) != list(range(self.m)):
             raise ValueError("coordinate indices must be 0..m-1 without gaps")
@@ -133,7 +133,6 @@ class ParamLindbladian:
         self.r0 = max(self.term_radii, default=0)
         self.term_strengths = self._certify_strengths()
         self.J = max(self.term_strengths, default=0.0)
-        self._term_cache: dict[tuple[int, bytes], sp.csr_matrix] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -179,18 +178,14 @@ class ParamLindbladian:
             out.append(bound)
         return tuple(out)
 
-    def param_vector(self, values: np.ndarray | Sequence[float]) -> ParamVector:
-        values = np.asarray(values, dtype=float)
+    def as_values(self, x: np.ndarray | Sequence[float]) -> np.ndarray:
+        """``x`` as a float array, checked to be a point of the box [-1, 1]^m."""
+        values = np.asarray(x, dtype=float)
         if values.shape != (self.m,):
             raise ValueError(f"expected {self.m} parameters, got shape {values.shape}")
-        return ParamVector(values, self.coord_info)
-
-    def as_values(self, x: ParamVector | np.ndarray) -> np.ndarray:
-        if isinstance(x, ParamVector):
-            if len(x) != self.m:
-                raise ValueError("parameter vector length mismatch")
-            return x.values
-        return self.param_vector(x).values
+        if values.size and (values.max() > 1.0 + 1e-12 or values.min() < -1.0 - 1e-12):
+            raise ValueError("parameter values outside [-1, 1]")
+        return values
 
     def coords_for_region(self, region: Region) -> np.ndarray:
         """Sorted coordinate indices whose term support intersects ``region``."""
@@ -201,11 +196,8 @@ class ParamLindbladian:
     # -- assembly ----------------------------------------------------------
 
     def term_superoperator(self, term_index: int, x_slice: np.ndarray) -> sp.csr_matrix:
+        """Generator of one term at its parameter slice, embedded in the full space."""
         x_slice = np.asarray(x_slice, dtype=float)
-        key = (term_index, x_slice.tobytes())
-        hit = self._term_cache.get(key)
-        if hit is not None:
-            return hit
         term = self.terms[term_index]
         d = self.lattice.local_dim
         sites = list(term.support.sites)
@@ -228,9 +220,7 @@ class ParamLindbladian:
         # vec-space slots: column factor of site s sits at slot s, row factor
         # at slot n_total + s; the local matrix above is ordered the same way.
         slots = sites + [self.n_total + s for s in sites]
-        mat = _embed_sparse(local, slots, 2 * self.n_total, d)
-        self._term_cache[key] = mat
-        return mat
+        return _embed_sparse(local, slots, 2 * self.n_total, d)
 
 
 def _embed_sparse(op: np.ndarray, slots: list[int], n_slots: int, d: int) -> sp.csr_matrix:
@@ -287,16 +277,6 @@ class Superoperator:
                 picture="heisenberg" if self.picture == "schrodinger" else "schrodinger",
             )
         return self._adjoint
-
-    def export_coo(self, fileobj) -> None:
-        """Debug dump: one ``row col re im`` line per stored entry."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for i in order:
-            v = coo.data[i]
-            fileobj.write(
-                f"{coo.row[i]} {coo.col[i]} {float(v.real)!r} {float(v.imag)!r}\n"
-            )
 
 
 @dataclass(frozen=True)
@@ -363,7 +343,7 @@ class DensityMatrix:
         return DensityMatrix(np.eye(dim, dtype=complex) / dim, n_sites, local_dim)
 
 
-def assemble(family: ParamLindbladian, x: ParamVector | np.ndarray) -> Superoperator:
+def assemble(family: ParamLindbladian, x: np.ndarray) -> Superoperator:
     """Build the sparse Schroedinger-picture generator at parameter point x."""
     if family.n_total > SUPEROP_SITE_CAP:
         raise ValueError(
@@ -522,8 +502,8 @@ def steady_state(superop: Superoperator, resid_tol: float = 1e-9) -> DensityMatr
     return out
 
 
-def localize(family: ParamLindbladian, x: ParamVector | np.ndarray,
-             x_prime: ParamVector | np.ndarray, region: Region) -> ParamVector:
+def localize(family: ParamLindbladian, x: np.ndarray, x_prime: np.ndarray,
+             region: Region) -> np.ndarray:
     """Hybrid parameter point of L^A: terms inside ``region`` carry x, the rest x'.
 
     A term is inside when its whole support lies in the region.  Assembling the
@@ -538,7 +518,7 @@ def localize(family: ParamLindbladian, x: ParamVector | np.ndarray,
         if term.support.as_set() <= inside:
             for c in term.coord_indices:
                 out[c] = xv[c]
-    return family.param_vector(out)
+    return out
 
 
 def partial_trace(data: np.ndarray, n_sites: int, keep: Sequence[int],

@@ -115,7 +115,7 @@ def build_dissipative_tfim(lattice: Lattice, g: float = 0.5, kappa: float = 1.0,
     """Dissipative transverse-field Ising chain.
 
     Coordinates 0..n-1 are the per-site longitudinal fields, n.. the per-bond
-    couplings (two parameters per site in aggregate).  The generator is linear
+    couplings (two parameters per site overall).  The generator is linear
     in every coordinate.
     """
     if kappa <= 0:
@@ -193,7 +193,6 @@ class CatalogEntry:
     """Named family constructor plus its structural metadata."""
 
     name: str
-    q_label: int
     builder: Callable[..., ParamLindbladian]
     ell_per_site: int
     default_hyper: dict
@@ -206,7 +205,6 @@ class CatalogEntry:
 CATALOG: dict[str, CatalogEntry] = {
     "pinning": CatalogEntry(
         name="pinning",
-        q_label=0,
         builder=build_pinning_family,
         ell_per_site=1,
         default_hyper={"kappa0": 1.0},
@@ -214,7 +212,6 @@ CATALOG: dict[str, CatalogEntry] = {
     ),
     "dissipative_tfim": CatalogEntry(
         name="dissipative_tfim",
-        q_label=1,
         builder=build_dissipative_tfim,
         ell_per_site=2,
         default_hyper={"g": 0.5, "kappa": 1.0},
@@ -302,12 +299,10 @@ class PhaseSample:
     x: np.ndarray
     tau: float
     omega: int
-    state: DensityMatrix | str | None = None
 
 
 def sample_parameters(model: Model, N: int, t_eps: float | None, seed: int,
-                      mode: str = "steady_state",
-                      distribution: str = "uniform") -> list[PhaseSample]:
+                      mode: str = "steady_state") -> list[PhaseSample]:
     """Draw N i.i.d. training points: x ~ U([-1,1]^m), tau ~ U([0, t_eps]).
 
     Steady-state mode tags every sample with tau = inf.  Reproducible under
@@ -316,8 +311,6 @@ def sample_parameters(model: Model, N: int, t_eps: float | None, seed: int,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if distribution != "uniform":
-        raise ValueError(f"unsupported sampling distribution {distribution!r}")
     if mode not in ("steady_state", "general_phase", "slow_mixing"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
-__all__ = ["stream_seed", "substream"]
+__all__ = ["stream_seed"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -23,8 +21,3 @@ def stream_seed(root: int, name: str, index: int | None = None) -> int:
     tag = f"{root & _MASK64}:{name}" if index is None else f"{root & _MASK64}:{name}:{index}"
     digest = hashlib.sha256(tag.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def substream(root: int, name: str, index: int | None = None) -> np.random.Generator:
-    """Generator for the named sub-stream of ``root``."""
-    return np.random.default_rng(stream_seed(root, name, index))

@@ -1,9 +1,9 @@
 """Randomized single-qubit-basis measurements and snapshot post-processing.
 
 One snapshot is one product measurement: a uniformly random basis in {X, Y, Z}
-per site, outcomes sampled from the exact Born distribution site-by-site
-(conditioning on earlier outcomes, which avoids enumerating the full 2^n
-distribution and is exact).  The inverse-channel estimate
+per site, outcomes sampled from the exact Born rule site-by-site
+(conditioning on earlier outcomes, which avoids enumerating all 2^n outcome
+probabilities and is exact).  The inverse-channel estimate
 
     (x)_{i in B} (3 |z_i><z_i| - I)
 
@@ -26,12 +26,10 @@ __all__ = [
     "BASIS_LETTERS",
     "MAX_LOCAL_SITES",
     "ShadowSnapshot",
-    "LocalEstimate",
     "TrainingSet",
     "measure_snapshot",
     "measure_snapshot_product",
     "snapshot_local_matrix",
-    "aggregate",
     "median_of_means",
     "mom_batch_count",
     "required_shadow_count",
@@ -174,29 +172,6 @@ def snapshot_local_matrix(snapshot: ShadowSnapshot, sites: Sequence[int]) -> np.
         v = snapshot.eigenstate_ket(s)
         mats.append(3.0 * np.outer(v, v.conj()) - np.eye(2))
     return reduce(np.kron, mats) if mats else np.eye(1, dtype=complex)
-
-
-@dataclass(frozen=True)
-class LocalEstimate:
-    """Empirical average of inverse-channel snapshots on one region."""
-
-    sites: tuple[int, ...]
-    matrix: np.ndarray
-    count: int
-    tag: str = ""
-
-
-def aggregate(snapshots: Sequence[ShadowSnapshot], sites: Sequence[int],
-              tag: str = "") -> LocalEstimate:
-    """Arithmetic mean of snapshot_local_matrix over the list (fixed order)."""
-    snapshots = list(snapshots)
-    if not snapshots:
-        raise NumericalError("no matching samples to aggregate")
-    sites = tuple(sorted(sites))
-    acc = snapshot_local_matrix(snapshots[0], sites).astype(complex)
-    for s in snapshots[1:]:
-        acc = acc + snapshot_local_matrix(s, sites)
-    return LocalEstimate(sites, acc / len(snapshots), len(snapshots), tag)
 
 
 def median_of_means(values: Sequence[float], batches: int) -> float:

@@ -55,7 +55,6 @@ c_prime = 2.0
 [run]
 seed = 5
 out = "PLACEHOLDER"
-workers = 1
 """
 
 SMALL_BATTERY = """
@@ -130,6 +129,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
 
+    def test_unknown_run_key_ignored(self, tmp_path):
+        # configs written for older versions may still carry [run] workers
+        text = SMALL_LEARNING.replace("seed = 5", "seed = 5\nworkers = 4")
+        assert _cfg(text, tmp_path) == _cfg(SMALL_LEARNING, tmp_path)
+
 
 class TestLearningRun:
     def test_bundle_files_and_summary(self, tmp_path):
@@ -157,18 +161,6 @@ class TestLearningRun:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, f"{name} differs between reruns"
-
-    def test_worker_pool_output_identical(self, tmp_path):
-        # results are ordered by unit index, so the pool size cannot matter
-        text = SMALL_LEARNING.replace("n_override = 6000", "n_override = 1500")
-        text = text.replace("sweep = [200, 1000]", "sweep = []")
-        cfg1 = _cfg(text, tmp_path / "w1")
-        cfg2 = _cfg(text.replace("workers = 1", "workers = 4"), tmp_path / "w4")
-        run_learning_experiment(cfg1)
-        run_learning_experiment(cfg2)
-        for name in ("training.shadows", "predictions.csv", "summary.json"):
-            assert (tmp_path / "w1" / name).read_bytes() == \
-                (tmp_path / "w4" / name).read_bytes()
 
     def test_staged_run_matches_monolith(self, tmp_path):
         cfg_m = _cfg(SMALL_LEARNING, tmp_path / "mono")
@@ -238,6 +230,15 @@ class TestPlots:
         buf = io.StringIO()
         decay_plot_svg(buf, "t", "radius", [0, 1, 2], [0.0, 0.0, 0.0])
         assert "no data above floor" in buf.getvalue()
+
+    @pytest.mark.parametrize("n_log2,drawn", [(math.log2(300.0), True), (2000.0, False)])
+    def test_planned_n_marker(self, tmp_path, n_log2, drawn):
+        # a prescription too large for a float leaves the marker out
+        (tmp_path / "plan.json").write_text(json.dumps({"N_log2": n_log2}))
+        (tmp_path / "sweep.csv").write_text("n,median_abs_error\n100,0.2\n1000,0.1\n")
+        manifest = emit_plots(tmp_path)
+        assert manifest["error_vs_n"] == "error_vs_n.svg"
+        assert ("planned N" in (tmp_path / "error_vs_n.svg").read_text()) == drawn
 
     def test_exponential_fit_in_legend(self, tmp_path):
         csv = tmp_path / "diag_demo.csv"

@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselearn.lattice import (
-    CoordInfo,
     Lattice,
-    ParamVector,
     Region,
     ball,
     distance,
@@ -15,7 +13,6 @@ from phaselearn.lattice import (
     l1_ball_volume,
     observable_from_string,
     pauli_matrix,
-    restrict,
 )
 
 
@@ -81,26 +78,30 @@ class TestRegions:
 
 
 class TestParamVector:
-    def _vector(self, vals):
-        coords = tuple(CoordInfo(i, 0, frozenset({i})) for i in range(len(vals)))
-        return ParamVector(np.asarray(vals, dtype=float), coords)
+    """Parameter vectors are plain arrays: the family checks them and names the
+    coordinates a region restricts them to."""
+
+    def _pinning(self, n):
+        from phaselearn.models import instantiate
+
+        return instantiate("pinning", Lattice(1, (n,), "open")).family
 
     def test_bounds_rejected(self):
+        fam = self._pinning(2)
         with pytest.raises(ValueError):
-            self._vector([0.0, 1.5])
+            fam.as_values([0.0, 1.5])
+        with pytest.raises(ValueError):
+            fam.as_values([-1.5, 0.0])
+        assert np.array_equal(fam.as_values([1.0, -1.0]), [1.0, -1.0])
+
+    def test_shape_rejected(self):
+        with pytest.raises(ValueError):
+            self._pinning(3).as_values([0.0, 0.5])
 
     def test_restrict_full_and_empty(self):
-        x = self._vector([0.1, -0.2, 0.3])
-        assert restrict(x, Region((0, 1, 2))).indices == (0, 1, 2)
-        assert len(restrict(x, Region(()))) == 0
-
-    def test_restrict_idempotent(self):
-        x = self._vector([0.1, -0.2, 0.3, 0.9])
-        s = Region((1, 3))
-        once = restrict(x, s)
-        twice = restrict(once, s)
-        assert once.indices == twice.indices
-        assert np.array_equal(once.values, twice.values)
+        fam = self._pinning(3)
+        assert fam.coords_for_region(Region((0, 1, 2))).tolist() == [0, 1, 2]
+        assert fam.coords_for_region(Region(())).size == 0
 
     def test_restrict_tfim_site2(self):
         # nearest-neighbour family on n=6: terms touching site 2 are the
@@ -109,21 +110,18 @@ class TestParamVector:
 
         lat = Lattice(1, (6,), "open")
         model = instantiate("dissipative_tfim", lat)
-        x = model.family.param_vector(np.zeros(model.family.m))
-        got = restrict(x, Region((2,))).indices
-        assert got == (2, 6 + 1, 6 + 2)
+        got = model.family.coords_for_region(Region((2,)))
+        assert got.tolist() == [2, 6 + 1, 6 + 2]
 
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_restricted_count_bounded_by_patch_volume(self, r):
-        # |restrict(x, ball(u, r))| <= ell (2 (r + r0) + 1)^D
+        # |coords_for_region(ball(u, r))| <= ell (2 (r + r0) + 1)^D
         from phaselearn.models import instantiate
 
         lat = Lattice(1, (8,), "open")
-        model = instantiate("dissipative_tfim", lat)
-        fam = model.family
-        x = fam.param_vector(np.zeros(fam.m))
-        got = restrict(x, ball(lat, 4, r))
-        assert len(got) <= 2 * (2 * (r + fam.r0) + 1)
+        fam = instantiate("dissipative_tfim", lat).family
+        got = fam.coords_for_region(ball(lat, 4, r))
+        assert got.size <= 2 * (2 * (r + fam.r0) + 1)
 
 
 class TestEmbed:

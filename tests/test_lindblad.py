@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -62,14 +60,19 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(fam2, np.array([1.5]))
 
-    def test_coo_export(self):
-        gen = assemble(amplitude_damping_family(), np.zeros(0))
-        buf = io.StringIO()
-        gen.export_coo(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert len(lines) == gen.matrix.nnz
-        row, col, re, im = lines[0].split(" ")
-        int(row), int(col), float(re), float(im)
+    def test_family_does_not_grow_with_points(self):
+        # assembling at many distinct points must leave the family as it was
+        fam = instantiate("dissipative_tfim", Lattice(1, (4,), "open")).family
+
+        def sizes():
+            return {k: len(v) if hasattr(v, "__len__") else None
+                    for k, v in vars(fam).items()}
+
+        before = sizes()
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            assemble(fam, rng.uniform(-1, 1, fam.m))
+        assert sizes() == before
 
 
 class TestEvolve:
@@ -214,7 +217,7 @@ class TestLocalize:
         x = np.full(model.family.m, 0.5)
         xp = np.zeros(model.family.m)
         hyb = localize(model.family, x, xp, Region(tuple(range(6))))
-        assert np.array_equal(hyb.values, x)
+        assert np.array_equal(hyb, x)
 
     def test_empty_region_returns_xprime(self):
         lat = Lattice(1, (6,), "open")
@@ -222,7 +225,7 @@ class TestLocalize:
         x = np.full(model.family.m, 0.5)
         xp = np.zeros(model.family.m)
         hyb = localize(model.family, x, xp, Region(()))
-        assert np.array_equal(hyb.values, xp)
+        assert np.array_equal(hyb, xp)
 
     def test_ball_region_selects_inner_terms(self):
         lat = Lattice(1, (6,), "open")
@@ -232,7 +235,7 @@ class TestLocalize:
         hyb = localize(model.family, x, xp, ball(lat, 2, 1))
         expected = np.zeros(model.family.m)
         expected[[1, 2, 3, 6 + 1, 6 + 2]] = 1.0  # sites 1,2,3 and bonds (1,2),(2,3)
-        assert np.array_equal(hyb.values, expected)
+        assert np.array_equal(hyb, expected)
 
 
 class TestHelpers:

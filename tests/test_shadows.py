@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Z, random_density
-from phaselearn.errors import NumericalError
 from phaselearn.lattice import Lattice
 from phaselearn.lindblad import DensityMatrix, partial_trace
 from phaselearn.models import instantiate
 from phaselearn.shadows import (
     ShadowSnapshot,
     TrainingSet,
-    aggregate,
     measure_snapshot,
     measure_snapshot_product,
     median_of_means,
@@ -155,31 +153,12 @@ class TestInverseChannel:
         marg = partial_trace(rho.data, 2, [1])
         assert np.max(np.abs(acc / n_draws - marg)) < 0.03
 
-
-class TestAggregate:
-    def test_single_snapshot_identity(self):
-        s = _snap([0, 2], [1, -1])
-        est = aggregate([s], [0, 1])
-        assert np.allclose(est.matrix, snapshot_local_matrix(s, [0, 1]))
-        assert est.count == 1
-
-    def test_empty_list_is_error(self):
-        with pytest.raises(NumericalError):
-            aggregate([], [0])
-
-    def test_linearity_of_union(self):
-        snaps = [_snap([b], [o]) for b, o in [(0, 1), (1, -1), (2, 1), (2, -1)]]
-        whole = aggregate(snaps, [0]).matrix
-        left = aggregate(snaps[:2], [0]).matrix
-        right = aggregate(snaps[2:], [0]).matrix
-        assert np.allclose(whole, (2 * left + 2 * right) / 4)
-
     def test_trace_exactly_one(self):
         rng = np.random.default_rng(2)
         rho = random_density(3, rng)
-        snaps = [measure_snapshot(rho, seed) for seed in range(50)]
-        est = aggregate(snaps, [0, 2])
-        assert abs(np.trace(est.matrix) - 1.0) <= 1e-9
+        for seed in range(50):
+            m = snapshot_local_matrix(measure_snapshot(rho, seed), [0, 2])
+            assert abs(np.trace(m) - 1.0) <= 1e-9
 
 
 class TestMedianOfMeans:
