@@ -48,7 +48,6 @@ from .models import (
     sample_parameters,
 )
 from .shadows import (
-    ShadowSnapshot,
     TrainingSet,
     measure_snapshot,
     median_of_means,

@@ -113,26 +113,23 @@ def _apply_overrides(cfg: ExperimentConfig, p: LearnerPlan) -> LearnerPlan:
     return replace(p, **fields) if fields else p
 
 
-def _training_states(model: Model, samples, seed: int) -> list:
-    """One snapshot per sample; product oracle states use the fast sampler."""
+def _training_states(model: Model, samples, seeds: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(N, n) bases and outcomes, one snapshot per sample measured with its
+    seed; product oracle states use the fast sampler."""
     n_sys = model.family.n_system
-    snaps = []
+    bases = np.empty((len(samples), n_sys), dtype=np.int8)
+    outcomes = np.empty_like(bases)
     for i, s in enumerate(samples):
         if model.oracle is not None:
             site_states = np.stack(
                 [model.oracle.site_state(float(s.x[j]), s.tau) for j in range(n_sys)]
             )
-            snaps.append(measure_snapshot_product(
-                site_states, stream_seed(seed, "measurement", i),
-                x=s.x, tau=s.tau, omega=s.omega,
-            ))
+            bases[i], outcomes[i] = measure_snapshot_product(site_states, int(seeds[i]))
         else:
             rho = generate_state(model, s.x, s.tau)
-            snaps.append(measure_snapshot(
-                rho, stream_seed(seed, "measurement", i),
-                x=s.x, tau=s.tau, omega=s.omega, n_system=n_sys,
-            ))
-    return snaps
+            bases[i], outcomes[i] = measure_snapshot(rho, int(seeds[i]), n_system=n_sys)
+    return bases, outcomes
 
 
 def _exact_value(model: Model, x: np.ndarray, tau: float, observables, rtol=1e-9):
@@ -173,10 +170,13 @@ def run_plan_stage(cfg: ExperimentConfig) -> LearnerPlan:
 def _make_training(cfg: ExperimentConfig, model: Model, p: LearnerPlan) -> TrainingSet:
     samples = sample_parameters(model, p.N, p.t_eps, stream_seed(cfg.seed, "sampling"),
                                 cfg.mode)
-    snaps = _training_states(model, samples, cfg.seed)
-    return TrainingSet(snaps, model_name=model.name,
-                       lattice_json=cfg.lattice.to_json(), mode=cfg.mode,
-                       seed=cfg.seed, m=model.family.m)
+    seeds = np.array([stream_seed(cfg.seed, "measurement", i) for i in range(len(samples))],
+                     dtype=np.uint64)
+    bases, outcomes = _training_states(model, samples, seeds)
+    return TrainingSet(bases, outcomes, np.array([s.x for s in samples]),
+                       [s.tau for s in samples], [s.omega for s in samples], seeds,
+                       model_name=model.name, lattice_json=cfg.lattice.to_json(),
+                       mode=cfg.mode, seed=cfg.seed)
 
 
 def run_train_stage(cfg: ExperimentConfig) -> dict:

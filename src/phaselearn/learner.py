@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -43,10 +42,10 @@ from .lindblad import ParamLindbladian
 from .models import PhaseSample
 from .shadows import (
     TrainingSet,
+    local_estimates,
     median_of_means,
     mom_batch_count,
     required_shadow_count,
-    snapshot_local_matrix,
 )
 
 __all__ = [
@@ -321,12 +320,8 @@ def predict(observables: Sequence[LocalObservable], x, t: float,
                 f"nearest sample {idx} at distance {dist:.3g}"
             )
             cell = np.array([idx], dtype=int)
-        sites = obs.support.sites
-        vals = [
-            float(np.real(np.trace(obs.matrix @ snapshot_local_matrix(
-                training.snapshots[j], sites))))
-            for j in cell
-        ]
+        vals = local_estimates(training.bases[cell], training.outcomes[cell],
+                               obs.support.sites, obs.matrix)
         if mom_batches is not None:
             k = max(1, min(mom_batches, len(vals)))
         else:
@@ -423,10 +418,11 @@ def coverage_report(training: TrainingSet, gamma: float,
     """Occupancy of the gamma-cells of each region's restricted coordinates.
 
     A cell counts as covered when at least q samples land in it.  Unoccupied
-    cells never qualify, so the exact fraction only needs the occupied-cell
-    counter even when the cell count is astronomically large.  The reported
-    failure bound is M exp(-N (gamma/2)^m_r + m_r log(2/gamma)), with the
-    time axis folded in outside steady-state mode.
+    cells never qualify, so the exact fraction only needs the occupied cells'
+    counts (np.unique over integer cell keys) even when the cell count is
+    astronomically large.  The reported failure bound is
+    M exp(-N (gamma/2)^m_r + m_r log(2/gamma)), with the time axis folded in
+    outside steady-state mode.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -442,17 +438,12 @@ def coverage_report(training: TrainingSet, gamma: float,
     for region in regions:
         indices = family.coords_for_region(region)
         m_r = int(indices.size)
-        occupancy: Counter = Counter()
-        for i, snap in enumerate(training.snapshots):
-            key_coords = tuple(
-                int(min(axis_cells - 1, math.floor((v + 1.0) / gamma)))
-                for v in training.X[i, indices]
-            )
-            if mode != "steady_state":
-                tkey = int(min(time_cells - 1, math.floor(snap.tau / gamma)))
-                key_coords = key_coords + (tkey,)
-            occupancy[key_coords] += 1
-        covered = sum(1 for v in occupancy.values() if v >= q)
+        keys = np.minimum(axis_cells - 1, np.floor((training.X[:, indices] + 1.0) / gamma))
+        if mode != "steady_state":
+            tkeys = np.minimum(time_cells - 1, np.floor(training.taus / gamma))
+            keys = np.column_stack([keys, tkeys])
+        _, counts = np.unique(keys.astype(np.int64), axis=0, return_counts=True)
+        covered = int(np.count_nonzero(counts >= q))
         log_total = m_r * math.log(axis_cells) + math.log(time_cells)
         if log_total < 45.0:
             total = float(axis_cells**m_r * time_cells)
@@ -473,7 +464,7 @@ def coverage_report(training: TrainingSet, gamma: float,
                 sites=tuple(region.sites),
                 m_r=m_r,
                 total_cells=total,
-                occupied=len(occupancy),
+                occupied=len(counts),
                 covered=covered,
                 fraction=fraction,
                 failure_bound=failure,

@@ -3,33 +3,38 @@
 One snapshot is one product measurement: a uniformly random basis in {X, Y, Z}
 per site, outcomes sampled from the exact Born rule site-by-site
 (conditioning on earlier outcomes, which avoids enumerating all 2^n outcome
-probabilities and is exact).  The inverse-channel estimate
+probabilities and is exact).  A TrainingSet holds N snapshots as columns:
+(N, n) int8 basis codes and +-1 outcomes beside the per-snapshot tags.  The
+inverse-channel estimate
 
     (x)_{i in B} (3 |z_i><z_i| - I)
 
-is an unbiased estimator of the reduced state on B.
+is an unbiased estimator of the reduced state on B.  It depends on a
+snapshot only through its (basis, outcome) pairs on the k sites of B, so
+:func:`local_estimates` evaluates tr[O . estimate] once per distinct code
+(at most 6^k) and looks it up for every snapshot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .lindblad import DensityMatrix, partial_trace
 
 __all__ = [
     "BASIS_LETTERS",
     "MAX_LOCAL_SITES",
-    "ShadowSnapshot",
     "TrainingSet",
     "measure_snapshot",
     "measure_snapshot_product",
     "snapshot_local_matrix",
+    "local_estimates",
     "median_of_means",
     "mom_batch_count",
     "required_shadow_count",
@@ -54,42 +59,14 @@ _EIG_KETS = np.array(
 _EIG_BRAS = _EIG_KETS.conj()
 
 
-@dataclass(frozen=True)
-class ShadowSnapshot:
-    """Outcome record of one randomized product measurement, with its tag."""
-
-    bases: np.ndarray    # int8 codes into BASIS_LETTERS, length n (system sites)
-    outcomes: np.ndarray  # int8 in {+1, -1}
-    x: np.ndarray
-    tau: float
-    omega: int
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "bases", np.asarray(self.bases, dtype=np.int8))
-        object.__setattr__(self, "outcomes", np.asarray(self.outcomes, dtype=np.int8))
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if self.bases.shape != self.outcomes.shape:
-            raise ValueError("bases and outcomes must have equal length")
-        if not np.all(np.isin(self.outcomes, (-1, 1))):
-            raise ValueError("outcomes must be +-1")
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.bases)
-
-    def eigenstate_ket(self, site: int) -> np.ndarray:
-        return _EIG_KETS[self.bases[site], 0 if self.outcomes[site] == 1 else 1]
-
-
-def measure_snapshot(rho: DensityMatrix, seed: int, x: np.ndarray | None = None,
-                     tau: float = math.inf, omega: int = 0,
-                     n_system: int | None = None) -> ShadowSnapshot:
+def measure_snapshot(rho: DensityMatrix, seed: int,
+                     n_system: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One randomized product measurement of ``rho`` on its first ``n_system`` sites.
 
-    Ancilla slots beyond ``n_system`` are traced out before measuring.  Bases
-    are i.i.d. uniform over {X, Y, Z}; outcomes follow the exact Born rule via
-    sequential conditional sampling.
+    Returns the int8 basis codes and +-1 outcomes.  Ancilla slots beyond
+    ``n_system`` are traced out before measuring.  Bases are i.i.d. uniform
+    over {X, Y, Z}; outcomes follow the exact Born rule via sequential
+    conditional sampling.
     """
     if rho.local_dim != 2:
         raise ValueError("snapshots are defined for qubit systems")
@@ -115,19 +92,11 @@ def measure_snapshot(rho: DensityMatrix, seed: int, x: np.ndarray | None = None,
         o = 0 if rng.random() < probs[0] / total else 1
         outcomes[i] = 1 if o == 0 else -1
         work = blocks[o] / probs[o] if k > 1 else work
-    return ShadowSnapshot(
-        bases=bases,
-        outcomes=outcomes,
-        x=np.zeros(0) if x is None else np.asarray(x, dtype=float),
-        tau=tau,
-        omega=omega,
-        seed=seed,
-    )
+    return bases, outcomes
 
 
-def measure_snapshot_product(site_states: np.ndarray, seed: int,
-                             x: np.ndarray | None = None, tau: float = math.inf,
-                             omega: int = 0) -> ShadowSnapshot:
+def measure_snapshot_product(site_states: np.ndarray,
+                             seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Product-state fast path of :func:`measure_snapshot`.
 
     ``site_states`` is an (n, 2, 2) stack of single-site density matrices.
@@ -147,31 +116,45 @@ def measure_snapshot_product(site_states: np.ndarray, seed: int,
         raise NumericalError("site state produced an out-of-range probability")
     p_plus = np.clip(p_plus, 0.0, 1.0)
     outcomes = np.where(us < p_plus, 1, -1).astype(np.int8)
-    return ShadowSnapshot(
-        bases=bases,
-        outcomes=outcomes,
-        x=np.zeros(0) if x is None else np.asarray(x, dtype=float),
-        tau=tau,
-        omega=omega,
-        seed=seed,
-    )
+    return bases, outcomes
 
 
-def snapshot_local_matrix(snapshot: ShadowSnapshot, sites: Sequence[int]) -> np.ndarray:
+def snapshot_local_matrix(bases: np.ndarray, outcomes: np.ndarray,
+                          sites: Sequence[int]) -> np.ndarray:
     """Inverse-channel estimate (x)_{i in B} (3 |z_i><z_i| - I) on ``sites``.
 
-    Sites ascending; the empty region yields the 1x1 scalar 1.
+    ``bases`` and ``outcomes`` are one snapshot's length-n rows.  Sites
+    ascending; the empty region yields the 1x1 scalar 1.
     """
     sites = sorted(sites)
     if len(sites) > MAX_LOCAL_SITES:
         raise ValueError(f"region of {len(sites)} sites exceeds local cap {MAX_LOCAL_SITES}")
-    if any(s < 0 or s >= snapshot.n_sites for s in sites):
+    if any(s < 0 or s >= len(bases) for s in sites):
         raise ValueError("site outside the measured system")
     mats = []
     for s in sites:
-        v = snapshot.eigenstate_ket(s)
+        v = _EIG_KETS[bases[s], 0 if outcomes[s] == 1 else 1]
         mats.append(3.0 * np.outer(v, v.conj()) - np.eye(2))
     return reduce(np.kron, mats) if mats else np.eye(1, dtype=complex)
+
+
+def local_estimates(bases: np.ndarray, outcomes: np.ndarray, sites: Sequence[int],
+                    matrix: np.ndarray) -> np.ndarray:
+    """tr[matrix . snapshot_local_matrix(row, sites)] for every snapshot row.
+
+    The (basis, outcome) pairs of the k sites form a code in [0, 6^k); the
+    trace is evaluated once per distinct code, on its first row, and looked
+    up for the others.
+    """
+    sites = sorted(sites)
+    pairs = 2 * bases[:, sites].astype(np.int64) + (outcomes[:, sites] < 0)
+    codes = pairs @ 6 ** np.arange(len(sites) - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    table = np.array([
+        float(np.real(np.trace(matrix @ snapshot_local_matrix(bases[j], outcomes[j], sites))))
+        for j in first
+    ])
+    return table[inverse]
 
 
 def median_of_means(values: Sequence[float], batches: int) -> float:
@@ -208,46 +191,40 @@ def required_shadow_count(epsilon: float, delta_prime: float, k0: int, n: int) -
     return max(1, math.ceil(bound))
 
 
+# the per-snapshot columns of a TrainingSet and their dtypes
+_COLUMNS = {"bases": np.int8, "outcomes": np.int8, "X": float, "taus": float,
+            "omegas": int, "seeds": np.uint64}
+
+
 @dataclass
 class TrainingSet:
-    """Tagged snapshots plus the sampling metadata needed to reuse them."""
+    """N tagged snapshots as columns (row i is snapshot i), plus the sampling
+    metadata needed to reuse them."""
 
-    snapshots: list[ShadowSnapshot]
+    bases: np.ndarray     # (N, n) int8 codes into BASIS_LETTERS
+    outcomes: np.ndarray  # (N, n) int8 in {+1, -1}
+    X: np.ndarray         # (N, m) float64 parameter tags
+    taus: np.ndarray      # (N,) float times; inf in steady-state mode
+    omegas: np.ndarray    # (N,) int ancilla choices
+    seeds: np.ndarray     # (N,) uint64 measurement stream seeds
     model_name: str = ""
     lattice_json: str = ""
     mode: str = "steady_state"
     seed: int = 0
-    m: int = 0
-    _X: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, dtype in _COLUMNS.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if (self.bases.shape != self.outcomes.shape
+                or len({len(getattr(self, name)) for name in _COLUMNS}) != 1):
+            raise ValueError("training columns must have equal length")
 
     def __len__(self) -> int:
-        return len(self.snapshots)
-
-    @property
-    def X(self) -> np.ndarray:
-        """(N, m) matrix of parameter tags."""
-        if self._X is None:
-            self._X = (
-                np.vstack([s.x for s in self.snapshots])
-                if self.snapshots
-                else np.zeros((0, self.m))
-            )
-        return self._X
-
-    @property
-    def taus(self) -> np.ndarray:
-        return np.array([s.tau for s in self.snapshots])
-
-    @property
-    def omegas(self) -> np.ndarray:
-        return np.array([s.omega for s in self.snapshots], dtype=int)
+        return len(self.taus)
 
     def subset(self, count: int) -> "TrainingSet":
         """Deterministic prefix subset (used by sample-size sweeps)."""
-        return TrainingSet(
-            self.snapshots[:count], self.model_name, self.lattice_json,
-            self.mode, self.seed, self.m,
-        )
+        return replace(self, **{name: getattr(self, name)[:count] for name in _COLUMNS})
 
 
 def _format_tau(tau: float) -> str:
@@ -257,47 +234,77 @@ def _format_tau(tau: float) -> str:
 def write_shadows(fileobj: IO[str], training: TrainingSet) -> None:
     """Snapshot interchange format: one record per line,
     ``x_hex tau omega basis_string outcome_bitstring seed``."""
+    m = training.X.shape[1]
     fileobj.write("# phaselearn-shadows v1\n")
     fileobj.write(f"# model {training.model_name}\n")
     fileobj.write(f"# lattice {training.lattice_json}\n")
     fileobj.write(f"# mode {training.mode}\n")
     fileobj.write(f"# seed {training.seed}\n")
-    fileobj.write(f"# m {training.m}\n")
-    for s in training.snapshots:
-        xhex = s.x.astype("<f8").tobytes().hex()
-        basis = "".join(BASIS_LETTERS[b] for b in s.bases)
-        bits = "".join("0" if o == 1 else "1" for o in s.outcomes)
-        fileobj.write(f"{xhex or '-'} {_format_tau(s.tau)} {s.omega} {basis} {bits} {s.seed}\n")
+    fileobj.write(f"# m {m}\n")
+    # letters and bits as ASCII codes: X, Y, Z are consecutive, '0' is +1
+    letters = (training.bases + ord("X")).astype(np.uint8)
+    bits = ((training.outcomes < 0) + ord("0")).astype(np.uint8)
+    X = training.X.astype("<f8")
+    for i in range(len(training)):
+        xhex = X[i].tobytes().hex() if m else "-"
+        fileobj.write(
+            f"{xhex} {_format_tau(training.taus[i])} {training.omegas[i]} "
+            f"{letters[i].tobytes().decode()} {bits[i].tobytes().decode()} "
+            f"{training.seeds[i]}\n"
+        )
+
+
+def _ascii_offsets(rows: Sequence[str], n: int, first: str) -> np.ndarray:
+    """Equal-length ASCII strings as an (len(rows), n) array of offsets from ``first``."""
+    codes = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    return (codes.reshape(len(rows), n) - ord(first)).astype(np.int8)
+
+
+def _parse_record(line: str, m: int, n: int | None) -> tuple:
+    """(x bytes, tau, omega, basis string, bit string, seed) of one record with
+    m tags and, unless n is None, n sites; ValueError names what is malformed."""
+    fields = line.split(" ")
+    if len(fields) != 6:
+        raise ValueError(f"expected 6 fields, got {len(fields)}")
+    xhex, tau_s, omega_s, basis, bits, seed_s = fields
+    if (xhex != "-") if m == 0 else (len(xhex) != 16 * m):
+        raise ValueError(f"x field does not hold m = {m} float64 values")
+    n = len(basis) if n is None else n
+    if len(basis) != n or len(bits) != n:
+        raise ValueError(f"basis and outcome strings must have the first record's length {n}")
+    if not (set(basis) <= set(BASIS_LETTERS) and set(bits) <= set("01")):
+        raise ValueError("basis letters must be X, Y or Z and outcome bits 0 or 1")
+    seed = int(seed_s)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed outside the 64-bit range")
+    return bytes.fromhex(xhex) if m else b"", float(tau_s), int(omega_s), basis, bits, seed
 
 
 def read_shadows(fileobj: IO[str]) -> TrainingSet:
-    meta = {"model": "", "lattice": "", "mode": "steady_state", "seed": "0", "m": "0"}
-    snaps: list[ShadowSnapshot] = []
-    for line in fileobj:
+    """Parse the interchange format; a malformed line raises ConfigError
+    naming it."""
+    meta = {"model": "", "lattice": "", "mode": "steady_state", "seed": 0, "m": 0}
+    records = []
+    for lineno, line in enumerate(fileobj, 1):
         line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].strip().split(" ", 1)
-            if len(parts) == 2 and parts[0] in meta:
-                meta[parts[0]] = parts[1]
-            continue
-        xhex, tau_s, omega_s, basis, bits, seed_s = line.split(" ")
-        x = (
-            np.frombuffer(bytes.fromhex(xhex), dtype="<f8")
-            if xhex != "-"
-            else np.zeros(0)
-        )
-        bases = np.array([BASIS_LETTERS.index(c) for c in basis], dtype=np.int8)
-        outcomes = np.array([1 if c == "0" else -1 for c in bits], dtype=np.int8)
-        snaps.append(
-            ShadowSnapshot(bases, outcomes, x, float(tau_s), int(omega_s), int(seed_s))
-        )
+        try:
+            if line.startswith("#"):
+                parts = line[1:].strip().split(" ", 1)
+                if len(parts) == 2 and parts[0] in meta:
+                    key, value = parts
+                    meta[key] = int(value) if key in ("m", "seed") else value
+            elif line:
+                n = len(records[0][3]) if records else None
+                records.append(_parse_record(line, meta["m"], n))
+        except ValueError as exc:
+            raise ConfigError(f"shadows line {lineno}: {exc}") from None
+    xs, taus, omegas, basis_rows, bit_rows, seeds = zip(*records) if records else [()] * 6
+    n = len(basis_rows[0]) if records else 0
     return TrainingSet(
-        snaps,
-        model_name=meta["model"],
-        lattice_json=meta["lattice"],
-        mode=meta["mode"],
-        seed=int(meta["seed"]),
-        m=int(meta["m"]),
+        bases=_ascii_offsets(basis_rows, n, "X"),
+        outcomes=1 - 2 * _ascii_offsets(bit_rows, n, "0"),
+        X=np.frombuffer(b"".join(xs), dtype="<f8").reshape(len(xs), meta["m"]),
+        taus=taus, omegas=omegas, seeds=seeds,
+        model_name=meta["model"], lattice_json=meta["lattice"], mode=meta["mode"],
+        seed=meta["seed"],
     )

@@ -7,6 +7,7 @@ desk-scale checks; every tolerance is pinned here, nothing is deferred.
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +30,7 @@ from phaselearn.lindblad import (
 )
 from phaselearn.models import instantiate
 from phaselearn.seeding import stream_seed
-from phaselearn.shadows import (
-    ShadowSnapshot,
-    TrainingSet,
-    measure_snapshot_product,
-    required_shadow_count,
-)
+from phaselearn.shadows import measure_snapshot_product, required_shadow_count
 
 CONFIG_DIR = Path(__file__).parents[1] / "scripts" / "configs"
 
@@ -107,9 +103,7 @@ def pinning8_snapshots():
     bases = np.empty((n_snap, 8), dtype=np.int8)
     outcomes = np.empty((n_snap, 8), dtype=np.int8)
     for i in range(n_snap):
-        s = measure_snapshot_product(sites, stream_seed(300, "acc3", i))
-        bases[i] = s.bases
-        outcomes[i] = s.outcomes
+        bases[i], outcomes[i] = measure_snapshot_product(sites, stream_seed(300, "acc3", i))
     return model, x, bases, outcomes
 
 
@@ -254,14 +248,12 @@ def test_criterion_08_estimator_locality_invariant(learning_bundle):
         patch = enlarge(cfg.lattice, o.support, p.r)
         patch_coords |= set(model.family.coords_for_region(patch).tolist())
     rng = np.random.default_rng(800)
-    scrambled = []
-    for s in training.snapshots:
-        new_x = s.x.copy()
-        for c in range(len(new_x)):
+    new_X = training.X.copy()
+    for row in new_X:
+        for c in range(len(row)):
             if c not in patch_coords:
-                new_x[c] = rng.uniform(-1, 1)
-        scrambled.append(ShadowSnapshot(s.bases, s.outcomes, new_x, s.tau, s.omega, s.seed))
-    scrambled_tr = TrainingSet(scrambled, m=training.m)
+                row[c] = rng.uniform(-1, 1)
+    scrambled_tr = replace(training, X=new_X)
     rng_t = np.random.default_rng(801)
     for _ in range(10):
         xt = rng_t.uniform(-1, 1, model.family.m)

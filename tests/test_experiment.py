@@ -283,6 +283,18 @@ class TestCli:
         p.write_text("[model]\nname = \"nonsense\"\n")
         assert cli_main(["plan", "--config", str(p)]) == 2
 
+    def test_corrupt_shadows_exit_code(self, tmp_path):
+        p = self._write_cfg(tmp_path, SMALL_LEARNING.replace("n_override = 6000",
+                                                             "n_override = 50"))
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", str(p), "--out", str(out)]) == 0
+        lines = (out / "training.shadows").read_text().split("\n")
+        fields = lines[-2].split(" ")
+        fields[4] = "2" + fields[4][1:]
+        lines[-2] = " ".join(fields)
+        (out / "training.shadows").write_text("\n".join(lines))
+        assert cli_main(["predict", "--config", str(p), "--out", str(out)]) == 2
+
     def test_infeasible_plan_exit_code(self, tmp_path):
         text = SMALL_LEARNING.replace("n_cap = 100000", "n_cap = null")
         text = text.replace("epsilon = 0.3", "epsilon = 0.05")

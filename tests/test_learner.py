@@ -1,8 +1,11 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselearn.errors import EmptyCellError, PlanInfeasibleError
 from phaselearn.lattice import Lattice, Region, enlarge, observable_from_string
@@ -17,7 +20,7 @@ from phaselearn.learner import (
     select_cell,
 )
 from phaselearn.models import PhaseSample, instantiate
-from phaselearn.shadows import ShadowSnapshot, TrainingSet, median_of_means, snapshot_local_matrix
+from phaselearn.shadows import TrainingSet, median_of_means, snapshot_local_matrix
 
 SMALL = PlanConstants(J=0.5, ell=1, r0=0, D=1, n=4, m=4, k0=0, M=1, W=1,
                       xi=0.3, gamma_prime=1.0, c_prime=0.5)
@@ -26,14 +29,13 @@ SMALL = PlanConstants(J=0.5, ell=1, r0=0, D=1, n=4, m=4, k0=0, M=1, W=1,
 def _tag_training(xs, taus=None, omegas=None, m=None):
     """Training set with real tags and placeholder single-site snapshots."""
     n = len(xs)
-    taus = [math.inf] * n if taus is None else taus
-    omegas = [0] * n if omegas is None else omegas
-    snaps = [
-        ShadowSnapshot(np.array([2], dtype=np.int8), np.array([1], dtype=np.int8),
-                       np.asarray(x, dtype=float), taus[i], omegas[i], i)
-        for i, x in enumerate(xs)
-    ]
-    return TrainingSet(snaps, m=m if m is not None else len(xs[0]))
+    return TrainingSet(
+        np.full((n, 1), 2), np.ones((n, 1)),
+        np.reshape(np.asarray(xs, dtype=float), (n, m if m is not None else len(xs[0]))),
+        taus=[math.inf] * n if taus is None else taus,
+        omegas=[0] * n if omegas is None else omegas,
+        seeds=np.arange(n),
+    )
 
 
 class TestPlan:
@@ -191,12 +193,15 @@ def _pinning_training(n, N, seed, gamma_spread=None):
     from phaselearn.shadows import measure_snapshot_product
     from phaselearn.seeding import stream_seed
 
-    snaps = []
-    for i in range(N):
-        sites = np.stack([model.oracle.site_state(xs[i, j], math.inf) for j in range(n)])
-        snaps.append(measure_snapshot_product(sites, stream_seed(seed, "m", i),
-                                              x=xs[i], tau=math.inf, omega=0))
-    return model, TrainingSet(snaps, model_name="pinning", m=n, seed=seed)
+    seeds = [stream_seed(seed, "m", i) for i in range(N)]
+    bases, outcomes = map(np.array, zip(*(
+        measure_snapshot_product(
+            np.stack([model.oracle.site_state(xs[i, j], math.inf) for j in range(n)]),
+            seeds[i])
+        for i in range(N))))
+    return model, TrainingSet(bases, outcomes, xs, taus=np.full(N, math.inf),
+                              omegas=np.zeros(N), seeds=seeds, model_name="pinning",
+                              seed=seed)
 
 
 class TestPredict:
@@ -223,13 +228,15 @@ class TestPredict:
         from phaselearn.shadows import measure_snapshot_product
 
         sites = np.stack([model.oracle.site_state(x[j], math.inf) for j in range(3)])
-        snaps = [measure_snapshot_product(sites, s, x=x, tau=math.inf) for s in range(200)]
-        tr = TrainingSet(snaps, m=3)
+        snaps = [measure_snapshot_product(sites, s) for s in range(200)]
+        bases, outcomes = map(np.array, zip(*snaps))
+        tr = TrainingSet(bases, outcomes, np.tile(x, (200, 1)), taus=np.full(200, math.inf),
+                         omegas=np.zeros(200), seeds=np.arange(200))
         p = self._plan(model)
         obs = observable_from_string("Z@1", lat)
         pred = predict([obs], x, math.inf, tr, p, model.family)
-        vals = [float(np.real(np.trace(obs.matrix @ snapshot_local_matrix(s, [1]))))
-                for s in snaps]
+        vals = [float(np.real(np.trace(obs.matrix @ snapshot_local_matrix(b, o, [1]))))
+                for b, o in snaps]
         from phaselearn.shadows import mom_batch_count
 
         k = mom_batch_count(p.delta_prime, len(vals))
@@ -245,7 +252,7 @@ class TestPredict:
         patch = enlarge(model.lattice, obs.support, p.r)
         cell = select_cell(x, math.inf, tr, model.family.coords_for_region(patch), p.gamma)
         vals = [float(np.real(np.trace(obs.matrix @ snapshot_local_matrix(
-            tr.snapshots[j], [2])))) for j in cell]
+            tr.bases[j], tr.outcomes[j], [2])))) for j in cell]
         assert pred_mean.value == pytest.approx(np.mean(vals), abs=1e-12)
         assert pred_mean.mom_batches == (1,)
 
@@ -266,15 +273,12 @@ class TestPredict:
         patch = enlarge(model.lattice, obs.support, p.r)
         inside = set(model.family.coords_for_region(patch).tolist())
         rng = np.random.default_rng(9)
-        scrambled = []
-        for s in tr.snapshots:
-            new_x = s.x.copy()
+        new_X = tr.X.copy()
+        for row in new_X:
             for c in range(6):
                 if c not in inside:
-                    new_x[c] = rng.uniform(-1, 1)
-            scrambled.append(ShadowSnapshot(s.bases, s.outcomes, new_x, s.tau,
-                                            s.omega, s.seed))
-        tr2 = TrainingSet(scrambled, m=6)
+                    row[c] = rng.uniform(-1, 1)
+        tr2 = replace(tr, X=new_X)
         after = predict([obs], x, math.inf, tr2, p, model.family)
         assert before.value == after.value
         assert before.per_term == after.per_term
@@ -397,3 +401,35 @@ class TestCoverage:
         m_r = 1
         expect = min(1.0, 1 * math.exp(-10 * (gamma / 2) ** m_r + m_r * math.log(2 / gamma)))
         assert rep.entries[0].failure_bound == pytest.approx(expect)
+
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(0, 300),
+           gamma=st.sampled_from([0.15, 0.5, 0.7, 2.0]), q=st.integers(1, 4),
+           mode=st.sampled_from(["steady_state", "general_phase"]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_counter_reference(self, seed, N, gamma, q, mode):
+        """Vectorised binning equals a per-sample Counter over cell keys."""
+        lat = Lattice(1, (3,), "open")
+        model = instantiate("pinning", lat)
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-1, 1, size=(N, 3))
+        # a few samples on the box edge and on cell borders
+        xs[: N // 10] = rng.choice([-1.0, -1.0 + gamma, 0.0, 1.0], size=(N // 10, 3))
+        t_eps = 1.3
+        taus = rng.uniform(0, t_eps, N) if mode != "steady_state" else None
+        tr = _tag_training(xs, taus=taus, m=3)
+        regions = [Region((0,)), Region((1, 2)), Region(())]
+        rep = coverage_report(tr, gamma, regions, model.family, q=q, mode=mode,
+                              t_eps=t_eps)
+        axis_cells = math.ceil(2.0 / gamma)
+        time_cells = math.ceil(t_eps / gamma)
+        for region, entry in zip(regions, rep.entries):
+            idx = model.family.coords_for_region(region)
+            ref: Counter = Counter()
+            for i in range(N):
+                key = tuple(int(min(axis_cells - 1, math.floor((v + 1.0) / gamma)))
+                            for v in xs[i, idx])
+                if mode != "steady_state":
+                    key += (int(min(time_cells - 1, math.floor(taus[i] / gamma))),)
+                ref[key] += 1
+            assert entry.occupied == len(ref)
+            assert entry.covered == sum(1 for v in ref.values() if v >= q)

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import Z, random_density
+from phaselearn.errors import ConfigError
 from phaselearn.lattice import Lattice
 from phaselearn.lindblad import DensityMatrix, partial_trace
 from phaselearn.models import instantiate
 from phaselearn.shadows import (
-    ShadowSnapshot,
     TrainingSet,
+    local_estimates,
     measure_snapshot,
     measure_snapshot_product,
     median_of_means,
@@ -24,9 +26,18 @@ from phaselearn.shadows import (
 
 
 def _snap(bases, outcomes):
-    return ShadowSnapshot(
-        np.array(bases, dtype=np.int8), np.array(outcomes, dtype=np.int8),
-        np.zeros(0), math.inf, 0, 0,
+    return np.array(bases, dtype=np.int8), np.array(outcomes, dtype=np.int8)
+
+
+def _columns(bases, outcomes, X, taus=None, omegas=None, seeds=None, **meta):
+    """A TrainingSet from its columns; omitted tags default to steady state."""
+    N = len(bases)
+    return TrainingSet(
+        bases, outcomes, X,
+        taus=[math.inf] * N if taus is None else taus,
+        omegas=[0] * N if omegas is None else omegas,
+        seeds=list(range(N)) if seeds is None else seeds,
+        **meta,
     )
 
 
@@ -34,9 +45,9 @@ class TestMeasurement:
     def test_zero_state_z_always_plus(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
         for seed in range(200):
-            s = measure_snapshot(rho, seed)
-            if s.bases[0] == 2:
-                assert s.outcomes[0] == 1
+            bases, outcomes = measure_snapshot(rho, seed)
+            if bases[0] == 2:
+                assert outcomes[0] == 1
 
     def test_plus_state_statistics(self):
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
@@ -44,12 +55,12 @@ class TestMeasurement:
         x_minus = z_plus = z_minus = z_total = 0
         n_draws = 10_000
         for seed in range(n_draws):
-            s = measure_snapshot(rho, seed)
-            if s.bases[0] == 0 and s.outcomes[0] == -1:
+            bases, outcomes = measure_snapshot(rho, seed)
+            if bases[0] == 0 and outcomes[0] == -1:
                 x_minus += 1
-            if s.bases[0] == 2:
+            if bases[0] == 2:
                 z_total += 1
-                if s.outcomes[0] == 1:
+                if outcomes[0] == 1:
                     z_plus += 1
                 else:
                     z_minus += 1
@@ -64,18 +75,18 @@ class TestMeasurement:
         rho = DensityMatrix(np.outer(bell, bell).astype(complex), 2)
         seen = 0
         for seed in range(10_000):
-            s = measure_snapshot(rho, seed)
-            if s.bases[0] == 2 and s.bases[1] == 2:
+            bases, outcomes = measure_snapshot(rho, seed)
+            if bases[0] == 2 and bases[1] == 2:
                 seen += 1
-                assert s.outcomes[0] == s.outcomes[1]
+                assert outcomes[0] == outcomes[1]
         assert seen > 500
 
     def test_bases_uniform(self):
         rho = DensityMatrix.maximally_mixed(2)
         counts = np.zeros(3)
         for seed in range(3000):
-            s = measure_snapshot(rho, seed)
-            for b in s.bases:
+            bases, _ = measure_snapshot(rho, seed)
+            for b in bases:
                 counts[b] += 1
         assert np.all(np.abs(counts / counts.sum() - 1 / 3) < 0.03)
 
@@ -89,11 +100,12 @@ class TestMeasurement:
         rho = DensityMatrix.maximally_mixed(3)
         seen = set()
         for seed in range(100):
-            s = measure_snapshot(rho, seed)
+            bases, outcomes = measure_snapshot(rho, seed)
             for site in range(3):
-                ket = s.eigenstate_ket(site)
+                # the estimate is 3 |z><z| - I, so (estimate + I) / 3 = |z><z|
+                proj = (snapshot_local_matrix(bases, outcomes, [site]) + np.eye(2)) / 3
                 matches = [k for k, c in enumerate(canonical)
-                           if np.allclose(ket, c)]
+                           if np.allclose(proj, np.outer(c, c.conj()))]
                 assert len(matches) == 1
                 seen.add(matches[0])
         assert seen == set(range(6))
@@ -102,8 +114,8 @@ class TestMeasurement:
         lat = Lattice(1, (2,), "open")
         model = instantiate("pinning", lat, omega=1)
         rho = model.oracle.full_state(np.array([0.2, -0.4]), np.inf, model.family)
-        s = measure_snapshot(rho, 3, n_system=2)
-        assert s.n_sites == 2
+        bases, outcomes = measure_snapshot(rho, 3, n_system=2)
+        assert len(bases) == len(outcomes) == 2
 
     def test_product_fast_path_matches_general(self):
         lat = Lattice(1, (4,), "open")
@@ -112,32 +124,31 @@ class TestMeasurement:
         sites = np.stack([model.oracle.site_state(x[j], np.inf) for j in range(4)])
         rho = model.oracle.full_state(x, np.inf, model.family)
         for seed in range(500):
-            a = measure_snapshot(rho, seed)
-            b = measure_snapshot_product(sites, seed)
-            assert np.array_equal(a.bases, b.bases)
-            assert np.array_equal(a.outcomes, b.outcomes)
+            a_bases, a_outcomes = measure_snapshot(rho, seed)
+            b_bases, b_outcomes = measure_snapshot_product(sites, seed)
+            assert np.array_equal(a_bases, b_bases)
+            assert np.array_equal(a_outcomes, b_outcomes)
 
 
 class TestInverseChannel:
     def test_single_site_formula(self):
-        m = snapshot_local_matrix(_snap([2], [1]), [0])
+        m = snapshot_local_matrix(*_snap([2], [1]), [0])
         assert np.allclose(m, np.diag([2.0, -1.0]))
 
     def test_empty_region_scalar_one(self):
-        m = snapshot_local_matrix(_snap([2], [1]), [])
+        m = snapshot_local_matrix(*_snap([2], [1]), [])
         assert m.shape == (1, 1) and m[0, 0] == 1.0
 
     def test_oversized_region(self):
-        s = _snap([2] * 8, [1] * 8)
         with pytest.raises(ValueError):
-            snapshot_local_matrix(s, list(range(7)))
+            snapshot_local_matrix(*_snap([2] * 8, [1] * 8), list(range(7)))
 
     def test_unbiased_single_site(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
         vals = []
         for seed in range(30_000):
-            s = measure_snapshot(rho, seed)
-            vals.append(np.real(np.trace(Z @ snapshot_local_matrix(s, [0]))))
+            vals.append(np.real(np.trace(
+                Z @ snapshot_local_matrix(*measure_snapshot(rho, seed), [0]))))
         mean = float(np.mean(vals))
         stderr = float(np.std(vals)) / math.sqrt(len(vals))
         assert abs(mean - 1.0) <= 4 * stderr
@@ -148,8 +159,7 @@ class TestInverseChannel:
         acc = np.zeros((2, 2), dtype=complex)
         n_draws = 60_000
         for seed in range(n_draws):
-            s = measure_snapshot(rho, seed)
-            acc += snapshot_local_matrix(s, [1])
+            acc += snapshot_local_matrix(*measure_snapshot(rho, seed), [1])
         marg = partial_trace(rho.data, 2, [1])
         assert np.max(np.abs(acc / n_draws - marg)) < 0.03
 
@@ -157,7 +167,7 @@ class TestInverseChannel:
         rng = np.random.default_rng(2)
         rho = random_density(3, rng)
         for seed in range(50):
-            m = snapshot_local_matrix(measure_snapshot(rho, seed), [0, 2])
+            m = snapshot_local_matrix(*measure_snapshot(rho, seed), [0, 2])
             assert abs(np.trace(m) - 1.0) <= 1e-9
 
 
@@ -221,30 +231,63 @@ class TestShadowFile:
     def test_roundtrip(self):
         rng = np.random.default_rng(4)
         rho = random_density(3, rng)
-        snaps = [
-            measure_snapshot(rho, seed, x=rng.uniform(-1, 1, 5), tau=float(t), omega=t % 2)
-            for seed, t in zip(range(6), [0, 1, 2, 0, 1, 2])
-        ]
-        snaps.append(measure_snapshot(rho, 99, x=rng.uniform(-1, 1, 5)))
-        ts = TrainingSet(snaps, model_name="pinning", lattice_json="{}",
-                         mode="general_phase", seed=11, m=5)
+        seeds = list(range(6)) + [99]
+        bases, outcomes = map(np.array, zip(*(measure_snapshot(rho, s) for s in seeds)))
+        ts = _columns(bases, outcomes, rng.uniform(-1, 1, (7, 5)),
+                      taus=[0.0, 1.0, 2.0, 0.0, 1.0, 2.0, math.inf],
+                      omegas=[0, 1, 0, 0, 1, 0, 0], seeds=seeds,
+                      model_name="pinning", lattice_json="{}", mode="general_phase",
+                      seed=11)
         buf = io.StringIO()
         write_shadows(buf, ts)
         buf.seek(0)
         back = read_shadows(buf)
         assert back.model_name == "pinning"
         assert back.mode == "general_phase"
-        assert back.seed == 11 and back.m == 5
-        for a, b in zip(ts.snapshots, back.snapshots):
-            assert np.array_equal(a.bases, b.bases)
-            assert np.array_equal(a.outcomes, b.outcomes)
-            assert np.array_equal(a.x, b.x)
-            assert a.tau == b.tau or (math.isinf(a.tau) and math.isinf(b.tau))
-            assert a.seed == b.seed and a.omega == b.omega
+        assert back.seed == 11 and back.X.shape == (7, 5)
+        for name in ("bases", "outcomes", "X", "taus", "omegas", "seeds"):
+            assert np.array_equal(getattr(ts, name), getattr(back, name)), name
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_byte_roundtrip(self, m):
+        rng = np.random.default_rng(40 + m)
+        N, n = 5, 4
+        ts = _columns(rng.integers(0, 3, (N, n)), rng.choice([-1, 1], (N, n)),
+                      rng.uniform(-1, 1, (N, m)),
+                      taus=[math.inf, 0.0, 0.1, 2.5e-17, 3.0], omegas=[0, 1, 1, 0, 1],
+                      seeds=[0, 2**63, 2**64 - 1, 12345, 2**63 - 1],
+                      model_name="pinning", lattice_json='{"dim": 1}',
+                      mode="general_phase", seed=2**63 + 5)
+        first = io.StringIO()
+        write_shadows(first, ts)
+        second = io.StringIO()
+        write_shadows(second, read_shadows(io.StringIO(first.getvalue())))
+        assert second.getvalue() == first.getvalue()
+        if m == 0:
+            assert all(line.startswith("- ") for line in first.getvalue().split("\n")
+                       if line and not line.startswith("#"))
+
+    @pytest.mark.parametrize("record, what", [
+        ("0000000000000000 inf 0 ZZ 02 7", "outcome bits"),
+        ("0000000000000000 inf 0 ZZZ 011 7", "first record's length"),
+        ("0000000000000000 inf 0 ZZ 0 7", "first record's length"),
+        ("00000000 inf 0 ZZ 01 7", "m = 1"),
+        ("0000000000000000 inf 0 ZW 01 7", "basis letters"),
+        ("0000000000000000 inf 0 ZZ 01", "6 fields"),
+        ("000000000000000g inf 0 ZZ 01 7", "hexadecimal"),
+        ("0000000000000000 inf 0 ZZ 01 -1", "64-bit"),
+        ("# m one", "invalid literal"),
+    ], ids=["bit_2", "ragged_long", "ragged_short", "short_x", "letter_W",
+            "five_fields", "bad_hex", "negative_seed", "header_m"])
+    def test_malformed_record_rejected(self, record, what):
+        text = "# m 1\n0000000000000000 inf 0 XY 01 3\n" + record + "\n"
+        with pytest.raises(ConfigError, match=what) as err:
+            read_shadows(io.StringIO(text))
+        assert "line 3" in str(err.value)
 
     def test_format_line_shape(self):
-        s = measure_snapshot(DensityMatrix.maximally_mixed(2), 5, x=np.array([0.5, -0.25]))
-        ts = TrainingSet([s], m=2)
+        bases, outcomes = measure_snapshot(DensityMatrix.maximally_mixed(2), 5)
+        ts = _columns([bases], [outcomes], [[0.5, -0.25]], seeds=[5])
         buf = io.StringIO()
         write_shadows(buf, ts)
         record = [l for l in buf.getvalue().split("\n") if l and not l.startswith("#")][0]
@@ -255,6 +298,31 @@ class TestShadowFile:
         assert len(bits) == 2 and set(bits) <= set("01")
 
     def test_prefix_subset(self):
-        snaps = [_snap([2], [1]) for _ in range(5)]
-        ts = TrainingSet(snaps, m=0)
-        assert len(ts.subset(3)) == 3
+        ts = _columns([[2]] * 5, [[1]] * 5, np.zeros((5, 0)))
+        sub = ts.subset(3)
+        assert len(sub) == 3
+        assert list(sub.seeds) == [0, 1, 2] and sub.X.shape == (3, 0)
+
+
+class TestLocalEstimates:
+    @given(data=st.data(), N=st.integers(0, 30), n=st.integers(1, 5),
+           k=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_lookup_matches_reference(self, data, N, n, k):
+        """Table lookup equals the per-snapshot Kronecker estimate exactly."""
+        k = min(k, n)
+        bases = data.draw(hnp.arrays(np.int8, (N, n), elements=st.integers(0, 2)))
+        outcomes = data.draw(hnp.arrays(np.int8, (N, n), elements=st.sampled_from([-1, 1])))
+        sites = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                                   unique=True))
+        d = 2**k
+        parts = data.draw(hnp.arrays(np.float64, (2, d, d),
+                                     elements=st.floats(-3, 3, allow_nan=False)))
+        a = parts[0] + 1j * parts[1]
+        obs = a + a.conj().T
+        got = local_estimates(bases, outcomes, sites, obs)
+        assert got.shape == (N,)
+        for i in range(N):
+            ref = float(np.real(np.trace(obs @ snapshot_local_matrix(
+                bases[i], outcomes[i], sites))))
+            assert got[i] == ref
