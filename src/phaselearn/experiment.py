@@ -254,6 +254,8 @@ def _predictions_stage(cfg: ExperimentConfig, model: Model, observables,
         "planned_N_capped": p.capped,
         "used_N": p.N,
         "n_test": cfg.n_test,
+        # test points with an exact value; success_fraction is null when 0
+        "n_exact": len(errors),
         "success_fraction": success,
         "success_target": 1.0 - cfg.delta,
         "coverage_min_fraction": cov.min_fraction,

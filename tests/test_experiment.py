@@ -145,6 +145,7 @@ class TestLearningRun:
             assert (tmp_path / name).exists(), name
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["used_N"] == 6000
+        assert summary["n_exact"] == 12
         assert summary["success_fraction"] >= 0.8
         assert len(summary["sweep"]) == 2
         header = (tmp_path / "predictions.csv").read_text().split("\n")[0]
@@ -176,6 +177,39 @@ class TestLearningRun:
         cfg = _cfg(SMALL_LEARNING, tmp_path)
         with pytest.raises(ConfigError):
             run_predict_stage(cfg)
+
+    def test_no_exact_values_above_dense_cap(self, tmp_path):
+        # a non-oracle model on 7 sites has no exact values; the summary says
+        # so through n_exact instead of a bare null success_fraction
+        text = (SMALL_LEARNING.replace('name = "pinning"\nkappa0 = 1.0',
+                                       'name = "dissipative_tfim"')
+                .replace("extent = [6]", "extent = [7]")
+                .replace("n_test = 12", "n_test = 3"))
+        cfg = _cfg(text, tmp_path)
+        m = 13  # 7 site fields and 6 bond couplings
+        constants = {"J": 10.0, "ell": 1, "r0": 1, "D": 1, "n": 7, "m": m, "k0": 1,
+                     "M": 1, "W": 1, "xi": 1.0, "gamma_prime": 1.0, "c_prime": 2.0,
+                     "kappa": 1.0, "f_n": None}
+        (tmp_path / "plan.json").write_text(json.dumps({
+            "epsilon": 0.3, "delta": 0.1, "delta_prime": 0.1, "mode": "steady_state",
+            "r": 1, "gamma": 0.4, "q": 5, "t_eps": None, "N": 4, "N_log2": 2.0,
+            "capped": True, "n_cap": 4, "mom_batches": 1, "constants": constants,
+        }))
+        header = ["# phaselearn-shadows v1", "# model dissipative_tfim",
+                  f"# lattice {cfg.lattice.to_json()}", "# mode steady_state",
+                  "# seed 5", f"# m {m}"]
+        records = [f"{np.full(m, v).astype('<f8').tobytes().hex()} inf 0 {basis} {bits} {i}"
+                   for i, (v, basis, bits) in enumerate([
+                       (-0.5, "ZZZZZZZ", "0000000"), (0.0, "XXXXXXX", "0101010"),
+                       (0.25, "YYYYYYY", "1111111"), (0.5, "XYZXYZX", "0011001")])]
+        (tmp_path / "training.shadows").write_text("\n".join(header + records) + "\n")
+        run_predict_stage(cfg)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["n_test"] == 3
+        assert summary["n_exact"] == 0
+        assert summary["success_fraction"] is None
+        rows = (tmp_path / "predictions.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(r.split(",")[3] == "" for r in rows)
 
     def test_ancilla_choice_run(self, tmp_path):
         text = SMALL_LEARNING.replace('mode = "steady"', 'mode = "steady"\nomega = 1')

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import Z, amplitude_damping_family, random_density, random_two_site_family
 from phaselearn.errors import DegenerateSteadyStateError
@@ -19,6 +22,78 @@ from phaselearn.lindblad import (
     trace_norm,
 )
 from phaselearn.models import instantiate
+
+
+def _random_chain_family(rng: np.random.Generator, n: int, cancel: bool,
+                         dissipate_all: bool) -> ParamLindbladian:
+    """Random 1D family on n sites: site and bond terms with 0-2 coordinates.
+
+    Each term's Hamiltonian is a random Hermitian combination of its
+    coordinates, and its jumps random matrices, some scaled by a coordinate.
+    ``cancel`` replaces the term on the last support by two terms with
+    opposite fixed Hamiltonians, whose entries cancel exactly where no other
+    term reaches; ``dissipate_all`` gives every site a fixed random jump.
+    """
+    def rand_mat(d):
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    def rand_herm(d):
+        a = rand_mat(d)
+        return (a + a.conj().T) / 2
+
+    supports = [(j,) for j in range(n)] + [(j, j + 1) for j in range(n - 1)]
+    specs = []  # (support, n_params, build)
+    for sup in supports:
+        d = 2 ** len(sup)
+        ell = int(rng.integers(0, 3))
+        hs = [rand_herm(d) for _ in range(ell)]
+        jumps = [0.5 * rand_mat(d) for _ in range(int(rng.integers(0, 2)))]
+        scaled = bool(rng.integers(0, 2))
+
+        def build(xs, _hs=hs, _jumps=jumps, _scaled=scaled):
+            h = sum(float(x) * hk for x, hk in zip(xs, _hs)) if _hs else None
+            if _scaled and len(xs):
+                return h, [float(xs[0]) * L for L in _jumps]
+            return h, list(_jumps)
+
+        specs.append((sup, ell, build))
+    if dissipate_all:
+        for j in range(n):
+            specs.append(((j,), 0, lambda xs, _L=0.8 * rand_mat(2): (None, [_L])))
+    if cancel:
+        sup = supports[-1]
+        h_c = rand_herm(2 ** len(sup))
+        specs[len(supports) - 1] = (sup, 0, lambda xs: (h_c, []))
+        specs.append((sup, 0, lambda xs: (-h_c, [])))
+    terms, m = [], 0
+    for i, (sup, ell, build) in enumerate(specs):
+        terms.append(LindbladTerm(Region(sup), tuple(range(m, m + ell)), build, f"t{i}"))
+        m += ell
+    return ParamLindbladian(Lattice(1, (n,), "open"), terms)
+
+
+def _dense_generator(family: ParamLindbladian, x: np.ndarray) -> np.ndarray:
+    """Reference generator from each term's build: Kronecker embedding on the
+    chain and the column-stacking convention vec(A X B) = (B^T (x) A) vec(X)."""
+    n = family.n_total
+    D = 2**n
+    eye = np.eye(D)
+    M = np.zeros((D * D, D * D), dtype=complex)
+    for term in family.terms:
+        sites = term.support.sites
+        h, jumps = term.build(x[list(term.coord_indices)])
+
+        def full(op, _lo=sites[0], _k=len(sites)):
+            return np.kron(np.kron(np.eye(2**_lo), op), np.eye(2 ** (n - _lo - _k)))
+
+        if h is not None:
+            H = full(h)
+            M += -1j * (np.kron(eye, H) - np.kron(H.T, eye))
+        for L in jumps:
+            Lf = full(L)
+            LdL = Lf.conj().T @ Lf
+            M += np.kron(Lf.conj(), Lf) - 0.5 * np.kron(eye, LdL) - 0.5 * np.kron(LdL.T, eye)
+    return M
 
 
 class TestAssemble:
@@ -42,7 +117,8 @@ class TestAssemble:
         total = assemble(fam, x).matrix
         acc = None
         for ti, term in enumerate(fam.terms):
-            piece = fam.term_superoperator(ti, x[list(term.coord_indices)])
+            rows, cols, data = fam.term_superoperator(ti, x[list(term.coord_indices)])
+            piece = sp.coo_matrix((data, (rows, cols)), shape=total.shape)
             acc = piece if acc is None else acc + piece
         assert abs(total - acc).max() < 1e-14
 
@@ -59,6 +135,17 @@ class TestAssemble:
         fam2 = ParamLindbladian(lat, [term])
         with pytest.raises(ValueError):
             assemble(fam2, np.array([1.5]))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), cancel=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_reference(self, seed, n, cancel):
+        rng = np.random.default_rng(seed)
+        fam = _random_chain_family(rng, n, cancel, dissipate_all=bool(rng.integers(0, 2)))
+        x = rng.uniform(-1, 1, fam.m)
+        got = assemble(fam, x).matrix
+        assert np.abs(got.toarray() - _dense_generator(fam, x)).max() <= 1e-13
+        # terms that cancel leave no explicit zeros behind
+        assert got.nnz == np.count_nonzero(got.toarray())
 
     def test_family_does_not_grow_with_points(self):
         # assembling at many distinct points must leave the family as it was
@@ -200,6 +287,23 @@ class TestSteadyState:
         ss = steady_state(gen)
         out = evolve(gen, ss, 10.0)
         assert trace_norm(out.data - ss.data) < 1e-7
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_null_space(self, seed, n):
+        rng = np.random.default_rng(seed)
+        fam = _random_chain_family(rng, n, cancel=False, dissipate_all=True)
+        x = rng.uniform(-1, 1, fam.m)
+        gen = assemble(fam, x)
+        w, V = np.linalg.eig(gen.matrix.toarray())
+        order = np.argsort(np.abs(w))
+        # a random jump on every site mixes uniquely; keep the kernel isolated
+        assume(abs(w[order[1]]) > 1e-6)
+        D = 2**n
+        ref = V[:, order[0]].reshape((D, D), order="F")
+        ref = (ref + ref.conj().T) / 2
+        ref /= np.trace(ref).real
+        assert trace_norm(steady_state(gen).data - ref) <= 1e-8
 
     def test_degenerate_kernel_is_an_error(self):
         # pure Z dephasing keeps every diagonal state fixed
