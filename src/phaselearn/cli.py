@@ -17,15 +17,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config
+from .config import MODE_ALIASES, load_config
 from .errors import (
     ConfigError,
     DegenerateSteadyStateError,
     NumericalError,
     PlanInfeasibleError,
 )
-
-_MODE_MAP = {"steady": "steady_state", "general": "general_phase", "slow": "slow_mixing"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", required=True, help="experiment config file")
     ap.add_argument("--seed", type=int, default=None, help="override the root seed")
     ap.add_argument("--out", default=None, help="override the output directory")
-    ap.add_argument("--mode", choices=sorted(_MODE_MAP), default=None,
+    ap.add_argument("--mode", choices=sorted(MODE_ALIASES), default=None,
                     help="override the learning mode")
     return ap
 
@@ -50,13 +48,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             cfg.out_dir = args.out
         if args.mode is not None:
-            cfg.mode = _MODE_MAP[args.mode]
+            cfg.mode = MODE_ALIASES[args.mode]
         cfg.validate()
 
         from . import experiment
+        from .models import instantiate
 
         if args.verb == "plan":
-            p = experiment.run_plan_stage(cfg)
+            model = instantiate(cfg.model_name, cfg.lattice, omega=cfg.omega, **cfg.hyper)
+            p = experiment.run_plan_stage(cfg, model)
             print(f"plan written to {cfg.out_dir}/plan.json "
                   f"(r={p.r} gamma={p.gamma:.4g} q={p.q} N={p.N}"
                   f"{' capped' if p.capped else ''})")

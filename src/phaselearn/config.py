@@ -25,11 +25,12 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ConfigError
-from .lattice import Lattice
+from .lattice import Lattice, LocalObservable, observable_from_string
 
-__all__ = ["ExperimentConfig", "load_config", "parse_config_text"]
+__all__ = ["MODE_ALIASES", "ExperimentConfig", "load_config", "parse_config_text"]
 
-_MODE_ALIASES = {
+# config and command-line spellings of the learning modes
+MODE_ALIASES = {
     "steady": "steady_state",
     "steady_state": "steady_state",
     "general": "general_phase",
@@ -55,7 +56,6 @@ class ExperimentConfig:
     omega: int = 0
     n_cap: int | None = 100_000
     n_override: int | None = None
-    q_override: int | None = None
     gamma_override: float | None = None
     r_override: int | None = None
     n_test: int = 50
@@ -64,7 +64,6 @@ class ExperimentConfig:
     constants: dict = field(default_factory=dict)
     f_n: float | None = None
     kappa_exponent: float = 1.0
-    mom_batches: int | None = None
     seed: int = 0
     out_dir: str = "out"
     diagnostics_regions: dict = field(default_factory=dict)
@@ -74,7 +73,7 @@ class ExperimentConfig:
 
         if self.model_name not in CATALOG:
             raise ConfigError(f"unknown model {self.model_name!r}; have {sorted(CATALOG)}")
-        if self.mode not in _MODE_ALIASES.values():
+        if self.mode not in MODE_ALIASES.values():
             raise ConfigError(f"bad mode {self.mode!r}")
         for name in ("epsilon", "delta", "delta_prime"):
             v = getattr(self, name)
@@ -100,9 +99,14 @@ class ExperimentConfig:
             raise ConfigError("omega must be 0 or 1")
         if self.omega == 1 and not (self.lattice.dim == 1 and self.lattice.boundary == "open"):
             raise ConfigError("ancilla choice 1 needs an open 1D chain")
-        # observable parse check against the lattice
-        from .lattice import observable_from_string
+        self.parse_observables()
+        if self.diagnostics_regions:
+            self._validate_regions()
 
+    def parse_observables(self) -> list[LocalObservable]:
+        """The observable specs parsed against the lattice; a support wider than
+        max(k0, 1) or one leaving the lattice is a ConfigError."""
+        out = []
         for spec in self.observables:
             try:
                 obs = observable_from_string(spec, self.lattice, k0=max(self.k0, 1))
@@ -110,8 +114,8 @@ class ExperimentConfig:
                 raise ConfigError(f"bad observable {spec!r}: {exc}") from exc
             if any(s >= self.lattice.n_sites for s in obs.support.sites):
                 raise ConfigError(f"observable {spec!r} leaves the lattice")
-        if self.diagnostics_regions:
-            self._validate_regions()
+            out.append(obs)
+        return out
 
     def _validate_regions(self) -> None:
         need = {"a", "r", "w"}
@@ -172,11 +176,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(f"bad lattice: {exc}") from exc
 
     raw_mode = mode_s.get("mode", "steady")
-    if raw_mode not in _MODE_ALIASES:
+    if raw_mode not in MODE_ALIASES:
         raise ConfigError(f"unknown mode {raw_mode!r}")
 
-    def opt(d: dict, key: str, default=None):
-        v = d.get(key, default)
+    def opt(d: dict, key: str):
+        v = d.get(key)
         return None if v == "plan" else v
 
     constants_source = constants_s.pop("source", "measure")
@@ -185,7 +189,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         model_name=name,
         hyper=model,
         lattice=lattice,
-        mode=_MODE_ALIASES[raw_mode],
+        mode=MODE_ALIASES[raw_mode],
         epsilon=targets.get("epsilon", 0.3),
         delta=targets.get("delta", 0.1),
         delta_prime=targets.get("delta_prime", 0.1),
@@ -194,7 +198,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         omega=mode_s.get("omega", 0),
         n_cap=training.get("n_cap", 100_000),
         n_override=opt(training, "n_override"),
-        q_override=opt(training, "q_override"),
         gamma_override=opt(training, "gamma_override"),
         r_override=opt(training, "r_override"),
         n_test=training.get("n_test", 50),
@@ -203,7 +206,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         constants=constants_s,
         f_n=mode_s.get("f_n"),
         kappa_exponent=kappa_exponent,
-        mom_batches=opt(training, "mom_batches"),
         seed=run.get("seed", 0),
         out_dir=run.get("out", "out"),
         diagnostics_regions=diag,

@@ -70,6 +70,9 @@ __all__ = [
 SCAN_SITE_CAP = 8
 DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 FLOOR = 1e-12
+N_BOOT = 200  # bootstrap resamples per fit
+MU = 1.0  # spatial decay rate at which the Lieb-Robinson velocity is certified
+C_POLY = 1.0  # prefactor of the poly(|A|) envelope term
 
 
 @dataclass(frozen=True)
@@ -122,41 +125,41 @@ def _wls_logfit(s: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
 
 
 def fit_decay(abscissa: Sequence[float], values: Sequence[float],
-              errors: Sequence[float] | None = None, label: str = "time",
-              floor: float = FLOOR, n_boot: int = 200, boot_seed: int = 0,
+              label: str = "time", boot_seed: int = 0,
               envelope: Sequence[float] | None = None,
               excluded: Sequence[int] = ()) -> DecayFit:
     """Fit an exponential decay to the points above the numerical floor.
 
     Excluded indices (e.g. degenerate-kernel points) never enter the fit.
     With no point above the floor the curve is flagged ``all_below_floor`` and
-    the rate is reported as 0 (a finite placeholder).
+    the rate is reported as 0 (a finite placeholder).  The values carry no
+    error bars: ``errors`` records zeros.
     """
     s = np.asarray(abscissa, dtype=float)
     v = np.asarray(values, dtype=float)
-    err = np.zeros_like(v) if errors is None else np.asarray(errors, dtype=float)
-    s_t, v_t, e_t = (tuple(map(float, a)) for a in (s, v, err))
+    s_t, v_t = (tuple(map(float, a)) for a in (s, v))
+    e_t = (0.0,) * len(v)
     keep = np.ones(len(v), dtype=bool)
     keep[list(excluded)] = False
-    mask = keep & np.isfinite(v) & (v > floor)
+    mask = keep & np.isfinite(v) & (v > FLOOR)
     env_ok = None
     if envelope is not None:
         env = np.asarray(envelope, dtype=float)
         env_ok = bool(np.all(v[keep] <= env[keep] + 1e-12))
     env_t = None if envelope is None else tuple(map(float, envelope))
     if mask.sum() == 0:
-        return DecayFit(label, s_t, v_t, e_t, 0.0, 0.0, 0.0, (0.0, 0.0), n_boot,
+        return DecayFit(label, s_t, v_t, e_t, 0.0, 0.0, 0.0, (0.0, 0.0), N_BOOT,
                         env_t, env_ok, all_below_floor=True,
                         excluded=tuple(excluded))
     sm, vm = s[mask], v[mask]
     if len(np.unique(sm)) < 2:
         return DecayFit(label, s_t, v_t, e_t, 0.0, float(vm.max()), 0.0,
-                        (0.0, 0.0), n_boot, env_t, env_ok,
+                        (0.0, 0.0), N_BOOT, env_t, env_ok,
                         all_below_floor=False, excluded=tuple(excluded))
     rate, pref, r2 = _wls_logfit(sm, vm)
     rng = np.random.default_rng(boot_seed)
     boots = []
-    for _ in range(n_boot):
+    for _ in range(N_BOOT):
         idx = rng.integers(0, len(sm), size=len(sm))
         if len(np.unique(sm[idx])) < 2:
             continue
@@ -167,26 +170,26 @@ def fit_decay(abscissa: Sequence[float], values: Sequence[float],
     else:
         lo, hi = rate, rate
     return DecayFit(label, s_t, v_t, e_t, rate, pref, r2,
-                    (float(lo), float(hi)), n_boot, env_t, env_ok,
+                    (float(lo), float(hi)), N_BOOT, env_t, env_ok,
                     all_below_floor=False, excluded=tuple(excluded))
 
 
-def operator_norm(mat: np.ndarray, tol: float = 1e-9, max_iter: int = 10000,
-                  seed: int = 7) -> float:
-    """Largest singular value by power iteration on M^dag M."""
-    rng = np.random.default_rng(seed)
+def operator_norm(mat: np.ndarray) -> float:
+    """Largest singular value by power iteration on M^dag M (relative tolerance
+    1e-9, at most 10,000 steps, from a fixed random start)."""
+    rng = np.random.default_rng(7)
     n = mat.shape[1]
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(max_iter):
+    for _ in range(10000):
         w = mat.conj().T @ (mat @ v)
         nrm = float(np.linalg.norm(w))
         if nrm == 0.0:
             return 0.0
         new_sigma = math.sqrt(nrm)
         v = w / nrm
-        if abs(new_sigma - sigma) <= tol * max(1.0, new_sigma):
+        if abs(new_sigma - sigma) <= 1e-9 * max(1.0, new_sigma):
             return new_sigma
         sigma = new_sigma
     return sigma
@@ -201,11 +204,11 @@ class LRConstants:
     beta: float
 
 
-def certify_lr_constants(family: ParamLindbladian, mu: float = 1.0) -> LRConstants:
+def certify_lr_constants(family: ParamLindbladian) -> LRConstants:
     """Upper-bound the information velocity from the certified term strengths.
 
     v(mu) = 2 max_z sum_{terms whose covering ball reaches z}
-            J_term |ball(r_term)| e^(mu r_term).
+            J_term |ball(r_term)| e^(mu r_term),  at mu = MU.
 
     Ancilla terms are charged to their anchor site.  beta is taken equal to mu
     (the envelopes stay one-sided upper bounds under this choice).
@@ -221,9 +224,9 @@ def certify_lr_constants(family: ParamLindbladian, mu: float = 1.0) -> LRConstan
             r = family.term_radii[ti]
             if distance(lat, c, z) <= r:
                 total += (family.term_strengths[ti]
-                          * l1_ball_volume(r, lat.dim) * math.exp(mu * r))
+                          * l1_ball_volume(r, lat.dim) * math.exp(MU * r))
         worst = max(worst, total)
-    return LRConstants(mu=mu, v=2.0 * worst, beta=mu)
+    return LRConstants(mu=MU, v=2.0 * worst, beta=MU)
 
 
 def _check_scan_size(family: ParamLindbladian) -> None:
@@ -233,8 +236,7 @@ def _check_scan_size(family: ParamLindbladian) -> None:
 
 def lieb_robinson_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
                        t: float = 1.0, r_max: int | None = None,
-                       rtol: float = 1e-8, n_boot: int = 200,
-                       mu: float = 1.0, boot_seed: int = 0) -> DecayFit:
+                       rtol: float = 1e-8, boot_seed: int = 0) -> DecayFit:
     """|| T_t^*(O) - T_t^{* A(r)}(O) ||_inf for r = 0..r_max.
 
     The localized generator carries x inside the r-enlargement of the
@@ -245,7 +247,7 @@ def lieb_robinson_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservabl
     lat = family.lattice
     if r_max is None:
         r_max = max(distance(lat, u, v) for u in lat.all_sites() for v in lat.all_sites())
-    consts = certify_lr_constants(family, mu)
+    consts = certify_lr_constants(family)
     if consts.v * t > 700.0:
         raise ValueError(f"e^(vt) overflows for certified v={consts.v:.3g}, t={t}")
     O_full = embed(obs, lat, n_total=family.n_total)
@@ -261,14 +263,13 @@ def lieb_robinson_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservabl
     amp = (obs.operator_norm * len(obs.support) * family.J
            * (math.exp(consts.v * t) - 1.0 - consts.v * t) / consts.v)
     envelope = [amp * math.exp(-consts.beta * r) for r in radii]
-    return fit_decay(radii, values, label="radius", n_boot=n_boot,
-                     boot_seed=boot_seed, envelope=envelope)
+    return fit_decay(radii, values, label="radius", boot_seed=boot_seed,
+                     envelope=envelope)
 
 
 def mixing_scan(family: ParamLindbladian, x, rho0: DensityMatrix,
                 obs: LocalObservable, t_grid: Sequence[float] = DEFAULT_T_GRID,
-                rtol: float = 1e-9, n_boot: int = 200,
-                rho_inf: DensityMatrix | None = None,
+                rtol: float = 1e-9, rho_inf: DensityMatrix | None = None,
                 boot_seed: int = 0) -> DecayFit:
     """|tr[O (T_t(rho0) - rho_inf)]| on the time grid, with its decay rate."""
     _check_scan_size(family)
@@ -283,14 +284,12 @@ def mixing_scan(family: ParamLindbladian, x, rho0: DensityMatrix,
         current = evolve(gen, current, t - t_prev, rtol=rtol)
         t_prev = t
         values.append(abs(float(np.real(np.trace(O_full @ current.data))) - target))
-    return fit_decay(list(t_grid), values, label="time", n_boot=n_boot,
-                     boot_seed=boot_seed)
+    return fit_decay(list(t_grid), values, label="time", boot_seed=boot_seed)
 
 
 def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
-              s_grid: Sequence[int], rtol: float = 1e-9, n_boot: int = 200,
-              gamma_mix: float = 1.0, c_poly: float = 1.0, kappa: float = 1.0,
-              mu: float = 1.0, boot_seed: int = 0) -> DecayFit:
+              s_grid: Sequence[int], gamma_mix: float = 1.0, kappa: float = 1.0,
+              boot_seed: int = 0) -> DecayFit:
     """|tr[O (rho_inf - rho_inf^{A(s)})]| against the localisation radius s.
 
     Points where the localized generator has a degenerate kernel are flagged
@@ -304,7 +303,7 @@ def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
     rho_inf = steady_state(gen)
     O_full = embed(obs, lat, n_total=family.n_total)
     base = float(np.real(np.trace(O_full @ rho_inf.data)))
-    consts = certify_lr_constants(family, mu)
+    consts = certify_lr_constants(family)
     values, excluded, envelope = [], [], []
     A = max(1, len(obs.support))
     beta_p = consts.beta * gamma_mix / (consts.v + gamma_mix)
@@ -312,7 +311,7 @@ def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
         patch = enlarge(lat, obs.support, int(s))
         vol_ratio = len(patch) / A
         envelope.append(
-            obs.operator_norm * (family.J * A / consts.v + c_poly * A**kappa)
+            obs.operator_norm * (family.J * A / consts.v + C_POLY * A**kappa)
             * vol_ratio ** (kappa * consts.v / (consts.v + gamma_mix))
             * math.exp(-beta_p * s)
         )
@@ -324,14 +323,12 @@ def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
             continue
         values.append(abs(float(np.real(np.trace(O_full @ rho_s.data))) - base))
     return fit_decay(list(map(float, s_grid)), values, label="radius",
-                     n_boot=n_boot, boot_seed=boot_seed, envelope=envelope,
-                     excluded=excluded)
+                     boot_seed=boot_seed, envelope=envelope, excluded=excluded)
 
 
 def compatibility_scan(family: ParamLindbladian, x, region_a: Region,
                        region_r: Region, region_w: Region,
                        t_grid: Sequence[float] = DEFAULT_T_GRID,
-                       rtol: float = 1e-9, n_boot: int = 200,
                        boot_seed: int = 0) -> DecayFit:
     """Nested-region steady-state consistency.
 
@@ -367,20 +364,17 @@ def compatibility_scan(family: ParamLindbladian, x, region_a: Region,
     target = partial_trace(rho_r.data, len(r_sites), a_pos_in_r, lat.local_dim)
     values, t_prev = [], 0.0
     for t in t_grid:
-        sigma = evolve(gen_r, sigma, t - t_prev, rtol=rtol)
+        sigma = evolve(gen_r, sigma, t - t_prev)
         t_prev = t
         marg = partial_trace(sigma.data, len(r_sites), a_pos_in_r, lat.local_dim)
         values.append(trace_norm(marg - target))
-    return fit_decay(list(t_grid), values, label="time", n_boot=n_boot,
-                     boot_seed=boot_seed)
+    return fit_decay(list(t_grid), values, label="time", boot_seed=boot_seed)
 
 
 def stability_scan(family: ParamLindbladian, x, delta: float,
                    obs: LocalObservable, rho0: DensityMatrix,
                    t_checks: Sequence[float] = (1.0, 2.0, 4.0),
-                   rtol: float = 1e-9, n_boot: int = 200,
-                   mu: float = 1.0, gamma_mix: float = 1.0,
-                   c_poly: float = 1.0, kappa: float = 1.0,
+                   gamma_mix: float = 1.0, kappa: float = 1.0,
                    boot_seed: int = 0) -> DecayFit:
     """|f_O(L, t) - f_O(L + E, t)| for a single-coordinate kick at distance d.
 
@@ -410,13 +404,13 @@ def stability_scan(family: ParamLindbladian, x, delta: float,
     def f_curve(gen: Superoperator) -> np.ndarray:
         out, current, t_prev = [], rho0, 0.0
         for t in t_checks:
-            current = evolve(gen, current, t - t_prev, rtol=rtol)
+            current = evolve(gen, current, t - t_prev)
             t_prev = t
             out.append(float(np.real(np.trace(O_full @ current.data))))
         return np.asarray(out)
 
     base_curve = f_curve(gen0)
-    consts = certify_lr_constants(family, mu)
+    consts = certify_lr_constants(family)
     distances = sorted(by_distance)
     values, envelope = [], []
     t_max = max(t_checks)
@@ -433,36 +427,36 @@ def stability_scan(family: ParamLindbladian, x, delta: float,
         # perturbation strength surrogate: triangle bound from the two term builds
         ti = family.coord_info[ci].term_index
         e_bound = 2.0 * family.term_strengths[ti]
-        t0 = (mu / 2.0) * (math.log(max(consts.v**2 / 2.0, 1.0 + 1e-9)) / consts.v) * d
-        h = math.exp(-mu * d / 2.0)
+        t0 = (MU / 2.0) * (math.log(max(consts.v**2 / 2.0, 1.0 + 1e-9)) / consts.v) * d
+        h = math.exp(-MU * d / 2.0)
         if t_max > t0:
             h += (1.0 / gamma_mix) * math.exp(-gamma_mix * t0)
-        envelope.append(e_bound * obs.operator_norm * c_poly
+        envelope.append(e_bound * obs.operator_norm * C_POLY
                         * max(1, len(obs.support)) ** kappa * h)
     return fit_decay(list(map(float, distances)), values, label="distance",
-                     n_boot=n_boot, boot_seed=boot_seed, envelope=envelope)
+                     boot_seed=boot_seed, envelope=envelope)
 
 
 def calibrate_constants(family: ParamLindbladian, x, x_prime,
                         obs: LocalObservable, rho0: DensityMatrix,
-                        t_grid: Sequence[float] = DEFAULT_T_GRID,
-                        t_lr: float = 1.0, rtol: float = 1e-8,
                         kappa: float = 1.0) -> dict:
     """Measure (gamma', c', mu, xi) from the mixing and localisation scans.
 
+    Both scans integrate to rtol 1e-8; the mixing scan runs on
+    ``DEFAULT_T_GRID`` and the localisation scan at t = 1.
     1/xi = min(fitted mixing rate, fitted spatial rate / 2); c' is the
     smallest constant putting the measured mixing curve under
     c' |A|^kappa e^{-gamma' t}.  An identically-zero localisation curve (an
     on-site family) leaves the spatial rate unconstrained.
     """
-    mix = mixing_scan(family, x, rho0, obs, t_grid, rtol=max(rtol, 1e-9))
+    mix = mixing_scan(family, x, rho0, obs, DEFAULT_T_GRID, rtol=1e-8)
     gamma_p = mix.rate if not mix.all_below_floor and mix.rate > 0 else 1.0
     A = max(1, len(obs.support))
     c_prime = 1.0
     for t, v in zip(mix.abscissa, mix.values):
         if v > FLOOR:
             c_prime = max(c_prime, v / (A**kappa * math.exp(-gamma_p * t)))
-    lr = lieb_robinson_scan(family, x, x_prime, obs, t=t_lr, rtol=rtol)
+    lr = lieb_robinson_scan(family, x, x_prime, obs, t=1.0, rtol=1e-8)
     mu_fit = math.inf if lr.all_below_floor else max(lr.rate, FLOOR)
     inv_xi = min(gamma_p, mu_fit / 2.0)
     return {

@@ -16,11 +16,9 @@ class PlanInfeasibleError(PhaselearnError):
     how far out of reach the run is.
     """
 
-    def __init__(self, log2_n: float, message: str | None = None):
+    def __init__(self, log2_n: float):
         self.log2_n = log2_n
-        super().__init__(
-            message or f"plan infeasible: prescribed N ~ 2**{log2_n:.1f} exceeds 2**63"
-        )
+        super().__init__(f"plan infeasible: prescribed N ~ 2**{log2_n:.1f} exceeds 2**63")
 
 
 class NumericalError(PhaselearnError):

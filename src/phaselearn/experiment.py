@@ -29,7 +29,7 @@ from .diagnostics import (
     stability_scan,
 )
 from .errors import ConfigError
-from .lattice import Lattice, Region, ball, enlarge, observable_from_string
+from .lattice import Lattice, Region, ball, embed, enlarge, observable_from_string
 from .learner import LearnerPlan, PlanConstants, coverage_report, plan, predict
 from .models import Model, generate_state, instantiate, sample_parameters
 from .plotting import decay_plot_svg, sweep_plot_svg
@@ -77,8 +77,7 @@ def build_plan_constants(cfg: ExperimentConfig, model: Model) -> PlanConstants:
     1/xi = min(fitted mixing rate, fitted spatial rate / 2).
     """
     sc = model.structural_constants()
-    observables = [observable_from_string(s, cfg.lattice, k0=max(cfg.k0, 2))
-                   for s in cfg.observables]
+    observables = cfg.parse_observables()
     k0_eff = max(cfg.k0, max(len(o.support) for o in observables))
     if cfg.constants_source == "explicit":
         vals = dict(cfg.constants)
@@ -106,8 +105,6 @@ def _apply_overrides(cfg: ExperimentConfig, p: LearnerPlan) -> LearnerPlan:
         fields["r"] = int(cfg.r_override)
     if cfg.gamma_override is not None:
         fields["gamma"] = float(cfg.gamma_override)
-    if cfg.q_override is not None:
-        fields["q"] = int(cfg.q_override)
     if cfg.n_override is not None:
         fields["N"] = int(cfg.n_override)
     return replace(p, **fields) if fields else p
@@ -132,15 +129,13 @@ def _training_states(model: Model, samples, seeds: np.ndarray
     return bases, outcomes
 
 
-def _exact_value(model: Model, x: np.ndarray, tau: float, observables, rtol=1e-9):
+def _exact_value(model: Model, x: np.ndarray, tau: float, observables):
     """Ground truth sum_i tr[O_i rho(x, tau)] via oracle or dense simulation."""
     if model.oracle is not None:
         return sum(model.oracle_expectation(x, tau, o) for o in observables)
     if model.family.n_total > 6:
         return None
-    rho = generate_state(model, x, tau, rtol=rtol, prefer_oracle=False)
-    from .lattice import embed
-
+    rho = generate_state(model, x, tau, prefer_oracle=False)
     total = 0.0
     for o in observables:
         total += rho.expectation(embed(o, model.lattice, n_total=model.family.n_total))
@@ -149,16 +144,13 @@ def _exact_value(model: Model, x: np.ndarray, tau: float, observables, rtol=1e-9
 
 def _setup(cfg: ExperimentConfig):
     model = instantiate(cfg.model_name, cfg.lattice, omega=cfg.omega, **cfg.hyper)
-    observables = [observable_from_string(s, cfg.lattice, k0=max(cfg.k0, 2))
-                   for s in cfg.observables]
-    return model, observables
+    return model, cfg.parse_observables()
 
 
-def run_plan_stage(cfg: ExperimentConfig) -> LearnerPlan:
+def run_plan_stage(cfg: ExperimentConfig, model: Model) -> LearnerPlan:
     """Derive the plan (measuring constants if configured) and write plan.json."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model, _ = _setup(cfg)
     constants = build_plan_constants(cfg, model)
     p = plan(cfg.epsilon, cfg.delta, cfg.delta_prime, constants, cfg.mode,
              n_cap=cfg.n_cap)
@@ -167,26 +159,28 @@ def run_plan_stage(cfg: ExperimentConfig) -> LearnerPlan:
     return p
 
 
-def _make_training(cfg: ExperimentConfig, model: Model, p: LearnerPlan) -> TrainingSet:
+def _train(cfg: ExperimentConfig, model: Model) -> tuple[LearnerPlan, TrainingSet]:
+    """Plan, then sample and measure the training set; writes plan.json and
+    training.shadows."""
+    p = run_plan_stage(cfg, model)
     samples = sample_parameters(model, p.N, p.t_eps, stream_seed(cfg.seed, "sampling"),
                                 cfg.mode)
     seeds = np.array([stream_seed(cfg.seed, "measurement", i) for i in range(len(samples))],
                      dtype=np.uint64)
     bases, outcomes = _training_states(model, samples, seeds)
-    return TrainingSet(bases, outcomes, np.array([s.x for s in samples]),
-                       [s.tau for s in samples], [s.omega for s in samples], seeds,
-                       model_name=model.name, lattice_json=cfg.lattice.to_json(),
-                       mode=cfg.mode, seed=cfg.seed)
+    training = TrainingSet(bases, outcomes, np.array([s.x for s in samples]),
+                           [s.tau for s in samples], [s.omega for s in samples], seeds,
+                           model_name=model.name, lattice_json=cfg.lattice.to_json(),
+                           mode=cfg.mode, seed=cfg.seed)
+    with open(Path(cfg.out_dir) / "training.shadows", "w") as fh:
+        write_shadows(fh, training)
+    return p, training
 
 
 def run_train_stage(cfg: ExperimentConfig) -> dict:
     """Plan plus training-set generation; writes plan.json and training.shadows."""
-    out = Path(cfg.out_dir)
-    p = run_plan_stage(cfg)
     model, _ = _setup(cfg)
-    training = _make_training(cfg, model, p)
-    with open(out / "training.shadows", "w") as fh:
-        write_shadows(fh, training)
+    _train(cfg, model)
     return {"plan": "plan.json", "training": "training.shadows"}
 
 
@@ -206,7 +200,7 @@ def _predictions_stage(cfg: ExperimentConfig, model: Model, observables,
 
     def eval_point(i: int, tr: TrainingSet):
         pred = predict(observables, test_x[i], float(test_t[i]), tr, p,
-                       model.family, omega=cfg.omega, mom_batches=cfg.mom_batches)
+                       model.family, omega=cfg.omega)
         return pred, exacts[i]
 
     results = [eval_point(i, training) for i in range(cfg.n_test)]
@@ -306,14 +300,10 @@ def run_learning_experiment(cfg: ExperimentConfig) -> dict:
     summary.json, optionally sweep.csv and error_vs_n.svg, plus timing.log.
     """
     t_start = time.perf_counter()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model, observables = _setup(cfg)
-    p = run_plan_stage(cfg)
-    training = _make_training(cfg, model, p)
-    with open(out / "training.shadows", "w") as fh:
-        write_shadows(fh, training)
-    manifest = _predictions_stage(cfg, model, observables, p, training, out, t_start)
+    p, training = _train(cfg, model)
+    manifest = _predictions_stage(cfg, model, observables, p, training,
+                                  Path(cfg.out_dir), t_start)
     manifest.update(plan="plan.json", training="training.shadows")
     return manifest
 
@@ -345,11 +335,11 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     t_start = time.perf_counter()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = instantiate(cfg.model_name, cfg.lattice, omega=cfg.omega, **cfg.hyper)
+    model, observables = _setup(cfg)
     fam = model.family
     if fam.n_total > 8:
         raise ConfigError("diagnostic battery caps the system at 8 sites")
-    obs = observable_from_string(cfg.observables[0], cfg.lattice, k0=max(cfg.k0, 2))
+    obs = observables[0]
     rng = np.random.default_rng(stream_seed(cfg.seed, "diagnostics"))
     x = np.clip(rng.uniform(-1, 1, fam.m), -0.8, 0.8)
     xp = np.clip(rng.uniform(-1, 1, fam.m), -0.8, 0.8)

@@ -204,10 +204,6 @@ class LocalObservable:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        k = len(self.support)
-        if m.shape != (2**k, 2**k) and k > 0:
-            # non-qubit local dims enter through validate(); shape settled there
-            pass
         if np.max(np.abs(m - m.conj().T)) > 1e-12:
             raise ValueError(f"observable {self.label!r} is not Hermitian to 1e-12")
 

@@ -131,11 +131,6 @@ class LearnerPlan:
         consts = PlanConstants(**obj.pop("constants"))
         return LearnerPlan(constants=consts, **obj)
 
-    def recomputed(self) -> "LearnerPlan":
-        """Re-derive the plan from its own targets and constants."""
-        return plan(self.epsilon, self.delta, self.delta_prime, self.constants,
-                    self.mode, n_cap=self.n_cap)
-
 
 def plan(epsilon: float, delta: float, delta_prime: float,
          constants: PlanConstants, mode: str = "steady_state",
@@ -291,7 +286,7 @@ class Prediction:
 
 def predict(observables: Sequence[LocalObservable], x, t: float,
             training: TrainingSet, plan_: LearnerPlan, family: ParamLindbladian,
-            omega: int = 0, mom_batches: int | None = None) -> Prediction:
+            omega: int = 0) -> Prediction:
     """Nearest-patch median-of-means prediction of sum_i tr[O_i rho(x, t)].
 
     Per term: enlarge the support by the patch radius r, select the gamma-cell
@@ -322,10 +317,7 @@ def predict(observables: Sequence[LocalObservable], x, t: float,
             cell = np.array([idx], dtype=int)
         vals = local_estimates(training.bases[cell], training.outcomes[cell],
                                obs.support.sites, obs.matrix)
-        if mom_batches is not None:
-            k = max(1, min(mom_batches, len(vals)))
-        else:
-            k = mom_batch_count(plan_.delta_prime, len(vals))
+        k = mom_batch_count(plan_.delta_prime, len(vals))
         per_term.append(median_of_means(vals, k))
         counts.append(len(vals))
         ks.append(k)

@@ -13,7 +13,7 @@ Site 0 occupies the leftmost Kronecker slot, matching :mod:`phaselearn.lattice`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -230,24 +230,21 @@ class ParamLindbladian:
 
 @dataclass
 class Superoperator:
-    """Sparse generator acting on column-stacked vec(rho)."""
+    """Sparse Schroedinger-picture generator acting on column-stacked vec(rho)."""
 
     matrix: sp.csr_matrix
     n_sites: int
     local_dim: int
-    picture: str = "schrodinger"
-    _adjoint: "Superoperator | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         dim = (self.local_dim**self.n_sites) ** 2
         if self.matrix.shape != (dim, dim):
             raise ValueError("superoperator shape inconsistent with site count")
-        if self.picture == "schrodinger":
-            resid = self.trace_preservation_residual()
-            if resid > 1e-10:
-                raise NumericalError(
-                    f"trace-preservation residual {resid:.2e} exceeds 1e-10"
-                )
+        resid = self.trace_preservation_residual()
+        if resid > 1e-10:
+            raise NumericalError(
+                f"trace-preservation residual {resid:.2e} exceeds 1e-10"
+            )
 
     @property
     def hilbert_dim(self) -> int:
@@ -260,17 +257,6 @@ class Superoperator:
         e[np.arange(D) * (D + 1)] = 1.0
         return float(np.max(np.abs(self.matrix.T @ e)))
 
-    def adjoint(self) -> "Superoperator":
-        """Heisenberg-picture generator (conjugate transpose)."""
-        if self._adjoint is None:
-            self._adjoint = Superoperator(
-                self.matrix.conj().T.tocsr(),
-                self.n_sites,
-                self.local_dim,
-                picture="heisenberg" if self.picture == "schrodinger" else "schrodinger",
-            )
-        return self._adjoint
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -278,7 +264,8 @@ class DensityMatrix:
 
     Construction applies an admission guard (Hermiticity and trace to 1e-7,
     positivity to -1e-6 when the dimension allows a cheap check); call
-    :meth:`validate` for the strict invariants.
+    :meth:`validate` for the strict invariants (Hermiticity and trace to
+    1e-10, minimum eigenvalue above -1e-8).
     """
 
     data: np.ndarray
@@ -289,7 +276,6 @@ class DensityMatrix:
     _GUARD_TRACE = 1e-7
     _GUARD_EIG = -1e-6
     _CHEAP_EIG_DIM = 64
-    _LANCZOS_DIM = 4096
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=complex)
@@ -308,32 +294,22 @@ class DensityMatrix:
             if lo < self._GUARD_EIG:
                 raise ValueError(f"minimum eigenvalue {lo:.2e} below guard")
 
-    def validate(self, herm_tol: float = 1e-10, trace_tol: float = 1e-10,
-                 eig_floor: float = -1e-8) -> None:
+    def validate(self) -> None:
         arr = self.data
         herm = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm > herm_tol:
-            raise ValueError(f"Hermiticity residual {herm:.2e} > {herm_tol:.0e}")
-        if abs(complex(np.trace(arr)) - 1.0) > trace_tol:
+        if herm > 1e-10:
+            raise ValueError(f"Hermiticity residual {herm:.2e} > 1e-10")
+        if abs(complex(np.trace(arr)) - 1.0) > 1e-10:
             raise ValueError("trace deviates from 1 beyond tolerance")
         lo = self.min_eigenvalue()
-        if lo < eig_floor:
-            raise ValueError(f"minimum eigenvalue {lo:.2e} < {eig_floor:.0e}")
+        if lo < -1e-8:
+            raise ValueError(f"minimum eigenvalue {lo:.2e} < -1e-08")
 
     def min_eigenvalue(self) -> float:
-        arr = (self.data + self.data.conj().T) / 2
-        if arr.shape[0] <= self._LANCZOS_DIM:
-            return float(np.linalg.eigvalsh(arr).min())
-        val = spla.eigsh(arr, k=1, which="SA", return_eigenvectors=False)
-        return float(val[0])
+        return float(np.linalg.eigvalsh((self.data + self.data.conj().T) / 2).min())
 
     def expectation(self, full_matrix: np.ndarray) -> float:
         return float(np.real(np.trace(full_matrix @ self.data)))
-
-    @staticmethod
-    def maximally_mixed(n_sites: int, local_dim: int = 2) -> "DensityMatrix":
-        dim = local_dim**n_sites
-        return DensityMatrix(np.eye(dim, dtype=complex) / dim, n_sites, local_dim)
 
 
 def assemble(family: ParamLindbladian, x: np.ndarray) -> Superoperator:
@@ -356,7 +332,7 @@ def assemble(family: ParamLindbladian, x: np.ndarray) -> Superoperator:
 
 
 def _integrate(matrix: sp.csr_matrix, y0: np.ndarray, t: float,
-               rtol: float, atol: float) -> np.ndarray:
+               rtol: float) -> np.ndarray:
     sol = solve_ivp(
         lambda _t, y: matrix @ y,
         (0.0, t),
@@ -364,7 +340,7 @@ def _integrate(matrix: sp.csr_matrix, y0: np.ndarray, t: float,
         method="RK45",
         t_eval=[t],
         rtol=rtol,
-        atol=atol,
+        atol=1e-12,
     )
     if not sol.success:
         raise NumericalError(f"integrator failed (stiffness/step underflow): {sol.message}")
@@ -375,7 +351,7 @@ def _integrate(matrix: sp.csr_matrix, y0: np.ndarray, t: float,
 
 
 def evolve(superop: Superoperator, rho: DensityMatrix, t: float,
-           rtol: float = 1e-9, atol: float = 1e-12) -> DensityMatrix:
+           rtol: float = 1e-9) -> DensityMatrix:
     """rho(t) = exp(t L)(rho) via an adaptive explicit 4th/5th-order pair.
 
     No per-step trace renormalisation is applied; trace drift is a health
@@ -383,29 +359,29 @@ def evolve(superop: Superoperator, rho: DensityMatrix, t: float,
     """
     if t < 0:
         raise ValueError("evolution time must be >= 0")
-    if superop.picture != "schrodinger":
-        raise ValueError("evolve expects a Schroedinger-picture generator")
     if t == 0:
         return rho
     y0 = rho.data.flatten(order="F")
-    y = _integrate(superop.matrix, y0, t, rtol, atol)
+    y = _integrate(superop.matrix, y0, t, rtol)
     D = superop.hilbert_dim
     return DensityMatrix(y.reshape((D, D), order="F"), superop.n_sites, superop.local_dim)
 
 
 def heisenberg_evolve(superop: Superoperator, observable: np.ndarray, t: float,
-                      rtol: float = 1e-9, atol: float = 1e-12) -> np.ndarray:
-    """O(t) = exp(t L*)(O); satisfies tr[O evolve(rho, t)] = tr[O(t) rho]."""
+                      rtol: float = 1e-9) -> np.ndarray:
+    """O(t) = exp(t L*)(O); satisfies tr[O evolve(rho, t)] = tr[O(t) rho].
+
+    L* is the conjugate transpose of the Schroedinger-picture generator.
+    """
     if t < 0:
         raise ValueError("evolution time must be >= 0")
-    gen = superop.adjoint() if superop.picture == "schrodinger" else superop
     D = superop.hilbert_dim
     observable = np.asarray(observable, dtype=complex)
     if observable.shape != (D, D):
         raise ValueError("observable must act on the full space")
     if t == 0:
         return observable.copy()
-    y = _integrate(gen.matrix, observable.flatten(order="F"), t, rtol, atol)
+    y = _integrate(superop.matrix.conj().T.tocsr(), observable.flatten(order="F"), t, rtol)
     return y.reshape((D, D), order="F")
 
 
@@ -414,15 +390,14 @@ def trace_norm(mat: np.ndarray) -> float:
 
 
 def _inverse_iteration(matrix: sp.csr_matrix, shifted: sp.csc_matrix, seed: np.ndarray,
-                       ortho: np.ndarray | None,
-                       max_iter: int = 50, tol: float = 1e-13) -> tuple[np.ndarray, float]:
+                       ortho: np.ndarray | None) -> tuple[np.ndarray, float]:
     """One eigenvector of ``matrix`` nearest the shift in ``shifted`` = M - shift I,
     optionally deflated.  Returns (vector, residual ||M v|| / ||v||).
     """
     lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
     v = seed / np.linalg.norm(seed)
     resid = np.inf
-    for _ in range(max_iter):
+    for _ in range(50):
         w = lu.solve(v)
         if ortho is not None:
             w = w - ortho * (ortho.conj() @ w)
@@ -431,7 +406,7 @@ def _inverse_iteration(matrix: sp.csr_matrix, shifted: sp.csc_matrix, seed: np.n
             raise NumericalError("inverse iteration collapsed")
         v = w / nrm
         new_resid = float(np.linalg.norm(matrix @ v))
-        if abs(new_resid - resid) < tol:
+        if abs(new_resid - resid) < 1e-13:
             resid = new_resid
             break
         resid = new_resid
@@ -496,7 +471,7 @@ def steady_state(superop: Superoperator, resid_tol: float = 1e-9) -> DensityMatr
     if resid > resid_tol:
         raise NumericalError(f"steady-state residual {resid:.2e} exceeds {resid_tol:.0e}")
     out = DensityMatrix(rho, superop.n_sites, superop.local_dim)
-    out.validate(herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-8)
+    out.validate()
     return out
 
 

@@ -272,7 +272,7 @@ def instantiate(name: str, lattice: Lattice, omega: int = 0, **hyper) -> Model:
 
 
 def generate_state(model: Model, x: np.ndarray, tau: float,
-                   rtol: float = 1e-9, prefer_oracle: bool = True) -> DensityMatrix:
+                   prefer_oracle: bool = True) -> DensityMatrix:
     """The phase state exp(tau L(x))(rho* (x) omega); tau = inf means steady state.
 
     Uses the model's exact product oracle when available (the training stage is
@@ -289,7 +289,7 @@ def generate_state(model: Model, x: np.ndarray, tau: float,
     gen = assemble(model.family, x)
     if math.isinf(tau):
         return steady_state(gen)
-    return evolve(gen, model.reference_state(), tau, rtol=rtol)
+    return evolve(gen, model.reference_state(), tau)
 
 
 @dataclass

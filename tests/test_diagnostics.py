@@ -74,14 +74,14 @@ class TestCertifiedConstants:
         # ball volume 1, e^(mu 0) = 1; v = 2 max_z 4 = 8
         lat = Lattice(1, (4,), "open")
         model = instantiate("pinning", lat, kappa0=1.0)
-        consts = certify_lr_constants(model.family, mu=1.0)
+        consts = certify_lr_constants(model.family)
         assert consts.v == pytest.approx(8.0)
         assert consts.beta == 1.0
 
     def test_tfim_velocity_includes_bonds(self):
         lat = Lattice(1, (4,), "open")
         model = instantiate("dissipative_tfim", lat, g=0.5, kappa=1.0)
-        consts = certify_lr_constants(model.family, mu=1.0)
+        consts = certify_lr_constants(model.family)
         # site term: 2 sqrt(1+g^2) + 2 kappa; bond terms: strength 2, radius 1,
         # ball volume 3, weight e^1; an interior site is reached by the balls
         # of the three bonds centred at its neighbours and itself

@@ -312,6 +312,18 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "plan.json").exists()
 
+    def test_mode_flag_overrides_config(self, tmp_path):
+        p = self._write_cfg(tmp_path, SMALL_LEARNING)  # mode = "steady"
+        out = tmp_path / "out"
+        assert cli_main(["plan", "--config", str(p), "--out", str(out),
+                         "--mode", "general"]) == 0
+        written = json.loads((out / "plan.json").read_text())
+        assert written["mode"] == "general_phase"
+        assert written["t_eps"] is not None
+        # slow mode needs f_n, which the config does not set
+        assert cli_main(["plan", "--config", str(p), "--out", str(out),
+                         "--mode", "slow"]) == 2
+
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("[model]\nname = \"nonsense\"\n")

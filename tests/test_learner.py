@@ -41,7 +41,8 @@ def _tag_training(xs, taus=None, omegas=None, m=None):
 class TestPlan:
     def test_recompute_idempotent(self):
         p = plan(0.6, 0.1, 0.1, SMALL, "steady_state")
-        assert p.recomputed() == p
+        assert plan(p.epsilon, p.delta, p.delta_prime, p.constants, p.mode,
+                    n_cap=p.n_cap) == p
         text = p.to_json()
         assert LearnerPlan.from_json(text) == p
 
@@ -242,19 +243,6 @@ class TestPredict:
         k = mom_batch_count(p.delta_prime, len(vals))
         assert pred.value == median_of_means(vals, k)
         assert pred.counts == (200,)
-
-    def test_mom_batches_one_is_plain_mean(self):
-        model, tr = _pinning_training(4, 300, seed=20)
-        p = self._plan(model, r=1, gamma=0.5)
-        obs = observable_from_string("Z@2", model.lattice)
-        x = np.zeros(4)
-        pred_mean = predict([obs], x, math.inf, tr, p, model.family, mom_batches=1)
-        patch = enlarge(model.lattice, obs.support, p.r)
-        cell = select_cell(x, math.inf, tr, model.family.coords_for_region(patch), p.gamma)
-        vals = [float(np.real(np.trace(obs.matrix @ snapshot_local_matrix(
-            tr.bases[j], tr.outcomes[j], [2])))) for j in cell]
-        assert pred_mean.value == pytest.approx(np.mean(vals), abs=1e-12)
-        assert pred_mean.mom_batches == (1,)
 
     def test_empty_cell_falls_back_with_warning(self):
         model, tr = _pinning_training(4, 5, seed=6)

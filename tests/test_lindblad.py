@@ -217,7 +217,7 @@ class TestEvolve:
     def test_negative_time_rejected(self):
         gen = assemble(amplitude_damping_family(), np.zeros(0))
         with pytest.raises(ValueError):
-            evolve(gen, DensityMatrix.maximally_mixed(1), -0.1)
+            evolve(gen, DensityMatrix(np.eye(2) / 2, 1), -0.1)
 
 
 class TestHeisenberg:
@@ -228,17 +228,21 @@ class TestHeisenberg:
         out = heisenberg_evolve(gen, np.eye(4, dtype=complex), 1.7)
         assert np.max(np.abs(out - np.eye(4))) < 1e-9
 
-    def test_duality(self):
-        rng = np.random.default_rng(6)
-        fam = random_two_site_family(rng)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), cancel=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_duality(self, seed, n, cancel):
+        # tr[O e^{tL}(rho)] = tr[e^{tL*}(O) rho] on the families assemble is checked on
+        rng = np.random.default_rng(seed)
+        fam = _random_chain_family(rng, n, cancel, dissipate_all=bool(rng.integers(0, 2)))
         gen = assemble(fam, rng.uniform(-1, 1, fam.m))
-        rho = random_density(2, rng)
-        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = random_density(n, rng)
+        D = 2**n
+        h = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         obs = h + h.conj().T
-        t = 1.1
+        t = rng.uniform(0.1, 2.0)
         lhs = np.trace(obs @ evolve(gen, rho, t).data)
         rhs = np.trace(heisenberg_evolve(gen, obs, t) @ rho.data)
-        assert abs(lhs - rhs) < 1e-8
+        assert abs(lhs - rhs) < 1e-8 * max(1.0, np.abs(obs).max())
 
     def test_zero_generator(self):
         lat = Lattice(1, (1,))

@@ -82,7 +82,7 @@ class TestMeasurement:
         assert seen > 500
 
     def test_bases_uniform(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(4) / 4, 2)
         counts = np.zeros(3)
         for seed in range(3000):
             bases, _ = measure_snapshot(rho, seed)
@@ -97,7 +97,7 @@ class TestMeasurement:
             np.array([sq2, sq2]), np.array([sq2, -sq2]),
             np.array([sq2, 1j * sq2]), np.array([sq2, -1j * sq2]),
         ]
-        rho = DensityMatrix.maximally_mixed(3)
+        rho = DensityMatrix(np.eye(8) / 8, 3)
         seen = set()
         for seed in range(100):
             bases, outcomes = measure_snapshot(rho, seed)
@@ -286,7 +286,7 @@ class TestShadowFile:
         assert "line 3" in str(err.value)
 
     def test_format_line_shape(self):
-        bases, outcomes = measure_snapshot(DensityMatrix.maximally_mixed(2), 5)
+        bases, outcomes = measure_snapshot(DensityMatrix(np.eye(4) / 4, 2), 5)
         ts = _columns([bases], [outcomes], [[0.5, -0.25]], seeds=[5])
         buf = io.StringIO()
         write_shadows(buf, ts)
