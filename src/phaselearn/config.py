@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ConfigError
-from .lattice import Lattice, LocalObservable, observable_from_string
+from .lattice import Lattice, LocalObservable, Region, observable_from_string
 
 __all__ = ["MODE_ALIASES", "ExperimentConfig", "load_config", "parse_config_text"]
 
@@ -122,14 +122,16 @@ class ExperimentConfig:
         if not need <= set(self.diagnostics_regions):
             raise ConfigError("diagnostics regions need keys 'a', 'r', 'w'")
         n = self.lattice.n_sites
-        prev: set[int] = set()
+        prev_key, prev = "", set()
         for key in ("a", "r", "w"):
             sites = set(self.diagnostics_regions[key])
             if not sites or any(not 0 <= s < n for s in sites):
                 raise ConfigError(f"region {key!r} has sites outside the lattice")
             if prev and not prev <= sites:
                 raise ConfigError("diagnostics regions must nest a within r within w")
-            prev = sites
+            if prev & Region(tuple(sites)).boundary_sites(self.lattice):
+                raise ConfigError(f"region {prev_key!r} meets the boundary of region {key!r}")
+            prev_key, prev = key, sites
 
 
 def _coerce(value: str, where: str) -> Any:

@@ -32,14 +32,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyCellError, PlanInfeasibleError
 from .lattice import LocalObservable, Region, enlarge, l1_ball_volume
 from .lindblad import ParamLindbladian
-from .models import PhaseSample
 from .shadows import (
     TrainingSet,
     local_estimates,
@@ -57,7 +56,6 @@ __all__ = [
     "nearest_patch",
     "select_cell",
     "predict",
-    "predict_from_states",
     "coverage_report",
     "CoverageReport",
     "RegionCoverage",
@@ -327,42 +325,6 @@ def predict(observables: Sequence[LocalObservable], x, t: float,
         counts=tuple(counts),
         mom_batches=tuple(ks),
         warnings=tuple(warnings),
-        mode=plan_.mode,
-    )
-
-
-def predict_from_states(observables: Sequence[LocalObservable], x, t: float,
-                        samples: Sequence[PhaseSample],
-                        value_fn: Callable[[np.ndarray, float, LocalObservable], float],
-                        plan_: LearnerPlan, family: ParamLindbladian,
-                        omega: int = 0) -> Prediction:
-    """Exact-state variant of the estimator (no shadows).
-
-    Per term, picks the nearest sample on the restricted coordinates and
-    evaluates tr[O_i rho(sample)] through ``value_fn``; used to check the
-    estimator's bias separately from shadow noise.
-    """
-    if not samples:
-        raise EmptyCellError("no samples")
-    X = np.vstack([s.x for s in samples])
-    taus = (None if plan_.mode == "steady_state"
-            else np.array([s.tau for s in samples]))
-    omegas = np.array([s.omega for s in samples], dtype=int)
-    x_values = family.as_values(x)
-    per_term = []
-    for obs in observables:
-        patch = enlarge(family.lattice, obs.support, plan_.r)
-        indices = family.coords_for_region(patch)
-        dist = _restricted_distances(X, taus, x_values, t, indices)
-        dist = np.where(omegas == omega, dist, np.inf)
-        j = int(np.argmin(dist))
-        per_term.append(value_fn(samples[j].x, samples[j].tau, obs))
-    return Prediction(
-        value=float(sum(per_term)),
-        per_term=tuple(per_term),
-        counts=tuple(1 for _ in per_term),
-        mom_batches=tuple(1 for _ in per_term),
-        warnings=(),
         mode=plan_.mode,
     )
 

@@ -83,6 +83,13 @@ class AncillaSpec:
     state: np.ndarray
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two square matrices as one broadcast outer product: the
+    same elementwise products, without the wrapper's per-call overhead."""
+    p, q = a.shape[0], b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * q, p * q)
+
+
 class ParamLindbladian:
     """A geometrically local Lindbladian family L(x) = sum_j L_j(x_j).
 
@@ -210,13 +217,13 @@ class ParamLindbladian:
         if h is not None:
             if np.max(np.abs(h - h.conj().T)) > 1e-12:
                 raise ValueError(f"term {term.label!r}: Hamiltonian part not Hermitian")
-            local += -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+            local += -1j * (_kron(eye, h) - _kron(h.T, eye))
         for L in jumps:
             LdL = L.conj().T @ L
             local += (
-                np.kron(L.conj(), L)
-                - 0.5 * np.kron(eye, LdL)
-                - 0.5 * np.kron(LdL.T, eye)
+                _kron(L.conj(), L)
+                - 0.5 * _kron(eye, LdL)
+                - 0.5 * _kron(LdL.T, eye)
             )
         # vec-space slots: column factor of site s sits at slot s, row factor
         # at slot n_total + s; the local matrix above is ordered the same way.
@@ -389,18 +396,16 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 
 
-def _inverse_iteration(matrix: sp.csr_matrix, shifted: sp.csc_matrix, seed: np.ndarray,
-                       ortho: np.ndarray | None) -> tuple[np.ndarray, float]:
-    """One eigenvector of ``matrix`` nearest the shift in ``shifted`` = M - shift I,
-    optionally deflated.  Returns (vector, residual ||M v|| / ||v||).
+def _inverse_iteration(matrix: sp.csr_matrix, shifted: sp.csc_matrix,
+                       seed: np.ndarray) -> tuple[np.ndarray, float]:
+    """The eigenvector of ``matrix`` nearest the shift in ``shifted`` = M - shift I.
+    Returns (vector, residual ||M v|| / ||v||).
     """
     lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
     v = seed / np.linalg.norm(seed)
     resid = np.inf
     for _ in range(50):
         w = lu.solve(v)
-        if ortho is not None:
-            w = w - ortho * (ortho.conj() @ w)
         nrm = np.linalg.norm(w)
         if nrm == 0 or not np.isfinite(nrm):
             raise NumericalError("inverse iteration collapsed")
@@ -413,53 +418,77 @@ def _inverse_iteration(matrix: sp.csr_matrix, shifted: sp.csc_matrix, seed: np.n
     return v, resid
 
 
+def _kernel_is_degenerate(matrix: sp.csr_matrix, shifted: sp.csc_matrix,
+                          v1: np.ndarray, line: float) -> tuple[bool, float]:
+    """Whether ``matrix`` has a kernel vector besides ``v1``, and the last residual.
+
+    Inverse iteration deflated against ``v1``, from a fixed random seed made
+    orthogonal to ``v1``.  The kernel is degenerate as soon as a residual
+    ||M v|| falls below ``line``.  With a second kernel vector, each solve
+    multiplies that vector's weight by about 1/shift = 1e10 / norm_scale
+    against at most 1/|lambda| for every other eigenvector, so within one or
+    two solves the residual collapses far below the line.  A residual that
+    stays 1e4 times above the line for two solves in a row therefore rules
+    the degeneracy out.  At most 50 solves, as in the main iteration.
+    """
+    n = matrix.shape[0]
+    rng = np.random.default_rng(12345)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v -= v1 * (v1.conj() @ v)
+    if np.linalg.norm(v) <= 1e-12:
+        return False, np.inf
+    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
+    v = v / np.linalg.norm(v)
+    resid, far = np.inf, 0
+    for _ in range(50):
+        w = lu.solve(v)
+        w = w - v1 * (v1.conj() @ w)
+        nrm = np.linalg.norm(w)
+        if nrm == 0 or not np.isfinite(nrm):
+            return False, resid
+        v = w / nrm
+        resid = float(np.linalg.norm(matrix @ v))
+        if resid < line:
+            return True, resid
+        far = far + 1 if resid > 1e4 * line else 0
+        if far == 2:
+            break
+    return False, resid
+
+
 def steady_state(superop: Superoperator, resid_tol: float = 1e-9) -> DensityMatrix:
     """Unique fixed point of the semigroup generated by ``superop``.
 
     Shifted inverse iteration targeting eigenvalue 0, seeded with the
     maximally mixed state; a second, deflated iteration probes for kernel
-    degeneracy, which is an error (no silent selection).  Each iteration
+    degeneracy, which is an error (no silent selection).  The probe stops at
+    its first residual below the 1e-8 * norm_scale line (degenerate) or once
+    two solves in a row leave it 1e4 times above that line (simple kernel);
+    on generators with a simple kernel that is two solves.  Each iteration
     factors the same shifted generator with SuperLU under the MMD_AT_PLUS_A
     ordering (under half the fill of the default COLAMD on TFIM generators):
-    two sparse LU factorizations per steady state.  Dense null-space
-    extraction is the fallback for d^(2n) <= 4096 when iteration stalls.
+    two sparse LU factorizations per steady state.  An iteration that fails
+    or stops above the line is a NumericalError.
     """
     M = superop.matrix
     D = superop.hilbert_dim
     norm_scale = max(1.0, float(np.abs(M).sum(axis=1).max()))
+    line = 1e-8 * norm_scale
     shifted = (M - 1e-10 * norm_scale * sp.identity(M.shape[0], dtype=complex)).tocsc()
     seed = np.eye(D, dtype=complex).flatten(order="F") / D
 
     try:
-        v1, resid1 = _inverse_iteration(M, shifted, seed, None)
-    except (RuntimeError, NumericalError):
-        v1, resid1 = None, np.inf
-    if (v1 is None or resid1 > 1e-8 * norm_scale) and D * D <= 4096:
-        # dense fallback: smallest-magnitude eigenpair
-        w, V = np.linalg.eig(M.toarray())
-        order = np.argsort(np.abs(w))
-        if len(w) > 1 and abs(w[order[1]]) < 1e-8 * norm_scale:
-            raise DegenerateSteadyStateError(
-                f"non-unique steady state: second eigenvalue {w[order[1]]:.2e}"
-            )
-        v1 = V[:, order[0]]
-        resid1 = float(np.linalg.norm(M @ v1))
-    if v1 is None or resid1 > 1e-8 * norm_scale:
+        v1, resid1 = _inverse_iteration(M, shifted, seed)
+    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+        raise NumericalError(f"steady-state factorization failed: {exc}") from exc
+    if resid1 > line:
         raise NumericalError(f"steady-state iteration did not converge (residual {resid1:.2e})")
 
-    # degeneracy probe: deflated iteration from an orthogonal deterministic seed
-    rng = np.random.default_rng(12345)
-    probe = rng.standard_normal(D * D) + 1j * rng.standard_normal(D * D)
-    probe -= v1 * (v1.conj() @ probe)
-    if np.linalg.norm(probe) > 1e-12:
-        try:
-            _, resid2 = _inverse_iteration(M, shifted, probe, v1)
-            if resid2 < 1e-8 * norm_scale:
-                raise DegenerateSteadyStateError(
-                    f"non-unique steady state: deflated kernel residual {resid2:.2e}"
-                )
-        except NumericalError:
-            pass
+    degenerate, resid2 = _kernel_is_degenerate(M, shifted, v1, line)
+    if degenerate:
+        raise DegenerateSteadyStateError(
+            f"non-unique steady state: deflated kernel residual {resid2:.2e}"
+        )
 
     rho = v1.reshape((D, D), order="F")
     rho = (rho + rho.conj().T) / 2

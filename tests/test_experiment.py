@@ -121,6 +121,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("regions", [
+        "a = [1]\nr = [1, 2, 3]\nw = [0, 1, 2, 3, 4]",  # A on the boundary of R
+        "a = [2]\nr = [1, 2, 3]\nw = [1, 2, 3, 4]",     # R on the boundary of W
+    ])
+    def test_region_on_enclosing_boundary_rejected(self, regions):
+        with pytest.raises(ConfigError, match="boundary"):
+            parse_config_text(SMALL_BATTERY + "\n[diagnostics]\n" + regions + "\n")
+
     def test_non_json_value_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text(SMALL_LEARNING.replace("seed = 5", "seed = five"))
@@ -328,6 +336,12 @@ class TestCli:
         p = tmp_path / "bad.cfg"
         p.write_text("[model]\nname = \"nonsense\"\n")
         assert cli_main(["plan", "--config", str(p)]) == 2
+
+    def test_region_geometry_exit_code(self, tmp_path):
+        text = SMALL_BATTERY.replace("extent = [5]", "extent = [4]")
+        text += "\n[diagnostics]\na = [2]\nr = [1, 2]\nw = [1, 2, 3]\n"
+        p = self._write_cfg(tmp_path, text)
+        assert cli_main(["diagnose", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
     def test_corrupt_shadows_exit_code(self, tmp_path):
         p = self._write_cfg(tmp_path, SMALL_LEARNING.replace("n_override = 6000",

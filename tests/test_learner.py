@@ -16,10 +16,9 @@ from phaselearn.learner import (
     nearest_patch,
     plan,
     predict,
-    predict_from_states,
     select_cell,
 )
-from phaselearn.models import PhaseSample, instantiate
+from phaselearn.models import instantiate
 from phaselearn.shadows import TrainingSet, median_of_means, snapshot_local_matrix
 
 SMALL = PlanConstants(J=0.5, ell=1, r0=0, D=1, n=4, m=4, k0=0, M=1, W=1,
@@ -283,8 +282,10 @@ class TestPredict:
         p = replace(plan(0.3, 0.1, 0.1, c, "steady_state", n_cap=10**6),
                     r=1, gamma=0.4)
         rng = np.random.default_rng(10)
-        samples = [PhaseSample(rng.uniform(-1, 1, 6), math.inf, 0) for _ in range(500)]
+        xs = [rng.uniform(-1, 1, 6) for _ in range(500)]
+        tr = _tag_training(xs)
         obs = observable_from_string("Z@3", lat)
+        indices = model.family.coords_for_region(enlarge(lat, obs.support, p.r))
         two_xi = 2 * c.xi
         c1 = (4.0 * c.c_prime * c.ball_volume_k0 * c.J
               / (math.exp(1 / two_xi) * (1 - math.exp(-1 / two_xi))) / 4.0)
@@ -293,12 +294,9 @@ class TestPredict:
         worst = 0.0
         for _ in range(25):
             xt = rng.uniform(-1, 1, 6)
-            pred = predict_from_states(
-                [obs], xt, math.inf, samples,
-                lambda sx, tau, o: model.oracle_expectation(sx, tau, o),
-                p, model.family,
-            )
-            worst = max(worst, abs(pred.value - model.oracle_expectation(xt, math.inf, obs)))
+            j, _ = nearest_patch(xt, math.inf, tr, indices)
+            est = model.oracle_expectation(xs[j], math.inf, obs)
+            worst = max(worst, abs(est - model.oracle_expectation(xt, math.inf, obs)))
         assert worst <= bound
 
     def test_bias_shape_in_r_and_gamma(self):
@@ -321,21 +319,15 @@ class TestPredict:
             return cache[key]
 
         rng = np.random.default_rng(11)
-        samples = [PhaseSample(rng.uniform(-1, 1, tfim.family.m), math.inf, 0)
-                   for _ in range(400)]
-        sc = tfim.structural_constants()
-        c = PlanConstants(J=sc["J"], ell=sc["ell"], r0=sc["r0"], D=sc["D"],
-                          n=sc["n"], m=sc["m"], k0=1)
-        base = plan(0.3, 0.1, 0.1, c, "steady_state", n_cap=10**6)
+        xs_tfim = [rng.uniform(-1, 1, tfim.family.m) for _ in range(400)]
+        tr_tfim = _tag_training(xs_tfim)
         tests = [rng.uniform(-1, 1, tfim.family.m) for _ in range(25)]
         exact_vals = [f_exact(x) for x in tests]
         medians = {}
         for r in (1, 2):
-            p = replace(base, r=r)
+            indices = tfim.family.coords_for_region(enlarge(lat, obs.support, r))
             errs = [
-                abs(predict_from_states([obs], xt, math.inf, samples,
-                                        lambda sx, tau, o: f_exact(sx), p,
-                                        tfim.family).value - ev)
+                abs(f_exact(xs_tfim[nearest_patch(xt, math.inf, tr_tfim, indices)[0]]) - ev)
                 for xt, ev in zip(tests, exact_vals)
             ]
             medians[r] = float(np.median(errs))

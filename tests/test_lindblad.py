@@ -1,12 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import Z, amplitude_damping_family, random_density, random_two_site_family
-from phaselearn.errors import DegenerateSteadyStateError
+from conftest import SM, Z, amplitude_damping_family, random_density, random_two_site_family
+from phaselearn import lindblad
+from phaselearn.errors import DegenerateSteadyStateError, NumericalError
 from phaselearn.lattice import Lattice, Region, ball
 from phaselearn.lindblad import (
     DensityMatrix,
@@ -146,6 +150,19 @@ class TestAssemble:
         assert np.abs(got.toarray() - _dense_generator(fam, x)).max() <= 1e-13
         # terms that cancel leave no explicit zeros behind
         assert got.nnz == np.count_nonzero(got.toarray())
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           name=st.sampled_from(["dissipative_tfim", "pinning"]))
+    @settings(max_examples=30, deadline=None)
+    def test_bit_identical_to_np_kron(self, seed, n, name):
+        # the broadcast outer product multiplies the same factors as np.kron
+        fam = instantiate(name, Lattice(1, (n,), "open")).family
+        x = np.random.default_rng(seed).uniform(-1, 1, fam.m)
+        got = assemble(fam, x).matrix
+        with mock.patch.object(lindblad, "_kron", np.kron):
+            ref = assemble(fam, x).matrix
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(got, attr).tobytes() == getattr(ref, attr).tobytes()
 
     def test_family_does_not_grow_with_points(self):
         # assembling at many distinct points must leave the family as it was
@@ -316,6 +333,66 @@ class TestSteadyState:
         gen = assemble(ParamLindbladian(lat, [term]), np.zeros(0))
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(gen)
+
+    def test_second_dark_site_is_an_error(self):
+        # site 0 decays to |0>, site 1 is only dephased: the kernel holds
+        # |0><0| (x) diag(p, 1-p) for every p.  The main iteration converges to
+        # one of them, so only the deflated probe can see the degeneracy.
+        lat = Lattice(1, (2,), "open")
+        terms = [LindbladTerm(Region((0,)), (), lambda xs: (None, [SM]), "ad"),
+                 LindbladTerm(Region((1,)), (), lambda xs: (None, [Z.astype(complex)]), "deph")]
+        gen = assemble(ParamLindbladian(lat, terms), np.zeros(0))
+        M = gen.matrix
+        line, shifted, seed = _probe_inputs(M)
+        _, resid1 = lindblad._inverse_iteration(M, shifted, seed)
+        assert resid1 < line
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(gen)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           dissipate_all=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_probe_matches_full_length_reference(self, seed, n, dissipate_all):
+        rng = np.random.default_rng(seed)
+        fam = _random_chain_family(rng, n, cancel=False, dissipate_all=dissipate_all)
+        M = assemble(fam, rng.uniform(-1, 1, fam.m)).matrix
+        line, shifted, start = _probe_inputs(M)
+        try:
+            v1, resid1 = lindblad._inverse_iteration(M, shifted, start)
+        except (RuntimeError, NumericalError):
+            v1, resid1 = None, np.inf
+        assume(resid1 < line)
+        degenerate, _ = lindblad._kernel_is_degenerate(M, shifted, v1, line)
+        assert degenerate == _reference_probe(M, shifted, v1, line)
+
+
+def _probe_inputs(M: sp.csr_matrix) -> tuple[float, sp.csc_matrix, np.ndarray]:
+    """The decision line, shifted matrix and seed that ``steady_state`` uses."""
+    norm_scale = max(1.0, float(np.abs(M).sum(axis=1).max()))
+    shifted = (M - 1e-10 * norm_scale * sp.identity(M.shape[0], dtype=complex)).tocsc()
+    D = int(round(np.sqrt(M.shape[0])))
+    return 1e-8 * norm_scale, shifted, np.eye(D, dtype=complex).flatten(order="F") / D
+
+
+def _reference_probe(M: sp.csr_matrix, shifted: sp.csc_matrix, v1: np.ndarray,
+                     line: float) -> bool:
+    """Degeneracy verdict from all 50 deflated solves: the last residual
+    against the line, with no early stop."""
+    rng = np.random.default_rng(12345)
+    v = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+    v -= v1 * (v1.conj() @ v)
+    if np.linalg.norm(v) <= 1e-12:
+        return False
+    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
+    v /= np.linalg.norm(v)
+    for _ in range(50):
+        w = lu.solve(v)
+        w -= v1 * (v1.conj() @ w)
+        nrm = np.linalg.norm(w)
+        if nrm == 0 or not np.isfinite(nrm):
+            return False
+        v = w / nrm
+    return float(np.linalg.norm(M @ v)) < line
 
 
 class TestLocalize:
