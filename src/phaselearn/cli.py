@@ -75,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
             manifest = experiment.run_learning_experiment(cfg)
             print(f"sweep bundle in {cfg.out_dir}: {sorted(manifest.values())}")
         elif args.verb == "plot":
-            manifest = experiment.emit_plots(cfg.out_dir)
+            manifest = experiment.emit_plots(cfg.out_dir, cfg.model_name)
             print(f"plots in {cfg.out_dir}: {sorted(manifest.values())}")
         return 0
     except ConfigError as exc:

@@ -13,7 +13,9 @@ with ``#``.  Example::
     extent = [8]
     boundary = "open"
 
-Schema validation happens before any simulation runs.
+Schema validation happens before any simulation runs.  An unknown section
+or key is an error; ``[model]`` takes ``name`` and the model's own
+hyperparameters.
 """
 
 from __future__ import annotations
@@ -37,6 +39,19 @@ MODE_ALIASES = {
     "general_phase": "general_phase",
     "slow": "slow_mixing",
     "slow_mixing": "slow_mixing",
+}
+
+# the keys of each section other than [model]
+_SECTION_KEYS = {
+    "lattice": {"dim", "extent", "boundary"},
+    "targets": {"epsilon", "delta", "delta_prime", "k0"},
+    "mode": {"mode", "omega", "f_n"},
+    "observables": {"specs"},
+    "training": {"n_cap", "n_override", "gamma_override", "r_override", "n_test", "sweep"},
+    "constants": {"source", "kappa_exponent", "xi", "gamma_prime", "c_prime"},
+    # no stage reads workers; it is accepted for configs that still set it
+    "run": {"seed", "out", "workers"},
+    "diagnostics": {"a", "r", "w"},
 }
 
 
@@ -73,6 +88,9 @@ class ExperimentConfig:
 
         if self.model_name not in CATALOG:
             raise ConfigError(f"unknown model {self.model_name!r}; have {sorted(CATALOG)}")
+        unknown = sorted(set(self.hyper) - set(CATALOG[self.model_name].default_hyper))
+        if unknown:
+            raise ConfigError(f"model {self.model_name!r} has no hyperparameters {unknown}")
         if self.mode not in MODE_ALIASES.values():
             raise ConfigError(f"bad mode {self.mode!r}")
         for name in ("epsilon", "delta", "delta_prime"):
@@ -87,6 +105,13 @@ class ExperimentConfig:
             raise ConfigError("k0 >= 0 and n_test >= 1 required")
         if self.n_cap is not None and self.n_cap < 1:
             raise ConfigError("n_cap must be positive (or null for uncapped)")
+        if self.n_override is not None and self.n_override < 1:
+            raise ConfigError("n_override must be positive")
+        if self.gamma_override is not None and not self.gamma_override > 0:
+            raise ConfigError("gamma_override must be positive")
+        r = self.r_override
+        if r is not None and (isinstance(r, bool) or not isinstance(r, int) or r < 0):
+            raise ConfigError("r_override must be a non-negative integer")
         if any(s < 1 for s in self.sweep):
             raise ConfigError("sweep sample counts must be positive")
         if self.constants_source not in ("measure", "explicit"):
@@ -148,6 +173,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    unknown = [f"[{s}]" for s in cp.sections() if s != "model" and s not in _SECTION_KEYS]
+    unknown += [f"[{s}] {k}" for s in cp.sections() if s in _SECTION_KEYS
+                for k in cp[s] if k not in _SECTION_KEYS[s]]
+    if unknown:
+        raise ConfigError(f"unknown config entries: {', '.join(unknown)}")
 
     def section(name: str) -> dict:
         if not cp.has_section(name):
@@ -172,7 +202,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
             dim=lattice_s.get("dim", 1),
             extent=tuple(lattice_s.get("extent", [4])),
             boundary=lattice_s.get("boundary", "open"),
-            local_dim=lattice_s.get("local_dim", 2),
         )
     except ValueError as exc:
         raise ConfigError(f"bad lattice: {exc}") from exc

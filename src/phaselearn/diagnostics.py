@@ -55,7 +55,6 @@ __all__ = [
     "SCAN_SITE_CAP",
     "DEFAULT_T_GRID",
     "DecayFit",
-    "LRConstants",
     "fit_decay",
     "operator_norm",
     "certify_lr_constants",
@@ -147,31 +146,28 @@ def fit_decay(abscissa: Sequence[float], values: Sequence[float],
         env = np.asarray(envelope, dtype=float)
         env_ok = bool(np.all(v[keep] <= env[keep] + 1e-12))
     env_t = None if envelope is None else tuple(map(float, envelope))
-    if mask.sum() == 0:
-        return DecayFit(label, s_t, v_t, e_t, 0.0, 0.0, 0.0, (0.0, 0.0), N_BOOT,
-                        env_t, env_ok, all_below_floor=True,
-                        excluded=tuple(excluded))
     sm, vm = s[mask], v[mask]
-    if len(np.unique(sm)) < 2:
-        return DecayFit(label, s_t, v_t, e_t, 0.0, float(vm.max()), 0.0,
-                        (0.0, 0.0), N_BOOT, env_t, env_ok,
-                        all_below_floor=False, excluded=tuple(excluded))
-    rate, pref, r2 = _wls_logfit(sm, vm)
-    rng = np.random.default_rng(boot_seed)
-    boots = []
-    for _ in range(N_BOOT):
-        idx = rng.integers(0, len(sm), size=len(sm))
-        if len(np.unique(sm[idx])) < 2:
-            continue
-        b_rate, _, _ = _wls_logfit(sm[idx], vm[idx])
-        boots.append(b_rate)
-    if boots:
-        lo, hi = np.percentile(boots, [2.5, 97.5])
-    else:
-        lo, hi = rate, rate
-    return DecayFit(label, s_t, v_t, e_t, rate, pref, r2,
-                    (float(lo), float(hi)), N_BOOT, env_t, env_ok,
-                    all_below_floor=False, excluded=tuple(excluded))
+    n_distinct = len(np.unique(sm))
+    rate, pref, r2, ci = 0.0, 0.0, 0.0, (0.0, 0.0)
+    if n_distinct == 1:
+        pref = float(vm.max())
+    elif n_distinct > 1:
+        rate, pref, r2 = _wls_logfit(sm, vm)
+        rng = np.random.default_rng(boot_seed)
+        boots = []
+        for _ in range(N_BOOT):
+            idx = rng.integers(0, len(sm), size=len(sm))
+            if len(np.unique(sm[idx])) < 2:
+                continue
+            b_rate, _, _ = _wls_logfit(sm[idx], vm[idx])
+            boots.append(b_rate)
+        if boots:
+            lo, hi = np.percentile(boots, [2.5, 97.5])
+        else:
+            lo, hi = rate, rate
+        ci = (float(lo), float(hi))
+    return DecayFit(label, s_t, v_t, e_t, rate, pref, r2, ci, N_BOOT, env_t, env_ok,
+                    all_below_floor=n_distinct == 0, excluded=tuple(excluded))
 
 
 def operator_norm(mat: np.ndarray) -> float:
@@ -195,23 +191,15 @@ def operator_norm(mat: np.ndarray) -> float:
     return sigma
 
 
-@dataclass(frozen=True)
-class LRConstants:
-    """Certified locality constants: velocity bound v at spatial rate mu."""
-
-    mu: float
-    v: float
-    beta: float
-
-
-def certify_lr_constants(family: ParamLindbladian) -> LRConstants:
-    """Upper-bound the information velocity from the certified term strengths.
+def certify_lr_constants(family: ParamLindbladian) -> float:
+    """Upper-bound the information velocity v from the certified term strengths.
 
     v(mu) = 2 max_z sum_{terms whose covering ball reaches z}
             J_term |ball(r_term)| e^(mu r_term),  at mu = MU.
 
-    Ancilla terms are charged to their anchor site.  beta is taken equal to mu
-    (the envelopes stay one-sided upper bounds under this choice).
+    Ancilla terms are charged to their anchor site.  The envelopes decay in
+    space at the same rate MU (they stay one-sided upper bounds under this
+    choice).
     """
     lat = family.lattice
     anchor_of = {a.slot: a.anchor for a in family.ancillas}
@@ -226,7 +214,7 @@ def certify_lr_constants(family: ParamLindbladian) -> LRConstants:
                 total += (family.term_strengths[ti]
                           * l1_ball_volume(r, lat.dim) * math.exp(MU * r))
         worst = max(worst, total)
-    return LRConstants(mu=MU, v=2.0 * worst, beta=MU)
+    return 2.0 * worst
 
 
 def _check_scan_size(family: ParamLindbladian) -> None:
@@ -241,15 +229,15 @@ def lieb_robinson_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservabl
 
     The localized generator carries x inside the r-enlargement of the
     observable support and x' outside.  The envelope is
-    ||O|| |A| J (e^{vt} - 1 - vt) / v e^{-beta r} with certified (v, beta).
+    ||O|| |A| J (e^{vt} - 1 - vt) / v e^{-MU r} with the certified v.
     """
     _check_scan_size(family)
     lat = family.lattice
     if r_max is None:
         r_max = max(distance(lat, u, v) for u in lat.all_sites() for v in lat.all_sites())
-    consts = certify_lr_constants(family)
-    if consts.v * t > 700.0:
-        raise ValueError(f"e^(vt) overflows for certified v={consts.v:.3g}, t={t}")
+    v = certify_lr_constants(family)
+    if v * t > 700.0:
+        raise ValueError(f"e^(vt) overflows for certified v={v:.3g}, t={t}")
     O_full = embed(obs, lat, n_total=family.n_total)
     gen_full = assemble(family, x)
     O_t = heisenberg_evolve(gen_full, O_full, t, rtol=rtol)
@@ -261,10 +249,22 @@ def lieb_robinson_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservabl
         O_loc = heisenberg_evolve(assemble(family, hyb), O_full, t, rtol=rtol)
         values.append(operator_norm(O_t - O_loc))
     amp = (obs.operator_norm * len(obs.support) * family.J
-           * (math.exp(consts.v * t) - 1.0 - consts.v * t) / consts.v)
-    envelope = [amp * math.exp(-consts.beta * r) for r in radii]
+           * (math.exp(v * t) - 1.0 - v * t) / v)
+    envelope = [amp * math.exp(-MU * r) for r in radii]
     return fit_decay(radii, values, label="radius", boot_seed=boot_seed,
                      envelope=envelope)
+
+
+def _expectation_curve(gen: Superoperator, rho0: DensityMatrix, O_full: np.ndarray,
+                       t_grid: Sequence[float], rtol: float) -> np.ndarray:
+    """tr[O T_t(rho0)] at each time of the ascending grid, evolving from one
+    grid time to the next."""
+    out, current, t_prev = [], rho0, 0.0
+    for t in t_grid:
+        current = evolve(gen, current, t - t_prev, rtol=rtol)
+        t_prev = t
+        out.append(current.expectation(O_full))
+    return np.asarray(out)
 
 
 def mixing_scan(family: ParamLindbladian, x, rho0: DensityMatrix,
@@ -277,13 +277,8 @@ def mixing_scan(family: ParamLindbladian, x, rho0: DensityMatrix,
     if rho_inf is None:
         rho_inf = steady_state(gen)
     O_full = embed(obs, family.lattice, n_total=family.n_total)
-    target = float(np.real(np.trace(O_full @ rho_inf.data)))
-    values = []
-    current, t_prev = rho0, 0.0
-    for t in t_grid:
-        current = evolve(gen, current, t - t_prev, rtol=rtol)
-        t_prev = t
-        values.append(abs(float(np.real(np.trace(O_full @ current.data))) - target))
+    target = rho_inf.expectation(O_full)
+    values = np.abs(_expectation_curve(gen, rho0, O_full, t_grid, rtol) - target)
     return fit_decay(list(t_grid), values, label="time", boot_seed=boot_seed)
 
 
@@ -295,24 +290,24 @@ def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
     Points where the localized generator has a degenerate kernel are flagged
     and excluded from the fit.  The envelope is
     ||O|| (J |A| / v + c |A|^kappa) (|A(s)|/|A|)^(kappa v / (v+gamma)) e^{-beta' s}
-    with beta' = beta gamma / (v + gamma).
+    with beta' = MU gamma / (v + gamma).
     """
     _check_scan_size(family)
     lat = family.lattice
     gen = assemble(family, x)
     rho_inf = steady_state(gen)
     O_full = embed(obs, lat, n_total=family.n_total)
-    base = float(np.real(np.trace(O_full @ rho_inf.data)))
-    consts = certify_lr_constants(family)
+    base = rho_inf.expectation(O_full)
+    v = certify_lr_constants(family)
     values, excluded, envelope = [], [], []
     A = max(1, len(obs.support))
-    beta_p = consts.beta * gamma_mix / (consts.v + gamma_mix)
+    beta_p = MU * gamma_mix / (v + gamma_mix)
     for i, s in enumerate(s_grid):
         patch = enlarge(lat, obs.support, int(s))
         vol_ratio = len(patch) / A
         envelope.append(
-            obs.operator_norm * (family.J * A / consts.v + C_POLY * A**kappa)
-            * vol_ratio ** (kappa * consts.v / (consts.v + gamma_mix))
+            obs.operator_norm * (family.J * A / v + C_POLY * A**kappa)
+            * vol_ratio ** (kappa * v / (v + gamma_mix))
             * math.exp(-beta_p * s)
         )
         try:
@@ -321,7 +316,7 @@ def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
             values.append(math.nan)
             excluded.append(i)
             continue
-        values.append(abs(float(np.real(np.trace(O_full @ rho_s.data))) - base))
+        values.append(abs(rho_s.expectation(O_full) - base))
     return fit_decay(list(map(float, s_grid)), values, label="radius",
                      boot_seed=boot_seed, envelope=envelope, excluded=excluded)
 
@@ -357,16 +352,13 @@ def compatibility_scan(family: ParamLindbladian, x, region_a: Region,
     r_pos_in_w = [w_sites.index(s) for s in region_r.sites]
     r_sites = list(region_r.sites)
     a_pos_in_r = [r_sites.index(s) for s in region_a.sites]
-    sigma = DensityMatrix(
-        partial_trace(rho_w.data, len(w_sites), r_pos_in_w, lat.local_dim),
-        len(r_sites), lat.local_dim,
-    )
-    target = partial_trace(rho_r.data, len(r_sites), a_pos_in_r, lat.local_dim)
+    sigma = DensityMatrix(partial_trace(rho_w.data, len(w_sites), r_pos_in_w), len(r_sites))
+    target = partial_trace(rho_r.data, len(r_sites), a_pos_in_r)
     values, t_prev = [], 0.0
     for t in t_grid:
         sigma = evolve(gen_r, sigma, t - t_prev)
         t_prev = t
-        marg = partial_trace(sigma.data, len(r_sites), a_pos_in_r, lat.local_dim)
+        marg = partial_trace(sigma.data, len(r_sites), a_pos_in_r)
         values.append(trace_norm(marg - target))
     return fit_decay(list(t_grid), values, label="time", boot_seed=boot_seed)
 
@@ -399,18 +391,8 @@ def stability_scan(family: ParamLindbladian, x, delta: float,
         if d not in by_distance or ci < by_distance[d]:
             by_distance[d] = ci
     O_full = embed(obs, lat, n_total=family.n_total)
-    gen0 = assemble(family, x)
-
-    def f_curve(gen: Superoperator) -> np.ndarray:
-        out, current, t_prev = [], rho0, 0.0
-        for t in t_checks:
-            current = evolve(gen, current, t - t_prev)
-            t_prev = t
-            out.append(float(np.real(np.trace(O_full @ current.data))))
-        return np.asarray(out)
-
-    base_curve = f_curve(gen0)
-    consts = certify_lr_constants(family)
+    base_curve = _expectation_curve(assemble(family, x), rho0, O_full, t_checks, 1e-9)
+    v = certify_lr_constants(family)
     distances = sorted(by_distance)
     values, envelope = [], []
     t_max = max(t_checks)
@@ -422,12 +404,12 @@ def stability_scan(family: ParamLindbladian, x, delta: float,
             raise ValueError(
                 f"perturbation pushes coordinate {ci} to {kicked[ci]:.3f}, outside [-1, 1]"
             )
-        curve = f_curve(assemble(family, kicked))
+        curve = _expectation_curve(assemble(family, kicked), rho0, O_full, t_checks, 1e-9)
         values.append(float(np.max(np.abs(curve - base_curve))))
         # perturbation strength surrogate: triangle bound from the two term builds
         ti = family.coord_info[ci].term_index
         e_bound = 2.0 * family.term_strengths[ti]
-        t0 = (MU / 2.0) * (math.log(max(consts.v**2 / 2.0, 1.0 + 1e-9)) / consts.v) * d
+        t0 = (MU / 2.0) * (math.log(max(v**2 / 2.0, 1.0 + 1e-9)) / v) * d
         h = math.exp(-MU * d / 2.0)
         if t_max > t0:
             h += (1.0 / gamma_mix) * math.exp(-gamma_mix * t0)

@@ -20,6 +20,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .diagnostics import (
     DEFAULT_T_GRID,
+    SCAN_SITE_CAP,
     DecayFit,
     calibrate_constants,
     compatibility_scan,
@@ -64,9 +65,9 @@ def _probe_model(cfg: ExperimentConfig) -> Model:
     """A smaller instance of the configured model for constant calibration."""
     lat = cfg.lattice
     if lat.dim == 1:
-        probe_lat = Lattice(1, (min(lat.n_sites, 5),), lat.boundary, lat.local_dim)
+        probe_lat = Lattice(1, (min(lat.n_sites, 5),), lat.boundary)
     else:
-        probe_lat = Lattice(2, (2, 3), lat.boundary, lat.local_dim)
+        probe_lat = Lattice(2, (2, 3), lat.boundary)
     return instantiate(cfg.model_name, probe_lat, omega=0, **cfg.hyper)
 
 
@@ -135,7 +136,7 @@ def _exact_value(model: Model, x: np.ndarray, tau: float, observables):
         return sum(model.oracle_expectation(x, tau, o) for o in observables)
     if model.family.n_total > 6:
         return None
-    rho = generate_state(model, x, tau, prefer_oracle=False)
+    rho = generate_state(model, x, tau)
     total = 0.0
     for o in observables:
         total += rho.expectation(embed(o, model.lattice, n_total=model.family.n_total))
@@ -258,7 +259,7 @@ def _predictions_stage(cfg: ExperimentConfig, model: Model, observables,
         "sweep": [[n, e] for n, e in sweep_rows],
     }
     _write_json(out / "summary.json", summary)
-    manifest = emit_plots(out)
+    manifest = emit_plots(out, model.name)
     with open(out / "timing.log", "w") as fh:
         fh.write(f"wall_clock_seconds {time.perf_counter() - t_start:.3f}\n")
     manifest.update(
@@ -308,8 +309,8 @@ def run_learning_experiment(cfg: ExperimentConfig) -> dict:
     return manifest
 
 
-def _fit_csv(path: Path, fit: DecayFit, xlabel: str) -> None:
-    lines = [f"{xlabel},value,error,envelope"]
+def _fit_csv(path: Path, fit: DecayFit) -> None:
+    lines = [f"{fit.abscissa_label},value,error,envelope"]
     for a, v, e, u in fit.csv_rows():
         env = "" if u is None else repr(float(u))
         val = "nan" if not math.isfinite(v) else repr(float(v))
@@ -327,7 +328,8 @@ def _auto_regions(cfg: ExperimentConfig) -> tuple[Region, Region, Region]:
 
 
 def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
-    """All five structural scans on the configured model; per-scan CSV + SVG.
+    """All five structural scans on the configured model; per-scan CSV, JSON
+    and SVG (drawn by :func:`emit_plots` from the CSV and JSON).
 
     The battery records a pass flag per scan: positive decay certified
     (lower bootstrap CI bound above zero) or an identically-zero curve.
@@ -337,8 +339,8 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     model, observables = _setup(cfg)
     fam = model.family
-    if fam.n_total > 8:
-        raise ConfigError("diagnostic battery caps the system at 8 sites")
+    if fam.n_total > SCAN_SITE_CAP:
+        raise ConfigError(f"diagnostic battery caps the system at {SCAN_SITE_CAP} sites")
     obs = observables[0]
     rng = np.random.default_rng(stream_seed(cfg.seed, "diagnostics"))
     x = np.clip(rng.uniform(-1, 1, fam.m), -0.8, 0.8)
@@ -368,16 +370,9 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
                                        gamma_mix=max(fits["mixing"].rate, 0.1),
                                        kappa=cfg.kappa_exponent, boot_seed=boot)
     battery = {}
-    xlabels = {"lieb_robinson": "radius", "mixing": "time", "ltqo": "radius",
-               "compatibility": "time", "stability": "distance"}
     for name, fit in fits.items():
-        _fit_csv(out / f"diag_{name}.csv", fit, xlabels[name])
+        _fit_csv(out / f"diag_{name}.csv", fit)
         _write_json(out / f"diag_{name}.json", fit.to_json_dict())
-        with open(out / f"diag_{name}.svg", "w") as fh:
-            decay_plot_svg(fh, f"{model.name}: {name}", xlabels[name],
-                           fit.abscissa, fit.values, fit.envelope,
-                           None if fit.all_below_floor else fit.rate,
-                           None if fit.all_below_floor else fit.prefactor)
         battery[name] = {
             "passes": fit.passes,
             "rate": fit.rate,
@@ -387,6 +382,7 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
         }
     battery["all_pass"] = all(v["passes"] for v in battery.values() if isinstance(v, dict))
     _write_json(out / "battery.json", battery)
+    emit_plots(out, model.name)
     with open(out / "timing.log", "w") as fh:
         fh.write(f"wall_clock_seconds {time.perf_counter() - t_start:.3f}\n")
     files = {f"diag_{n}": f"diag_{n}.csv" for n in fits}
@@ -403,10 +399,12 @@ def _planned_n(out: Path) -> float | None:
     return 2.0**n_log2 if n_log2 < 1024.0 else None
 
 
-def emit_plots(out_dir: str | Path) -> dict:
-    """(Re)build SVG plots from the CSV files present in the bundle.
+def emit_plots(out_dir: str | Path, model_name: str) -> dict:
+    """(Re)build SVG plots from the CSV and JSON files present in the bundle.
 
-    The planned-N marker on the sweep plot shows the prescription in the
+    Each ``diag_<scan>.svg`` is titled ``"<model_name>: <scan>"``; the battery
+    draws its plots here too, so rebuilding them reproduces its bytes.  The
+    planned-N marker on the sweep plot shows the prescription in the
     bundle's own plan.json; off-scale prescriptions fall outside the frame,
     and one too large for a float is not drawn.
     """
@@ -442,6 +440,7 @@ def emit_plots(out_dir: str | Path) -> dict:
             absc.append(float(parts[0]))
             vals.append(float(parts[1]))
         with open(out / f"{name}.svg", "w") as fh:
-            decay_plot_svg(fh, name, header[0], absc, vals, envelope, rate, pref)
+            decay_plot_svg(fh, f"{model_name}: {name.removeprefix('diag_')}", header[0],
+                           absc, vals, envelope, rate, pref)
         manifest[name] = f"{name}.svg"
     return manifest

@@ -47,12 +47,11 @@ PAULI = {
 
 @dataclass(frozen=True)
 class Lattice:
-    """A D-dimensional rectangular lattice of qudits (D in {1, 2})."""
+    """A D-dimensional rectangular lattice of qubits (D in {1, 2})."""
 
     dim: int
     extent: tuple[int, ...]
     boundary: str = "open"
-    local_dim: int = 2
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -62,8 +61,6 @@ class Lattice:
             raise ValueError(f"extent {self.extent} inconsistent with dim {self.dim}")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
-        if self.local_dim < 2:
-            raise ValueError("local_dim must be >= 2")
 
     @property
     def n_sites(self) -> int:
@@ -75,12 +72,6 @@ class Lattice:
         if self.dim == 1:
             return (site,)
         return divmod(site, self.extent[1])
-
-    def site(self, coords: Sequence[int]) -> int:
-        """Site index of row-major coordinates."""
-        if self.dim == 1:
-            return int(coords[0])
-        return int(coords[0]) * self.extent[1] + int(coords[1])
 
     def _check_site(self, s: int) -> None:
         if not 0 <= s < self.n_sites:
@@ -95,15 +86,10 @@ class Lattice:
                 "dim": self.dim,
                 "extent": list(self.extent),
                 "boundary": self.boundary,
-                "local_dim": self.local_dim,
+                "local_dim": 2,  # every site is a qubit; part of the training.shadows header
             },
             sort_keys=True,
         )
-
-    @staticmethod
-    def from_json(text: str) -> "Lattice":
-        obj = json.loads(text)
-        return Lattice(obj["dim"], tuple(obj["extent"]), obj["boundary"], obj["local_dim"])
 
 
 def distance(lattice: Lattice, u: int, v: int) -> int:
@@ -158,9 +144,6 @@ class Region:
                     break
         return frozenset(out)
 
-    def to_json(self) -> str:
-        return json.dumps(list(self.sites))
-
 
 def ball(lattice: Lattice, center: int, radius: int) -> Region:
     """All sites within l1 distance ``radius`` of ``center``."""
@@ -208,8 +191,7 @@ class LocalObservable:
             raise ValueError(f"observable {self.label!r} is not Hermitian to 1e-12")
 
     def validate(self, lattice: Lattice, k0: int = 2) -> None:
-        d = lattice.local_dim
-        side = d ** len(self.support)
+        side = 2 ** len(self.support)
         if self.matrix.shape != (side, side):
             raise ValueError(
                 f"matrix side {self.matrix.shape[0]} != {side} for {len(self.support)} sites"
@@ -263,7 +245,7 @@ class CoordInfo:
 
 
 def embed_sparse_indices(
-    n_sites: int, d: int, sites: Sequence[int]
+    n_sites: int, sites: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index machinery for embedding an operator on ``sites`` into the full space.
 
@@ -273,13 +255,13 @@ def embed_sparse_indices(
     """
     sites = list(sites)
     rest = [s for s in range(n_sites) if s not in sites]
-    strides = d ** (n_sites - 1 - np.arange(n_sites, dtype=np.int64))
+    strides = 2 ** (n_sites - 1 - np.arange(n_sites, dtype=np.int64))
 
     def offsets(idx: list[int]) -> np.ndarray:
         k = len(idx)
-        out = np.zeros(d**k, dtype=np.int64)
+        out = np.zeros(2**k, dtype=np.int64)
         for pos, s in enumerate(idx):
-            digits = (np.arange(d**k, dtype=np.int64) // d ** (k - 1 - pos)) % d
+            digits = (np.arange(2**k, dtype=np.int64) // 2 ** (k - 1 - pos)) % 2
             out += digits * strides[s]
         return out
 
@@ -304,17 +286,16 @@ def embed(op: LocalObservable | np.ndarray, lattice: Lattice,
     n = n_total if n_total is not None else lattice.n_sites
     if n > DENSE_SITE_CAP:
         raise ValueError(f"dense embedding capped at {DENSE_SITE_CAP} sites, got {n}")
-    d = lattice.local_dim
     order = np.argsort(sites)
     if list(order) != list(range(len(sites))):
         # reorder tensor factors so sites are ascending
         k = len(sites)
-        t = mat.reshape((d,) * (2 * k))
+        t = mat.reshape((2,) * (2 * k))
         perm = list(order) + [k + int(o) for o in order]
-        mat = t.transpose(perm).reshape(d**k, d**k)
+        mat = t.transpose(perm).reshape(2**k, 2**k)
         sites = sorted(sites)
-    dim = d**n
-    loc, rest = embed_sparse_indices(n, d, sites)
+    dim = 2**n
+    loc, rest = embed_sparse_indices(n, sites)
     out = np.zeros((dim, dim), dtype=complex)
     li, lj = np.nonzero(mat)
     vals = mat[li, lj]

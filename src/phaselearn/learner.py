@@ -278,9 +278,6 @@ class Prediction:
     warnings: tuple[str, ...]
     mode: str
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 def predict(observables: Sequence[LocalObservable], x, t: float,
             training: TrainingSet, plan_: LearnerPlan, family: ParamLindbladian,

@@ -72,7 +72,7 @@ class LindbladTerm:
 
 @dataclass(frozen=True)
 class AncillaSpec:
-    """An ancilla qudit appended after the system sites.
+    """An ancilla qubit appended after the system sites.
 
     ``slot`` is its tensor position (>= n_system), ``anchor`` the system site
     it neighbours, ``state`` its initial density matrix.
@@ -208,9 +208,8 @@ class ParamLindbladian:
         as unsummed COO triplets (rows, cols, data); ``assemble`` sums all terms."""
         x_slice = np.asarray(x_slice, dtype=float)
         term = self.terms[term_index]
-        d = self.lattice.local_dim
         sites = list(term.support.sites)
-        dk = d ** len(sites)
+        dk = 2 ** len(sites)
         h, jumps = term.build(x_slice)
         local = np.zeros((dk * dk, dk * dk), dtype=complex)
         eye = np.eye(dk)
@@ -228,7 +227,7 @@ class ParamLindbladian:
         # vec-space slots: column factor of site s sits at slot s, row factor
         # at slot n_total + s; the local matrix above is ordered the same way.
         slots = sites + [self.n_total + s for s in sites]
-        loc, rest = embed_sparse_indices(2 * self.n_total, d, slots)
+        loc, rest = embed_sparse_indices(2 * self.n_total, slots)
         li, lj = np.nonzero(local)
         rows = (rest[:, None] + loc[li][None, :]).ravel()
         cols = (rest[:, None] + loc[lj][None, :]).ravel()
@@ -241,10 +240,9 @@ class Superoperator:
 
     matrix: sp.csr_matrix
     n_sites: int
-    local_dim: int
 
     def __post_init__(self):
-        dim = (self.local_dim**self.n_sites) ** 2
+        dim = self.hilbert_dim**2
         if self.matrix.shape != (dim, dim):
             raise ValueError("superoperator shape inconsistent with site count")
         resid = self.trace_preservation_residual()
@@ -255,7 +253,7 @@ class Superoperator:
 
     @property
     def hilbert_dim(self) -> int:
-        return self.local_dim**self.n_sites
+        return 2**self.n_sites
 
     def trace_preservation_residual(self) -> float:
         """max |tr(M applied to any basis element)| via the trace functional row."""
@@ -277,7 +275,6 @@ class DensityMatrix:
 
     data: np.ndarray
     n_sites: int
-    local_dim: int = 2
 
     _GUARD_HERM = 1e-7
     _GUARD_TRACE = 1e-7
@@ -287,7 +284,7 @@ class DensityMatrix:
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=complex)
         object.__setattr__(self, "data", arr)
-        dim = self.local_dim**self.n_sites
+        dim = 2**self.n_sites
         if arr.shape != (dim, dim):
             raise ValueError(f"density matrix shape {arr.shape} != ({dim}, {dim})")
         herm = float(np.max(np.abs(arr - arr.conj().T)))
@@ -327,7 +324,7 @@ def assemble(family: ParamLindbladian, x: np.ndarray) -> Superoperator:
             f"family has {family.n_total}"
         )
     values = family.as_values(x)
-    D2 = (family.lattice.local_dim**family.n_total) ** 2
+    D2 = 4**family.n_total
     # the empty triplet lets a family without terms assemble to the zero matrix
     triplets = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))]
     triplets += [family.term_superoperator(ti, values[list(term.coord_indices)])
@@ -335,7 +332,7 @@ def assemble(family: ParamLindbladian, x: np.ndarray) -> Superoperator:
     rows, cols, data = (np.concatenate(part) for part in zip(*triplets))
     total = sp.coo_matrix((data, (rows, cols)), shape=(D2, D2)).tocsr()
     total.eliminate_zeros()  # terms that cancel leave explicit zeros
-    return Superoperator(total, family.n_total, family.lattice.local_dim)
+    return Superoperator(total, family.n_total)
 
 
 def _integrate(matrix: sp.csr_matrix, y0: np.ndarray, t: float,
@@ -371,7 +368,7 @@ def evolve(superop: Superoperator, rho: DensityMatrix, t: float,
     y0 = rho.data.flatten(order="F")
     y = _integrate(superop.matrix, y0, t, rtol)
     D = superop.hilbert_dim
-    return DensityMatrix(y.reshape((D, D), order="F"), superop.n_sites, superop.local_dim)
+    return DensityMatrix(y.reshape((D, D), order="F"), superop.n_sites)
 
 
 def heisenberg_evolve(superop: Superoperator, observable: np.ndarray, t: float,
@@ -499,7 +496,7 @@ def steady_state(superop: Superoperator, resid_tol: float = 1e-9) -> DensityMatr
     resid = trace_norm((M @ rho.flatten(order="F")).reshape((D, D), order="F"))
     if resid > resid_tol:
         raise NumericalError(f"steady-state residual {resid:.2e} exceeds {resid_tol:.0e}")
-    out = DensityMatrix(rho, superop.n_sites, superop.local_dim)
+    out = DensityMatrix(rho, superop.n_sites)
     out.validate()
     return out
 
@@ -523,18 +520,16 @@ def localize(family: ParamLindbladian, x: np.ndarray, x_prime: np.ndarray,
     return out
 
 
-def partial_trace(data: np.ndarray, n_sites: int, keep: Sequence[int],
-                  local_dim: int = 2) -> np.ndarray:
+def partial_trace(data: np.ndarray, n_sites: int, keep: Sequence[int]) -> np.ndarray:
     """Reduced matrix on ``keep`` (ascending), tracing out the other sites."""
     keep = sorted(keep)
-    d = local_dim
-    t = data.reshape((d,) * (2 * n_sites))
+    t = data.reshape((2,) * (2 * n_sites))
     drop = [s for s in range(n_sites) if s not in keep]
     for count, s in enumerate(drop):
         ns = n_sites - count  # sites remaining in tensor
         pos = s - sum(1 for q in drop[:count] if q < s)
         t = np.trace(t, axis1=pos, axis2=ns + pos)
-    dk = d ** len(keep)
+    dk = 2 ** len(keep)
     return t.reshape((dk, dk))
 
 
@@ -553,7 +548,7 @@ def subfamily(family: ParamLindbladian, region: Region) -> tuple[ParamLindbladia
     if sites != list(range(sites[0], sites[-1] + 1)):
         raise ValueError("subfamily region must be contiguous")
     offset = sites[0]
-    sub_lat = Lattice(1, (len(sites),), boundary="open", local_dim=family.lattice.local_dim)
+    sub_lat = Lattice(1, (len(sites),), boundary="open")
     inside = region.as_set()
     new_terms: list[LindbladTerm] = []
     coord_map: list[int] = []

@@ -93,8 +93,6 @@ def build_pinning_family(lattice: Lattice, kappa0: float = 1.0,
     """Single-site reset family; m = n, one parameter per site."""
     if kappa0 <= 0:
         raise ValueError("base rate kappa0 must be positive")
-    if lattice.local_dim != 2:
-        raise ValueError("pinning family is defined for qubits")
     terms = []
     for j in lattice.all_sites():
         def build(xs: np.ndarray, _k=kappa0) -> tuple[None, list[np.ndarray]]:
@@ -122,8 +120,6 @@ def build_dissipative_tfim(lattice: Lattice, g: float = 0.5, kappa: float = 1.0,
         raise ValueError("damping rate kappa must be positive")
     if lattice.dim != 1:
         raise ValueError("dissipative TFIM catalog entry is one-dimensional")
-    if lattice.local_dim != 2:
-        raise ValueError("dissipative TFIM is defined for qubits")
     n = lattice.n_sites
     Z = np.diag([1.0, -1.0]).astype(complex)
     X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -185,7 +181,7 @@ class PinningOracle:
         for anc in family.ancillas:
             # ancillas start at |0><0| and are reset toward |0>, so they stay put
             mats.append(np.asarray(anc.state, dtype=complex))
-        return DensityMatrix(reduce(np.kron, mats), family.n_total, family.lattice.local_dim)
+        return DensityMatrix(reduce(np.kron, mats), family.n_total)
 
 
 @dataclass(frozen=True)
@@ -243,7 +239,7 @@ class Model:
         """rho* (x) omega: the all-|0> system product with the ancilla registers."""
         mats = [np.outer(_KET0, _KET0.conj())] * self.family.n_system
         mats += [np.asarray(a.state, dtype=complex) for a in self.family.ancillas]
-        return DensityMatrix(reduce(np.kron, mats), self.family.n_total, self.lattice.local_dim)
+        return DensityMatrix(reduce(np.kron, mats), self.family.n_total)
 
     def structural_constants(self) -> dict:
         return {
@@ -271,19 +267,15 @@ def instantiate(name: str, lattice: Lattice, omega: int = 0, **hyper) -> Model:
     return Model(entry, lattice, merged, omega)
 
 
-def generate_state(model: Model, x: np.ndarray, tau: float,
-                   prefer_oracle: bool = True) -> DensityMatrix:
+def generate_state(model: Model, x: np.ndarray, tau: float) -> DensityMatrix:
     """The phase state exp(tau L(x))(rho* (x) omega); tau = inf means steady state.
 
-    Uses the model's exact product oracle when available (the training stage is
-    assumed to have physical access to these states); otherwise integrates the
-    master equation or solves for the fixed point.
+    Integrates the master equation, or solves for the fixed point.  Oracle
+    models hand out their closed-form states through ``model.oracle`` instead.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
     x = np.asarray(x, dtype=float)
-    if prefer_oracle and model.oracle is not None:
-        return model.oracle.full_state(x, tau, model.family)
     if tau == 0:
         return model.reference_state()
     gen = assemble(model.family, x)

@@ -68,14 +68,12 @@ def measure_snapshot(rho: DensityMatrix, seed: int,
     over {X, Y, Z}; outcomes follow the exact Born rule via sequential
     conditional sampling.
     """
-    if rho.local_dim != 2:
-        raise ValueError("snapshots are defined for qubit systems")
     n = rho.n_sites if n_system is None else n_system
     rng = np.random.default_rng(seed)
     bases = rng.integers(0, 3, size=n).astype(np.int8)
     work = rho.data
     if n < rho.n_sites:
-        work = partial_trace(work, rho.n_sites, range(n), rho.local_dim)
+        work = partial_trace(work, rho.n_sites, range(n))
     outcomes = np.empty(n, dtype=np.int8)
     for i in range(n):
         k = n - i

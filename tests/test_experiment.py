@@ -137,6 +137,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize("old,new", [
+        ("gamma_override = 0.4", "gamma_override = 0"),
+        ("r_override = 1\n", "r_override = -1\n"),
+        ("r_override = 1\n", "r_override = 1.5\n"),
+        ("r_override = 1\n", "r_override = true\n"),
+        ("n_override = 6000", "n_override = 0"),
+    ], ids=["gamma_zero", "r_negative", "r_fraction", "r_boolean", "n_zero"])
+    def test_override_out_of_range_rejected(self, old, new):
+        with pytest.raises(ConfigError, match=new.split(" ")[0]):
+            parse_config_text(SMALL_LEARNING.replace(old, new))
+
     def test_unknown_run_key_ignored(self, tmp_path):
         # configs written for older versions may still carry [run] workers
         text = SMALL_LEARNING.replace("seed = 5", "seed = 5\nworkers = 4")
@@ -278,7 +289,7 @@ class TestPlots:
         # a prescription too large for a float leaves the marker out
         (tmp_path / "plan.json").write_text(json.dumps({"N_log2": n_log2}))
         (tmp_path / "sweep.csv").write_text("n,median_abs_error\n100,0.2\n1000,0.1\n")
-        manifest = emit_plots(tmp_path)
+        manifest = emit_plots(tmp_path, "pinning")
         assert manifest["error_vs_n"] == "error_vs_n.svg"
         assert ("planned N" in (tmp_path / "error_vs_n.svg").read_text()) == drawn
 
@@ -292,7 +303,7 @@ class TestPlots:
 
         fit = fit_decay(ts, 2.0 * np.exp(-0.7 * ts))
         (tmp_path / "diag_demo.json").write_text(json.dumps(fit.to_json_dict()))
-        manifest = emit_plots(tmp_path)
+        manifest = emit_plots(tmp_path, "pinning")
         svg = (tmp_path / "diag_demo.svg").read_text()
         assert "fit rate 0.7" in svg
         assert manifest["diag_demo"] == "diag_demo.svg"
@@ -365,8 +376,20 @@ class TestCli:
         p = self._write_cfg(tmp_path, SMALL_BATTERY)
         out = tmp_path / "out"
         assert cli_main(["diagnose", "--config", str(p), "--out", str(out)]) == 0
+        drawn = {f.name: f.read_bytes() for f in out.glob("diag_*.svg")}
+        assert len(drawn) == 5
         assert cli_main(["plot", "--config", str(p), "--out", str(out)]) == 0
-        assert (out / "diag_mixing.svg").exists()
+        assert {f.name: f.read_bytes() for f in out.glob("diag_*.svg")} == drawn
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("n_test = 12", "n_tests = 12", "[training] n_tests"),
+        ("[run]", "[extras]\nx = 1\n\n[run]", "[extras]"),
+        ("kappa0 = 1.0", "kapa0 = 1.0", "kapa0"),
+    ], ids=["training_key", "section", "hyperparameter"])
+    def test_unknown_config_entry_exit_code(self, tmp_path, capsys, old, new, named):
+        p = self._write_cfg(tmp_path, SMALL_LEARNING.replace(old, new))
+        assert cli_main(["plan", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
 
     def test_missing_sweep_list_rejected(self, tmp_path):
         text = SMALL_LEARNING.replace("sweep = [200, 1000]", "")

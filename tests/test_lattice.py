@@ -24,7 +24,7 @@ class TestDistance:
         assert distance(ring5, 0, 4) == 1
 
     def test_manhattan_2d(self, grid33):
-        assert distance(grid33, grid33.site((0, 0)), grid33.site((2, 2))) == 4
+        assert distance(grid33, 0, 8) == 4  # (0, 0) to (2, 2)
 
     def test_invalid_site(self, chain5):
         with pytest.raises(ValueError):
@@ -67,7 +67,7 @@ class TestRegions:
         assert len(a) <= 2 * r + 1
 
     def test_ball_volume_bound_2d(self, grid33):
-        b = ball(grid33, grid33.site((1, 1)), 1)
+        b = ball(grid33, 4, 1)  # centre (1, 1)
         assert len(b) == 5
         assert len(b) <= (2 * 1 + 1) ** 2
         assert l1_ball_volume(1, 2) == 5
@@ -189,5 +189,7 @@ class TestObservables:
         with pytest.raises(ValueError):
             observable_from_string("XX@0,4", chain5, k0=2)
 
-    def test_lattice_json_roundtrip(self, grid33):
-        assert Lattice.from_json(grid33.to_json()) == grid33
+    def test_lattice_json_header(self, grid33):
+        # the training.shadows header records the lattice in this form
+        assert grid33.to_json() == \
+            '{"boundary": "open", "dim": 2, "extent": [3, 3], "local_dim": 2}'

@@ -202,8 +202,8 @@ class TestGenerateState:
         lat = Lattice(1, (2,), "open")
         model = instantiate("pinning", lat)
         x = np.array([0.3, -0.6])
-        by_oracle = generate_state(model, x, 1.3, prefer_oracle=True)
-        by_ode = generate_state(model, x, 1.3, prefer_oracle=False)
+        by_oracle = model.oracle.full_state(x, 1.3, model.family)
+        by_ode = generate_state(model, x, 1.3)
         assert trace_norm(by_oracle.data - by_ode.data) < 1e-7
 
 
