@@ -40,7 +40,6 @@ from .lindblad import (
 )
 from .models import (
     CATALOG,
-    PhaseSample,
     build_dissipative_tfim,
     build_pinning_family,
     generate_state,

@@ -1,21 +1,18 @@
 """Experiment configuration: a TOML-like sectioned key-value file.
 
 Syntax: ``[section]`` headers with one ``key = value`` per line; values are
-JSON literals (numbers, quoted strings, booleans, lists).  Comments start
-with ``#``.  Example::
+JSON literals, and a comment is a line starting with ``#``.  The README's
+"Configuration format" section shows a full file.
 
-    [model]
-    name = "pinning"
-    kappa0 = 1.0
-
-    [lattice]
-    dim = 1
-    extent = [8]
-    boundary = "open"
-
-Schema validation happens before any simulation runs.  An unknown section
-or key is an error; ``[model]`` takes ``name`` and the model's own
-hyperparameters.
+``_SCHEMA`` gives each ``[section] key`` its ExperimentConfig field and JSON
+type: number (integers count, true and false do not), integer, string, or a
+list of integers or strings; ``[mode] f_n`` and ``[training] n_cap`` may be
+null, and the ``[training]`` overrides ``n_override``, ``gamma_override`` and
+``r_override`` take null or ``"plan"`` (derive the value).  Other ``[model]``
+keys are the model's hyperparameters, each a number.  A key left out keeps its
+field's default; ``[lattice]`` defaults to an open chain of 4 sites.  An
+unknown entry or a value of the wrong type is a ConfigError naming the
+``[section] key``; ``validate`` then checks ranges.
 """
 
 from __future__ import annotations
@@ -41,17 +38,61 @@ MODE_ALIASES = {
     "slow_mixing": "slow_mixing",
 }
 
-# the keys of each section other than [model]
-_SECTION_KEYS = {
-    "lattice": {"dim", "extent", "boundary"},
-    "targets": {"epsilon", "delta", "delta_prime", "k0"},
-    "mode": {"mode", "omega", "f_n"},
-    "observables": {"specs"},
-    "training": {"n_cap", "n_override", "gamma_override", "r_override", "n_test", "sweep"},
-    "constants": {"source", "kappa_exponent", "xi", "gamma_prime", "c_prime"},
-    # no stage reads workers; it is accepted for configs that still set it
-    "run": {"seed", "out", "workers"},
-    "diagnostics": {"a", "r", "w"},
+# the JSON types a config value may have; type() keeps booleans out of the numbers
+_TYPES = {
+    "number": lambda v: type(v) in (int, float),
+    "integer": lambda v: type(v) is int,
+    "string": lambda v: type(v) is str,
+    "list of integers": lambda v: type(v) is list and all(type(e) is int for e in v),
+    "list of strings": lambda v: type(v) is list and all(type(e) is str for e in v),
+    "number or null": lambda v: v is None or type(v) in (int, float),
+    "integer or null": lambda v: v is None or type(v) is int,
+    'number, null or "plan"': lambda v: v in (None, "plan") or type(v) in (int, float),
+    'integer, null or "plan"': lambda v: v in (None, "plan") or type(v) is int,
+}
+
+# [section] key -> (ExperimentConfig field, type); a field "name.key" sets one
+# key of the dict ``name``, and field None accepts the entry and ignores it
+_SCHEMA = {
+    "model": {"name": ("model_name", "string")},
+    "lattice": {
+        "dim": ("lattice.dim", "integer"),
+        "extent": ("lattice.extent", "list of integers"),
+        "boundary": ("lattice.boundary", "string"),
+    },
+    "targets": {
+        "epsilon": ("epsilon", "number"),
+        "delta": ("delta", "number"),
+        "delta_prime": ("delta_prime", "number"),
+        "k0": ("k0", "integer"),
+    },
+    "mode": {
+        "mode": ("mode", "string"),
+        "omega": ("omega", "integer"),
+        "f_n": ("f_n", "number or null"),
+    },
+    "observables": {"specs": ("observables", "list of strings")},
+    "training": {
+        "n_cap": ("n_cap", "integer or null"),
+        "n_override": ("n_override", 'integer, null or "plan"'),
+        "gamma_override": ("gamma_override", 'number, null or "plan"'),
+        "r_override": ("r_override", 'integer, null or "plan"'),
+        "n_test": ("n_test", "integer"),
+        "sweep": ("sweep", "list of integers"),
+    },
+    "constants": {
+        "source": ("constants_source", "string"),
+        "kappa_exponent": ("kappa_exponent", "number"),
+        "xi": ("constants.xi", "number"),
+        "gamma_prime": ("constants.gamma_prime", "number"),
+        "c_prime": ("constants.c_prime", "number"),
+    },
+    "run": {
+        "seed": ("seed", "integer"),
+        "out": ("out_dir", "string"),
+        "workers": (None, "integer"),  # no stage reads it; old configs still set it
+    },
+    "diagnostics": {k: (f"diagnostics_regions.{k}", "list of integers") for k in "arw"},
 }
 
 
@@ -60,8 +101,8 @@ class ExperimentConfig:
     """Validated, fully deterministic description of one experiment run."""
 
     model_name: str
-    hyper: dict
     lattice: Lattice
+    hyper: dict = field(default_factory=dict)
     mode: str = "steady_state"
     epsilon: float = 0.3
     delta: float = 0.1
@@ -92,7 +133,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"model {self.model_name!r} has no hyperparameters {unknown}")
         if self.mode not in MODE_ALIASES.values():
-            raise ConfigError(f"bad mode {self.mode!r}")
+            raise ConfigError(f"[mode] mode {self.mode!r} is not one of {sorted(MODE_ALIASES)}")
         for name in ("epsilon", "delta", "delta_prime"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
@@ -109,9 +150,8 @@ class ExperimentConfig:
             raise ConfigError("n_override must be positive")
         if self.gamma_override is not None and not self.gamma_override > 0:
             raise ConfigError("gamma_override must be positive")
-        r = self.r_override
-        if r is not None and (isinstance(r, bool) or not isinstance(r, int) or r < 0):
-            raise ConfigError("r_override must be a non-negative integer")
+        if self.r_override is not None and self.r_override < 0:
+            raise ConfigError("r_override must be non-negative")
         if any(s < 1 for s in self.sweep):
             raise ConfigError("sweep sample counts must be positive")
         if self.constants_source not in ("measure", "explicit"):
@@ -137,8 +177,6 @@ class ExperimentConfig:
                 obs = observable_from_string(spec, self.lattice, k0=max(self.k0, 1))
             except Exception as exc:
                 raise ConfigError(f"bad observable {spec!r}: {exc}") from exc
-            if any(s >= self.lattice.n_sites for s in obs.support.sites):
-                raise ConfigError(f"observable {spec!r} leaves the lattice")
             out.append(obs)
         return out
 
@@ -159,13 +197,6 @@ class ExperimentConfig:
             prev_key, prev = key, sites
 
 
-def _coerce(value: str, where: str) -> Any:
-    try:
-        return json.loads(value)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"value {value!r} at {where} is not a JSON literal") from exc
-
-
 def parse_config_text(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
@@ -173,74 +204,42 @@ def parse_config_text(text: str) -> ExperimentConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    unknown = [f"[{s}]" for s in cp.sections() if s != "model" and s not in _SECTION_KEYS]
-    unknown += [f"[{s}] {k}" for s in cp.sections() if s in _SECTION_KEYS
-                for k in cp[s] if k not in _SECTION_KEYS[s]]
+    fields: dict[str, Any] = {}
+    unknown = [f"[{s}]" for s in cp.sections() if s not in _SCHEMA]
+    for section in [s for s in cp.sections() if s in _SCHEMA]:
+        for key, raw in cp.items(section):
+            where = f"[{section}] {key}"
+            # any other [model] key is one of the model's hyperparameters
+            hyper = (f"hyper.{key}", "number") if section == "model" else None
+            entry = _SCHEMA[section].get(key, hyper)
+            if entry is None:
+                unknown.append(where)
+                continue
+            target, kind = entry
+            try:
+                value = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"value {raw!r} at {where} is not a JSON literal") from exc
+            if not _TYPES[kind](value):
+                raise ConfigError(f"{where}: expected {kind}, got {raw}")
+            if value == "plan" and kind.endswith('"plan"'):
+                value = None  # derived from the prescription
+            name, _, sub = (target or "").partition(".")
+            if sub:
+                fields.setdefault(name, {})[sub] = value
+            elif name:
+                fields[name] = value
     if unknown:
         raise ConfigError(f"unknown config entries: {', '.join(unknown)}")
-
-    def section(name: str) -> dict:
-        if not cp.has_section(name):
-            return {}
-        return {k: _coerce(v, f"[{name}] {k}") for k, v in cp.items(name)}
-
-    model = section("model")
-    lattice_s = section("lattice")
-    targets = section("targets")
-    mode_s = section("mode")
-    training = section("training")
-    constants_s = section("constants")
-    run = section("run")
-    obs_s = section("observables")
-    diag = section("diagnostics")
-
-    if "name" not in model:
+    if "model_name" not in fields:
         raise ConfigError("[model] section must define name")
-    name = model.pop("name")
     try:
-        lattice = Lattice(
-            dim=lattice_s.get("dim", 1),
-            extent=tuple(lattice_s.get("extent", [4])),
-            boundary=lattice_s.get("boundary", "open"),
-        )
+        fields["lattice"] = Lattice(**{"dim": 1, "extent": [4], **fields.get("lattice", {})})
     except ValueError as exc:
         raise ConfigError(f"bad lattice: {exc}") from exc
-
-    raw_mode = mode_s.get("mode", "steady")
-    if raw_mode not in MODE_ALIASES:
-        raise ConfigError(f"unknown mode {raw_mode!r}")
-
-    def opt(d: dict, key: str):
-        v = d.get(key)
-        return None if v == "plan" else v
-
-    constants_source = constants_s.pop("source", "measure")
-    kappa_exponent = constants_s.pop("kappa_exponent", 1.0)
-    cfg = ExperimentConfig(
-        model_name=name,
-        hyper=model,
-        lattice=lattice,
-        mode=MODE_ALIASES[raw_mode],
-        epsilon=targets.get("epsilon", 0.3),
-        delta=targets.get("delta", 0.1),
-        delta_prime=targets.get("delta_prime", 0.1),
-        observables=obs_s.get("specs", ["Z@0"]),
-        k0=targets.get("k0", 1),
-        omega=mode_s.get("omega", 0),
-        n_cap=training.get("n_cap", 100_000),
-        n_override=opt(training, "n_override"),
-        gamma_override=opt(training, "gamma_override"),
-        r_override=opt(training, "r_override"),
-        n_test=training.get("n_test", 50),
-        sweep=training.get("sweep", []),
-        constants_source=constants_source,
-        constants=constants_s,
-        f_n=mode_s.get("f_n"),
-        kappa_exponent=kappa_exponent,
-        seed=run.get("seed", 0),
-        out_dir=run.get("out", "out"),
-        diagnostics_regions=diag,
-    )
+    if "mode" in fields:
+        fields["mode"] = MODE_ALIASES.get(fields["mode"], fields["mode"])
+    cfg = ExperimentConfig(**fields)
     cfg.validate()
     return cfg
 

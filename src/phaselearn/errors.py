@@ -10,15 +10,16 @@ class ConfigError(PhaselearnError):
 
 
 class PlanInfeasibleError(PhaselearnError):
-    """The prescribed sample count overflows the desk-scale guard (2**63).
+    """The prescription yields no usable sample count: the targets and
+    constants sit outside its regime, or N overflows the desk-scale guard.
 
-    Carries the base-2 exponent of the prescribed N so callers can report
-    how far out of reach the run is.
+    On overflow ``log2_n`` carries the base-2 exponent of the prescribed N, so
+    callers can report how far out of reach the run is; otherwise it is None.
     """
 
-    def __init__(self, log2_n: float):
+    def __init__(self, message: str, log2_n: float | None = None):
         self.log2_n = log2_n
-        super().__init__(f"plan infeasible: prescribed N ~ 2**{log2_n:.1f} exceeds 2**63")
+        super().__init__(message)
 
 
 class NumericalError(PhaselearnError):

@@ -111,21 +111,21 @@ def _apply_overrides(cfg: ExperimentConfig, p: LearnerPlan) -> LearnerPlan:
     return replace(p, **fields) if fields else p
 
 
-def _training_states(model: Model, samples, seeds: np.ndarray
+def _training_states(model: Model, X: np.ndarray, taus: np.ndarray, seeds: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(N, n) bases and outcomes, one snapshot per sample measured with its
-    seed; product oracle states use the fast sampler."""
+    """(N, n) bases and outcomes, one snapshot per point (X[i], taus[i])
+    measured with its seed; product oracle states use the fast sampler."""
     n_sys = model.family.n_system
-    bases = np.empty((len(samples), n_sys), dtype=np.int8)
+    bases = np.empty((len(X), n_sys), dtype=np.int8)
     outcomes = np.empty_like(bases)
-    for i, s in enumerate(samples):
+    for i, (x, tau) in enumerate(zip(X, taus.tolist())):
         if model.oracle is not None:
             site_states = np.stack(
-                [model.oracle.site_state(float(s.x[j]), s.tau) for j in range(n_sys)]
+                [model.oracle.site_state(float(x[j]), tau) for j in range(n_sys)]
             )
             bases[i], outcomes[i] = measure_snapshot_product(site_states, int(seeds[i]))
         else:
-            rho = generate_state(model, s.x, s.tau)
+            rho = generate_state(model, x, tau)
             bases[i], outcomes[i] = measure_snapshot(rho, int(seeds[i]), n_system=n_sys)
     return bases, outcomes
 
@@ -164,13 +164,12 @@ def _train(cfg: ExperimentConfig, model: Model) -> tuple[LearnerPlan, TrainingSe
     """Plan, then sample and measure the training set; writes plan.json and
     training.shadows."""
     p = run_plan_stage(cfg, model)
-    samples = sample_parameters(model, p.N, p.t_eps, stream_seed(cfg.seed, "sampling"),
+    X, taus = sample_parameters(model, p.N, p.t_eps, stream_seed(cfg.seed, "sampling"),
                                 cfg.mode)
-    seeds = np.array([stream_seed(cfg.seed, "measurement", i) for i in range(len(samples))],
+    seeds = np.array([stream_seed(cfg.seed, "measurement", i) for i in range(p.N)],
                      dtype=np.uint64)
-    bases, outcomes = _training_states(model, samples, seeds)
-    training = TrainingSet(bases, outcomes, np.array([s.x for s in samples]),
-                           [s.tau for s in samples], [s.omega for s in samples], seeds,
+    bases, outcomes = _training_states(model, X, taus, seeds)
+    training = TrainingSet(bases, outcomes, X, taus, np.full(p.N, model.omega), seeds,
                            model_name=model.name, lattice_json=cfg.lattice.to_json(),
                            mode=cfg.mode, seed=cfg.seed)
     with open(Path(cfg.out_dir) / "training.shadows", "w") as fh:
@@ -188,12 +187,8 @@ def run_train_stage(cfg: ExperimentConfig) -> dict:
 def _predictions_stage(cfg: ExperimentConfig, model: Model, observables,
                        p: LearnerPlan, training: TrainingSet, out: Path,
                        t_start: float) -> dict:
-    rng_test = np.random.default_rng(stream_seed(cfg.seed, "test_points"))
-    test_x = rng_test.uniform(-1.0, 1.0, size=(cfg.n_test, model.family.m))
-    if cfg.mode == "steady_state":
-        test_t = np.full(cfg.n_test, np.inf)
-    else:
-        test_t = rng_test.uniform(0.0, p.t_eps, size=cfg.n_test)
+    test_x, test_t = sample_parameters(model, cfg.n_test, p.t_eps,
+                                       stream_seed(cfg.seed, "test_points"), cfg.mode)
 
     # exact values do not depend on the training set: one per test point
     exacts = [_exact_value(model, test_x[i], float(test_t[i]), observables)
@@ -290,6 +285,11 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
         raise ConfigError(
             f"training set was collected on {training.model_name!r}, "
             f"config asks for {model.name!r}"
+        )
+    if len(training) and cfg.omega not in training.omegas:
+        raise ConfigError(
+            f"training set was collected at omega = {training.omegas[0]}, "
+            f"config asks for omega = {cfg.omega}"
         )
     return _predictions_stage(cfg, model, observables, p, training, out, t_start)
 

@@ -135,7 +135,8 @@ def plan(epsilon: float, delta: float, delta_prime: float,
          n_cap: int | None = None) -> LearnerPlan:
     """Derive (r, gamma, q, t_eps, N) from the closed-form prescriptions.
 
-    Raises PlanInfeasibleError when the prescribed N overflows 2**63 and no
+    Raises PlanInfeasibleError when the constants sit outside the
+    prescription's regime, or when the prescribed N overflows 2**63 and no
     cap was supplied; with ``n_cap`` the prescription is recorded in log2 form
     and the capped N is used (coverage_report quantifies the shortfall).
     """
@@ -181,7 +182,7 @@ def plan(epsilon: float, delta: float, delta_prime: float,
     if mode != "steady_state":
         assert t_eps is not None
         if t_eps <= gamma:
-            raise ValueError(
+            raise PlanInfeasibleError(
                 f"time horizon t_eps = {t_eps:.3g} does not exceed the cell "
                 f"width gamma = {gamma:.3g}; constants sit outside the "
                 "prescription's regime"
@@ -189,8 +190,8 @@ def plan(epsilon: float, delta: float, delta_prime: float,
         bracket += math.log(t_eps / gamma)
         log2_n += math.log2(c.W) + math.log2(t_eps / gamma)
     if bracket <= 0:
-        raise ValueError("sample-count bracket is nonpositive; targets/constants "
-                         "outside the prescription's regime")
+        raise PlanInfeasibleError("sample-count bracket is nonpositive; targets/constants "
+                                  "outside the prescription's regime")
     log2_n += math.log2(bracket)
 
     if log2_n < 63.0:
@@ -202,7 +203,7 @@ def plan(epsilon: float, delta: float, delta_prime: float,
         n_exact = None
 
     if n_exact is None and n_cap is None:
-        raise PlanInfeasibleError(log2_n)
+        raise PlanInfeasibleError(f"prescribed N ~ 2**{log2_n:.1f} exceeds 2**63", log2_n)
     if n_cap is not None and (n_exact is None or n_exact > n_cap):
         n_used, capped = int(n_cap), True
     else:

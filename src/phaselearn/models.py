@@ -44,7 +44,6 @@ __all__ = [
     "CATALOG",
     "CatalogEntry",
     "Model",
-    "PhaseSample",
     "PinningOracle",
     "build_pinning_family",
     "build_dissipative_tfim",
@@ -284,34 +283,24 @@ def generate_state(model: Model, x: np.ndarray, tau: float) -> DensityMatrix:
     return evolve(gen, model.reference_state(), tau)
 
 
-@dataclass
-class PhaseSample:
-    """One tagged draw from the phase: parameter point, time, ancilla choice."""
-
-    x: np.ndarray
-    tau: float
-    omega: int
-
-
 def sample_parameters(model: Model, N: int, t_eps: float | None, seed: int,
-                      mode: str = "steady_state") -> list[PhaseSample]:
-    """Draw N i.i.d. training points: x ~ U([-1,1]^m), tau ~ U([0, t_eps]).
+                      mode: str = "steady_state") -> tuple[np.ndarray, np.ndarray]:
+    """Draw N i.i.d. points as columns: X ~ U([-1,1]^m) of shape (N, m) and
+    taus ~ U([0, t_eps]) of shape (N,).
 
-    Steady-state mode tags every sample with tau = inf.  Reproducible under
-    ``seed``.  Samples carry the model's own ancilla choice; each choice from
-    the menu is learned in its own run (the menu size scales the planned N).
+    Steady-state mode tags every point with tau = inf.  Reproducible under
+    ``seed``.  Every point of a run shares the model's ancilla choice; each
+    choice from the menu is learned in its own run (the menu size scales the
+    planned N).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if mode not in ("steady_state", "general_phase", "slow_mixing"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
-    m = model.family.m
-    xs = rng.uniform(-1.0, 1.0, size=(N, m))
+    xs = rng.uniform(-1.0, 1.0, size=(N, model.family.m))
     if mode == "steady_state":
-        taus = np.full(N, np.inf)
-    else:
-        if t_eps is None or not (t_eps > 0):
-            raise ValueError("general/slow modes need a positive time horizon t_eps")
-        taus = rng.uniform(0.0, t_eps, size=N)
-    return [PhaseSample(xs[i], float(taus[i]), model.omega) for i in range(N)]
+        return xs, np.full(N, np.inf)
+    if t_eps is None or not (t_eps > 0):
+        raise ValueError("general/slow modes need a positive time horizon t_eps")
+    return xs, rng.uniform(0.0, t_eps, size=N)

@@ -1,12 +1,13 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phaselearn.cli import main as cli_main
-from phaselearn.config import load_config, parse_config_text
+from phaselearn.config import _SCHEMA, load_config, parse_config_text
 from phaselearn.errors import ConfigError
 from phaselearn.experiment import (
     emit_plots,
@@ -15,6 +16,8 @@ from phaselearn.experiment import (
     run_predict_stage,
     run_train_stage,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 SMALL_LEARNING = """
 [model]
@@ -152,6 +155,30 @@ class TestConfig:
         # configs written for older versions may still carry [run] workers
         text = SMALL_LEARNING.replace("seed = 5", "seed = 5\nworkers = 4")
         assert _cfg(text, tmp_path) == _cfg(SMALL_LEARNING, tmp_path)
+
+    @pytest.mark.parametrize("old,new,field,value", [
+        ("n_cap = 100000", "n_cap = null", "n_cap", None),
+        ("r_override = 1\n", 'r_override = "plan"\n', "r_override", None),
+        ("kappa0 = 1.0", "kappa0 = 2", "hyper", {"kappa0": 2}),
+    ], ids=["n_cap_null", "r_override_plan", "integer_as_number"])
+    def test_typed_values_still_load(self, old, new, field, value):
+        assert getattr(parse_config_text(SMALL_LEARNING.replace(old, new)), field) == value
+
+    @pytest.mark.parametrize("source", [
+        "README.md", "scripts/configs/pinning_steady.cfg", "scripts/configs/tfim_diagnostics.cfg",
+    ])
+    def test_documented_configs_parse(self, source):
+        text = (REPO / source).read_text()
+        if source == "README.md":
+            section = text.split("## Configuration format")[1]
+            text = section.split("```ini\n")[1].split("```")[0]
+        parse_config_text(text)
+
+    def test_readme_key_table_matches_schema(self):
+        section = (REPO / "README.md").read_text().split("## Configuration format")[1]
+        rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| ([^|]+) \|", section, re.M)
+        assert {(s, k): t.strip() for s, k, t in rows} == {
+            (s, k): kind for s, keys in _SCHEMA.items() for k, (_, kind) in keys.items()}
 
 
 class TestLearningRun:
@@ -372,6 +399,20 @@ class TestCli:
         p = self._write_cfg(tmp_path, text)
         assert cli_main(["plan", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("edits,message", [
+        ({"n_cap = 100000": "n_cap = null", "epsilon = 0.3": "epsilon = 0.05"}, "exceeds 2**63"),
+        ({'mode = "steady"': 'mode = "general"', "gamma_prime = 1.0": "gamma_prime = 1e4"},
+         "regime"),
+    ], ids=["overflow", "horizon_below_cell_width"])
+    def test_infeasible_plan_message(self, tmp_path, capsys, edits, message):
+        text = SMALL_LEARNING
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        p = self._write_cfg(tmp_path, text)
+        assert cli_main(["plan", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert message in err and err.count("plan infeasible") == 1
+
     def test_diagnose_and_plot_verbs(self, tmp_path):
         p = self._write_cfg(tmp_path, SMALL_BATTERY)
         out = tmp_path / "out"
@@ -390,6 +431,36 @@ class TestCli:
         p = self._write_cfg(tmp_path, SMALL_LEARNING.replace(old, new))
         assert cli_main(["plan", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("epsilon = 0.3", 'epsilon = "0.3"', "[targets] epsilon"),
+        ("extent = [6]", "extent = 6", "[lattice] extent"),
+        ("seed = 5", "seed = 7.5", "[run] seed"),
+        ("n_test = 12", 'n_test = "50"', "[training] n_test"),
+        ("kappa0 = 1.0", 'kappa0 = "1"', "[model] kappa0"),
+        ("sweep = [200, 1000]", "sweep = 100", "[training] sweep"),
+        ("c_prime = 2.0", 'c_prime = 2.0\nkappa_exponent = "1"', "[constants] kappa_exponent"),
+        ('specs = ["Z@3"]', 'specs = "Z@3"', "[observables] specs"),
+        ('mode = "steady"', 'mode = "steady"\nomega = true', "[mode] omega"),
+        ("k0 = 1", "k0 = 1.5", "[targets] k0"),
+    ], ids=["epsilon_string", "extent_scalar", "seed_fraction", "n_test_string",
+            "hyperparameter_string", "sweep_scalar", "kappa_exponent_string",
+            "specs_scalar", "omega_boolean", "k0_fraction"])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, old, new, named):
+        p = self._write_cfg(tmp_path, SMALL_LEARNING.replace(old, new))
+        assert cli_main(["plan", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trained,asked", [(1, 0), (0, 1)])
+    def test_ancilla_mismatch_exit_code(self, tmp_path, capsys, trained, asked):
+        text = SMALL_LEARNING.replace("n_override = 6000", "n_override = 50")
+        out = str(tmp_path / "out")
+        for omega, verb, code in ((trained, "train", 0), (asked, "predict", 2)):
+            p = self._write_cfg(tmp_path, text.replace('mode = "steady"',
+                                                       f'mode = "steady"\nomega = {omega}'))
+            assert cli_main([verb, "--config", str(p), "--out", out]) == code
+        err = capsys.readouterr().err
+        assert f"omega = {trained}" in err and f"omega = {asked}" in err
 
     def test_missing_sweep_list_rejected(self, tmp_path):
         text = SMALL_LEARNING.replace("sweep = [200, 1000]", "")

@@ -99,8 +99,9 @@ class TestPlan:
     def test_degenerate_regime_is_loud(self):
         # a huge measured mixing rate shrinks the horizon below the cell width
         c = replace(SMALL, gamma_prime=500.0, J=0.01)
-        with pytest.raises(ValueError, match="regime"):
+        with pytest.raises(PlanInfeasibleError, match="regime") as err:
             plan(0.9, 0.5, 0.5, c, "general_phase", n_cap=10**6)
+        assert err.value.log2_n is None
 
 
 class TestNearestPatch:
