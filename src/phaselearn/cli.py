@@ -52,11 +52,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg.validate()
 
         from . import experiment
-        from .models import instantiate
 
         if args.verb == "plan":
-            model = instantiate(cfg.model_name, cfg.lattice, omega=cfg.omega, **cfg.hyper)
-            p = experiment.run_plan_stage(cfg, model)
+            p = experiment.run_plan_stage(cfg)
             print(f"plan written to {cfg.out_dir}/plan.json "
                   f"(r={p.r} gamma={p.gamma:.4g} q={p.q} N={p.N}"
                   f"{' capped' if p.capped else ''})")

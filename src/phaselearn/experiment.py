@@ -39,6 +39,7 @@ from .shadows import (
     TrainingSet,
     measure_snapshot,
     measure_snapshot_product,
+    read_shadows,
     write_shadows,
 )
 
@@ -148,8 +149,12 @@ def _setup(cfg: ExperimentConfig):
     return model, cfg.parse_observables()
 
 
-def run_plan_stage(cfg: ExperimentConfig, model: Model) -> LearnerPlan:
-    """Derive the plan (measuring constants if configured) and write plan.json."""
+def _write_timing(out: Path, t_start: float) -> None:
+    (out / "timing.log").write_text(
+        f"wall_clock_seconds {time.perf_counter() - t_start:.3f}\n")
+
+
+def _write_plan(cfg: ExperimentConfig, model: Model) -> LearnerPlan:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     constants = build_plan_constants(cfg, model)
@@ -160,10 +165,17 @@ def run_plan_stage(cfg: ExperimentConfig, model: Model) -> LearnerPlan:
     return p
 
 
-def _train(cfg: ExperimentConfig, model: Model) -> tuple[LearnerPlan, TrainingSet]:
+def run_plan_stage(cfg: ExperimentConfig) -> LearnerPlan:
+    """Derive the plan (measuring constants if configured) and write plan.json."""
+    model, _ = _setup(cfg)
+    return _write_plan(cfg, model)
+
+
+def run_train_stage(cfg: ExperimentConfig) -> dict:
     """Plan, then sample and measure the training set; writes plan.json and
     training.shadows."""
-    p = run_plan_stage(cfg, model)
+    model, _ = _setup(cfg)
+    p = _write_plan(cfg, model)
     X, taus = sample_parameters(model, p.N, p.t_eps, stream_seed(cfg.seed, "sampling"),
                                 cfg.mode)
     seeds = np.array([stream_seed(cfg.seed, "measurement", i) for i in range(p.N)],
@@ -174,19 +186,47 @@ def _train(cfg: ExperimentConfig, model: Model) -> tuple[LearnerPlan, TrainingSe
                            mode=cfg.mode, seed=cfg.seed)
     with open(Path(cfg.out_dir) / "training.shadows", "w") as fh:
         write_shadows(fh, training)
-    return p, training
-
-
-def run_train_stage(cfg: ExperimentConfig) -> dict:
-    """Plan plus training-set generation; writes plan.json and training.shadows."""
-    model, _ = _setup(cfg)
-    _train(cfg, model)
     return {"plan": "plan.json", "training": "training.shadows"}
 
 
-def _predictions_stage(cfg: ExperimentConfig, model: Model, observables,
-                       p: LearnerPlan, training: TrainingSet, out: Path,
-                       t_start: float) -> dict:
+def _read_bundle(cfg: ExperimentConfig) -> tuple[LearnerPlan, TrainingSet]:
+    """The out dir's plan.json and training.shadows; a missing or malformed
+    file, no records, or a model, lattice, mode or ancilla choice other than
+    the config's is a ConfigError naming the file and field."""
+    out = Path(cfg.out_dir)
+    plan_path, train_path = out / "plan.json", out / "training.shadows"
+    if not plan_path.exists() or not train_path.exists():
+        raise ConfigError(f"predict stage needs plan.json and training.shadows in {out}")
+    try:
+        p = LearnerPlan.from_json(plan_path.read_text())
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ConfigError(f"plan.json is malformed: {exc!r}") from None
+    with open(train_path) as fh:
+        training = read_shadows(fh)
+    if len(training) == 0:
+        raise ConfigError("training.shadows holds no records")
+    for field, found, asked in (
+        ("training.shadows model", training.model_name, cfg.model_name),
+        ("training.shadows lattice", training.lattice_json, cfg.lattice.to_json()),
+        ("training.shadows mode", training.mode, cfg.mode),
+        ("plan.json mode", p.mode, cfg.mode),
+    ):
+        if found != asked:
+            raise ConfigError(f"{field} is {found!r}, config asks for {asked!r}")
+    off = np.flatnonzero(training.omegas != cfg.omega)
+    if off.size:
+        raise ConfigError(f"training.shadows record {off[0] + 1} was collected at omega = "
+                          f"{training.omegas[off[0]]}, config asks for omega = {cfg.omega}")
+    return p, training
+
+
+def run_predict_stage(cfg: ExperimentConfig) -> dict:
+    """Predictions from the out dir's bundle: predictions.csv, coverage.json,
+    summary.json, optionally sweep.csv and error_vs_n.svg, plus timing.log."""
+    t_start = time.perf_counter()
+    out = Path(cfg.out_dir)
+    p, training = _read_bundle(cfg)
+    model, observables = _setup(cfg)
     test_x, test_t = sample_parameters(model, cfg.n_test, p.t_eps,
                                        stream_seed(cfg.seed, "test_points"), cfg.mode)
 
@@ -195,8 +235,7 @@ def _predictions_stage(cfg: ExperimentConfig, model: Model, observables,
               for i in range(cfg.n_test)]
 
     def eval_point(i: int, tr: TrainingSet):
-        pred = predict(observables, test_x[i], float(test_t[i]), tr, p,
-                       model.family, omega=cfg.omega)
+        pred = predict(observables, test_x[i], float(test_t[i]), tr, p, model.family)
         return pred, exacts[i]
 
     results = [eval_point(i, training) for i in range(cfg.n_test)]
@@ -255,8 +294,7 @@ def _predictions_stage(cfg: ExperimentConfig, model: Model, observables,
     }
     _write_json(out / "summary.json", summary)
     manifest = emit_plots(out, model.name)
-    with open(out / "timing.log", "w") as fh:
-        fh.write(f"wall_clock_seconds {time.perf_counter() - t_start:.3f}\n")
+    _write_timing(out, t_start)
     manifest.update(
         predictions="predictions.csv", coverage="coverage.json",
         summary="summary.json", timing="timing.log",
@@ -266,47 +304,9 @@ def _predictions_stage(cfg: ExperimentConfig, model: Model, observables,
     return manifest
 
 
-def run_predict_stage(cfg: ExperimentConfig) -> dict:
-    """Predictions from an existing plan.json and training.shadows in the out dir."""
-    from .shadows import read_shadows
-
-    t_start = time.perf_counter()
-    out = Path(cfg.out_dir)
-    plan_path, train_path = out / "plan.json", out / "training.shadows"
-    if not plan_path.exists() or not train_path.exists():
-        raise ConfigError(
-            f"predict stage needs {plan_path.name} and {train_path.name} in {out}"
-        )
-    p = LearnerPlan.from_json(plan_path.read_text())
-    with open(train_path) as fh:
-        training = read_shadows(fh)
-    model, observables = _setup(cfg)
-    if training.model_name and training.model_name != model.name:
-        raise ConfigError(
-            f"training set was collected on {training.model_name!r}, "
-            f"config asks for {model.name!r}"
-        )
-    if len(training) and cfg.omega not in training.omegas:
-        raise ConfigError(
-            f"training set was collected at omega = {training.omegas[0]}, "
-            f"config asks for omega = {cfg.omega}"
-        )
-    return _predictions_stage(cfg, model, observables, p, training, out, t_start)
-
-
 def run_learning_experiment(cfg: ExperimentConfig) -> dict:
-    """Full pipeline: plan, train, predict, report; returns the file manifest.
-
-    Emits plan.json, training.shadows, predictions.csv, coverage.json,
-    summary.json, optionally sweep.csv and error_vs_n.svg, plus timing.log.
-    """
-    t_start = time.perf_counter()
-    model, observables = _setup(cfg)
-    p, training = _train(cfg, model)
-    manifest = _predictions_stage(cfg, model, observables, p, training,
-                                  Path(cfg.out_dir), t_start)
-    manifest.update(plan="plan.json", training="training.shadows")
-    return manifest
+    """The train stage, then the predict stage; returns both file manifests."""
+    return {**run_train_stage(cfg), **run_predict_stage(cfg)}
 
 
 def _fit_csv(path: Path, fit: DecayFit) -> None:
@@ -383,8 +383,7 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     battery["all_pass"] = all(v["passes"] for v in battery.values() if isinstance(v, dict))
     _write_json(out / "battery.json", battery)
     emit_plots(out, model.name)
-    with open(out / "timing.log", "w") as fh:
-        fh.write(f"wall_clock_seconds {time.perf_counter() - t_start:.3f}\n")
+    _write_timing(out, t_start)
     files = {f"diag_{n}": f"diag_{n}.csv" for n in fits}
     files["battery"] = "battery.json"
     return files
@@ -392,10 +391,13 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
 
 def _planned_n(out: Path) -> float | None:
     """The prescribed N of the bundle's plan.json; None without a plan or when
-    2**N_log2 overflows a float."""
+    2**N_log2 overflows a float.  A malformed plan.json is a ConfigError."""
     if not (out / "plan.json").exists():
         return None
-    n_log2 = json.loads((out / "plan.json").read_text())["N_log2"]
+    try:
+        n_log2 = float(json.loads((out / "plan.json").read_text())["N_log2"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"plan.json is malformed: {exc!r}") from None
     return 2.0**n_log2 if n_log2 < 1024.0 else None
 
 

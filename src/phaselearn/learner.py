@@ -235,8 +235,7 @@ def _restricted_distances(X: np.ndarray, taus: np.ndarray | None,
 
 
 def nearest_patch(x_values: np.ndarray, t: float, training: TrainingSet,
-                  indices: np.ndarray, mode: str = "steady_state",
-                  omega: int = 0) -> tuple[int, float]:
+                  indices: np.ndarray, mode: str = "steady_state") -> tuple[int, float]:
     """Index of the sample closest to the target on the restricted coordinates.
 
     Outside steady-state mode the distance includes |tau - t|.  Ties resolve
@@ -244,19 +243,14 @@ def nearest_patch(x_values: np.ndarray, t: float, training: TrainingSet,
     """
     if len(training) == 0:
         raise EmptyCellError("training set is empty")
-    mask = training.omegas == omega
-    if not mask.any():
-        raise EmptyCellError(f"no training samples with ancilla choice {omega}")
     taus = None if mode == "steady_state" else training.taus
     dist = _restricted_distances(training.X, taus, x_values, t, indices)
-    dist = np.where(mask, dist, np.inf)
     idx = int(np.argmin(dist))
     return idx, float(dist[idx])
 
 
 def select_cell(x_values: np.ndarray, t: float, training: TrainingSet,
-                indices: np.ndarray, gamma: float, mode: str = "steady_state",
-                omega: int = 0) -> np.ndarray:
+                indices: np.ndarray, gamma: float, mode: str = "steady_state") -> np.ndarray:
     """All sample indices within restricted distance gamma (may be empty)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -264,8 +258,7 @@ def select_cell(x_values: np.ndarray, t: float, training: TrainingSet,
         return np.zeros(0, dtype=int)
     taus = None if mode == "steady_state" else training.taus
     dist = _restricted_distances(training.X, taus, x_values, t, indices)
-    ok = (dist <= gamma) & (training.omegas == omega)
-    return np.nonzero(ok)[0]
+    return np.nonzero(dist <= gamma)[0]
 
 
 @dataclass(frozen=True)
@@ -281,8 +274,7 @@ class Prediction:
 
 
 def predict(observables: Sequence[LocalObservable], x, t: float,
-            training: TrainingSet, plan_: LearnerPlan, family: ParamLindbladian,
-            omega: int = 0) -> Prediction:
+            training: TrainingSet, plan_: LearnerPlan, family: ParamLindbladian) -> Prediction:
     """Nearest-patch median-of-means prediction of sum_i tr[O_i rho(x, t)].
 
     Per term: enlarge the support by the patch radius r, select the gamma-cell
@@ -301,11 +293,9 @@ def predict(observables: Sequence[LocalObservable], x, t: float,
     for obs in observables:
         patch = enlarge(lattice, obs.support, plan_.r)
         indices = family.coords_for_region(patch)
-        cell = select_cell(x_values, t, training, indices, plan_.gamma,
-                           plan_.mode, omega)
+        cell = select_cell(x_values, t, training, indices, plan_.gamma, plan_.mode)
         if cell.size == 0:
-            idx, dist = nearest_patch(x_values, t, training, indices,
-                                      plan_.mode, omega)
+            idx, dist = nearest_patch(x_values, t, training, indices, plan_.mode)
             warnings.append(
                 f"empty cell for {obs.label or obs.support.sites}; "
                 f"nearest sample {idx} at distance {dist:.3g}"

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import PhaselearnError
 from .lattice import Lattice, LocalObservable, Region
+from .learner import MODES
 from .lindblad import (
     AncillaSpec,
     DensityMatrix,
@@ -295,7 +296,7 @@ def sample_parameters(model: Model, N: int, t_eps: float | None, seed: int,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if mode not in ("steady_state", "general_phase", "slow_mixing"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-1.0, 1.0, size=(N, model.family.m))

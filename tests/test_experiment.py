@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phaselearn.cli import main as cli_main
-from phaselearn.config import _SCHEMA, load_config, parse_config_text
+from phaselearn.config import _SCHEMA, MODE_ALIASES, load_config, parse_config_text
 from phaselearn.errors import ConfigError
 from phaselearn.experiment import (
     emit_plots,
@@ -16,6 +16,7 @@ from phaselearn.experiment import (
     run_predict_stage,
     run_train_stage,
 )
+from phaselearn.learner import MODES
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -91,6 +92,29 @@ def _cfg(text: str, out: Path):
     cfg = parse_config_text(text)
     cfg.out_dir = str(out)
     return cfg
+
+
+def _edit_plan(out: Path, **fields) -> None:
+    """Rewrite plan.json with the given fields set, or dropped when None."""
+    plan = json.loads((out / "plan.json").read_text())
+    for key, value in fields.items():
+        if value is None:
+            del plan[key]
+        else:
+            plan[key] = value
+    (out / "plan.json").write_text(json.dumps(plan))
+
+
+def _edit_lines(path: Path, edit) -> None:
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+
+
+def _retag_first_record(lines: list[str]) -> list[str]:
+    """The first record moved to ancilla choice 1; the others stay at 0."""
+    first = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    fields = lines[first].split(" ")
+    fields[2] = "1"
+    return lines[:first] + [" ".join(fields)] + lines[first + 1:]
 
 
 class TestConfig:
@@ -173,6 +197,9 @@ class TestConfig:
             section = text.split("## Configuration format")[1]
             text = section.split("```ini\n")[1].split("```")[0]
         parse_config_text(text)
+
+    def test_mode_aliases_name_every_learning_mode(self):
+        assert set(MODE_ALIASES.values()) == set(MODES)
 
     def test_readme_key_table_matches_schema(self):
         section = (REPO / "README.md").read_text().split("## Configuration format")[1]
@@ -461,6 +488,32 @@ class TestCli:
             assert cli_main([verb, "--config", str(p), "--out", out]) == code
         err = capsys.readouterr().err
         assert f"omega = {trained}" in err and f"omega = {asked}" in err
+
+    @pytest.mark.parametrize("verb,spoil,flags,named", [
+        ("predict", lambda out, p: (out / "plan.json").write_text("not json"), [], "plan.json"),
+        ("predict", lambda out, p: _edit_plan(out, r=None), [], "'r'"),
+        ("plot", lambda out, p: (out / "plan.json").write_text("not json"), [], "plan.json"),
+        ("predict", lambda out, p: _edit_lines(out / "training.shadows", lambda lines: [
+            l for l in lines if l.startswith("#")]), [], "training.shadows holds no records"),
+        ("predict", lambda out, p: _edit_lines(p, lambda lines: [
+            l.replace("extent = [6]", "extent = [8]") for l in lines]), [],
+         "training.shadows lattice"),
+        ("predict", lambda out, p: None, ["--mode", "general"], "training.shadows mode"),
+        ("predict", lambda out, p: _edit_plan(out, mode="general_phase"), [], "plan.json mode"),
+        ("predict", lambda out, p: _edit_lines(out / "training.shadows", _retag_first_record),
+         [], "record 1 was collected at omega = 1"),
+    ], ids=["plan_not_json", "plan_missing_field", "plot_plan_not_json",
+            "shadows_without_records", "lattice_mismatch", "mode_mismatch",
+            "plan_mode_mismatch", "record_retagged"])
+    def test_bad_bundle_exit_code(self, tmp_path, capsys, verb, spoil, flags, named):
+        # spoil(out dir, config path) damages the bundle or edits the config
+        text = SMALL_LEARNING.replace("n_override = 6000", "n_override = 50")
+        out = tmp_path / "out"
+        p = self._write_cfg(tmp_path, text)
+        assert cli_main(["train", "--config", str(p), "--out", str(out)]) == 0
+        spoil(out, p)
+        assert cli_main([verb, "--config", str(p), "--out", str(out), *flags]) == 2
+        assert named in capsys.readouterr().err
 
     def test_missing_sweep_list_rejected(self, tmp_path):
         text = SMALL_LEARNING.replace("sweep = [200, 1000]", "")

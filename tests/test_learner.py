@@ -25,14 +25,14 @@ SMALL = PlanConstants(J=0.5, ell=1, r0=0, D=1, n=4, m=4, k0=0, M=1, W=1,
                       xi=0.3, gamma_prime=1.0, c_prime=0.5)
 
 
-def _tag_training(xs, taus=None, omegas=None, m=None):
+def _tag_training(xs, taus=None, m=None):
     """Training set with real tags and placeholder single-site snapshots."""
     n = len(xs)
     return TrainingSet(
         np.full((n, 1), 2), np.ones((n, 1)),
         np.reshape(np.asarray(xs, dtype=float), (n, m if m is not None else len(xs[0]))),
         taus=[math.inf] * n if taus is None else taus,
-        omegas=[0] * n if omegas is None else omegas,
+        omegas=[0] * n,
         seeds=np.arange(n),
     )
 
@@ -150,9 +150,9 @@ class TestNearestPatch:
         assert idx == 1
 
     def test_empty_training(self):
-        tr = _tag_training([np.zeros(2)])
+        tr = _tag_training(np.zeros((0, 2)), m=2)
         with pytest.raises(EmptyCellError):
-            nearest_patch(np.zeros(2), math.inf, tr, np.arange(2), omega=1)
+            nearest_patch(np.zeros(2), math.inf, tr, np.arange(2))
 
 
 class TestSelectCell:
