@@ -38,11 +38,13 @@ MODE_ALIASES = {
     "slow_mixing": "slow_mixing",
 }
 
-# the JSON types a config value may have; type() keeps booleans out of the numbers
-_TYPES = {
+# the JSON types a config or plan.json value may have; type() keeps booleans
+# out of the numbers
+JSON_TYPES = {
     "number": lambda v: type(v) in (int, float),
     "integer": lambda v: type(v) is int,
     "string": lambda v: type(v) is str,
+    "boolean": lambda v: type(v) is bool,
     "list of integers": lambda v: type(v) is list and all(type(e) is int for e in v),
     "list of strings": lambda v: type(v) is list and all(type(e) is str for e in v),
     "number or null": lambda v: v is None or type(v) in (int, float),
@@ -220,7 +222,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 value = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"value {raw!r} at {where} is not a JSON literal") from exc
-            if not _TYPES[kind](value):
+            if not JSON_TYPES[kind](value):
                 raise ConfigError(f"{where}: expected {kind}, got {raw}")
             if value == "plan" and kind.endswith('"plan"'):
                 value = None  # derived from the prescription

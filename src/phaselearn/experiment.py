@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import JSON_TYPES, ExperimentConfig
 from .diagnostics import (
     DEFAULT_T_GRID,
     SCAN_SITE_CAP,
@@ -115,19 +115,21 @@ def _apply_overrides(cfg: ExperimentConfig, p: LearnerPlan) -> LearnerPlan:
 def _training_states(model: Model, X: np.ndarray, taus: np.ndarray, seeds: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """(N, n) bases and outcomes, one snapshot per point (X[i], taus[i])
-    measured with its seed; product oracle states use the fast sampler."""
+    measured with its own stream seeds[i].
+
+    Oracle (product) states go through the batched sampler in one call: the
+    closed-form Bloch vectors of every site at every point, then one
+    Generator per row for the random draws.  Other models generate each
+    state and measure it with the general sampler.
+    """
+    if model.oracle is not None:
+        return measure_snapshot_product(model.oracle.bloch_vectors(X, taus), seeds)
     n_sys = model.family.n_system
     bases = np.empty((len(X), n_sys), dtype=np.int8)
     outcomes = np.empty_like(bases)
     for i, (x, tau) in enumerate(zip(X, taus.tolist())):
-        if model.oracle is not None:
-            site_states = np.stack(
-                [model.oracle.site_state(float(x[j]), tau) for j in range(n_sys)]
-            )
-            bases[i], outcomes[i] = measure_snapshot_product(site_states, int(seeds[i]))
-        else:
-            rho = generate_state(model, x, tau)
-            bases[i], outcomes[i] = measure_snapshot(rho, int(seeds[i]), n_system=n_sys)
+        rho = generate_state(model, x, tau)
+        bases[i], outcomes[i] = measure_snapshot(rho, int(seeds[i]), n_system=n_sys)
     return bases, outcomes
 
 
@@ -391,13 +393,16 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
 
 def _planned_n(out: Path) -> float | None:
     """The prescribed N of the bundle's plan.json; None without a plan or when
-    2**N_log2 overflows a float.  A malformed plan.json is a ConfigError."""
+    2**N_log2 overflows a float.  A malformed plan.json, or an N_log2 that is
+    not a JSON number, is a ConfigError."""
     if not (out / "plan.json").exists():
         return None
     try:
-        n_log2 = float(json.loads((out / "plan.json").read_text())["N_log2"])
+        n_log2 = json.loads((out / "plan.json").read_text())["N_log2"]
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"plan.json is malformed: {exc!r}") from None
+    if not JSON_TYPES["number"](n_log2):
+        raise ConfigError(f"plan.json N_log2: expected number, got {json.dumps(n_log2)}")
     return 2.0**n_log2 if n_log2 < 1024.0 else None
 
 

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyCellError, PlanInfeasibleError
+from .config import JSON_TYPES
+from .errors import ConfigError, EmptyCellError, PlanInfeasibleError
 from .lattice import LocalObservable, Region, enlarge, l1_ball_volume
 from .lindblad import ParamLindbladian
 from .shadows import (
@@ -124,10 +125,27 @@ class LearnerPlan:
 
     @staticmethod
     def from_json(text: str) -> "LearnerPlan":
+        """The plan that :meth:`to_json` wrote; a value of the wrong JSON type
+        is a ConfigError naming the ``plan.json`` field."""
         obj = json.loads(text)
         obj.pop("m_r", None)
-        consts = PlanConstants(**obj.pop("constants"))
-        return LearnerPlan(constants=consts, **obj)
+        consts = obj.pop("constants")
+        _check_json_types(PlanConstants, consts, "constants.")
+        _check_json_types(LearnerPlan, obj, "")
+        return LearnerPlan(constants=PlanConstants(**consts), **obj)
+
+
+# the JSON type of a plan.json value, by its field's annotation
+_FIELD_KINDS = {"float": "number", "int": "integer", "str": "string", "bool": "boolean",
+                "float | None": "number or null", "int | None": "integer or null"}
+
+
+def _check_json_types(cls, obj: dict, prefix: str) -> None:
+    for f in fields(cls):
+        kind = _FIELD_KINDS.get(f.type)
+        if kind is not None and f.name in obj and not JSON_TYPES[kind](obj[f.name]):
+            raise ConfigError(f"plan.json {prefix}{f.name}: expected {kind}, "
+                              f"got {json.dumps(obj[f.name])}")
 
 
 def plan(epsilon: float, delta: float, delta_prime: float,

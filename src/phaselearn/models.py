@@ -57,7 +57,7 @@ _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
 
 
-def _theta(xj: float) -> float:
+def _theta(xj: float | np.ndarray) -> float | np.ndarray:
     return (math.pi / 4.0) * (xj + 1.0)
 
 
@@ -159,6 +159,17 @@ class PinningOracle:
 
     def __init__(self, kappa0: float):
         self.kappa0 = kappa0
+
+    def bloch_vectors(self, X: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """(N, n, 3) Bloch vectors (<X>, <Y>, <Z>) of the site states at the
+        points (X[i], taus[i]): r = (1 - e)(sin 2 theta, 0, cos 2 theta) + e (0, 0, 1)
+        with e = exp(-kappa0 tau), which is 0 at tau = inf."""
+        theta = _theta(np.asarray(X, dtype=float))
+        e = np.exp(-self.kappa0 * np.asarray(taus, dtype=float))[:, None]
+        r = np.zeros(theta.shape + (3,))
+        r[..., 0] = (1.0 - e) * np.sin(2.0 * theta)
+        r[..., 2] = (1.0 - e) * np.cos(2.0 * theta) + e
+        return r
 
     def site_state(self, xj: float, tau: float) -> np.ndarray:
         v = _target_ket(_theta(xj))

@@ -3,7 +3,11 @@
 One snapshot is one product measurement: a uniformly random basis in {X, Y, Z}
 per site, outcomes sampled from the exact Born rule site-by-site
 (conditioning on earlier outcomes, which avoids enumerating all 2^n outcome
-probabilities and is exact).  A TrainingSet holds N snapshots as columns:
+probabilities and is exact).  Product states skip the conditioning:
+:func:`measure_snapshot_product` takes N rows of single-site Bloch vectors,
+draws each row's bases and uniforms from that row's own seeded Generator in
+the general sampler's order, and compares the uniforms with the outcome
+probabilities of all rows at once.  A TrainingSet holds N snapshots as columns:
 (N, n) int8 basis codes and +-1 outcomes beside the per-snapshot tags.  The
 inverse-channel estimate
 
@@ -93,26 +97,33 @@ def measure_snapshot(rho: DensityMatrix, seed: int,
     return bases, outcomes
 
 
-def measure_snapshot_product(site_states: np.ndarray,
-                             seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product-state fast path of :func:`measure_snapshot`.
+def measure_snapshot_product(bloch: np.ndarray,
+                             seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Product-state fast path of :func:`measure_snapshot`, one snapshot per row.
 
-    ``site_states`` is an (n, 2, 2) stack of single-site density matrices.
-    Consumes the random stream exactly like the general sampler (bases first,
-    then one uniform per site), so a snapshot taken here matches the general
-    path on the corresponding product state.
+    ``bloch`` is an (N, n, 3) stack of single-site Bloch vectors (<X>, <Y>, <Z>)
+    and ``seeds`` holds one stream seed per row.  Row i draws from its own
+    ``default_rng(seeds[i])`` exactly as the general sampler does (n basis
+    codes, then one uniform per site), so it matches :func:`measure_snapshot`
+    on the corresponding product state and does not depend on the other rows.
+    The outcome is +1 where the uniform falls below p+ = (1 + r_basis) / 2,
+    computed for all rows at once.  Returns (N, n) int8 bases and outcomes.
     """
-    site_states = np.asarray(site_states, dtype=complex)
-    n = site_states.shape[0]
-    rng = np.random.default_rng(seed)
-    bases = rng.integers(0, 3, size=n).astype(np.int8)
-    us = rng.random(n)
-    bras = _EIG_BRAS[bases]  # (n, 2, 2)
-    # probability of outcome +1 at each site: <v+| rho_i |v+>
-    p_plus = np.einsum("na,nab,nb->n", bras[:, 0], site_states, bras[:, 0].conj()).real
+    bloch = np.asarray(bloch, dtype=float)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    n_rows, n = bloch.shape[:2]
+    if seeds.shape != (n_rows,):
+        raise ValueError("one seed per Bloch-vector row required")
+    bases = np.empty((n_rows, n), dtype=np.int8)
+    us = np.empty((n_rows, n))
+    for i, seed in enumerate(seeds.tolist()):
+        rng = np.random.default_rng(seed)
+        bases[i] = rng.integers(0, 3, size=n)
+        us[i] = rng.random(n)
+    p_plus = 0.5 * (1.0 + np.take_along_axis(bloch, bases[..., None], axis=2)[..., 0])
     if p_plus.min() < -1e-10 or p_plus.max() > 1.0 + 1e-10:
-        raise NumericalError("site state produced an out-of-range probability")
-    p_plus = np.clip(p_plus, 0.0, 1.0)
+        raise NumericalError("Bloch vector produced an out-of-range probability")
+    np.clip(p_plus, 0.0, 1.0, out=p_plus)
     outcomes = np.where(us < p_plus, 1, -1).astype(np.int8)
     return bases, outcomes
 

@@ -98,12 +98,10 @@ def pinning8_snapshots():
     lat = Lattice(1, (8,), "open")
     model = instantiate("pinning", lat)
     x = np.clip(np.random.default_rng(300).uniform(-1, 1, 8), -0.9, 0.9)
-    sites = np.stack([model.oracle.site_state(x[j], np.inf) for j in range(8)])
     n_snap = 100_000
-    bases = np.empty((n_snap, 8), dtype=np.int8)
-    outcomes = np.empty((n_snap, 8), dtype=np.int8)
-    for i in range(n_snap):
-        bases[i], outcomes[i] = measure_snapshot_product(sites, stream_seed(300, "acc3", i))
+    bloch = model.oracle.bloch_vectors(np.tile(x, (n_snap, 1)), np.full(n_snap, np.inf))
+    bases, outcomes = measure_snapshot_product(
+        bloch, [stream_seed(300, "acc3", i) for i in range(n_snap)])
     return model, x, bases, outcomes
 
 

@@ -502,9 +502,20 @@ class TestCli:
         ("predict", lambda out, p: _edit_plan(out, mode="general_phase"), [], "plan.json mode"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", _retag_first_record),
          [], "record 1 was collected at omega = 1"),
+        ("predict", lambda out, p: _edit_plan(out, r="1"), [], "plan.json r: expected integer"),
+        ("predict", lambda out, p: _edit_plan(out, gamma="0.2"), [],
+         "plan.json gamma: expected number"),
+        ("predict", lambda out, p: _edit_plan(out, capped=0), [],
+         "plan.json capped: expected boolean"),
+        ("predict", lambda out, p: _edit_plan(out, constants={
+            **json.loads((out / "plan.json").read_text())["constants"], "xi": "1"}), [],
+         "plan.json constants.xi: expected number"),
+        ("plot", lambda out, p: _edit_plan(out, N_log2="8"), [],
+         "plan.json N_log2: expected number"),
     ], ids=["plan_not_json", "plan_missing_field", "plot_plan_not_json",
             "shadows_without_records", "lattice_mismatch", "mode_mismatch",
-            "plan_mode_mismatch", "record_retagged"])
+            "plan_mode_mismatch", "record_retagged", "plan_r_string", "plan_gamma_string",
+            "plan_capped_integer", "plan_constant_string", "plot_n_log2_string"])
     def test_bad_bundle_exit_code(self, tmp_path, capsys, verb, spoil, flags, named):
         # spoil(out dir, config path) damages the bundle or edits the config
         text = SMALL_LEARNING.replace("n_override = 6000", "n_override = 50")

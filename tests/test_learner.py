@@ -195,11 +195,8 @@ def _pinning_training(n, N, seed, gamma_spread=None):
     from phaselearn.seeding import stream_seed
 
     seeds = [stream_seed(seed, "m", i) for i in range(N)]
-    bases, outcomes = map(np.array, zip(*(
-        measure_snapshot_product(
-            np.stack([model.oracle.site_state(xs[i, j], math.inf) for j in range(n)]),
-            seeds[i])
-        for i in range(N))))
+    bases, outcomes = measure_snapshot_product(
+        model.oracle.bloch_vectors(xs, np.full(N, math.inf)), seeds)
     return model, TrainingSet(bases, outcomes, xs, taus=np.full(N, math.inf),
                               omegas=np.zeros(N), seeds=seeds, model_name="pinning",
                               seed=seed)
@@ -228,16 +225,15 @@ class TestPredict:
         x = np.array([0.2, -0.5, 0.8])
         from phaselearn.shadows import measure_snapshot_product
 
-        sites = np.stack([model.oracle.site_state(x[j], math.inf) for j in range(3)])
-        snaps = [measure_snapshot_product(sites, s) for s in range(200)]
-        bases, outcomes = map(np.array, zip(*snaps))
+        bloch = model.oracle.bloch_vectors(np.tile(x, (200, 1)), np.full(200, math.inf))
+        bases, outcomes = measure_snapshot_product(bloch, range(200))
         tr = TrainingSet(bases, outcomes, np.tile(x, (200, 1)), taus=np.full(200, math.inf),
                          omegas=np.zeros(200), seeds=np.arange(200))
         p = self._plan(model)
         obs = observable_from_string("Z@1", lat)
         pred = predict([obs], x, math.inf, tr, p, model.family)
         vals = [float(np.real(np.trace(obs.matrix @ snapshot_local_matrix(b, o, [1]))))
-                for b, o in snaps]
+                for b, o in zip(bases, outcomes)]
         from phaselearn.shadows import mom_batch_count
 
         k = mom_batch_count(p.delta_prime, len(vals))

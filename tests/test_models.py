@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import Z
+from conftest import X as X_PAULI
+from conftest import Y, Z
 from phaselearn.lattice import Lattice, observable_from_string
 from phaselearn.lindblad import assemble, evolve, steady_state, trace_norm
 from phaselearn.models import (
@@ -37,6 +38,20 @@ class TestPinning:
         obs = observable_from_string("Z@2", lat)
         theta = math.pi / 4 * (x[2] + 1)
         assert abs(model.oracle_expectation(x, np.inf, obs) - math.cos(2 * theta)) < 1e-12
+
+    @pytest.mark.parametrize("tau", [0.0, 0.7, math.inf])
+    @pytest.mark.parametrize("kappa0", [1.0, 2.5])
+    def test_bloch_vectors_match_site_states(self, tau, kappa0):
+        model = instantiate("pinning", Lattice(1, (5,), "open"), kappa0=kappa0)
+        X = np.random.default_rng(2).uniform(-1, 1, (20, 5))
+        X[0] = [-1.0, 1.0, 0.0, -0.5, 0.5]
+        bloch = model.oracle.bloch_vectors(X, np.full(20, tau))
+        assert bloch.shape == (20, 5, 3)
+        for i in range(20):
+            for j in range(5):
+                rho = model.oracle.site_state(X[i, j], tau)
+                expect = [np.trace(P @ rho).real for P in (X_PAULI, Y, Z)]
+                assert np.max(np.abs(bloch[i, j] - expect)) <= 1e-14
 
     def test_oracle_matches_solver(self):
         lat = Lattice(1, (4,), "open")

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import Z, random_density
-from phaselearn.errors import ConfigError
+from phaselearn.errors import ConfigError, NumericalError
 from phaselearn.lattice import Lattice
 from phaselearn.lindblad import DensityMatrix, partial_trace
 from phaselearn.models import instantiate
+from phaselearn.seeding import stream_seed
 from phaselearn.shadows import (
     TrainingSet,
     local_estimates,
@@ -121,13 +122,58 @@ class TestMeasurement:
         lat = Lattice(1, (4,), "open")
         model = instantiate("pinning", lat)
         x = np.random.default_rng(0).uniform(-1, 1, 4)
-        sites = np.stack([model.oracle.site_state(x[j], np.inf) for j in range(4)])
+        bloch = model.oracle.bloch_vectors(np.tile(x, (500, 1)), np.full(500, np.inf))
+        b_bases, b_outcomes = measure_snapshot_product(bloch, range(500))
         rho = model.oracle.full_state(x, np.inf, model.family)
         for seed in range(500):
             a_bases, a_outcomes = measure_snapshot(rho, seed)
-            b_bases, b_outcomes = measure_snapshot_product(sites, seed)
-            assert np.array_equal(a_bases, b_bases)
-            assert np.array_equal(a_outcomes, b_outcomes)
+            assert np.array_equal(a_bases, b_bases[seed])
+            assert np.array_equal(a_outcomes, b_outcomes[seed])
+
+    @given(data=st.data(), n=st.integers(1, 4),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_sampler_matches_general_on_oracle_states(self, data, n, seeds):
+        model = instantiate("pinning", Lattice(1, (n,), "open"))
+        unit = st.floats(-1.0, 1.0, allow_nan=False)
+        tau = st.one_of(st.just(0.0), st.just(math.inf),
+                        st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False))
+        X = np.array([data.draw(st.lists(unit, min_size=n, max_size=n)) for _ in seeds])
+        taus = np.array([data.draw(tau) for _ in seeds])
+        bases, outcomes = measure_snapshot_product(model.oracle.bloch_vectors(X, taus), seeds)
+        for i, seed in enumerate(seeds):
+            rho = model.oracle.full_state(X[i], taus[i], model.family)
+            a_bases, a_outcomes = measure_snapshot(rho, seed)
+            assert np.array_equal(a_bases, bases[i])
+            assert np.array_equal(a_outcomes, outcomes[i])
+
+    def test_batched_rows_are_independent(self):
+        # row i depends only on its own seed: a prefix replays exactly
+        model = instantiate("pinning", Lattice(1, (5,), "open"))
+        rng = np.random.default_rng(4)
+        X, taus = rng.uniform(-1, 1, (300, 5)), rng.uniform(0.0, 3.0, 300)
+        seeds = [stream_seed(11, "measurement", i) for i in range(300)]
+        bloch = model.oracle.bloch_vectors(X, taus)
+        bases, outcomes = measure_snapshot_product(bloch, seeds)
+        for M in (1, 17, 299):
+            head_bases, head_outcomes = measure_snapshot_product(bloch[:M], seeds[:M])
+            assert np.array_equal(head_bases, bases[:M])
+            assert np.array_equal(head_outcomes, outcomes[:M])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overlong_bloch_vector_rejected(self, sign):
+        # p+ = (1 +- (1 + 1e-9)) / 2 lies 5e-10 outside [0, 1] whichever basis is drawn
+        bloch = np.zeros((3, 2, 3))
+        bloch[1, 0, :] = sign * (1.0 + 1e-9)
+        with pytest.raises(NumericalError):
+            measure_snapshot_product(bloch, range(3))
+
+    def test_unit_bloch_vector_accepted(self):
+        bloch = np.zeros((2, 3, 3))
+        bloch[0, :, 2], bloch[1, :, 0] = 1.0 + 1e-11, -1.0
+        bases, outcomes = measure_snapshot_product(bloch, [5, 6])
+        assert np.all(outcomes[0][bases[0] == 2] == 1)
+        assert np.all(outcomes[1][bases[1] == 0] == -1)
 
 
 class TestInverseChannel:
