@@ -8,7 +8,9 @@ JSON literals, and a comment is a line starting with ``#``.  The README's
 type: number (integers count, true and false do not), integer, string, or a
 list of integers or strings; ``[mode] f_n`` and ``[training] n_cap`` may be
 null, and the ``[training]`` overrides ``n_override``, ``gamma_override`` and
-``r_override`` take null or ``"plan"`` (derive the value).  Other ``[model]``
+``r_override`` take null or ``"plan"`` (derive the value); a given override
+replaces its value in ``learner.plan``, which derives the rest of the
+prescription (gamma, N_log2, m_r) at the overridden values.  Other ``[model]``
 keys are the model's hyperparameters, each a number.  A key left out keeps its
 field's default; ``[lattice]`` defaults to an open chain of 4 sites.  An
 unknown entry or a value of the wrong type is a ConfigError naming the

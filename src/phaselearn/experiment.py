@@ -12,12 +12,11 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import JSON_TYPES, ExperimentConfig
+from .config import ExperimentConfig
 from .diagnostics import (
     DEFAULT_T_GRID,
     SCAN_SITE_CAP,
@@ -101,17 +100,6 @@ def build_plan_constants(cfg: ExperimentConfig, model: Model) -> PlanConstants:
     )
 
 
-def _apply_overrides(cfg: ExperimentConfig, p: LearnerPlan) -> LearnerPlan:
-    fields = {}
-    if cfg.r_override is not None:
-        fields["r"] = int(cfg.r_override)
-    if cfg.gamma_override is not None:
-        fields["gamma"] = float(cfg.gamma_override)
-    if cfg.n_override is not None:
-        fields["N"] = int(cfg.n_override)
-    return replace(p, **fields) if fields else p
-
-
 def _training_states(model: Model, X: np.ndarray, taus: np.ndarray, seeds: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """(N, n) bases and outcomes, one snapshot per point (X[i], taus[i])
@@ -161,8 +149,8 @@ def _write_plan(cfg: ExperimentConfig, model: Model) -> LearnerPlan:
     out.mkdir(parents=True, exist_ok=True)
     constants = build_plan_constants(cfg, model)
     p = plan(cfg.epsilon, cfg.delta, cfg.delta_prime, constants, cfg.mode,
-             n_cap=cfg.n_cap)
-    p = _apply_overrides(cfg, p)
+             n_cap=cfg.n_cap, r=cfg.r_override, gamma=cfg.gamma_override,
+             n=cfg.n_override)
     (out / "plan.json").write_text(p.to_json() + "\n")
     return p
 
@@ -191,18 +179,26 @@ def run_train_stage(cfg: ExperimentConfig) -> dict:
     return {"plan": "plan.json", "training": "training.shadows"}
 
 
+def _read_plan(out: Path) -> LearnerPlan | None:
+    """The out dir's plan.json, or None when there is none; a malformed file
+    is a ConfigError naming plan.json and, where it can, the field."""
+    if not (out / "plan.json").exists():
+        return None
+    try:
+        return LearnerPlan.from_json((out / "plan.json").read_text())
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ConfigError(f"plan.json is malformed: {exc!r}") from None
+
+
 def _read_bundle(cfg: ExperimentConfig) -> tuple[LearnerPlan, TrainingSet]:
     """The out dir's plan.json and training.shadows; a missing or malformed
     file, no records, or a model, lattice, mode or ancilla choice other than
     the config's is a ConfigError naming the file and field."""
     out = Path(cfg.out_dir)
-    plan_path, train_path = out / "plan.json", out / "training.shadows"
-    if not plan_path.exists() or not train_path.exists():
+    train_path = out / "training.shadows"
+    p = _read_plan(out) if train_path.exists() else None
+    if p is None:
         raise ConfigError(f"predict stage needs plan.json and training.shadows in {out}")
-    try:
-        p = LearnerPlan.from_json(plan_path.read_text())
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
-        raise ConfigError(f"plan.json is malformed: {exc!r}") from None
     with open(train_path) as fh:
         training = read_shadows(fh)
     if len(training) == 0:
@@ -391,21 +387,6 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     return files
 
 
-def _planned_n(out: Path) -> float | None:
-    """The prescribed N of the bundle's plan.json; None without a plan or when
-    2**N_log2 overflows a float.  A malformed plan.json, or an N_log2 that is
-    not a JSON number, is a ConfigError."""
-    if not (out / "plan.json").exists():
-        return None
-    try:
-        n_log2 = json.loads((out / "plan.json").read_text())["N_log2"]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"plan.json is malformed: {exc!r}") from None
-    if not JSON_TYPES["number"](n_log2):
-        raise ConfigError(f"plan.json N_log2: expected number, got {json.dumps(n_log2)}")
-    return 2.0**n_log2 if n_log2 < 1024.0 else None
-
-
 def emit_plots(out_dir: str | Path, model_name: str) -> dict:
     """(Re)build SVG plots from the CSV and JSON files present in the bundle.
 
@@ -417,7 +398,8 @@ def emit_plots(out_dir: str | Path, model_name: str) -> dict:
     """
     out = Path(out_dir)
     manifest = {}
-    planned_n = _planned_n(out)
+    p = _read_plan(out)
+    planned_n = 2.0**p.N_log2 if p is not None and p.N_log2 < 1024.0 else None
     sweep = out / "sweep.csv"
     if sweep.exists():
         rows = sweep.read_text().strip().split("\n")[1:]

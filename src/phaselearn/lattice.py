@@ -258,11 +258,10 @@ def embed_sparse_indices(
     strides = 2 ** (n_sites - 1 - np.arange(n_sites, dtype=np.int64))
 
     def offsets(idx: list[int]) -> np.ndarray:
-        k = len(idx)
-        out = np.zeros(2**k, dtype=np.int64)
-        for pos, s in enumerate(idx):
-            digits = (np.arange(2**k, dtype=np.int64) // 2 ** (k - 1 - pos)) % 2
-            out += digits * strides[s]
+        # each site appends one bit below those of the sites before it
+        out = np.zeros(1, dtype=np.int64)
+        for s in idx:
+            out = (out[:, None] + np.array([0, strides[s]])).ravel()
         return out
 
     return offsets(sites), offsets(rest)

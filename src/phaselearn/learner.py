@@ -94,6 +94,10 @@ class PlanConstants:
     def ball_volume_k0(self) -> int:
         return l1_ball_volume(self.k0, self.D)
 
+    def m_r(self, r: int) -> int:
+        """Coordinates a radius-r patch may meet: [2(r + r0 + k0)]^D ell."""
+        return (2 * (r + self.r0 + self.k0)) ** self.D * self.ell
+
 
 @dataclass(frozen=True)
 class LearnerPlan:
@@ -114,8 +118,7 @@ class LearnerPlan:
 
     @property
     def m_r(self) -> int:
-        c = self.constants
-        return (2 * (self.r + c.r0 + c.k0)) ** c.D * c.ell
+        return self.constants.m_r(self.r)
 
     def to_json(self) -> str:
         obj = asdict(self)
@@ -150,13 +153,20 @@ def _check_json_types(cls, obj: dict, prefix: str) -> None:
 
 def plan(epsilon: float, delta: float, delta_prime: float,
          constants: PlanConstants, mode: str = "steady_state",
-         n_cap: int | None = None) -> LearnerPlan:
+         n_cap: int | None = None, r: int | None = None,
+         gamma: float | None = None, n: int | None = None) -> LearnerPlan:
     """Derive (r, gamma, q, t_eps, N) from the closed-form prescriptions.
 
+    A given ``r`` replaces the derived patch radius, and gamma is derived at
+    that r unless ``gamma`` is given too; m_r, the prescribed N and the
+    regime checks are all taken at these effective values.  N is ``n`` when
+    given, else the prescription capped at ``n_cap``; ``capped`` records that
+    N falls short of the prescription, whose size N_log2 still states
+    (coverage_report quantifies the shortfall).
+
     Raises PlanInfeasibleError when the constants sit outside the
-    prescription's regime, or when the prescribed N overflows 2**63 and no
-    cap was supplied; with ``n_cap`` the prescription is recorded in log2 form
-    and the capped N is used (coverage_report quantifies the shortfall).
+    prescription's regime, or when the prescribed N overflows 2**63 and
+    neither ``n`` nor ``n_cap`` bounds it.
     """
     for name, val in (("epsilon", epsilon), ("delta", delta), ("delta_prime", delta_prime)):
         if not (0.0 < val < 1.0):
@@ -171,22 +181,26 @@ def plan(epsilon: float, delta: float, delta_prime: float,
         raise ValueError("slow-mixing mode requires a positive f_n")
 
     A = c.ball_volume_k0
-    two_xi = 2.0 * c.xi
-    numer = (4.0 * c.c_prime * A * c.J * math.factorial(c.D - 1)
-             * two_xi ** (c.D - 1) * float(c.D) ** (c.D - 1))
-    if slow:
-        numer *= c.f_n
-    denom = epsilon * math.exp(1.0 / two_xi) * (1.0 - math.exp(-1.0 / two_xi))
-    r = max(1, math.ceil(two_xi * math.log(numer / denom)))
+    if r is None:
+        two_xi = 2.0 * c.xi
+        numer = (4.0 * c.c_prime * A * c.J * math.factorial(c.D - 1)
+                 * two_xi ** (c.D - 1) * float(c.D) ** (c.D - 1))
+        if slow:
+            numer *= c.f_n
+        denom = epsilon * math.exp(1.0 / two_xi) * (1.0 - math.exp(-1.0 / two_xi))
+        r = max(1, math.ceil(two_xi * math.log(numer / denom)))
+    r = int(r)
 
-    if slow:
-        gamma = epsilon / (3.0 * (2.0 * (r + c.k0)) ** c.D * c.J * (c.ell + 1))
-    else:
-        gamma = epsilon / (2.0 * (2.0 * (r + c.k0)) ** c.D * c.J * c.ell)
-    gamma = min(gamma, 1.0 - 1e-12)
+    if gamma is None:
+        if slow:
+            gamma = epsilon / (3.0 * (2.0 * (r + c.k0)) ** c.D * c.J * (c.ell + 1))
+        else:
+            gamma = epsilon / (2.0 * (2.0 * (r + c.k0)) ** c.D * c.J * c.ell)
+        gamma = min(gamma, 1.0 - 1e-12)
+    gamma = float(gamma)
 
     q = required_shadow_count(epsilon, delta_prime, c.k0, c.n)
-    m_r = (2 * (r + c.r0 + c.k0)) ** c.D * c.ell
+    m_r = c.m_r(r)
 
     t_eps: float | None = None
     if mode == "general_phase":
@@ -220,19 +234,20 @@ def plan(epsilon: float, delta: float, delta_prime: float,
     else:
         n_exact = None
 
-    if n_exact is None and n_cap is None:
-        raise PlanInfeasibleError(f"prescribed N ~ 2**{log2_n:.1f} exceeds 2**63", log2_n)
-    if n_cap is not None and (n_exact is None or n_exact > n_cap):
-        n_used, capped = int(n_cap), True
+    if n is not None:
+        n_used = int(n)
+    elif n_cap is not None and (n_exact is None or n_exact > n_cap):
+        n_used = int(n_cap)
+    elif n_exact is not None:
+        n_used = n_exact
     else:
-        n_used, capped = int(n_exact), False
+        raise PlanInfeasibleError(f"prescribed N ~ 2**{log2_n:.1f} exceeds 2**63", log2_n)
 
     return LearnerPlan(
         epsilon=epsilon, delta=delta, delta_prime=delta_prime, mode=mode,
         r=r, gamma=gamma, q=q, t_eps=t_eps, N=n_used, N_log2=log2_n,
-        capped=capped, n_cap=n_cap,
-        mom_batches=math.ceil(8.0 * math.log(2.0 / delta_prime)),
-        constants=c,
+        capped=n_exact is None or n_used < n_exact, n_cap=n_cap,
+        mom_batches=mom_batch_count(delta_prime), constants=c,
     )
 
 
@@ -286,9 +301,7 @@ class Prediction:
     value: float
     per_term: tuple[float, ...]
     counts: tuple[int, ...]
-    mom_batches: tuple[int, ...]
     warnings: tuple[str, ...]
-    mode: str
 
 
 def predict(observables: Sequence[LocalObservable], x, t: float,
@@ -306,7 +319,6 @@ def predict(observables: Sequence[LocalObservable], x, t: float,
     lattice = family.lattice
     per_term: list[float] = []
     counts: list[int] = []
-    ks: list[int] = []
     warnings: list[str] = []
     for obs in observables:
         patch = enlarge(lattice, obs.support, plan_.r)
@@ -321,17 +333,13 @@ def predict(observables: Sequence[LocalObservable], x, t: float,
             cell = np.array([idx], dtype=int)
         vals = local_estimates(training.bases[cell], training.outcomes[cell],
                                obs.support.sites, obs.matrix)
-        k = mom_batch_count(plan_.delta_prime, len(vals))
-        per_term.append(median_of_means(vals, k))
+        per_term.append(median_of_means(vals, mom_batch_count(plan_.delta_prime, len(vals))))
         counts.append(len(vals))
-        ks.append(k)
     return Prediction(
         value=float(sum(per_term)),
         per_term=tuple(per_term),
         counts=tuple(counts),
-        mom_batches=tuple(ks),
         warnings=tuple(warnings),
-        mode=plan_.mode,
     )
 
 

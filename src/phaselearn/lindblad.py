@@ -136,6 +136,13 @@ class ParamLindbladian:
         if overlap.size and overlap.max() > self.OVERLAP_CAP:
             raise ValueError(f"term overlap {overlap.max()} exceeds bound {self.OVERLAP_CAP}")
 
+        # per term, embed_sparse_indices of its vec-space slots (column factor
+        # of site s at slot s, row factor at slot n_total + s), for assembly;
+        # a family too large to assemble gets none
+        self._term_offsets = tuple(
+            embed_sparse_indices(2 * self.n_total,
+                                 [*t.support.sites, *(self.n_total + s for s in t.support.sites)])
+            for t in self.terms) if self.n_total <= SUPEROP_SITE_CAP else ()
         self.term_centers, self.term_radii = self._support_geometry()
         self.r0 = max(self.term_radii, default=0)
         self.term_strengths = self._certify_strengths()
@@ -205,11 +212,11 @@ class ParamLindbladian:
     def term_superoperator(self, term_index: int,
                            x_slice: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Generator of one term at its parameter slice, embedded in the full space
-        as unsummed COO triplets (rows, cols, data); ``assemble`` sums all terms."""
+        as unsummed COO triplets (rows, cols, data); ``assemble`` sums all terms.
+        Only a family within ``SUPEROP_SITE_CAP`` sites has the embedding."""
         x_slice = np.asarray(x_slice, dtype=float)
         term = self.terms[term_index]
-        sites = list(term.support.sites)
-        dk = 2 ** len(sites)
+        dk = 2 ** len(term.support.sites)
         h, jumps = term.build(x_slice)
         local = np.zeros((dk * dk, dk * dk), dtype=complex)
         eye = np.eye(dk)
@@ -224,10 +231,8 @@ class ParamLindbladian:
                 - 0.5 * _kron(eye, LdL)
                 - 0.5 * _kron(LdL.T, eye)
             )
-        # vec-space slots: column factor of site s sits at slot s, row factor
-        # at slot n_total + s; the local matrix above is ordered the same way.
-        slots = sites + [self.n_total + s for s in sites]
-        loc, rest = embed_sparse_indices(2 * self.n_total, slots)
+        # the local matrix above is ordered like the term's vec-space slots
+        loc, rest = self._term_offsets[term_index]
         li, lj = np.nonzero(local)
         rows = (rest[:, None] + loc[li][None, :]).ravel()
         cols = (rest[:, None] + loc[lj][None, :]).ravel()

@@ -181,10 +181,11 @@ def median_of_means(values: Sequence[float], batches: int) -> float:
     return float(np.median(used.mean(axis=1)))
 
 
-def mom_batch_count(delta_prime: float, count: int) -> int:
-    """Default batch count ceil(8 log(2/delta')), capped at floor(count/2)."""
+def mom_batch_count(delta_prime: float, count: int | None = None) -> int:
+    """Batch count ceil(8 log(2/delta')); for a cell of ``count`` estimates,
+    capped at floor(count/2) and at least 1."""
     k = math.ceil(8.0 * math.log(2.0 / delta_prime))
-    return max(1, min(k, count // 2)) if count >= 2 else 1
+    return k if count is None else max(1, min(k, count // 2))
 
 
 def required_shadow_count(epsilon: float, delta_prime: float, k0: int, n: int) -> int:

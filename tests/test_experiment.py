@@ -1,11 +1,13 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from phaselearn.cli import _build_parser
 from phaselearn.cli import main as cli_main
 from phaselearn.config import _SCHEMA, MODE_ALIASES, load_config, parse_config_text
 from phaselearn.errors import ConfigError
@@ -16,7 +18,7 @@ from phaselearn.experiment import (
     run_predict_stage,
     run_train_stage,
 )
-from phaselearn.learner import MODES
+from phaselearn.learner import MODES, LearnerPlan, PlanConstants, plan
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -86,6 +88,11 @@ specs = ["Z@2"]
 seed = 3
 out = "PLACEHOLDER"
 """
+
+
+# the training overrides of SMALL_LEARNING, each left to the prescription
+DERIVED = {"n_override = 6000": 'n_override = "plan"', "r_override = 1\n": 'r_override = "plan"\n',
+           "gamma_override = 0.4": 'gamma_override = "plan"'}
 
 
 def _cfg(text: str, out: Path):
@@ -198,6 +205,14 @@ class TestConfig:
             text = section.split("```ini\n")[1].split("```")[0]
         parse_config_text(text)
 
+    def test_readme_names_existing_scripts_and_verbs(self):
+        text = (REPO / "README.md").read_text()
+        paths = {p.rstrip(".") for p in re.findall(r"scripts/[\w./-]+", text)}
+        assert paths and [p for p in sorted(paths) if not (REPO / p).exists()] == []
+        verb = next(a for a in _build_parser()._actions if a.dest == "verb")
+        named = set(re.findall(r"\bphaselearn (\w+)", text))
+        assert named and named <= set(verb.choices)
+
     def test_mode_aliases_name_every_learning_mode(self):
         assert set(MODE_ALIASES.values()) == set(MODES)
 
@@ -307,6 +322,59 @@ class TestLearningRun:
             parse_config_text(text)
 
 
+class TestPlanOverrides:
+    """The training overrides enter learner.plan, which derives the rest of the
+    prescription at them; shipped pinning config, measured constants."""
+
+    def _plan(self, tmp_path, edits=()) -> tuple[int, dict]:
+        text = (REPO / "scripts/configs/pinning_steady.cfg").read_text()
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / "out"
+        rc = cli_main(["plan", "--config", str(cfg_file), "--out", str(out)])
+        return rc, json.loads((out / "plan.json").read_text()) if rc == 0 else {}
+
+    @pytest.mark.parametrize("edits", [
+        (),
+        (("r_override = 1", "r_override = 2"),),
+        (("gamma_override = 0.25", 'gamma_override = "plan"'),),
+    ], ids=["shipped", "r_2", "gamma_derived"])
+    def test_plan_json_is_the_prescription_at_its_r_and_gamma(self, tmp_path, edits):
+        rc, written = self._plan(tmp_path, edits)
+        assert rc == 0
+        p = LearnerPlan.from_json(json.dumps(written))
+        at_own = plan(p.epsilon, p.delta, p.delta_prime, p.constants, p.mode,
+                      n_cap=p.n_cap, r=p.r, gamma=p.gamma)
+        c = p.constants
+        assert written["m_r"] == at_own.m_r == (2 * (p.r + c.r0 + c.k0)) ** c.D * c.ell
+        assert written["N_log2"] == at_own.N_log2
+        assert written["capped"] == at_own.capped and p.N == 100_000
+        if not edits:
+            assert (p.r, p.gamma, written["m_r"]) == (1, 0.25, 4)
+            assert round(p.N_log2, 2) == 27.19
+
+    def test_r_override_alone_derives_gamma_at_that_r(self, tmp_path):
+        rc, written = self._plan(tmp_path, [("gamma_override = 0.25", 'gamma_override = "plan"')])
+        assert rc == 0
+        c = LearnerPlan.from_json(json.dumps(written)).constants
+        assert written["r"] == 1
+        assert written["gamma"] == 0.3 / (2.0 * (2.0 * (1 + c.k0)) ** c.D * c.J * c.ell)
+        assert written["gamma"] == pytest.approx(0.009375, rel=1e-12)
+
+    def test_n_override_bounds_an_overflowing_prescription(self, tmp_path):
+        edits = [("n_cap = 100000", "n_cap = null\nn_override = 1000"),
+                 ("r_override = 1", 'r_override = "plan"'),
+                 ("gamma_override = 0.25", 'gamma_override = "plan"')]
+        rc, written = self._plan(tmp_path, edits)
+        assert rc == 0
+        assert written["N"] == 1000 and written["capped"] and written["N_log2"] > 63
+        # without the override the same prescription is infeasible
+        rc, _ = self._plan(tmp_path, edits[:1] + [("n_override = 1000", "")] + edits[1:])
+        assert rc == 3
+
+
 class TestBattery:
     def test_pinning_battery_all_pass(self, tmp_path):
         cfg = _cfg(SMALL_BATTERY, tmp_path)
@@ -341,7 +409,9 @@ class TestPlots:
     @pytest.mark.parametrize("n_log2,drawn", [(math.log2(300.0), True), (2000.0, False)])
     def test_planned_n_marker(self, tmp_path, n_log2, drawn):
         # a prescription too large for a float leaves the marker out
-        (tmp_path / "plan.json").write_text(json.dumps({"N_log2": n_log2}))
+        consts = PlanConstants(J=4.0, ell=1, r0=0, D=1, n=6, m=6)
+        p = replace(plan(0.3, 0.1, 0.1, consts, n_cap=100), N_log2=n_log2)
+        (tmp_path / "plan.json").write_text(p.to_json() + "\n")
         (tmp_path / "sweep.csv").write_text("n,median_abs_error\n100,0.2\n1000,0.1\n")
         manifest = emit_plots(tmp_path, "pinning")
         assert manifest["error_vs_n"] == "error_vs_n.svg"
@@ -423,11 +493,14 @@ class TestCli:
     def test_infeasible_plan_exit_code(self, tmp_path):
         text = SMALL_LEARNING.replace("n_cap = 100000", "n_cap = null")
         text = text.replace("epsilon = 0.3", "epsilon = 0.05")
+        for old, new in DERIVED.items():
+            text = text.replace(old, new)
         p = self._write_cfg(tmp_path, text)
         assert cli_main(["plan", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
 
     @pytest.mark.parametrize("edits,message", [
-        ({"n_cap = 100000": "n_cap = null", "epsilon = 0.3": "epsilon = 0.05"}, "exceeds 2**63"),
+        ({"n_cap = 100000": "n_cap = null", "epsilon = 0.3": "epsilon = 0.05", **DERIVED},
+         "exceeds 2**63"),
         ({'mode = "steady"': 'mode = "general"', "gamma_prime = 1.0": "gamma_prime = 1e4"},
          "regime"),
     ], ids=["overflow", "horizon_below_cell_width"])

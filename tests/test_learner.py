@@ -70,6 +70,26 @@ class TestPlan:
         p = plan(0.3, 0.1, 0.1, consts, "steady_state", n_cap=10**5)
         assert p.capped and p.N == 10**5
 
+    def test_overrides_enter_the_formula(self):
+        consts = PlanConstants(J=4.0, ell=1, r0=0, D=1, n=8, m=8, k0=1,
+                               xi=1.0, gamma_prime=1.0, c_prime=2.0)
+        native = plan(0.3, 0.1, 0.1, consts, "steady_state", n_cap=10**5)
+        p = plan(0.3, 0.1, 0.1, consts, "steady_state", n_cap=10**5, r=1)
+        # gamma and m_r follow the given r; the prescription shrinks with them
+        assert (p.r, p.m_r, p.gamma) == (1, 4, 0.3 / (2 * 4 * 4.0))
+        assert native.r > 1 and p.N_log2 < native.N_log2
+        assert plan(0.3, 0.1, 0.1, consts, "steady_state", n_cap=10**5, r=1,
+                    gamma=p.gamma) == p
+        # a given N is used as is; capped says whether it reaches the prescription
+        pinned = dict(r=1, gamma=0.25)
+        low = plan(0.3, 0.1, 0.1, consts, "steady_state", n=1000, **pinned)
+        high = plan(0.3, 0.1, 0.1, consts, "steady_state", n=2**28, **pinned)
+        assert (low.N, low.capped, high.N, high.capped) == (1000, True, 2**28, False)
+        assert 27 < low.N_log2 == high.N_log2 < 28
+        # a given N bounds an overflowing prescription without n_cap
+        over = plan(0.3, 0.1, 0.1, consts, "steady_state", n=1000)
+        assert over.N == 1000 and over.capped and over.N_log2 == native.N_log2
+
     def test_slow_mixing_sample_shape(self):
         # log N grows polylogarithmically in f(n)/eps
         logs = []
