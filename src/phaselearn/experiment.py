@@ -100,24 +100,24 @@ def build_plan_constants(cfg: ExperimentConfig, model: Model) -> PlanConstants:
     )
 
 
-def _training_states(model: Model, X: np.ndarray, taus: np.ndarray, seeds: np.ndarray
+def _training_states(model: Model, X: np.ndarray, taus: np.ndarray, key: int
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(N, n) bases and outcomes, one snapshot per point (X[i], taus[i])
-    measured with its own stream seeds[i].
+    """(N, n) bases and outcomes, one snapshot per point (X[i], taus[i]),
+    measured with row i of the measurement stream ``key``.
 
     Oracle (product) states go through the batched sampler in one call: the
-    closed-form Bloch vectors of every site at every point, then one
-    Generator per row for the random draws.  Other models generate each
-    state and measure it with the general sampler.
+    closed-form Bloch vectors of every site at every point, then the stream's
+    rows drawn in chunks.  Other models generate each state and measure it
+    with the general sampler.
     """
     if model.oracle is not None:
-        return measure_snapshot_product(model.oracle.bloch_vectors(X, taus), seeds)
+        return measure_snapshot_product(model.oracle.bloch_vectors(X, taus), key)
     n_sys = model.family.n_system
     bases = np.empty((len(X), n_sys), dtype=np.int8)
     outcomes = np.empty_like(bases)
     for i, (x, tau) in enumerate(zip(X, taus.tolist())):
         rho = generate_state(model, x, tau)
-        bases[i], outcomes[i] = measure_snapshot(rho, int(seeds[i]), n_system=n_sys)
+        bases[i], outcomes[i] = measure_snapshot(rho, key, row=i, n_system=n_sys)
     return bases, outcomes
 
 
@@ -168,10 +168,8 @@ def run_train_stage(cfg: ExperimentConfig) -> dict:
     p = _write_plan(cfg, model)
     X, taus = sample_parameters(model, p.N, p.t_eps, stream_seed(cfg.seed, "sampling"),
                                 cfg.mode)
-    seeds = np.array([stream_seed(cfg.seed, "measurement", i) for i in range(p.N)],
-                     dtype=np.uint64)
-    bases, outcomes = _training_states(model, X, taus, seeds)
-    training = TrainingSet(bases, outcomes, X, taus, np.full(p.N, model.omega), seeds,
+    bases, outcomes = _training_states(model, X, taus, stream_seed(cfg.seed, "measurement"))
+    training = TrainingSet(bases, outcomes, X, taus, np.full(p.N, model.omega),
                            model_name=model.name, lattice_json=cfg.lattice.to_json(),
                            mode=cfg.mode, seed=cfg.seed)
     with open(Path(cfg.out_dir) / "training.shadows", "w") as fh:

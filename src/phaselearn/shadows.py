@@ -3,13 +3,16 @@
 One snapshot is one product measurement: a uniformly random basis in {X, Y, Z}
 per site, outcomes sampled from the exact Born rule site-by-site
 (conditioning on earlier outcomes, which avoids enumerating all 2^n outcome
-probabilities and is exact).  Product states skip the conditioning:
+probabilities and is exact).  Every draw comes from one counter-based stream
+per run (``np.random.Philox`` keyed by the run's "measurement" stream seed):
+snapshot i reads its n bases and then its n Born uniforms from its own
+counter blocks, so it replays from (key, i) alone and does not depend on the
+other snapshots.  Product states skip the conditioning:
 :func:`measure_snapshot_product` takes N rows of single-site Bloch vectors,
-draws each row's bases and uniforms from that row's own seeded Generator in
-the general sampler's order, and compares the uniforms with the outcome
-probabilities of all rows at once.  A TrainingSet holds N snapshots as columns:
-(N, n) int8 basis codes and +-1 outcomes beside the per-snapshot tags.  The
-inverse-channel estimate
+draws the rows in chunks and compares each chunk's uniforms with its outcome
+probabilities at once.  A TrainingSet holds N snapshots as columns: (N, n)
+int8 basis codes and +-1 outcomes beside the per-snapshot tags, written and
+read a chunk of whole arrays at a time.  The inverse-channel estimate
 
     (x)_{i in B} (3 |z_i><z_i| - I)
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import compress, islice, repeat
 from typing import IO, Sequence
 
 import numpy as np
@@ -63,18 +67,39 @@ _EIG_KETS = np.array(
 _EIG_BRAS = _EIG_KETS.conj()
 
 
-def measure_snapshot(rho: DensityMatrix, seed: int,
+# rows per Philox call of the product sampler and per chunk of shadow I/O
+_CHUNK_ROWS = 1 << 14
+
+
+def _stream_rows(key: int, start: int, stop: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bases and Born uniforms of rows [start, stop) of the measurement stream ``key``.
+
+    Row i owns the Philox blocks [i B, (i + 1) B), B = ceil(n / 2), of four
+    64-bit words each.  Words 0..n-1 give the (rows, n) int8 basis codes
+    ((w >> 11) * 3) >> 53, uniform on {0, 1, 2} up to a 2^-53 bias; words
+    n..2n-1 give the float64 uniforms (w >> 11) 2^-53, numpy's own doubles.
+    """
+    blocks = (n + 1) // 2
+    raw = np.random.Philox(key=key, counter=[start * blocks, 0, 0, 0]).random_raw(
+        (stop - start) * 4 * blocks).reshape(stop - start, 4 * blocks)
+    top = raw[:, : 2 * n] >> np.uint64(11)
+    bases = ((top[:, :n] * np.uint64(3)) >> np.uint64(53)).astype(np.int8)
+    return bases, top[:, n:] * 2.0**-53
+
+
+def measure_snapshot(rho: DensityMatrix, key: int, row: int = 0,
                      n_system: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One randomized product measurement of ``rho`` on its first ``n_system`` sites.
 
-    Returns the int8 basis codes and +-1 outcomes.  Ancilla slots beyond
-    ``n_system`` are traced out before measuring.  Bases are i.i.d. uniform
-    over {X, Y, Z}; outcomes follow the exact Born rule via sequential
-    conditional sampling.
+    The draws are row ``row`` of the measurement stream ``key``.  Returns the
+    int8 basis codes and +-1 outcomes.  Ancilla slots beyond ``n_system`` are
+    traced out before measuring.  Bases are i.i.d. uniform over {X, Y, Z};
+    outcomes follow the exact Born rule via sequential conditional sampling,
+    one uniform per site.
     """
     n = rho.n_sites if n_system is None else n_system
-    rng = np.random.default_rng(seed)
-    bases = rng.integers(0, 3, size=n).astype(np.int8)
+    bases, us = _stream_rows(key, row, row + 1, n)
+    bases, us = bases[0], us[0]
     work = rho.data
     if n < rho.n_sites:
         work = partial_trace(work, rho.n_sites, range(n))
@@ -91,40 +116,35 @@ def measure_snapshot(rho: DensityMatrix, seed: int,
         total = probs.sum()
         if total <= 0:
             raise NumericalError("vanishing conditional probability mass")
-        o = 0 if rng.random() < probs[0] / total else 1
+        o = 0 if us[i] < probs[0] / total else 1
         outcomes[i] = 1 if o == 0 else -1
         work = blocks[o] / probs[o] if k > 1 else work
     return bases, outcomes
 
 
-def measure_snapshot_product(bloch: np.ndarray,
-                             seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def measure_snapshot_product(bloch: np.ndarray, key: int,
+                             start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Product-state fast path of :func:`measure_snapshot`, one snapshot per row.
 
-    ``bloch`` is an (N, n, 3) stack of single-site Bloch vectors (<X>, <Y>, <Z>)
-    and ``seeds`` holds one stream seed per row.  Row i draws from its own
-    ``default_rng(seeds[i])`` exactly as the general sampler does (n basis
-    codes, then one uniform per site), so it matches :func:`measure_snapshot`
-    on the corresponding product state and does not depend on the other rows.
-    The outcome is +1 where the uniform falls below p+ = (1 + r_basis) / 2,
-    computed for all rows at once.  Returns (N, n) int8 bases and outcomes.
+    ``bloch`` is an (N, n, 3) stack of single-site Bloch vectors (<X>, <Y>, <Z>);
+    its row i is measured with row start + i of the stream ``key``, the draws
+    the general sampler makes, so it matches :func:`measure_snapshot` on the
+    corresponding product state and does not depend on the other rows.  The
+    outcome is +1 where the uniform falls below p+ = (1 + r_basis) / 2.  Rows
+    are drawn and compared in chunks.  Returns (N, n) int8 bases and outcomes.
     """
     bloch = np.asarray(bloch, dtype=float)
-    seeds = np.asarray(seeds, dtype=np.uint64)
     n_rows, n = bloch.shape[:2]
-    if seeds.shape != (n_rows,):
-        raise ValueError("one seed per Bloch-vector row required")
     bases = np.empty((n_rows, n), dtype=np.int8)
-    us = np.empty((n_rows, n))
-    for i, seed in enumerate(seeds.tolist()):
-        rng = np.random.default_rng(seed)
-        bases[i] = rng.integers(0, 3, size=n)
-        us[i] = rng.random(n)
-    p_plus = 0.5 * (1.0 + np.take_along_axis(bloch, bases[..., None], axis=2)[..., 0])
-    if p_plus.min() < -1e-10 or p_plus.max() > 1.0 + 1e-10:
-        raise NumericalError("Bloch vector produced an out-of-range probability")
-    np.clip(p_plus, 0.0, 1.0, out=p_plus)
-    outcomes = np.where(us < p_plus, 1, -1).astype(np.int8)
+    outcomes = np.empty_like(bases)
+    for lo in range(0, n_rows, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n_rows)
+        bases[lo:hi], us = _stream_rows(key, start + lo, start + hi, n)
+        p_plus = 0.5 * (1.0 + np.take_along_axis(bloch[lo:hi], bases[lo:hi, :, None],
+                                                 axis=2)[..., 0])
+        if p_plus.min() < -1e-10 or p_plus.max() > 1.0 + 1e-10:
+            raise NumericalError("Bloch vector produced an out-of-range probability")
+        outcomes[lo:hi] = np.where(us < p_plus, 1, -1)
     return bases, outcomes
 
 
@@ -203,7 +223,7 @@ def required_shadow_count(epsilon: float, delta_prime: float, k0: int, n: int) -
 
 # the per-snapshot columns of a TrainingSet and their dtypes
 _COLUMNS = {"bases": np.int8, "outcomes": np.int8, "X": float, "taus": float,
-            "omegas": int, "seeds": np.uint64}
+            "omegas": int}
 
 
 @dataclass
@@ -216,11 +236,10 @@ class TrainingSet:
     X: np.ndarray         # (N, m) float64 parameter tags
     taus: np.ndarray      # (N,) float times; inf in steady-state mode
     omegas: np.ndarray    # (N,) int ancilla choices
-    seeds: np.ndarray     # (N,) uint64 measurement stream seeds
     model_name: str = ""
     lattice_json: str = ""
     mode: str = "steady_state"
-    seed: int = 0
+    seed: int = 0         # run seed; row i is row i of its "measurement" stream
 
     def __post_init__(self):
         for name, dtype in _COLUMNS.items():
@@ -237,84 +256,179 @@ class TrainingSet:
         return replace(self, **{name: getattr(self, name)[:count] for name in _COLUMNS})
 
 
-def _format_tau(tau: float) -> str:
-    return "inf" if math.isinf(tau) else repr(float(tau))
+_VERSION = "v2"
+# byte value -> its two lowercase hex digits, as one little-endian uint16 of ASCII codes
+_HEX_PAIRS = np.frombuffer(bytes.hex(bytes(range(256))).encode(), dtype="<u2")
+
+
+def _hex_byte_table() -> np.ndarray:
+    """Two ASCII codes read as one little-endian uint16 -> the byte value of
+    that hex pair, digits in either case; 256 when either is not a hex digit."""
+    codes = np.frombuffer(b"0123456789abcdefABCDEF", dtype=np.uint8).astype(np.uint16)
+    values = np.r_[0:16, 10:16]
+    table = np.full(65536, 256, dtype="<u2")
+    table[codes[:, None] + 256 * codes] = 16 * values[:, None] + values
+    return table
+
+
+_HEX_BYTES = _hex_byte_table()
+
+
+def _byte_rows(columns: Sequence[np.ndarray]) -> list[bytes]:
+    """Each row of the side-by-side uint8 ``columns`` as one bytes object."""
+    block = np.ascontiguousarray(np.hstack(columns))
+    return block.view(f"S{block.shape[1]}")[:, 0].tolist()
+
+
+def _records_text(training: TrainingSet, lo: int, hi: int) -> str:
+    """Records lo..hi-1: the x hex, letters and bits from whole uint8 arrays,
+    tau (repr, so "inf" in steady state) and omega formatted one value at a
+    time."""
+    rows, m = hi - lo, training.X.shape[1]
+    if m:
+        x = np.take(_HEX_PAIRS, training.X[lo:hi].astype("<f8").view(np.uint8)).view(np.uint8)
+    else:
+        x = np.full((rows, 1), ord("-"), dtype=np.uint8)
+    space = np.full((rows, 1), ord(" "), dtype=np.uint8)
+    # letters and bits as ASCII codes: X, Y, Z are consecutive, '0' is +1
+    letters = (training.bases[lo:hi] + ord("X")).astype(np.uint8)
+    bits = ((training.outcomes[lo:hi] < 0) + ord("0")).astype(np.uint8)
+    pieces = [b" "] * (5 * rows)
+    pieces[0::5] = _byte_rows([x, space])
+    pieces[1::5] = map(str.encode, map(repr, training.taus[lo:hi].tolist()))
+    pieces[3::5] = map(str.encode, map(str, training.omegas[lo:hi].tolist()))
+    pieces[4::5] = _byte_rows([space, letters, space, bits, np.full_like(space, ord("\n"))])
+    return b"".join(pieces).decode("ascii")
 
 
 def write_shadows(fileobj: IO[str], training: TrainingSet) -> None:
-    """Snapshot interchange format: one record per line,
-    ``x_hex tau omega basis_string outcome_bitstring seed``."""
-    m = training.X.shape[1]
-    fileobj.write("# phaselearn-shadows v1\n")
+    """Snapshot interchange format: a ``#`` header, then one record per line,
+    ``x_hex tau omega basis_string outcome_bitstring``."""
+    fileobj.write(f"# phaselearn-shadows {_VERSION}\n")
     fileobj.write(f"# model {training.model_name}\n")
     fileobj.write(f"# lattice {training.lattice_json}\n")
     fileobj.write(f"# mode {training.mode}\n")
     fileobj.write(f"# seed {training.seed}\n")
-    fileobj.write(f"# m {m}\n")
-    # letters and bits as ASCII codes: X, Y, Z are consecutive, '0' is +1
-    letters = (training.bases + ord("X")).astype(np.uint8)
-    bits = ((training.outcomes < 0) + ord("0")).astype(np.uint8)
-    X = training.X.astype("<f8")
-    for i in range(len(training)):
-        xhex = X[i].tobytes().hex() if m else "-"
-        fileobj.write(
-            f"{xhex} {_format_tau(training.taus[i])} {training.omegas[i]} "
-            f"{letters[i].tobytes().decode()} {bits[i].tobytes().decode()} "
-            f"{training.seeds[i]}\n"
-        )
+    fileobj.write(f"# m {training.X.shape[1]}\n")
+    for lo in range(0, len(training), _CHUNK_ROWS):
+        fileobj.write(_records_text(training, lo, min(lo + _CHUNK_ROWS, len(training))))
 
 
-def _ascii_offsets(rows: Sequence[str], n: int, first: str) -> np.ndarray:
-    """Equal-length ASCII strings as an (len(rows), n) array of offsets from ``first``."""
-    codes = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
-    return (codes.reshape(len(rows), n) - ord(first)).astype(np.int8)
+class _BadRecord(ValueError):
+    """A record check failed; ``row`` is the first failing record of its chunk."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
-def _parse_record(line: str, m: int, n: int | None) -> tuple:
-    """(x bytes, tau, omega, basis string, bit string, seed) of one record with
-    m tags and, unless n is None, n sites; ValueError names what is malformed."""
-    fields = line.split(" ")
-    if len(fields) != 6:
-        raise ValueError(f"expected 6 fields, got {len(fields)}")
-    xhex, tau_s, omega_s, basis, bits, seed_s = fields
-    if (xhex != "-") if m == 0 else (len(xhex) != 16 * m):
-        raise ValueError(f"x field does not hold m = {m} float64 values")
-    n = len(basis) if n is None else n
-    if len(basis) != n or len(bits) != n:
-        raise ValueError(f"basis and outcome strings must have the first record's length {n}")
-    if not (set(basis) <= set(BASIS_LETTERS) and set(bits) <= set("01")):
-        raise ValueError("basis letters must be X, Y or Z and outcome bits 0 or 1")
-    seed = int(seed_s)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed outside the 64-bit range")
-    return bytes.fromhex(xhex) if m else b"", float(tau_s), int(omega_s), basis, bits, seed
+def _require(ok: np.ndarray, message) -> None:
+    """_BadRecord at the first False row of ``ok``; ``message`` is a string or
+    a function of that row."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        row = int(bad[0])
+        raise _BadRecord(row, message(row) if callable(message) else message)
+
+
+def _lengths(tokens: list[str]) -> np.ndarray:
+    return np.fromiter(map(len, tokens), np.int64, len(tokens))
+
+
+def _ascii(tokens: list[str], width: int) -> np.ndarray:
+    """Tokens of length ``width`` as a (len(tokens), width) uint8 array; a
+    non-ASCII character reads as '?'."""
+    text = "".join(tokens).encode("ascii", "replace")
+    return np.frombuffer(text, dtype=np.uint8).reshape(len(tokens), width)
+
+
+def _numbers(tokens: list[str], kind: type, dtype) -> np.ndarray:
+    """The tokens parsed by ``kind`` as one ``dtype`` array; _BadRecord names
+    the first that does not parse."""
+    try:
+        return np.fromiter(map(kind, tokens), dtype, len(tokens))
+    except (ValueError, OverflowError):
+        for row, token in enumerate(tokens):
+            try:
+                np.fromiter([kind(token)], dtype, 1)
+            except (ValueError, OverflowError) as exc:
+                raise _BadRecord(row, str(exc)) from None
+        raise
+
+
+def _parse_records(records: list[str], m: int, mode: str, n: int | None) -> tuple:
+    """(bases, outcomes, X, taus, omegas) of records with m tags and, unless n
+    is None, n sites; _BadRecord names the first record failing the first
+    failing check."""
+    count = len(records)
+    fields = np.fromiter(map(str.count, records, repeat(" ")), np.int64, count) + 1
+    _require(fields == 5, lambda row: f"expected 5 fields, got {fields[row]}")
+    tokens = " ".join(records).split(" ")
+    xs, basis, bits = tokens[0::5], tokens[3::5], tokens[4::5]
+    _require(_lengths(xs) == 16 * m if m else np.fromiter(map("-".__eq__, xs), bool, count),
+             f"x field does not hold m = {m} float64 values")
+    n = len(basis[0]) if n is None else n
+    _require((_lengths(basis) == n) & (_lengths(bits) == n),
+             f"basis and outcome strings must have the first record's length {n}")
+    letters, digits = _ascii(basis, n), _ascii(bits, n)
+    _require(np.all((letters >= ord("X")) & (letters <= ord("Z")), axis=1)
+             & np.all((digits == ord("0")) | (digits == ord("1")), axis=1),
+             "basis letters must be X, Y or Z and outcome bits 0 or 1")
+    X = np.empty((count, 0))
+    if m:
+        values = np.take(_HEX_BYTES, _ascii(xs, 16 * m).view("<u2"))
+        _require(np.all(values < 256, axis=1), "x field is not hexadecimal")
+        X = values.astype(np.uint8).view("<f8")
+    taus = _numbers(tokens[1::5], float, float)
+    omegas = _numbers(tokens[2::5], int, np.int64)
+    _require(np.all(np.abs(X) <= 1.0, axis=1), "x tags must be finite and lie in [-1, 1]")
+    if mode == "steady_state":
+        _require(taus == math.inf, "tau must be inf in steady_state mode")
+    else:
+        _require(np.isfinite(taus) & (taus >= 0.0), f"tau must be finite and >= 0 in {mode} mode")
+    return letters - ord("X"), 1 - 2 * (digits - ord("0")).astype(np.int8), X, taus, omegas
 
 
 def read_shadows(fileobj: IO[str]) -> TrainingSet:
-    """Parse the interchange format; a malformed line raises ConfigError
-    naming it."""
-    meta = {"model": "", "lattice": "", "mode": "steady_state", "seed": 0, "m": 0}
-    records = []
-    for lineno, line in enumerate(fileobj, 1):
-        line = line.rstrip("\n")
+    """Parse the interchange format, a chunk of lines at a time.  A malformed
+    line, a header after the first record, or a version other than v2 raises
+    ConfigError naming the line."""
+    meta = {"phaselearn-shadows": _VERSION, "model": "", "lattice": "",
+            "mode": "steady_state", "seed": 0, "m": 0}
+    chunks, n, lineno = [], None, 0
+    for lines in iter(lambda: list(islice(fileobj, _CHUNK_ROWS)), []):
+        start, lineno = lineno, lineno + len(lines)
+        rows = "".join(lines).split("\n")[: len(lines)]
+        headers = np.fromiter(map(str.startswith, rows, repeat("#")), bool, len(rows))
+        is_record = ~headers & (_lengths(rows) > 0)
+        index = np.flatnonzero(is_record)
+        first = index[0] if index.size else len(rows)
+        for i in np.flatnonzero(headers):
+            parts = rows[i][1:].strip().split(" ", 1)
+            if len(parts) != 2 or parts[0] not in meta:
+                continue
+            key, value = parts
+            where = f"shadows line {start + i + 1}"
+            try:
+                meta[key] = int(value) if key in ("m", "seed") else value
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            if chunks or i > first:
+                raise ConfigError(f"{where}: header {key!r} after the first record")
+            if key == "phaselearn-shadows" and value != _VERSION:
+                raise ConfigError(f"{where}: shadows format {value} is not readable; this "
+                                  f"reader reads {_VERSION}, so rerun the train stage")
+            if key == "m" and meta["m"] < 0:
+                raise ConfigError(f"{where}: negative tag count m")
+        if not index.size:
+            continue
         try:
-            if line.startswith("#"):
-                parts = line[1:].strip().split(" ", 1)
-                if len(parts) == 2 and parts[0] in meta:
-                    key, value = parts
-                    meta[key] = int(value) if key in ("m", "seed") else value
-            elif line:
-                n = len(records[0][3]) if records else None
-                records.append(_parse_record(line, meta["m"], n))
-        except ValueError as exc:
-            raise ConfigError(f"shadows line {lineno}: {exc}") from None
-    xs, taus, omegas, basis_rows, bit_rows, seeds = zip(*records) if records else [()] * 6
-    n = len(basis_rows[0]) if records else 0
-    return TrainingSet(
-        bases=_ascii_offsets(basis_rows, n, "X"),
-        outcomes=1 - 2 * _ascii_offsets(bit_rows, n, "0"),
-        X=np.frombuffer(b"".join(xs), dtype="<f8").reshape(len(xs), meta["m"]),
-        taus=taus, omegas=omegas, seeds=seeds,
-        model_name=meta["model"], lattice_json=meta["lattice"], mode=meta["mode"],
-        seed=meta["seed"],
-    )
+            chunk = _parse_records(list(compress(rows, is_record)), meta["m"], meta["mode"], n)
+        except _BadRecord as exc:
+            raise ConfigError(f"shadows line {start + index[exc.row] + 1}: {exc}") from None
+        n = chunk[0].shape[1]
+        chunks.append(chunk)
+    columns = ([np.concatenate(col) for col in zip(*chunks)] if chunks else
+               [np.empty((0, 0)), np.empty((0, 0)), np.empty((0, meta["m"])), [], []])
+    return TrainingSet(*columns, model_name=meta["model"], lattice_json=meta["lattice"],
+                       mode=meta["mode"], seed=meta["seed"])

@@ -100,8 +100,7 @@ def pinning8_snapshots():
     x = np.clip(np.random.default_rng(300).uniform(-1, 1, 8), -0.9, 0.9)
     n_snap = 100_000
     bloch = model.oracle.bloch_vectors(np.tile(x, (n_snap, 1)), np.full(n_snap, np.inf))
-    bases, outcomes = measure_snapshot_product(
-        bloch, [stream_seed(300, "acc3", i) for i in range(n_snap)])
+    bases, outcomes = measure_snapshot_product(bloch, stream_seed(300, "acc3"))
     return model, x, bases, outcomes
 
 

@@ -116,12 +116,15 @@ def _edit_lines(path: Path, edit) -> None:
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
 
 
-def _retag_first_record(lines: list[str]) -> list[str]:
-    """The first record moved to ancilla choice 1; the others stay at 0."""
-    first = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    fields = lines[first].split(" ")
-    fields[2] = "1"
-    return lines[:first] + [" ".join(fields)] + lines[first + 1:]
+def _edit_first_record(index: int, change):
+    """An edit of the shadows lines: field ``index`` of the first record
+    replaced by ``change(field)``, the other records left alone."""
+    def edit(lines: list[str]) -> list[str]:
+        first = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        fields = lines[first].split(" ")
+        fields[index] = change(fields[index])
+        return lines[:first] + [" ".join(fields)] + lines[first + 1:]
+    return edit
 
 
 class TestConfig:
@@ -283,13 +286,13 @@ class TestLearningRun:
             "r": 1, "gamma": 0.4, "q": 5, "t_eps": None, "N": 4, "N_log2": 2.0,
             "capped": True, "n_cap": 4, "mom_batches": 1, "constants": constants,
         }))
-        header = ["# phaselearn-shadows v1", "# model dissipative_tfim",
+        header = ["# phaselearn-shadows v2", "# model dissipative_tfim",
                   f"# lattice {cfg.lattice.to_json()}", "# mode steady_state",
                   "# seed 5", f"# m {m}"]
-        records = [f"{np.full(m, v).astype('<f8').tobytes().hex()} inf 0 {basis} {bits} {i}"
-                   for i, (v, basis, bits) in enumerate([
+        records = [f"{np.full(m, v).astype('<f8').tobytes().hex()} inf 0 {basis} {bits}"
+                   for v, basis, bits in [
                        (-0.5, "ZZZZZZZ", "0000000"), (0.0, "XXXXXXX", "0101010"),
-                       (0.25, "YYYYYYY", "1111111"), (0.5, "XYZXYZX", "0011001")])]
+                       (0.25, "YYYYYYY", "1111111"), (0.5, "XYZXYZX", "0011001")]]
         (tmp_path / "training.shadows").write_text("\n".join(header + records) + "\n")
         run_predict_stage(cfg)
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -573,8 +576,15 @@ class TestCli:
          "training.shadows lattice"),
         ("predict", lambda out, p: None, ["--mode", "general"], "training.shadows mode"),
         ("predict", lambda out, p: _edit_plan(out, mode="general_phase"), [], "plan.json mode"),
-        ("predict", lambda out, p: _edit_lines(out / "training.shadows", _retag_first_record),
-         [], "record 1 was collected at omega = 1"),
+        ("predict", lambda out, p: _edit_lines(out / "training.shadows", _edit_first_record(
+            2, lambda f: "1")), [], "record 1 was collected at omega = 1"),
+        ("predict", lambda out, p: _edit_lines(out / "training.shadows", lambda lines: [
+            l.replace("shadows v2", "shadows v1") for l in lines]), [],
+         "line 1: shadows format v1"),
+        ("predict", lambda out, p: _edit_lines(out / "training.shadows", _edit_first_record(
+            0, lambda f: "000000000000f87f" + f[16:])), [], "line 7: x tags must be finite"),
+        ("predict", lambda out, p: _edit_lines(out / "training.shadows", _edit_first_record(
+            1, lambda f: "-3.0")), [], "line 7: tau must be inf"),
         ("predict", lambda out, p: _edit_plan(out, r="1"), [], "plan.json r: expected integer"),
         ("predict", lambda out, p: _edit_plan(out, gamma="0.2"), [],
          "plan.json gamma: expected number"),
@@ -587,7 +597,8 @@ class TestCli:
          "plan.json N_log2: expected number"),
     ], ids=["plan_not_json", "plan_missing_field", "plot_plan_not_json",
             "shadows_without_records", "lattice_mismatch", "mode_mismatch",
-            "plan_mode_mismatch", "record_retagged", "plan_r_string", "plan_gamma_string",
+            "plan_mode_mismatch", "record_retagged", "shadows_v1", "x_nan", "tau_negative",
+            "plan_r_string", "plan_gamma_string",
             "plan_capped_integer", "plan_constant_string", "plot_n_log2_string"])
     def test_bad_bundle_exit_code(self, tmp_path, capsys, verb, spoil, flags, named):
         # spoil(out dir, config path) damages the bundle or edits the config

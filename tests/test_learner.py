@@ -33,7 +33,6 @@ def _tag_training(xs, taus=None, m=None):
         np.reshape(np.asarray(xs, dtype=float), (n, m if m is not None else len(xs[0]))),
         taus=[math.inf] * n if taus is None else taus,
         omegas=[0] * n,
-        seeds=np.arange(n),
     )
 
 
@@ -214,11 +213,10 @@ def _pinning_training(n, N, seed, gamma_spread=None):
     from phaselearn.shadows import measure_snapshot_product
     from phaselearn.seeding import stream_seed
 
-    seeds = [stream_seed(seed, "m", i) for i in range(N)]
     bases, outcomes = measure_snapshot_product(
-        model.oracle.bloch_vectors(xs, np.full(N, math.inf)), seeds)
+        model.oracle.bloch_vectors(xs, np.full(N, math.inf)), stream_seed(seed, "m"))
     return model, TrainingSet(bases, outcomes, xs, taus=np.full(N, math.inf),
-                              omegas=np.zeros(N), seeds=seeds, model_name="pinning",
+                              omegas=np.zeros(N), model_name="pinning",
                               seed=seed)
 
 
@@ -246,9 +244,9 @@ class TestPredict:
         from phaselearn.shadows import measure_snapshot_product
 
         bloch = model.oracle.bloch_vectors(np.tile(x, (200, 1)), np.full(200, math.inf))
-        bases, outcomes = measure_snapshot_product(bloch, range(200))
+        bases, outcomes = measure_snapshot_product(bloch, 0)
         tr = TrainingSet(bases, outcomes, np.tile(x, (200, 1)), taus=np.full(200, math.inf),
-                         omegas=np.zeros(200), seeds=np.arange(200))
+                         omegas=np.zeros(200))
         p = self._plan(model)
         obs = observable_from_string("Z@1", lat)
         pred = predict([obs], x, math.inf, tr, p, model.family)

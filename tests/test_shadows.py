@@ -1,5 +1,6 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import Z, random_density
+from phaselearn import shadows
 from phaselearn.errors import ConfigError, NumericalError
 from phaselearn.lattice import Lattice
 from phaselearn.lindblad import DensityMatrix, partial_trace
@@ -30,23 +32,34 @@ def _snap(bases, outcomes):
     return np.array(bases, dtype=np.int8), np.array(outcomes, dtype=np.int8)
 
 
-def _columns(bases, outcomes, X, taus=None, omegas=None, seeds=None, **meta):
+def _columns(bases, outcomes, X, taus=None, omegas=None, **meta):
     """A TrainingSet from its columns; omitted tags default to steady state."""
     N = len(bases)
     return TrainingSet(
         bases, outcomes, X,
         taus=[math.inf] * N if taus is None else taus,
         omegas=[0] * N if omegas is None else omegas,
-        seeds=list(range(N)) if seeds is None else seeds,
         **meta,
     )
+
+
+def _philox_row(key, row, n):
+    """Reference draws of stream row ``row``: its 4 ceil(n/2) words straight
+    from np.random.Philox, converted with Python integers."""
+    blocks = (n + 1) // 2
+    words = [int(w) for w in np.random.Philox(key=key, counter=[row * blocks, 0, 0, 0])
+             .random_raw(4 * blocks)]
+    return [((w >> 11) * 3) >> 53 for w in words[:n]], [(w >> 11) / 2**53 for w in words[n:2 * n]]
+
+
+unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
 
 
 class TestMeasurement:
     def test_zero_state_z_always_plus(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
-        for seed in range(200):
-            bases, outcomes = measure_snapshot(rho, seed)
+        for row in range(200):
+            bases, outcomes = measure_snapshot(rho, 0, row=row)
             if bases[0] == 2:
                 assert outcomes[0] == 1
 
@@ -55,8 +68,8 @@ class TestMeasurement:
         rho = DensityMatrix(np.outer(plus, plus).astype(complex), 1)
         x_minus = z_plus = z_minus = z_total = 0
         n_draws = 10_000
-        for seed in range(n_draws):
-            bases, outcomes = measure_snapshot(rho, seed)
+        for row in range(n_draws):
+            bases, outcomes = measure_snapshot(rho, 0, row=row)
             if bases[0] == 0 and outcomes[0] == -1:
                 x_minus += 1
             if bases[0] == 2:
@@ -75,8 +88,8 @@ class TestMeasurement:
         bell[0] = bell[3] = 1.0 / math.sqrt(2)
         rho = DensityMatrix(np.outer(bell, bell).astype(complex), 2)
         seen = 0
-        for seed in range(10_000):
-            bases, outcomes = measure_snapshot(rho, seed)
+        for row in range(10_000):
+            bases, outcomes = measure_snapshot(rho, 0, row=row)
             if bases[0] == 2 and bases[1] == 2:
                 seen += 1
                 assert outcomes[0] == outcomes[1]
@@ -85,8 +98,8 @@ class TestMeasurement:
     def test_bases_uniform(self):
         rho = DensityMatrix(np.eye(4) / 4, 2)
         counts = np.zeros(3)
-        for seed in range(3000):
-            bases, _ = measure_snapshot(rho, seed)
+        for row in range(3000):
+            bases, _ = measure_snapshot(rho, 0, row=row)
             for b in bases:
                 counts[b] += 1
         assert np.all(np.abs(counts / counts.sum() - 1 / 3) < 0.03)
@@ -100,8 +113,8 @@ class TestMeasurement:
         ]
         rho = DensityMatrix(np.eye(8) / 8, 3)
         seen = set()
-        for seed in range(100):
-            bases, outcomes = measure_snapshot(rho, seed)
+        for row in range(100):
+            bases, outcomes = measure_snapshot(rho, 0, row=row)
             for site in range(3):
                 # the estimate is 3 |z><z| - I, so (estimate + I) / 3 = |z><z|
                 proj = (snapshot_local_matrix(bases, outcomes, [site]) + np.eye(2)) / 3
@@ -115,7 +128,7 @@ class TestMeasurement:
         lat = Lattice(1, (2,), "open")
         model = instantiate("pinning", lat, omega=1)
         rho = model.oracle.full_state(np.array([0.2, -0.4]), np.inf, model.family)
-        bases, outcomes = measure_snapshot(rho, 3, n_system=2)
+        bases, outcomes = measure_snapshot(rho, 0, row=3, n_system=2)
         assert len(bases) == len(outcomes) == 2
 
     def test_product_fast_path_matches_general(self):
@@ -123,42 +136,73 @@ class TestMeasurement:
         model = instantiate("pinning", lat)
         x = np.random.default_rng(0).uniform(-1, 1, 4)
         bloch = model.oracle.bloch_vectors(np.tile(x, (500, 1)), np.full(500, np.inf))
-        b_bases, b_outcomes = measure_snapshot_product(bloch, range(500))
+        b_bases, b_outcomes = measure_snapshot_product(bloch, 0)
         rho = model.oracle.full_state(x, np.inf, model.family)
-        for seed in range(500):
-            a_bases, a_outcomes = measure_snapshot(rho, seed)
-            assert np.array_equal(a_bases, b_bases[seed])
-            assert np.array_equal(a_outcomes, b_outcomes[seed])
+        for row in range(500):
+            a_bases, a_outcomes = measure_snapshot(rho, 0, row=row)
+            assert np.array_equal(a_bases, b_bases[row])
+            assert np.array_equal(a_outcomes, b_outcomes[row])
 
-    @given(data=st.data(), n=st.integers(1, 4),
-           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+    @given(data=st.data(), n=st.integers(1, 4), rows=st.integers(1, 6),
+           key=st.integers(0, 2**128 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_batched_sampler_matches_general_on_oracle_states(self, data, n, seeds):
+    def test_batched_sampler_matches_general_on_oracle_states(self, data, n, rows, key):
         model = instantiate("pinning", Lattice(1, (n,), "open"))
-        unit = st.floats(-1.0, 1.0, allow_nan=False)
         tau = st.one_of(st.just(0.0), st.just(math.inf),
                         st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False))
-        X = np.array([data.draw(st.lists(unit, min_size=n, max_size=n)) for _ in seeds])
-        taus = np.array([data.draw(tau) for _ in seeds])
-        bases, outcomes = measure_snapshot_product(model.oracle.bloch_vectors(X, taus), seeds)
-        for i, seed in enumerate(seeds):
+        X = np.array([data.draw(st.lists(unit_floats, min_size=n, max_size=n))
+                      for _ in range(rows)])
+        taus = np.array([data.draw(tau) for _ in range(rows)])
+        bases, outcomes = measure_snapshot_product(model.oracle.bloch_vectors(X, taus), key)
+        for i in range(rows):
             rho = model.oracle.full_state(X[i], taus[i], model.family)
-            a_bases, a_outcomes = measure_snapshot(rho, seed)
+            a_bases, a_outcomes = measure_snapshot(rho, key, row=i)
             assert np.array_equal(a_bases, bases[i])
             assert np.array_equal(a_outcomes, outcomes[i])
 
+    @given(data=st.data(), key=st.integers(0, 2**128 - 1), n=st.integers(1, 9),
+           start=st.integers(0, 2**40), rows=st.integers(0, 40), chunk=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_draw_matches_philox_blocks(self, data, key, n, start, rows, chunk):
+        # row i of the stream is Philox blocks [i B, (i + 1) B) whatever the chunking
+        bloch = data.draw(hnp.arrays(float, (rows, n, 3), elements=unit_floats))
+        with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
+            bases, outcomes = measure_snapshot_product(bloch, key, start=start)
+        for i in range(rows):
+            ref_bases, ref_uniforms = _philox_row(key, start + i, n)
+            assert bases[i].tolist() == ref_bases
+            p_plus = (1.0 + bloch[i, np.arange(n), ref_bases]) / 2.0
+            assert outcomes[i].tolist() == [1 if u < p else -1
+                                            for u, p in zip(ref_uniforms, p_plus)]
+
+    def test_uniforms_are_numpys_doubles(self):
+        # words n..2n-1 of a row convert exactly as Generator.random does
+        n, row = 5, 12
+        generator = np.random.Generator(np.random.Philox(key=99, counter=[row * 3, 0, 0, 0]))
+        assert _philox_row(99, row, n)[1] == generator.random(2 * n)[n:].tolist()
+
     def test_batched_rows_are_independent(self):
-        # row i depends only on its own seed: a prefix replays exactly
+        # row i depends only on (key, i): prefixes and windows replay exactly, and
+        # changing the other rows' states leaves row i alone
         model = instantiate("pinning", Lattice(1, (5,), "open"))
         rng = np.random.default_rng(4)
         X, taus = rng.uniform(-1, 1, (300, 5)), rng.uniform(0.0, 3.0, 300)
-        seeds = [stream_seed(11, "measurement", i) for i in range(300)]
+        key = stream_seed(11, "measurement")
         bloch = model.oracle.bloch_vectors(X, taus)
-        bases, outcomes = measure_snapshot_product(bloch, seeds)
+        bases, outcomes = measure_snapshot_product(bloch, key)
         for M in (1, 17, 299):
-            head_bases, head_outcomes = measure_snapshot_product(bloch[:M], seeds[:M])
+            head_bases, head_outcomes = measure_snapshot_product(bloch[:M], key)
             assert np.array_equal(head_bases, bases[:M])
             assert np.array_equal(head_outcomes, outcomes[:M])
+        for lo, hi in ((0, 1), (40, 41), (123, 300)):
+            win_bases, win_outcomes = measure_snapshot_product(bloch[lo:hi], key, start=lo)
+            assert np.array_equal(win_bases, bases[lo:hi])
+            assert np.array_equal(win_outcomes, outcomes[lo:hi])
+        other = model.oracle.bloch_vectors(rng.uniform(-1, 1, (300, 5)), taus)
+        other[77] = bloch[77]
+        other_bases, other_outcomes = measure_snapshot_product(other, key)
+        assert np.array_equal(other_bases, bases)
+        assert np.array_equal(other_outcomes[77], outcomes[77])
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overlong_bloch_vector_rejected(self, sign):
@@ -166,12 +210,12 @@ class TestMeasurement:
         bloch = np.zeros((3, 2, 3))
         bloch[1, 0, :] = sign * (1.0 + 1e-9)
         with pytest.raises(NumericalError):
-            measure_snapshot_product(bloch, range(3))
+            measure_snapshot_product(bloch, 0)
 
     def test_unit_bloch_vector_accepted(self):
         bloch = np.zeros((2, 3, 3))
         bloch[0, :, 2], bloch[1, :, 0] = 1.0 + 1e-11, -1.0
-        bases, outcomes = measure_snapshot_product(bloch, [5, 6])
+        bases, outcomes = measure_snapshot_product(bloch, 5)
         assert np.all(outcomes[0][bases[0] == 2] == 1)
         assert np.all(outcomes[1][bases[1] == 0] == -1)
 
@@ -192,9 +236,9 @@ class TestInverseChannel:
     def test_unbiased_single_site(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
         vals = []
-        for seed in range(30_000):
+        for row in range(30_000):
             vals.append(np.real(np.trace(
-                Z @ snapshot_local_matrix(*measure_snapshot(rho, seed), [0]))))
+                Z @ snapshot_local_matrix(*measure_snapshot(rho, 0, row=row), [0]))))
         mean = float(np.mean(vals))
         stderr = float(np.std(vals)) / math.sqrt(len(vals))
         assert abs(mean - 1.0) <= 4 * stderr
@@ -204,16 +248,16 @@ class TestInverseChannel:
         rho = random_density(2, rng)
         acc = np.zeros((2, 2), dtype=complex)
         n_draws = 60_000
-        for seed in range(n_draws):
-            acc += snapshot_local_matrix(*measure_snapshot(rho, seed), [1])
+        for row in range(n_draws):
+            acc += snapshot_local_matrix(*measure_snapshot(rho, 0, row=row), [1])
         marg = partial_trace(rho.data, 2, [1])
         assert np.max(np.abs(acc / n_draws - marg)) < 0.03
 
     def test_trace_exactly_one(self):
         rng = np.random.default_rng(2)
         rho = random_density(3, rng)
-        for seed in range(50):
-            m = snapshot_local_matrix(*measure_snapshot(rho, seed), [0, 2])
+        for row in range(50):
+            m = snapshot_local_matrix(*measure_snapshot(rho, 0, row=row), [0, 2])
             assert abs(np.trace(m) - 1.0) <= 1e-9
 
 
@@ -277,11 +321,11 @@ class TestShadowFile:
     def test_roundtrip(self):
         rng = np.random.default_rng(4)
         rho = random_density(3, rng)
-        seeds = list(range(6)) + [99]
-        bases, outcomes = map(np.array, zip(*(measure_snapshot(rho, s) for s in seeds)))
+        bases, outcomes = map(np.array, zip(*(measure_snapshot(rho, 0, row=i)
+                                               for i in range(7))))
         ts = _columns(bases, outcomes, rng.uniform(-1, 1, (7, 5)),
-                      taus=[0.0, 1.0, 2.0, 0.0, 1.0, 2.0, math.inf],
-                      omegas=[0, 1, 0, 0, 1, 0, 0], seeds=seeds,
+                      taus=[0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 4.0],
+                      omegas=[0, 1, 0, 0, 1, 0, 0],
                       model_name="pinning", lattice_json="{}", mode="general_phase",
                       seed=11)
         buf = io.StringIO()
@@ -291,7 +335,7 @@ class TestShadowFile:
         assert back.model_name == "pinning"
         assert back.mode == "general_phase"
         assert back.seed == 11 and back.X.shape == (7, 5)
-        for name in ("bases", "outcomes", "X", "taus", "omegas", "seeds"):
+        for name in ("bases", "outcomes", "X", "taus", "omegas"):
             assert np.array_equal(getattr(ts, name), getattr(back, name)), name
 
     @pytest.mark.parametrize("m", [0, 3])
@@ -300,8 +344,7 @@ class TestShadowFile:
         N, n = 5, 4
         ts = _columns(rng.integers(0, 3, (N, n)), rng.choice([-1, 1], (N, n)),
                       rng.uniform(-1, 1, (N, m)),
-                      taus=[math.inf, 0.0, 0.1, 2.5e-17, 3.0], omegas=[0, 1, 1, 0, 1],
-                      seeds=[0, 2**63, 2**64 - 1, 12345, 2**63 - 1],
+                      taus=[7.0, 0.0, 0.1, 2.5e-17, 3.0], omegas=[0, 1, 1, 0, 1],
                       model_name="pinning", lattice_json='{"dim": 1}',
                       mode="general_phase", seed=2**63 + 5)
         first = io.StringIO()
@@ -313,41 +356,91 @@ class TestShadowFile:
             assert all(line.startswith("- ") for line in first.getvalue().split("\n")
                        if line and not line.startswith("#"))
 
+    @given(data=st.data(), N=st.integers(0, 40), m=st.integers(0, 4), n=st.integers(1, 6),
+           steady=st.booleans(), chunk=st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_random_byte_roundtrip(self, data, N, m, n, steady, chunk):
+        # write -> read -> write is byte-identical across chunk boundaries
+        tau = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+        ts = _columns(
+            data.draw(hnp.arrays(np.int8, (N, n), elements=st.integers(0, 2))),
+            data.draw(hnp.arrays(np.int8, (N, n), elements=st.sampled_from([-1, 1]))),
+            data.draw(hnp.arrays(float, (N, m), elements=unit_floats)),
+            taus=[math.inf] * N if steady else data.draw(st.lists(tau, min_size=N,
+                                                                  max_size=N)),
+            omegas=data.draw(st.lists(st.integers(0, 3), min_size=N, max_size=N)),
+            model_name="pinning", lattice_json='{"dim": 1}',
+            mode="steady_state" if steady else "general_phase", seed=N)
+        with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
+            first = io.StringIO()
+            write_shadows(first, ts)
+            back = read_shadows(io.StringIO(first.getvalue()))
+            second = io.StringIO()
+            write_shadows(second, back)
+        assert second.getvalue() == first.getvalue()
+        assert len(back) == N and back.X.shape == (N, m)
+        # an empty file does not record n, so its bases read back as (0, 0)
+        for name in ("bases", "outcomes", "X", "taus", "omegas") if N else ():
+            assert np.array_equal(getattr(ts, name), getattr(back, name)), name
+
+    @pytest.mark.parametrize("header, what", [
+        ("# phaselearn-shadows v1", "line 1: shadows format v1"),
+        ("# m -1", "line 1: negative tag count"),
+    ], ids=["version_1", "negative_m"])
+    def test_bad_header_rejected(self, header, what):
+        with pytest.raises(ConfigError, match=what):
+            read_shadows(io.StringIO(header + "\n- inf 0 Z 0 7\n"))
+
     @pytest.mark.parametrize("record, what", [
-        ("0000000000000000 inf 0 ZZ 02 7", "outcome bits"),
-        ("0000000000000000 inf 0 ZZZ 011 7", "first record's length"),
-        ("0000000000000000 inf 0 ZZ 0 7", "first record's length"),
-        ("00000000 inf 0 ZZ 01 7", "m = 1"),
-        ("0000000000000000 inf 0 ZW 01 7", "basis letters"),
-        ("0000000000000000 inf 0 ZZ 01", "6 fields"),
-        ("000000000000000g inf 0 ZZ 01 7", "hexadecimal"),
-        ("0000000000000000 inf 0 ZZ 01 -1", "64-bit"),
+        ("0000000000000000 inf 0 ZZ 02", "outcome bits"),
+        ("0000000000000000 inf 0 ZZZ 011", "first record's length"),
+        ("0000000000000000 inf 0 ZZ 0", "first record's length"),
+        ("00000000 inf 0 ZZ 01", "m = 1"),
+        ("0000000000000000 inf 0 ZW 01", "basis letters"),
+        ("0000000000000000 inf 0 ZZ", "5 fields, got 4"),
+        ("0000000000000000 inf 0 ZZ 01 7", "5 fields, got 6"),
+        ("000000000000000g inf 0 ZZ 01", "hexadecimal"),
+        ("0000000000000000 inf one ZZ 01", "invalid literal"),
+        ("0000000000000000 inf 99999999999999999999 ZZ 01", "too large"),
         ("# m one", "invalid literal"),
+        ("# mode general_phase", "after the first record"),
+        ("000000000000f87f inf 0 ZZ 01", "x tags"),
+        ("0000000000000040 inf 0 ZZ 01", "x tags"),
+        ("0000000000000000 -3.0 0 ZZ 01", "tau must be inf"),
     ], ids=["bit_2", "ragged_long", "ragged_short", "short_x", "letter_W",
-            "five_fields", "bad_hex", "negative_seed", "header_m"])
+            "four_fields", "six_fields", "bad_hex", "omega_word", "omega_huge", "header_m",
+            "header_after_record", "x_nan", "x_two", "tau_in_steady"])
     def test_malformed_record_rejected(self, record, what):
-        text = "# m 1\n0000000000000000 inf 0 XY 01 3\n" + record + "\n"
+        text = "# m 1\n0000000000000000 inf 0 XY 01\n" + record + "\n"
         with pytest.raises(ConfigError, match=what) as err:
             read_shadows(io.StringIO(text))
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("tau", ["-3.0", "nan", "inf"])
+    def test_bad_evolve_tau_rejected(self, tau):
+        text = f"# mode general_phase\n- 0.5 0 XY 01\n- {tau} 0 ZZ 01\n"
+        with pytest.raises(ConfigError, match="line 3: tau must be finite and >= 0"):
+            read_shadows(io.StringIO(text))
+
     def test_format_line_shape(self):
         bases, outcomes = measure_snapshot(DensityMatrix(np.eye(4) / 4, 2), 5)
-        ts = _columns([bases], [outcomes], [[0.5, -0.25]], seeds=[5])
+        ts = _columns([bases], [outcomes], [[0.5, -0.25]])
         buf = io.StringIO()
         write_shadows(buf, ts)
+        assert buf.getvalue().startswith("# phaselearn-shadows v2\n")
         record = [l for l in buf.getvalue().split("\n") if l and not l.startswith("#")][0]
-        xhex, tau, omega, basis, bits, seed = record.split(" ")
+        xhex, tau, omega, basis, bits = record.split(" ")
         assert len(xhex) == 2 * 8 * 2  # two little-endian float64s in hex
-        assert tau == "inf" and omega == "0" and seed == "5"
+        assert bytes.fromhex(xhex) == np.array([0.5, -0.25], dtype="<f8").tobytes()
+        assert tau == "inf" and omega == "0"
         assert len(basis) == 2 and set(basis) <= set("XYZ")
         assert len(bits) == 2 and set(bits) <= set("01")
 
     def test_prefix_subset(self):
-        ts = _columns([[2]] * 5, [[1]] * 5, np.zeros((5, 0)))
+        ts = _columns([[2]] * 5, [[1]] * 5, np.zeros((5, 0)), omegas=[0, 1, 2, 3, 4])
         sub = ts.subset(3)
         assert len(sub) == 3
-        assert list(sub.seeds) == [0, 1, 2] and sub.X.shape == (3, 0)
+        assert list(sub.omegas) == [0, 1, 2] and sub.X.shape == (3, 0)
 
 
 class TestLocalEstimates:
