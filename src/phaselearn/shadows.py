@@ -122,13 +122,12 @@ def measure_snapshot(rho: DensityMatrix, key: int, row: int = 0,
     return bases, outcomes
 
 
-def measure_snapshot_product(bloch: np.ndarray, key: int,
-                             start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def measure_snapshot_product(bloch: np.ndarray, key: int) -> tuple[np.ndarray, np.ndarray]:
     """Product-state fast path of :func:`measure_snapshot`, one snapshot per row.
 
     ``bloch`` is an (N, n, 3) stack of single-site Bloch vectors (<X>, <Y>, <Z>);
-    its row i is measured with row start + i of the stream ``key``, the draws
-    the general sampler makes, so it matches :func:`measure_snapshot` on the
+    its row i is measured with row i of the stream ``key``, the draws the
+    general sampler makes, so it matches :func:`measure_snapshot` on the
     corresponding product state and does not depend on the other rows.  The
     outcome is +1 where the uniform falls below p+ = (1 + r_basis) / 2.  Rows
     are drawn and compared in chunks.  Returns (N, n) int8 bases and outcomes.
@@ -139,7 +138,7 @@ def measure_snapshot_product(bloch: np.ndarray, key: int,
     outcomes = np.empty_like(bases)
     for lo in range(0, n_rows, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n_rows)
-        bases[lo:hi], us = _stream_rows(key, start + lo, start + hi, n)
+        bases[lo:hi], us = _stream_rows(key, lo, hi, n)
         p_plus = 0.5 * (1.0 + np.take_along_axis(bloch[lo:hi], bases[lo:hi, :, None],
                                                  axis=2)[..., 0])
         if p_plus.min() < -1e-10 or p_plus.max() > 1.0 + 1e-10:
@@ -257,21 +256,6 @@ class TrainingSet:
 
 
 _VERSION = "v2"
-# byte value -> its two lowercase hex digits, as one little-endian uint16 of ASCII codes
-_HEX_PAIRS = np.frombuffer(bytes.hex(bytes(range(256))).encode(), dtype="<u2")
-
-
-def _hex_byte_table() -> np.ndarray:
-    """Two ASCII codes read as one little-endian uint16 -> the byte value of
-    that hex pair, digits in either case; 256 when either is not a hex digit."""
-    codes = np.frombuffer(b"0123456789abcdefABCDEF", dtype=np.uint8).astype(np.uint16)
-    values = np.r_[0:16, 10:16]
-    table = np.full(65536, 256, dtype="<u2")
-    table[codes[:, None] + 256 * codes] = 16 * values[:, None] + values
-    return table
-
-
-_HEX_BYTES = _hex_byte_table()
 
 
 def _byte_rows(columns: Sequence[np.ndarray]) -> list[bytes]:
@@ -286,7 +270,8 @@ def _records_text(training: TrainingSet, lo: int, hi: int) -> str:
     time."""
     rows, m = hi - lo, training.X.shape[1]
     if m:
-        x = np.take(_HEX_PAIRS, training.X[lo:hi].astype("<f8").view(np.uint8)).view(np.uint8)
+        x = np.frombuffer(training.X[lo:hi].astype("<f8").tobytes().hex().encode(),
+                          dtype=np.uint8).reshape(rows, 16 * m)
     else:
         x = np.full((rows, 1), ord("-"), dtype=np.uint8)
     space = np.full((rows, 1), ord(" "), dtype=np.uint8)
@@ -315,7 +300,7 @@ def write_shadows(fileobj: IO[str], training: TrainingSet) -> None:
 
 
 class _BadRecord(ValueError):
-    """A record check failed; ``row`` is the first failing record of its chunk."""
+    """A record check failed; ``row`` is the failing record's index in its chunk."""
 
     def __init__(self, row: int, message: str):
         super().__init__(message)
@@ -356,7 +341,27 @@ def _numbers(tokens: list[str], kind: type, dtype) -> np.ndarray:
         raise
 
 
-def _parse_records(records: list[str], m: int, mode: str, n: int | None) -> tuple:
+def _from_hex(text: str) -> bytes | None:
+    """The bytes spelt by ``text`` if it is hex digits only, else None
+    (bytes.fromhex also skips whitespace, which shortens its result)."""
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError:
+        return None
+    return raw if 2 * len(raw) == len(text) else None
+
+
+def _hex_tags(xs: list[str], m: int) -> np.ndarray:
+    """The (len(xs), m) float64 tags of x fields 16 m characters wide;
+    _BadRecord names the first field that is not hexadecimal."""
+    raw = _from_hex("".join(xs))
+    if raw is None:
+        row = next(row for row, x in enumerate(xs) if _from_hex(x) is None)
+        raise _BadRecord(row, "x field is not hexadecimal")
+    return np.frombuffer(raw, dtype="<f8").reshape(len(xs), m)
+
+
+def _check_records(records: list[str], m: int, mode: str, n: int | None) -> tuple:
     """(bases, outcomes, X, taus, omegas) of records with m tags and, unless n
     is None, n sites; _BadRecord names the first record failing the first
     failing check."""
@@ -374,11 +379,7 @@ def _parse_records(records: list[str], m: int, mode: str, n: int | None) -> tupl
     _require(np.all((letters >= ord("X")) & (letters <= ord("Z")), axis=1)
              & np.all((digits == ord("0")) | (digits == ord("1")), axis=1),
              "basis letters must be X, Y or Z and outcome bits 0 or 1")
-    X = np.empty((count, 0))
-    if m:
-        values = np.take(_HEX_BYTES, _ascii(xs, 16 * m).view("<u2"))
-        _require(np.all(values < 256, axis=1), "x field is not hexadecimal")
-        X = values.astype(np.uint8).view("<f8")
+    X = _hex_tags(xs, m) if m else np.empty((count, 0))
     taus = _numbers(tokens[1::5], float, float)
     omegas = _numbers(tokens[2::5], int, np.int64)
     _require(np.all(np.abs(X) <= 1.0, axis=1), "x tags must be finite and lie in [-1, 1]")
@@ -389,10 +390,28 @@ def _parse_records(records: list[str], m: int, mode: str, n: int | None) -> tupl
     return letters - ord("X"), 1 - 2 * (digits - ord("0")).astype(np.int8), X, taus, omegas
 
 
+def _parse_records(records: list[str], m: int, mode: str, n: int | None) -> tuple:
+    """:func:`_check_records`, with _BadRecord naming the first bad record."""
+    try:
+        return _check_records(records, m, mode, n)
+    except _BadRecord as exc:
+        bad = exc
+    # each check names the first record it rejects; a record before that one
+    # may still fail a later check, so recheck the records before it
+    while bad.row:
+        try:
+            _check_records(records[: bad.row], m, mode, n)
+        except _BadRecord as exc:
+            bad = exc
+        else:
+            break
+    raise bad
+
+
 def read_shadows(fileobj: IO[str]) -> TrainingSet:
-    """Parse the interchange format, a chunk of lines at a time.  A malformed
-    line, a header after the first record, or a version other than v2 raises
-    ConfigError naming the line."""
+    """Parse the interchange format, a chunk of lines at a time.  The first
+    malformed line, header after the first record, or version other than v2
+    raises ConfigError naming the line."""
     meta = {"phaselearn-shadows": _VERSION, "model": "", "lattice": "",
             "mode": "steady_state", "seed": 0, "m": 0}
     chunks, n, lineno = [], None, 0
@@ -401,33 +420,38 @@ def read_shadows(fileobj: IO[str]) -> TrainingSet:
         rows = "".join(lines).split("\n")[: len(lines)]
         headers = np.fromiter(map(str.startswith, rows, repeat("#")), bool, len(rows))
         is_record = ~headers & (_lengths(rows) > 0)
-        index = np.flatnonzero(is_record)
-        first = index[0] if index.size else len(rows)
+        first = np.argmax(is_record) if is_record.any() else len(rows)
+        error = None
         for i in np.flatnonzero(headers):
             parts = rows[i][1:].strip().split(" ", 1)
             if len(parts) != 2 or parts[0] not in meta:
                 continue
             key, value = parts
-            where = f"shadows line {start + i + 1}"
             try:
-                meta[key] = int(value) if key in ("m", "seed") else value
+                value = int(value) if key in ("m", "seed") else value
+                if chunks or i > first:
+                    raise ValueError(f"header {key!r} after the first record")
+                if key == "phaselearn-shadows" and value != _VERSION:
+                    raise ValueError(f"shadows format {value} is not readable; this reader "
+                                     f"reads {_VERSION}, so rerun the train stage")
+                if key == "m" and value < 0:
+                    raise ValueError("negative tag count m")
             except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-            if chunks or i > first:
-                raise ConfigError(f"{where}: header {key!r} after the first record")
-            if key == "phaselearn-shadows" and value != _VERSION:
-                raise ConfigError(f"{where}: shadows format {value} is not readable; this "
-                                  f"reader reads {_VERSION}, so rerun the train stage")
-            if key == "m" and meta["m"] < 0:
-                raise ConfigError(f"{where}: negative tag count m")
-        if not index.size:
-            continue
-        try:
-            chunk = _parse_records(list(compress(rows, is_record)), meta["m"], meta["mode"], n)
-        except _BadRecord as exc:
-            raise ConfigError(f"shadows line {start + index[exc.row] + 1}: {exc}") from None
-        n = chunk[0].shape[1]
-        chunks.append(chunk)
+                # the records before a bad header are checked first
+                error = ConfigError(f"shadows line {start + i + 1}: {exc}")
+                is_record[i:] = False
+                break
+            meta[key] = value
+        if is_record.any():
+            try:
+                chunk = _parse_records(list(compress(rows, is_record)), meta["m"], meta["mode"], n)
+            except _BadRecord as exc:
+                row = np.flatnonzero(is_record)[exc.row]
+                raise ConfigError(f"shadows line {start + row + 1}: {exc}") from None
+            n = chunk[0].shape[1]
+            chunks.append(chunk)
+        if error:
+            raise error
     columns = ([np.concatenate(col) for col in zip(*chunks)] if chunks else
                [np.empty((0, 0)), np.empty((0, 0)), np.empty((0, meta["m"])), [], []])
     return TrainingSet(*columns, model_name=meta["model"], lattice_json=meta["lattice"],

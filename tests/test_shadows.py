@@ -161,19 +161,26 @@ class TestMeasurement:
             assert np.array_equal(a_outcomes, outcomes[i])
 
     @given(data=st.data(), key=st.integers(0, 2**128 - 1), n=st.integers(1, 9),
-           start=st.integers(0, 2**40), rows=st.integers(0, 40), chunk=st.integers(1, 8))
+           row=st.integers(0, 2**40), rows=st.integers(0, 40), chunk=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
-    def test_chunked_draw_matches_philox_blocks(self, data, key, n, start, rows, chunk):
+    def test_chunked_draw_matches_philox_blocks(self, data, key, n, row, rows, chunk):
         # row i of the stream is Philox blocks [i B, (i + 1) B) whatever the chunking
         bloch = data.draw(hnp.arrays(float, (rows, n, 3), elements=unit_floats))
         with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
-            bases, outcomes = measure_snapshot_product(bloch, key, start=start)
+            bases, outcomes = measure_snapshot_product(bloch, key)
         for i in range(rows):
-            ref_bases, ref_uniforms = _philox_row(key, start + i, n)
+            ref_bases, ref_uniforms = _philox_row(key, i, n)
             assert bases[i].tolist() == ref_bases
             p_plus = (1.0 + bloch[i, np.arange(n), ref_bases]) / 2.0
             assert outcomes[i].tolist() == [1 if u < p else -1
                                             for u, p in zip(ref_uniforms, p_plus)]
+        # far along the stream too: every conditional outcome of the maximally
+        # mixed state has probability exactly 1/2
+        mixed = DensityMatrix(np.eye(2**n, dtype=complex) / 2**n, n)
+        ref_bases, ref_uniforms = _philox_row(key, row, n)
+        far_bases, far_outcomes = measure_snapshot(mixed, key, row=row)
+        assert far_bases.tolist() == ref_bases
+        assert far_outcomes.tolist() == [1 if u < 0.5 else -1 for u in ref_uniforms]
 
     def test_uniforms_are_numpys_doubles(self):
         # words n..2n-1 of a row convert exactly as Generator.random does
@@ -182,7 +189,7 @@ class TestMeasurement:
         assert _philox_row(99, row, n)[1] == generator.random(2 * n)[n:].tolist()
 
     def test_batched_rows_are_independent(self):
-        # row i depends only on (key, i): prefixes and windows replay exactly, and
+        # row i depends only on (key, i): prefixes and single rows replay exactly, and
         # changing the other rows' states leaves row i alone
         model = instantiate("pinning", Lattice(1, (5,), "open"))
         rng = np.random.default_rng(4)
@@ -194,10 +201,11 @@ class TestMeasurement:
             head_bases, head_outcomes = measure_snapshot_product(bloch[:M], key)
             assert np.array_equal(head_bases, bases[:M])
             assert np.array_equal(head_outcomes, outcomes[:M])
-        for lo, hi in ((0, 1), (40, 41), (123, 300)):
-            win_bases, win_outcomes = measure_snapshot_product(bloch[lo:hi], key, start=lo)
-            assert np.array_equal(win_bases, bases[lo:hi])
-            assert np.array_equal(win_outcomes, outcomes[lo:hi])
+        for i in (40, 299):
+            rho = model.oracle.full_state(X[i], taus[i], model.family)
+            row_bases, row_outcomes = measure_snapshot(rho, key, row=i)
+            assert np.array_equal(row_bases, bases[i])
+            assert np.array_equal(row_outcomes, outcomes[i])
         other = model.oracle.bloch_vectors(rng.uniform(-1, 1, (300, 5)), taus)
         other[77] = bloch[77]
         other_bases, other_outcomes = measure_snapshot_product(other, key)
@@ -415,6 +423,34 @@ class TestShadowFile:
         with pytest.raises(ConfigError, match=what) as err:
             read_shadows(io.StringIO(text))
         assert "line 3" in str(err.value)
+
+    @given(body=st.lists(st.sampled_from([
+        None, None, None,
+        "3ff0000000000000 inf 0 XY 02",
+        "3ff0000000000000 inf 0 XY",
+        "3ff000000000000g inf 0 XY 01",
+        "3ff000000000000\t inf 0 XY 01",
+        "3ff0000000000000 inf one XY 01",
+        "3ff0000000000000 1.0 0 XY 01",
+        "0000000000000040 inf 0 XY 01",
+        "3ff0000000000000 inf 0 XYZ 010",
+        "# m one",
+        "# m 1",
+    ]), max_size=12), chunk=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_names_first_bad_line(self, body, chunk):
+        # None is a good record; every other line is bad after the first record,
+        # and the error names the first of them whichever checks they fail
+        good = "000000000000f03f inf 0 XY 01"
+        lines = ["# m 1", good] + [good if line is None else line for line in body]
+        text = "\n".join(lines) + "\n"
+        bad = [i for i, line in enumerate(body) if line is not None]
+        with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
+            if not bad:
+                assert len(read_shadows(io.StringIO(text))) == len(lines) - 1
+                return
+            with pytest.raises(ConfigError, match=f"^shadows line {bad[0] + 3}:"):
+                read_shadows(io.StringIO(text))
 
     @pytest.mark.parametrize("tau", ["-3.0", "nan", "inf"])
     def test_bad_evolve_tau_rejected(self, tau):
