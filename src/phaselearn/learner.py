@@ -387,8 +387,8 @@ def coverage_report(training: TrainingSet, gamma: float,
 
     A cell counts as covered when at least q samples land in it.  Unoccupied
     cells never qualify, so the exact fraction only needs the occupied cells'
-    counts (np.unique over integer cell keys) even when the cell count is
-    astronomically large.  The reported failure bound is
+    counts (np.unique over one byte-string key per row) even when the cell
+    count is astronomically large.  The reported failure bound is
     M exp(-N (gamma/2)^m_r + m_r log(2/gamma)), with the time axis folded in
     outside steady-state mode.
     """
@@ -407,10 +407,12 @@ def coverage_report(training: TrainingSet, gamma: float,
         indices = family.coords_for_region(region)
         m_r = int(indices.size)
         keys = np.minimum(axis_cells - 1, np.floor((training.X[:, indices] + 1.0) / gamma))
+        tkeys = np.zeros(N)
         if mode != "steady_state":
             tkeys = np.minimum(time_cells - 1, np.floor(training.taus / gamma))
-            keys = np.column_stack([keys, tkeys])
-        _, counts = np.unique(keys.astype(np.int64), axis=0, return_counts=True)
+        # one byte string per row; the time column gives an empty region a key too
+        keys = np.ascontiguousarray(np.column_stack([keys, tkeys]), dtype=np.int64)
+        _, counts = np.unique(keys.view(f"V{8 * keys.shape[1]}"), return_counts=True)
         covered = int(np.count_nonzero(counts >= q))
         log_total = m_r * math.log(axis_cells) + math.log(time_cells)
         if log_total < 45.0:

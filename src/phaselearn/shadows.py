@@ -108,7 +108,7 @@ def measure_snapshot(rho: DensityMatrix, key: int, row: int = 0,
         k = n - i
         sub = work.reshape(2, 2 ** (k - 1), 2, 2 ** (k - 1))
         bras = _EIG_BRAS[bases[i]]
-        blocks = np.einsum("za,aibj,zb->zij", bras, sub, bras.conj(), optimize=True)
+        blocks = np.einsum("za,aibj,zb->zij", bras, sub, bras.conj())
         probs = np.einsum("zii->z", blocks).real
         if probs.min() < -1e-10:
             raise NumericalError(f"negative conditional probability {probs.min():.2e}")
@@ -299,21 +299,10 @@ def write_shadows(fileobj: IO[str], training: TrainingSet) -> None:
         fileobj.write(_records_text(training, lo, min(lo + _CHUNK_ROWS, len(training))))
 
 
-class _BadRecord(ValueError):
-    """A record check failed; ``row`` is the failing record's index in its chunk."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
-
-def _require(ok: np.ndarray, message) -> None:
-    """_BadRecord at the first False row of ``ok``; ``message`` is a string or
-    a function of that row."""
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        row = int(bad[0])
-        raise _BadRecord(row, message(row) if callable(message) else message)
+def _require(ok: np.ndarray, message: str) -> None:
+    """ValueError(message) unless every row of ``ok`` holds."""
+    if not np.all(ok):
+        raise ValueError(message)
 
 
 def _lengths(tokens: list[str]) -> np.ndarray:
@@ -327,47 +316,13 @@ def _ascii(tokens: list[str], width: int) -> np.ndarray:
     return np.frombuffer(text, dtype=np.uint8).reshape(len(tokens), width)
 
 
-def _numbers(tokens: list[str], kind: type, dtype) -> np.ndarray:
-    """The tokens parsed by ``kind`` as one ``dtype`` array; _BadRecord names
-    the first that does not parse."""
-    try:
-        return np.fromiter(map(kind, tokens), dtype, len(tokens))
-    except (ValueError, OverflowError):
-        for row, token in enumerate(tokens):
-            try:
-                np.fromiter([kind(token)], dtype, 1)
-            except (ValueError, OverflowError) as exc:
-                raise _BadRecord(row, str(exc)) from None
-        raise
-
-
-def _from_hex(text: str) -> bytes | None:
-    """The bytes spelt by ``text`` if it is hex digits only, else None
-    (bytes.fromhex also skips whitespace, which shortens its result)."""
-    try:
-        raw = bytes.fromhex(text)
-    except ValueError:
-        return None
-    return raw if 2 * len(raw) == len(text) else None
-
-
-def _hex_tags(xs: list[str], m: int) -> np.ndarray:
-    """The (len(xs), m) float64 tags of x fields 16 m characters wide;
-    _BadRecord names the first field that is not hexadecimal."""
-    raw = _from_hex("".join(xs))
-    if raw is None:
-        row = next(row for row, x in enumerate(xs) if _from_hex(x) is None)
-        raise _BadRecord(row, "x field is not hexadecimal")
-    return np.frombuffer(raw, dtype="<f8").reshape(len(xs), m)
-
-
 def _check_records(records: list[str], m: int, mode: str, n: int | None) -> tuple:
     """(bases, outcomes, X, taus, omegas) of records with m tags and, unless n
-    is None, n sites; _BadRecord names the first record failing the first
-    failing check."""
+    is None, n sites.  Every check holds row by row, so ``records`` fail
+    (ValueError or OverflowError) exactly when one of them fails alone."""
     count = len(records)
     fields = np.fromiter(map(str.count, records, repeat(" ")), np.int64, count) + 1
-    _require(fields == 5, lambda row: f"expected 5 fields, got {fields[row]}")
+    _require(fields == 5, f"expected 5 fields, got {fields[np.argmax(fields != 5)]}")
     tokens = " ".join(records).split(" ")
     xs, basis, bits = tokens[0::5], tokens[3::5], tokens[4::5]
     _require(_lengths(xs) == 16 * m if m else np.fromiter(map("-".__eq__, xs), bool, count),
@@ -379,9 +334,16 @@ def _check_records(records: list[str], m: int, mode: str, n: int | None) -> tupl
     _require(np.all((letters >= ord("X")) & (letters <= ord("Z")), axis=1)
              & np.all((digits == ord("0")) | (digits == ord("1")), axis=1),
              "basis letters must be X, Y or Z and outcome bits 0 or 1")
-    X = _hex_tags(xs, m) if m else np.empty((count, 0))
-    taus = _numbers(tokens[1::5], float, float)
-    omegas = _numbers(tokens[2::5], int, np.int64)
+    hexes = "".join(xs) if m else ""
+    try:
+        raw = bytes.fromhex(hexes)
+    except ValueError:
+        raw = b""
+    # bytes.fromhex also skips whitespace, which shortens its result
+    _require(2 * len(raw) == len(hexes), "x field is not hexadecimal")
+    X = np.frombuffer(raw, dtype="<f8").reshape(count, m)
+    taus = np.fromiter(map(float, tokens[1::5]), float, count)
+    omegas = np.fromiter(map(int, tokens[2::5]), np.int64, count)
     _require(np.all(np.abs(X) <= 1.0, axis=1), "x tags must be finite and lie in [-1, 1]")
     if mode == "steady_state":
         _require(taus == math.inf, "tau must be inf in steady_state mode")
@@ -390,68 +352,62 @@ def _check_records(records: list[str], m: int, mode: str, n: int | None) -> tupl
     return letters - ord("X"), 1 - 2 * (digits - ord("0")).astype(np.int8), X, taus, omegas
 
 
-def _parse_records(records: list[str], m: int, mode: str, n: int | None) -> tuple:
-    """:func:`_check_records`, with _BadRecord naming the first bad record."""
+def _parse_records(rows: list[str], line: int, m: int, mode: str, n: int | None) -> tuple:
+    """:func:`_check_records` on the non-blank ``rows``, the first on file line
+    ``line``.  If they fail, each is checked again alone (the first to pass
+    fixes n), and ConfigError names the first that fails."""
     try:
-        return _check_records(records, m, mode, n)
-    except _BadRecord as exc:
-        bad = exc
-    # each check names the first record it rejects; a record before that one
-    # may still fail a later check, so recheck the records before it
-    while bad.row:
-        try:
-            _check_records(records[: bad.row], m, mode, n)
-        except _BadRecord as exc:
-            bad = exc
-        else:
-            break
-    raise bad
+        return _check_records(list(filter(None, rows)), m, mode, n)
+    except (ValueError, OverflowError):
+        for i, row in enumerate(rows):
+            try:
+                n = _check_records([row], m, mode, n)[0].shape[1] if row else n
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"shadows line {line + i}: {exc}") from None
+        raise
+
+
+def _apply_header(row: str, meta: dict, after_record: bool) -> None:
+    """Record the ``# key value`` header ``row`` in ``meta``; a line whose key
+    ``meta`` lacks is skipped, and a bad value raises ValueError."""
+    parts = row[1:].strip().split(" ", 1)
+    if len(parts) != 2 or parts[0] not in meta:
+        return
+    key, value = parts
+    value = int(value) if key in ("m", "seed") else value
+    if after_record:
+        raise ValueError(f"header {key!r} after the first record")
+    if key == "phaselearn-shadows" and value != _VERSION:
+        raise ValueError(f"shadows format {value} is not readable; this reader "
+                         f"reads {_VERSION}, so rerun the train stage")
+    if key == "m" and value < 0:
+        raise ValueError("negative tag count m")
+    meta[key] = value
 
 
 def read_shadows(fileobj: IO[str]) -> TrainingSet:
-    """Parse the interchange format, a chunk of lines at a time.  The first
-    malformed line, header after the first record, or version other than v2
-    raises ConfigError naming the line."""
+    """Parse the interchange format a chunk of lines at a time, cut at its
+    header lines.  The first malformed line, header after the first record,
+    or version other than v2 raises ConfigError naming the line."""
     meta = {"phaselearn-shadows": _VERSION, "model": "", "lattice": "",
             "mode": "steady_state", "seed": 0, "m": 0}
     chunks, n, lineno = [], None, 0
     for lines in iter(lambda: list(islice(fileobj, _CHUNK_ROWS)), []):
         start, lineno = lineno, lineno + len(lines)
         rows = "".join(lines).split("\n")[: len(lines)]
-        headers = np.fromiter(map(str.startswith, rows, repeat("#")), bool, len(rows))
-        is_record = ~headers & (_lengths(rows) > 0)
-        first = np.argmax(is_record) if is_record.any() else len(rows)
-        error = None
-        for i in np.flatnonzero(headers):
-            parts = rows[i][1:].strip().split(" ", 1)
-            if len(parts) != 2 or parts[0] not in meta:
-                continue
-            key, value = parts
-            try:
-                value = int(value) if key in ("m", "seed") else value
-                if chunks or i > first:
-                    raise ValueError(f"header {key!r} after the first record")
-                if key == "phaselearn-shadows" and value != _VERSION:
-                    raise ValueError(f"shadows format {value} is not readable; this reader "
-                                     f"reads {_VERSION}, so rerun the train stage")
-                if key == "m" and value < 0:
-                    raise ValueError("negative tag count m")
-            except ValueError as exc:
-                # the records before a bad header are checked first
-                error = ConfigError(f"shadows line {start + i + 1}: {exc}")
-                is_record[i:] = False
-                break
-            meta[key] = value
-        if is_record.any():
-            try:
-                chunk = _parse_records(list(compress(rows, is_record)), meta["m"], meta["mode"], n)
-            except _BadRecord as exc:
-                row = np.flatnonzero(is_record)[exc.row]
-                raise ConfigError(f"shadows line {start + row + 1}: {exc}") from None
-            n = chunk[0].shape[1]
-            chunks.append(chunk)
-        if error:
-            raise error
+        headers = compress(range(len(rows)), map(str.startswith, rows, repeat("#")))
+        lo = 0
+        for i in [*headers, len(rows)]:
+            if any(rows[lo:i]):
+                chunks.append(_parse_records(rows[lo:i], start + lo + 1, meta["m"],
+                                             meta["mode"], n))
+                n = chunks[-1][0].shape[1]
+            if i < len(rows):
+                try:
+                    _apply_header(rows[i], meta, bool(chunks))
+                except ValueError as exc:
+                    raise ConfigError(f"shadows line {start + i + 1}: {exc}") from None
+            lo = i + 1
     columns = ([np.concatenate(col) for col in zip(*chunks)] if chunks else
                [np.empty((0, 0)), np.empty((0, 0)), np.empty((0, meta["m"])), [], []])
     return TrainingSet(*columns, model_name=meta["model"], lattice_json=meta["lattice"],

@@ -452,6 +452,21 @@ class TestShadowFile:
             with pytest.raises(ConfigError, match=f"^shadows line {bad[0] + 3}:"):
                 read_shadows(io.StringIO(text))
 
+    @pytest.mark.parametrize("line", [shadows._CHUNK_ROWS, shadows._CHUNK_ROWS + 1],
+                             ids=["last_of_first_chunk", "first_of_second_chunk"])
+    def test_names_bad_line_at_full_chunk_size(self, line):
+        # two full chunks of records at the shipped chunk size, one bad line
+        N = 2 * shadows._CHUNK_ROWS
+        ts = _columns(np.zeros((N, 2), np.int8), np.ones((N, 2), np.int8),
+                      np.full((N, 1), 0.5))
+        buf = io.StringIO()
+        write_shadows(buf, ts)
+        lines = buf.getvalue().split("\n")
+        assert len(read_shadows(io.StringIO(buf.getvalue()))) == N
+        lines[line - 1] = "000000000000e03f inf 0 XY 02"
+        with pytest.raises(ConfigError, match=f"^shadows line {line}: .*outcome bits"):
+            read_shadows(io.StringIO("\n".join(lines)))
+
     @pytest.mark.parametrize("tau", ["-3.0", "nan", "inf"])
     def test_bad_evolve_tau_rejected(self, tau):
         text = f"# mode general_phase\n- 0.5 0 XY 01\n- {tau} 0 ZZ 01\n"
