@@ -228,7 +228,9 @@ def lieb_robinson_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservabl
     """|| T_t^*(O) - T_t^{* A(r)}(O) ||_inf for r = 0..r_max.
 
     The localized generator carries x inside the r-enlargement of the
-    observable support and x' outside.  The envelope is
+    observable support and x' outside.  Radii that give the same hybrid point
+    (every radius whose patch covers the whole system, say) share one
+    evolution within the call.  The envelope is
     ||O|| |A| J (e^{vt} - 1 - vt) / v e^{-MU r} with the certified v.
     """
     _check_scan_size(family)
@@ -242,12 +244,15 @@ def lieb_robinson_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservabl
     gen_full = assemble(family, x)
     O_t = heisenberg_evolve(gen_full, O_full, t, rtol=rtol)
     radii = list(range(r_max + 1))
+    by_point: dict[bytes, float] = {}  # hybrid point -> its value
     values = []
     for r in radii:
-        patch = enlarge(lat, obs.support, r)
-        hyb = localize(family, x, x_prime, patch)
-        O_loc = heisenberg_evolve(assemble(family, hyb), O_full, t, rtol=rtol)
-        values.append(operator_norm(O_t - O_loc))
+        hyb = localize(family, x, x_prime, enlarge(lat, obs.support, r))
+        key = hyb.tobytes()
+        if key not in by_point:
+            O_loc = heisenberg_evolve(assemble(family, hyb), O_full, t, rtol=rtol)
+            by_point[key] = operator_norm(O_t - O_loc)
+        values.append(by_point[key])
     amp = (obs.operator_norm * len(obs.support) * family.J
            * (math.exp(v * t) - 1.0 - v * t) / v)
     envelope = [amp * math.exp(-MU * r) for r in radii]
@@ -284,24 +289,29 @@ def mixing_scan(family: ParamLindbladian, x, rho0: DensityMatrix,
 
 def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
               s_grid: Sequence[int], gamma_mix: float = 1.0, kappa: float = 1.0,
-              boot_seed: int = 0) -> DecayFit:
+              rho_inf: DensityMatrix | None = None, boot_seed: int = 0) -> DecayFit:
     """|tr[O (rho_inf - rho_inf^{A(s)})]| against the localisation radius s.
 
+    ``rho_inf`` is the steady state at x; computed when None.  Radii that give
+    the same hybrid point share one steady-state solve within the call, and
+    the full point x is solved again there even when ``rho_inf`` is given.
     Points where the localized generator has a degenerate kernel are flagged
-    and excluded from the fit.  The envelope is
+    and excluded from the fit, at every radius that repeats them.  The
+    envelope is
     ||O|| (J |A| / v + c |A|^kappa) (|A(s)|/|A|)^(kappa v / (v+gamma)) e^{-beta' s}
     with beta' = MU gamma / (v + gamma).
     """
     _check_scan_size(family)
     lat = family.lattice
-    gen = assemble(family, x)
-    rho_inf = steady_state(gen)
+    if rho_inf is None:
+        rho_inf = steady_state(assemble(family, x))
     O_full = embed(obs, lat, n_total=family.n_total)
     base = rho_inf.expectation(O_full)
     v = certify_lr_constants(family)
     values, excluded, envelope = [], [], []
     A = max(1, len(obs.support))
     beta_p = MU * gamma_mix / (v + gamma_mix)
+    by_point: dict[bytes, float | None] = {}  # hybrid point -> value, None if degenerate
     for i, s in enumerate(s_grid):
         patch = enlarge(lat, obs.support, int(s))
         vol_ratio = len(patch) / A
@@ -310,13 +320,19 @@ def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
             * vol_ratio ** (kappa * v / (v + gamma_mix))
             * math.exp(-beta_p * s)
         )
-        try:
-            rho_s = steady_state(assemble(family, localize(family, x, x_prime, patch)))
-        except DegenerateSteadyStateError:
+        hyb = localize(family, x, x_prime, patch)
+        key = hyb.tobytes()
+        if key not in by_point:
+            try:
+                rho_s = steady_state(assemble(family, hyb))
+                by_point[key] = abs(rho_s.expectation(O_full) - base)
+            except DegenerateSteadyStateError:
+                by_point[key] = None
+        if by_point[key] is None:
             values.append(math.nan)
             excluded.append(i)
-            continue
-        values.append(abs(rho_s.expectation(O_full) - base))
+        else:
+            values.append(by_point[key])
     return fit_decay(list(map(float, s_grid)), values, label="radius",
                      boot_seed=boot_seed, envelope=envelope, excluded=excluded)
 

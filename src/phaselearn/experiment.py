@@ -31,6 +31,7 @@ from .diagnostics import (
 from .errors import ConfigError
 from .lattice import Lattice, Region, ball, embed, enlarge, observable_from_string
 from .learner import LearnerPlan, PlanConstants, coverage_report, plan, predict
+from .lindblad import assemble, steady_state
 from .models import Model, generate_state, instantiate, sample_parameters
 from .plotting import decay_plot_svg, sweep_plot_svg
 from .seeding import stream_seed
@@ -139,9 +140,11 @@ def _setup(cfg: ExperimentConfig):
     return model, cfg.parse_observables()
 
 
-def _write_timing(out: Path, t_start: float) -> None:
-    (out / "timing.log").write_text(
-        f"wall_clock_seconds {time.perf_counter() - t_start:.3f}\n")
+def _write_timing(out: Path, t_start: float,
+                  scan_seconds: dict[str, float] | None = None) -> None:
+    lines = [f"wall_clock_seconds {time.perf_counter() - t_start:.3f}"]
+    lines += [f"scan_seconds {name} {s:.3f}" for name, s in (scan_seconds or {}).items()]
+    (out / "timing.log").write_text("\n".join(lines) + "\n")
 
 
 def _write_plan(cfg: ExperimentConfig, model: Model) -> LearnerPlan:
@@ -191,7 +194,8 @@ def _read_plan(out: Path) -> LearnerPlan | None:
 def _read_bundle(cfg: ExperimentConfig) -> tuple[LearnerPlan, TrainingSet]:
     """The out dir's plan.json and training.shadows; a missing or malformed
     file, no records, or a model, lattice, mode or ancilla choice other than
-    the config's is a ConfigError naming the file and field."""
+    the config's, or records whose width is not the config's site count, is a
+    ConfigError naming the file and field."""
     out = Path(cfg.out_dir)
     train_path = out / "training.shadows"
     p = _read_plan(out) if train_path.exists() else None
@@ -209,6 +213,10 @@ def _read_bundle(cfg: ExperimentConfig) -> tuple[LearnerPlan, TrainingSet]:
     ):
         if found != asked:
             raise ConfigError(f"{field} is {found!r}, config asks for {asked!r}")
+    width = training.bases.shape[1]
+    if width != cfg.lattice.n_sites:
+        raise ConfigError(f"training.shadows records cover {width} sites, "
+                          f"config's lattice has {cfg.lattice.n_sites}")
     off = np.flatnonzero(training.omegas != cfg.omega)
     if off.size:
         raise ConfigError(f"training.shadows record {off[0] + 1} was collected at omega = "
@@ -325,10 +333,14 @@ def _auto_regions(cfg: ExperimentConfig) -> tuple[Region, Region, Region]:
 
 def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     """All five structural scans on the configured model; per-scan CSV, JSON
-    and SVG (drawn by :func:`emit_plots` from the CSV and JSON).
+    and SVG (drawn by :func:`emit_plots` from the CSV and JSON), and each
+    scan's wall seconds in timing.log.
 
-    The battery records a pass flag per scan: positive decay certified
-    (lower bootstrap CI bound above zero) or an identically-zero curve.
+    The steady state at x is solved once and handed to the mixing and
+    localisation scans as their ``rho_inf``; within each scan, radii that give
+    the same hybrid point share one solve.  The battery records a pass flag
+    per scan: positive decay certified (lower bootstrap CI bound above zero)
+    or an identically-zero curve.
     """
     t_start = time.perf_counter()
     out = Path(cfg.out_dir)
@@ -352,19 +364,26 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     diam = max(1, cfg.lattice.n_sites - 1) if cfg.lattice.dim == 1 else 4
     boot = stream_seed(cfg.seed, "bootstrap")
     fits: dict[str, DecayFit] = {}
-    fits["lieb_robinson"] = lieb_robinson_scan(fam, x, xp, obs, t=1.0,
-                                               r_max=min(diam, 6), rtol=1e-8,
-                                               boot_seed=boot)
-    fits["mixing"] = mixing_scan(fam, x, ref, obs, DEFAULT_T_GRID, boot_seed=boot)
-    fits["ltqo"] = ltqo_scan(fam, x, xp, obs, s_grid=list(range(min(diam, 4) + 1)),
-                             gamma_mix=max(fits["mixing"].rate, 0.1),
-                             kappa=cfg.kappa_exponent, boot_seed=boot)
-    fits["compatibility"] = compatibility_scan(fam, x, a, r, w,
-                                               t_grid=(0.5, 1.0, 2.0, 4.0),
-                                               boot_seed=boot)
-    fits["stability"] = stability_scan(fam, np.zeros(fam.m), 0.5, obs, ref,
-                                       gamma_mix=max(fits["mixing"].rate, 0.1),
-                                       kappa=cfg.kappa_exponent, boot_seed=boot)
+    seconds: dict[str, float] = {}
+
+    def scan(name: str, fn, *args, **kwargs) -> None:
+        t0 = time.perf_counter()
+        fits[name] = fn(*args, **kwargs)
+        seconds[name] = time.perf_counter() - t0
+
+    scan("lieb_robinson", lieb_robinson_scan, fam, x, xp, obs, t=1.0,
+         r_max=min(diam, 6), rtol=1e-8, boot_seed=boot)
+    rho_inf = steady_state(assemble(fam, x))
+    scan("mixing", mixing_scan, fam, x, ref, obs, DEFAULT_T_GRID, rho_inf=rho_inf,
+         boot_seed=boot)
+    gamma_mix = max(fits["mixing"].rate, 0.1)
+    scan("ltqo", ltqo_scan, fam, x, xp, obs, s_grid=list(range(min(diam, 4) + 1)),
+         gamma_mix=gamma_mix, kappa=cfg.kappa_exponent, rho_inf=rho_inf,
+         boot_seed=boot)
+    scan("compatibility", compatibility_scan, fam, x, a, r, w,
+         t_grid=(0.5, 1.0, 2.0, 4.0), boot_seed=boot)
+    scan("stability", stability_scan, fam, np.zeros(fam.m), 0.5, obs, ref,
+         gamma_mix=gamma_mix, kappa=cfg.kappa_exponent, boot_seed=boot)
     battery = {}
     for name, fit in fits.items():
         _fit_csv(out / f"diag_{name}.csv", fit)
@@ -379,7 +398,7 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     battery["all_pass"] = all(v["passes"] for v in battery.values() if isinstance(v, dict))
     _write_json(out / "battery.json", battery)
     emit_plots(out, model.name)
-    _write_timing(out, t_start)
+    _write_timing(out, t_start, seconds)
     files = {f"diag_{n}": f"diag_{n}.csv" for n in fits}
     files["battery"] = "battery.json"
     return files

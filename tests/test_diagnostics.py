@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import amplitude_damping_family
-from phaselearn.lattice import Lattice, Region, observable_from_string
-from phaselearn.lindblad import DensityMatrix, assemble, steady_state
+from conftest import SM, amplitude_damping_family
+from phaselearn import diagnostics
+from phaselearn.lattice import Lattice, Region, embed, enlarge, observable_from_string
+from phaselearn.lindblad import (
+    DensityMatrix,
+    LindbladTerm,
+    ParamLindbladian,
+    assemble,
+    heisenberg_evolve,
+    localize,
+    steady_state,
+)
 from phaselearn.diagnostics import (
     calibrate_constants,
     certify_lr_constants,
@@ -185,6 +194,86 @@ class TestLtqoScan:
         obs = observable_from_string("Z@2", lat)
         fit = ltqo_scan(model.family, x, xp, obs, s_grid=[1, 2])
         assert max(fit.values) <= 1e-9
+
+
+def _two_site_damping() -> ParamLindbladian:
+    """Per-site damping at rate (1 + x_j) / 2: x_j = -1 leaves site j undamped."""
+    lat = Lattice(1, (2,), "open")
+    terms = [
+        LindbladTerm(Region((j,)), (j,),
+                     lambda xs: (None, [np.sqrt((1.0 + xs[0]) / 2.0) * SM]), f"ad{j}")
+        for j in range(2)
+    ]
+    return ParamLindbladian(lat, terms, name="two_site_damping")
+
+
+class TestScanReuse:
+    """Radii that give the same hybrid point share one solve within a scan."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of the scans' steady_state and heisenberg_evolve, by name."""
+        seen = {"steady_state": 0, "heisenberg_evolve": 0}
+        for name in seen:
+            def counted(*args, _fn=getattr(diagnostics, name), _name=name, **kwargs):
+                seen[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(diagnostics, name, counted)
+        return seen
+
+    @pytest.fixture
+    def tfim4(self):
+        lat = Lattice(1, (4,), "open")
+        fam = instantiate("dissipative_tfim", lat).family
+        rng = np.random.default_rng(21)
+        x, xp = rng.uniform(-1, 1, fam.m), rng.uniform(-1, 1, fam.m)
+        return fam, x, xp, observable_from_string("Z@1", lat)
+
+    @staticmethod
+    def _points(fam, x, xp, obs, radii) -> int:
+        return len({localize(fam, x, xp, enlarge(fam.lattice, obs.support, r)).tobytes()
+                    for r in radii})
+
+    def test_ltqo_one_solve_per_distinct_point(self, counts, tfim4):
+        fam, x, xp, obs = tfim4
+        s_grid = [0, 1, 2, 3, 4]
+        assert self._points(fam, x, xp, obs, s_grid) == 3  # s >= 2 covers the chain
+        fit = ltqo_scan(fam, x, xp, obs, s_grid=s_grid)
+        assert counts["steady_state"] == 3 + 1  # plus the base solve at x
+        singles = [ltqo_scan(fam, x, xp, obs, s_grid=[s]).values[0] for s in s_grid]
+        assert fit.values == tuple(singles)
+
+    def test_ltqo_repeated_degenerate_point_stays_excluded(self, counts):
+        fam = _two_site_damping()
+        obs = observable_from_string("Z@0", fam.lattice)
+        # at s = 0 site 1 keeps x' = -1, so the localized kernel is degenerate
+        fit = ltqo_scan(fam, np.array([0.5, 0.5]), np.array([-1.0, -1.0]), obs,
+                        s_grid=[0, 0, 1])
+        assert fit.excluded == (0, 1)
+        assert math.isnan(fit.values[0]) and math.isnan(fit.values[1])
+        assert counts["steady_state"] == 2 + 1
+
+    def test_ltqo_given_steady_state_matches(self, counts, tfim4):
+        fam, x, xp, obs = tfim4
+        plain = ltqo_scan(fam, x, xp, obs, s_grid=[0, 1, 2])
+        rho_inf = steady_state(assemble(fam, x))
+        calls = counts["steady_state"]
+        given = ltqo_scan(fam, x, xp, obs, s_grid=[0, 1, 2], rho_inf=rho_inf)
+        assert repr(given) == repr(plain)
+        assert counts["steady_state"] - calls == 3  # no base solve
+
+    def test_lieb_robinson_one_evolution_per_distinct_point(self, counts, tfim4):
+        fam, x, xp, obs = tfim4
+        radii = range(4)
+        assert self._points(fam, x, xp, obs, radii) == 3
+        fit = lieb_robinson_scan(fam, x, xp, obs, t=1.0, r_max=3)
+        assert counts["heisenberg_evolve"] == 3 + 1  # plus the evolution at x
+        O_full = embed(obs, fam.lattice, n_total=fam.n_total)
+        O_t = heisenberg_evolve(assemble(fam, x), O_full, 1.0, rtol=1e-8)
+        singles = [operator_norm(O_t - heisenberg_evolve(
+            assemble(fam, localize(fam, x, xp, enlarge(fam.lattice, obs.support, r))),
+            O_full, 1.0, rtol=1e-8)) for r in radii]
+        assert fit.values == tuple(singles)
 
 
 class TestCompatibilityScan:

@@ -127,6 +127,20 @@ def _edit_first_record(index: int, change):
     return edit
 
 
+def _cut_records(width: int):
+    """An edit of the shadows lines: every record's basis and outcome strings
+    cut to their first ``width`` sites."""
+    def edit(lines: list[str]) -> list[str]:
+        out = []
+        for line in lines:
+            fields = line.split(" ")
+            if not line.startswith("#"):
+                fields[3], fields[4] = fields[3][:width], fields[4][:width]
+            out.append(" ".join(fields))
+        return out
+    return edit
+
+
 class TestConfig:
     def test_full_roundtrip(self, tmp_path):
         cfg = _cfg(SMALL_LEARNING, tmp_path)
@@ -388,6 +402,16 @@ class TestBattery:
             assert (tmp_path / f"diag_{scan}.csv").exists()
             assert (tmp_path / f"diag_{scan}.svg").exists()
 
+    def test_timing_log_has_one_line_per_scan(self, tmp_path):
+        run_diagnostic_battery(_cfg(SMALL_BATTERY, tmp_path))
+        lines = (tmp_path / "timing.log").read_text().splitlines()
+        assert lines[0].startswith("wall_clock_seconds ")
+        scans = [line.split(" ") for line in lines[1:]]
+        assert [(tag, name) for tag, name, _ in scans] == [
+            ("scan_seconds", name) for name in
+            ("lieb_robinson", "mixing", "ltqo", "compatibility", "stability")]
+        assert all(float(s) >= 0.0 for _, _, s in scans)
+
     def test_battery_rerun_identical(self, tmp_path):
         cfg1 = _cfg(SMALL_BATTERY, tmp_path / "a")
         cfg2 = _cfg(SMALL_BATTERY, tmp_path / "b")
@@ -574,6 +598,8 @@ class TestCli:
         ("predict", lambda out, p: _edit_lines(p, lambda lines: [
             l.replace("extent = [6]", "extent = [8]") for l in lines]), [],
          "training.shadows lattice"),
+        ("predict", lambda out, p: _edit_lines(out / "training.shadows", _cut_records(3)), [],
+         "training.shadows records cover 3 sites, config's lattice has 6"),
         ("predict", lambda out, p: None, ["--mode", "general"], "training.shadows mode"),
         ("predict", lambda out, p: _edit_plan(out, mode="general_phase"), [], "plan.json mode"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", _edit_first_record(
@@ -596,7 +622,8 @@ class TestCli:
         ("plot", lambda out, p: _edit_plan(out, N_log2="8"), [],
          "plan.json N_log2: expected number"),
     ], ids=["plan_not_json", "plan_missing_field", "plot_plan_not_json",
-            "shadows_without_records", "lattice_mismatch", "mode_mismatch",
+            "shadows_without_records", "lattice_mismatch", "records_too_narrow",
+            "mode_mismatch",
             "plan_mode_mismatch", "record_retagged", "shadows_v1", "x_nan", "tau_negative",
             "plan_r_string", "plan_gamma_string",
             "plan_capped_integer", "plan_constant_string", "plot_n_log2_string"])
