@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ConfigError
-from .lattice import Lattice, LocalObservable, Region, observable_from_string
+from .lattice import Lattice, LocalObservable, Region, check_nesting, observable_from_string
 
 __all__ = ["MODE_ALIASES", "ExperimentConfig", "load_config", "parse_config_text"]
 
@@ -189,16 +189,16 @@ class ExperimentConfig:
         if not need <= set(self.diagnostics_regions):
             raise ConfigError("diagnostics regions need keys 'a', 'r', 'w'")
         n = self.lattice.n_sites
-        prev_key, prev = "", set()
+        regions = []
         for key in ("a", "r", "w"):
-            sites = set(self.diagnostics_regions[key])
+            sites = self.diagnostics_regions[key]
             if not sites or any(not 0 <= s < n for s in sites):
                 raise ConfigError(f"region {key!r} has sites outside the lattice")
-            if prev and not prev <= sites:
-                raise ConfigError("diagnostics regions must nest a within r within w")
-            if prev & Region(tuple(sites)).boundary_sites(self.lattice):
-                raise ConfigError(f"region {prev_key!r} meets the boundary of region {key!r}")
-            prev_key, prev = key, sites
+            regions.append(Region(tuple(sites)))
+        try:
+            check_nesting(self.lattice, *regions)
+        except ValueError as exc:
+            raise ConfigError(f"diagnostics {exc}") from exc
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

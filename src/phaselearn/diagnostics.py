@@ -32,7 +32,7 @@ from .errors import DegenerateSteadyStateError
 from .lattice import (
     LocalObservable,
     Region,
-    distance,
+    check_nesting,
     embed,
     enlarge,
     l1_ball_volume,
@@ -199,22 +199,16 @@ def certify_lr_constants(family: ParamLindbladian) -> float:
 
     Ancilla terms are charged to their anchor site.  The envelopes decay in
     space at the same rate MU (they stay one-sided upper bounds under this
-    choice).
+    choice).  Each site adds its terms in term order, which fixes the float sum.
     """
     lat = family.lattice
     anchor_of = {a.slot: a.anchor for a in family.ancillas}
-    worst = 0.0
-    for z in lat.all_sites():
-        total = 0.0
-        for ti in range(len(family.terms)):
-            c = family.term_centers[ti]
-            c = anchor_of.get(c, c)
-            r = family.term_radii[ti]
-            if distance(lat, c, z) <= r:
-                total += (family.term_strengths[ti]
-                          * l1_ball_volume(r, lat.dim) * math.exp(MU * r))
-        worst = max(worst, total)
-    return 2.0 * worst
+    totals = np.zeros(lat.n_sites)
+    for c, r, strength in zip(family.term_centers, family.term_radii,
+                              family.term_strengths):
+        reached = lat.distances(anchor_of.get(c, c)) <= r
+        totals[reached] += strength * l1_ball_volume(r, lat.dim) * math.exp(MU * r)
+    return 2.0 * float(totals.max())
 
 
 def _check_scan_size(family: ParamLindbladian) -> None:
@@ -236,7 +230,7 @@ def lieb_robinson_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservabl
     _check_scan_size(family)
     lat = family.lattice
     if r_max is None:
-        r_max = max(distance(lat, u, v) for u in lat.all_sites() for v in lat.all_sites())
+        r_max = Region(tuple(lat.all_sites())).diameter(lat)
     v = certify_lr_constants(family)
     if v * t > 700.0:
         raise ValueError(f"e^(vt) overflows for certified v={v:.3g}, t={t}")
@@ -346,16 +340,9 @@ def compatibility_scan(family: ParamLindbladian, x, region_a: Region,
     Evolves the restriction of the W-region steady state under the R-region
     generator and tracks the trace distance of its A-marginal from the
     R-region steady state.  Requires A inside R away from R's boundary, and R
-    inside W away from W's boundary.
+    inside W away from W's boundary (:func:`~phaselearn.lattice.check_nesting`).
     """
-    lat = family.lattice
-    a_set, r_set, w_set = region_a.as_set(), region_r.as_set(), region_w.as_set()
-    if not (a_set <= r_set and r_set <= w_set):
-        raise ValueError("regions must nest: A within R within W")
-    if a_set & region_r.boundary_sites(lat):
-        raise ValueError("A must avoid the boundary of R")
-    if r_set & region_w.boundary_sites(lat):
-        raise ValueError("R must avoid the boundary of W")
+    check_nesting(family.lattice, region_a, region_r, region_w)
     fam_w, map_w = subfamily(family, region_w)
     fam_r, map_r = subfamily(family, region_r)
     if fam_w.n_total > SCAN_SITE_CAP:
@@ -397,13 +384,14 @@ def stability_scan(family: ParamLindbladian, x, delta: float,
     _check_scan_size(family)
     lat = family.lattice
     xv = family.as_values(x)
-    obs_sites = list(obs.support.sites)
+    # distance of every site from the nearest site of the observable support
+    to_obs = np.min([lat.distances(o) for o in obs.support.sites], axis=0)
     by_distance: dict[int, int] = {}
     for ci, info in enumerate(family.coord_info):
         sites = [s for s in info.support if s < family.n_system]
         if not sites:
             continue
-        d = min(min(distance(lat, s, o) for o in obs_sites) for s in sites)
+        d = int(to_obs[sites].min())
         if d not in by_distance or ci < by_distance[d]:
             by_distance[d] = ci
     O_full = embed(obs, lat, n_total=family.n_total)

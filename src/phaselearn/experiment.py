@@ -340,9 +340,14 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     localisation scans as their ``rho_inf``; within each scan, radii that give
     the same hybrid point share one solve.  The battery records a pass flag
     per scan: positive decay certified (lower bootstrap CI bound above zero)
-    or an identically-zero curve.
+    or an identically-zero curve.  The compatibility scan cuts sub-chains out
+    of the chain, so a 2D lattice or an ancilla register fails before any scan.
     """
     t_start = time.perf_counter()
+    if cfg.lattice.dim != 1:
+        raise ConfigError("[lattice] dim: the diagnostic battery needs a 1D chain")
+    if cfg.omega != 0:
+        raise ConfigError("[mode] omega: the diagnostic battery takes no ancilla registers")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model, observables = _setup(cfg)

@@ -5,7 +5,8 @@ Conventions fixed here and used identically by every other module:
 * sites are indexed row-major; site 0 is the tensor factor acted on by the
   leftmost Kronecker slot,
 * the lattice metric is the l1 (Manhattan) distance, wrapped per axis under
-  periodic boundary conditions,
+  periodic boundary conditions; every geometric query reads it one site at a
+  time, as the vectorised row ``Lattice.distances(u)``,
 * full-space dense embeddings are only permitted up to ``DENSE_SITE_CAP``
   sites; larger systems must stay on structured paths.
 """
@@ -13,6 +14,7 @@ Conventions fixed here and used identically by every other module:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -28,8 +30,10 @@ __all__ = [
     "distance",
     "ball",
     "enlarge",
+    "check_nesting",
     "embed",
     "embed_sparse_indices",
+    "embed_triplets",
     "pauli_matrix",
     "observable_from_string",
     "l1_ball_volume",
@@ -64,14 +68,16 @@ class Lattice:
 
     @property
     def n_sites(self) -> int:
-        return int(np.prod(self.extent))
+        return math.prod(self.extent)
 
-    def coords(self, site: int) -> tuple[int, ...]:
-        """Row-major coordinates of a site index."""
-        self._check_site(site)
-        if self.dim == 1:
-            return (site,)
-        return divmod(site, self.extent[1])
+    def distances(self, u: int) -> np.ndarray:
+        """l1 distance from site ``u`` to every site; wraps per axis on a torus."""
+        self._check_site(u)
+        grid = np.indices(self.extent).reshape(self.dim, -1)
+        step = np.abs(grid - grid[:, u, None])
+        if self.boundary == "periodic":
+            step = np.minimum(step, np.array(self.extent)[:, None] - step)
+        return step.sum(axis=0)
 
     def _check_site(self, s: int) -> None:
         if not 0 <= s < self.n_sites:
@@ -94,16 +100,9 @@ class Lattice:
 
 def distance(lattice: Lattice, u: int, v: int) -> int:
     """l1 lattice distance; wraps per axis on a torus."""
-    lattice._check_site(u)
+    row = lattice.distances(u)
     lattice._check_site(v)
-    cu, cv = lattice.coords(u), lattice.coords(v)
-    total = 0
-    for a, b, ext in zip(cu, cv, lattice.extent):
-        step = abs(a - b)
-        if lattice.boundary == "periodic":
-            step = min(step, ext - step)
-        total += step
-    return total
+    return int(row[v])
 
 
 @dataclass(frozen=True)
@@ -129,28 +128,23 @@ class Region:
         return frozenset(self.sites)
 
     def diameter(self, lattice: Lattice) -> int:
-        if not self.sites:
-            return 0
-        return max(distance(lattice, u, v) for u in self.sites for v in self.sites)
+        sites = list(self.sites)
+        return max((int(lattice.distances(u)[sites].max()) for u in sites), default=0)
 
     def boundary_sites(self, lattice: Lattice) -> frozenset[int]:
         """Sites of the region with at least one neighbour outside it."""
-        inside = self.as_set()
-        out = []
-        for s in self.sites:
-            for t in lattice.all_sites():
-                if t not in inside and distance(lattice, s, t) == 1:
-                    out.append(s)
-                    break
-        return frozenset(out)
+        rows = [lattice.distances(s) for s in self.sites]
+        outside = np.ones(lattice.n_sites, dtype=bool)
+        outside[list(self.sites)] = False
+        return frozenset(s for s, row in zip(self.sites, rows) if (outside & (row == 1)).any())
 
 
 def ball(lattice: Lattice, center: int, radius: int) -> Region:
     """All sites within l1 distance ``radius`` of ``center``."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    sites = [v for v in lattice.all_sites() if distance(lattice, center, v) <= radius]
-    return Region(tuple(sites), descriptor=f"ball({center},{radius})")
+    sites = np.flatnonzero(lattice.distances(center) <= radius)
+    return Region(tuple(sites.tolist()), descriptor=f"ball({center},{radius})")
 
 
 def enlarge(lattice: Lattice, region: Region, r: int) -> Region:
@@ -159,10 +153,23 @@ def enlarge(lattice: Lattice, region: Region, r: int) -> Region:
         raise ValueError("enlargement radius must be >= 0")
     if r == 0:
         return region
-    out: set[int] = set()
+    near = np.zeros(lattice.n_sites, dtype=bool)
     for s in region.sites:
-        out.update(ball(lattice, s, r).sites)
-    return Region(tuple(sorted(out)), descriptor=f"enlarge({region.descriptor},{r})")
+        near |= lattice.distances(s) <= r
+    return Region(tuple(np.flatnonzero(near).tolist()),
+                  descriptor=f"enlarge({region.descriptor},{r})")
+
+
+def check_nesting(lattice: Lattice, a: Region, r: Region, w: Region) -> None:
+    """ValueError unless A lies within R within W, A avoids the boundary of R
+    and R avoids the boundary of W."""
+    a_set, r_set = a.as_set(), r.as_set()
+    if not (a_set <= r_set and r_set <= w.as_set()):
+        raise ValueError("regions must nest a within r within w")
+    if a_set & r.boundary_sites(lattice):
+        raise ValueError("region 'a' meets the boundary of region 'r'")
+    if r_set & w.boundary_sites(lattice):
+        raise ValueError("region 'r' meets the boundary of region 'w'")
 
 
 def l1_ball_volume(radius: int, dim: int) -> int:
@@ -267,6 +274,16 @@ def embed_sparse_indices(
     return offsets(sites), offsets(rest)
 
 
+def embed_triplets(mat: np.ndarray, local_offsets: np.ndarray,
+                   rest_offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO triplets (rows, cols, data) of ``mat`` tensored with the identity on
+    the complement, from the offsets of :func:`embed_sparse_indices`."""
+    li, lj = np.nonzero(mat)
+    rows = (rest_offsets[:, None] + local_offsets[li][None, :]).ravel()
+    cols = (rest_offsets[:, None] + local_offsets[lj][None, :]).ravel()
+    return rows, cols, np.tile(mat[li, lj], rest_offsets.size)
+
+
 def embed(op: LocalObservable | np.ndarray, lattice: Lattice,
           sites: Sequence[int] | None = None, n_total: int | None = None) -> np.ndarray:
     """Dense full-space matrix of a local operator, identity elsewhere.
@@ -293,12 +310,7 @@ def embed(op: LocalObservable | np.ndarray, lattice: Lattice,
         perm = list(order) + [k + int(o) for o in order]
         mat = t.transpose(perm).reshape(2**k, 2**k)
         sites = sorted(sites)
-    dim = 2**n
-    loc, rest = embed_sparse_indices(n, sites)
-    out = np.zeros((dim, dim), dtype=complex)
-    li, lj = np.nonzero(mat)
-    vals = mat[li, lj]
-    rows = (rest[:, None] + loc[li][None, :]).ravel()
-    cols = (rest[:, None] + loc[lj][None, :]).ravel()
-    out[rows, cols] = np.tile(vals, rest.size)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    rows, cols, vals = embed_triplets(mat, *embed_sparse_indices(n, sites))
+    out[rows, cols] = vals
     return out

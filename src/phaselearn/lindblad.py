@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from .errors import DegenerateSteadyStateError, NumericalError
-from .lattice import CoordInfo, Lattice, Region, embed_sparse_indices
+from .lattice import CoordInfo, Lattice, Region, embed_sparse_indices, embed_triplets
 
 __all__ = [
     "SUPEROP_SITE_CAP",
@@ -151,24 +151,18 @@ class ParamLindbladian:
     # -- structure ---------------------------------------------------------
 
     def _support_geometry(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per term: a center minimising the covering-ball radius, and that radius."""
-        from .lattice import distance
-
+        """Per term: the first center minimising the covering-ball radius, and that radius."""
         centers, radii = [], []
         for term in self.terms:
             sites = [s for s in term.support.sites if s < self.n_system]
             if not sites:
-                anc = term.support.sites[0]
-                centers.append(anc)
+                centers.append(term.support.sites[0])
                 radii.append(0)
                 continue
-            best_c, best_r = sites[0], None
-            for u in sites:
-                r = max(distance(self.lattice, u, v) for v in sites)
-                if best_r is None or r < best_r:
-                    best_c, best_r = u, r
-            centers.append(best_c)
-            radii.append(int(best_r))
+            ecc = [int(self.lattice.distances(u)[sites].max()) for u in sites]
+            best = int(np.argmin(ecc))
+            centers.append(sites[best])
+            radii.append(ecc[best])
         return tuple(centers), tuple(radii)
 
     def _certify_strengths(self) -> tuple[float, ...]:
@@ -232,11 +226,7 @@ class ParamLindbladian:
                 - 0.5 * _kron(LdL.T, eye)
             )
         # the local matrix above is ordered like the term's vec-space slots
-        loc, rest = self._term_offsets[term_index]
-        li, lj = np.nonzero(local)
-        rows = (rest[:, None] + loc[li][None, :]).ravel()
-        cols = (rest[:, None] + loc[lj][None, :]).ravel()
-        return rows, cols, np.tile(local[li, lj], rest.size)
+        return embed_triplets(local, *self._term_offsets[term_index])
 
 
 @dataclass

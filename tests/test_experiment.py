@@ -505,6 +505,18 @@ class TestCli:
         p = self._write_cfg(tmp_path, text)
         assert cli_main(["diagnose", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("dim = 1\nextent = [5]", "dim = 2\nextent = [2, 3]", "[lattice] dim"),
+        ('mode = "steady"', 'mode = "steady"\nomega = 1', "[mode] omega"),
+    ], ids=["lattice_2d", "ancillas"])
+    def test_battery_geometry_rejected_before_scans(self, tmp_path, capsys, old, new, key):
+        # the compatibility scan cuts the chain into sub-chains; no scan may run first
+        p = self._write_cfg(tmp_path, SMALL_BATTERY.replace(old, new))
+        out = tmp_path / "o"
+        assert cli_main(["diagnose", "--config", str(p), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(out.glob("diag_*"))
+
     def test_corrupt_shadows_exit_code(self, tmp_path):
         p = self._write_cfg(tmp_path, SMALL_LEARNING.replace("n_override = 6000",
                                                              "n_override = 50"))

@@ -77,6 +77,125 @@ class TestRegions:
         assert Region((0, 1, 2, 3, 4)).boundary_sites(chain5) == frozenset()
 
 
+# Loop definitions of the metric and the region queries, kept here as the
+# reference the vectorised rows are checked against.
+
+def ref_coords(lat, s):
+    return (s,) if lat.dim == 1 else divmod(s, lat.extent[1])
+
+
+def ref_distance(lat, u, v):
+    total = 0
+    for a, b, ext in zip(ref_coords(lat, u), ref_coords(lat, v), lat.extent):
+        step = abs(a - b)
+        if lat.boundary == "periodic":
+            step = min(step, ext - step)
+        total += step
+    return total
+
+
+def ref_ball(lat, center, radius):
+    return tuple(v for v in lat.all_sites() if ref_distance(lat, center, v) <= radius)
+
+
+def ref_enlarge(lat, sites, r):
+    return tuple(sorted({v for s in sites for v in ref_ball(lat, s, r)}))
+
+
+def ref_diameter(lat, sites):
+    return max((ref_distance(lat, u, v) for u in sites for v in sites), default=0)
+
+
+def ref_boundary_sites(lat, sites):
+    return frozenset(s for s in sites
+                     if any(t not in sites and ref_distance(lat, s, t) == 1
+                            for t in lat.all_sites()))
+
+
+def ref_support_geometry(fam):
+    """Per term: the first site minimising the covering radius, and that radius."""
+    centers, radii = [], []
+    for term in fam.terms:
+        sites = [s for s in term.support.sites if s < fam.n_system]
+        if not sites:
+            centers.append(term.support.sites[0])
+            radii.append(0)
+            continue
+        best_c, best_r = sites[0], None
+        for u in sites:
+            r = max(ref_distance(fam.lattice, u, v) for v in sites)
+            if best_r is None or r < best_r:
+                best_c, best_r = u, r
+        centers.append(best_c)
+        radii.append(best_r)
+    return tuple(centers), tuple(radii)
+
+
+@st.composite
+def lattices(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    extent = tuple(draw(st.integers(1, 5)) for _ in range(dim))
+    return Lattice(dim, extent, draw(st.sampled_from(["open", "periodic"])))
+
+
+@st.composite
+def lattice_and_sites(draw):
+    lat = draw(lattices())
+    sites = draw(st.sets(st.integers(0, lat.n_sites - 1), max_size=lat.n_sites))
+    return lat, tuple(sorted(sites))
+
+
+class TestMetricRows:
+    @given(lattices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_distances_match_divmod_reference(self, lat, data):
+        u = data.draw(st.integers(0, lat.n_sites - 1))
+        row = lat.distances(u)
+        assert row.shape == (lat.n_sites,)
+        assert row.tolist() == [ref_distance(lat, u, v) for v in lat.all_sites()]
+        v = data.draw(st.integers(0, lat.n_sites - 1))
+        assert distance(lat, u, v) == ref_distance(lat, u, v)
+
+    def test_distances_rejects_bad_site(self, grid33):
+        for bad in (-1, 9):
+            with pytest.raises(ValueError):
+                grid33.distances(bad)
+        with pytest.raises(ValueError):
+            distance(grid33, 0, -1)
+
+    @given(lattice_and_sites(), st.integers(0, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ball_and_enlarge_match_loops(self, lat_sites, r, data):
+        lat, sites = lat_sites
+        c = data.draw(st.integers(0, lat.n_sites - 1))
+        assert ball(lat, c, r).sites == ref_ball(lat, c, r)
+        assert enlarge(lat, Region(sites), r).sites == ref_enlarge(lat, sites, r)
+
+    @given(lattice_and_sites())
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_and_diameter_match_loops(self, lat_sites):
+        lat, sites = lat_sites
+        region = Region(sites)
+        assert region.boundary_sites(lat) == ref_boundary_sites(lat, set(sites))
+        assert region.diameter(lat) == ref_diameter(lat, sites)
+
+    @given(lattices(), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_term_geometry_matches_loop(self, lat, with_ancillas, data):
+        from phaselearn.lindblad import AncillaSpec, LindbladTerm, ParamLindbladian
+
+        n = lat.n_sites
+        ancillas = [AncillaSpec(slot=n + k, anchor=a, state=np.diag([1.0, 0.0]))
+                    for k, a in enumerate((0, n - 1))] if with_ancillas else []
+        slots = st.integers(0, n + len(ancillas) - 1)
+        supports = data.draw(st.lists(st.sets(slots, min_size=1, max_size=4),
+                                      min_size=1, max_size=6))
+        terms = [LindbladTerm(Region(tuple(s)), (), lambda _x: (None, []))
+                 for s in supports]
+        fam = ParamLindbladian(lat, terms, ancillas)
+        assert (fam.term_centers, fam.term_radii) == ref_support_geometry(fam)
+
+
 class TestParamVector:
     """Parameter vectors are plain arrays: the family checks them and names the
     coordinates a region restricts them to."""
