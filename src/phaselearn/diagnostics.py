@@ -288,7 +288,7 @@ def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
 
     ``rho_inf`` is the steady state at x; computed when None.  Radii that give
     the same hybrid point share one steady-state solve within the call, and
-    the full point x is solved again there even when ``rho_inf`` is given.
+    a radius whose patch covers every term gives x itself, whose value is 0.
     Points where the localized generator has a degenerate kernel are flagged
     and excluded from the fit, at every radius that repeats them.  The
     envelope is
@@ -305,7 +305,8 @@ def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
     values, excluded, envelope = [], [], []
     A = max(1, len(obs.support))
     beta_p = MU * gamma_mix / (v + gamma_mix)
-    by_point: dict[bytes, float | None] = {}  # hybrid point -> value, None if degenerate
+    # hybrid point -> value, None if degenerate
+    by_point: dict[bytes, float | None] = {family.as_values(x).tobytes(): 0.0}
     for i, s in enumerate(s_grid):
         patch = enlarge(lat, obs.support, int(s))
         vol_ratio = len(patch) / A
@@ -334,6 +335,7 @@ def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
 def compatibility_scan(family: ParamLindbladian, x, region_a: Region,
                        region_r: Region, region_w: Region,
                        t_grid: Sequence[float] = DEFAULT_T_GRID,
+                       rho_inf: DensityMatrix | None = None,
                        boot_seed: int = 0) -> DecayFit:
     """Nested-region steady-state consistency.
 
@@ -341,6 +343,8 @@ def compatibility_scan(family: ParamLindbladian, x, region_a: Region,
     generator and tracks the trace distance of its A-marginal from the
     R-region steady state.  Requires A inside R away from R's boundary, and R
     inside W away from W's boundary (:func:`~phaselearn.lattice.check_nesting`).
+    ``rho_inf`` is the steady state at x; when given and W holds every site,
+    it is the W-region steady state.
     """
     check_nesting(family.lattice, region_a, region_r, region_w)
     fam_w, map_w = subfamily(family, region_w)
@@ -348,7 +352,10 @@ def compatibility_scan(family: ParamLindbladian, x, region_a: Region,
     if fam_w.n_total > SCAN_SITE_CAP:
         raise ValueError(f"W region exceeds the scan cap of {SCAN_SITE_CAP} sites")
     xv = family.as_values(x)
-    rho_w = steady_state(assemble(fam_w, xv[map_w]))
+    if rho_inf is not None and region_w.sites == tuple(range(family.lattice.n_sites)):
+        rho_w = rho_inf
+    else:
+        rho_w = steady_state(assemble(fam_w, xv[map_w]))
     gen_r = assemble(fam_r, xv[map_r])
     rho_r = steady_state(gen_r)
     w_sites = list(region_w.sites)

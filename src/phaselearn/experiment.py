@@ -336,11 +336,11 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     and SVG (drawn by :func:`emit_plots` from the CSV and JSON), and each
     scan's wall seconds in timing.log.
 
-    The steady state at x is solved once and handed to the mixing and
-    localisation scans as their ``rho_inf``; within each scan, radii that give
-    the same hybrid point share one solve.  The battery records a pass flag
-    per scan: positive decay certified (lower bootstrap CI bound above zero)
-    or an identically-zero curve.  The compatibility scan cuts sub-chains out
+    The steady state at x is solved once and handed to the mixing, ltqo and
+    compatibility scans as their ``rho_inf``; within each scan, radii that
+    give the same hybrid point share one solve.  The battery records a pass
+    flag per scan: positive decay certified (lower bootstrap CI bound above
+    zero) or an identically-zero curve.  The compatibility scan cuts sub-chains out
     of the chain, so a 2D lattice or an ancilla register fails before any scan.
     """
     t_start = time.perf_counter()
@@ -386,7 +386,7 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
          gamma_mix=gamma_mix, kappa=cfg.kappa_exponent, rho_inf=rho_inf,
          boot_seed=boot)
     scan("compatibility", compatibility_scan, fam, x, a, r, w,
-         t_grid=(0.5, 1.0, 2.0, 4.0), boot_seed=boot)
+         t_grid=(0.5, 1.0, 2.0, 4.0), rho_inf=rho_inf, boot_seed=boot)
     scan("stability", stability_scan, fam, np.zeros(fam.m), 0.5, obs, ref,
          gamma_mix=gamma_mix, kappa=cfg.kappa_exponent, boot_seed=boot)
     battery = {}

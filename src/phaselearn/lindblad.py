@@ -388,12 +388,11 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 
 
-def _inverse_iteration(matrix: sp.csr_matrix, shifted: sp.csc_matrix,
+def _inverse_iteration(matrix: sp.csr_matrix, lu: spla.SuperLU,
                        seed: np.ndarray) -> tuple[np.ndarray, float]:
-    """The eigenvector of ``matrix`` nearest the shift in ``shifted`` = M - shift I.
+    """The eigenvector of ``matrix`` nearest the shift of ``lu``, the LU of M - shift I.
     Returns (vector, residual ||M v|| / ||v||).
     """
-    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
     v = seed / np.linalg.norm(seed)
     resid = np.inf
     for _ in range(50):
@@ -410,7 +409,7 @@ def _inverse_iteration(matrix: sp.csr_matrix, shifted: sp.csc_matrix,
     return v, resid
 
 
-def _kernel_is_degenerate(matrix: sp.csr_matrix, shifted: sp.csc_matrix,
+def _kernel_is_degenerate(matrix: sp.csr_matrix, lu: spla.SuperLU,
                           v1: np.ndarray, line: float) -> tuple[bool, float]:
     """Whether ``matrix`` has a kernel vector besides ``v1``, and the last residual.
 
@@ -429,7 +428,6 @@ def _kernel_is_degenerate(matrix: sp.csr_matrix, shifted: sp.csc_matrix,
     v -= v1 * (v1.conj() @ v)
     if np.linalg.norm(v) <= 1e-12:
         return False, np.inf
-    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
     v = v / np.linalg.norm(v)
     resid, far = np.inf, 0
     for _ in range(50):
@@ -456,10 +454,10 @@ def steady_state(superop: Superoperator, resid_tol: float = 1e-9) -> DensityMatr
     degeneracy, which is an error (no silent selection).  The probe stops at
     its first residual below the 1e-8 * norm_scale line (degenerate) or once
     two solves in a row leave it 1e4 times above that line (simple kernel);
-    on generators with a simple kernel that is two solves.  Each iteration
-    factors the same shifted generator with SuperLU under the MMD_AT_PLUS_A
-    ordering (under half the fill of the default COLAMD on TFIM generators):
-    two sparse LU factorizations per steady state.  An iteration that fails
+    on generators with a simple kernel that is two solves.  The shifted
+    generator gets one SuperLU factorization, shared by the inverse iteration
+    and the deflated probe, under the MMD_AT_PLUS_A ordering (under half the
+    fill of the default COLAMD on TFIM generators).  An iteration that fails
     or stops above the line is a NumericalError.
     """
     M = superop.matrix
@@ -470,13 +468,14 @@ def steady_state(superop: Superoperator, resid_tol: float = 1e-9) -> DensityMatr
     seed = np.eye(D, dtype=complex).flatten(order="F") / D
 
     try:
-        v1, resid1 = _inverse_iteration(M, shifted, seed)
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
+        v1, resid1 = _inverse_iteration(M, lu, seed)
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise NumericalError(f"steady-state factorization failed: {exc}") from exc
     if resid1 > line:
         raise NumericalError(f"steady-state iteration did not converge (residual {resid1:.2e})")
 
-    degenerate, resid2 = _kernel_is_degenerate(M, shifted, v1, line)
+    degenerate, resid2 = _kernel_is_degenerate(M, lu, v1, line)
     if degenerate:
         raise DegenerateSteadyStateError(
             f"non-unique steady state: deflated kernel residual {resid2:.2e}"

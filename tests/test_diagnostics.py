@@ -239,7 +239,8 @@ class TestScanReuse:
         s_grid = [0, 1, 2, 3, 4]
         assert self._points(fam, x, xp, obs, s_grid) == 3  # s >= 2 covers the chain
         fit = ltqo_scan(fam, x, xp, obs, s_grid=s_grid)
-        assert counts["steady_state"] == 3 + 1  # plus the base solve at x
+        # the base solve at x, and one per distinct point other than x
+        assert counts["steady_state"] == 1 + 2
         singles = [ltqo_scan(fam, x, xp, obs, s_grid=[s]).values[0] for s in s_grid]
         assert fit.values == tuple(singles)
 
@@ -251,7 +252,7 @@ class TestScanReuse:
                         s_grid=[0, 0, 1])
         assert fit.excluded == (0, 1)
         assert math.isnan(fit.values[0]) and math.isnan(fit.values[1])
-        assert counts["steady_state"] == 2 + 1
+        assert counts["steady_state"] == 1 + 1  # s = 1 gives x itself
 
     def test_ltqo_given_steady_state_matches(self, counts, tfim4):
         fam, x, xp, obs = tfim4
@@ -260,7 +261,20 @@ class TestScanReuse:
         calls = counts["steady_state"]
         given = ltqo_scan(fam, x, xp, obs, s_grid=[0, 1, 2], rho_inf=rho_inf)
         assert repr(given) == repr(plain)
-        assert counts["steady_state"] - calls == 3  # no base solve
+        assert counts["steady_state"] - calls == 2  # no solve at x
+
+    def test_compatibility_given_steady_state_matches(self, counts):
+        lat = Lattice(1, (5,), "open")
+        fam = instantiate("dissipative_tfim", lat).family
+        x = np.clip(np.random.default_rng(9).uniform(-1, 1, fam.m), -0.8, 0.8)
+        regions = Region((2,)), Region((1, 2, 3)), Region((0, 1, 2, 3, 4))
+        plain = compatibility_scan(fam, x, *regions, t_grid=(0.5, 1.0))
+        rho_inf = steady_state(assemble(fam, x))
+        calls = counts["steady_state"]
+        assert calls == 2  # the W and R regions
+        given = compatibility_scan(fam, x, *regions, t_grid=(0.5, 1.0), rho_inf=rho_inf)
+        assert repr(given) == repr(plain)
+        assert counts["steady_state"] - calls == 1  # the R region only
 
     def test_lieb_robinson_one_evolution_per_distinct_point(self, counts, tfim4):
         fam, x, xp, obs = tfim4

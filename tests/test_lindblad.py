@@ -343,8 +343,8 @@ class TestSteadyState:
                  LindbladTerm(Region((1,)), (), lambda xs: (None, [Z.astype(complex)]), "deph")]
         gen = assemble(ParamLindbladian(lat, terms), np.zeros(0))
         M = gen.matrix
-        line, shifted, seed = _probe_inputs(M)
-        _, resid1 = lindblad._inverse_iteration(M, shifted, seed)
+        line, lu, seed = _probe_inputs(M)
+        _, resid1 = lindblad._inverse_iteration(M, lu, seed)
         assert resid1 < line
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(gen)
@@ -356,25 +356,39 @@ class TestSteadyState:
         rng = np.random.default_rng(seed)
         fam = _random_chain_family(rng, n, cancel=False, dissipate_all=dissipate_all)
         M = assemble(fam, rng.uniform(-1, 1, fam.m)).matrix
-        line, shifted, start = _probe_inputs(M)
-        try:
-            v1, resid1 = lindblad._inverse_iteration(M, shifted, start)
+        try:  # SuperLU reports an exactly singular factor as a RuntimeError
+            line, lu, start = _probe_inputs(M)
+            v1, resid1 = lindblad._inverse_iteration(M, lu, start)
         except (RuntimeError, NumericalError):
-            v1, resid1 = None, np.inf
-        assume(resid1 < line)
-        degenerate, _ = lindblad._kernel_is_degenerate(M, shifted, v1, line)
-        assert degenerate == _reference_probe(M, shifted, v1, line)
+            v1 = None
+        assume(v1 is not None and resid1 < line)
+        degenerate, _ = lindblad._kernel_is_degenerate(M, lu, v1, line)
+        assert degenerate == _reference_probe(M, lu, v1, line)
+
+    def test_one_factorization_per_steady_state(self, monkeypatch):
+        lat = Lattice(1, (3,), "open")
+        fam = instantiate("dissipative_tfim", lat).family
+        gen = assemble(fam, np.random.default_rng(4).uniform(-1, 1, fam.m))
+        calls = []
+
+        def counted(*args, _splu=spla.splu, **kwargs):
+            calls.append(args)
+            return _splu(*args, **kwargs)
+        monkeypatch.setattr(lindblad.spla, "splu", counted)
+        steady_state(gen)
+        assert len(calls) == 1
 
 
-def _probe_inputs(M: sp.csr_matrix) -> tuple[float, sp.csc_matrix, np.ndarray]:
-    """The decision line, shifted matrix and seed that ``steady_state`` uses."""
+def _probe_inputs(M: sp.csr_matrix) -> tuple[float, spla.SuperLU, np.ndarray]:
+    """The decision line, shifted-matrix factor and seed that ``steady_state`` uses."""
     norm_scale = max(1.0, float(np.abs(M).sum(axis=1).max()))
     shifted = (M - 1e-10 * norm_scale * sp.identity(M.shape[0], dtype=complex)).tocsc()
+    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
     D = int(round(np.sqrt(M.shape[0])))
-    return 1e-8 * norm_scale, shifted, np.eye(D, dtype=complex).flatten(order="F") / D
+    return 1e-8 * norm_scale, lu, np.eye(D, dtype=complex).flatten(order="F") / D
 
 
-def _reference_probe(M: sp.csr_matrix, shifted: sp.csc_matrix, v1: np.ndarray,
+def _reference_probe(M: sp.csr_matrix, lu: spla.SuperLU, v1: np.ndarray,
                      line: float) -> bool:
     """Degeneracy verdict from all 50 deflated solves: the last residual
     against the line, with no early stop."""
@@ -383,7 +397,6 @@ def _reference_probe(M: sp.csr_matrix, shifted: sp.csc_matrix, v1: np.ndarray,
     v -= v1 * (v1.conj() @ v)
     if np.linalg.norm(v) <= 1e-12:
         return False
-    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
     v /= np.linalg.norm(v)
     for _ in range(50):
         w = lu.solve(v)
