@@ -20,7 +20,6 @@ from .lattice import (
     LocalObservable,
     Region,
     ball,
-    distance,
     embed,
     enlarge,
     observable_from_string,

@@ -86,7 +86,6 @@ _SCHEMA = {
     },
     "constants": {
         "source": ("constants_source", "string"),
-        "kappa_exponent": ("kappa_exponent", "number"),
         "xi": ("constants.xi", "number"),
         "gamma_prime": ("constants.gamma_prime", "number"),
         "c_prime": ("constants.c_prime", "number"),
@@ -123,7 +122,6 @@ class ExperimentConfig:
     constants_source: str = "measure"
     constants: dict = field(default_factory=dict)
     f_n: float | None = None
-    kappa_exponent: float = 1.0
     seed: int = 0
     out_dir: str = "out"
     diagnostics_regions: dict = field(default_factory=dict)

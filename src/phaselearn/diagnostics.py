@@ -56,7 +56,6 @@ __all__ = [
     "DEFAULT_T_GRID",
     "DecayFit",
     "fit_decay",
-    "operator_norm",
     "certify_lr_constants",
     "lieb_robinson_scan",
     "mixing_scan",
@@ -72,6 +71,7 @@ FLOOR = 1e-12
 N_BOOT = 200  # bootstrap resamples per fit
 MU = 1.0  # spatial decay rate at which the Lieb-Robinson velocity is certified
 C_POLY = 1.0  # prefactor of the poly(|A|) envelope term
+KAPPA = 1.0  # exponent of the poly(|A|) envelope term
 
 
 @dataclass(frozen=True)
@@ -170,27 +170,6 @@ def fit_decay(abscissa: Sequence[float], values: Sequence[float],
                     all_below_floor=n_distinct == 0, excluded=tuple(excluded))
 
 
-def operator_norm(mat: np.ndarray) -> float:
-    """Largest singular value by power iteration on M^dag M (relative tolerance
-    1e-9, at most 10,000 steps, from a fixed random start)."""
-    rng = np.random.default_rng(7)
-    n = mat.shape[1]
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(10000):
-        w = mat.conj().T @ (mat @ v)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        new_sigma = math.sqrt(nrm)
-        v = w / nrm
-        if abs(new_sigma - sigma) <= 1e-9 * max(1.0, new_sigma):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
-
-
 def certify_lr_constants(family: ParamLindbladian) -> float:
     """Upper-bound the information velocity v from the certified term strengths.
 
@@ -245,7 +224,7 @@ def lieb_robinson_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservabl
         key = hyb.tobytes()
         if key not in by_point:
             O_loc = heisenberg_evolve(assemble(family, hyb), O_full, t, rtol=rtol)
-            by_point[key] = operator_norm(O_t - O_loc)
+            by_point[key] = float(np.linalg.norm(O_t - O_loc, 2))
         values.append(by_point[key])
     amp = (obs.operator_norm * len(obs.support) * family.J
            * (math.exp(v * t) - 1.0 - v * t) / v)
@@ -282,7 +261,7 @@ def mixing_scan(family: ParamLindbladian, x, rho0: DensityMatrix,
 
 
 def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
-              s_grid: Sequence[int], gamma_mix: float = 1.0, kappa: float = 1.0,
+              s_grid: Sequence[int], gamma_mix: float = 1.0,
               rho_inf: DensityMatrix | None = None, boot_seed: int = 0) -> DecayFit:
     """|tr[O (rho_inf - rho_inf^{A(s)})]| against the localisation radius s.
 
@@ -292,7 +271,7 @@ def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
     Points where the localized generator has a degenerate kernel are flagged
     and excluded from the fit, at every radius that repeats them.  The
     envelope is
-    ||O|| (J |A| / v + c |A|^kappa) (|A(s)|/|A|)^(kappa v / (v+gamma)) e^{-beta' s}
+    ||O|| (J |A| / v + C_POLY |A|^KAPPA) (|A(s)|/|A|)^(KAPPA v / (v+gamma)) e^{-beta' s}
     with beta' = MU gamma / (v + gamma).
     """
     _check_scan_size(family)
@@ -311,8 +290,8 @@ def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
         patch = enlarge(lat, obs.support, int(s))
         vol_ratio = len(patch) / A
         envelope.append(
-            obs.operator_norm * (family.J * A / v + C_POLY * A**kappa)
-            * vol_ratio ** (kappa * v / (v + gamma_mix))
+            obs.operator_norm * (family.J * A / v + C_POLY * A**KAPPA)
+            * vol_ratio ** (KAPPA * v / (v + gamma_mix))
             * math.exp(-beta_p * s)
         )
         hyb = localize(family, x, x_prime, patch)
@@ -376,8 +355,7 @@ def compatibility_scan(family: ParamLindbladian, x, region_a: Region,
 def stability_scan(family: ParamLindbladian, x, delta: float,
                    obs: LocalObservable, rho0: DensityMatrix,
                    t_checks: Sequence[float] = (1.0, 2.0, 4.0),
-                   gamma_mix: float = 1.0, kappa: float = 1.0,
-                   boot_seed: int = 0) -> DecayFit:
+                   gamma_mix: float = 1.0, boot_seed: int = 0) -> DecayFit:
     """|f_O(L, t) - f_O(L + E, t)| for a single-coordinate kick at distance d.
 
     For every available distance d from the observable support, the lowest
@@ -425,21 +403,20 @@ def stability_scan(family: ParamLindbladian, x, delta: float,
         if t_max > t0:
             h += (1.0 / gamma_mix) * math.exp(-gamma_mix * t0)
         envelope.append(e_bound * obs.operator_norm * C_POLY
-                        * max(1, len(obs.support)) ** kappa * h)
+                        * max(1, len(obs.support)) ** KAPPA * h)
     return fit_decay(list(map(float, distances)), values, label="distance",
                      boot_seed=boot_seed, envelope=envelope)
 
 
 def calibrate_constants(family: ParamLindbladian, x, x_prime,
-                        obs: LocalObservable, rho0: DensityMatrix,
-                        kappa: float = 1.0) -> dict:
+                        obs: LocalObservable, rho0: DensityMatrix) -> dict:
     """Measure (gamma', c', mu, xi) from the mixing and localisation scans.
 
     Both scans integrate to rtol 1e-8; the mixing scan runs on
     ``DEFAULT_T_GRID`` and the localisation scan at t = 1.
     1/xi = min(fitted mixing rate, fitted spatial rate / 2); c' is the
     smallest constant putting the measured mixing curve under
-    c' |A|^kappa e^{-gamma' t}.  An identically-zero localisation curve (an
+    c' |A|^KAPPA e^{-gamma' t}.  An identically-zero localisation curve (an
     on-site family) leaves the spatial rate unconstrained.
     """
     mix = mixing_scan(family, x, rho0, obs, DEFAULT_T_GRID, rtol=1e-8)
@@ -448,7 +425,7 @@ def calibrate_constants(family: ParamLindbladian, x, x_prime,
     c_prime = 1.0
     for t, v in zip(mix.abscissa, mix.values):
         if v > FLOOR:
-            c_prime = max(c_prime, v / (A**kappa * math.exp(-gamma_p * t)))
+            c_prime = max(c_prime, v / (A**KAPPA * math.exp(-gamma_p * t)))
     lr = lieb_robinson_scan(family, x, x_prime, obs, t=1.0, rtol=1e-8)
     mu_fit = math.inf if lr.all_below_floor else max(lr.rate, FLOOR)
     inv_xi = min(gamma_p, mu_fit / 2.0)

@@ -19,6 +19,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .diagnostics import (
     DEFAULT_T_GRID,
+    KAPPA,
     SCAN_SITE_CAP,
     DecayFit,
     calibrate_constants,
@@ -90,14 +91,13 @@ def build_plan_constants(cfg: ExperimentConfig, model: Model) -> PlanConstants:
         xp = np.clip(rng.uniform(-1, 1, probe.family.m), -0.8, 0.8)
         center = probe.lattice.n_sites // 2
         obs = observable_from_string(f"Z@{center}", probe.lattice)
-        cal = calibrate_constants(probe.family, x, xp, obs, probe.reference_state(),
-                                  kappa=cfg.kappa_exponent)
+        cal = calibrate_constants(probe.family, x, xp, obs, probe.reference_state())
         vals = {k: cal[k] for k in ("xi", "gamma_prime", "c_prime")}
     return PlanConstants(
         J=sc["J"], ell=sc["ell"], r0=sc["r0"], D=sc["D"], n=sc["n"], m=sc["m"],
         k0=k0_eff, M=len(observables), W=sc["W"],
         xi=float(vals["xi"]), gamma_prime=float(vals["gamma_prime"]),
-        c_prime=float(vals["c_prime"]), kappa=cfg.kappa_exponent, f_n=cfg.f_n,
+        c_prime=float(vals["c_prime"]), kappa=KAPPA, f_n=cfg.f_n,
     )
 
 
@@ -125,7 +125,7 @@ def _training_states(model: Model, X: np.ndarray, taus: np.ndarray, key: int
 def _exact_value(model: Model, x: np.ndarray, tau: float, observables):
     """Ground truth sum_i tr[O_i rho(x, tau)] via oracle or dense simulation."""
     if model.oracle is not None:
-        return sum(model.oracle_expectation(x, tau, o) for o in observables)
+        return sum(model.oracle.expectation(x, tau, o) for o in observables)
     if model.family.n_total > 6:
         return None
     rho = generate_state(model, x, tau)
@@ -322,15 +322,6 @@ def _fit_csv(path: Path, fit: DecayFit) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _auto_regions(cfg: ExperimentConfig) -> tuple[Region, Region, Region]:
-    lat = cfg.lattice
-    center = lat.n_sites // 2
-    a = ball(lat, center, 0)
-    r = ball(lat, center, 1)
-    w = ball(lat, center, 2)
-    return a, r, w
-
-
 def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     """All five structural scans on the configured model; per-scan CSV, JSON
     and SVG (drawn by :func:`emit_plots` from the CSV and JSON), and each
@@ -360,13 +351,10 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     xp = np.clip(rng.uniform(-1, 1, fam.m), -0.8, 0.8)
     ref = model.reference_state()
     if cfg.diagnostics_regions:
-        a = Region(tuple(cfg.diagnostics_regions["a"]))
-        r = Region(tuple(cfg.diagnostics_regions["r"]))
-        w = Region(tuple(cfg.diagnostics_regions["w"]))
+        a, r, w = (Region(tuple(cfg.diagnostics_regions[k])) for k in "arw")
     else:
-        a, r, w = _auto_regions(cfg)
-
-    diam = max(1, cfg.lattice.n_sites - 1) if cfg.lattice.dim == 1 else 4
+        a, r, w = (ball(cfg.lattice, cfg.lattice.n_sites // 2, s) for s in range(3))
+    diam = max(1, cfg.lattice.n_sites - 1)
     boot = stream_seed(cfg.seed, "bootstrap")
     fits: dict[str, DecayFit] = {}
     seconds: dict[str, float] = {}
@@ -383,12 +371,11 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
          boot_seed=boot)
     gamma_mix = max(fits["mixing"].rate, 0.1)
     scan("ltqo", ltqo_scan, fam, x, xp, obs, s_grid=list(range(min(diam, 4) + 1)),
-         gamma_mix=gamma_mix, kappa=cfg.kappa_exponent, rho_inf=rho_inf,
-         boot_seed=boot)
+         gamma_mix=gamma_mix, rho_inf=rho_inf, boot_seed=boot)
     scan("compatibility", compatibility_scan, fam, x, a, r, w,
          t_grid=(0.5, 1.0, 2.0, 4.0), rho_inf=rho_inf, boot_seed=boot)
     scan("stability", stability_scan, fam, np.zeros(fam.m), 0.5, obs, ref,
-         gamma_mix=gamma_mix, kappa=cfg.kappa_exponent, boot_seed=boot)
+         gamma_mix=gamma_mix, boot_seed=boot)
     battery = {}
     for name, fit in fits.items():
         _fit_csv(out / f"diag_{name}.csv", fit)

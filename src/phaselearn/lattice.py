@@ -27,7 +27,6 @@ __all__ = [
     "Region",
     "LocalObservable",
     "CoordInfo",
-    "distance",
     "ball",
     "enlarge",
     "check_nesting",
@@ -96,13 +95,6 @@ class Lattice:
             },
             sort_keys=True,
         )
-
-
-def distance(lattice: Lattice, u: int, v: int) -> int:
-    """l1 lattice distance; wraps per axis on a torus."""
-    row = lattice.distances(u)
-    lattice._check_site(v)
-    return int(row[v])
 
 
 @dataclass(frozen=True)
@@ -224,14 +216,16 @@ def pauli_matrix(letters: str) -> np.ndarray:
 def observable_from_string(spec: str, lattice: Lattice, k0: int = 2) -> LocalObservable:
     """Parse ``"Z@4"`` or ``"XX@2,3"`` into a LocalObservable.
 
-    Letters apply to the listed sites in the order given; sites are stored
-    sorted, so the matrix is permuted accordingly.
+    A spec names at least one site.  Letters apply to the listed sites in the
+    order given; sites are stored sorted, so the matrix is permuted accordingly.
     """
     try:
         letters, _, sitepart = spec.partition("@")
         sites = [int(s) for s in sitepart.split(",")] if sitepart else []
     except ValueError as exc:
         raise ValueError(f"bad observable spec {spec!r}") from exc
+    if not sites:
+        raise ValueError(f"observable spec {spec!r} names no site")
     if len(letters) != len(sites):
         raise ValueError(f"observable spec {spec!r}: {len(letters)} letters, {len(sites)} sites")
     if len(set(sites)) != len(sites):
@@ -284,33 +278,16 @@ def embed_triplets(mat: np.ndarray, local_offsets: np.ndarray,
     return rows, cols, np.tile(mat[li, lj], rest_offsets.size)
 
 
-def embed(op: LocalObservable | np.ndarray, lattice: Lattice,
-          sites: Sequence[int] | None = None, n_total: int | None = None) -> np.ndarray:
-    """Dense full-space matrix of a local operator, identity elsewhere.
+def embed(obs: LocalObservable, lattice: Lattice, n_total: int | None = None) -> np.ndarray:
+    """Dense full-space matrix of a local observable, identity elsewhere.
 
     ``n_total`` widens the space beyond the lattice (ancilla registers appended
     after the system sites).  Capped at ``DENSE_SITE_CAP`` sites.
     """
-    if isinstance(op, LocalObservable):
-        mat = op.matrix
-        sites = list(op.support.sites)
-    else:
-        mat = np.asarray(op, dtype=complex)
-        if sites is None:
-            raise ValueError("site list required when embedding a bare matrix")
-        sites = list(sites)
     n = n_total if n_total is not None else lattice.n_sites
     if n > DENSE_SITE_CAP:
         raise ValueError(f"dense embedding capped at {DENSE_SITE_CAP} sites, got {n}")
-    order = np.argsort(sites)
-    if list(order) != list(range(len(sites))):
-        # reorder tensor factors so sites are ascending
-        k = len(sites)
-        t = mat.reshape((2,) * (2 * k))
-        perm = list(order) + [k + int(o) for o in order]
-        mat = t.transpose(perm).reshape(2**k, 2**k)
-        sites = sorted(sites)
     out = np.zeros((2**n, 2**n), dtype=complex)
-    rows, cols, vals = embed_triplets(mat, *embed_sparse_indices(n, sites))
+    rows, cols, vals = embed_triplets(obs.matrix, *embed_sparse_indices(n, obs.support.sites))
     out[rows, cols] = vals
     return out

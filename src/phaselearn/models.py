@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import PhaselearnError
 from .lattice import Lattice, LocalObservable, Region
 from .learner import MODES
 from .lindblad import (
@@ -187,13 +186,6 @@ class PinningOracle:
         marg = self.marginal(x, tau, obs.support.sites)
         return float(np.real(np.trace(obs.matrix @ marg)))
 
-    def full_state(self, x: np.ndarray, tau: float, family: ParamLindbladian) -> DensityMatrix:
-        mats = [self.site_state(float(x[j]), tau) for j in range(family.n_system)]
-        for anc in family.ancillas:
-            # ancillas start at |0><0| and are reset toward |0>, so they stay put
-            mats.append(np.asarray(anc.state, dtype=complex))
-        return DensityMatrix(reduce(np.kron, mats), family.n_total)
-
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -262,11 +254,6 @@ class Model:
             "m": self.family.m,
             "W": self.entry.n_omega(self.lattice),
         }
-
-    def oracle_expectation(self, x: np.ndarray, tau: float, obs: LocalObservable) -> float:
-        if self.oracle is None:
-            raise PhaselearnError(f"model {self.name!r} advertises no exact oracle")
-        return self.oracle.expectation(np.asarray(x, dtype=float), tau, obs)
 
 
 def instantiate(name: str, lattice: Lattice, omega: int = 0, **hyper) -> Model:

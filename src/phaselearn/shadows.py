@@ -36,7 +36,6 @@ from .errors import ConfigError, NumericalError
 from .lindblad import DensityMatrix, partial_trace
 
 __all__ = [
-    "BASIS_LETTERS",
     "MAX_LOCAL_SITES",
     "TrainingSet",
     "measure_snapshot",
@@ -50,7 +49,6 @@ __all__ = [
     "read_shadows",
 ]
 
-BASIS_LETTERS = "XYZ"
 MAX_LOCAL_SITES = 6
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -230,7 +228,7 @@ class TrainingSet:
     """N tagged snapshots as columns (row i is snapshot i), plus the sampling
     metadata needed to reuse them."""
 
-    bases: np.ndarray     # (N, n) int8 codes into BASIS_LETTERS
+    bases: np.ndarray     # (N, n) int8 codes 0, 1, 2 for X, Y, Z
     outcomes: np.ndarray  # (N, n) int8 in {+1, -1}
     X: np.ndarray         # (N, m) float64 parameter tags
     taus: np.ndarray      # (N,) float times; inf in steady-state mode

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,16 @@ def amplitude_damping_family(kappa: float = 1.0) -> ParamLindbladian:
     lat = Lattice(1, (1,))
     term = LindbladTerm(Region((0,)), (), lambda xs: (None, [np.sqrt(kappa) * SM]), "ad")
     return ParamLindbladian(lat, [term], name="amplitude_damping")
+
+
+def full_state(oracle, x: np.ndarray, tau: float, family: ParamLindbladian) -> DensityMatrix:
+    """Dense state of a pinning family from its oracle's site states: the
+    product reference for the oracle, the samplers and the steady-state solver."""
+    mats = [oracle.site_state(float(x[j]), tau) for j in range(family.n_system)]
+    for anc in family.ancillas:
+        # ancillas start at |0><0| and are reset toward |0>, so they stay put
+        mats.append(np.asarray(anc.state, dtype=complex))
+    return DensityMatrix(reduce(np.kron, mats), family.n_total)
 
 
 def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:

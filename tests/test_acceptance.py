@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import amplitude_damping_family, random_density, random_two_site_family
+from conftest import (
+    amplitude_damping_family,
+    full_state,
+    random_density,
+    random_two_site_family,
+)
 from phaselearn.config import load_config
 from phaselearn.diagnostics import lieb_robinson_scan, mixing_scan
 from phaselearn.errors import PlanInfeasibleError
@@ -87,7 +92,7 @@ def test_criterion_02_steady_state_correctness():
             worst_resid = max(worst_resid, resid)
             assert resid <= 1e-9
             if name == "pinning":
-                oracle = model.oracle.full_state(x, np.inf, model.family)
+                oracle = full_state(model.oracle, x, np.inf, model.family)
                 assert trace_norm(ss.data - oracle.data) <= 1e-6
     _report(2, f"all catalog steady states residual <= 1e-9 (worst {worst_resid:.1e}); "
                "pinning matches product form to 1e-6")
@@ -117,7 +122,7 @@ def test_criterion_03_shadow_unbiasedness(pinning8_snapshots):
         for code, letter in enumerate(letters):
             vals = np.where(bases[:, j] == code, 3.0 * outcomes[:, j], 0.0)
             obs = observable_from_string(f"{letter}@{j}", lat)
-            truth = model.oracle_expectation(x, np.inf, obs)
+            truth = model.oracle.expectation(x, np.inf, obs)
             mean, se = vals.mean(), vals.std() / math.sqrt(n_snap)
             pull = abs(mean - truth) / se
             worst_pull = max(worst_pull, pull)
@@ -132,7 +137,7 @@ def test_criterion_03_shadow_unbiasedness(pinning8_snapshots):
                     match = (bases[:, j] == cj) & (bases[:, k] == ck)
                     vals = np.where(match, 9.0 * outcomes[:, j] * outcomes[:, k], 0.0)
                     obs = observable_from_string(f"{lj}{lk}@{j},{k}", lat, k0=8)
-                    truth = model.oracle_expectation(x, np.inf, obs)
+                    truth = model.oracle.expectation(x, np.inf, obs)
                     mean, se = vals.mean(), vals.std() / math.sqrt(n_snap)
                     pull = abs(mean - truth) / se
                     worst_pull = max(worst_pull, pull)
@@ -189,7 +194,7 @@ def test_criterion_06_local_rapid_mixing():
     model = instantiate("pinning", lat, kappa0=1.0)
     x = np.clip(np.random.default_rng(600).uniform(-1, 1, 6), -0.8, 0.8)
     gen = assemble(model.family, x)
-    rho_inf = model.oracle.full_state(x, np.inf, model.family)
+    rho_inf = full_state(model.oracle, x, np.inf, model.family)
     rates = []
     for site in range(6):
         site_obs = observable_from_string(f"Z@{site}", lat)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SM, amplitude_damping_family
+from conftest import SM, amplitude_damping_family, random_two_site_family
 from phaselearn import diagnostics
 from phaselearn.lattice import Lattice, Region, embed, enlarge, observable_from_string
 from phaselearn.lindblad import (
@@ -23,7 +23,6 @@ from phaselearn.diagnostics import (
     lieb_robinson_scan,
     ltqo_scan,
     mixing_scan,
-    operator_norm,
     stability_scan,
 )
 from phaselearn.models import instantiate
@@ -64,17 +63,6 @@ class TestFitDecay:
         vals = np.exp(-0.8 * ts) * np.exp(rng.normal(0, 0.05, 8))
         fit = fit_decay(ts, vals)
         assert fit.rate_ci[0] > 0
-
-
-class TestOperatorNorm:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_svd(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-6)
-
-    def test_zero_matrix(self):
-        assert operator_norm(np.zeros((4, 4))) == 0.0
 
 
 class TestCertifiedConstants:
@@ -164,6 +152,21 @@ class TestLiebRobinsonScan:
         obs = observable_from_string("Z@2", lat)
         fit = lieb_robinson_scan(model.family, x, xp, obs, t=1.0, rtol=1e-9)
         assert max(fit.values) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_values_are_spectral_norms(self, seed):
+        rng = np.random.default_rng(seed)
+        fam = random_two_site_family(rng, n=3)
+        x, xp = rng.uniform(-1, 1, fam.m), rng.uniform(-1, 1, fam.m)
+        obs = observable_from_string("Z@0", fam.lattice)
+        fit = lieb_robinson_scan(fam, x, xp, obs, t=0.5, rtol=1e-8)
+        assert min(fit.values[:2]) > 1e-6  # radii 0 and 1 leave a site at x'
+        O_full = embed(obs, fam.lattice)
+        O_t = heisenberg_evolve(assemble(fam, x), O_full, 0.5, rtol=1e-8)
+        for r, value in enumerate(fit.values):
+            hyb = localize(fam, x, xp, enlarge(fam.lattice, obs.support, r))
+            O_loc = heisenberg_evolve(assemble(fam, hyb), O_full, 0.5, rtol=1e-8)
+            assert value == pytest.approx(np.linalg.norm(O_t - O_loc, 2), rel=1e-12)
 
 
 class TestLtqoScan:
@@ -284,9 +287,9 @@ class TestScanReuse:
         assert counts["heisenberg_evolve"] == 3 + 1  # plus the evolution at x
         O_full = embed(obs, fam.lattice, n_total=fam.n_total)
         O_t = heisenberg_evolve(assemble(fam, x), O_full, 1.0, rtol=1e-8)
-        singles = [operator_norm(O_t - heisenberg_evolve(
+        singles = [float(np.linalg.norm(O_t - heisenberg_evolve(
             assemble(fam, localize(fam, x, xp, enlarge(fam.lattice, obs.support, r))),
-            O_full, 1.0, rtol=1e-8)) for r in radii]
+            O_full, 1.0, rtol=1e-8), 2)) for r in radii]
         assert fit.values == tuple(singles)
 
 
@@ -343,8 +346,8 @@ class TestStabilityScan:
         kicked = x.copy()
         kicked[1] += delta
         oracle_diff = abs(
-            model.oracle_expectation(kicked, np.inf, obs)
-            - model.oracle_expectation(x, np.inf, obs)
+            model.oracle.expectation(kicked, np.inf, obs)
+            - model.oracle.expectation(x, np.inf, obs)
         )
         d0 = fit.values[list(fit.abscissa).index(0.0)]
         assert d0 == pytest.approx(oracle_diff, abs=1e-5)

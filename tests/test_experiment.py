@@ -565,7 +565,8 @@ class TestCli:
         ("n_test = 12", "n_tests = 12", "[training] n_tests"),
         ("[run]", "[extras]\nx = 1\n\n[run]", "[extras]"),
         ("kappa0 = 1.0", "kapa0 = 1.0", "kapa0"),
-    ], ids=["training_key", "section", "hyperparameter"])
+        ("c_prime = 2.0", "c_prime = 2.0\nkappa_exponent = 1.0", "[constants] kappa_exponent"),
+    ], ids=["training_key", "section", "hyperparameter", "retired_kappa_exponent"])
     def test_unknown_config_entry_exit_code(self, tmp_path, capsys, old, new, named):
         p = self._write_cfg(tmp_path, SMALL_LEARNING.replace(old, new))
         assert cli_main(["plan", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
@@ -578,17 +579,27 @@ class TestCli:
         ("n_test = 12", 'n_test = "50"', "[training] n_test"),
         ("kappa0 = 1.0", 'kappa0 = "1"', "[model] kappa0"),
         ("sweep = [200, 1000]", "sweep = 100", "[training] sweep"),
-        ("c_prime = 2.0", 'c_prime = 2.0\nkappa_exponent = "1"', "[constants] kappa_exponent"),
         ('specs = ["Z@3"]', 'specs = "Z@3"', "[observables] specs"),
         ('mode = "steady"', 'mode = "steady"\nomega = true', "[mode] omega"),
         ("k0 = 1", "k0 = 1.5", "[targets] k0"),
     ], ids=["epsilon_string", "extent_scalar", "seed_fraction", "n_test_string",
-            "hyperparameter_string", "sweep_scalar", "kappa_exponent_string",
-            "specs_scalar", "omega_boolean", "k0_fraction"])
+            "hyperparameter_string", "sweep_scalar", "specs_scalar", "omega_boolean",
+            "k0_fraction"])
     def test_malformed_value_exit_code(self, tmp_path, capsys, old, new, named):
         p = self._write_cfg(tmp_path, SMALL_LEARNING.replace(old, new))
         assert cli_main(["plan", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["plan", "train", "predict", "diagnose", "sweep", "plot"])
+    @pytest.mark.parametrize("spec", ["", "@"], ids=["empty", "at_only"])
+    def test_siteless_observable_exit_code(self, tmp_path, capsys, verb, spec):
+        # a spec naming no site would be an empty-support observable
+        text = SMALL_LEARNING.replace('specs = ["Z@3"]', f'specs = ["{spec}"]')
+        p = self._write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert cli_main([verb, "--config", str(p), "--out", str(out)]) == 2
+        assert f"bad observable {spec!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("trained,asked", [(1, 0), (0, 1)])
     def test_ancilla_mismatch_exit_code(self, tmp_path, capsys, trained, asked):

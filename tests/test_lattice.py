@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from phaselearn.lattice import (
     Lattice,
     Region,
+    LocalObservable,
     ball,
-    distance,
     embed,
     enlarge,
     l1_ball_volume,
@@ -18,17 +18,17 @@ from phaselearn.lattice import (
 
 class TestDistance:
     def test_open_chain_endpoints(self, chain5):
-        assert distance(chain5, 0, 4) == 4
+        assert chain5.distances(0)[4] == 4
 
     def test_periodic_wrap(self, ring5):
-        assert distance(ring5, 0, 4) == 1
+        assert ring5.distances(0)[4] == 1
 
     def test_manhattan_2d(self, grid33):
-        assert distance(grid33, 0, 8) == 4  # (0, 0) to (2, 2)
+        assert grid33.distances(0)[8] == 4  # (0, 0) to (2, 2)
 
     def test_invalid_site(self, chain5):
         with pytest.raises(ValueError):
-            distance(chain5, 0, 7)
+            chain5.distances(7)
 
     @given(st.integers(2, 9), st.booleans(), st.data())
     @settings(max_examples=40, deadline=None)
@@ -37,9 +37,10 @@ class TestDistance:
         u = data.draw(st.integers(0, n - 1))
         v = data.draw(st.integers(0, n - 1))
         w = data.draw(st.integers(0, n - 1))
-        assert distance(lat, u, u) == 0
-        assert distance(lat, u, v) == distance(lat, v, u)
-        assert distance(lat, u, w) <= distance(lat, u, v) + distance(lat, v, w)
+        d = [lat.distances(s) for s in range(n)]
+        assert d[u][u] == 0
+        assert d[u][v] == d[v][u]
+        assert d[u][w] <= d[u][v] + d[v][w]
 
 
 class TestRegions:
@@ -153,15 +154,11 @@ class TestMetricRows:
         row = lat.distances(u)
         assert row.shape == (lat.n_sites,)
         assert row.tolist() == [ref_distance(lat, u, v) for v in lat.all_sites()]
-        v = data.draw(st.integers(0, lat.n_sites - 1))
-        assert distance(lat, u, v) == ref_distance(lat, u, v)
 
     def test_distances_rejects_bad_site(self, grid33):
         for bad in (-1, 9):
             with pytest.raises(ValueError):
                 grid33.distances(bad)
-        with pytest.raises(ValueError):
-            distance(grid33, 0, -1)
 
     @given(lattice_and_sites(), st.integers(0, 4), st.data())
     @settings(max_examples=60, deadline=None)
@@ -243,47 +240,50 @@ class TestParamVector:
         assert got.size <= 2 * (2 * (r + fam.r0) + 1)
 
 
+def local(mat: np.ndarray, sites) -> LocalObservable:
+    return LocalObservable(Region(tuple(sites)), mat)
+
+
 class TestEmbed:
     def test_z_on_first_site(self):
         lat = Lattice(1, (2,))
-        out = embed(pauli_matrix("Z"), lat, [0])
+        out = embed(local(pauli_matrix("Z"), [0]), lat)
         assert np.allclose(np.diag(out), [1, 1, -1, -1])
 
     def test_identity_any_support(self):
         lat = Lattice(1, (3,))
-        out = embed(np.eye(4, dtype=complex), lat, [0, 2])
+        out = embed(local(np.eye(4, dtype=complex), [0, 2]), lat)
         assert np.allclose(out, np.eye(8))
 
     def test_norm_preserved(self):
         lat = Lattice(1, (3,))
-        out = embed(pauli_matrix("XX"), lat, [1, 2])
+        out = embed(local(pauli_matrix("XX"), [1, 2]), lat)
         assert np.isclose(np.linalg.norm(out, 2), 1.0)
 
     def test_trace_scaling(self):
         lat = Lattice(1, (3,))
         m = np.diag([0.3, 0.7]).astype(complex)
-        out = embed(m, lat, [1])
+        out = embed(local(m, [1]), lat)
         assert np.isclose(np.trace(out), np.trace(m) * 2**2)
 
     def test_site_order_permutation(self):
-        # embedding with sites listed out of order permutes the factors
+        # a spec listing its sites out of order embeds its factors site-sorted
         lat = Lattice(1, (2,))
-        zx = np.kron(pauli_matrix("Z"), pauli_matrix("X"))
-        a = embed(zx, lat, [1, 0])  # Z on site 1, X on site 0
-        b = embed(np.kron(pauli_matrix("X"), pauli_matrix("Z")), lat, [0, 1])
+        a = embed(observable_from_string("ZX@1,0", lat), lat)  # Z on site 1, X on site 0
+        b = embed(local(np.kron(pauli_matrix("X"), pauli_matrix("Z")), [0, 1]), lat)
         assert np.allclose(a, b)
 
     def test_multiplicative_on_disjoint_supports(self):
         lat = Lattice(1, (4,))
-        a = embed(pauli_matrix("X"), lat, [0])
-        b = embed(pauli_matrix("Z"), lat, [2])
-        ab = embed(np.kron(pauli_matrix("X"), pauli_matrix("Z")), lat, [0, 2])
+        a = embed(local(pauli_matrix("X"), [0]), lat)
+        b = embed(local(pauli_matrix("Z"), [2]), lat)
+        ab = embed(local(np.kron(pauli_matrix("X"), pauli_matrix("Z")), [0, 2]), lat)
         assert np.allclose(a @ b, ab)
 
     def test_cap(self):
         lat = Lattice(1, (13,))
         with pytest.raises(ValueError):
-            embed(pauli_matrix("Z"), lat, [0])
+            embed(local(pauli_matrix("Z"), [0]), lat)
 
 
 class TestObservables:
@@ -300,8 +300,6 @@ class TestObservables:
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
-            from phaselearn.lattice import LocalObservable
-
             LocalObservable(Region((0,)), np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_diameter_cap(self, chain5):

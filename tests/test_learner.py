@@ -310,8 +310,8 @@ class TestPredict:
         for _ in range(25):
             xt = rng.uniform(-1, 1, 6)
             j, _ = nearest_patch(xt, math.inf, tr, indices)
-            est = model.oracle_expectation(xs[j], math.inf, obs)
-            worst = max(worst, abs(est - model.oracle_expectation(xt, math.inf, obs)))
+            est = model.oracle.expectation(xs[j], math.inf, obs)
+            worst = max(worst, abs(est - model.oracle.expectation(xt, math.inf, obs)))
         assert worst <= bound
 
     def test_bias_shape_in_r_and_gamma(self):
@@ -360,9 +360,9 @@ class TestPredict:
             for xt in (rng.uniform(-1, 1, 6) for _ in range(40)):
                 cell = select_cell(xt, math.inf, tr, idx, gamma)
                 est = float(np.mean([
-                    pin.oracle_expectation(xs[j], math.inf, obs6) for j in cell
+                    pin.oracle.expectation(xs[j], math.inf, obs6) for j in cell
                 ]))
-                errs.append(abs(est - pin.oracle_expectation(xt, math.inf, obs6)))
+                errs.append(abs(est - pin.oracle.expectation(xt, math.inf, obs6)))
             gamma_err[gamma] = float(np.median(errs))
         assert gamma_err[0.15] <= gamma_err[0.4] <= gamma_err[0.8]
 

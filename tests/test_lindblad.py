@@ -8,7 +8,14 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import SM, Z, amplitude_damping_family, random_density, random_two_site_family
+from conftest import (
+    SM,
+    Z,
+    amplitude_damping_family,
+    full_state,
+    random_density,
+    random_two_site_family,
+)
 from phaselearn import lindblad
 from phaselearn.errors import DegenerateSteadyStateError, NumericalError
 from phaselearn.lattice import Lattice, Region, ball
@@ -290,7 +297,7 @@ class TestSteadyState:
         model = instantiate("pinning", lat)
         x = np.random.default_rng(7).uniform(-1, 1, 4)
         ss = steady_state(assemble(model.family, x))
-        oracle = model.oracle.full_state(x, np.inf, model.family)
+        oracle = full_state(model.oracle, x, np.inf, model.family)
         assert trace_norm(ss.data - oracle.data) < 1e-6
 
     def test_residual_invariant(self):

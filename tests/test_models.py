@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import X as X_PAULI
-from conftest import Y, Z
+from conftest import Y, Z, full_state
 from phaselearn.lattice import Lattice, observable_from_string
 from phaselearn.lindblad import assemble, evolve, steady_state, trace_norm
 from phaselearn.models import (
@@ -26,7 +26,7 @@ class TestPinning:
     def test_all_minus_one_pins_to_zero_string(self):
         lat = Lattice(1, (3,), "open")
         model = instantiate("pinning", lat)
-        rho = model.oracle.full_state(-np.ones(3), np.inf, model.family)
+        rho = full_state(model.oracle, -np.ones(3), np.inf, model.family)
         e0 = np.zeros(8)
         e0[0] = 1.0
         assert trace_norm(rho.data - np.outer(e0, e0)) < 1e-12
@@ -37,7 +37,7 @@ class TestPinning:
         x = np.random.default_rng(0).uniform(-1, 1, 4)
         obs = observable_from_string("Z@2", lat)
         theta = math.pi / 4 * (x[2] + 1)
-        assert abs(model.oracle_expectation(x, np.inf, obs) - math.cos(2 * theta)) < 1e-12
+        assert abs(model.oracle.expectation(x, np.inf, obs) - math.cos(2 * theta)) < 1e-12
 
     @pytest.mark.parametrize("tau", [0.0, 0.7, math.inf])
     @pytest.mark.parametrize("kappa0", [1.0, 2.5])
@@ -60,7 +60,7 @@ class TestPinning:
         for _ in range(5):
             x = rng.uniform(-1, 1, 4)
             ss = steady_state(assemble(model.family, x))
-            assert trace_norm(ss.data - model.oracle.full_state(x, np.inf, model.family).data) < 1e-6
+            assert trace_norm(ss.data - full_state(model.oracle, x, np.inf, model.family).data) < 1e-6
 
     def test_oracle_matches_evolution_at_finite_time(self):
         # 20 random (x, t, O_i) draws at n <= 6 against the master-equation path
@@ -79,14 +79,14 @@ class TestPinning:
             gen = assemble(model.family, x)
             rho_t = evolve(gen, model.reference_state(), t)
             direct = rho_t.expectation(embed(obs, lat))
-            assert abs(direct - model.oracle_expectation(x, t, obs)) < 1e-6
+            assert abs(direct - model.oracle.expectation(x, t, obs)) < 1e-6
 
     def test_large_n_oracle_is_cheap(self):
         lat = Lattice(1, (50,), "open")
         model = instantiate("pinning", lat)
         x = np.random.default_rng(3).uniform(-1, 1, 50)
         obs = observable_from_string("Z@25", lat)
-        val = model.oracle_expectation(x, np.inf, obs)
+        val = model.oracle.expectation(x, np.inf, obs)
         theta = math.pi / 4 * (x[25] + 1)
         assert abs(val - math.cos(2 * theta)) < 1e-12
 
@@ -95,7 +95,7 @@ class TestPinning:
         model = instantiate("pinning", lat)
         x = np.random.default_rng(14).uniform(-1, 1, 4)
         ss = steady_state(assemble(model.family, x))
-        oracle = model.oracle.full_state(x, np.inf, model.family)
+        oracle = full_state(model.oracle, x, np.inf, model.family)
         assert trace_norm(ss.data - oracle.data) < 1e-6
 
     def test_mixing_rate_at_least_base_rate(self):
@@ -106,7 +106,7 @@ class TestPinning:
         rng = np.random.default_rng(4)
         x = np.clip(rng.uniform(-1, 1, 6), -0.8, 0.8)
         gen = assemble(model.family, x)
-        target = model.oracle.full_state(x, np.inf, model.family)
+        target = full_state(model.oracle, x, np.inf, model.family)
         ref = model.reference_state()
         ts = [3.0, 4.0, 5.0, 6.0]
         ds, cur, prev_t = [], ref, 0.0
@@ -187,7 +187,7 @@ class TestCatalog:
         model = instantiate("pinning", lat, omega=1)
         x = np.random.default_rng(8).uniform(-1, 1, 3)
         ss = steady_state(assemble(model.family, x))
-        oracle = model.oracle.full_state(x, np.inf, model.family)
+        oracle = full_state(model.oracle, x, np.inf, model.family)
         assert trace_norm(ss.data - oracle.data) < 1e-6
 
 
@@ -217,7 +217,7 @@ class TestGenerateState:
         lat = Lattice(1, (2,), "open")
         model = instantiate("pinning", lat)
         x = np.array([0.3, -0.6])
-        by_oracle = model.oracle.full_state(x, 1.3, model.family)
+        by_oracle = full_state(model.oracle, x, 1.3, model.family)
         by_ode = generate_state(model, x, 1.3)
         assert trace_norm(by_oracle.data - by_ode.data) < 1e-7
 

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +30,24 @@ def test_traced_lookup_names_resolve(module, path):
         assert hasattr(obj, attr), f"phaselearn.{module}.{path} is missing"
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def _loaded_names(package_dir: Path) -> set[str]:
+    """Every name and attribute the package's own code reads (AST Load)."""
+    names = set()
+    for path in package_dir.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a public name that only the tests read is API kept alive for the tests
+    loaded = _loaded_names(Path(phaselearn.__file__).parent)
+    unused = [f"{name}.{attr}" for name in MODULES
+              for attr in getattr(importlib.import_module(f"phaselearn.{name}"), "__all__", ())
+              if attr not in loaded]
+    assert not unused, f"public names no package code reads: {unused}"

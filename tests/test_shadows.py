@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import Z, random_density
+from conftest import Z, full_state, random_density
 from phaselearn import shadows
 from phaselearn.errors import ConfigError, NumericalError
 from phaselearn.lattice import Lattice
@@ -127,7 +127,7 @@ class TestMeasurement:
     def test_ancilla_sites_not_measured(self):
         lat = Lattice(1, (2,), "open")
         model = instantiate("pinning", lat, omega=1)
-        rho = model.oracle.full_state(np.array([0.2, -0.4]), np.inf, model.family)
+        rho = full_state(model.oracle, np.array([0.2, -0.4]), np.inf, model.family)
         bases, outcomes = measure_snapshot(rho, 0, row=3, n_system=2)
         assert len(bases) == len(outcomes) == 2
 
@@ -137,7 +137,7 @@ class TestMeasurement:
         x = np.random.default_rng(0).uniform(-1, 1, 4)
         bloch = model.oracle.bloch_vectors(np.tile(x, (500, 1)), np.full(500, np.inf))
         b_bases, b_outcomes = measure_snapshot_product(bloch, 0)
-        rho = model.oracle.full_state(x, np.inf, model.family)
+        rho = full_state(model.oracle, x, np.inf, model.family)
         for row in range(500):
             a_bases, a_outcomes = measure_snapshot(rho, 0, row=row)
             assert np.array_equal(a_bases, b_bases[row])
@@ -155,7 +155,7 @@ class TestMeasurement:
         taus = np.array([data.draw(tau) for _ in range(rows)])
         bases, outcomes = measure_snapshot_product(model.oracle.bloch_vectors(X, taus), key)
         for i in range(rows):
-            rho = model.oracle.full_state(X[i], taus[i], model.family)
+            rho = full_state(model.oracle, X[i], taus[i], model.family)
             a_bases, a_outcomes = measure_snapshot(rho, key, row=i)
             assert np.array_equal(a_bases, bases[i])
             assert np.array_equal(a_outcomes, outcomes[i])
@@ -202,7 +202,7 @@ class TestMeasurement:
             assert np.array_equal(head_bases, bases[:M])
             assert np.array_equal(head_outcomes, outcomes[:M])
         for i in (40, 299):
-            rho = model.oracle.full_state(X[i], taus[i], model.family)
+            rho = full_state(model.oracle, X[i], taus[i], model.family)
             row_bases, row_outcomes = measure_snapshot(rho, key, row=i)
             assert np.array_equal(row_bases, bases[i])
             assert np.array_equal(row_outcomes, outcomes[i])
