@@ -1,19 +1,24 @@
 """Superoperators for local Lindbladians: assembly, evolution, steady states.
 
-Vectorisation is column-stacking throughout: ``vec(rho) = rho.flatten(order="F")``,
-so the generator for Hamiltonian h and jumps {L_k} is
+A generator L is stored as its Pauli transfer matrix T, a real sparse matrix
+with T[mu, nu] = tr(P_mu L(P_nu)) over the normalised Pauli strings
+P_mu = (x)_s sigma_{mu_s} / sqrt(2), site 0 the most significant base-4 digit
+of mu and (I, X, Y, Z) the digits 0..3.  A Lindbladian maps Hermitian
+operators to Hermitian operators, so T is real; it preserves the trace, so
+row 0 of T (the identity string) is zero.  The steady state is solved on T.
 
-    M = -1j (I (x) h - h^T (x) I)
-        + sum_k conj(L_k) (x) L_k - 1/2 I (x) L_k^dag L_k - 1/2 (L_k^dag L_k)^T (x) I
-
-acting on vec(rho).  The Heisenberg generator is the conjugate transpose of M.
+The integrators run on the column-stacked generator instead,
+``vec(rho) = rho.flatten(order="F")``, built from the same local blocks on
+first use; the Heisenberg generator is its conjugate transpose.  They keep
+its roundoff because the stability verdicts of the diagnostics rest on it.
 
 Site 0 occupies the leftmost Kronecker slot, matching :mod:`phaselearn.lattice`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,6 +95,29 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * q, p * q)
 
 
+# I, X, Y, Z over sqrt(2); per site, X[a, b] = sum_p _FROM_PAULI[2a + b, p] c_p
+_FROM_PAULI = (np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                         [[1, 0], [0, -1]]]) / np.sqrt(2)).reshape(4, 4).T
+
+
+def _from_pauli(c: np.ndarray, n: int) -> np.ndarray:
+    """The operator sum_mu c_mu P_mu over the normalised Pauli strings, one
+    site's 4 x 4 factor at a time: each pass acts on the leading digit and
+    rotates it to the end."""
+    for _ in range(n):
+        c = (_FROM_PAULI @ c.reshape(4, -1)).T.ravel()
+    pairs = c.reshape((2,) * (2 * n))
+    return pairs.transpose(np.arange(2 * n).reshape(n, 2).T.ravel()).reshape(2**n, 2**n)
+
+
+@cache  # one entry per term support size, at most SUPEROP_SITE_CAP
+def _pauli_change(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(V^dag, V) for the unitary V whose column nu is vec(P_nu), column-stacked,
+    on k sites."""
+    v = np.stack([_from_pauli(e, k).flatten(order="F") for e in np.eye(4**k)], axis=1)
+    return v.conj().T, v
+
+
 class ParamLindbladian:
     """A geometrically local Lindbladian family L(x) = sum_j L_j(x_j).
 
@@ -136,13 +164,15 @@ class ParamLindbladian:
         if overlap.size and overlap.max() > self.OVERLAP_CAP:
             raise ValueError(f"term overlap {overlap.max()} exceeds bound {self.OVERLAP_CAP}")
 
-        # per term, embed_sparse_indices of its vec-space slots (column factor
-        # of site s at slot s, row factor at slot n_total + s), for assembly;
+        # per term, embed_sparse_indices on 2 n_total binary slots of its Pauli
+        # digits (site s owns slots 2s and 2s + 1) and of its vec-space factors
+        # (column factor of site s at slot s, row factor at slot n_total + s);
         # a family too large to assemble gets none
+        n = self.n_total
         self._term_offsets = tuple(
-            embed_sparse_indices(2 * self.n_total,
-                                 [*t.support.sites, *(self.n_total + s for s in t.support.sites)])
-            for t in self.terms) if self.n_total <= SUPEROP_SITE_CAP else ()
+            (embed_sparse_indices(2 * n, [b for s in t.support.sites for b in (2 * s, 2 * s + 1)]),
+             embed_sparse_indices(2 * n, [*t.support.sites, *(n + s for s in t.support.sites)]))
+            for t in self.terms) if n <= SUPEROP_SITE_CAP else ()
         self.term_centers, self.term_radii = self._support_geometry()
         self.r0 = max(self.term_radii, default=0)
         self.term_strengths = self._certify_strengths()
@@ -203,11 +233,9 @@ class ParamLindbladian:
 
     # -- assembly ----------------------------------------------------------
 
-    def term_superoperator(self, term_index: int,
-                           x_slice: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Generator of one term at its parameter slice, embedded in the full space
-        as unsummed COO triplets (rows, cols, data); ``assemble`` sums all terms.
-        Only a family within ``SUPEROP_SITE_CAP`` sites has the embedding."""
+    def _term_local(self, term_index: int, x_slice: np.ndarray) -> np.ndarray:
+        """Column-stacked generator of one term on its support at its parameter
+        slice, ordered like the term's vec-space slots."""
         x_slice = np.asarray(x_slice, dtype=float)
         term = self.terms[term_index]
         dk = 2 ** len(term.support.sites)
@@ -225,16 +253,40 @@ class ParamLindbladian:
                 - 0.5 * _kron(eye, LdL)
                 - 0.5 * _kron(LdL.T, eye)
             )
-        # the local matrix above is ordered like the term's vec-space slots
-        return embed_triplets(local, *self._term_offsets[term_index])
+        return local
+
+    def term_superoperator(self, term_index: int,
+                           x_slice: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Transfer matrix of one term at its parameter slice, embedded in the full
+        space as unsummed COO triplets (rows, cols, data); ``assemble`` sums all
+        terms.  Only a family within ``SUPEROP_SITE_CAP`` sites has the embedding.
+
+        The local block is V^dag M V, with M the term's column-stacked generator
+        and V its vec'd Pauli strings.  Entries below 1e-14 of the block's
+        largest are roundoff of structural zeros and are dropped; an imaginary
+        part above that bound means the term does not preserve Hermiticity.
+        """
+        vh, v = _pauli_change(len(self.terms[term_index].support.sites))
+        block = vh @ self._term_local(term_index, x_slice) @ v
+        real, bound = block.real, 1e-14 * np.abs(block).max()
+        if np.abs(block.imag).max() > bound:
+            raise NumericalError(f"term {self.terms[term_index].label!r}: "
+                                 "generator does not preserve Hermiticity")
+        real[np.abs(real) < bound] = 0.0
+        return embed_triplets(real, *self._term_offsets[term_index][0])
 
 
 @dataclass
 class Superoperator:
-    """Sparse Schroedinger-picture generator acting on column-stacked vec(rho)."""
+    """Real sparse Pauli transfer matrix T of a Schroedinger-picture generator.
+
+    The integrators read :attr:`column_stacked`, which ``assemble`` leaves to
+    be built on first use from the family and point it was given.
+    """
 
     matrix: sp.csr_matrix
     n_sites: int
+    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim = self.hilbert_dim**2
@@ -251,11 +303,19 @@ class Superoperator:
         return 2**self.n_sites
 
     def trace_preservation_residual(self) -> float:
-        """max |tr(M applied to any basis element)| via the trace functional row."""
-        D = self.hilbert_dim
-        e = np.zeros(D * D, dtype=complex)
-        e[np.arange(D) * (D + 1)] = 1.0
-        return float(np.max(np.abs(self.matrix.T @ e)))
+        """max |T[0, nu]|: row 0 is sqrt(D) times the trace functional."""
+        m = self.matrix
+        return float(np.abs(m.data[m.indptr[0]:m.indptr[1]]).max(initial=0.0))
+
+    @cached_property
+    def column_stacked(self) -> sp.csr_matrix:
+        """The generator M on vec(rho) = rho.flatten(order="F"):
+        -1j (I (x) h - h^T (x) I) + sum_k conj(L_k) (x) L_k
+        - 1/2 I (x) L_k^dag L_k - 1/2 (L_k^dag L_k)^T (x) I per term."""
+        family, values = self._source
+        return _summed([embed_triplets(family._term_local(ti, values[list(term.coord_indices)]),
+                                       *family._term_offsets[ti][1])
+                        for ti, term in enumerate(family.terms)], self.hilbert_dim**2, complex)
 
 
 @dataclass(frozen=True)
@@ -311,23 +371,29 @@ class DensityMatrix:
         return float(np.real(np.trace(full_matrix @ self.data)))
 
 
+def _summed(triplets: list, dim: int, dtype: type) -> sp.csr_matrix:
+    """The dim x dim CSR sum of COO triplets, without the explicit zeros that
+    cancelling terms leave; no triplets give the zero matrix."""
+    triplets = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, dtype)), *triplets]
+    rows, cols, data = (np.concatenate(part) for part in zip(*triplets))
+    total = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
+    total.eliminate_zeros()
+    return total
+
+
 def assemble(family: ParamLindbladian, x: np.ndarray) -> Superoperator:
-    """Build the sparse Schroedinger-picture generator at parameter point x."""
+    """Build the Pauli transfer matrix of the generator at parameter point x."""
     if family.n_total > SUPEROP_SITE_CAP:
         raise ValueError(
             f"superoperator assembly capped at {SUPEROP_SITE_CAP} sites, "
             f"family has {family.n_total}"
         )
-    values = family.as_values(x)
-    D2 = 4**family.n_total
-    # the empty triplet lets a family without terms assemble to the zero matrix
-    triplets = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))]
-    triplets += [family.term_superoperator(ti, values[list(term.coord_indices)])
-                 for ti, term in enumerate(family.terms)]
-    rows, cols, data = (np.concatenate(part) for part in zip(*triplets))
-    total = sp.coo_matrix((data, (rows, cols)), shape=(D2, D2)).tocsr()
-    total.eliminate_zeros()  # terms that cancel leave explicit zeros
-    return Superoperator(total, family.n_total)
+    values = family.as_values(x).copy()  # column_stacked reads it later
+    triplets = [family.term_superoperator(ti, values[list(term.coord_indices)])
+                for ti, term in enumerate(family.terms)]
+    gen = Superoperator(_summed(triplets, 4**family.n_total, float), family.n_total)
+    gen._source = (family, values)
+    return gen
 
 
 def _integrate(matrix: sp.csr_matrix, y0: np.ndarray, t: float,
@@ -351,17 +417,20 @@ def _integrate(matrix: sp.csr_matrix, y0: np.ndarray, t: float,
 
 def evolve(superop: Superoperator, rho: DensityMatrix, t: float,
            rtol: float = 1e-9) -> DensityMatrix:
-    """rho(t) = exp(t L)(rho) via an adaptive explicit 4th/5th-order pair.
+    """rho(t) = exp(t L)(rho) via an adaptive explicit 4th/5th-order pair on the
+    column-stacked vec(rho).
 
     No per-step trace renormalisation is applied; trace drift is a health
     metric and surfaces through the admission guard of the result.
     """
+    if rho.n_sites != superop.n_sites:
+        raise ValueError(f"state on {rho.n_sites} sites, generator on {superop.n_sites}")
     if t < 0:
         raise ValueError("evolution time must be >= 0")
     if t == 0:
         return rho
     y0 = rho.data.flatten(order="F")
-    y = _integrate(superop.matrix, y0, t, rtol)
+    y = _integrate(superop.column_stacked, y0, t, rtol)
     D = superop.hilbert_dim
     return DensityMatrix(y.reshape((D, D), order="F"), superop.n_sites)
 
@@ -370,7 +439,7 @@ def heisenberg_evolve(superop: Superoperator, observable: np.ndarray, t: float,
                       rtol: float = 1e-9) -> np.ndarray:
     """O(t) = exp(t L*)(O); satisfies tr[O evolve(rho, t)] = tr[O(t) rho].
 
-    L* is the conjugate transpose of the Schroedinger-picture generator.
+    L* is the conjugate transpose of the column-stacked generator.
     """
     if t < 0:
         raise ValueError("evolution time must be >= 0")
@@ -380,7 +449,8 @@ def heisenberg_evolve(superop: Superoperator, observable: np.ndarray, t: float,
         raise ValueError("observable must act on the full space")
     if t == 0:
         return observable.copy()
-    y = _integrate(superop.matrix.conj().T.tocsr(), observable.flatten(order="F"), t, rtol)
+    y = _integrate(superop.column_stacked.conj().T.tocsr(), observable.flatten(order="F"),
+                   t, rtol)
     return y.reshape((D, D), order="F")
 
 
@@ -388,58 +458,27 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 
 
-def _inverse_iteration(matrix: sp.csr_matrix, lu: spla.SuperLU,
-                       seed: np.ndarray) -> tuple[np.ndarray, float]:
-    """The eigenvector of ``matrix`` nearest the shift of ``lu``, the LU of M - shift I.
-    Returns (vector, residual ||M v|| / ||v||).
+def _kernel_is_degenerate(lu: spla.SuperLU, line: float) -> tuple[bool, float]:
+    """Whether the pinned generator T' (``lu`` factors T'^T) is singular, and
+    the last residual, by inverse iteration from a fixed random seed: solving
+    T' w = v for a unit v leaves w / ||w|| the residual 1 / ||w||.  A singular
+    T' has a pivot of order 1e-16 norm_scale, so each solve multiplies the
+    weight of a kernel vector by about 1e16 / norm_scale against at most
+    1/|lambda| for every other eigenvector: within one or two solves the
+    residual collapses below ``line`` (or the solve overflows), and one that
+    stays 1e4 times above the line twice in a row rules the degeneracy out.
+    At most 50 solves.
     """
-    v = seed / np.linalg.norm(seed)
-    resid = np.inf
-    for _ in range(50):
-        w = lu.solve(v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0 or not np.isfinite(nrm):
-            raise NumericalError("inverse iteration collapsed")
-        v = w / nrm
-        new_resid = float(np.linalg.norm(matrix @ v))
-        if abs(new_resid - resid) < 1e-13:
-            resid = new_resid
-            break
-        resid = new_resid
-    return v, resid
-
-
-def _kernel_is_degenerate(matrix: sp.csr_matrix, lu: spla.SuperLU,
-                          v1: np.ndarray, line: float) -> tuple[bool, float]:
-    """Whether ``matrix`` has a kernel vector besides ``v1``, and the last residual.
-
-    Inverse iteration deflated against ``v1``, from a fixed random seed made
-    orthogonal to ``v1``.  The kernel is degenerate as soon as a residual
-    ||M v|| falls below ``line``.  With a second kernel vector, each solve
-    multiplies that vector's weight by about 1/shift = 1e10 / norm_scale
-    against at most 1/|lambda| for every other eigenvector, so within one or
-    two solves the residual collapses far below the line.  A residual that
-    stays 1e4 times above the line for two solves in a row therefore rules
-    the degeneracy out.  At most 50 solves, as in the main iteration.
-    """
-    n = matrix.shape[0]
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v -= v1 * (v1.conj() @ v)
-    if np.linalg.norm(v) <= 1e-12:
-        return False, np.inf
-    v = v / np.linalg.norm(v)
+    v = np.random.default_rng(12345).standard_normal(lu.shape[0])
+    v /= np.linalg.norm(v)
     resid, far = np.inf, 0
     for _ in range(50):
-        w = lu.solve(v)
-        w = w - v1 * (v1.conj() @ w)
+        w = lu.solve(v, trans="T")
         nrm = np.linalg.norm(w)
-        if nrm == 0 or not np.isfinite(nrm):
-            return False, resid
-        v = w / nrm
-        resid = float(np.linalg.norm(matrix @ v))
-        if resid < line:
+        resid = 1.0 / nrm
+        if not resid >= line:  # also an overflowed solve
             return True, resid
+        v = w / nrm
         far = far + 1 if resid > 1e4 * line else 0
         if far == 2:
             break
@@ -449,48 +488,46 @@ def _kernel_is_degenerate(matrix: sp.csr_matrix, lu: spla.SuperLU,
 def steady_state(superop: Superoperator, resid_tol: float = 1e-9) -> DensityMatrix:
     """Unique fixed point of the semigroup generated by ``superop``.
 
-    Shifted inverse iteration targeting eigenvalue 0, seeded with the
-    maximally mixed state; a second, deflated iteration probes for kernel
-    degeneracy, which is an error (no silent selection).  The probe stops at
-    its first residual below the 1e-8 * norm_scale line (degenerate) or once
-    two solves in a row leave it 1e4 times above that line (simple kernel);
-    on generators with a simple kernel that is two solves.  The shifted
-    generator gets one SuperLU factorization, shared by the inverse iteration
-    and the deflated probe, under the MMD_AT_PLUS_A ordering (under half the
-    fill of the default COLAMD on TFIM generators).  An iteration that fails
-    or stops above the line is a NumericalError.
+    Row 0 of T is zero (to the 1e-10 that ``Superoperator`` admits), so T
+    with row 0 replaced by e0^T is T' = T + e0 e0^T, nonsingular exactly when
+    the kernel of T is simple; then T' c = e0 / sqrt(D) gives the steady
+    state's coefficients: T c = 0, c_0 = 1/sqrt(D) makes the trace 1 and
+    real coefficients make it Hermitian.  T's CSR arrays with that row are
+    the CSC arrays of T'^T, so SuperLU factors T'^T once (MMD_AT_PLUS_A,
+    threshold pivoting 0.1 in symmetric mode: 53 to 78% of the fill of
+    partial pivoting on TFIM generators of 4 to 6 sites) and solves
+    transposed.  The factor also serves the degeneracy probe, which stops at
+    its first residual below the 1e-8 * norm_scale line or once two solves
+    in a row leave it 1e4 times above it (two solves on a simple kernel).
+    An exactly singular factor or a probe below the line is a degenerate
+    kernel, an error (no silent selection); a non-finite solve or a
+    trace-norm residual ||L(rho)||_1 above ``resid_tol`` is a NumericalError.
     """
-    M = superop.matrix
-    D = superop.hilbert_dim
-    norm_scale = max(1.0, float(np.abs(M).sum(axis=1).max()))
-    line = 1e-8 * norm_scale
-    shifted = (M - 1e-10 * norm_scale * sp.identity(M.shape[0], dtype=complex)).tocsc()
-    seed = np.eye(D, dtype=complex).flatten(order="F") / D
-
+    T = superop.matrix
+    n, D = superop.n_sites, superop.hilbert_dim
+    rows = np.repeat(np.arange(D * D), np.diff(T.indptr))
+    norm_scale = max(1.0, float(np.bincount(rows, np.abs(T.data), D * D).max()))
+    s = T.indptr[1]
+    pinned_t = sp.csc_matrix((np.r_[1.0, T.data[s:]], np.r_[0, T.indices[s:]],
+                              np.r_[0, T.indptr[1:] - s + 1]), shape=T.shape)
     try:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
-        v1, resid1 = _inverse_iteration(M, lu, seed)
+        lu = spla.splu(pinned_t, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
-        raise NumericalError(f"steady-state factorization failed: {exc}") from exc
-    if resid1 > line:
-        raise NumericalError(f"steady-state iteration did not converge (residual {resid1:.2e})")
-
-    degenerate, resid2 = _kernel_is_degenerate(M, lu, v1, line)
+        raise DegenerateSteadyStateError(f"non-unique steady state: {exc}") from exc
+    degenerate, probe = _kernel_is_degenerate(lu, 1e-8 * norm_scale)
     if degenerate:
         raise DegenerateSteadyStateError(
-            f"non-unique steady state: deflated kernel residual {resid2:.2e}"
-        )
-
-    rho = v1.reshape((D, D), order="F")
-    rho = (rho + rho.conj().T) / 2
-    tr = float(np.real(np.trace(rho)))
-    if abs(tr) < 1e-12:
-        raise NumericalError("steady-state candidate is traceless")
-    rho = rho / tr
-    resid = trace_norm((M @ rho.flatten(order="F")).reshape((D, D), order="F"))
+            f"non-unique steady state: kernel probe residual {probe:.2e}")
+    rhs = np.zeros(D * D)
+    rhs[0] = 1.0 / np.sqrt(D)
+    c = lu.solve(rhs, trans="T")
+    if not np.all(np.isfinite(c)):
+        raise NumericalError("steady-state solve produced non-finite values")
+    resid = trace_norm(_from_pauli(T @ c, n))
     if resid > resid_tol:
         raise NumericalError(f"steady-state residual {resid:.2e} exceeds {resid_tol:.0e}")
-    out = DensityMatrix(rho, superop.n_sites)
+    out = DensityMatrix(_from_pauli(c, n), n)
     out.validate()
     return out
 

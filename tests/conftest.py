@@ -1,10 +1,12 @@
+import itertools
 from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from phaselearn.lattice import Lattice, Region
-from phaselearn.lindblad import DensityMatrix, LindbladTerm, ParamLindbladian
+from phaselearn.lindblad import DensityMatrix, LindbladTerm, ParamLindbladian, Superoperator
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
 SP = SM.conj().T
@@ -33,6 +35,29 @@ def amplitude_damping_family(kappa: float = 1.0) -> ParamLindbladian:
     lat = Lattice(1, (1,))
     term = LindbladTerm(Region((0,)), (), lambda xs: (None, [np.sqrt(kappa) * SM]), "ad")
     return ParamLindbladian(lat, [term], name="amplitude_damping")
+
+
+def pauli_vec_basis(n: int) -> sp.csr_matrix:
+    """Unitary whose column mu is vec(P_mu) = P_mu.flatten(order="F") for the
+    normalised Pauli string P_mu on n sites: site 0 the most significant
+    base-4 digit, digits I, X, Y, Z.  Sparse, so the n = 6 basis fits."""
+    D = 2**n
+    rows, cols, vals = [], [], []
+    for mu, factors in enumerate(itertools.product((np.eye(2), X, Y, Z), repeat=n)):
+        string = reduce(np.kron, factors)
+        a, b = np.nonzero(string)
+        rows.append(b * D + a)
+        cols.append(np.full(a.size, mu))
+        vals.append(string[a, b] / np.sqrt(D))
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(D * D, D * D))
+
+
+def vec_generator(gen: Superoperator) -> sp.csr_matrix:
+    """The generator on column-stacked vec(rho), V T V^dag, from its Pauli
+    transfer matrix T (sparse; ``.toarray()`` for the dense matrix)."""
+    V = pauli_vec_basis(gen.n_sites)
+    return (V @ gen.matrix @ V.conj().T).tocsr()
 
 
 def full_state(oracle, x: np.ndarray, tau: float, family: ParamLindbladian) -> DensityMatrix:

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import X as X_PAULI
-from conftest import Y, Z, full_state
+from conftest import Y, Z, full_state, vec_generator
 from phaselearn.lattice import Lattice, observable_from_string
 from phaselearn.lindblad import assemble, evolve, steady_state, trace_norm
 from phaselearn.models import (
@@ -136,7 +136,7 @@ class TestDissipativeTfim:
         x = np.zeros(model.family.m)
         gen = assemble(model.family, x)
         ss = steady_state(gen)
-        prop = scipy.linalg.expm(50.0 * gen.matrix.toarray())
+        prop = scipy.linalg.expm(50.0 * vec_generator(gen).toarray())
         rho0 = model.reference_state().data.flatten(order="F")
         long_time = (prop @ rho0).reshape((4, 4), order="F")
         z0 = np.kron(Z, np.eye(2))
@@ -148,9 +148,9 @@ class TestDissipativeTfim:
         rng = np.random.default_rng(6)
         x = rng.uniform(-1, 1, model.family.m)
         alpha = 0.37
-        l0 = assemble(model.family, np.zeros(model.family.m)).matrix
-        lx = assemble(model.family, x).matrix
-        la = assemble(model.family, alpha * x).matrix
+        l0 = vec_generator(assemble(model.family, np.zeros(model.family.m)))
+        lx = vec_generator(assemble(model.family, x))
+        la = vec_generator(assemble(model.family, alpha * x))
         assert abs((la - l0) - alpha * (lx - l0)).max() < 1e-12
 
     def test_coordinate_layout(self):
