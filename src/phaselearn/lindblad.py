@@ -121,10 +121,17 @@ def _pauli_change(k: int) -> tuple[np.ndarray, np.ndarray]:
 class ParamLindbladian:
     """A geometrically local Lindbladian family L(x) = sum_j L_j(x_j).
 
-    Immutable after construction.  Certifies at build time an upper bound J on
-    the completely bounded 1->1 norm of every term (2 ||h|| + 2 sum ||L_k||^2,
-    maximised over the corners of the per-term parameter box) and checks that
-    term supports overlap each site only O(1) times.
+    Its lattice, terms and certified constants are fixed at construction.
+    Certifies at build time an upper bound J on the completely bounded 1->1
+    norm of every term (2 ||h|| + 2 sum ||L_k||^2, maximised over the corners
+    of the per-term parameter box) and checks that term supports overlap each
+    site only O(1) times.
+
+    The family also keeps the work that depends only on a generator's
+    sparsity pattern, which is the same at every generic point: ``assemble``'s
+    scatter of the term blocks into T and ``steady_state``'s fill-reducing
+    order of T'.  Each is one slot, replaced when a point of another pattern
+    comes along (a zero coordinate can empty a block) and never grown.
     """
 
     OVERLAP_CAP = 8
@@ -177,6 +184,8 @@ class ParamLindbladian:
         self.r0 = max(self.term_radii, default=0)
         self.term_strengths = self._certify_strengths()
         self.J = max(self.term_strengths, default=0.0)
+        self._scatter: tuple | None = None  # see _scatter_plan
+        self._ordering: tuple | None = None  # see _ordering_plan
 
     # -- structure ---------------------------------------------------------
 
@@ -255,16 +264,15 @@ class ParamLindbladian:
             )
         return local
 
-    def term_superoperator(self, term_index: int,
-                           x_slice: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Transfer matrix of one term at its parameter slice, embedded in the full
-        space as unsummed COO triplets (rows, cols, data); ``assemble`` sums all
-        terms.  Only a family within ``SUPEROP_SITE_CAP`` sites has the embedding.
+    def term_superoperator(self, term_index: int, x_slice: np.ndarray) -> np.ndarray:
+        """Transfer matrix of one term on its support at its parameter slice,
+        ordered like the term's Pauli-digit slots; ``assemble`` embeds and sums
+        all terms.
 
-        The local block is V^dag M V, with M the term's column-stacked generator
-        and V its vec'd Pauli strings.  Entries below 1e-14 of the block's
-        largest are roundoff of structural zeros and are dropped; an imaginary
-        part above that bound means the term does not preserve Hermiticity.
+        The block is V^dag M V, with M the term's column-stacked generator and
+        V its vec'd Pauli strings.  Entries below 1e-14 of the block's largest
+        are roundoff of structural zeros and are set to zero; an imaginary part
+        above that bound means the term does not preserve Hermiticity.
         """
         vh, v = _pauli_change(len(self.terms[term_index].support.sites))
         block = vh @ self._term_local(term_index, x_slice) @ v
@@ -273,7 +281,7 @@ class ParamLindbladian:
             raise NumericalError(f"term {self.terms[term_index].label!r}: "
                                  "generator does not preserve Hermiticity")
         real[np.abs(real) < bound] = 0.0
-        return embed_triplets(real, *self._term_offsets[term_index][0])
+        return real
 
 
 @dataclass
@@ -281,7 +289,9 @@ class Superoperator:
     """Real sparse Pauli transfer matrix T of a Schroedinger-picture generator.
 
     The integrators read :attr:`column_stacked`, which ``assemble`` leaves to
-    be built on first use from the family and point it was given.
+    be built on first use from the family and point it was given; a generator
+    built otherwise has neither, so it can be solved for its steady state
+    (by a fresh fill-reducing order) but not evolved.
     """
 
     matrix: sp.csr_matrix
@@ -312,6 +322,9 @@ class Superoperator:
         """The generator M on vec(rho) = rho.flatten(order="F"):
         -1j (I (x) h - h^T (x) I) + sum_k conj(L_k) (x) L_k
         - 1/2 I (x) L_k^dag L_k - 1/2 (L_k^dag L_k)^T (x) I per term."""
+        if self._source is None:
+            raise ValueError("evolution needs the column-stacked generator, which only "
+                             "a generator built by assemble can give")
         family, values = self._source
         return _summed([embed_triplets(family._term_local(ti, values[list(term.coord_indices)]),
                                        *family._term_offsets[ti][1])
@@ -381,17 +394,53 @@ def _summed(triplets: list, dim: int, dtype: type) -> sp.csr_matrix:
     return total
 
 
+def _scatter_plan(family: ParamLindbladian, blocks: list[np.ndarray],
+                  nonzero: np.ndarray) -> tuple:
+    """The scatter slot for term blocks whose raveled, concatenated entries
+    are nonzero where ``nonzero`` is: that mask; per embedded entry, in term
+    order, the block entry it copies and the stored entry of T it sums into;
+    and T's CSR ``indptr`` and ``indices``."""
+    dim = 4**family.n_total
+    # 1-based positions of the nonzero entries, so embed_triplets keeps exactly those
+    ids = np.where(nonzero, np.arange(1, nonzero.size + 1), 0)
+    keys, pos, start = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], 0
+    for ti, block in enumerate(blocks):
+        rows, cols, p = embed_triplets(ids[start:start + block.size].reshape(block.shape),
+                                       *family._term_offsets[ti][0])
+        keys.append(rows * dim + cols)
+        pos.append(p - 1)
+        start += block.size
+    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
+    return nonzero, np.concatenate(pos), inverse, indptr, keys % dim
+
+
 def assemble(family: ParamLindbladian, x: np.ndarray) -> Superoperator:
-    """Build the Pauli transfer matrix of the generator at parameter point x."""
+    """Build the Pauli transfer matrix of the generator at parameter point x.
+
+    The term blocks are summed into T in term order through the family's
+    scatter slot, rebuilt first when the blocks are nonzero elsewhere, so T
+    has the same bytes whatever the family assembled before.  Exact zeros
+    left by cancelling terms are dropped.
+    """
     if family.n_total > SUPEROP_SITE_CAP:
         raise ValueError(
             f"superoperator assembly capped at {SUPEROP_SITE_CAP} sites, "
             f"family has {family.n_total}"
         )
     values = family.as_values(x).copy()  # column_stacked reads it later
-    triplets = [family.term_superoperator(ti, values[list(term.coord_indices)])
-                for ti, term in enumerate(family.terms)]
-    gen = Superoperator(_summed(triplets, 4**family.n_total, float), family.n_total)
+    blocks = [family.term_superoperator(ti, values[list(term.coord_indices)])
+              for ti, term in enumerate(family.terms)]
+    flat = np.concatenate([np.zeros(0), *(b.ravel() for b in blocks)])
+    nonzero = flat != 0
+    if family._scatter is None or not np.array_equal(nonzero, family._scatter[0]):
+        family._scatter = _scatter_plan(family, blocks, nonzero)
+    _, gather, inverse, indptr, indices = family._scatter
+    dim = 4**family.n_total
+    total = sp.csr_matrix((np.bincount(inverse, flat[gather], indices.size), indices, indptr),
+                          shape=(dim, dim), copy=True)  # the slot's arrays stay unpruned
+    total.eliminate_zeros()
+    gen = Superoperator(total, family.n_total)
     gen._source = (family, values)
     return gen
 
@@ -458,22 +507,71 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 
 
-def _kernel_is_degenerate(lu: spla.SuperLU, line: float) -> tuple[bool, float]:
-    """Whether the pinned generator T' (``lu`` factors T'^T) is singular, and
-    the last residual, by inverse iteration from a fixed random seed: solving
-    T' w = v for a unit v leaves w / ||w|| the residual 1 / ||w||.  A singular
-    T' has a pivot of order 1e-16 norm_scale, so each solve multiplies the
-    weight of a kernel vector by about 1e16 / norm_scale against at most
-    1/|lambda| for every other eigenvector: within one or two solves the
-    residual collapses below ``line`` (or the solve overflows), and one that
-    stays 1e4 times above the line twice in a row rules the degeneracy out.
-    At most 50 solves.
+def _splu(matrix: sp.csc_matrix, permc_spec: str) -> spla.SuperLU:
+    return spla.splu(matrix, permc_spec=permc_spec, diag_pivot_thresh=0.1,
+                     options={"SymmetricMode": True})
+
+
+def _ordering_plan(pinned_t: sp.csc_matrix, perm: np.ndarray) -> tuple:
+    """The ordering slot for T'^T and SuperLU's column permutation ``perm``
+    of it (column j to position perm[j]): the pattern of T'^T, the order
+    that inverts ``perm``, ``perm``, the entry of T'^T that each entry of
+    T'^T with rows and columns taken in that order copies, and that matrix's
+    CSC ``indptr`` and ``indices``.  Each column keeps its row indices in
+    T'^T's order, which makes its NATURAL factor the fill-reducing factor of
+    T'^T to the bit; sorting them moved solves by up to 1.7e-16."""
+    order = np.argsort(perm)
+    counts = np.diff(pinned_t.indptr)[order]
+    indptr = np.r_[0, np.cumsum(counts)]
+    gather = np.repeat(pinned_t.indptr[order] - indptr[:-1], counts) + np.arange(indptr[-1])
+    return (pinned_t.indptr, pinned_t.indices, order, perm, gather, indptr,
+            perm[pinned_t.indices[gather]])
+
+
+def _factor(pinned_t: sp.csc_matrix,
+            family: ParamLindbladian | None) -> tuple[spla.SuperLU, np.ndarray, np.ndarray]:
+    """``(lu, order, rank)``: ``lu`` factors T'^T with rows and columns taken
+    in ``order``, whose inverse is ``rank``.  The order is the family's
+    ordering slot when T' has its pattern; otherwise MMD_AT_PLUS_A orders
+    T'^T afresh (``order`` the identity) and its order replaces the slot."""
+    slot = None if family is None else family._ordering
+    if (slot is not None and np.array_equal(pinned_t.indptr, slot[0])
+            and np.array_equal(pinned_t.indices, slot[1])):
+        _, _, order, rank, gather, indptr, indices = slot
+        permuted = sp.csc_matrix((pinned_t.data[gather], indices, indptr), shape=pinned_t.shape)
+        permuted.has_canonical_format = True  # keeps splu from sorting the row indices
+        return _splu(permuted, "NATURAL"), order, rank
+    lu = _splu(pinned_t, "MMD_AT_PLUS_A")
+    if family is not None:
+        # a copy: lu.perm_c is a view that would keep the whole factor alive
+        family._ordering = _ordering_plan(pinned_t, lu.perm_c.copy())
+    identity = np.arange(pinned_t.shape[0])
+    return lu, identity, identity
+
+
+def _solve_t(factor: tuple[spla.SuperLU, np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """The solution c of T' c = rhs from the ``_factor`` of T'^T."""
+    lu, order, rank = factor
+    return lu.solve(rhs[order], trans="T")[rank]
+
+
+def _kernel_is_degenerate(factor: tuple[spla.SuperLU, np.ndarray, np.ndarray],
+                          line: float) -> tuple[bool, float]:
+    """Whether the pinned generator T' (``factor`` from ``_factor``) is
+    singular, and the last residual, by inverse iteration from a fixed random
+    seed: solving T' w = v for a unit v leaves w / ||w|| the residual
+    1 / ||w||.  A singular T' has a pivot of order 1e-16 norm_scale, so each
+    solve multiplies the weight of a kernel vector by about 1e16 / norm_scale
+    against at most 1/|lambda| for every other eigenvector: within one or two
+    solves the residual collapses below ``line`` (or the solve overflows), and
+    one that stays 1e4 times above the line twice in a row rules the
+    degeneracy out.  At most 50 solves.
     """
-    v = np.random.default_rng(12345).standard_normal(lu.shape[0])
+    v = np.random.default_rng(12345).standard_normal(factor[0].shape[0])
     v /= np.linalg.norm(v)
     resid, far = np.inf, 0
     for _ in range(50):
-        w = lu.solve(v, trans="T")
+        w = _solve_t(factor, v)
         nrm = np.linalg.norm(w)
         resid = 1.0 / nrm
         if not resid >= line:  # also an overflowed solve
@@ -493,12 +591,15 @@ def steady_state(superop: Superoperator, resid_tol: float = 1e-9) -> DensityMatr
     the kernel of T is simple; then T' c = e0 / sqrt(D) gives the steady
     state's coefficients: T c = 0, c_0 = 1/sqrt(D) makes the trace 1 and
     real coefficients make it Hermitian.  T's CSR arrays with that row are
-    the CSC arrays of T'^T, so SuperLU factors T'^T once (MMD_AT_PLUS_A,
-    threshold pivoting 0.1 in symmetric mode: 53 to 78% of the fill of
-    partial pivoting on TFIM generators of 4 to 6 sites) and solves
-    transposed.  The factor also serves the degeneracy probe, which stops at
-    its first residual below the 1e-8 * norm_scale line or once two solves
-    in a row leave it 1e4 times above it (two solves on a simple kernel).
+    the CSC arrays of T'^T, so SuperLU factors T'^T once (threshold pivoting
+    0.1 in symmetric mode: 53 to 78% of the fill of partial pivoting on TFIM
+    generators of 4 to 6 sites) and solves transposed.  The fill-reducing
+    MMD_AT_PLUS_A order depends only on the pattern of T', so a generator
+    from ``assemble`` reuses the order its family last computed for that
+    pattern (``_factor``); the state has the same bytes either way.  The
+    factor also serves the degeneracy probe, which stops at its first
+    residual below the 1e-8 * norm_scale line or once two solves in a row
+    leave it 1e4 times above it (two solves on a simple kernel).
     An exactly singular factor or a probe below the line is a degenerate
     kernel, an error (no silent selection); a non-finite solve or a
     trace-norm residual ||L(rho)||_1 above ``resid_tol`` is a NumericalError.
@@ -511,17 +612,16 @@ def steady_state(superop: Superoperator, resid_tol: float = 1e-9) -> DensityMatr
     pinned_t = sp.csc_matrix((np.r_[1.0, T.data[s:]], np.r_[0, T.indices[s:]],
                               np.r_[0, T.indptr[1:] - s + 1]), shape=T.shape)
     try:
-        lu = spla.splu(pinned_t, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                       options={"SymmetricMode": True})
+        factor = _factor(pinned_t, None if superop._source is None else superop._source[0])
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise DegenerateSteadyStateError(f"non-unique steady state: {exc}") from exc
-    degenerate, probe = _kernel_is_degenerate(lu, 1e-8 * norm_scale)
+    degenerate, probe = _kernel_is_degenerate(factor, 1e-8 * norm_scale)
     if degenerate:
         raise DegenerateSteadyStateError(
             f"non-unique steady state: kernel probe residual {probe:.2e}")
     rhs = np.zeros(D * D)
     rhs[0] = 1.0 / np.sqrt(D)
-    c = lu.solve(rhs, trans="T")
+    c = _solve_t(factor, rhs)
     if not np.all(np.isfinite(c)):
         raise NumericalError("steady-state solve produced non-finite values")
     resid = trace_norm(_from_pauli(T @ c, n))

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     SM,
+    X,
+    Y,
     Z,
     amplitude_damping_family,
     full_state,
@@ -19,12 +21,13 @@ from conftest import (
     vec_generator,
 )
 from phaselearn import lindblad
-from phaselearn.errors import DegenerateSteadyStateError
-from phaselearn.lattice import Lattice, Region, ball
+from phaselearn.errors import DegenerateSteadyStateError, NumericalError
+from phaselearn.lattice import Lattice, Region, ball, embed_sparse_indices, embed_triplets
 from phaselearn.lindblad import (
     DensityMatrix,
     LindbladTerm,
     ParamLindbladian,
+    Superoperator,
     assemble,
     evolve,
     heisenberg_evolve,
@@ -85,6 +88,26 @@ def _random_chain_family(rng: np.random.Generator, n: int, cancel: bool,
     return ParamLindbladian(Lattice(1, (n,), "open"), terms)
 
 
+def _term_triplets(family: ParamLindbladian, ti: int, x: np.ndarray) -> tuple:
+    """COO triplets of one term's transfer block embedded in the full space,
+    where site s owns the binary digits 2s and 2s + 1 of a Pauli index."""
+    term = family.terms[ti]
+    block = family.term_superoperator(ti, x[list(term.coord_indices)])
+    digits = [b for s in term.support.sites for b in (2 * s, 2 * s + 1)]
+    return embed_triplets(block, *embed_sparse_indices(2 * family.n_total, digits))
+
+
+def _outcome(family: ParamLindbladian, x: np.ndarray) -> list:
+    """The bytes of T at x and of its steady state, or the error type."""
+    gen = assemble(family, x)
+    out = [gen.matrix.indptr.tobytes(), gen.matrix.indices.tobytes(), gen.matrix.data.tobytes()]
+    try:
+        out.append(steady_state(gen).data.tobytes())
+    except (DegenerateSteadyStateError, NumericalError) as exc:
+        out.append(type(exc))
+    return out
+
+
 def _dense_generator(family: ParamLindbladian, x: np.ndarray) -> np.ndarray:
     """Reference generator from each term's build: Kronecker embedding on the
     chain and the column-stacking convention vec(A X B) = (B^T (x) A) vec(X)."""
@@ -130,7 +153,7 @@ class TestAssemble:
         total = assemble(fam, x).matrix
         acc = None
         for ti, term in enumerate(fam.terms):
-            rows, cols, data = fam.term_superoperator(ti, x[list(term.coord_indices)])
+            rows, cols, data = _term_triplets(fam, ti, x)
             piece = sp.coo_matrix((data, (rows, cols)), shape=total.shape)
             acc = piece if acc is None else acc + piece
         assert abs(total - acc).max() < 1e-14
@@ -188,19 +211,48 @@ class TestAssemble:
             for attr in ("indptr", "indices", "data"):
                 assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
 
+    @pytest.mark.parametrize("name,n", [*(("dissipative_tfim", n) for n in range(1, 5)),
+                                        *(("pinning", n) for n in range(1, 7))])
+    def test_scatter_bit_identical_to_summed(self, name, n):
+        # the scatter sums each entry of T in term order, as the COO to CSR
+        # sort does while no row gathers more than 16 raw entries
+        fam = instantiate(name, Lattice(1, (n,), "open")).family
+        rng = np.random.default_rng(n)
+        for x in (np.zeros(fam.m), rng.uniform(-1, 1, fam.m), rng.uniform(-1, 1, fam.m)):
+            got = assemble(fam, x).matrix
+            ref = lindblad._summed([_term_triplets(fam, ti, x) for ti in range(len(fam.terms))],
+                                   4**fam.n_total, float)
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(got, attr).tobytes() == getattr(ref, attr).tobytes()
+
     def test_family_does_not_grow_with_points(self):
-        # assembling at many distinct points must leave the family as it was
+        # after its first point the family holds what later points reuse; 50
+        # more, x = 0 among them, leave every attribute the size it was
         fam = instantiate("dissipative_tfim", Lattice(1, (4,), "open")).family
 
-        def sizes():
-            return {k: len(v) if hasattr(v, "__len__") else None
-                    for k, v in vars(fam).items()}
+        def size(v):
+            if isinstance(v, np.ndarray):
+                return v.size
+            if isinstance(v, (tuple, list)):
+                return tuple(size(u) for u in v)
+            return len(v) if hasattr(v, "__len__") else None
 
-        before = sizes()
+        def sizes():
+            return {k: size(v) for k, v in vars(fam).items()}
+
+        def holds_factor(v):
+            # an array whose base is a SuperLU object keeps the whole factor alive
+            if isinstance(v, (tuple, list)):
+                return any(holds_factor(u) for u in v)
+            return isinstance(getattr(v, "base", None), spla.SuperLU)
+
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            assemble(fam, rng.uniform(-1, 1, fam.m))
+        steady_state(assemble(fam, rng.uniform(-1, 1, fam.m)))
+        before = sizes()
+        for k in range(50):
+            steady_state(assemble(fam, np.zeros(fam.m) if k == 25 else rng.uniform(-1, 1, fam.m)))
         assert sizes() == before
+        assert not any(holds_factor(v) for v in vars(fam).values())
 
 
 class TestEvolve:
@@ -265,6 +317,13 @@ class TestEvolve:
         gen = assemble(amplitude_damping_family(), np.zeros(0))
         with pytest.raises(ValueError):
             evolve(gen, DensityMatrix(np.eye(2) / 2, 1), -0.1)
+
+    def test_generator_not_from_assemble_rejected(self):
+        gen = Superoperator(sp.csr_matrix((4, 4)), 1)
+        with pytest.raises(ValueError, match="assemble"):
+            evolve(gen, DensityMatrix(np.eye(2) / 2, 1), 1.0)
+        with pytest.raises(ValueError, match="assemble"):
+            heisenberg_evolve(gen, Z, 1.0)
 
 
 class TestHeisenberg:
@@ -389,6 +448,57 @@ class TestSteadyState:
         monkeypatch.setattr(lindblad.spla, "splu", counted)
         steady_state(gen)
         assert len(calls) == 1
+        # a point of the same pattern is factored in the order the first left
+        steady_state(assemble(fam, np.random.default_rng(5).uniform(-1, 1, fam.m)))
+        assert len(calls) == 2
+
+    def test_degenerate_after_ordering_reuse(self, monkeypatch):
+        # precession about one axis keeps I and the axis fixed at every x != 0
+        h = X + 0.6 * Y + 0.3 * Z
+        term = LindbladTerm(Region((0,)), (0,), lambda xs: (float(xs[0]) * h, []), "h")
+        fam = ParamLindbladian(Lattice(1, (1,)), [term])
+        specs = []
+
+        def counted(*args, _splu=spla.splu, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return _splu(*args, **kwargs)
+        monkeypatch.setattr(lindblad.spla, "splu", counted)
+        for x in (0.4, 0.7):
+            with pytest.raises(DegenerateSteadyStateError, match="probe"):
+                steady_state(assemble(fam, np.array([x])))
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
+
+    def test_generator_not_from_assemble(self):
+        # with no family the order is computed afresh, to the same state
+        fam = instantiate("dissipative_tfim", Lattice(1, (3,), "open")).family
+        rng = np.random.default_rng(8)
+        steady_state(assemble(fam, rng.uniform(-1, 1, fam.m)))
+        gen = assemble(fam, rng.uniform(-1, 1, fam.m))
+        bare = Superoperator(gen.matrix, gen.n_sites)
+        assert steady_state(bare).data.tobytes() == steady_state(gen).data.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           model=st.sampled_from([("chain", 1), ("chain", 2), ("chain", 3),
+                                  ("dissipative_tfim", 3), ("dissipative_tfim", 4)]),
+           cancel=st.booleans(), dissipate_all=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_history_independent(self, seed, model, cancel, dissipate_all):
+        # T and the steady state at a point have the same bytes on a fresh
+        # family and on one that solved other points first; x = 0 has another
+        # pattern, so each point after it is a miss and the next one a hit
+        name, n = model
+
+        def fresh():
+            if name == "chain":
+                return _random_chain_family(np.random.default_rng(seed), n, cancel, dissipate_all)
+            return instantiate(name, Lattice(1, (n,), "open")).family
+
+        used = fresh()
+        rng = np.random.default_rng([seed, 1])
+        points = [rng.uniform(-1, 1, used.m) for _ in range(4)]
+        zero = np.zeros(used.m)
+        for x in (zero, points[0], points[1], zero, points[2], points[3]):
+            assert _outcome(fresh(), x) == _outcome(used, x)
 
 
 class TestLocalize:
