@@ -246,17 +246,16 @@ def _expectation_curve(gen: Superoperator, rho0: DensityMatrix, O_full: np.ndarr
 
 
 def mixing_scan(family: ParamLindbladian, x, rho0: DensityMatrix,
-                obs: LocalObservable, t_grid: Sequence[float] = DEFAULT_T_GRID,
-                rtol: float = 1e-9, rho_inf: DensityMatrix | None = None,
+                obs: LocalObservable, rho_inf: DensityMatrix,
+                t_grid: Sequence[float] = DEFAULT_T_GRID, rtol: float = 1e-9,
                 boot_seed: int = 0) -> DecayFit:
-    """|tr[O (T_t(rho0) - rho_inf)]| on the time grid, with its decay rate."""
+    """|tr[O (T_t(rho0) - rho_inf)]| on the time grid, with its decay rate;
+    ``rho_inf`` is the steady state at x."""
     _check_scan_size(family)
-    gen = assemble(family, x)
-    if rho_inf is None:
-        rho_inf = steady_state(gen)
     O_full = embed(obs, family.lattice, n_total=family.n_total)
     target = rho_inf.expectation(O_full)
-    values = np.abs(_expectation_curve(gen, rho0, O_full, t_grid, rtol) - target)
+    values = np.abs(_expectation_curve(assemble(family, x), rho0, O_full, t_grid, rtol)
+                    - target)
     return fit_decay(list(t_grid), values, label="time", boot_seed=boot_seed)
 
 
@@ -312,9 +311,8 @@ def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
 
 
 def compatibility_scan(family: ParamLindbladian, x, region_a: Region,
-                       region_r: Region, region_w: Region,
+                       region_r: Region, region_w: Region, rho_inf: DensityMatrix,
                        t_grid: Sequence[float] = DEFAULT_T_GRID,
-                       rho_inf: DensityMatrix | None = None,
                        boot_seed: int = 0) -> DecayFit:
     """Nested-region steady-state consistency.
 
@@ -322,8 +320,8 @@ def compatibility_scan(family: ParamLindbladian, x, region_a: Region,
     generator and tracks the trace distance of its A-marginal from the
     R-region steady state.  Requires A inside R away from R's boundary, and R
     inside W away from W's boundary (:func:`~phaselearn.lattice.check_nesting`).
-    ``rho_inf`` is the steady state at x; when given and W holds every site,
-    it is the W-region steady state.
+    ``rho_inf`` is the steady state at x; when W holds every site it is the
+    W-region steady state, which is otherwise solved on W's subfamily.
     """
     check_nesting(family.lattice, region_a, region_r, region_w)
     fam_w, map_w = subfamily(family, region_w)
@@ -331,7 +329,7 @@ def compatibility_scan(family: ParamLindbladian, x, region_a: Region,
     if fam_w.n_total > SCAN_SITE_CAP:
         raise ValueError(f"W region exceeds the scan cap of {SCAN_SITE_CAP} sites")
     xv = family.as_values(x)
-    if rho_inf is not None and region_w.sites == tuple(range(family.lattice.n_sites)):
+    if region_w.sites == tuple(range(family.lattice.n_sites)):
         rho_w = rho_inf
     else:
         rho_w = steady_state(assemble(fam_w, xv[map_w]))
@@ -412,14 +410,15 @@ def calibrate_constants(family: ParamLindbladian, x, x_prime,
                         obs: LocalObservable, rho0: DensityMatrix) -> dict:
     """Measure (gamma', c', mu, xi) from the mixing and localisation scans.
 
-    Both scans integrate to rtol 1e-8; the mixing scan runs on
-    ``DEFAULT_T_GRID`` and the localisation scan at t = 1.
+    The steady state at x is solved once, for the mixing scan.  Both scans
+    integrate to rtol 1e-8; the mixing scan runs on ``DEFAULT_T_GRID`` and
+    the localisation scan at t = 1.
     1/xi = min(fitted mixing rate, fitted spatial rate / 2); c' is the
     smallest constant putting the measured mixing curve under
     c' |A|^KAPPA e^{-gamma' t}.  An identically-zero localisation curve (an
     on-site family) leaves the spatial rate unconstrained.
     """
-    mix = mixing_scan(family, x, rho0, obs, DEFAULT_T_GRID, rtol=1e-8)
+    mix = mixing_scan(family, x, rho0, obs, steady_state(assemble(family, x)), rtol=1e-8)
     gamma_p = mix.rate if not mix.all_below_floor and mix.rate > 0 else 1.0
     A = max(1, len(obs.support))
     c_prime = 1.0

@@ -11,15 +11,8 @@ class ConfigError(PhaselearnError):
 
 class PlanInfeasibleError(PhaselearnError):
     """The prescription yields no usable sample count: the targets and
-    constants sit outside its regime, or N overflows the desk-scale guard.
-
-    On overflow ``log2_n`` carries the base-2 exponent of the prescribed N, so
-    callers can report how far out of reach the run is; otherwise it is None.
-    """
-
-    def __init__(self, message: str, log2_n: float | None = None):
-        self.log2_n = log2_n
-        super().__init__(message)
+    constants sit outside its regime, or N overflows the desk-scale guard
+    (the message then gives the base-2 exponent of the prescribed N)."""
 
 
 class NumericalError(PhaselearnError):

@@ -18,7 +18,6 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .diagnostics import (
-    DEFAULT_T_GRID,
     KAPPA,
     SCAN_SITE_CAP,
     DecayFit,
@@ -367,13 +366,12 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     scan("lieb_robinson", lieb_robinson_scan, fam, x, xp, obs, t=1.0,
          r_max=min(diam, 6), rtol=1e-8, boot_seed=boot)
     rho_inf = steady_state(assemble(fam, x))
-    scan("mixing", mixing_scan, fam, x, ref, obs, DEFAULT_T_GRID, rho_inf=rho_inf,
-         boot_seed=boot)
+    scan("mixing", mixing_scan, fam, x, ref, obs, rho_inf, boot_seed=boot)
     gamma_mix = max(fits["mixing"].rate, 0.1)
     scan("ltqo", ltqo_scan, fam, x, xp, obs, s_grid=list(range(min(diam, 4) + 1)),
          gamma_mix=gamma_mix, rho_inf=rho_inf, boot_seed=boot)
-    scan("compatibility", compatibility_scan, fam, x, a, r, w,
-         t_grid=(0.5, 1.0, 2.0, 4.0), rho_inf=rho_inf, boot_seed=boot)
+    scan("compatibility", compatibility_scan, fam, x, a, r, w, rho_inf,
+         t_grid=(0.5, 1.0, 2.0, 4.0), boot_seed=boot)
     scan("stability", stability_scan, fam, np.zeros(fam.m), 0.5, obs, ref,
          gamma_mix=gamma_mix, boot_seed=boot)
     battery = {}

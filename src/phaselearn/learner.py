@@ -241,7 +241,7 @@ def plan(epsilon: float, delta: float, delta_prime: float,
     elif n_exact is not None:
         n_used = n_exact
     else:
-        raise PlanInfeasibleError(f"prescribed N ~ 2**{log2_n:.1f} exceeds 2**63", log2_n)
+        raise PlanInfeasibleError(f"prescribed N ~ 2**{log2_n:.1f} exceeds 2**63")
 
     return LearnerPlan(
         epsilon=epsilon, delta=delta, delta_prime=delta_prime, mode=mode,

@@ -1,23 +1,28 @@
 """Superoperators for local Lindbladians: assembly, evolution, steady states.
 
-A generator L is stored as its Pauli transfer matrix T, a real sparse matrix
-with T[mu, nu] = tr(P_mu L(P_nu)) over the normalised Pauli strings
+A generator is a family L at a point x of its parameter box, as ``assemble``
+returns it after its checks.  Each of its two matrices is built from the
+family's term blocks when first read, so a generator that is only evolved
+never builds the one the steady state needs.
+
+The steady state is solved on the Pauli transfer matrix T, a real sparse
+matrix with T[mu, nu] = tr(P_mu L(P_nu)) over the normalised Pauli strings
 P_mu = (x)_s sigma_{mu_s} / sqrt(2), site 0 the most significant base-4 digit
 of mu and (I, X, Y, Z) the digits 0..3.  A Lindbladian maps Hermitian
 operators to Hermitian operators, so T is real; it preserves the trace, so
-row 0 of T (the identity string) is zero.  The steady state is solved on T.
+row 0 of T (the identity string) is zero.
 
 The integrators run on the column-stacked generator instead,
-``vec(rho) = rho.flatten(order="F")``, built from the same local blocks on
-first use; the Heisenberg generator is its conjugate transpose.  They keep
-its roundoff because the stability verdicts of the diagnostics rest on it.
+``vec(rho) = rho.flatten(order="F")``; the Heisenberg generator is its
+conjugate transpose.  They keep its roundoff because the stability verdicts
+of the diagnostics rest on it.
 
 Site 0 occupies the leftmost Kronecker slot, matching :mod:`phaselearn.lattice`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Sequence
 
@@ -128,10 +133,11 @@ class ParamLindbladian:
     site only O(1) times.
 
     The family also keeps the work that depends only on a generator's
-    sparsity pattern, which is the same at every generic point: ``assemble``'s
-    scatter of the term blocks into T and ``steady_state``'s fill-reducing
-    order of T'.  Each is one slot, replaced when a point of another pattern
-    comes along (a zero coordinate can empty a block) and never grown.
+    sparsity pattern, which is the same at every generic point: the scatter
+    of the term blocks into T (``Superoperator.matrix``) and
+    ``steady_state``'s fill-reducing order of T'.  Each is one slot, replaced
+    when a point of another pattern comes along (a zero coordinate can empty
+    a block) and never grown.
     """
 
     OVERLAP_CAP = 8
@@ -266,8 +272,8 @@ class ParamLindbladian:
 
     def term_superoperator(self, term_index: int, x_slice: np.ndarray) -> np.ndarray:
         """Transfer matrix of one term on its support at its parameter slice,
-        ordered like the term's Pauli-digit slots; ``assemble`` embeds and sums
-        all terms.
+        ordered like the term's Pauli-digit slots; ``Superoperator.matrix``
+        embeds and sums all terms.
 
         The block is V^dag M V, with M the term's column-stacked generator and
         V its vec'd Pauli strings.  Entries below 1e-14 of the block's largest
@@ -284,49 +290,59 @@ class ParamLindbladian:
         return real
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Real sparse Pauli transfer matrix T of a Schroedinger-picture generator.
+    """The Schroedinger-picture generator of ``family`` at the point ``values``,
+    as ``assemble`` makes it.
 
-    The integrators read :attr:`column_stacked`, which ``assemble`` leaves to
-    be built on first use from the family and point it was given; a generator
-    built otherwise has neither, so it can be solved for its steady state
-    (by a fresh fill-reducing order) but not evolved.
+    Its matrices are cached properties, each built from the family's term
+    blocks when first read: :attr:`matrix`, the Pauli transfer matrix T that
+    ``steady_state`` solves, and :attr:`column_stacked`, the generator the
+    integrators run on.
     """
 
-    matrix: sp.csr_matrix
-    n_sites: int
-    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    family: ParamLindbladian
+    values: np.ndarray
 
-    def __post_init__(self):
-        dim = self.hilbert_dim**2
-        if self.matrix.shape != (dim, dim):
-            raise ValueError("superoperator shape inconsistent with site count")
-        resid = self.trace_preservation_residual()
-        if resid > 1e-10:
-            raise NumericalError(
-                f"trace-preservation residual {resid:.2e} exceeds 1e-10"
-            )
+    @property
+    def n_sites(self) -> int:
+        return self.family.n_total
 
     @property
     def hilbert_dim(self) -> int:
         return 2**self.n_sites
 
-    def trace_preservation_residual(self) -> float:
-        """max |T[0, nu]|: row 0 is sqrt(D) times the trace functional."""
-        m = self.matrix
-        return float(np.abs(m.data[m.indptr[0]:m.indptr[1]]).max(initial=0.0))
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """T, the term blocks summed in term order through the family's scatter
+        slot, rebuilt first when the blocks are nonzero elsewhere, so T has the
+        same bytes whatever the family built before.  Exact zeros left by
+        cancelling terms are dropped.  Row 0 is sqrt(D) times the trace
+        functional, so an entry of it above 1e-10 is a NumericalError."""
+        family, x = self.family, self.values
+        blocks = [family.term_superoperator(ti, x[list(term.coord_indices)])
+                  for ti, term in enumerate(family.terms)]
+        flat = np.concatenate([np.zeros(0), *(b.ravel() for b in blocks)])
+        nonzero = flat != 0
+        if family._scatter is None or not np.array_equal(nonzero, family._scatter[0]):
+            family._scatter = _scatter_plan(family, blocks, nonzero)
+        _, gather, inverse, indptr, indices = family._scatter
+        dim = self.hilbert_dim**2
+        total = sp.csr_matrix((np.bincount(inverse, flat[gather], indices.size), indices, indptr),
+                              shape=(dim, dim), copy=True)  # the slot's arrays stay unpruned
+        total.eliminate_zeros()
+        resid = float(np.abs(total.data[:total.indptr[1]]).max(initial=0.0))
+        if resid > 1e-10:
+            raise NumericalError(f"trace-preservation residual {resid:.2e} exceeds 1e-10")
+        return total
 
     @cached_property
     def column_stacked(self) -> sp.csr_matrix:
         """The generator M on vec(rho) = rho.flatten(order="F"):
         -1j (I (x) h - h^T (x) I) + sum_k conj(L_k) (x) L_k
         - 1/2 I (x) L_k^dag L_k - 1/2 (L_k^dag L_k)^T (x) I per term."""
-        if self._source is None:
-            raise ValueError("evolution needs the column-stacked generator, which only "
-                             "a generator built by assemble can give")
-        family, values = self._source
-        return _summed([embed_triplets(family._term_local(ti, values[list(term.coord_indices)]),
+        family, x = self.family, self.values
+        return _summed([embed_triplets(family._term_local(ti, x[list(term.coord_indices)]),
                                        *family._term_offsets[ti][1])
                         for ti, term in enumerate(family.terms)], self.hilbert_dim**2, complex)
 
@@ -416,33 +432,17 @@ def _scatter_plan(family: ParamLindbladian, blocks: list[np.ndarray],
 
 
 def assemble(family: ParamLindbladian, x: np.ndarray) -> Superoperator:
-    """Build the Pauli transfer matrix of the generator at parameter point x.
+    """The generator of ``family`` at the parameter point x.
 
-    The term blocks are summed into T in term order through the family's
-    scatter slot, rebuilt first when the blocks are nonzero elsewhere, so T
-    has the same bytes whatever the family assembled before.  Exact zeros
-    left by cancelling terms are dropped.
+    Checks that the family fits under ``SUPEROP_SITE_CAP`` and that x lies in
+    its box; the matrices are built when first read (:class:`Superoperator`).
     """
     if family.n_total > SUPEROP_SITE_CAP:
         raise ValueError(
             f"superoperator assembly capped at {SUPEROP_SITE_CAP} sites, "
             f"family has {family.n_total}"
         )
-    values = family.as_values(x).copy()  # column_stacked reads it later
-    blocks = [family.term_superoperator(ti, values[list(term.coord_indices)])
-              for ti, term in enumerate(family.terms)]
-    flat = np.concatenate([np.zeros(0), *(b.ravel() for b in blocks)])
-    nonzero = flat != 0
-    if family._scatter is None or not np.array_equal(nonzero, family._scatter[0]):
-        family._scatter = _scatter_plan(family, blocks, nonzero)
-    _, gather, inverse, indptr, indices = family._scatter
-    dim = 4**family.n_total
-    total = sp.csr_matrix((np.bincount(inverse, flat[gather], indices.size), indices, indptr),
-                          shape=(dim, dim), copy=True)  # the slot's arrays stay unpruned
-    total.eliminate_zeros()
-    gen = Superoperator(total, family.n_total)
-    gen._source = (family, values)
-    return gen
+    return Superoperator(family, family.as_values(x).copy())
 
 
 def _integrate(matrix: sp.csr_matrix, y0: np.ndarray, t: float,
@@ -529,12 +529,12 @@ def _ordering_plan(pinned_t: sp.csc_matrix, perm: np.ndarray) -> tuple:
 
 
 def _factor(pinned_t: sp.csc_matrix,
-            family: ParamLindbladian | None) -> tuple[spla.SuperLU, np.ndarray, np.ndarray]:
+            family: ParamLindbladian) -> tuple[spla.SuperLU, np.ndarray, np.ndarray]:
     """``(lu, order, rank)``: ``lu`` factors T'^T with rows and columns taken
     in ``order``, whose inverse is ``rank``.  The order is the family's
     ordering slot when T' has its pattern; otherwise MMD_AT_PLUS_A orders
     T'^T afresh (``order`` the identity) and its order replaces the slot."""
-    slot = None if family is None else family._ordering
+    slot = family._ordering
     if (slot is not None and np.array_equal(pinned_t.indptr, slot[0])
             and np.array_equal(pinned_t.indices, slot[1])):
         _, _, order, rank, gather, indptr, indices = slot
@@ -542,9 +542,8 @@ def _factor(pinned_t: sp.csc_matrix,
         permuted.has_canonical_format = True  # keeps splu from sorting the row indices
         return _splu(permuted, "NATURAL"), order, rank
     lu = _splu(pinned_t, "MMD_AT_PLUS_A")
-    if family is not None:
-        # a copy: lu.perm_c is a view that would keep the whole factor alive
-        family._ordering = _ordering_plan(pinned_t, lu.perm_c.copy())
+    # a copy: lu.perm_c is a view that would keep the whole factor alive
+    family._ordering = _ordering_plan(pinned_t, lu.perm_c.copy())
     identity = np.arange(pinned_t.shape[0])
     return lu, identity, identity
 
@@ -583,10 +582,10 @@ def _kernel_is_degenerate(factor: tuple[spla.SuperLU, np.ndarray, np.ndarray],
     return False, resid
 
 
-def steady_state(superop: Superoperator, resid_tol: float = 1e-9) -> DensityMatrix:
+def steady_state(superop: Superoperator) -> DensityMatrix:
     """Unique fixed point of the semigroup generated by ``superop``.
 
-    Row 0 of T is zero (to the 1e-10 that ``Superoperator`` admits), so T
+    Row 0 of T is zero (to the 1e-10 that building T admits), so T
     with row 0 replaced by e0^T is T' = T + e0 e0^T, nonsingular exactly when
     the kernel of T is simple; then T' c = e0 / sqrt(D) gives the steady
     state's coefficients: T c = 0, c_0 = 1/sqrt(D) makes the trace 1 and
@@ -595,14 +594,14 @@ def steady_state(superop: Superoperator, resid_tol: float = 1e-9) -> DensityMatr
     0.1 in symmetric mode: 53 to 78% of the fill of partial pivoting on TFIM
     generators of 4 to 6 sites) and solves transposed.  The fill-reducing
     MMD_AT_PLUS_A order depends only on the pattern of T', so a generator
-    from ``assemble`` reuses the order its family last computed for that
-    pattern (``_factor``); the state has the same bytes either way.  The
+    reuses the order its family last computed for that pattern
+    (``_factor``); the state has the same bytes either way.  The
     factor also serves the degeneracy probe, which stops at its first
     residual below the 1e-8 * norm_scale line or once two solves in a row
     leave it 1e4 times above it (two solves on a simple kernel).
     An exactly singular factor or a probe below the line is a degenerate
     kernel, an error (no silent selection); a non-finite solve or a
-    trace-norm residual ||L(rho)||_1 above ``resid_tol`` is a NumericalError.
+    trace-norm residual ||L(rho)||_1 above 1e-9 is a NumericalError.
     """
     T = superop.matrix
     n, D = superop.n_sites, superop.hilbert_dim
@@ -612,7 +611,7 @@ def steady_state(superop: Superoperator, resid_tol: float = 1e-9) -> DensityMatr
     pinned_t = sp.csc_matrix((np.r_[1.0, T.data[s:]], np.r_[0, T.indices[s:]],
                               np.r_[0, T.indptr[1:] - s + 1]), shape=T.shape)
     try:
-        factor = _factor(pinned_t, None if superop._source is None else superop._source[0])
+        factor = _factor(pinned_t, superop.family)
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise DegenerateSteadyStateError(f"non-unique steady state: {exc}") from exc
     degenerate, probe = _kernel_is_degenerate(factor, 1e-8 * norm_scale)
@@ -625,8 +624,8 @@ def steady_state(superop: Superoperator, resid_tol: float = 1e-9) -> DensityMatr
     if not np.all(np.isfinite(c)):
         raise NumericalError("steady-state solve produced non-finite values")
     resid = trace_norm(_from_pauli(T @ c, n))
-    if resid > resid_tol:
-        raise NumericalError(f"steady-state residual {resid:.2e} exceeds {resid_tol:.0e}")
+    if resid > 1e-9:
+        raise NumericalError(f"steady-state residual {resid:.2e} exceeds 1e-9")
     out = DensityMatrix(_from_pauli(c, n), n)
     out.validate()
     return out

@@ -86,7 +86,7 @@ def test_criterion_02_steady_state_correctness():
             model = instantiate(name, lat)
             x = np.random.default_rng(200 + n).uniform(-1, 1, model.family.m)
             gen = assemble(model.family, x)
-            ss = steady_state(gen, resid_tol=1e-9)
+            ss = steady_state(gen)
             resid = trace_norm(
                 (vec_generator(gen) @ ss.data.flatten(order="F")).reshape(ss.data.shape, order="F")
             )
@@ -186,7 +186,7 @@ def test_criterion_06_local_rapid_mixing():
     fam = amplitude_damping_family(1.0)
     rho1 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), 1)
     obs = observable_from_string("Z@0", Lattice(1, (1,)))
-    fit = mixing_scan(fam, np.zeros(0), rho1, obs)
+    fit = mixing_scan(fam, np.zeros(0), rho1, obs, steady_state(assemble(fam, np.zeros(0))))
     assert abs(fit.rate - 1.0) <= 0.02
     for t, v in zip(fit.abscissa, fit.values):
         assert v == pytest.approx(2.0 * math.exp(-t), abs=1e-7)
@@ -199,8 +199,7 @@ def test_criterion_06_local_rapid_mixing():
     rates = []
     for site in range(6):
         site_obs = observable_from_string(f"Z@{site}", lat)
-        site_fit = mixing_scan(model.family, x, model.reference_state(), site_obs,
-                               rho_inf=rho_inf)
+        site_fit = mixing_scan(model.family, x, model.reference_state(), site_obs, rho_inf)
         rates.append(site_fit.rate)
         assert site_fit.rate >= 0.9, f"site {site}: rate {site_fit.rate:.3f}"
     _report(6, f"amplitude-damping rate {fit.rate:.4f}; pinning per-site rates "

@@ -14,6 +14,7 @@ from phaselearn.lindblad import (
     heisenberg_evolve,
     localize,
     steady_state,
+    subfamily,
 )
 from phaselearn.diagnostics import (
     calibrate_constants,
@@ -91,7 +92,7 @@ class TestMixingScan:
         gen = assemble(fam, np.zeros(0))
         ss = steady_state(gen)
         obs = observable_from_string("Z@0", Lattice(1, (1,)))
-        fit = mixing_scan(fam, np.zeros(0), ss, obs)
+        fit = mixing_scan(fam, np.zeros(0), ss, obs, ss)
         assert max(fit.values) <= 1e-10
         assert fit.all_below_floor
 
@@ -99,7 +100,7 @@ class TestMixingScan:
         fam = amplitude_damping_family(1.0)
         rho1 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), 1)
         obs = observable_from_string("Z@0", Lattice(1, (1,)))
-        fit = mixing_scan(fam, np.zeros(0), rho1, obs)
+        fit = mixing_scan(fam, np.zeros(0), rho1, obs, steady_state(assemble(fam, np.zeros(0))))
         for t, v in zip(fit.abscissa, fit.values):
             assert v == pytest.approx(2 * math.exp(-t), abs=1e-8)
         assert abs(fit.rate - 1.0) <= 0.02
@@ -108,9 +109,10 @@ class TestMixingScan:
         lat = Lattice(1, (4,), "open")
         model = instantiate("pinning", lat, kappa0=1.0)
         x = np.clip(np.random.default_rng(1).uniform(-1, 1, 4), -0.8, 0.8)
+        rho_inf = steady_state(assemble(model.family, x))
         for site in range(4):
             obs = observable_from_string(f"Z@{site}", lat)
-            fit = mixing_scan(model.family, x, model.reference_state(), obs)
+            fit = mixing_scan(model.family, x, model.reference_state(), obs, rho_inf)
             assert fit.rate >= 0.9
 
     def test_tfim_n6_rate_positive(self):
@@ -118,7 +120,8 @@ class TestMixingScan:
         model = instantiate("dissipative_tfim", lat, g=0.5, kappa=1.0)
         x = np.clip(np.random.default_rng(13).uniform(-1, 1, model.family.m), -0.8, 0.8)
         obs = observable_from_string("Z@3", lat)
-        fit = mixing_scan(model.family, x, model.reference_state(), obs)
+        fit = mixing_scan(model.family, x, model.reference_state(), obs,
+                          steady_state(assemble(model.family, x)))
         assert fit.rate > 0 and fit.rate_ci[0] > 0
 
 
@@ -267,15 +270,19 @@ class TestScanReuse:
         assert counts["steady_state"] - calls == 2  # no solve at x
 
     def test_compatibility_given_steady_state_matches(self, counts):
+        # with W the whole chain the scan takes the given state as W's own:
+        # the same fit as from the state solved on W's subfamily
         lat = Lattice(1, (5,), "open")
         fam = instantiate("dissipative_tfim", lat).family
         x = np.clip(np.random.default_rng(9).uniform(-1, 1, fam.m), -0.8, 0.8)
         regions = Region((2,)), Region((1, 2, 3)), Region((0, 1, 2, 3, 4))
-        plain = compatibility_scan(fam, x, *regions, t_grid=(0.5, 1.0))
-        rho_inf = steady_state(assemble(fam, x))
+        fam_w, map_w = subfamily(fam, regions[2])
+        solved_w = steady_state(assemble(fam_w, x[map_w]))
+        plain = compatibility_scan(fam, x, *regions, solved_w, t_grid=(0.5, 1.0))
         calls = counts["steady_state"]
-        assert calls == 2  # the W and R regions
-        given = compatibility_scan(fam, x, *regions, t_grid=(0.5, 1.0), rho_inf=rho_inf)
+        assert calls == 1  # the R region only
+        given = compatibility_scan(fam, x, *regions, steady_state(assemble(fam, x)),
+                                   t_grid=(0.5, 1.0))
         assert repr(given) == repr(plain)
         assert counts["steady_state"] - calls == 1  # the R region only
 
@@ -299,7 +306,8 @@ class TestCompatibilityScan:
         model = instantiate("pinning", lat)
         x = np.random.default_rng(8).uniform(-1, 1, 5)
         fit = compatibility_scan(model.family, x, Region((2,)), Region((1, 2, 3)),
-                                 Region((0, 1, 2, 3, 4)), t_grid=(0.5, 1.0, 2.0))
+                                 Region((0, 1, 2, 3, 4)),
+                                 steady_state(assemble(model.family, x)), t_grid=(0.5, 1.0, 2.0))
         assert max(fit.values) <= 1e-10
 
     def test_tfim_long_time_limit(self):
@@ -307,7 +315,8 @@ class TestCompatibilityScan:
         model = instantiate("dissipative_tfim", lat, g=0.5, kappa=1.0)
         x = np.clip(np.random.default_rng(9).uniform(-1, 1, model.family.m), -0.8, 0.8)
         fit = compatibility_scan(model.family, x, Region((2,)), Region((1, 2, 3)),
-                                 Region((0, 1, 2, 3, 4)), t_grid=(1.0, 2.0, 4.0, 8.0, 20.0))
+                                 Region((0, 1, 2, 3, 4)), steady_state(assemble(model.family, x)),
+                                 t_grid=(1.0, 2.0, 4.0, 8.0, 20.0))
         assert fit.values[-1] <= 1e-6
 
     def test_bad_nesting_rejected(self):
@@ -315,7 +324,8 @@ class TestCompatibilityScan:
         model = instantiate("pinning", lat)
         with pytest.raises(ValueError):
             compatibility_scan(model.family, np.zeros(5), Region((1,)),
-                               Region((1, 2)), Region((0, 1, 2, 3, 4)))
+                               Region((1, 2)), Region((0, 1, 2, 3, 4)),
+                               steady_state(assemble(model.family, np.zeros(5))))
 
 
 class TestStabilityScan:

@@ -171,7 +171,7 @@ class TestCatalog:
         for _ in range(10):
             x = rng.uniform(-1, 1, fam.m)
             gen = assemble(fam, x)
-            assert gen.trace_preservation_residual() <= 1e-10
+            assert np.abs(gen.matrix[0].toarray()).max() <= 1e-10  # T preserves the trace
         assert fam.J > 0
 
     def test_ancilla_menu(self):

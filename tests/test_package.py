@@ -51,3 +51,19 @@ def test_every_public_name_is_used_in_the_package():
               for attr in getattr(importlib.import_module(f"phaselearn.{name}"), "__all__", ())
               if attr not in loaded]
     assert not unused, f"public names no package code reads: {unused}"
+
+
+def test_every_stored_attribute_is_read_in_the_package():
+    # an attribute a class stores on self that no package code reads as an
+    # attribute is state kept alive for the tests
+    stored, read = set(), set()
+    for path in Path(phaselearn.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            stored |= {(f"{path.stem}.{cls.name}", node.attr) for node in ast.walk(cls)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                       and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    unread = sorted(f"{owner}.{attr}" for owner, attr in stored if attr not in read)
+    assert not unread, f"attributes stored on self that no package code reads: {unread}"
