@@ -28,17 +28,11 @@ from typing import Any
 from .errors import ConfigError
 from .lattice import Lattice, LocalObservable, Region, check_nesting, observable_from_string
 
-__all__ = ["MODE_ALIASES", "ExperimentConfig", "load_config", "parse_config_text"]
+__all__ = ["MODES", "MODE_ALIASES", "ExperimentConfig", "load_config", "parse_config_text"]
 
-# config and command-line spellings of the learning modes
-MODE_ALIASES = {
-    "steady": "steady_state",
-    "steady_state": "steady_state",
-    "general": "general_phase",
-    "general_phase": "general_phase",
-    "slow": "slow_mixing",
-    "slow_mixing": "slow_mixing",
-}
+MODES = ("steady_state", "general_phase", "slow_mixing")
+# config and command-line spellings of the learning modes: the name or its first word
+MODE_ALIASES = {alias: mode for mode in MODES for alias in (mode.split("_")[0], mode)}
 
 # the JSON types a config or plan.json value may have; type() keeps booleans
 # out of the numbers

@@ -14,6 +14,10 @@ Five scans, each producing a :class:`DecayFit`:
 * ``stability_scan``      - response of an expectation value to a single-term
   perturbation placed at increasing distance from the observable.
 
+The radius scans evaluate each distinct hybrid point ``localize(family, x,
+x', patch)`` once per call and never evaluate x again (its value is exactly
+0); the time scans evolve from one grid time to the next.
+
 Fits are weighted log-linear least squares (weights proportional to the
 squared values, floor-clipped) on points above the numerical floor, with
 bootstrap confidence intervals.  Envelope comparisons are one-sided: measured
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -190,9 +194,38 @@ def certify_lr_constants(family: ParamLindbladian) -> float:
     return 2.0 * float(totals.max())
 
 
-def _check_scan_size(family: ParamLindbladian) -> None:
+def _scan_observable(family: ParamLindbladian, obs: LocalObservable) -> np.ndarray:
+    """``obs`` embedded in the full register of a family within the scan cap."""
     if family.n_total > SCAN_SITE_CAP:
         raise ValueError(f"scans cap the system at {SCAN_SITE_CAP} sites")
+    return embed(obs, family.lattice, n_total=family.n_total)
+
+
+def _hybrid_values(family: ParamLindbladian, x, x_prime, patches: Sequence[Region],
+                   value: Callable[[Superoperator], float]) -> list[float]:
+    """``value(assemble(family, hyb))`` for the hybrid point of each patch, once
+    per distinct point (keyed by its bytes); x itself reads 0 unevaluated."""
+    by_point = {family.as_values(x).tobytes(): 0.0}
+    values = []
+    for patch in patches:
+        hyb = localize(family, x, x_prime, patch)
+        key = hyb.tobytes()
+        if key not in by_point:
+            by_point[key] = value(assemble(family, hyb))
+        values.append(by_point[key])
+    return values
+
+
+def _evolved_curve(gen: Superoperator, rho0: DensityMatrix, t_grid: Sequence[float],
+                   rtol: float, read: Callable[[DensityMatrix], float]) -> np.ndarray:
+    """``read(T_t(rho0))`` at each time of the ascending grid, evolving from one
+    grid time to the next."""
+    out, current, t_prev = [], rho0, 0.0
+    for t in t_grid:
+        current = evolve(gen, current, t - t_prev, rtol=rtol)
+        t_prev = t
+        out.append(read(current))
+    return np.asarray(out)
 
 
 def lieb_robinson_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
@@ -202,47 +235,27 @@ def lieb_robinson_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservabl
 
     The localized generator carries x inside the r-enlargement of the
     observable support and x' outside.  Radii that give the same hybrid point
-    (every radius whose patch covers the whole system, say) share one
-    evolution within the call.  The envelope is
-    ||O|| |A| J (e^{vt} - 1 - vt) / v e^{-MU r} with the certified v.
+    share one evolution within the call, and a radius whose patch covers every
+    term gives x itself, which is not evolved again: its value is 0.  The
+    envelope is ||O|| |A| J (e^{vt} - 1 - vt) / v e^{-MU r} with the certified v.
     """
-    _check_scan_size(family)
+    O_full = _scan_observable(family, obs)
     lat = family.lattice
     if r_max is None:
         r_max = Region(tuple(lat.all_sites())).diameter(lat)
     v = certify_lr_constants(family)
     if v * t > 700.0:
         raise ValueError(f"e^(vt) overflows for certified v={v:.3g}, t={t}")
-    O_full = embed(obs, lat, n_total=family.n_total)
-    gen_full = assemble(family, x)
-    O_t = heisenberg_evolve(gen_full, O_full, t, rtol=rtol)
+    O_t = heisenberg_evolve(assemble(family, x), O_full, t, rtol=rtol)
     radii = list(range(r_max + 1))
-    by_point: dict[bytes, float] = {}  # hybrid point -> its value
-    values = []
-    for r in radii:
-        hyb = localize(family, x, x_prime, enlarge(lat, obs.support, r))
-        key = hyb.tobytes()
-        if key not in by_point:
-            O_loc = heisenberg_evolve(assemble(family, hyb), O_full, t, rtol=rtol)
-            by_point[key] = float(np.linalg.norm(O_t - O_loc, 2))
-        values.append(by_point[key])
+    values = _hybrid_values(
+        family, x, x_prime, [enlarge(lat, obs.support, r) for r in radii],
+        lambda gen: float(np.linalg.norm(O_t - heisenberg_evolve(gen, O_full, t, rtol=rtol), 2)))
     amp = (obs.operator_norm * len(obs.support) * family.J
            * (math.exp(v * t) - 1.0 - v * t) / v)
     envelope = [amp * math.exp(-MU * r) for r in radii]
     return fit_decay(radii, values, label="radius", boot_seed=boot_seed,
                      envelope=envelope)
-
-
-def _expectation_curve(gen: Superoperator, rho0: DensityMatrix, O_full: np.ndarray,
-                       t_grid: Sequence[float], rtol: float) -> np.ndarray:
-    """tr[O T_t(rho0)] at each time of the ascending grid, evolving from one
-    grid time to the next."""
-    out, current, t_prev = [], rho0, 0.0
-    for t in t_grid:
-        current = evolve(gen, current, t - t_prev, rtol=rtol)
-        t_prev = t
-        out.append(current.expectation(O_full))
-    return np.asarray(out)
 
 
 def mixing_scan(family: ParamLindbladian, x, rho0: DensityMatrix,
@@ -251,11 +264,10 @@ def mixing_scan(family: ParamLindbladian, x, rho0: DensityMatrix,
                 boot_seed: int = 0) -> DecayFit:
     """|tr[O (T_t(rho0) - rho_inf)]| on the time grid, with its decay rate;
     ``rho_inf`` is the steady state at x."""
-    _check_scan_size(family)
-    O_full = embed(obs, family.lattice, n_total=family.n_total)
+    O_full = _scan_observable(family, obs)
     target = rho_inf.expectation(O_full)
-    values = np.abs(_expectation_curve(assemble(family, x), rho0, O_full, t_grid, rtol)
-                    - target)
+    values = np.abs(_evolved_curve(assemble(family, x), rho0, t_grid, rtol,
+                                   lambda rho: rho.expectation(O_full)) - target)
     return fit_decay(list(t_grid), values, label="time", boot_seed=boot_seed)
 
 
@@ -266,46 +278,33 @@ def ltqo_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservable,
 
     ``rho_inf`` is the steady state at x; computed when None.  Radii that give
     the same hybrid point share one steady-state solve within the call, and
-    a radius whose patch covers every term gives x itself, whose value is 0.
-    Points where the localized generator has a degenerate kernel are flagged
-    and excluded from the fit, at every radius that repeats them.  The
-    envelope is
+    a radius whose patch covers every term gives x itself, which is not
+    solved again: its value is 0.  Points where the localized generator has
+    a degenerate kernel are flagged and excluded from the fit, at every
+    radius that repeats them.  The envelope is
     ||O|| (J |A| / v + C_POLY |A|^KAPPA) (|A(s)|/|A|)^(KAPPA v / (v+gamma)) e^{-beta' s}
     with beta' = MU gamma / (v + gamma).
     """
-    _check_scan_size(family)
-    lat = family.lattice
+    O_full = _scan_observable(family, obs)
     if rho_inf is None:
         rho_inf = steady_state(assemble(family, x))
-    O_full = embed(obs, lat, n_total=family.n_total)
     base = rho_inf.expectation(O_full)
+
+    def distinguishability(gen: Superoperator) -> float:
+        try:
+            return abs(steady_state(gen).expectation(O_full) - base)
+        except DegenerateSteadyStateError:
+            return math.nan
+
+    patches = [enlarge(family.lattice, obs.support, int(s)) for s in s_grid]
+    values = _hybrid_values(family, x, x_prime, patches, distinguishability)
+    excluded = [i for i, value in enumerate(values) if math.isnan(value)]
     v = certify_lr_constants(family)
-    values, excluded, envelope = [], [], []
     A = max(1, len(obs.support))
     beta_p = MU * gamma_mix / (v + gamma_mix)
-    # hybrid point -> value, None if degenerate
-    by_point: dict[bytes, float | None] = {family.as_values(x).tobytes(): 0.0}
-    for i, s in enumerate(s_grid):
-        patch = enlarge(lat, obs.support, int(s))
-        vol_ratio = len(patch) / A
-        envelope.append(
-            obs.operator_norm * (family.J * A / v + C_POLY * A**KAPPA)
-            * vol_ratio ** (KAPPA * v / (v + gamma_mix))
-            * math.exp(-beta_p * s)
-        )
-        hyb = localize(family, x, x_prime, patch)
-        key = hyb.tobytes()
-        if key not in by_point:
-            try:
-                rho_s = steady_state(assemble(family, hyb))
-                by_point[key] = abs(rho_s.expectation(O_full) - base)
-            except DegenerateSteadyStateError:
-                by_point[key] = None
-        if by_point[key] is None:
-            values.append(math.nan)
-            excluded.append(i)
-        else:
-            values.append(by_point[key])
+    envelope = [obs.operator_norm * (family.J * A / v + C_POLY * A**KAPPA)
+                * (len(patch) / A) ** (KAPPA * v / (v + gamma_mix)) * math.exp(-beta_p * s)
+                for s, patch in zip(s_grid, patches)]
     return fit_decay(list(map(float, s_grid)), values, label="radius",
                      boot_seed=boot_seed, envelope=envelope, excluded=excluded)
 
@@ -341,12 +340,9 @@ def compatibility_scan(family: ParamLindbladian, x, region_a: Region,
     a_pos_in_r = [r_sites.index(s) for s in region_a.sites]
     sigma = DensityMatrix(partial_trace(rho_w.data, len(w_sites), r_pos_in_w), len(r_sites))
     target = partial_trace(rho_r.data, len(r_sites), a_pos_in_r)
-    values, t_prev = [], 0.0
-    for t in t_grid:
-        sigma = evolve(gen_r, sigma, t - t_prev)
-        t_prev = t
-        marg = partial_trace(sigma.data, len(r_sites), a_pos_in_r)
-        values.append(trace_norm(marg - target))
+    values = _evolved_curve(
+        gen_r, sigma, t_grid, 1e-9,
+        lambda rho: trace_norm(partial_trace(rho.data, len(r_sites), a_pos_in_r) - target))
     return fit_decay(list(t_grid), values, label="time", boot_seed=boot_seed)
 
 
@@ -364,7 +360,7 @@ def stability_scan(family: ParamLindbladian, x, delta: float,
     mixing-tail bounds through h(d) = e^{-mu d / 2} + (1/gamma) e^{-gamma t0(d)}
     with t0(d) = (mu/2) (log(v^2 / 2) / v) d.
     """
-    _check_scan_size(family)
+    O_full = _scan_observable(family, obs)
     lat = family.lattice
     xv = family.as_values(x)
     # distance of every site from the nearest site of the observable support
@@ -377,8 +373,12 @@ def stability_scan(family: ParamLindbladian, x, delta: float,
         d = int(to_obs[sites].min())
         if d not in by_distance or ci < by_distance[d]:
             by_distance[d] = ci
-    O_full = embed(obs, lat, n_total=family.n_total)
-    base_curve = _expectation_curve(assemble(family, x), rho0, O_full, t_checks, 1e-9)
+
+    def curve(point: np.ndarray) -> np.ndarray:
+        return _evolved_curve(assemble(family, point), rho0, t_checks, 1e-9,
+                              lambda rho: rho.expectation(O_full))
+
+    base_curve = curve(xv)
     v = certify_lr_constants(family)
     distances = sorted(by_distance)
     values, envelope = [], []
@@ -391,8 +391,7 @@ def stability_scan(family: ParamLindbladian, x, delta: float,
             raise ValueError(
                 f"perturbation pushes coordinate {ci} to {kicked[ci]:.3f}, outside [-1, 1]"
             )
-        curve = _expectation_curve(assemble(family, kicked), rho0, O_full, t_checks, 1e-9)
-        values.append(float(np.max(np.abs(curve - base_curve))))
+        values.append(float(np.max(np.abs(curve(kicked) - base_curve))))
         # perturbation strength surrogate: triangle bound from the two term builds
         ti = family.coord_info[ci].term_index
         e_bound = 2.0 * family.term_strengths[ti]

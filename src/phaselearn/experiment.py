@@ -72,6 +72,13 @@ def _probe_model(cfg: ExperimentConfig) -> Model:
     return instantiate(cfg.model_name, probe_lat, omega=0, **cfg.hyper)
 
 
+def _probe_points(seed: int, stream: str, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scans' points (x, x'), drawn in turn from the named stream and
+    clipped to [-0.8, 0.8]^m."""
+    rng = np.random.default_rng(stream_seed(seed, stream))
+    return tuple(np.clip(rng.uniform(-1, 1, m), -0.8, 0.8) for _ in range(2))
+
+
 def build_plan_constants(cfg: ExperimentConfig, model: Model) -> PlanConstants:
     """Merge structural constants with measured or explicitly configured ones.
 
@@ -85,9 +92,7 @@ def build_plan_constants(cfg: ExperimentConfig, model: Model) -> PlanConstants:
         vals = dict(cfg.constants)
     else:
         probe = _probe_model(cfg)
-        rng = np.random.default_rng(stream_seed(cfg.seed, "calibration"))
-        x = np.clip(rng.uniform(-1, 1, probe.family.m), -0.8, 0.8)
-        xp = np.clip(rng.uniform(-1, 1, probe.family.m), -0.8, 0.8)
+        x, xp = _probe_points(cfg.seed, "calibration", probe.family.m)
         center = probe.lattice.n_sites // 2
         obs = observable_from_string(f"Z@{center}", probe.lattice)
         cal = calibrate_constants(probe.family, x, xp, obs, probe.reference_state())
@@ -135,7 +140,10 @@ def _exact_value(model: Model, x: np.ndarray, tau: float, observables):
 
 
 def _setup(cfg: ExperimentConfig):
-    model = instantiate(cfg.model_name, cfg.lattice, omega=cfg.omega, **cfg.hyper)
+    try:
+        model = instantiate(cfg.model_name, cfg.lattice, omega=cfg.omega, **cfg.hyper)
+    except ValueError as exc:
+        raise ConfigError(f"[model] {cfg.model_name!r}: {exc}") from None
     return model, cfg.parse_observables()
 
 
@@ -345,9 +353,7 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     if fam.n_total > SCAN_SITE_CAP:
         raise ConfigError(f"diagnostic battery caps the system at {SCAN_SITE_CAP} sites")
     obs = observables[0]
-    rng = np.random.default_rng(stream_seed(cfg.seed, "diagnostics"))
-    x = np.clip(rng.uniform(-1, 1, fam.m), -0.8, 0.8)
-    xp = np.clip(rng.uniform(-1, 1, fam.m), -0.8, 0.8)
+    x, xp = _probe_points(cfg.seed, "diagnostics", fam.m)
     ref = model.reference_state()
     if cfg.diagnostics_regions:
         a, r, w = (Region(tuple(cfg.diagnostics_regions[k])) for k in "arw")

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import JSON_TYPES
+from .config import JSON_TYPES, MODES
 from .errors import ConfigError, EmptyCellError, PlanInfeasibleError
 from .lattice import LocalObservable, Region, enlarge, l1_ball_volume
 from .lindblad import ParamLindbladian
@@ -49,7 +49,6 @@ from .shadows import (
 )
 
 __all__ = [
-    "MODES",
     "PlanConstants",
     "LearnerPlan",
     "Prediction",
@@ -61,8 +60,6 @@ __all__ = [
     "CoverageReport",
     "RegionCoverage",
 ]
-
-MODES = ("steady_state", "general_phase", "slow_mixing")
 
 
 @dataclass(frozen=True)

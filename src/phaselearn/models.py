@@ -28,8 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import MODES
 from .lattice import Lattice, LocalObservable, Region
-from .learner import MODES
 from .lindblad import (
     AncillaSpec,
     DensityMatrix,

@@ -291,13 +291,39 @@ class TestScanReuse:
         radii = range(4)
         assert self._points(fam, x, xp, obs, radii) == 3
         fit = lieb_robinson_scan(fam, x, xp, obs, t=1.0, r_max=3)
-        assert counts["heisenberg_evolve"] == 3 + 1  # plus the evolution at x
+        # O_t, and one per distinct point other than x
+        assert counts["heisenberg_evolve"] == 1 + 2
         O_full = embed(obs, fam.lattice, n_total=fam.n_total)
         O_t = heisenberg_evolve(assemble(fam, x), O_full, 1.0, rtol=1e-8)
-        singles = [float(np.linalg.norm(O_t - heisenberg_evolve(
+        direct = [float(np.linalg.norm(O_t - heisenberg_evolve(
             assemble(fam, localize(fam, x, xp, enlarge(fam.lattice, obs.support, r))),
             O_full, 1.0, rtol=1e-8), 2)) for r in radii]
+        assert fit.values == tuple(direct)
+        singles = [lieb_robinson_scan(fam, x, xp, obs, t=1.0, r_max=r).values[r]
+                   for r in radii]
         assert fit.values == tuple(singles)
+
+    def test_lieb_robinson_never_evolves_x_again(self, counts, tfim4):
+        fam, x, _, obs = tfim4
+        # with x' = x every hybrid point is x itself
+        fit = lieb_robinson_scan(fam, x, x, obs, t=1.0, r_max=3)
+        assert counts["heisenberg_evolve"] == 1  # O_t only
+        assert fit.values == (0.0,) * 4 and fit.all_below_floor
+
+
+@pytest.mark.parametrize("scan", ["lieb_robinson", "mixing", "ltqo", "stability"])
+def test_scans_reject_systems_above_the_cap(scan):
+    lat = Lattice(1, (9,), "open")
+    model = instantiate("pinning", lat)
+    fam, ref = model.family, model.reference_state()
+    x = np.zeros(fam.m)
+    obs = observable_from_string("Z@4", lat)
+    run = {"lieb_robinson": lambda: lieb_robinson_scan(fam, x, x, obs),
+           "mixing": lambda: mixing_scan(fam, x, ref, obs, ref),
+           "ltqo": lambda: ltqo_scan(fam, x, x, obs, s_grid=[0]),
+           "stability": lambda: stability_scan(fam, x, 0.5, obs, ref)}[scan]
+    with pytest.raises(ValueError, match="scans cap the system"):
+        run()
 
 
 class TestCompatibilityScan:

@@ -9,7 +9,7 @@ import pytest
 
 from phaselearn.cli import _build_parser
 from phaselearn.cli import main as cli_main
-from phaselearn.config import _SCHEMA, MODE_ALIASES, load_config, parse_config_text
+from phaselearn.config import _SCHEMA, MODE_ALIASES, MODES, load_config, parse_config_text
 from phaselearn.errors import ConfigError
 from phaselearn.experiment import (
     emit_plots,
@@ -18,7 +18,7 @@ from phaselearn.experiment import (
     run_predict_stage,
     run_train_stage,
 )
-from phaselearn.learner import MODES, LearnerPlan, PlanConstants, plan
+from phaselearn.learner import LearnerPlan, PlanConstants, plan
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -589,6 +589,21 @@ class TestCli:
         p = self._write_cfg(tmp_path, SMALL_LEARNING.replace(old, new))
         assert cli_main(["plan", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb,edits", [
+        ("plan", {"kappa0 = 1.0": "kappa0 = 0"}),
+        ("diagnose", {'name = "pinning"\nkappa0 = 1.0': 'name = "dissipative_tfim"\nkappa = -1.0'}),
+        ("plan", {'name = "pinning"\nkappa0 = 1.0': 'name = "dissipative_tfim"',
+                  "dim = 1\nextent = [6]": "dim = 2\nextent = [2, 3]"}),
+    ], ids=["pinning_kappa0_zero", "tfim_kappa_negative", "tfim_2d"])
+    def test_model_build_error_exit_code(self, tmp_path, capsys, verb, edits):
+        # the family builder rejects the hyperparameters or the lattice
+        text = SMALL_LEARNING
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        p = self._write_cfg(tmp_path, text)
+        assert cli_main([verb, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: [model]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["plan", "train", "predict", "diagnose", "sweep", "plot"])
     @pytest.mark.parametrize("spec", ["", "@"], ids=["empty", "at_only"])

@@ -67,3 +67,22 @@ def test_every_stored_attribute_is_read_in_the_package():
                        and isinstance(node.value, ast.Name) and node.value.id == "self"}
     unread = sorted(f"{owner}.{attr}" for owner, attr in stored if attr not in read)
     assert not unread, f"attributes stored on self that no package code reads: {unread}"
+
+
+def test_every_definition_is_read_in_the_package():
+    # a module-level function or class, or a method, that no package code reads
+    # is dead or kept alive for the tests; dunder methods run by protocol
+    package_dir = Path(phaselearn.__file__).parent
+    loaded = _loaded_names(package_dir)
+    defined = set()
+    for path in package_dir.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.add((path.stem, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined |= {(f"{path.stem}.{node.name}", item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))}
+    unread = sorted(f"{owner}.{name}" for owner, name in defined if name not in loaded)
+    assert not unread, f"definitions no package code reads: {unread}"
