@@ -57,7 +57,6 @@ from .learner import (
     PlanConstants,
     Prediction,
     coverage_report,
-    nearest_patch,
     plan,
     predict,
     select_cell,

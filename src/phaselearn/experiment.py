@@ -176,8 +176,7 @@ def run_train_stage(cfg: ExperimentConfig) -> dict:
     training.shadows."""
     model, _ = _setup(cfg)
     p = _write_plan(cfg, model)
-    X, taus = sample_parameters(model, p.N, p.t_eps, stream_seed(cfg.seed, "sampling"),
-                                cfg.mode)
+    X, taus = sample_parameters(model, p.N, p.t_eps, stream_seed(cfg.seed, "sampling"))
     bases, outcomes = _training_states(model, X, taus, stream_seed(cfg.seed, "measurement"))
     training = TrainingSet(bases, outcomes, X, taus, np.full(p.N, model.omega),
                            model_name=model.name, lattice_json=cfg.lattice.to_json(),
@@ -239,7 +238,7 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
     p, training = _read_bundle(cfg)
     model, observables = _setup(cfg)
     test_x, test_t = sample_parameters(model, cfg.n_test, p.t_eps,
-                                       stream_seed(cfg.seed, "test_points"), cfg.mode)
+                                       stream_seed(cfg.seed, "test_points"))
 
     # exact values do not depend on the training set: one per test point
     exacts = [_exact_value(model, test_x[i], float(test_t[i]), observables)
@@ -265,14 +264,13 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
     (out / "predictions.csv").write_text("\n".join(lines) + "\n")
 
     regions = [enlarge(cfg.lattice, o.support, p.r) for o in observables]
-    cov = coverage_report(training, p.gamma, regions, model.family, q=p.q,
-                          mode=cfg.mode, t_eps=p.t_eps)
+    cov = coverage_report(training, p.gamma, regions, model.family, q=p.q, t_eps=p.t_eps)
     (out / "coverage.json").write_text(cov.to_json() + "\n")
 
     sweep_rows = []
     if cfg.sweep:
-        for n_k in sorted(cfg.sweep):
-            n_k = min(n_k, len(training))
+        # sizes past the training set's are capped at it, and each size runs once
+        for n_k in sorted({min(n_k, len(training)) for n_k in cfg.sweep}):
             sub = training.subset(n_k)
             sub_res = [eval_point(i, sub) for i in range(cfg.n_test)]
             errs = [abs(pr.value - ex) for pr, ex in sub_res if ex is not None]

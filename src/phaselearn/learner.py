@@ -22,9 +22,10 @@ radius k0.  All logs are natural.
 Prediction restricts both the target point and the training tags to the
 coordinates of Lindbladian terms meeting the r-enlarged observable support,
 keeps the samples within l-infinity distance gamma (and within gamma in time
-outside steady-state mode), and takes a median of means of the per-snapshot
-estimates.  An empty cell degrades to the single nearest sample with a
-warning.  Ties break toward the lowest sample index everywhere.
+at a finite target time: a steady state is tau = inf, where time does not
+count), and takes a median of means of the per-snapshot estimates.  An empty
+cell degrades to the single nearest sample with a warning.  Ties break toward
+the lowest sample index everywhere.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "LearnerPlan",
     "Prediction",
     "plan",
-    "nearest_patch",
     "select_cell",
     "predict",
     "coverage_report",
@@ -126,13 +126,15 @@ class LearnerPlan:
     @staticmethod
     def from_json(text: str) -> "LearnerPlan":
         """The plan that :meth:`to_json` wrote; a value of the wrong JSON type
-        is a ConfigError naming the ``plan.json`` field."""
+        or out of range is a ConfigError naming the ``plan.json`` field."""
         obj = json.loads(text)
         obj.pop("m_r", None)
         consts = obj.pop("constants")
         _check_json_types(PlanConstants, consts, "constants.")
         _check_json_types(LearnerPlan, obj, "")
-        return LearnerPlan(constants=PlanConstants(**consts), **obj)
+        p = LearnerPlan(constants=PlanConstants(**consts), **obj)
+        _check_ranges(p)
+        return p
 
 
 # the JSON type of a plan.json value, by its field's annotation
@@ -146,6 +148,30 @@ def _check_json_types(cls, obj: dict, prefix: str) -> None:
         if kind is not None and f.name in obj and not JSON_TYPES[kind](obj[f.name]):
             raise ConfigError(f"plan.json {prefix}{f.name}: expected {kind}, "
                               f"got {json.dumps(obj[f.name])}")
+
+
+# the range of a plan.json value the predict stage reads
+_FIELD_RANGES = {
+    "gamma": (lambda v: 0 < v < math.inf, "a positive number"),
+    "r": (lambda v: v >= 0, "a non-negative integer"),
+    "delta_prime": (lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "N": (lambda v: v >= 1, "a positive integer"),
+    "q": (lambda v: v >= 1, "a positive integer"),
+}
+
+
+def _check_ranges(p: "LearnerPlan") -> None:
+    """Each value of ``_FIELD_RANGES`` in its range, and t_eps null exactly in
+    steady-state mode (a steady state is tau = inf), a positive number in the
+    others."""
+    for name, (ok, kind) in _FIELD_RANGES.items():
+        if not ok(getattr(p, name)):
+            raise ConfigError(f"plan.json {name}: expected {kind}, "
+                              f"got {json.dumps(getattr(p, name))}")
+    steady = p.mode == "steady_state"
+    if not (p.t_eps is None if steady else p.t_eps is not None and 0 < p.t_eps < math.inf):
+        raise ConfigError(f"plan.json t_eps is {json.dumps(p.t_eps)}, but plan.json mode "
+                          f"{p.mode!r} needs {'null' if steady else 'a positive number'}")
 
 
 def plan(epsilon: float, delta: float, delta_prime: float,
@@ -248,47 +274,28 @@ def plan(epsilon: float, delta: float, delta_prime: float,
     )
 
 
-def _restricted_distances(X: np.ndarray, taus: np.ndarray | None,
-                          x_values: np.ndarray, t: float,
-                          indices: np.ndarray) -> np.ndarray:
-    """l-infinity distance of each tag (row of X, tau) from (x restricted, t).
-
-    ``taus`` is None in steady-state mode, where time does not count.
-    """
-    if indices.size:
-        dist = np.abs(X[:, indices] - x_values[indices][None, :]).max(axis=1)
-    else:
-        dist = np.zeros(len(X))
-    if taus is not None:
-        dist = np.maximum(dist, np.abs(taus - t))
-    return dist
-
-
-def nearest_patch(x_values: np.ndarray, t: float, training: TrainingSet,
-                  indices: np.ndarray, mode: str = "steady_state") -> tuple[int, float]:
-    """Index of the sample closest to the target on the restricted coordinates.
-
-    Outside steady-state mode the distance includes |tau - t|.  Ties resolve
-    to the lowest sample index.
-    """
-    if len(training) == 0:
-        raise EmptyCellError("training set is empty")
-    taus = None if mode == "steady_state" else training.taus
-    dist = _restricted_distances(training.X, taus, x_values, t, indices)
-    idx = int(np.argmin(dist))
-    return idx, float(dist[idx])
-
-
 def select_cell(x_values: np.ndarray, t: float, training: TrainingSet,
-                indices: np.ndarray, gamma: float, mode: str = "steady_state") -> np.ndarray:
-    """All sample indices within restricted distance gamma (may be empty)."""
+                indices: np.ndarray, gamma: float) -> tuple[np.ndarray, float | None]:
+    """The sample indices within restricted distance gamma of (x, t), and None;
+    or, when none is, the nearest sample alone and its distance.
+
+    The distance of a tag (X[i], tau_i) is max_j |X[i, j] - x_j| over
+    ``indices``, and also |tau_i - t| when t is finite: a steady state is
+    t = inf, where time does not count.  Ties resolve to the lowest sample
+    index.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if len(training) == 0:
-        return np.zeros(0, dtype=int)
-    taus = None if mode == "steady_state" else training.taus
-    dist = _restricted_distances(training.X, taus, x_values, t, indices)
-    return np.nonzero(dist <= gamma)[0]
+        raise EmptyCellError("training set is empty")
+    dist = np.abs(training.X[:, indices] - x_values[indices]).max(axis=1, initial=0.0)
+    if math.isfinite(t):
+        dist = np.maximum(dist, np.abs(training.taus - t))
+    cell = np.flatnonzero(dist <= gamma)
+    if cell.size:
+        return cell, None
+    idx = int(np.argmin(dist))
+    return np.array([idx]), float(dist[idx])
 
 
 @dataclass(frozen=True)
@@ -310,8 +317,6 @@ def predict(observables: Sequence[LocalObservable], x, t: float,
     snapshot's inverse-channel estimate, and take a median of means.  Empty
     cells fall back to the single nearest sample and are flagged.
     """
-    if len(training) == 0:
-        raise EmptyCellError("training set is empty")
     x_values = family.as_values(x)
     lattice = family.lattice
     per_term: list[float] = []
@@ -320,14 +325,12 @@ def predict(observables: Sequence[LocalObservable], x, t: float,
     for obs in observables:
         patch = enlarge(lattice, obs.support, plan_.r)
         indices = family.coords_for_region(patch)
-        cell = select_cell(x_values, t, training, indices, plan_.gamma, plan_.mode)
-        if cell.size == 0:
-            idx, dist = nearest_patch(x_values, t, training, indices, plan_.mode)
+        cell, dist = select_cell(x_values, t, training, indices, plan_.gamma)
+        if dist is not None:
             warnings.append(
                 f"empty cell for {obs.label or obs.support.sites}; "
-                f"nearest sample {idx} at distance {dist:.3g}"
+                f"nearest sample {cell[0]} at distance {dist:.3g}"
             )
-            cell = np.array([idx], dtype=int)
         vals = local_estimates(training.bases[cell], training.outcomes[cell],
                                obs.support.sites, obs.matrix)
         per_term.append(median_of_means(vals, mom_batch_count(plan_.delta_prime, len(vals))))
@@ -378,35 +381,31 @@ class CoverageReport:
 
 def coverage_report(training: TrainingSet, gamma: float,
                     regions: Sequence[Region], family: ParamLindbladian,
-                    q: int = 1, mode: str = "steady_state",
-                    t_eps: float | None = None) -> CoverageReport:
+                    q: int = 1, t_eps: float | None = None) -> CoverageReport:
     """Occupancy of the gamma-cells of each region's restricted coordinates.
 
     A cell counts as covered when at least q samples land in it.  Unoccupied
     cells never qualify, so the exact fraction only needs the occupied cells'
     counts (np.unique over one byte-string key per row) even when the cell
-    count is astronomically large.  The reported failure bound is
-    M exp(-N (gamma/2)^m_r + m_r log(2/gamma)), with the time axis folded in
-    outside steady-state mode.
+    count is astronomically large.  The time axis spans T = t_eps, or one cell
+    (T = gamma) for a steady state (t_eps None), and the reported failure
+    bound is M exp(-N (gamma/2)^m_r (gamma/T) + m_r log(2/gamma) + log(T/gamma)).
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    span = gamma if t_eps is None else t_eps
+    if not span > 0:
+        raise ValueError("the time horizon t_eps must be positive")
     N = len(training)
     axis_cells = math.ceil(2.0 / gamma)
-    time_cells = 1
-    if mode != "steady_state":
-        if t_eps is None or t_eps <= 0:
-            raise ValueError("coverage in general/slow mode needs t_eps")
-        time_cells = math.ceil(t_eps / gamma)
+    time_cells = math.ceil(span / gamma)
+    tkeys = np.minimum(time_cells - 1, np.floor(training.taus / gamma))
     entries = []
     M = max(1, len(regions))
     for region in regions:
         indices = family.coords_for_region(region)
         m_r = int(indices.size)
         keys = np.minimum(axis_cells - 1, np.floor((training.X[:, indices] + 1.0) / gamma))
-        tkeys = np.zeros(N)
-        if mode != "steady_state":
-            tkeys = np.minimum(time_cells - 1, np.floor(training.taus / gamma))
         # one byte string per row; the time column gives an empty region a key too
         keys = np.ascontiguousarray(np.column_stack([keys, tkeys]), dtype=np.int64)
         _, counts = np.unique(keys.view(f"V{8 * keys.shape[1]}"), return_counts=True)
@@ -419,12 +418,9 @@ def coverage_report(training: TrainingSet, gamma: float,
         else:
             total = math.inf
         fraction = covered / total if math.isfinite(total) and total > 0 else 0.0
-        cell_prob_log = m_r * math.log(gamma / 2.0)
-        if mode != "steady_state":
-            cell_prob_log += math.log(gamma / t_eps)
-        exponent = -N * math.exp(cell_prob_log) + m_r * math.log(2.0 / gamma)
-        if mode != "steady_state":
-            exponent += math.log(t_eps / gamma)
+        cell_prob_log = m_r * math.log(gamma / 2.0) + math.log(gamma / span)
+        exponent = (-N * math.exp(cell_prob_log) + m_r * math.log(2.0 / gamma)
+                    + math.log(span / gamma))
         failure = min(1.0, M * math.exp(min(700.0, exponent)))
         entries.append(
             RegionCoverage(

@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import MODES
 from .lattice import Lattice, LocalObservable, Region
 from .lindblad import (
     AncillaSpec,
@@ -282,24 +281,22 @@ def generate_state(model: Model, x: np.ndarray, tau: float) -> DensityMatrix:
     return evolve(gen, model.reference_state(), tau)
 
 
-def sample_parameters(model: Model, N: int, t_eps: float | None, seed: int,
-                      mode: str = "steady_state") -> tuple[np.ndarray, np.ndarray]:
+def sample_parameters(model: Model, N: int, t_eps: float | None,
+                      seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw N i.i.d. points as columns: X ~ U([-1,1]^m) of shape (N, m) and
     taus ~ U([0, t_eps]) of shape (N,).
 
-    Steady-state mode tags every point with tau = inf.  Reproducible under
-    ``seed``.  Every point of a run shares the model's ancilla choice; each
-    choice from the menu is learned in its own run (the menu size scales the
-    planned N).
+    Without a horizon (t_eps None) every point is a steady state, tau = inf.
+    Reproducible under ``seed``.  Every point of a run shares the model's
+    ancilla choice; each choice from the menu is learned in its own run (the
+    menu size scales the planned N).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    if t_eps is not None and not t_eps > 0:
+        raise ValueError("the time horizon t_eps must be positive")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-1.0, 1.0, size=(N, model.family.m))
-    if mode == "steady_state":
+    if t_eps is None:
         return xs, np.full(N, np.inf)
-    if t_eps is None or not (t_eps > 0):
-        raise ValueError("general/slow modes need a positive time horizon t_eps")
     return xs, rng.uniform(0.0, t_eps, size=N)

@@ -659,12 +659,25 @@ class TestCli:
          "plan.json constants.xi: expected number"),
         ("plot", lambda out, p: _edit_plan(out, N_log2="8"), [],
          "plan.json N_log2: expected number"),
+        ("predict", lambda out, p: _edit_plan(out, gamma=0.0), [], "plan.json gamma"),
+        ("predict", lambda out, p: _edit_plan(out, r=-1), [], "plan.json r"),
+        ("predict", lambda out, p: _edit_plan(out, delta_prime=2.0), [],
+         "plan.json delta_prime"),
+        ("predict", lambda out, p: _edit_plan(out, N=0), [], "plan.json N"),
+        ("predict", lambda out, p: _edit_plan(out, q=0), [], "plan.json q"),
+        ("predict", lambda out, p: _edit_plan(out, t_eps=1.0), [], "plan.json t_eps"),
+        ("predict", lambda out, p: _edit_plan(out, mode="general_phase", t_eps=-1.0), [],
+         "plan.json t_eps"),
+        ("plot", lambda out, p: _edit_plan(out, gamma=-0.5), [], "plan.json gamma"),
     ], ids=["plan_not_json", "plan_missing_field", "plot_plan_not_json",
             "shadows_without_records", "lattice_mismatch", "records_too_narrow",
             "mode_mismatch",
             "plan_mode_mismatch", "record_retagged", "shadows_v1", "x_nan", "tau_negative",
             "plan_r_string", "plan_gamma_string",
-            "plan_capped_integer", "plan_constant_string", "plot_n_log2_string"])
+            "plan_capped_integer", "plan_constant_string", "plot_n_log2_string",
+            "plan_gamma_zero", "plan_r_negative", "plan_delta_prime_two", "plan_n_zero",
+            "plan_q_zero", "plan_t_eps_in_steady_mode", "plan_t_eps_negative",
+            "plot_gamma_negative"])
     def test_bad_bundle_exit_code(self, tmp_path, capsys, verb, spoil, flags, named):
         # spoil(out dir, config path) damages the bundle or edits the config
         text = SMALL_LEARNING.replace("n_override = 6000", "n_override = 50")
@@ -674,6 +687,23 @@ class TestCli:
         spoil(out, p)
         assert cli_main([verb, "--config", str(p), "--out", str(out), *flags]) == 2
         assert named in capsys.readouterr().err
+
+    def test_sweep_sizes_capped_at_n_run_once(self, tmp_path, monkeypatch):
+        # both sweep sizes cap at N = 50: one row, and one pass of predictions
+        import phaselearn.experiment as experiment
+
+        calls = []
+        real_predict = experiment.predict
+        monkeypatch.setattr(experiment, "predict",
+                            lambda *a: calls.append(len(a[3])) or real_predict(*a))
+        text = SMALL_LEARNING.replace("n_override = 6000", "n_override = 50")
+        p = self._write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert cli_main(["sweep", "--config", str(p), "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["50"]
+        assert [n for n, _ in json.loads((out / "summary.json").read_text())["sweep"]] == [50]
+        assert calls == [50] * 24  # 12 test points, then 12 for the one sweep size
 
     def test_missing_sweep_list_rejected(self, tmp_path):
         text = SMALL_LEARNING.replace("sweep = [200, 1000]", "")

@@ -13,7 +13,6 @@ from phaselearn.learner import (
     LearnerPlan,
     PlanConstants,
     coverage_report,
-    nearest_patch,
     plan,
     predict,
     select_cell,
@@ -34,6 +33,14 @@ def _tag_training(xs, taus=None, m=None):
         taus=[math.inf] * n if taus is None else taus,
         omegas=[0] * n,
     )
+
+
+def _nearest(x, t, tr, indices):
+    """The nearest sample by select_cell: a cell too narrow for anything but
+    exact hits is empty or holds exact hits only, the lowest of which is the
+    nearest sample too."""
+    cell, _ = select_cell(x, t, tr, indices, 1e-300)
+    return int(cell[0])
 
 
 class TestPlan:
@@ -124,18 +131,21 @@ class TestPlan:
 
 
 class TestNearestPatch:
+    """An empty cell falls back to the nearest sample and its distance."""
+
     def test_exact_hit(self):
         rng = np.random.default_rng(0)
         xs = rng.uniform(-1, 1, size=(20, 6))
         tr = _tag_training(xs)
-        idx, dist = nearest_patch(xs[7], math.inf, tr, np.arange(6))
-        assert idx == 7 and dist == 0.0
+        cell, dist = select_cell(xs[7], math.inf, tr, np.arange(6), 1e-12)
+        assert cell.tolist() == [7] and dist is None
+        assert _nearest(xs[7], math.inf, tr, np.arange(6)) == 7
 
     def test_tie_breaks_to_lowest_index(self):
         xs = [np.zeros(3), np.full(3, 0.5), np.full(3, 0.5)]
         tr = _tag_training(xs)
-        idx, _ = nearest_patch(np.full(3, 0.5), math.inf, tr, np.arange(3))
-        assert idx == 1
+        cell, dist = select_cell(np.full(3, 0.6), math.inf, tr, np.arange(3), 0.05)
+        assert cell.tolist() == [1] and dist == pytest.approx(0.1)
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(1)
@@ -143,12 +153,12 @@ class TestNearestPatch:
         tr = _tag_training(xs)
         indices = np.array([0, 3, 4, 7, 8, 11])
         target = rng.uniform(-1, 1, 12)
-        idx, dist = nearest_patch(target, math.inf, tr, indices)
+        cell, dist = select_cell(target, math.inf, tr, indices, 1e-12)
         brute = min(
             range(100),
             key=lambda k: np.max(np.abs(xs[k][indices] - target[indices])),
         )
-        assert idx == brute
+        assert cell.tolist() == [brute]
         assert dist == pytest.approx(np.max(np.abs(xs[brute][indices] - target[indices])))
 
     def test_argmin_invariant_under_monotone_transform(self):
@@ -157,21 +167,22 @@ class TestNearestPatch:
         tr = _tag_training(xs)
         indices = np.arange(5)
         target = rng.uniform(-1, 1, 5)
-        idx, _ = nearest_patch(target, math.inf, tr, indices)
+        idx = _nearest(target, math.inf, tr, indices)
         dists = np.max(np.abs(xs[:, indices] - target[indices]), axis=1)
         for transform in (np.exp, np.sqrt, lambda d: 3 * d + 1):
             assert int(np.argmin(transform(dists))) == idx
 
     def test_general_mode_uses_time_axis(self):
+        # a finite target time counts |tau - t|
         xs = [np.zeros(2), np.zeros(2)]
         tr = _tag_training(xs, taus=[0.1, 2.0])
-        idx, _ = nearest_patch(np.zeros(2), 1.9, tr, np.arange(2), mode="general_phase")
-        assert idx == 1
+        cell, dist = select_cell(np.zeros(2), 1.9, tr, np.arange(2), 0.05)
+        assert cell.tolist() == [1] and dist == pytest.approx(0.1)
 
     def test_empty_training(self):
         tr = _tag_training(np.zeros((0, 2)), m=2)
         with pytest.raises(EmptyCellError):
-            nearest_patch(np.zeros(2), math.inf, tr, np.arange(2))
+            select_cell(np.zeros(2), math.inf, tr, np.arange(2), 0.5)
 
 
 class TestSelectCell:
@@ -179,13 +190,14 @@ class TestSelectCell:
         rng = np.random.default_rng(3)
         xs = rng.uniform(-1, 1, size=(40, 4))
         tr = _tag_training(xs)
-        assert len(select_cell(rng.uniform(-1, 1, 4), math.inf, tr, np.arange(4), 2.0)) == 40
+        cell, _ = select_cell(rng.uniform(-1, 1, 4), math.inf, tr, np.arange(4), 2.0)
+        assert len(cell) == 40
 
     def test_tiny_gamma_picks_duplicates(self):
         x = np.array([0.3, -0.4])
         xs = [x, x + 0.5, x.copy(), x - 0.7]
         tr = _tag_training(xs)
-        got = select_cell(x, math.inf, tr, np.arange(2), 1e-12)
+        got, _ = select_cell(x, math.inf, tr, np.arange(2), 1e-12)
         assert list(got) == [0, 2]
 
     def test_selected_fraction_binomial(self):
@@ -193,7 +205,7 @@ class TestSelectCell:
         n, m_r, gamma = 10_000, 4, 0.5
         xs = rng.uniform(-1, 1, size=(n, m_r))
         tr = _tag_training(xs)
-        got = select_cell(np.zeros(m_r), math.inf, tr, np.arange(m_r), gamma)
+        got, _ = select_cell(np.zeros(m_r), math.inf, tr, np.arange(m_r), gamma)
         p = gamma**m_r
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(len(got) - n * p) <= 3 * sigma
@@ -201,8 +213,41 @@ class TestSelectCell:
     def test_time_window_in_general_mode(self):
         xs = [np.zeros(1)] * 3
         tr = _tag_training(xs, taus=[0.1, 0.5, 3.0])
-        got = select_cell(np.zeros(1), 0.4, tr, np.arange(1), 0.2, mode="general_phase")
+        got, _ = select_cell(np.zeros(1), 0.4, tr, np.arange(1), 0.2)
         assert list(got) == [1]
+
+    @given(data=st.data(), timed=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force_scan(self, data, timed):
+        """The cell is {i : max_j |X_ij - x_j| <= gamma, and |tau_i - t| <= gamma
+        when t is finite}; an empty cell gives the lowest-index minimiser and
+        its distance.  Grid values make ties and cell borders common."""
+        grid = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.3, 0.5, 1.0])
+        times = st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.5])
+        N = data.draw(st.integers(1, 12))
+        m = data.draw(st.integers(1, 4))
+        X = np.array(data.draw(st.lists(st.lists(grid, min_size=m, max_size=m),
+                                        min_size=N, max_size=N)))
+        x = np.array(data.draw(st.lists(grid, min_size=m, max_size=m)))
+        indices = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1)))), dtype=int)
+        gamma = data.draw(st.sampled_from([0.1, 0.25, 0.5, 2.0]))
+        # steady tags (tau = inf, t = inf) or timed ones at a finite t
+        taus = data.draw(st.lists(times, min_size=N, max_size=N)) if timed else [math.inf] * N
+        t = data.draw(times) if timed else math.inf
+        tr = _tag_training(X, taus=taus, m=m)
+
+        def distance(i):
+            d = max((abs(X[i, j] - x[j]) for j in indices), default=0.0)
+            return max(d, abs(taus[i] - t)) if timed else d
+
+        dists = [distance(i) for i in range(N)]
+        cell, dist = select_cell(x, t, tr, indices, gamma)
+        expect = [i for i in range(N) if dists[i] <= gamma]
+        if expect:
+            assert cell.tolist() == expect and dist is None
+        else:
+            best = min(range(N), key=lambda i: (dists[i], i))
+            assert cell.tolist() == [best] and dist == dists[best]
 
 
 def _pinning_training(n, N, seed, gamma_spread=None):
@@ -309,7 +354,7 @@ class TestPredict:
         worst = 0.0
         for _ in range(25):
             xt = rng.uniform(-1, 1, 6)
-            j, _ = nearest_patch(xt, math.inf, tr, indices)
+            j = _nearest(xt, math.inf, tr, indices)
             est = model.oracle.expectation(xs[j], math.inf, obs)
             worst = max(worst, abs(est - model.oracle.expectation(xt, math.inf, obs)))
         assert worst <= bound
@@ -342,7 +387,7 @@ class TestPredict:
         for r in (1, 2):
             indices = tfim.family.coords_for_region(enlarge(lat, obs.support, r))
             errs = [
-                abs(f_exact(xs_tfim[nearest_patch(xt, math.inf, tr_tfim, indices)[0]]) - ev)
+                abs(f_exact(xs_tfim[_nearest(xt, math.inf, tr_tfim, indices)]) - ev)
                 for xt, ev in zip(tests, exact_vals)
             ]
             medians[r] = float(np.median(errs))
@@ -358,7 +403,7 @@ class TestPredict:
         for gamma in (0.8, 0.4, 0.15):
             errs = []
             for xt in (rng.uniform(-1, 1, 6) for _ in range(40)):
-                cell = select_cell(xt, math.inf, tr, idx, gamma)
+                cell, _ = select_cell(xt, math.inf, tr, idx, gamma)
                 est = float(np.mean([
                     pin.oracle.expectation(xs[j], math.inf, obs6) for j in cell
                 ]))
@@ -413,8 +458,8 @@ class TestCoverage:
         taus = rng.uniform(0, t_eps, N) if mode != "steady_state" else None
         tr = _tag_training(xs, taus=taus, m=3)
         regions = [Region((0,)), Region((1, 2)), Region(())]
-        rep = coverage_report(tr, gamma, regions, model.family, q=q, mode=mode,
-                              t_eps=t_eps)
+        rep = coverage_report(tr, gamma, regions, model.family, q=q,
+                              t_eps=None if mode == "steady_state" else t_eps)
         axis_cells = math.ceil(2.0 / gamma)
         time_cells = math.ceil(t_eps / gamma)
         for region, entry in zip(regions, rep.entries):

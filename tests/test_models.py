@@ -236,13 +236,14 @@ class TestSampler:
         assert np.array_equal(xa, xb) and np.array_equal(ta, tb)
 
     def test_steady_mode_tags_infinity(self):
-        _, taus = sample_parameters(self._model(), 3, None, 0, "steady_state")
+        _, taus = sample_parameters(self._model(), 3, None, 0)
         assert taus.shape == (3,) and np.all(np.isinf(taus))
 
     def test_general_mode_needs_horizon(self):
-        with pytest.raises(ValueError):
-            sample_parameters(self._model(), 3, None, 0, "general_phase")
-        _, taus = sample_parameters(self._model(), 100, 2.5, 0, "general_phase")
+        for t_eps in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                sample_parameters(self._model(), 3, t_eps, 0)
+        _, taus = sample_parameters(self._model(), 100, 2.5, 0)
         assert taus.shape == (100,) and np.all((0 <= taus) & (taus <= 2.5))
 
     def test_uniform_moments(self):
