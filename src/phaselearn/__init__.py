@@ -36,6 +36,7 @@ from .lindblad import (
     localize,
     partial_trace,
     steady_state,
+    steady_states,
 )
 from .models import (
     CATALOG,

@@ -13,6 +13,7 @@ import json
 import math
 import time
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .diagnostics import (
 from .errors import ConfigError
 from .lattice import Lattice, Region, ball, embed, enlarge, observable_from_string
 from .learner import LearnerPlan, PlanConstants, coverage_report, plan, predict
-from .lindblad import assemble, steady_state
+from .lindblad import DensityMatrix, assemble, steady_state, steady_states
 from .models import Model, generate_state, instantiate, sample_parameters
 from .plotting import decay_plot_svg, sweep_plot_svg
 from .seeding import stream_seed
@@ -105,6 +106,14 @@ def build_plan_constants(cfg: ExperimentConfig, model: Model) -> PlanConstants:
     )
 
 
+def _states(model: Model, X: np.ndarray, taus: np.ndarray) -> Iterator[DensityMatrix]:
+    """The state at each point (X[i], taus[i]): steady states through
+    ``steady_states``, a chunk at a time, and other times one by one."""
+    if np.isinf(taus).all():
+        return steady_states(model.family, X)
+    return (generate_state(model, x, tau) for x, tau in zip(X, taus.tolist()))
+
+
 def _training_states(model: Model, X: np.ndarray, taus: np.ndarray, key: int
                      ) -> tuple[np.ndarray, np.ndarray]:
     """(N, n) bases and outcomes, one snapshot per point (X[i], taus[i]),
@@ -112,31 +121,29 @@ def _training_states(model: Model, X: np.ndarray, taus: np.ndarray, key: int
 
     Oracle (product) states go through the batched sampler in one call: the
     closed-form Bloch vectors of every site at every point, then the stream's
-    rows drawn in chunks.  Other models generate each state and measure it
-    with the general sampler.
+    rows drawn in chunks.  Other models generate each state (``_states``) and
+    measure it with the general sampler.
     """
     if model.oracle is not None:
         return measure_snapshot_product(model.oracle.bloch_vectors(X, taus), key)
     n_sys = model.family.n_system
     bases = np.empty((len(X), n_sys), dtype=np.int8)
     outcomes = np.empty_like(bases)
-    for i, (x, tau) in enumerate(zip(X, taus.tolist())):
-        rho = generate_state(model, x, tau)
+    for i, rho in enumerate(_states(model, X, taus)):
         bases[i], outcomes[i] = measure_snapshot(rho, key, row=i, n_system=n_sys)
     return bases, outcomes
 
 
-def _exact_value(model: Model, x: np.ndarray, tau: float, observables):
-    """Ground truth sum_i tr[O_i rho(x, tau)] via oracle or dense simulation."""
+def _exact_values(model: Model, X: np.ndarray, taus: np.ndarray, observables) -> list:
+    """Ground truth sum_i tr[O_i rho(x, tau)] at each point (X[i], taus[i]) via
+    oracle or dense simulation; None for every point above 6 sites."""
     if model.oracle is not None:
-        return sum(model.oracle.expectation(x, tau, o) for o in observables)
+        return [sum(model.oracle.expectation(x, tau, o) for o in observables)
+                for x, tau in zip(X, taus.tolist())]
     if model.family.n_total > 6:
-        return None
-    rho = generate_state(model, x, tau)
-    total = 0.0
-    for o in observables:
-        total += rho.expectation(embed(o, model.lattice, n_total=model.family.n_total))
-    return total
+        return [None] * len(X)
+    full = [embed(o, model.lattice, n_total=model.family.n_total) for o in observables]
+    return [sum((rho.expectation(o) for o in full), 0.0) for rho in _states(model, X, taus)]
 
 
 def _setup(cfg: ExperimentConfig):
@@ -241,8 +248,7 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
                                        stream_seed(cfg.seed, "test_points"))
 
     # exact values do not depend on the training set: one per test point
-    exacts = [_exact_value(model, test_x[i], float(test_t[i]), observables)
-              for i in range(cfg.n_test)]
+    exacts = _exact_values(model, test_x, test_t, observables)
 
     def eval_point(i: int, tr: TrainingSet):
         pred = predict(observables, test_x[i], float(test_t[i]), tr, p, model.family)

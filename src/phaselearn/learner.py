@@ -288,7 +288,7 @@ def select_cell(x_values: np.ndarray, t: float, training: TrainingSet,
         raise ValueError("gamma must be positive")
     if len(training) == 0:
         raise EmptyCellError("training set is empty")
-    dist = np.abs(training.X[:, indices] - x_values[indices]).max(axis=1, initial=0.0)
+    dist = np.abs(training.restricted(indices) - x_values[indices]).max(axis=1, initial=0.0)
     if math.isfinite(t):
         dist = np.maximum(dist, np.abs(training.taus - t))
     cell = np.flatnonzero(dist <= gamma)
@@ -405,7 +405,7 @@ def coverage_report(training: TrainingSet, gamma: float,
     for region in regions:
         indices = family.coords_for_region(region)
         m_r = int(indices.size)
-        keys = np.minimum(axis_cells - 1, np.floor((training.X[:, indices] + 1.0) / gamma))
+        keys = np.minimum(axis_cells - 1, np.floor((training.restricted(indices) + 1.0) / gamma))
         # one byte string per row; the time column gives an empty region a key too
         keys = np.ascontiguousarray(np.column_stack([keys, tkeys]), dtype=np.int64)
         _, counts = np.unique(keys.view(f"V{8 * keys.shape[1]}"), return_counts=True)

@@ -12,6 +12,13 @@ of mu and (I, X, Y, Z) the digits 0..3.  A Lindbladian maps Hermitian
 operators to Hermitian operators, so T is real; it preserves the trace, so
 row 0 of T (the identity string) is zero.
 
+``steady_states`` solves a family at many points, ``STEADY_CHUNK`` of them at
+a time: per chunk, one stacked pass per term builds T's entries at every
+point, SuperLU factors, probes and solves each point alone in point order,
+and the remaining checks run once on stacked arrays.  ``steady_state`` is its
+batch of one, so both give a point the same bytes, and its memory is bounded
+by the chunk, not by the number of points.
+
 The integrators run on the column-stacked generator instead,
 ``vec(rho) = rho.flatten(order="F")``; the Heisenberg generator is its
 conjugate transpose.  They keep its roundoff because the stability verdicts
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +43,7 @@ from .lattice import CoordInfo, Lattice, Region, embed_sparse_indices, embed_tri
 
 __all__ = [
     "SUPEROP_SITE_CAP",
+    "STEADY_CHUNK",
     "TermMatrices",
     "LindbladTerm",
     "AncillaSpec",
@@ -46,6 +54,7 @@ __all__ = [
     "evolve",
     "heisenberg_evolve",
     "steady_state",
+    "steady_states",
     "localize",
     "partial_trace",
     "trace_norm",
@@ -55,6 +64,12 @@ __all__ = [
 # Sparse superoperators have side d^(2n); beyond 9 sites the memory footprint
 # leaves desk scale even in sparse storage.
 SUPEROP_SITE_CAP = 9
+
+# Points per pass of steady_states: the stacked T build and checks amortise
+# numpy's per-call overhead over a chunk, and the chunk bounds their memory
+# (TFIM n = 4 on a 2-vCPU host: T's build takes 0.10-0.15 ms per point at 16
+# points per chunk, about the same at 64, and 0.5-0.7 ms at 1).
+STEADY_CHUNK = 16
 
 TermMatrices = tuple[np.ndarray | None, list[np.ndarray]]
 
@@ -94,10 +109,12 @@ class AncillaSpec:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two square matrices as one broadcast outer product: the
-    same elementwise products, without the wrapper's per-call overhead."""
-    p, q = a.shape[0], b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * q, p * q)
+    """``np.kron`` of two square matrices, or of each pair of two stacks of
+    them, as one broadcast outer product: the same elementwise products,
+    without the wrapper's per-call overhead."""
+    p, q = a.shape[-1], b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (p * q, p * q))
 
 
 # I, X, Y, Z over sqrt(2); per site, X[a, b] = sum_p _FROM_PAULI[2a + b, p] c_p
@@ -106,21 +123,44 @@ _FROM_PAULI = (np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]
 
 
 def _from_pauli(c: np.ndarray, n: int) -> np.ndarray:
-    """The operator sum_mu c_mu P_mu over the normalised Pauli strings, one
-    site's 4 x 4 factor at a time: each pass acts on the leading digit and
-    rotates it to the end."""
+    """The operator sum_mu c_mu P_mu over the normalised Pauli strings for each
+    row of c, (B, 4^n) to (B, 2^n, 2^n), one site's 4 x 4 factor at a time:
+    each pass acts on the leading digit and rotates it to the end."""
+    b = c.shape[0]
     for _ in range(n):
-        c = (_FROM_PAULI @ c.reshape(4, -1)).T.ravel()
-    pairs = c.reshape((2,) * (2 * n))
-    return pairs.transpose(np.arange(2 * n).reshape(n, 2).T.ravel()).reshape(2**n, 2**n)
+        c = (_FROM_PAULI @ c.reshape(b, 4, 4 ** (n - 1))).transpose(0, 2, 1).reshape(b, 4**n)
+    pairs = c.reshape((b,) + (2,) * (2 * n))
+    order = np.arange(1, 2 * n + 1).reshape(n, 2).T.ravel()
+    return pairs.transpose(0, *order).reshape(b, 2**n, 2**n)
 
 
 @cache  # one entry per term support size, at most SUPEROP_SITE_CAP
 def _pauli_change(k: int) -> tuple[np.ndarray, np.ndarray]:
     """(V^dag, V) for the unitary V whose column nu is vec(P_nu), column-stacked,
     on k sites."""
-    v = np.stack([_from_pauli(e, k).flatten(order="F") for e in np.eye(4**k)], axis=1)
+    v = np.ascontiguousarray(_from_pauli(np.eye(4**k), k).transpose(0, 2, 1).reshape(4**k, -1).T)
     return v.conj().T, v
+
+
+class _FirstError:
+    """The first point of a batch that failed, and its error.  A check looks
+    only at the points before it and moves it to the first of them that
+    fails, so checks run in the order one point runs them leave the error
+    that a point-by-point loop raises first, after the same earlier points."""
+
+    def __init__(self, size: int):
+        self.stop, self.error = size, None
+
+    def check(self, bad: np.ndarray, error: Callable[[int], Exception]) -> None:
+        """Fail at the first point k before ``stop`` where ``bad`` holds, with ``error(k)``."""
+        bad = bad[:self.stop]
+        if bad.any():
+            self.stop = int(bad.argmax())
+            self.error = error(self.stop)
+
+    def raise_first(self) -> None:
+        if self.error is not None:
+            raise self.error
 
 
 class ParamLindbladian:
@@ -134,10 +174,11 @@ class ParamLindbladian:
 
     The family also keeps the work that depends only on a generator's
     sparsity pattern, which is the same at every generic point: the scatter
-    of the term blocks into T (``Superoperator.matrix``) and
-    ``steady_state``'s fill-reducing order of T'.  Each is one slot, replaced
-    when a point of another pattern comes along (a zero coordinate can empty
-    a block) and never grown.
+    of the term blocks into T (``_transfer_values``) and the fill-reducing
+    order of T' (``_factor``).  Each is one slot.  The scatter slot grows to
+    the union of its mask and a point's block nonzeros when they reach past
+    it (a zero coordinate can empty a block), which is bounded by the
+    blocks' size; the ordering slot is replaced when T' has another pattern.
     """
 
     OVERLAP_CAP = 8
@@ -248,45 +289,48 @@ class ParamLindbladian:
 
     # -- assembly ----------------------------------------------------------
 
-    def _term_local(self, term_index: int, x_slice: np.ndarray) -> np.ndarray:
-        """Column-stacked generator of one term on its support at its parameter
-        slice, ordered like the term's vec-space slots."""
-        x_slice = np.asarray(x_slice, dtype=float)
+    def _term_locals(self, term_index: int, xs: np.ndarray, fail: _FirstError) -> np.ndarray:
+        """Column-stacked generator of one term on its support at each row of
+        its parameter slices ``xs`` before ``fail.stop``, (B, d^2, d^2) ordered
+        like the term's vec-space slots.  Each point's Hamiltonian part and
+        jumps are stacked, the missing ones as zeros, which adds nothing."""
         term = self.terms[term_index]
         dk = 2 ** len(term.support.sites)
-        h, jumps = term.build(x_slice)
-        local = np.zeros((dk * dk, dk * dk), dtype=complex)
-        eye = np.eye(dk)
-        if h is not None:
-            if np.max(np.abs(h - h.conj().T)) > 1e-12:
-                raise ValueError(f"term {term.label!r}: Hamiltonian part not Hermitian")
-            local += -1j * (_kron(eye, h) - _kron(h.T, eye))
-        for L in jumps:
-            LdL = L.conj().T @ L
+        built = [term.build(x) for x in xs[:fail.stop]]
+        local = np.zeros((len(built), dk * dk, dk * dk), dtype=complex)
+        eye, zero = np.eye(dk), np.zeros((dk, dk))
+        if any(h is not None for h, _ in built):
+            h = np.array([zero if h is None else h for h, _ in built])
+            herm = np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2))
+            fail.check(herm > 1e-12, lambda k: ValueError(
+                f"term {term.label!r}: Hamiltonian part not Hermitian"))
+            local += -1j * (_kron(eye, h) - _kron(h.swapaxes(1, 2), eye))
+        for j in range(max((len(jumps) for _, jumps in built), default=0)):
+            L = np.array([jumps[j] if j < len(jumps) else zero for _, jumps in built])
+            LdL = L.conj().swapaxes(1, 2) @ L
             local += (
                 _kron(L.conj(), L)
                 - 0.5 * _kron(eye, LdL)
-                - 0.5 * _kron(LdL.T, eye)
+                - 0.5 * _kron(LdL.swapaxes(1, 2), eye)
             )
         return local
 
-    def term_superoperator(self, term_index: int, x_slice: np.ndarray) -> np.ndarray:
-        """Transfer matrix of one term on its support at its parameter slice,
-        ordered like the term's Pauli-digit slots; ``Superoperator.matrix``
-        embeds and sums all terms.
+    def _term_blocks(self, term_index: int, xs: np.ndarray, fail: _FirstError) -> np.ndarray:
+        """Transfer matrix of one term on its support at each row of its
+        parameter slices ``xs`` before ``fail.stop``, ordered like the term's
+        Pauli-digit slots; ``_transfer_values`` embeds and sums all terms.
 
-        The block is V^dag M V, with M the term's column-stacked generator and
+        A block is V^dag M V, with M the term's column-stacked generator and
         V its vec'd Pauli strings.  Entries below 1e-14 of the block's largest
         are roundoff of structural zeros and are set to zero; an imaginary part
         above that bound means the term does not preserve Hermiticity.
         """
         vh, v = _pauli_change(len(self.terms[term_index].support.sites))
-        block = vh @ self._term_local(term_index, x_slice) @ v
-        real, bound = block.real, 1e-14 * np.abs(block).max()
-        if np.abs(block.imag).max() > bound:
-            raise NumericalError(f"term {self.terms[term_index].label!r}: "
-                                 "generator does not preserve Hermiticity")
-        real[np.abs(real) < bound] = 0.0
+        blocks = vh @ self._term_locals(term_index, xs, fail) @ v
+        real, bound = blocks.real, 1e-14 * np.abs(blocks).max(axis=(1, 2))
+        fail.check(np.abs(blocks.imag).max(axis=(1, 2)) > bound, lambda k: NumericalError(
+            f"term {self.terms[term_index].label!r}: generator does not preserve Hermiticity"))
+        real[np.abs(real) < bound[:, None, None]] = 0.0
         return real
 
 
@@ -296,9 +340,8 @@ class Superoperator:
     as ``assemble`` makes it.
 
     Its matrices are cached properties, each built from the family's term
-    blocks when first read: :attr:`matrix`, the Pauli transfer matrix T that
-    ``steady_state`` solves, and :attr:`column_stacked`, the generator the
-    integrators run on.
+    blocks when first read: :attr:`matrix`, the Pauli transfer matrix T, and
+    :attr:`column_stacked`, the generator the integrators run on.
     """
 
     family: ParamLindbladian
@@ -314,37 +357,26 @@ class Superoperator:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """T, the term blocks summed in term order through the family's scatter
-        slot, rebuilt first when the blocks are nonzero elsewhere, so T has the
-        same bytes whatever the family built before.  Exact zeros left by
-        cancelling terms are dropped.  Row 0 is sqrt(D) times the trace
-        functional, so an entry of it above 1e-10 is a NumericalError."""
-        family, x = self.family, self.values
-        blocks = [family.term_superoperator(ti, x[list(term.coord_indices)])
-                  for ti, term in enumerate(family.terms)]
-        flat = np.concatenate([np.zeros(0), *(b.ravel() for b in blocks)])
-        nonzero = flat != 0
-        if family._scatter is None or not np.array_equal(nonzero, family._scatter[0]):
-            family._scatter = _scatter_plan(family, blocks, nonzero)
-        _, gather, inverse, indptr, indices = family._scatter
+        """T, built as ``steady_states`` builds it (``_transfer_values``), with
+        the entries that are zero at this point dropped."""
+        fail = _FirstError(1)
+        values, indices, indptr = _transfer_values(self.family, self.values[None], fail)
+        fail.raise_first()
         dim = self.hilbert_dim**2
-        total = sp.csr_matrix((np.bincount(inverse, flat[gather], indices.size), indices, indptr),
-                              shape=(dim, dim), copy=True)  # the slot's arrays stay unpruned
-        total.eliminate_zeros()
-        resid = float(np.abs(total.data[:total.indptr[1]]).max(initial=0.0))
-        if resid > 1e-10:
-            raise NumericalError(f"trace-preservation residual {resid:.2e} exceeds 1e-10")
-        return total
+        # a copy: the pattern arrays are the family's scatter slot
+        return sp.csr_matrix(_pruned(values[0], indices, indptr), shape=(dim, dim), copy=True)
 
     @cached_property
     def column_stacked(self) -> sp.csr_matrix:
         """The generator M on vec(rho) = rho.flatten(order="F"):
         -1j (I (x) h - h^T (x) I) + sum_k conj(L_k) (x) L_k
         - 1/2 I (x) L_k^dag L_k - 1/2 (L_k^dag L_k)^T (x) I per term."""
-        family, x = self.family, self.values
-        return _summed([embed_triplets(family._term_local(ti, x[list(term.coord_indices)]),
-                                       *family._term_offsets[ti][1])
-                        for ti, term in enumerate(family.terms)], self.hilbert_dim**2, complex)
+        family, x, fail = self.family, self.values[None], _FirstError(1)
+        local = [family._term_locals(ti, x[:, list(term.coord_indices)], fail)
+                 for ti, term in enumerate(family.terms)]
+        fail.raise_first()
+        return _summed([embed_triplets(m[0], *family._term_offsets[ti][1])
+                        for ti, m in enumerate(local)], self.hilbert_dim**2, complex)
 
 
 @dataclass(frozen=True)
@@ -352,18 +384,12 @@ class DensityMatrix:
     """Dense Hermitian PSD trace-one operator on the full Hilbert space.
 
     Construction applies an admission guard (Hermiticity and trace to 1e-7,
-    positivity to -1e-6 when the dimension allows a cheap check); call
-    :meth:`validate` for the strict invariants (Hermiticity and trace to
-    1e-10, minimum eigenvalue above -1e-8).
+    positivity to -1e-6 when the dimension allows a cheap check); a solved
+    steady state also passes the strict invariants (``_check_states``).
     """
 
     data: np.ndarray
     n_sites: int
-
-    _GUARD_HERM = 1e-7
-    _GUARD_TRACE = 1e-7
-    _GUARD_EIG = -1e-6
-    _CHEAP_EIG_DIM = 64
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=complex)
@@ -371,33 +397,50 @@ class DensityMatrix:
         dim = 2**self.n_sites
         if arr.shape != (dim, dim):
             raise ValueError(f"density matrix shape {arr.shape} != ({dim}, {dim})")
-        herm = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm > self._GUARD_HERM:
-            raise ValueError(f"not Hermitian: residual {herm:.2e}")
-        tr = complex(np.trace(arr))
-        if abs(tr - 1.0) > self._GUARD_TRACE:
-            raise ValueError(f"trace {tr} differs from 1")
-        if dim <= self._CHEAP_EIG_DIM:
-            lo = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2).min())
-            if lo < self._GUARD_EIG:
-                raise ValueError(f"minimum eigenvalue {lo:.2e} below guard")
-
-    def validate(self) -> None:
-        arr = self.data
-        herm = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm > 1e-10:
-            raise ValueError(f"Hermiticity residual {herm:.2e} > 1e-10")
-        if abs(complex(np.trace(arr)) - 1.0) > 1e-10:
-            raise ValueError("trace deviates from 1 beyond tolerance")
-        lo = self.min_eigenvalue()
-        if lo < -1e-8:
-            raise ValueError(f"minimum eigenvalue {lo:.2e} < -1e-08")
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.data + self.data.conj().T) / 2).min())
+        fail = _FirstError(1)
+        _check_states(arr[None], fail, strict=False)
+        fail.raise_first()
 
     def expectation(self, full_matrix: np.ndarray) -> float:
         return float(np.real(np.trace(full_matrix @ self.data)))
+
+
+def _check_states(rho: np.ndarray, fail: _FirstError, strict: bool) -> None:
+    """Check each operator of the stack ``rho`` before ``fail.stop`` as one
+    point runs the checks: DensityMatrix's admission guard (Hermiticity and
+    trace to 1e-7, minimum eigenvalue above -1e-6 up to dimension 64), then,
+    when ``strict``, the invariants of a solved state (Hermiticity and trace
+    to 1e-10, minimum eigenvalue above -1e-8).  One stacked ``eigvalsh``
+    serves both."""
+    rho = rho[:fail.stop]
+    herm = np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    trace = np.trace(rho, axis1=1, axis2=2)
+    fail.check(herm > 1e-7, lambda k: ValueError(f"not Hermitian: residual {herm[k]:.2e}"))
+    fail.check(np.abs(trace - 1.0) > 1e-7,
+               lambda k: ValueError(f"trace {complex(trace[k])} differs from 1"))
+    cheap = rho.shape[1] <= 64
+    if not (cheap or strict):
+        return
+    passed = rho[:fail.stop]
+    low = np.linalg.eigvalsh((passed + passed.conj().swapaxes(1, 2)) / 2).min(axis=1)
+    if cheap:
+        fail.check(low < -1e-6,
+                   lambda k: ValueError(f"minimum eigenvalue {low[k]:.2e} below guard"))
+    if strict:
+        fail.check(herm > 1e-10,
+                   lambda k: ValueError(f"Hermiticity residual {herm[k]:.2e} > 1e-10"))
+        fail.check(np.abs(trace - 1.0) > 1e-10,
+                   lambda k: ValueError("trace deviates from 1 beyond tolerance"))
+        fail.check(low < -1e-8,
+                   lambda k: ValueError(f"minimum eigenvalue {low[k]:.2e} < -1e-08"))
+
+
+def _admitted(data: np.ndarray, n_sites: int) -> DensityMatrix:
+    """A DensityMatrix of ``data`` whose checks ``_check_states`` has run."""
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "data", data)
+    object.__setattr__(rho, "n_sites", n_sites)
+    return rho
 
 
 def _summed(triplets: list, dim: int, dtype: type) -> sp.csr_matrix:
@@ -410,25 +453,81 @@ def _summed(triplets: list, dim: int, dtype: type) -> sp.csr_matrix:
     return total
 
 
-def _scatter_plan(family: ParamLindbladian, blocks: list[np.ndarray],
-                  nonzero: np.ndarray) -> tuple:
+def _scatter_plan(family: ParamLindbladian, mask: np.ndarray) -> tuple:
     """The scatter slot for term blocks whose raveled, concatenated entries
-    are nonzero where ``nonzero`` is: that mask; per embedded entry, in term
+    may be nonzero where ``mask`` is: that mask; per embedded entry, in term
     order, the block entry it copies and the stored entry of T it sums into;
     and T's CSR ``indptr`` and ``indices``."""
     dim = 4**family.n_total
-    # 1-based positions of the nonzero entries, so embed_triplets keeps exactly those
-    ids = np.where(nonzero, np.arange(1, nonzero.size + 1), 0)
+    # 1-based positions of the masked entries, so embed_triplets keeps exactly those
+    ids = np.where(mask, np.arange(1, mask.size + 1), 0)
     keys, pos, start = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], 0
-    for ti, block in enumerate(blocks):
-        rows, cols, p = embed_triplets(ids[start:start + block.size].reshape(block.shape),
+    for ti, term in enumerate(family.terms):
+        side = 4 ** len(term.support.sites)
+        rows, cols, p = embed_triplets(ids[start:start + side * side].reshape(side, side),
                                        *family._term_offsets[ti][0])
         keys.append(rows * dim + cols)
         pos.append(p - 1)
-        start += block.size
+        start += side * side
     keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
-    return nonzero, np.concatenate(pos), inverse, indptr, keys % dim
+    return mask, np.concatenate(pos), inverse, indptr, keys % dim
+
+
+def _transfer_values(family: ParamLindbladian, X: np.ndarray,
+                     fail: _FirstError) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T at each point of X before ``fail.stop``: ``(values, indices, indptr)``
+    with one row of values per point on the CSR pattern of the family's
+    scatter slot, where an entry that is zero at a point is stored as 0.0.
+
+    Each term builds its blocks for all points in one pass, and one
+    ``_binned`` sums them into T in term order.  The slot grows to the union of
+    its mask and the points' nonzeros when they reach past it (a zero
+    coordinate can empty a block; the union is at most every block entry),
+    and is reused otherwise: adding 0.0 changes no partial sum, so T has the
+    same bytes whatever the family built before.  Row 0 is sqrt(D) times the
+    trace functional, so an entry of it above 1e-10 is a NumericalError.
+    """
+    blocks = [family._term_blocks(ti, X[:, list(term.coord_indices)], fail)
+              for ti, term in enumerate(family.terms)]
+    b = fail.stop
+    flat = np.concatenate([np.zeros((b, 0)), *(blk[:b].reshape(b, -1) for blk in blocks)], axis=1)
+    nonzero = (flat != 0).any(axis=0)
+    slot = family._scatter
+    if slot is None or (nonzero & ~slot[0]).any():
+        slot = family._scatter = _scatter_plan(
+            family, nonzero if slot is None else nonzero | slot[0])
+    _, gather, inverse, indptr, indices = slot
+    values = _binned(flat[:, gather], inverse, indices.size)
+    resid = np.abs(values[:, :indptr[1]]).max(axis=1, initial=0.0)
+    fail.check(resid > 1e-10, lambda k: NumericalError(
+        f"trace-preservation residual {resid[k]:.2e} exceeds 1e-10"))
+    return values, indices, indptr
+
+
+def _binned(weights: np.ndarray, bins: np.ndarray, size: int) -> np.ndarray:
+    """``np.bincount(bins, row, size)`` for each row of ``weights`` (B, k):
+    each bin adds its weights in order, from 0.0, as a CSR product adds the
+    entries of a row."""
+    return np.array([np.bincount(bins, row, size) for row in weights]).reshape(len(weights), size)
+
+
+def _pruned(values: np.ndarray, indices: np.ndarray,
+            indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays ``(data, indices, indptr)`` of one point's T without the
+    entries of ``values`` that are zero, in ``eliminate_zeros`` order."""
+    keep = values != 0
+    if keep.all():
+        return values, indices, indptr
+    return values[keep], indices[keep], np.r_[0, np.cumsum(keep)][indptr]
+
+
+def _check_size(family: ParamLindbladian) -> None:
+    if family.n_total > SUPEROP_SITE_CAP:
+        raise ValueError(
+            f"superoperator assembly capped at {SUPEROP_SITE_CAP} sites, "
+            f"family has {family.n_total}"
+        )
 
 
 def assemble(family: ParamLindbladian, x: np.ndarray) -> Superoperator:
@@ -437,11 +536,7 @@ def assemble(family: ParamLindbladian, x: np.ndarray) -> Superoperator:
     Checks that the family fits under ``SUPEROP_SITE_CAP`` and that x lies in
     its box; the matrices are built when first read (:class:`Superoperator`).
     """
-    if family.n_total > SUPEROP_SITE_CAP:
-        raise ValueError(
-            f"superoperator assembly capped at {SUPEROP_SITE_CAP} sites, "
-            f"family has {family.n_total}"
-        )
+    _check_size(family)
     return Superoperator(family, family.as_values(x).copy())
 
 
@@ -528,23 +623,26 @@ def _ordering_plan(pinned_t: sp.csc_matrix, perm: np.ndarray) -> tuple:
             perm[pinned_t.indices[gather]])
 
 
-def _factor(pinned_t: sp.csc_matrix,
+def _factor(pinned_t: tuple[np.ndarray, np.ndarray, np.ndarray],
             family: ParamLindbladian) -> tuple[spla.SuperLU, np.ndarray, np.ndarray]:
-    """``(lu, order, rank)``: ``lu`` factors T'^T with rows and columns taken
-    in ``order``, whose inverse is ``rank``.  The order is the family's
-    ordering slot when T' has its pattern; otherwise MMD_AT_PLUS_A orders
-    T'^T afresh (``order`` the identity) and its order replaces the slot."""
+    """``(lu, order, rank)``: ``lu`` factors T'^T, given as its CSC arrays
+    ``(data, indices, indptr)``, with rows and columns taken in ``order``,
+    whose inverse is ``rank``.  The order is the family's ordering slot when
+    T' has its pattern; otherwise MMD_AT_PLUS_A orders T'^T afresh
+    (``order`` the identity) and its order replaces the slot."""
+    data, indices, indptr = pinned_t
+    shape = (indptr.size - 1,) * 2
     slot = family._ordering
-    if (slot is not None and np.array_equal(pinned_t.indptr, slot[0])
-            and np.array_equal(pinned_t.indices, slot[1])):
-        _, _, order, rank, gather, indptr, indices = slot
-        permuted = sp.csc_matrix((pinned_t.data[gather], indices, indptr), shape=pinned_t.shape)
+    if slot is not None and np.array_equal(indptr, slot[0]) and np.array_equal(indices, slot[1]):
+        _, _, order, rank, gather, p_indptr, p_indices = slot
+        permuted = sp.csc_matrix((data[gather], p_indices, p_indptr), shape=shape)
         permuted.has_canonical_format = True  # keeps splu from sorting the row indices
         return _splu(permuted, "NATURAL"), order, rank
-    lu = _splu(pinned_t, "MMD_AT_PLUS_A")
+    matrix = sp.csc_matrix(pinned_t, shape=shape)
+    lu = _splu(matrix, "MMD_AT_PLUS_A")
     # a copy: lu.perm_c is a view that would keep the whole factor alive
-    family._ordering = _ordering_plan(pinned_t, lu.perm_c.copy())
-    identity = np.arange(pinned_t.shape[0])
+    family._ordering = _ordering_plan(matrix, lu.perm_c.copy())
+    identity = np.arange(shape[0])
     return lu, identity, identity
 
 
@@ -582,53 +680,108 @@ def _kernel_is_degenerate(factor: tuple[spla.SuperLU, np.ndarray, np.ndarray],
     return False, resid
 
 
-def steady_state(superop: Superoperator) -> DensityMatrix:
-    """Unique fixed point of the semigroup generated by ``superop``.
+def steady_states(family: ParamLindbladian, X: np.ndarray) -> Iterator[DensityMatrix]:
+    """The unique fixed point of the semigroup of ``family`` at each row of X,
+    in row order, ``STEADY_CHUNK`` rows at a time.
 
-    Row 0 of T is zero (to the 1e-10 that building T admits), so T
-    with row 0 replaced by e0^T is T' = T + e0 e0^T, nonsingular exactly when
-    the kernel of T is simple; then T' c = e0 / sqrt(D) gives the steady
-    state's coefficients: T c = 0, c_0 = 1/sqrt(D) makes the trace 1 and
-    real coefficients make it Hermitian.  T's CSR arrays with that row are
-    the CSC arrays of T'^T, so SuperLU factors T'^T once (threshold pivoting
-    0.1 in symmetric mode: 53 to 78% of the fill of partial pivoting on TFIM
-    generators of 4 to 6 sites) and solves transposed.  The fill-reducing
-    MMD_AT_PLUS_A order depends only on the pattern of T', so a generator
-    reuses the order its family last computed for that pattern
-    (``_factor``); the state has the same bytes either way.  The
-    factor also serves the degeneracy probe, which stops at its first
-    residual below the 1e-8 * norm_scale line or once two solves in a row
-    leave it 1e4 times above it (two solves on a simple kernel).
+    A point's T is built as :attr:`Superoperator.matrix` builds it, for the
+    whole chunk at once (``_transfer_values``).  Row 0 of T is zero (to the
+    1e-10 that building T admits), so T with row 0 replaced by e0^T is
+    T' = T + e0 e0^T, nonsingular exactly when the kernel of T is simple;
+    then T' c = e0 / sqrt(D) gives the steady state's coefficients: T c = 0,
+    c_0 = 1/sqrt(D) makes the trace 1 and real coefficients make it
+    Hermitian.  T's CSR arrays with that row are the CSC arrays of T'^T, so
+    SuperLU factors T'^T once per point (threshold pivoting 0.1 in symmetric
+    mode: 53 to 78% of the fill of partial pivoting on TFIM generators of 4
+    to 6 sites) and solves transposed.  The fill-reducing MMD_AT_PLUS_A order
+    depends only on the pattern of T', so a point reuses the order its family
+    last computed for that pattern (``_factor``); the state has the same
+    bytes either way.  The factor also serves the degeneracy probe, which
+    stops at its first residual below the 1e-8 * norm_scale line or once two
+    solves in a row leave it 1e4 times above it (two solves on a simple
+    kernel).  The points are factored, probed and solved one by one, in row
+    order; the checks that follow run once per chunk on stacked arrays.
+
     An exactly singular factor or a probe below the line is a degenerate
     kernel, an error (no silent selection); a non-finite solve or a
-    trace-norm residual ||L(rho)||_1 above 1e-9 is a NumericalError.
+    trace-norm residual ||L(rho)||_1 above 1e-9 is a NumericalError; each
+    state also passes the strict invariants of ``_check_states``.  A point
+    that fails raises after the states of the points before it, with the
+    error a point-by-point loop would raise; an exception from a term's
+    ``build`` propagates at once.
     """
-    T = superop.matrix
-    n, D = superop.n_sites, superop.hilbert_dim
-    rows = np.repeat(np.arange(D * D), np.diff(T.indptr))
-    norm_scale = max(1.0, float(np.bincount(rows, np.abs(T.data), D * D).max()))
-    s = T.indptr[1]
-    pinned_t = sp.csc_matrix((np.r_[1.0, T.data[s:]], np.r_[0, T.indices[s:]],
-                              np.r_[0, T.indptr[1:] - s + 1]), shape=T.shape)
+    _check_size(family)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != family.m:
+        raise ValueError(f"expected points of {family.m} parameters, got shape {X.shape}")
+    for lo in range(0, len(X), STEADY_CHUNK):
+        states, error = _steady_chunk(family, X[lo:lo + STEADY_CHUNK])
+        yield from states
+        if error is not None:
+            raise error
+
+
+def _steady_chunk(family: ParamLindbladian,
+                  X: np.ndarray) -> tuple[list[DensityMatrix], Exception | None]:
+    """The steady states of the points of X before the first that fails, and
+    that point's error (None when every point succeeds)."""
+    n, D = family.n_total, 2**family.n_total
+    fail = _FirstError(len(X))
+    for k, x in enumerate(X):
+        try:
+            family.as_values(x)
+        except ValueError as exc:
+            fail.stop, fail.error = k, exc
+            break
+    values, indices, indptr = _transfer_values(family, X, fail)
+    # sums over each row of T; its stored zeros add nothing
+    rows = np.repeat(np.arange(D * D), np.diff(indptr))
+    norm_scale = np.fmax(1.0, _binned(np.abs(values), rows, D * D).max(axis=1, initial=0.0))
+    coeffs = np.empty((fail.stop, D * D))
+    for k in range(fail.stop):
+        try:
+            coeffs[k] = _fixed_point(_pruned(values[k], indices, indptr), family,
+                                     1e-8 * norm_scale[k])
+        except DegenerateSteadyStateError as exc:
+            fail.stop, fail.error = k, exc
+            break
+    fail.check(~np.isfinite(coeffs).all(axis=1), lambda k: NumericalError(
+        "steady-state solve produced non-finite values"))
+    c = coeffs[:fail.stop]
+    image = _binned(values[:fail.stop] * c[:, indices], rows, D * D)  # T c per point
+    resid = np.linalg.svd(_from_pauli(image, n), compute_uv=False).sum(axis=1)
+    fail.check(resid > 1e-9, lambda k: NumericalError(
+        f"steady-state residual {resid[k]:.2e} exceeds 1e-9"))
+    rho = _from_pauli(c, n)
+    _check_states(rho, fail, strict=True)
+    return [_admitted(rho[k].copy(), n) for k in range(fail.stop)], fail.error
+
+
+def _fixed_point(t_arrays: tuple[np.ndarray, np.ndarray, np.ndarray], family: ParamLindbladian,
+                 line: float) -> np.ndarray:
+    """The coefficients c of T' c = e0 / sqrt(D) for T given by its CSR
+    arrays ``(data, indices, indptr)``, after the degeneracy probe at ``line``."""
+    data, indices, indptr = t_arrays
+    s = indptr[1]
+    pinned_t = (np.concatenate(([1.0], data[s:])), np.concatenate(([0], indices[s:])),
+                np.concatenate(([0], indptr[1:] - s + 1)))
     try:
-        factor = _factor(pinned_t, superop.family)
+        factor = _factor(pinned_t, family)
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise DegenerateSteadyStateError(f"non-unique steady state: {exc}") from exc
-    degenerate, probe = _kernel_is_degenerate(factor, 1e-8 * norm_scale)
+    degenerate, probe = _kernel_is_degenerate(factor, line)
     if degenerate:
         raise DegenerateSteadyStateError(
             f"non-unique steady state: kernel probe residual {probe:.2e}")
-    rhs = np.zeros(D * D)
-    rhs[0] = 1.0 / np.sqrt(D)
-    c = _solve_t(factor, rhs)
-    if not np.all(np.isfinite(c)):
-        raise NumericalError("steady-state solve produced non-finite values")
-    resid = trace_norm(_from_pauli(T @ c, n))
-    if resid > 1e-9:
-        raise NumericalError(f"steady-state residual {resid:.2e} exceeds 1e-9")
-    out = DensityMatrix(_from_pauli(c, n), n)
-    out.validate()
-    return out
+    rhs = np.zeros(indptr.size - 1)
+    rhs[0] = 1.0 / np.sqrt(2**family.n_total)
+    return _solve_t(factor, rhs)
+
+
+def steady_state(superop: Superoperator) -> DensityMatrix:
+    """The unique fixed point of the semigroup generated by ``superop``: the
+    batch of one of :func:`steady_states`."""
+    return next(steady_states(superop.family, superop.values[None]))
 
 
 def localize(family: ParamLindbladian, x: np.ndarray, x_prime: np.ndarray,

@@ -25,7 +25,7 @@ snapshot only through its (basis, outcome) pairs on the k sites of B, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import compress, islice, repeat
 from typing import IO, Sequence
@@ -237,6 +237,8 @@ class TrainingSet:
     lattice_json: str = ""
     mode: str = "steady_state"
     seed: int = 0         # run seed; row i is row i of its "measurement" stream
+    # X[:, indices] per index set asked for (see restricted)
+    _restricted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, dtype in _COLUMNS.items():
@@ -249,8 +251,23 @@ class TrainingSet:
         return len(self.taus)
 
     def subset(self, count: int) -> "TrainingSet":
-        """Deterministic prefix subset (used by sample-size sweeps)."""
-        return replace(self, **{name: getattr(self, name)[:count] for name in _COLUMNS})
+        """Deterministic prefix subset (used by sample-size sweeps); it slices
+        the restricted tags this set has gathered."""
+        sub = replace(self, **{name: getattr(self, name)[:count] for name in _COLUMNS})
+        sub._restricted.update((key, tags[:count]) for key, tags in self._restricted.items())
+        return sub
+
+    def restricted(self, indices: np.ndarray) -> np.ndarray:
+        """The tags on the coordinates ``indices``, X[:, indices], gathered once
+        per index set: a predictor asks for the same patch coordinates at
+        every test point.  The index sets are the observables' patches: one
+        read-only copy of their columns per patch."""
+        key = np.asarray(indices).tobytes()
+        if key not in self._restricted:
+            tags = self.X[:, indices]
+            tags.flags.writeable = False
+            self._restricted[key] = tags
+        return self._restricted[key]
 
 
 _VERSION = "v2"

@@ -339,6 +339,39 @@ class TestLearningRun:
             parse_config_text(text)
 
 
+class TestTrainingStates:
+    def test_chunks_match_one_state_at_a_time(self, monkeypatch):
+        # a steady-mode training set over three chunks writes the bases and
+        # outcomes of one generate_state + measure_snapshot per point, and
+        # factors each snapshot's generator once
+        from phaselearn import experiment, lindblad
+        from phaselearn.lattice import Lattice
+        from phaselearn.models import generate_state, instantiate, sample_parameters
+        from phaselearn.shadows import measure_snapshot
+
+        def model():
+            return instantiate("dissipative_tfim", Lattice(1, (3,), "open"))
+
+        N = 2 * lindblad.STEADY_CHUNK + 5
+        X, taus = sample_parameters(model(), N, None, 21)
+        key = 1234
+        ref = model()
+        want_bases, want_outcomes = np.empty((N, 3), np.int8), np.empty((N, 3), np.int8)
+        for i in range(N):
+            rho = generate_state(ref, X[i], float(taus[i]))
+            want_bases[i], want_outcomes[i] = measure_snapshot(rho, key, row=i, n_system=3)
+        calls = []
+
+        def counted(*args, _splu=lindblad.spla.splu, **kwargs):
+            calls.append(args)
+            return _splu(*args, **kwargs)
+        monkeypatch.setattr(lindblad.spla, "splu", counted)
+        bases, outcomes = experiment._training_states(model(), X, taus, key)
+        assert bases.tobytes() == want_bases.tobytes()
+        assert outcomes.tobytes() == want_outcomes.tobytes()
+        assert len(calls) == N
+
+
 class TestPlanOverrides:
     """The training overrides enter learner.plan, which derives the rest of the
     prescription at them; shipped pinning config, measured constants."""

@@ -91,7 +91,7 @@ def _term_triplets(family: ParamLindbladian, ti: int, x: np.ndarray) -> tuple:
     """COO triplets of one term's transfer block embedded in the full space,
     where site s owns the binary digits 2s and 2s + 1 of a Pauli index."""
     term = family.terms[ti]
-    block = family.term_superoperator(ti, x[list(term.coord_indices)])
+    block = family._term_blocks(ti, x[None, list(term.coord_indices)], lindblad._FirstError(1))[0]
     digits = [b for s in term.support.sites for b in (2 * s, 2 * s + 1)]
     return embed_triplets(block, *embed_sparse_indices(2 * family.n_total, digits))
 
@@ -223,6 +223,25 @@ class TestAssemble:
                                    4**fam.n_total, float)
             for attr in ("indptr", "indices", "data"):
                 assert getattr(got, attr).tobytes() == getattr(ref, attr).tobytes()
+
+    def test_scatter_slot_grows_to_the_union(self):
+        # x = 0 empties blocks: the slot grows once to the union of the two
+        # patterns and then serves both, and T keeps the bytes a fresh family gives
+        def fresh():
+            return instantiate("dissipative_tfim", Lattice(1, (3,), "open")).family
+
+        used = fresh()
+        rng = np.random.default_rng(6)
+        points = [np.zeros(used.m), rng.uniform(-1, 1, used.m), np.zeros(used.m),
+                  rng.uniform(-1, 1, used.m)]
+        with mock.patch.object(lindblad, "_scatter_plan", wraps=lindblad._scatter_plan) as plan:
+            for x in points:
+                got, want = assemble(used, x).matrix, assemble(fresh(), x).matrix
+                for attr in ("indptr", "indices", "data"):
+                    assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+        masks = [call.args[1] for call in plan.call_args_list if call.args[0] is used]
+        assert len(masks) == 2 and masks[0].sum() < masks[1].sum()
+        assert np.array_equal(used._scatter[0], masks[1])
 
     def test_family_does_not_grow_with_points(self):
         # after its first point the family holds what later points reuse; 50
@@ -506,6 +525,102 @@ class TestSteadyState:
         zero = np.zeros(used.m)
         for x in (zero, points[0], points[1], zero, points[2], points[3]):
             assert _outcome(fresh(), x) == _outcome(used, x)
+
+
+def _dark_switch_family(rng: np.random.Generator, n: int) -> ParamLindbladian:
+    """Random damped chain on n sites whose site 0 decays at rate (1 + x_0) / 2
+    and otherwise only precesses about Z and couples by ZZ: at x_0 = -1 its Z
+    population is conserved, so the kernel is degenerate.  Every other site
+    decays at a fixed rate under a random transverse field."""
+    def dark(xs):
+        return float(xs[1]) * Z, [np.sqrt((1.0 + xs[0]) / 2.0) * SM]
+
+    terms = [LindbladTerm(Region((0,)), (0, 1), dark, "dark")]
+    for j in range(1, n):
+        g = float(rng.uniform(0.2, 1.0))
+        terms.append(LindbladTerm(Region((j,)), (j + 1,),
+                                  lambda xs, _g=g: (float(xs[0]) * Z + _g * X, [0.8 * SM]),
+                                  f"s{j}"))
+    for j in range(n - 1):
+        terms.append(LindbladTerm(Region((j, j + 1)), (n + 1 + j,),
+                                  lambda xs: (float(xs[0]) * np.kron(Z, Z), []), f"b{j}"))
+    return ParamLindbladian(Lattice(1, (n,), "open"), terms)
+
+
+def _counted_run(run) -> tuple[list, int]:
+    """What ``run`` yields, as state bytes, then the type and message of the
+    error it raises, if any; and the number of SuperLU factorizations."""
+    calls = []
+
+    def counted(*args, _splu=spla.splu, **kwargs):
+        calls.append(args)
+        return _splu(*args, **kwargs)
+
+    out = []
+    with mock.patch.object(lindblad.spla, "splu", counted):
+        try:
+            for rho in run():
+                out.append(rho.data.tobytes())
+        except (DegenerateSteadyStateError, NumericalError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+    return out, len(calls)
+
+
+class TestSteadyStates:
+    @given(seed=st.integers(0, 2**32 - 1),
+           model=st.sampled_from([("chain", 1, 0), ("chain", 2, 0), ("chain", 3, 0),
+                                  ("dissipative_tfim", 3, 0), ("dissipative_tfim", 2, 1),
+                                  ("pinning", 4, 0), ("pinning", 2, 1), ("dark", 3, 0)]),
+           cancel=st.booleans(), dissipate_all=st.booleans(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_one_by_one(self, seed, model, cancel, dissipate_all, data):
+        # the chunked path gives each point the T and the state that one
+        # steady_state per point gives, and a failing point raises the same
+        # error after the same earlier points and factorizations; the points
+        # cross chunk boundaries, with x = 0 rows and a degenerate row among them
+        name, n, omega = model
+        chunk = lindblad.STEADY_CHUNK
+
+        def fresh():
+            rng = np.random.default_rng(seed)
+            if name == "chain":
+                return _random_chain_family(rng, n, cancel, dissipate_all)
+            if name == "dark":
+                return _dark_switch_family(rng, n)
+            return instantiate(name, Lattice(1, (n,), "open"), omega=omega).family
+
+        size = data.draw(st.integers(1, 2 * chunk + 3), label="size")
+        X = np.random.default_rng([seed, 2]).uniform(-1, 1, (size, fresh().m))
+        X[sorted(data.draw(st.sets(st.integers(0, size - 1), max_size=3), label="zeros"))] = 0.0
+        if name == "dark":
+            dark = data.draw(st.integers(0, size - 1), label="dark")
+            X[dark, 0] = -1.0
+        ref = fresh()
+        expected = _counted_run(lambda: (steady_state(assemble(ref, x)) for x in X))
+        assert _counted_run(lambda: lindblad.steady_states(fresh(), X)) == expected
+        if name == "dark":
+            assert expected[0][dark] == (DegenerateSteadyStateError, expected[0][dark][1])
+
+        used = fresh()
+        for lo in range(0, size, chunk):
+            fail = lindblad._FirstError(len(X[lo:lo + chunk]))
+            values, indices, indptr = lindblad._transfer_values(used, X[lo:lo + chunk], fail)
+            assert fail.error is None
+            for k, x in enumerate(X[lo:lo + chunk]):
+                got, want = lindblad._pruned(values[k], indices, indptr), assemble(ref, x).matrix
+                assert got[0].tobytes() == want.data.tobytes()
+                assert np.array_equal(got[1], want.indices) and np.array_equal(got[2], want.indptr)
+
+    def test_points_checked_like_assemble(self):
+        fam = instantiate("dissipative_tfim", Lattice(1, (2,), "open")).family
+        with pytest.raises(ValueError, match="expected points of 3 parameters"):
+            next(lindblad.steady_states(fam, np.zeros((2, 4))))
+        X = np.zeros((3, fam.m))
+        X[1, 0] = 1.5
+        states = lindblad.steady_states(fam, X)
+        assert next(states).data.tobytes() == steady_state(assemble(fam, X[0])).data.tobytes()
+        with pytest.raises(ValueError, match="outside"):
+            next(states)
 
 
 class TestLocalize:
