@@ -652,6 +652,16 @@ def _solve_t(factor: tuple[spla.SuperLU, np.ndarray, np.ndarray], rhs: np.ndarra
     return lu.solve(rhs[order], trans="T")[rank]
 
 
+@cache  # one entry per dimension of T', the 4^n of each system size
+def _start_vector(dim: int) -> np.ndarray:
+    """The read-only unit start vector of inverse iteration, drawn from a
+    fixed seed."""
+    v = np.random.default_rng(12345).standard_normal(dim)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
+
+
 def _kernel_is_degenerate(factor: tuple[spla.SuperLU, np.ndarray, np.ndarray],
                           line: float) -> tuple[bool, float]:
     """Whether the pinned generator T' (``factor`` from ``_factor``) is
@@ -664,8 +674,7 @@ def _kernel_is_degenerate(factor: tuple[spla.SuperLU, np.ndarray, np.ndarray],
     one that stays 1e4 times above the line twice in a row rules the
     degeneracy out.  At most 50 solves.
     """
-    v = np.random.default_rng(12345).standard_normal(factor[0].shape[0])
-    v /= np.linalg.norm(v)
+    v = _start_vector(factor[0].shape[0])
     resid, far = np.inf, 0
     for _ in range(50):
         w = _solve_t(factor, v)

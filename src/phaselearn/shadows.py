@@ -11,8 +11,12 @@ other snapshots.  Product states skip the conditioning:
 :func:`measure_snapshot_product` takes N rows of single-site Bloch vectors,
 draws the rows in chunks and compares each chunk's uniforms with its outcome
 probabilities at once.  A TrainingSet holds N snapshots as columns: (N, n)
-int8 basis codes and +-1 outcomes beside the per-snapshot tags, written and
-read a chunk of whole arrays at a time.  The inverse-channel estimate
+int8 basis codes and +-1 outcomes beside the per-snapshot tags.  Its file
+is written and read one uint8 block per chunk of records: each field is
+placed or taken for the whole chunk at its records' offsets, tau and omega
+are formatted or parsed once per distinct value, and every check of a
+record is a mask over the chunk, so the first bad line comes straight from
+the masks.  The inverse-channel estimate
 
     (x)_{i in B} (3 |z_i><z_i| - I)
 
@@ -27,13 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import compress, islice, repeat
+from itertools import islice
 from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .lindblad import DensityMatrix, partial_trace
+from .lindblad import DensityMatrix, _FirstError, partial_trace
 
 __all__ = [
     "MAX_LOCAL_SITES",
@@ -272,33 +276,70 @@ class TrainingSet:
 
 _VERSION = "v2"
 
-
-def _byte_rows(columns: Sequence[np.ndarray]) -> list[bytes]:
-    """Each row of the side-by-side uint8 ``columns`` as one bytes object."""
-    block = np.ascontiguousarray(np.hstack(columns))
-    return block.view(f"S{block.shape[1]}")[:, 0].tolist()
+_SPACE, _NEWLINE = ord(" "), ord("\n")
+# bytes.translate table: 0 for a hexadecimal digit, 1 for any other byte
+_NOT_HEX = bytes(chr(c) not in "0123456789abcdefABCDEF" for c in range(256))
 
 
-def _records_text(training: TrainingSet, lo: int, hi: int) -> str:
-    """Records lo..hi-1: the x hex, letters and bits from whole uint8 arrays,
-    tau (repr, so "inf" in steady state) and omega formatted one value at a
-    time."""
+def _windows(block: np.ndarray, width: int) -> np.ndarray:
+    """The view whose row s is block[s:s + width]: taking its rows at the
+    records' offsets gathers a field of that width, and assigning to them
+    places one."""
+    return np.lib.stride_tricks.sliding_window_view(block, width,
+                                                    writeable=block.flags.writeable)
+
+
+def _tokens(values: np.ndarray, keys: np.ndarray, fmt) -> tuple:
+    """``fmt`` of each row's value, formatted once per distinct key: the
+    tokens as rows of a NUL-padded uint8 table, and each row's token and
+    width."""
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    tokens = list(map(fmt, values[first].tolist()))
+    widths = np.fromiter(map(len, tokens), np.int64, len(tokens))
+    table = np.array(tokens, dtype=bytes)
+    return table.view(np.uint8).reshape(len(tokens), -1), index, widths[index]
+
+
+def _place(block: np.ndarray, starts: np.ndarray, table: np.ndarray, index: np.ndarray,
+           widths: np.ndarray) -> None:
+    """Write row index[r] of ``table``, cut to widths[r], at block[starts[r]:]:
+    one strided take per distinct width, so no padding lands in ``block``."""
+    for width in np.unique(widths).tolist():
+        rows = np.flatnonzero(widths == width)
+        _windows(block, width)[starts[rows]] = table[index[rows], :width]
+
+
+def _records_block(training: TrainingSet, lo: int, hi: int) -> np.ndarray:
+    """Records lo..hi-1 as one uint8 block.  The x hex comes from one
+    ``bytes.hex`` call and the letters and bits from the int8 columns; tau
+    (repr, so "inf" in steady state) and omega are formatted once per
+    distinct value, tau by its bits so that -0.0 keeps its sign.  Each field
+    is placed at its record's offset, the running sum of the record widths."""
     rows, m = hi - lo, training.X.shape[1]
+    n = training.bases.shape[1]
+    head = np.full((rows, max(16 * m, 1) + 1), _SPACE, dtype=np.uint8)  # x and a space
     if m:
-        x = np.frombuffer(training.X[lo:hi].astype("<f8").tobytes().hex().encode(),
-                          dtype=np.uint8).reshape(rows, 16 * m)
+        head[:, :-1] = np.frombuffer(training.X[lo:hi].astype("<f8").tobytes().hex().encode(),
+                                     dtype=np.uint8).reshape(rows, 16 * m)
     else:
-        x = np.full((rows, 1), ord("-"), dtype=np.uint8)
-    space = np.full((rows, 1), ord(" "), dtype=np.uint8)
-    # letters and bits as ASCII codes: X, Y, Z are consecutive, '0' is +1
-    letters = (training.bases[lo:hi] + ord("X")).astype(np.uint8)
-    bits = ((training.outcomes[lo:hi] < 0) + ord("0")).astype(np.uint8)
-    pieces = [b" "] * (5 * rows)
-    pieces[0::5] = _byte_rows([x, space])
-    pieces[1::5] = map(str.encode, map(repr, training.taus[lo:hi].tolist()))
-    pieces[3::5] = map(str.encode, map(str, training.omegas[lo:hi].tolist()))
-    pieces[4::5] = _byte_rows([space, letters, space, bits, np.full_like(space, ord("\n"))])
-    return b"".join(pieces).decode("ascii")
+        head[:, 0] = ord("-")
+    # "basis bits\n" as ASCII codes: X, Y, Z are consecutive, '0' is +1
+    tail = np.full((rows, 2 * n + 2), _SPACE, dtype=np.uint8)
+    tail[:, :n] = training.bases[lo:hi] + ord("X")
+    tail[:, n + 1:-1] = (training.outcomes[lo:hi] < 0) + ord("0")
+    tail[:, -1] = _NEWLINE
+    taus, omegas = training.taus[lo:hi], training.omegas[lo:hi]
+    tau_table, tau_index, tau_widths = _tokens(taus, taus.view(np.int64), repr)
+    omega_table, omega_index, omega_widths = _tokens(omegas, omegas, " {} ".format)
+    widths = head.shape[1] + tau_widths + omega_widths + tail.shape[1]
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    block = np.empty(ends[-1], dtype=np.uint8)
+    _windows(block, head.shape[1])[starts] = head
+    _place(block, starts + head.shape[1], tau_table, tau_index, tau_widths)
+    _place(block, starts + head.shape[1] + tau_widths, omega_table, omega_index, omega_widths)
+    _windows(block, tail.shape[1])[ends - tail.shape[1]] = tail
+    return block
 
 
 def write_shadows(fileobj: IO[str], training: TrainingSet) -> None:
@@ -311,75 +352,112 @@ def write_shadows(fileobj: IO[str], training: TrainingSet) -> None:
     fileobj.write(f"# seed {training.seed}\n")
     fileobj.write(f"# m {training.X.shape[1]}\n")
     for lo in range(0, len(training), _CHUNK_ROWS):
-        fileobj.write(_records_text(training, lo, min(lo + _CHUNK_ROWS, len(training))))
+        block = _records_block(training, lo, min(lo + _CHUNK_ROWS, len(training)))
+        fileobj.write(block.tobytes().decode("ascii"))
 
 
-def _require(ok: np.ndarray, message: str) -> None:
-    """ValueError(message) unless every row of ``ok`` holds."""
-    if not np.all(ok):
-        raise ValueError(message)
+def _distinct_fields(text: str, buf: np.ndarray, spaces: np.ndarray,
+                     stops: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct fields text[spaces[r] + 1:stops[r]], and each row's index
+    among them.  The rows are grouped by their spans buf[spaces[r]:stops[r]],
+    each field with the space before it so that no span is empty, with one
+    np.unique per span width.  ``buf`` is ``text`` encoded as ASCII with each
+    non-ASCII character written as '?', so in a text that is not ASCII a span
+    holding '?' stands for itself alone."""
+    widths = stops - spaces
+    index = np.empty(len(spaces), dtype=np.int64)
+    firsts = []
+    for width in np.unique(widths).tolist():
+        rows = np.flatnonzero(widths == width)
+        spans = _windows(buf, width)[spaces[rows]]
+        _, first, inverse = np.unique(spans.view(f"S{width}")[:, 0], return_index=True,
+                                      return_inverse=True)
+        index[rows] = len(firsts) + inverse
+        firsts += rows[first].tolist()
+        if not text.isascii():
+            odd = rows[np.any(spans == ord("?"), axis=1)]
+            index[odd] = len(firsts) + np.arange(len(odd))
+            firsts += odd.tolist()
+    fields = list(map(text.__getitem__, map(slice, (spaces[firsts] + 1).tolist(),
+                                                stops[firsts].tolist())))
+    return fields, index
 
 
-def _lengths(tokens: list[str]) -> np.ndarray:
-    return np.fromiter(map(len, tokens), np.int64, len(tokens))
+def _int64(token: str) -> np.int64:
+    """int(token) as an int64: out of range, the OverflowError np.fromiter raises."""
+    return np.int64(int(token))
 
 
-def _ascii(tokens: list[str], width: int) -> np.ndarray:
-    """Tokens of length ``width`` as a (len(tokens), width) uint8 array; a
-    non-ASCII character reads as '?'."""
-    text = "".join(tokens).encode("ascii", "replace")
-    return np.frombuffer(text, dtype=np.uint8).reshape(len(tokens), width)
+def _parse(tokens: list[str], parse, dtype) -> tuple[np.ndarray, dict]:
+    """parse(token) of each token as a ``dtype`` array, 0 where it raises
+    ValueError or OverflowError, and what it raised, by token."""
+    values, errors = [], {}
+    for j, token in enumerate(tokens):
+        try:
+            values.append(parse(token))
+        except (ValueError, OverflowError) as exc:
+            values.append(0)
+            errors[j] = exc
+    return np.array(values, dtype=dtype), errors
 
 
-def _check_records(records: list[str], m: int, mode: str, n: int | None) -> tuple:
-    """(bases, outcomes, X, taus, omegas) of records with m tags and, unless n
-    is None, n sites.  Every check holds row by row, so ``records`` fail
-    (ValueError or OverflowError) exactly when one of them fails alone."""
-    count = len(records)
-    fields = np.fromiter(map(str.count, records, repeat(" ")), np.int64, count) + 1
-    _require(fields == 5, f"expected 5 fields, got {fields[np.argmax(fields != 5)]}")
-    tokens = " ".join(records).split(" ")
-    xs, basis, bits = tokens[0::5], tokens[3::5], tokens[4::5]
-    _require(_lengths(xs) == 16 * m if m else np.fromiter(map("-".__eq__, xs), bool, count),
-             f"x field does not hold m = {m} float64 values")
-    n = len(basis[0]) if n is None else n
-    _require((_lengths(basis) == n) & (_lengths(bits) == n),
-             f"basis and outcome strings must have the first record's length {n}")
-    letters, digits = _ascii(basis, n), _ascii(bits, n)
-    _require(np.all((letters >= ord("X")) & (letters <= ord("Z")), axis=1)
-             & np.all((digits == ord("0")) | (digits == ord("1")), axis=1),
-             "basis letters must be X, Y or Z and outcome bits 0 or 1")
-    hexes = "".join(xs) if m else ""
-    try:
-        raw = bytes.fromhex(hexes)
-    except ValueError:
-        raw = b""
-    # bytes.fromhex also skips whitespace, which shortens its result
-    _require(2 * len(raw) == len(hexes), "x field is not hexadecimal")
-    X = np.frombuffer(raw, dtype="<f8").reshape(count, m)
-    taus = np.fromiter(map(float, tokens[1::5]), float, count)
-    omegas = np.fromiter(map(int, tokens[2::5]), np.int64, count)
-    _require(np.all(np.abs(X) <= 1.0, axis=1), "x tags must be finite and lie in [-1, 1]")
+def _records(text: str, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+             linenos: np.ndarray, m: int, mode: str, n: int | None) -> tuple:
+    """(bases, outcomes, X, taus, omegas) of the records buf[starts[r]:ends[r]],
+    on file lines linenos[r], with m tags and, unless n is None, n sites (else
+    the first record's).  ``buf`` is the ASCII encoding of ``text``.
+
+    Each check is a mask over the records that passed the checks before it
+    (``_FirstError``), so the ConfigError raised names the first bad line and
+    the first check that it fails, as checking each record alone would.
+    """
+    first = _FirstError(len(starts))
+
+    def check(bad: np.ndarray, message) -> int:
+        first.check(bad, lambda r: ConfigError(f"shadows line {linenos[r]}: {message(r)}"))
+        if first.stop == 0:  # nothing comes before the first record
+            first.raise_first()
+        return first.stop
+
+    spaces = starts[0] + np.flatnonzero(buf[starts[0]:ends[-1]] == _SPACE)
+    fields = np.bincount(np.searchsorted(ends, spaces), minlength=len(starts)) + 1
+    k = check(fields != 5, lambda r: f"expected 5 fields, got {fields[r]}")
+    # the records before the first with another field count hold 4 spaces each
+    cuts = spaces[:4 * k].reshape(k, 4)
+    starts, ends = starts[:k], ends[:k]
+    x_width = cuts[:, 0] - starts
+    k = check(x_width != 16 * m if m else (x_width != 1) | (buf[starts] != ord("-")),
+              lambda r: f"x field does not hold m = {m} float64 values")
+    n = int(cuts[0, 3] - cuts[0, 2]) - 1 if n is None else n
+    k = check((cuts[:k, 3] - cuts[:k, 2] != n + 1) | (ends[:k] - cuts[:k, 3] != n + 1),
+              lambda r: f"basis and outcome strings must have the first record's length {n}")
+    # a record's basis, space and bits are its last 2n + 1 bytes
+    tail = _windows(buf, 2 * n + 1)[ends[:k] - (2 * n + 1)]
+    letters, bits = tail[:, :n], tail[:, n + 1:]
+    k = check(~(np.all((letters >= ord("X")) & (letters <= ord("Z")), axis=1)
+                & np.all((bits == ord("0")) | (bits == ord("1")), axis=1)),
+              lambda r: "basis letters must be X, Y or Z and outcome bits 0 or 1")
+    hexes = _windows(buf, 16 * m)[starts[:k]].tobytes()
+    k = check(np.frombuffer(hexes.translate(_NOT_HEX), dtype=bool).reshape(k, 16 * m)
+              .any(axis=1), lambda r: "x field is not hexadecimal")
+    X = np.frombuffer(bytes.fromhex(hexes[:16 * m * k].decode()), dtype="<f8").reshape(k, m)
+    columns = []  # tau lies between a record's first two spaces, omega the next two
+    for lo, hi, parse, dtype in ((0, 1, float, float), (1, 2, _int64, np.int64)):
+        tokens, index = _distinct_fields(text, buf, cuts[:k, lo], cuts[:k, hi])
+        values, errors = _parse(tokens, parse, dtype)
+        k = check(np.isin(index[:k], list(errors)), lambda r: str(errors[index[r]]))
+        columns.append(values[index[:k]])
+    taus, omegas = columns
+    k = check(~np.all(np.abs(X[:k]) <= 1.0, axis=1),
+              lambda r: "x tags must be finite and lie in [-1, 1]")
     if mode == "steady_state":
-        _require(taus == math.inf, "tau must be inf in steady_state mode")
+        check(taus[:k] != math.inf, lambda r: "tau must be inf in steady_state mode")
     else:
-        _require(np.isfinite(taus) & (taus >= 0.0), f"tau must be finite and >= 0 in {mode} mode")
-    return letters - ord("X"), 1 - 2 * (digits - ord("0")).astype(np.int8), X, taus, omegas
-
-
-def _parse_records(rows: list[str], line: int, m: int, mode: str, n: int | None) -> tuple:
-    """:func:`_check_records` on the non-blank ``rows``, the first on file line
-    ``line``.  If they fail, each is checked again alone (the first to pass
-    fixes n), and ConfigError names the first that fails."""
-    try:
-        return _check_records(list(filter(None, rows)), m, mode, n)
-    except (ValueError, OverflowError):
-        for i, row in enumerate(rows):
-            try:
-                n = _check_records([row], m, mode, n)[0].shape[1] if row else n
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(f"shadows line {line + i}: {exc}") from None
-        raise
+        check(~(np.isfinite(taus[:k]) & (taus[:k] >= 0.0)),
+              lambda r: f"tau must be finite and >= 0 in {mode} mode")
+    first.raise_first()
+    return (letters.view(np.int8) - ord("X"), 1 - 2 * (bits - ord("0")).view(np.int8),
+            X, taus, omegas)
 
 
 def _apply_header(row: str, meta: dict, after_record: bool) -> None:
@@ -401,29 +479,41 @@ def _apply_header(row: str, meta: dict, after_record: bool) -> None:
 
 
 def read_shadows(fileobj: IO[str]) -> TrainingSet:
-    """Parse the interchange format a chunk of lines at a time, cut at its
-    header lines.  The first malformed line, header after the first record,
-    or version other than v2 raises ConfigError naming the line."""
+    """Parse the interchange format a chunk of lines at a time, each chunk one
+    uint8 block cut at its header lines.  The first malformed line, header
+    after the first record, or version other than v2 raises ConfigError
+    naming the line."""
     meta = {"phaselearn-shadows": _VERSION, "model": "", "lattice": "",
             "mode": "steady_state", "seed": 0, "m": 0}
-    chunks, n, lineno = [], None, 0
+    parts, n, lineno = [[] for _ in _COLUMNS], None, 0
     for lines in iter(lambda: list(islice(fileobj, _CHUNK_ROWS)), []):
-        start, lineno = lineno, lineno + len(lines)
-        rows = "".join(lines).split("\n")[: len(lines)]
-        headers = compress(range(len(rows)), map(str.startswith, rows, repeat("#")))
+        text, count = "".join(lines), len(lines)
+        buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+        ends = np.flatnonzero(buf == _NEWLINE)
+        ends = ends if len(ends) == count else np.append(ends, len(buf))  # no final "\n"
+        starts = np.concatenate([[0], ends[:-1] + 1])
+        blank, header = starts == ends, buf[starts] == ord("#")
         lo = 0
-        for i in [*headers, len(rows)]:
-            if any(rows[lo:i]):
-                chunks.append(_parse_records(rows[lo:i], start + lo + 1, meta["m"],
-                                             meta["mode"], n))
-                n = chunks[-1][0].shape[1]
-            if i < len(rows):
+        for i in [*np.flatnonzero(header).tolist(), count]:
+            rows = lo + np.flatnonzero(~blank[lo:i])
+            if rows.size:
+                columns = _records(text, buf, starts[rows], ends[rows], lineno + rows + 1,
+                                   meta["m"], meta["mode"], n)
+                for part, column in zip(parts, columns):
+                    part.append(column)
+                n = columns[0].shape[1]
+            if i < count:
                 try:
-                    _apply_header(rows[i], meta, bool(chunks))
+                    _apply_header(text[starts[i]:ends[i]], meta, bool(parts[0]))
                 except ValueError as exc:
-                    raise ConfigError(f"shadows line {start + i + 1}: {exc}") from None
+                    raise ConfigError(f"shadows line {lineno + i + 1}: {exc}") from None
             lo = i + 1
-    columns = ([np.concatenate(col) for col in zip(*chunks)] if chunks else
-               [np.empty((0, 0)), np.empty((0, 0)), np.empty((0, meta["m"])), [], []])
+        lineno += count
+    if not parts[0]:
+        parts = [[np.empty((0, 0))], [np.empty((0, 0))], [np.empty((0, meta["m"]))], [[]], [[]]]
+    columns = []
+    for part in parts:  # one column at a time, each chunk's part freed once copied
+        columns.append(np.concatenate(part))
+        part.clear()
     return TrainingSet(*columns, model_name=meta["model"], lattice_json=meta["lattice"],
                        mode=meta["mode"], seed=meta["seed"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import shadows_reference
 from conftest import Z, full_state, random_density
 from phaselearn import shadows
 from phaselearn.errors import ConfigError, NumericalError
@@ -53,6 +54,56 @@ def _philox_row(key, row, n):
 
 
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
+
+# lines that are bad after a record "000000000000f03f inf 0 XY 01" under "# m 1"
+BAD_LINES = [
+    "3ff0000000000000 inf 0 XY 02",
+    "3ff0000000000000 inf 0 XY",
+    "3ff000000000000g inf 0 XY 01",
+    "3ff000000000000\t inf 0 XY 01",
+    "3ff0000000000000 inf one XY 01",
+    "3ff0000000000000 1.0 0 XY 01",
+    "0000000000000040 inf 0 XY 01",
+    "3ff0000000000000 inf 0 XYZ 010",
+    "# m one",
+    "# m 1",
+]
+
+
+# field values that the checks of a record treat differently
+FIELD_TOKENS = ["", "-", "inf", "nan", "-3.0", "-0.0", "1e999", "0x1", "1_0", " 2", "\u0661.5",
+                "99999999999999999999", "-9223372036854775808", "000000000000f87f",
+                "0000000000000040", "ZZ", "01"]
+
+
+@st.composite
+def training_sets(draw, max_rows=40):
+    """Random TrainingSets, steady or general mode, m = 0..4 and n = 1..6;
+    general-mode taus and the omegas mix values whose text widths differ."""
+    N, m, n = draw(st.integers(0, max_rows)), draw(st.integers(0, 4)), draw(st.integers(1, 6))
+    steady = draw(st.booleans())
+    tau = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e16]) | st.floats(
+        0.0, 1e6, allow_nan=False, allow_infinity=False)
+    omega = st.sampled_from([0, 7, 10**17]) | st.integers(0, 3)
+    return _columns(
+        draw(hnp.arrays(np.int8, (N, n), elements=st.integers(0, 2))),
+        draw(hnp.arrays(np.int8, (N, n), elements=st.sampled_from([-1, 1]))),
+        draw(hnp.arrays(float, (N, m), elements=unit_floats)),
+        taus=[math.inf] * N if steady else draw(st.lists(tau, min_size=N, max_size=N)),
+        omegas=draw(st.lists(omega, min_size=N, max_size=N)),
+        model_name="pinning", lattice_json='{"dim": 1}',
+        mode="steady_state" if steady else "general_phase", seed=N)
+
+
+def _read_outcome(read, text):
+    """read(text)'s five columns and metadata, or the type and text of what
+    it raised."""
+    try:
+        ts = read(io.StringIO(text))
+    except Exception as exc:  # compared, type and text, with the other reader's
+        return type(exc).__name__, str(exc)
+    return ([getattr(ts, name).tobytes() for name in ("bases", "outcomes", "X", "taus", "omegas")],
+            ts.X.shape, ts.bases.shape, ts.model_name, ts.lattice_json, ts.mode, ts.seed)
 
 
 class TestMeasurement:
@@ -364,32 +415,55 @@ class TestShadowFile:
             assert all(line.startswith("- ") for line in first.getvalue().split("\n")
                        if line and not line.startswith("#"))
 
-    @given(data=st.data(), N=st.integers(0, 40), m=st.integers(0, 4), n=st.integers(1, 6),
-           steady=st.booleans(), chunk=st.integers(1, 7))
+    @given(ts=training_sets(), chunk=st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
-    def test_random_byte_roundtrip(self, data, N, m, n, steady, chunk):
-        # write -> read -> write is byte-identical across chunk boundaries
-        tau = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
-        ts = _columns(
-            data.draw(hnp.arrays(np.int8, (N, n), elements=st.integers(0, 2))),
-            data.draw(hnp.arrays(np.int8, (N, n), elements=st.sampled_from([-1, 1]))),
-            data.draw(hnp.arrays(float, (N, m), elements=unit_floats)),
-            taus=[math.inf] * N if steady else data.draw(st.lists(tau, min_size=N,
-                                                                  max_size=N)),
-            omegas=data.draw(st.lists(st.integers(0, 3), min_size=N, max_size=N)),
-            model_name="pinning", lattice_json='{"dim": 1}',
-            mode="steady_state" if steady else "general_phase", seed=N)
+    def test_random_byte_roundtrip(self, ts, chunk):
+        # write -> read -> write is byte-identical across chunk boundaries, and
+        # the writer's bytes are the record-at-a-time reference writer's
+        N = len(ts)
         with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
             first = io.StringIO()
             write_shadows(first, ts)
+            reference = io.StringIO()
+            shadows_reference.write_shadows(reference, ts)
             back = read_shadows(io.StringIO(first.getvalue()))
             second = io.StringIO()
             write_shadows(second, back)
+        assert first.getvalue() == reference.getvalue()
         assert second.getvalue() == first.getvalue()
-        assert len(back) == N and back.X.shape == (N, m)
+        assert len(back) == N and back.X.shape == ts.X.shape
         # an empty file does not record n, so its bases read back as (0, 0)
         for name in ("bases", "outcomes", "X", "taus", "omegas") if N else ():
             assert np.array_equal(getattr(ts, name), getattr(back, name)), name
+
+    @given(ts=training_sets(max_rows=12), data=st.data(), chunk=st.integers(1, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_reader_matches_reference(self, ts, data, chunk):
+        # on a valid bundle, and on it with lines inserted and characters or
+        # fields replaced, the byte-block reader returns the reference
+        # reader's arrays or raises the same error with the same text
+        buf = io.StringIO()
+        write_shadows(buf, ts)
+        lines = buf.getvalue().split("\n")
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(lines) - 1))
+            edit = data.draw(st.sampled_from(["insert", "char", "field"]))
+            if edit == "insert":
+                lines.insert(at, data.draw(st.sampled_from(["", *BAD_LINES])))
+            elif edit == "char" and lines[at]:
+                col = data.draw(st.integers(0, len(lines[at]) - 1))
+                char = data.draw(st.sampled_from(" \t-#0159afgXYZW.e+n_\x00?\u0661\xe9"))
+                lines[at] = lines[at][:col] + char + lines[at][col + 1:]
+            elif edit == "field":
+                fields = lines[at].split(" ")
+                fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+                    st.sampled_from(FIELD_TOKENS))
+                lines[at] = " ".join(fields)
+        text = "\n".join(lines)
+        with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
+            ours = _read_outcome(read_shadows, text)
+            theirs = _read_outcome(shadows_reference.read_shadows, text)
+        assert ours == theirs
 
     @pytest.mark.parametrize("header, what", [
         ("# phaselearn-shadows v1", "line 1: shadows format v1"),
@@ -424,19 +498,8 @@ class TestShadowFile:
             read_shadows(io.StringIO(text))
         assert "line 3" in str(err.value)
 
-    @given(body=st.lists(st.sampled_from([
-        None, None, None,
-        "3ff0000000000000 inf 0 XY 02",
-        "3ff0000000000000 inf 0 XY",
-        "3ff000000000000g inf 0 XY 01",
-        "3ff000000000000\t inf 0 XY 01",
-        "3ff0000000000000 inf one XY 01",
-        "3ff0000000000000 1.0 0 XY 01",
-        "0000000000000040 inf 0 XY 01",
-        "3ff0000000000000 inf 0 XYZ 010",
-        "# m one",
-        "# m 1",
-    ]), max_size=12), chunk=st.integers(1, 5))
+    @given(body=st.lists(st.sampled_from([None, None, None, *BAD_LINES]), max_size=12),
+           chunk=st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
     def test_names_first_bad_line(self, body, chunk):
         # None is a good record; every other line is bad after the first record,
@@ -466,6 +529,16 @@ class TestShadowFile:
         lines[line - 1] = "000000000000e03f inf 0 XY 02"
         with pytest.raises(ConfigError, match=f"^shadows line {line}: .*outcome bits"):
             read_shadows(io.StringIO("\n".join(lines)))
+
+    def test_tags_read_as_python_reads_them(self):
+        # float and int take Unicode digits, underscores and surrounding
+        # whitespace; each tau is read as float reads it, even where two
+        # differ only in a non-ASCII digit
+        text = ("# mode general_phase\n- \u0661.5 0 XY 01\n- \u0662.5 1_0 XY 01\n"
+                "- 1_0.5 \u0663 XY 01\n- \u00a02.5 0 XY 01\n")
+        ts = read_shadows(io.StringIO(text))
+        assert ts.taus.tolist() == [1.5, 2.5, 10.5, 2.5]
+        assert ts.omegas.tolist() == [0, 10, 3, 0]
 
     @pytest.mark.parametrize("tau", ["-3.0", "nan", "inf"])
     def test_bad_evolve_tau_rejected(self, tau):
