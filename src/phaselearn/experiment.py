@@ -204,11 +204,12 @@ def _read_plan(out: Path) -> LearnerPlan | None:
         raise ConfigError(f"plan.json is malformed: {exc!r}") from None
 
 
-def _read_bundle(cfg: ExperimentConfig) -> tuple[LearnerPlan, TrainingSet]:
+def _read_bundle(cfg: ExperimentConfig, m: int) -> tuple[LearnerPlan, TrainingSet]:
     """The out dir's plan.json and training.shadows; a missing or malformed
     file, no records, or a model, lattice, mode or ancilla choice other than
-    the config's, or records whose width is not the config's site count, is a
-    ConfigError naming the file and field."""
+    the config's, or records whose width is not the config's site count or
+    whose tag count is not the model's m, is a ConfigError naming the file
+    and field."""
     out = Path(cfg.out_dir)
     train_path = out / "training.shadows"
     p = _read_plan(out) if train_path.exists() else None
@@ -230,6 +231,9 @@ def _read_bundle(cfg: ExperimentConfig) -> tuple[LearnerPlan, TrainingSet]:
     if width != cfg.lattice.n_sites:
         raise ConfigError(f"training.shadows records cover {width} sites, "
                           f"config's lattice has {cfg.lattice.n_sites}")
+    if training.X.shape[1] != m:
+        raise ConfigError(f"training.shadows records carry m = {training.X.shape[1]} x tags, "
+                          f"the config's model has m = {m}")
     off = np.flatnonzero(training.omegas != cfg.omega)
     if off.size:
         raise ConfigError(f"training.shadows record {off[0] + 1} was collected at omega = "
@@ -242,8 +246,8 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
     summary.json, optionally sweep.csv and error_vs_n.svg, plus timing.log."""
     t_start = time.perf_counter()
     out = Path(cfg.out_dir)
-    p, training = _read_bundle(cfg)
     model, observables = _setup(cfg)
+    p, training = _read_bundle(cfg, model.family.m)
     test_x, test_t = sample_parameters(model, cfg.n_test, p.t_eps,
                                        stream_seed(cfg.seed, "test_points"))
 

@@ -275,6 +275,8 @@ class TrainingSet:
 
 
 _VERSION = "v2"
+# the largest tag count m of an empty (0, m) float64 tag array numpy can hold
+_M_MAX = np.iinfo(np.intp).max // 8
 
 _SPACE, _NEWLINE = ord(" "), ord("\n")
 # bytes.translate table: 0 for a hexadecimal digit, 1 for any other byte
@@ -475,6 +477,8 @@ def _apply_header(row: str, meta: dict, after_record: bool) -> None:
                          f"reads {_VERSION}, so rerun the train stage")
     if key == "m" and value < 0:
         raise ValueError("negative tag count m")
+    if key == "m" and value > _M_MAX:
+        raise ValueError(f"tag count m = {value} exceeds {_M_MAX}")
     meta[key] = value
 
 

@@ -127,6 +127,22 @@ def _edit_first_record(index: int, change):
     return edit
 
 
+def _cut_tags(m: int):
+    """An edit of the shadows lines: the ``# m`` header set to m and every
+    record's x field cut to its first m tags."""
+    def edit(lines: list[str]) -> list[str]:
+        out = []
+        for line in lines:
+            fields = line.split(" ")
+            if line.startswith("# m "):
+                fields[2] = str(m)
+            elif not line.startswith("#"):
+                fields[0] = fields[0][:16 * m]
+            out.append(" ".join(fields))
+        return out
+    return edit
+
+
 def _cut_records(width: int):
     """An edit of the shadows lines: every record's basis and outcome strings
     cut to their first ``width`` sites."""
@@ -671,6 +687,8 @@ class TestCli:
          "training.shadows lattice"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", _cut_records(3)), [],
          "training.shadows records cover 3 sites, config's lattice has 6"),
+        ("predict", lambda out, p: _edit_lines(out / "training.shadows", _cut_tags(3)), [],
+         "training.shadows records carry m = 3 x tags, the config's model has m = "),
         ("predict", lambda out, p: None, ["--mode", "general"], "training.shadows mode"),
         ("predict", lambda out, p: _edit_plan(out, mode="general_phase"), [], "plan.json mode"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", _edit_first_record(
@@ -704,6 +722,7 @@ class TestCli:
         ("plot", lambda out, p: _edit_plan(out, gamma=-0.5), [], "plan.json gamma"),
     ], ids=["plan_not_json", "plan_missing_field", "plot_plan_not_json",
             "shadows_without_records", "lattice_mismatch", "records_too_narrow",
+            "tags_too_few",
             "mode_mismatch",
             "plan_mode_mismatch", "record_retagged", "shadows_v1", "x_nan", "tau_negative",
             "plan_r_string", "plan_gamma_string",

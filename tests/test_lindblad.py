@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -378,6 +379,61 @@ class TestHeisenberg:
         gen = assemble(ParamLindbladian(lat, [term]), np.zeros(0))
         out = heisenberg_evolve(gen, Z, 3.0)
         assert np.max(np.abs(out - Z)) < 1e-10
+
+
+def _scipy_rk45(matrix, y0, t, rtol):
+    return scipy.integrate.solve_ivp(lambda _t, y: matrix @ y, (0.0, t), y0, method="RK45",
+                                     t_eval=[t], rtol=rtol, atol=1e-12)
+
+
+def _nan_matrix() -> sp.csr_matrix:
+    matrix = sp.random(16, 16, density=0.3, random_state=1, format="csr") * (1 + 0j)
+    matrix.data[0] = np.nan
+    return matrix
+
+
+class TestSolveIvp:
+    # lindblad.solve_ivp ports scipy's RK45 path; scipy is the reference
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           family=st.sampled_from(["random", "dissipative_tfim", "pinning"]),
+           heisenberg=st.booleans(), t=st.floats(0.1, 4.0),
+           rtol=st.sampled_from([1e-8, 1e-9]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_bit_for_bit(self, seed, n, family, heisenberg, t, rtol):
+        rng = np.random.default_rng(seed)
+        if family == "random":
+            fam = _random_chain_family(rng, n, bool(rng.integers(0, 2)),
+                                       dissipate_all=bool(rng.integers(0, 2)))
+        else:
+            n = max(n, 2)
+            fam = instantiate(family, Lattice(1, (n,), "open")).family
+        matrix = assemble(fam, rng.uniform(-1, 1, fam.m)).column_stacked
+        if heisenberg:
+            matrix = matrix.conj().T.tocsr()
+        y0 = random_density(n, rng).data.flatten(order="F")
+        ours, theirs = lindblad.solve_ivp(matrix, y0, t, rtol), _scipy_rk45(matrix, y0, t, rtol)
+        assert theirs.success
+        assert ours.y.tobytes() == theirs.y[:, -1].tobytes()
+        assert ours.nfev == theirs.nfev
+
+    def test_failure_matches_scipy(self):
+        # from y0 = 0 the first step is finite; the NaN fails every error test
+        # until the step is below the spacing of the numbers
+        matrix, y0 = _nan_matrix(), np.zeros(16, dtype=complex)
+        with np.errstate(invalid="ignore"):
+            ours = lindblad.solve_ivp(matrix, y0, 1.0, 1e-9)
+            theirs = _scipy_rk45(matrix, y0, 1.0, 1e-9)
+            with pytest.raises(NumericalError, match="step underflow"):
+                lindblad._integrate(matrix, y0, 1.0, 1e-9)
+        assert ours.y is None and not theirs.success
+        assert ours.nfev == theirs.nfev
+
+    def test_nan_step_size_fails(self):
+        # from y0 != 0 the first step size is NaN, which scipy retries forever
+        with np.errstate(invalid="ignore"):
+            ours = lindblad.solve_ivp(_nan_matrix(), np.ones(16, dtype=complex), 1.0, 1e-9)
+        assert ours.y is None and ours.nfev == 2
 
 
 class TestSteadyState:

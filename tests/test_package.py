@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,20 @@ def test_traced_lookup_names_resolve(module, path):
         assert hasattr(obj, attr), f"phaselearn.{module}.{path} is missing"
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def test_import_loads_no_integrate_or_optimize():
+    # scipy.integrate pulls in scipy.optimize, about 20 MB and 0.2 s of every
+    # process's start; the package integrates with its own RK45 instead
+    code = ("import sys, phaselearn, phaselearn.cli, phaselearn.experiment; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    src = str(Path(phaselearn.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _loaded_names(package_dir: Path) -> set[str]:

@@ -468,7 +468,8 @@ class TestShadowFile:
     @pytest.mark.parametrize("header, what", [
         ("# phaselearn-shadows v1", "line 1: shadows format v1"),
         ("# m -1", "line 1: negative tag count"),
-    ], ids=["version_1", "negative_m"])
+        ("# m 99999999999999999999", "line 1: tag count m = 99999999999999999999 exceeds"),
+    ], ids=["version_1", "negative_m", "huge_m"])
     def test_bad_header_rejected(self, header, what):
         with pytest.raises(ConfigError, match=what):
             read_shadows(io.StringIO(header + "\n- inf 0 Z 0 7\n"))
