@@ -54,6 +54,8 @@ from .shadows import (
     snapshot_local_matrix,
 )
 from .learner import (
+    CellFold,
+    CoverageCounts,
     LearnerPlan,
     PlanConstants,
     Prediction,

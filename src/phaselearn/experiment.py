@@ -4,6 +4,13 @@ Every run is a pure function of (config, seed): outputs are written with
 sorted keys, repr-formatted floats, and fixed orderings so reruns are
 byte-identical.  Wall-clock timings go to ``timing.log`` (plain text), never
 into the CSV/JSON data files.
+
+The learning stages hold one chunk of the training set at a time
+(``shadows._CHUNK_ROWS`` records).  The train stage draws a chunk's tags,
+states and measurements and writes its records before it draws the next.  The
+predict stage checks each chunk as it is read and folds it into the test
+points' cells and the coverage counts; the predictions, the sweep and the
+exact values come after the one pass.
 """
 
 from __future__ import annotations
@@ -31,11 +38,20 @@ from .diagnostics import (
 )
 from .errors import ConfigError
 from .lattice import Lattice, Region, ball, embed, enlarge, observable_from_string
-from .learner import LearnerPlan, PlanConstants, coverage_report, plan, predict
+from .learner import (
+    CellFold,
+    CoverageCounts,
+    LearnerPlan,
+    PlanConstants,
+    coverage_report,
+    plan,
+    predict,
+)
 from .lindblad import DensityMatrix, assemble, steady_state, steady_states
 from .models import Model, generate_state, instantiate, sample_parameters
 from .plotting import decay_plot_svg, sweep_plot_svg
 from .seeding import stream_seed
+from . import shadows
 from .shadows import (
     TrainingSet,
     measure_snapshot,
@@ -114,23 +130,23 @@ def _states(model: Model, X: np.ndarray, taus: np.ndarray) -> Iterator[DensityMa
     return (generate_state(model, x, tau) for x, tau in zip(X, taus.tolist()))
 
 
-def _training_states(model: Model, X: np.ndarray, taus: np.ndarray, key: int
+def _training_states(model: Model, X: np.ndarray, taus: np.ndarray, key: int, row: int
                      ) -> tuple[np.ndarray, np.ndarray]:
     """(N, n) bases and outcomes, one snapshot per point (X[i], taus[i]),
-    measured with row i of the measurement stream ``key``.
+    measured with row ``row`` + i of the measurement stream ``key``.
 
     Oracle (product) states go through the batched sampler in one call: the
-    closed-form Bloch vectors of every site at every point, then the stream's
-    rows drawn in chunks.  Other models generate each state (``_states``) and
+    closed-form Bloch vectors of every site at every point, then all their
+    stream rows at once.  Other models generate each state (``_states``) and
     measure it with the general sampler.
     """
     if model.oracle is not None:
-        return measure_snapshot_product(model.oracle.bloch_vectors(X, taus), key)
+        return measure_snapshot_product(model.oracle.bloch_vectors(X, taus), key, row)
     n_sys = model.family.n_system
     bases = np.empty((len(X), n_sys), dtype=np.int8)
     outcomes = np.empty_like(bases)
     for i, rho in enumerate(_states(model, X, taus)):
-        bases[i], outcomes[i] = measure_snapshot(rho, key, row=i, n_system=n_sys)
+        bases[i], outcomes[i] = measure_snapshot(rho, key, row=row + i, n_system=n_sys)
     return bases, outcomes
 
 
@@ -178,18 +194,29 @@ def run_plan_stage(cfg: ExperimentConfig) -> LearnerPlan:
     return _write_plan(cfg, model)
 
 
+def _training_chunks(cfg: ExperimentConfig, model: Model, p: LearnerPlan
+                     ) -> Iterator[TrainingSet]:
+    """The plan's N training snapshots, ``shadows._CHUNK_ROWS`` at a time:
+    each chunk's points from the "sampling" stream and its snapshots from
+    the matching rows of the "measurement" stream, drawn only when asked for."""
+    seed, key = stream_seed(cfg.seed, "sampling"), stream_seed(cfg.seed, "measurement")
+    for lo in range(0, p.N, shadows._CHUNK_ROWS):
+        hi = min(lo + shadows._CHUNK_ROWS, p.N)
+        X, taus = sample_parameters(model, p.N, p.t_eps, seed, lo, hi)
+        bases, outcomes = _training_states(model, X, taus, key, lo)
+        yield TrainingSet(bases, outcomes, X, taus, np.full(hi - lo, model.omega),
+                          model_name=model.name, lattice_json=cfg.lattice.to_json(),
+                          mode=cfg.mode, seed=cfg.seed)
+
+
 def run_train_stage(cfg: ExperimentConfig) -> dict:
-    """Plan, then sample and measure the training set; writes plan.json and
+    """Plan, then sample and measure the training set a chunk at a time,
+    writing each chunk before the next is drawn; writes plan.json and
     training.shadows."""
     model, _ = _setup(cfg)
     p = _write_plan(cfg, model)
-    X, taus = sample_parameters(model, p.N, p.t_eps, stream_seed(cfg.seed, "sampling"))
-    bases, outcomes = _training_states(model, X, taus, stream_seed(cfg.seed, "measurement"))
-    training = TrainingSet(bases, outcomes, X, taus, np.full(p.N, model.omega),
-                           model_name=model.name, lattice_json=cfg.lattice.to_json(),
-                           mode=cfg.mode, seed=cfg.seed)
     with open(Path(cfg.out_dir) / "training.shadows", "w") as fh:
-        write_shadows(fh, training)
+        write_shadows(fh, _training_chunks(cfg, model, p))
     return {"plan": "plan.json", "training": "training.shadows"}
 
 
@@ -204,61 +231,79 @@ def _read_plan(out: Path) -> LearnerPlan | None:
         raise ConfigError(f"plan.json is malformed: {exc!r}") from None
 
 
-def _read_bundle(cfg: ExperimentConfig, m: int) -> tuple[LearnerPlan, TrainingSet]:
-    """The out dir's plan.json and training.shadows; a missing or malformed
-    file, no records, or a model, lattice, mode or ancilla choice other than
-    the config's, or records whose width is not the config's site count or
-    whose tag count is not the model's m, is a ConfigError naming the file
-    and field."""
-    out = Path(cfg.out_dir)
-    train_path = out / "training.shadows"
-    p = _read_plan(out) if train_path.exists() else None
-    if p is None:
-        raise ConfigError(f"predict stage needs plan.json and training.shadows in {out}")
-    with open(train_path) as fh:
-        training = read_shadows(fh)
-    if len(training) == 0:
-        raise ConfigError("training.shadows holds no records")
-    for field, found, asked in (
-        ("training.shadows model", training.model_name, cfg.model_name),
-        ("training.shadows lattice", training.lattice_json, cfg.lattice.to_json()),
-        ("training.shadows mode", training.mode, cfg.mode),
-        ("plan.json mode", p.mode, cfg.mode),
-    ):
-        if found != asked:
-            raise ConfigError(f"{field} is {found!r}, config asks for {asked!r}")
-    width = training.bases.shape[1]
-    if width != cfg.lattice.n_sites:
-        raise ConfigError(f"training.shadows records cover {width} sites, "
-                          f"config's lattice has {cfg.lattice.n_sites}")
-    if training.X.shape[1] != m:
-        raise ConfigError(f"training.shadows records carry m = {training.X.shape[1]} x tags, "
-                          f"the config's model has m = {m}")
-    off = np.flatnonzero(training.omegas != cfg.omega)
-    if off.size:
-        raise ConfigError(f"training.shadows record {off[0] + 1} was collected at omega = "
-                          f"{training.omegas[off[0]]}, config asks for omega = {cfg.omega}")
-    return p, training
+def _bundle_chunks(cfg: ExperimentConfig, p: LearnerPlan, m: int,
+                   fileobj) -> Iterator[TrainingSet]:
+    """training.shadows' chunks, each checked before it is handed on.  On the
+    first chunk, a model, lattice or mode other than the config's, in the
+    bundle or in plan.json, is a ConfigError naming the file and field; on
+    every chunk, so are records whose width is not the config's site count,
+    whose tag count is not the model's m, or whose ancilla choice is not the
+    config's, named by their record number in the file."""
+    offset = 0
+    for chunk in read_shadows(fileobj):
+        if offset == 0:
+            for field, found, asked in (
+                ("training.shadows model", chunk.model_name, cfg.model_name),
+                ("training.shadows lattice", chunk.lattice_json, cfg.lattice.to_json()),
+                ("training.shadows mode", chunk.mode, cfg.mode),
+                ("plan.json mode", p.mode, cfg.mode),
+            ):
+                if found != asked:
+                    raise ConfigError(f"{field} is {found!r}, config asks for {asked!r}")
+        width = chunk.bases.shape[1]
+        if width != cfg.lattice.n_sites:
+            raise ConfigError(f"training.shadows records cover {width} sites, "
+                              f"config's lattice has {cfg.lattice.n_sites}")
+        if chunk.X.shape[1] != m:
+            raise ConfigError(f"training.shadows records carry m = {chunk.X.shape[1]} x tags, "
+                              f"the config's model has m = {m}")
+        off = np.flatnonzero(chunk.omegas != cfg.omega)
+        if off.size:
+            raise ConfigError(f"training.shadows record {offset + off[0] + 1} was collected "
+                              f"at omega = {chunk.omegas[off[0]]}, "
+                              f"config asks for omega = {cfg.omega}")
+        offset += len(chunk)
+        yield chunk
+        del chunk  # not held while the next chunk is read
 
 
 def run_predict_stage(cfg: ExperimentConfig) -> dict:
     """Predictions from the out dir's bundle: predictions.csv, coverage.json,
-    summary.json, optionally sweep.csv and error_vs_n.svg, plus timing.log."""
+    summary.json, optionally sweep.csv and error_vs_n.svg, plus timing.log.
+
+    One pass over training.shadows folds every chunk into the test points'
+    cells (for the run and each sweep size) and the coverage counts.  A
+    missing plan.json or training.shadows, a malformed or mismatched bundle
+    (:func:`_bundle_chunks`) or one without records is a ConfigError raised
+    before any exact value is computed."""
     t_start = time.perf_counter()
     out = Path(cfg.out_dir)
     model, observables = _setup(cfg)
-    p, training = _read_bundle(cfg, model.family.m)
+    train_path = out / "training.shadows"
+    p = _read_plan(out) if train_path.exists() else None
+    if p is None:
+        raise ConfigError(f"predict stage needs plan.json and training.shadows in {out}")
     test_x, test_t = sample_parameters(model, cfg.n_test, p.t_eps,
                                        stream_seed(cfg.seed, "test_points"))
+    fold = CellFold(observables, test_x, test_t, p, model.family, cfg.sweep or ())
+    regions = [enlarge(cfg.lattice, o.support, p.r) for o in observables]
+    counts = CoverageCounts(p.gamma, regions, model.family, t_eps=p.t_eps)
+    with open(train_path) as fh:
+        for chunk in _bundle_chunks(cfg, p, model.family.m, fh):
+            fold.add(chunk)
+            counts.add(chunk)
+            del chunk  # not held while the next chunk is read
+    N = fold.n_samples
+    if N == 0:
+        raise ConfigError("training.shadows holds no records")
 
     # exact values do not depend on the training set: one per test point
     exacts = _exact_values(model, test_x, test_t, observables)
 
-    def eval_point(i: int, tr: TrainingSet):
-        pred = predict(observables, test_x[i], float(test_t[i]), tr, p, model.family)
-        return pred, exacts[i]
+    def eval_points(size: int | None = None):
+        return [(predict(fold, i, size), exacts[i]) for i in range(cfg.n_test)]
 
-    results = [eval_point(i, training) for i in range(cfg.n_test)]
+    results = eval_points()
     lines = ["index,x_digest,tau,f_exact,f_pred,abs_error,min_cell_count,fallback"]
     errors = []
     for i, (pred, exact) in enumerate(results):
@@ -273,17 +318,14 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
         )
     (out / "predictions.csv").write_text("\n".join(lines) + "\n")
 
-    regions = [enlarge(cfg.lattice, o.support, p.r) for o in observables]
-    cov = coverage_report(training, p.gamma, regions, model.family, q=p.q, t_eps=p.t_eps)
+    cov = coverage_report(counts, q=p.q)
     (out / "coverage.json").write_text(cov.to_json() + "\n")
 
     sweep_rows = []
     if cfg.sweep:
         # sizes past the training set's are capped at it, and each size runs once
-        for n_k in sorted({min(n_k, len(training)) for n_k in cfg.sweep}):
-            sub = training.subset(n_k)
-            sub_res = [eval_point(i, sub) for i in range(cfg.n_test)]
-            errs = [abs(pr.value - ex) for pr, ex in sub_res if ex is not None]
+        for n_k in sorted({min(n_k, N) for n_k in cfg.sweep}):
+            errs = [abs(pr.value - ex) for pr, ex in eval_points(n_k) if ex is not None]
             med = float(np.median(errs)) if errs else math.nan
             sweep_rows.append((n_k, med))
         s_lines = ["n,median_abs_error"] + [f"{n},{e!r}" for n, e in sweep_rows]

@@ -26,6 +26,13 @@ at a finite target time: a steady state is tau = inf, where time does not
 count), and takes a median of means of the per-snapshot estimates.  An empty
 cell degrades to the single nearest sample with a warning.  Ties break toward
 the lowest sample index everywhere.
+
+The training set streams past in chunks.  :class:`CellFold` keeps, per test
+point and term, only the cell's (basis, outcome) values on the term's support
+and, while a cell is empty, the nearest sample so far; :class:`CoverageCounts`
+keeps the occupied cells' counts.  The cell of the first s samples is a prefix
+of the whole set's cell, so one pass serves the run and every sweep size, and
+memory does not grow with N beyond the cells themselves.
 """
 
 from __future__ import annotations
@@ -55,7 +62,9 @@ __all__ = [
     "Prediction",
     "plan",
     "select_cell",
+    "CellFold",
     "predict",
+    "CoverageCounts",
     "coverage_report",
     "CoverageReport",
     "RegionCoverage",
@@ -274,23 +283,23 @@ def plan(epsilon: float, delta: float, delta_prime: float,
     )
 
 
-def select_cell(x_values: np.ndarray, t: float, training: TrainingSet,
-                indices: np.ndarray, gamma: float) -> tuple[np.ndarray, float | None]:
-    """The sample indices within restricted distance gamma of (x, t), and None;
-    or, when none is, the nearest sample alone and its distance.
+def select_cell(x_values: np.ndarray, t: float, tags: np.ndarray, taus: np.ndarray,
+                gamma: float) -> tuple[np.ndarray, float | None]:
+    """The rows within restricted distance gamma of (x, t), and None; or, when
+    none is, the nearest row alone and its distance.
 
-    The distance of a tag (X[i], tau_i) is max_j |X[i, j] - x_j| over
-    ``indices``, and also |tau_i - t| when t is finite: a steady state is
-    t = inf, where time does not count.  Ties resolve to the lowest sample
-    index.
+    ``tags`` holds the rows' tags on the patch coordinates and ``x_values``
+    the target's.  The distance of row i is max_j |tags[i, j] - x_j|, and
+    also |taus[i] - t| when t is finite: a steady state is t = inf, where time
+    does not count.  Ties resolve to the lowest row.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if len(training) == 0:
+    if len(taus) == 0:
         raise EmptyCellError("training set is empty")
-    dist = np.abs(training.restricted(indices) - x_values[indices]).max(axis=1, initial=0.0)
+    dist = np.abs(tags - x_values).max(axis=1, initial=0.0)
     if math.isfinite(t):
-        dist = np.maximum(dist, np.abs(training.taus - t))
+        dist = np.maximum(dist, np.abs(taus - t))
     cell = np.flatnonzero(dist <= gamma)
     if cell.size:
         return cell, None
@@ -308,32 +317,104 @@ class Prediction:
     warnings: tuple[str, ...]
 
 
-def predict(observables: Sequence[LocalObservable], x, t: float,
-            training: TrainingSet, plan_: LearnerPlan, family: ParamLindbladian) -> Prediction:
-    """Nearest-patch median-of-means prediction of sum_i tr[O_i rho(x, t)].
+class _Cell:
+    """The cell of the target (x, t) for one term, folded a chunk at a time:
+    its samples' (basis, outcome) values on the term's sites, in row order,
+    and per size limit its count of samples below the limit and, while that
+    is 0, the nearest sample below the limit as (distance, row, bases,
+    outcomes).  ``x`` holds the target's patch coordinates."""
 
-    Per term: enlarge the support by the patch radius r, select the gamma-cell
-    of training samples on the restricted coordinates, evaluate each selected
-    snapshot's inverse-channel estimate, and take a median of means.  Empty
-    cells fall back to the single nearest sample and are flagged.
+    def __init__(self, x: np.ndarray, t: float, sites: list[int], limits: list[float]):
+        self.x, self.t, self.sites = x, t, sites
+        self.bases: list[np.ndarray] = []
+        self.outcomes: list[np.ndarray] = []
+        self.counts = dict.fromkeys(limits, 0)
+        self.nearest: dict[float, tuple] = {}
+
+    def add(self, chunk: TrainingSet, lo: int, tags: np.ndarray, gamma: float) -> None:
+        """Fold in ``chunk``, the rows from ``lo`` on, whose patch tags are ``tags``."""
+        cell, dist = select_cell(self.x, self.t, tags, chunk.taus, gamma)
+        if dist is None:
+            self.bases.append(chunk.bases[np.ix_(cell, self.sites)])
+            self.outcomes.append(chunk.outcomes[np.ix_(cell, self.sites)])
+        for limit in self.counts:
+            k = min(limit, lo + len(chunk)) - lo  # the chunk's rows below the limit
+            if k <= 0:
+                continue
+            if dist is None:
+                self.counts[limit] += int(np.searchsorted(cell, k))
+            if self.counts[limit]:
+                continue
+            # no sample below the limit lies in the cell: its nearest is the
+            # chunk's, unless that lies past the limit
+            near, d = ((cell, dist) if dist is not None and cell[0] < k else
+                       select_cell(self.x, self.t, tags[:k], chunk.taus[:k], gamma))
+            best = self.nearest.get(limit)
+            if best is None or d < best[0]:  # strict: a tie keeps the lower row
+                self.nearest[limit] = (d, lo + int(near[0]), chunk.bases[near[0], self.sites],
+                                       chunk.outcomes[near[0], self.sites])
+
+
+class CellFold:
+    """The cells of every test point (X[i], taus[i]) and term, folded over a
+    training set one chunk at a time (:meth:`add`); a whole training set
+    held in memory is its one chunk.
+
+    A term's patch is its support enlarged by the plan's radius r, and its
+    cell is :func:`select_cell` on the patch's coordinates.  ``sizes`` are
+    the training sizes, besides the whole set, that :func:`predict` is asked
+    for: the cell of the first s samples is the whole cell's rows below s.
     """
-    x_values = family.as_values(x)
-    lattice = family.lattice
+
+    def __init__(self, observables: Sequence[LocalObservable], X: np.ndarray,
+                 taus: np.ndarray, plan_: LearnerPlan, family: ParamLindbladian,
+                 sizes: Sequence[int] = ()):
+        self.observables = list(observables)
+        self.gamma, self.delta_prime = plan_.gamma, plan_.delta_prime
+        self.n_samples = 0
+        self.indices = [family.coords_for_region(enlarge(family.lattice, obs.support, plan_.r))
+                        for obs in self.observables]
+        limits = sorted({*sizes, math.inf})
+        self.cells = [[_Cell(x[indices], float(t), sorted(obs.support.sites), limits)
+                       for obs, indices in zip(self.observables, self.indices)]
+                      for x, t in zip(map(family.as_values, X), taus)]
+
+    def add(self, chunk: TrainingSet) -> None:
+        """Fold in the next chunk of the training set."""
+        for j, indices in enumerate(self.indices):
+            tags = chunk.X[:, indices]  # gathered once for every test point
+            for cells in self.cells:
+                cells[j].add(chunk, self.n_samples, tags, self.gamma)
+        self.n_samples += len(chunk)
+
+
+def predict(fold: CellFold, point: int, size: int | None = None) -> Prediction:
+    """Nearest-patch median-of-means prediction of sum_i tr[O_i rho(x, t)] at
+    the fold's test point ``point``, from the first ``size`` samples folded
+    (all of them when None or at least their number; a smaller size must be
+    one of the fold's ``sizes``).
+
+    Per term: the cell's inverse-channel estimates and their median of means.
+    An empty cell falls back to the single nearest sample and is flagged.
+    """
+    if fold.n_samples == 0:
+        raise EmptyCellError("training set is empty")
+    limit = math.inf if size is None or size >= fold.n_samples else size
     per_term: list[float] = []
     counts: list[int] = []
     warnings: list[str] = []
-    for obs in observables:
-        patch = enlarge(lattice, obs.support, plan_.r)
-        indices = family.coords_for_region(patch)
-        cell, dist = select_cell(x_values, t, training, indices, plan_.gamma)
-        if dist is not None:
-            warnings.append(
-                f"empty cell for {obs.label or obs.support.sites}; "
-                f"nearest sample {cell[0]} at distance {dist:.3g}"
-            )
-        vals = local_estimates(training.bases[cell], training.outcomes[cell],
-                               obs.support.sites, obs.matrix)
-        per_term.append(median_of_means(vals, mom_batch_count(plan_.delta_prime, len(vals))))
+    for obs, cell in zip(fold.observables, fold.cells[point]):
+        k = cell.counts[limit]
+        if k:
+            bases, outcomes = (np.concatenate(cell.bases)[:k],
+                               np.concatenate(cell.outcomes)[:k])
+        else:
+            dist, row, bases, outcomes = cell.nearest[limit]
+            bases, outcomes = bases[None], outcomes[None]
+            warnings.append(f"empty cell for {obs.label or obs.support.sites}; "
+                            f"nearest sample {row} at distance {dist:.3g}")
+        vals = local_estimates(bases, outcomes, range(len(cell.sites)), obs.matrix)
+        per_term.append(median_of_means(vals, mom_batch_count(fold.delta_prime, len(vals))))
         counts.append(len(vals))
     return Prediction(
         value=float(sum(per_term)),
@@ -379,37 +460,66 @@ class CoverageReport:
         )
 
 
-def coverage_report(training: TrainingSet, gamma: float,
-                    regions: Sequence[Region], family: ParamLindbladian,
-                    q: int = 1, t_eps: float | None = None) -> CoverageReport:
-    """Occupancy of the gamma-cells of each region's restricted coordinates.
+class CoverageCounts:
+    """The sample count of each occupied gamma-cell of each region's
+    restricted coordinates, merged a chunk at a time (:meth:`add`).
+
+    A row's cell is its cell index on every coordinate and on the time axis,
+    which spans T = t_eps, or one cell (T = gamma) for a steady state (t_eps
+    None).  Each chunk's cells are counted with np.unique over one byte-string
+    key per row and merged with the cells so far, so only occupied cells are
+    held, however many cells there are.
+    """
+
+    def __init__(self, gamma: float, regions: Sequence[Region], family: ParamLindbladian,
+                 t_eps: float | None = None):
+        if gamma <= 0:
+            raise ValueError("gamma must be positive")
+        span = gamma if t_eps is None else t_eps
+        if not span > 0:
+            raise ValueError("the time horizon t_eps must be positive")
+        self.gamma, self.span = gamma, span
+        self.regions = list(regions)
+        self.indices = [family.coords_for_region(region) for region in self.regions]
+        self.n_samples = 0
+        # per region: its occupied cells' keys, ascending, and their counts
+        self.cells = [(np.empty(0, f"V{8 * (indices.size + 1)}"), np.empty(0, np.int64))
+                      for indices in self.indices]
+
+    def add(self, chunk: TrainingSet) -> None:
+        """Count the next chunk of the training set into the cells."""
+        axis_cells, time_cells = math.ceil(2.0 / self.gamma), math.ceil(self.span / self.gamma)
+        tkeys = np.minimum(time_cells - 1, np.floor(chunk.taus / self.gamma))
+        for j, indices in enumerate(self.indices):
+            keys = np.minimum(axis_cells - 1, np.floor((chunk.X[:, indices] + 1.0) / self.gamma))
+            # one byte string per row; the time column gives an empty region a key too
+            keys = np.ascontiguousarray(np.column_stack([keys, tkeys]), dtype=np.int64)
+            cells, counts = np.unique(keys.view(f"V{8 * keys.shape[1]}")[:, 0],
+                                      return_counts=True)
+            old_cells, old_counts = self.cells[j]
+            merged, inverse = np.unique(np.concatenate([old_cells, cells]), return_inverse=True)
+            totals = np.zeros(len(merged), dtype=np.int64)
+            np.add.at(totals, inverse, np.concatenate([old_counts, counts]))
+            self.cells[j] = merged, totals
+        self.n_samples += len(chunk)
+
+
+def coverage_report(counts: CoverageCounts, q: int = 1) -> CoverageReport:
+    """Occupancy of the gamma-cells that ``counts`` holds, region by region.
 
     A cell counts as covered when at least q samples land in it.  Unoccupied
     cells never qualify, so the exact fraction only needs the occupied cells'
-    counts (np.unique over one byte-string key per row) even when the cell
-    count is astronomically large.  The time axis spans T = t_eps, or one cell
-    (T = gamma) for a steady state (t_eps None), and the reported failure
-    bound is M exp(-N (gamma/2)^m_r (gamma/T) + m_r log(2/gamma) + log(T/gamma)).
+    counts even when the cell count is astronomically large.  The reported
+    failure bound is M exp(-N (gamma/2)^m_r (gamma/T) + m_r log(2/gamma) +
+    log(T/gamma)).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    span = gamma if t_eps is None else t_eps
-    if not span > 0:
-        raise ValueError("the time horizon t_eps must be positive")
-    N = len(training)
-    axis_cells = math.ceil(2.0 / gamma)
-    time_cells = math.ceil(span / gamma)
-    tkeys = np.minimum(time_cells - 1, np.floor(training.taus / gamma))
+    gamma, span, N = counts.gamma, counts.span, counts.n_samples
+    axis_cells, time_cells = math.ceil(2.0 / gamma), math.ceil(span / gamma)
     entries = []
-    M = max(1, len(regions))
-    for region in regions:
-        indices = family.coords_for_region(region)
+    M = max(1, len(counts.regions))
+    for region, indices, (cells, totals) in zip(counts.regions, counts.indices, counts.cells):
         m_r = int(indices.size)
-        keys = np.minimum(axis_cells - 1, np.floor((training.restricted(indices) + 1.0) / gamma))
-        # one byte string per row; the time column gives an empty region a key too
-        keys = np.ascontiguousarray(np.column_stack([keys, tkeys]), dtype=np.int64)
-        _, counts = np.unique(keys.view(f"V{8 * keys.shape[1]}"), return_counts=True)
-        covered = int(np.count_nonzero(counts >= q))
+        covered = int(np.count_nonzero(totals >= q))
         log_total = m_r * math.log(axis_cells) + math.log(time_cells)
         if log_total < 45.0:
             total = float(axis_cells**m_r * time_cells)
@@ -427,7 +537,7 @@ def coverage_report(training: TrainingSet, gamma: float,
                 sites=tuple(region.sites),
                 m_r=m_r,
                 total_cells=total,
-                occupied=len(counts),
+                occupied=len(cells),
                 covered=covered,
                 fraction=fraction,
                 failure_bound=failure,

@@ -281,22 +281,30 @@ def generate_state(model: Model, x: np.ndarray, tau: float) -> DensityMatrix:
     return evolve(gen, model.reference_state(), tau)
 
 
-def sample_parameters(model: Model, N: int, t_eps: float | None,
-                      seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw N i.i.d. points as columns: X ~ U([-1,1]^m) of shape (N, m) and
-    taus ~ U([0, t_eps]) of shape (N,).
+def sample_parameters(model: Model, N: int, t_eps: float | None, seed: int,
+                      lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows lo..hi-1 (by default all N) of N i.i.d. points as columns:
+    X ~ U([-1,1]^m) of shape (rows, m) and taus ~ U([0, t_eps]) of shape (rows,).
 
     Without a horizon (t_eps None) every point is a steady state, tau = inf.
-    Reproducible under ``seed``.  Every point of a run shares the model's
-    ancilla choice; each choice from the menu is learned in its own run (the
-    menu size scales the planned N).
+    Reproducible under ``seed``: one PCG64 stream gives the N m tags row by
+    row and then the N taus, and each block of rows is read from it by
+    ``bit_generator.advance``, so any split of [0, N) into blocks gives the
+    same points as one draw.  Every point of a run shares the model's ancilla
+    choice; each choice from the menu is learned in its own run (the menu size
+    scales the planned N).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if t_eps is not None and not t_eps > 0:
         raise ValueError("the time horizon t_eps must be positive")
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(-1.0, 1.0, size=(N, model.family.m))
+    hi = N if hi is None else hi
+    m = model.family.m
+    tags = np.random.default_rng(seed)
+    tags.bit_generator.advance(lo * m)
+    xs = tags.uniform(-1.0, 1.0, size=(hi - lo, m))
     if t_eps is None:
-        return xs, np.full(N, np.inf)
-    return xs, rng.uniform(0.0, t_eps, size=N)
+        return xs, np.full(hi - lo, np.inf)
+    times = np.random.default_rng(seed)
+    times.bit_generator.advance(N * m + lo)
+    return xs, times.uniform(0.0, t_eps, size=hi - lo)

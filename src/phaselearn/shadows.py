@@ -8,15 +8,20 @@ per run (``np.random.Philox`` keyed by the run's "measurement" stream seed):
 snapshot i reads its n bases and then its n Born uniforms from its own
 counter blocks, so it replays from (key, i) alone and does not depend on the
 other snapshots.  Product states skip the conditioning:
-:func:`measure_snapshot_product` takes N rows of single-site Bloch vectors,
-draws the rows in chunks and compares each chunk's uniforms with its outcome
-probabilities at once.  A TrainingSet holds N snapshots as columns: (N, n)
-int8 basis codes and +-1 outcomes beside the per-snapshot tags.  Its file
-is written and read one uint8 block per chunk of records: each field is
-placed or taken for the whole chunk at its records' offsets, tau and omega
-are formatted or parsed once per distinct value, and every check of a
-record is a mask over the chunk, so the first bad line comes straight from
-the masks.  The inverse-channel estimate
+:func:`measure_snapshot_product` takes rows of single-site Bloch vectors and
+the stream row of the first, and compares all their uniforms with their
+outcome probabilities at once.
+
+A TrainingSet holds tagged snapshots as columns: (N, n) int8 basis codes and
++-1 outcomes beside the per-snapshot tags.  A run never holds the whole
+training set: it is written and read ``_CHUNK_ROWS`` records at a time.
+:func:`write_shadows` writes the header and then each chunk it is handed as
+one uint8 block, and :func:`read_shadows` yields the records a chunk of
+lines at a time, each checked before it is handed on.  In a block, each field
+is placed or taken for the whole chunk at its records' offsets, tau and omega
+are formatted or parsed once per distinct value, and every check of a record
+is a mask over the chunk, so the first bad line comes straight from the
+masks.  The inverse-channel estimate
 
     (x)_{i in B} (3 |z_i><z_i| - I)
 
@@ -28,11 +33,12 @@ snapshot only through its (basis, outcome) pairs on the k sites of B, so
 
 from __future__ import annotations
 
+import binascii
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,7 +75,8 @@ _EIG_KETS = np.array(
 _EIG_BRAS = _EIG_KETS.conj()
 
 
-# rows per Philox call of the product sampler and per chunk of shadow I/O
+# records per chunk of a training set: the train stage draws, measures and
+# writes, and the predict stage reads and folds, one chunk at a time
 _CHUNK_ROWS = 1 << 14
 
 
@@ -84,7 +91,8 @@ def _stream_rows(key: int, start: int, stop: int, n: int) -> tuple[np.ndarray, n
     blocks = (n + 1) // 2
     raw = np.random.Philox(key=key, counter=[start * blocks, 0, 0, 0]).random_raw(
         (stop - start) * 4 * blocks).reshape(stop - start, 4 * blocks)
-    top = raw[:, : 2 * n] >> np.uint64(11)
+    top = raw[:, : 2 * n]
+    top >>= np.uint64(11)  # in place: raw is this call's own
     bases = ((top[:, :n] * np.uint64(3)) >> np.uint64(53)).astype(np.int8)
     return bases, top[:, n:] * 2.0**-53
 
@@ -124,29 +132,24 @@ def measure_snapshot(rho: DensityMatrix, key: int, row: int = 0,
     return bases, outcomes
 
 
-def measure_snapshot_product(bloch: np.ndarray, key: int) -> tuple[np.ndarray, np.ndarray]:
+def measure_snapshot_product(bloch: np.ndarray, key: int,
+                             row: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Product-state fast path of :func:`measure_snapshot`, one snapshot per row.
 
     ``bloch`` is an (N, n, 3) stack of single-site Bloch vectors (<X>, <Y>, <Z>);
-    its row i is measured with row i of the stream ``key``, the draws the
-    general sampler makes, so it matches :func:`measure_snapshot` on the
+    its row i is measured with row ``row`` + i of the stream ``key``, the draws
+    the general sampler makes, so it matches :func:`measure_snapshot` on the
     corresponding product state and does not depend on the other rows.  The
-    outcome is +1 where the uniform falls below p+ = (1 + r_basis) / 2.  Rows
-    are drawn and compared in chunks.  Returns (N, n) int8 bases and outcomes.
+    outcome is +1 where the uniform falls below p+ = (1 + r_basis) / 2.  The
+    caller bounds the rows per call.  Returns (N, n) int8 bases and outcomes.
     """
     bloch = np.asarray(bloch, dtype=float)
     n_rows, n = bloch.shape[:2]
-    bases = np.empty((n_rows, n), dtype=np.int8)
-    outcomes = np.empty_like(bases)
-    for lo in range(0, n_rows, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n_rows)
-        bases[lo:hi], us = _stream_rows(key, lo, hi, n)
-        p_plus = 0.5 * (1.0 + np.take_along_axis(bloch[lo:hi], bases[lo:hi, :, None],
-                                                 axis=2)[..., 0])
-        if p_plus.min() < -1e-10 or p_plus.max() > 1.0 + 1e-10:
-            raise NumericalError("Bloch vector produced an out-of-range probability")
-        outcomes[lo:hi] = np.where(us < p_plus, 1, -1)
-    return bases, outcomes
+    bases, us = _stream_rows(key, row, row + n_rows, n)
+    p_plus = 0.5 * (1.0 + np.take_along_axis(bloch, bases[:, :, None], axis=2)[..., 0])
+    if p_plus.size and (p_plus.min() < -1e-10 or p_plus.max() > 1.0 + 1e-10):
+        raise NumericalError("Bloch vector produced an out-of-range probability")
+    return bases, np.where(us < p_plus, np.int8(1), np.int8(-1))
 
 
 def snapshot_local_matrix(bases: np.ndarray, outcomes: np.ndarray,
@@ -229,8 +232,9 @@ _COLUMNS = {"bases": np.int8, "outcomes": np.int8, "X": float, "taus": float,
 
 @dataclass
 class TrainingSet:
-    """N tagged snapshots as columns (row i is snapshot i), plus the sampling
-    metadata needed to reuse them."""
+    """Tagged snapshots as columns (row i is snapshot i), plus the sampling
+    metadata needed to reuse them: a chunk of a training set, or a whole one
+    held in memory, which is its one chunk."""
 
     bases: np.ndarray     # (N, n) int8 codes 0, 1, 2 for X, Y, Z
     outcomes: np.ndarray  # (N, n) int8 in {+1, -1}
@@ -240,9 +244,7 @@ class TrainingSet:
     model_name: str = ""
     lattice_json: str = ""
     mode: str = "steady_state"
-    seed: int = 0         # run seed; row i is row i of its "measurement" stream
-    # X[:, indices] per index set asked for (see restricted)
-    _restricted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    seed: int = 0         # run seed; record i is row i of its "measurement" stream
 
     def __post_init__(self):
         for name, dtype in _COLUMNS.items():
@@ -254,33 +256,14 @@ class TrainingSet:
     def __len__(self) -> int:
         return len(self.taus)
 
-    def subset(self, count: int) -> "TrainingSet":
-        """Deterministic prefix subset (used by sample-size sweeps); it slices
-        the restricted tags this set has gathered."""
-        sub = replace(self, **{name: getattr(self, name)[:count] for name in _COLUMNS})
-        sub._restricted.update((key, tags[:count]) for key, tags in self._restricted.items())
-        return sub
-
-    def restricted(self, indices: np.ndarray) -> np.ndarray:
-        """The tags on the coordinates ``indices``, X[:, indices], gathered once
-        per index set: a predictor asks for the same patch coordinates at
-        every test point.  The index sets are the observables' patches: one
-        read-only copy of their columns per patch."""
-        key = np.asarray(indices).tobytes()
-        if key not in self._restricted:
-            tags = self.X[:, indices]
-            tags.flags.writeable = False
-            self._restricted[key] = tags
-        return self._restricted[key]
-
 
 _VERSION = "v2"
 # the largest tag count m of an empty (0, m) float64 tag array numpy can hold
 _M_MAX = np.iinfo(np.intp).max // 8
 
 _SPACE, _NEWLINE = ord(" "), ord("\n")
-# bytes.translate table: 0 for a hexadecimal digit, 1 for any other byte
-_NOT_HEX = bytes(chr(c) not in "0123456789abcdefABCDEF" for c in range(256))
+# by byte value: False for a hexadecimal digit, True for any other byte
+_NOT_HEX = np.array([chr(c) not in "0123456789abcdefABCDEF" for c in range(256)])
 
 
 def _windows(block: np.ndarray, width: int) -> np.ndarray:
@@ -311,26 +294,25 @@ def _place(block: np.ndarray, starts: np.ndarray, table: np.ndarray, index: np.n
         _windows(block, width)[starts[rows]] = table[index[rows], :width]
 
 
-def _records_block(training: TrainingSet, lo: int, hi: int) -> np.ndarray:
-    """Records lo..hi-1 as one uint8 block.  The x hex comes from one
-    ``bytes.hex`` call and the letters and bits from the int8 columns; tau
+def _records_block(chunk: TrainingSet) -> np.ndarray:
+    """The chunk's records as one uint8 block.  The x hex comes from one
+    ``binascii.hexlify`` call and the letters and bits from the int8 columns; tau
     (repr, so "inf" in steady state) and omega are formatted once per
     distinct value, tau by its bits so that -0.0 keeps its sign.  Each field
     is placed at its record's offset, the running sum of the record widths."""
-    rows, m = hi - lo, training.X.shape[1]
-    n = training.bases.shape[1]
+    (rows, m), n = chunk.X.shape, chunk.bases.shape[1]
     head = np.full((rows, max(16 * m, 1) + 1), _SPACE, dtype=np.uint8)  # x and a space
     if m:
-        head[:, :-1] = np.frombuffer(training.X[lo:hi].astype("<f8").tobytes().hex().encode(),
+        head[:, :-1] = np.frombuffer(binascii.hexlify(np.ascontiguousarray(chunk.X, "<f8")),
                                      dtype=np.uint8).reshape(rows, 16 * m)
     else:
         head[:, 0] = ord("-")
     # "basis bits\n" as ASCII codes: X, Y, Z are consecutive, '0' is +1
     tail = np.full((rows, 2 * n + 2), _SPACE, dtype=np.uint8)
-    tail[:, :n] = training.bases[lo:hi] + ord("X")
-    tail[:, n + 1:-1] = (training.outcomes[lo:hi] < 0) + ord("0")
+    tail[:, :n] = chunk.bases + ord("X")
+    tail[:, n + 1:-1] = (chunk.outcomes < 0) + ord("0")
     tail[:, -1] = _NEWLINE
-    taus, omegas = training.taus[lo:hi], training.omegas[lo:hi]
+    taus, omegas = chunk.taus, chunk.omegas
     tau_table, tau_index, tau_widths = _tokens(taus, taus.view(np.int64), repr)
     omega_table, omega_index, omega_widths = _tokens(omegas, omegas, " {} ".format)
     widths = head.shape[1] + tau_widths + omega_widths + tail.shape[1]
@@ -344,18 +326,25 @@ def _records_block(training: TrainingSet, lo: int, hi: int) -> np.ndarray:
     return block
 
 
-def write_shadows(fileobj: IO[str], training: TrainingSet) -> None:
-    """Snapshot interchange format: a ``#`` header, then one record per line,
-    ``x_hex tau omega basis_string outcome_bitstring``."""
-    fileobj.write(f"# phaselearn-shadows {_VERSION}\n")
-    fileobj.write(f"# model {training.model_name}\n")
-    fileobj.write(f"# lattice {training.lattice_json}\n")
-    fileobj.write(f"# mode {training.mode}\n")
-    fileobj.write(f"# seed {training.seed}\n")
-    fileobj.write(f"# m {training.X.shape[1]}\n")
-    for lo in range(0, len(training), _CHUNK_ROWS):
-        block = _records_block(training, lo, min(lo + _CHUNK_ROWS, len(training)))
-        fileobj.write(block.tobytes().decode("ascii"))
+def write_shadows(fileobj: IO[str], chunks: Iterable[TrainingSet]) -> None:
+    """Snapshot interchange format: a ``#`` header from the first chunk's
+    metadata, then one record per line, ``x_hex tau omega basis_string
+    outcome_bitstring``.  Each chunk is written as one block before the next
+    is drawn from ``chunks``, so a generator of chunks bounds the memory of
+    the whole write; no chunk writes nothing."""
+    first = True
+    for chunk in chunks:
+        if first:
+            fileobj.write(f"# phaselearn-shadows {_VERSION}\n")
+            fileobj.write(f"# model {chunk.model_name}\n")
+            fileobj.write(f"# lattice {chunk.lattice_json}\n")
+            fileobj.write(f"# mode {chunk.mode}\n")
+            fileobj.write(f"# seed {chunk.seed}\n")
+            fileobj.write(f"# m {chunk.X.shape[1]}\n")
+            first = False
+        if len(chunk):
+            fileobj.write(str(_records_block(chunk), "ascii"))
+        del chunk  # not held while the next chunk is drawn
 
 
 def _distinct_fields(text: str, buf: np.ndarray, spaces: np.ndarray,
@@ -439,10 +428,13 @@ def _records(text: str, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     k = check(~(np.all((letters >= ord("X")) & (letters <= ord("Z")), axis=1)
                 & np.all((bits == ord("0")) | (bits == ord("1")), axis=1)),
               lambda r: "basis letters must be X, Y or Z and outcome bits 0 or 1")
-    hexes = _windows(buf, 16 * m)[starts[:k]].tobytes()
-    k = check(np.frombuffer(hexes.translate(_NOT_HEX), dtype=bool).reshape(k, 16 * m)
-              .any(axis=1), lambda r: "x field is not hexadecimal")
-    X = np.frombuffer(bytes.fromhex(hexes[:16 * m * k].decode()), dtype="<f8").reshape(k, m)
+    try:  # one call decodes a valid chunk's x fields; the mask only names a bad line
+        raw = binascii.unhexlify(_windows(buf, 16 * m)[starts[:k]])
+    except binascii.Error:
+        hexes = _windows(buf, 16 * m)[starts[:k]]
+        k = check(_NOT_HEX[hexes].any(axis=1), lambda r: "x field is not hexadecimal")
+        raw = binascii.unhexlify(hexes[:k])
+    X = np.frombuffer(raw, dtype="<f8").reshape(k, m)
     columns = []  # tau lies between a record's first two spaces, omega the next two
     for lo, hi, parse, dtype in ((0, 1, float, float), (1, 2, _int64, np.int64)):
         tokens, index = _distinct_fields(text, buf, cuts[:k, lo], cuts[:k, hi])
@@ -482,42 +474,41 @@ def _apply_header(row: str, meta: dict, after_record: bool) -> None:
     meta[key] = value
 
 
-def read_shadows(fileobj: IO[str]) -> TrainingSet:
-    """Parse the interchange format a chunk of lines at a time, each chunk one
-    uint8 block cut at its header lines.  The first malformed line, header
-    after the first record, or version other than v2 raises ConfigError
-    naming the line."""
+def read_shadows(fileobj: IO[str]) -> Iterator[TrainingSet]:
+    """Parse the interchange format ``_CHUNK_ROWS`` lines at a time, each
+    chunk one uint8 block cut at its header lines, and yield the records
+    between two header lines of a chunk as one TrainingSet carrying the
+    header's metadata, once the whole chunk is checked.  The first malformed
+    line, header after the first record, or version other than v2 raises
+    ConfigError naming the line.  A file without records yields nothing."""
     meta = {"phaselearn-shadows": _VERSION, "model": "", "lattice": "",
             "mode": "steady_state", "seed": 0, "m": 0}
-    parts, n, lineno = [[] for _ in _COLUMNS], None, 0
+    n, lineno, after_record = None, 0, False
     for lines in iter(lambda: list(islice(fileobj, _CHUNK_ROWS)), []):
         text, count = "".join(lines), len(lines)
+        del lines  # the joined text holds the chunk: drop its line strings
         buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
         ends = np.flatnonzero(buf == _NEWLINE)
         ends = ends if len(ends) == count else np.append(ends, len(buf))  # no final "\n"
         starts = np.concatenate([[0], ends[:-1] + 1])
         blank, header = starts == ends, buf[starts] == ord("#")
-        lo = 0
+        chunks, lo = [], 0
         for i in [*np.flatnonzero(header).tolist(), count]:
             rows = lo + np.flatnonzero(~blank[lo:i])
             if rows.size:
-                columns = _records(text, buf, starts[rows], ends[rows], lineno + rows + 1,
-                                   meta["m"], meta["mode"], n)
-                for part, column in zip(parts, columns):
-                    part.append(column)
-                n = columns[0].shape[1]
+                chunks.append(TrainingSet(
+                    *_records(text, buf, starts[rows], ends[rows], lineno + rows + 1,
+                              meta["m"], meta["mode"], n),
+                    model_name=meta["model"], lattice_json=meta["lattice"],
+                    mode=meta["mode"], seed=meta["seed"]))
+                n, after_record = chunks[-1].bases.shape[1], True
             if i < count:
                 try:
-                    _apply_header(text[starts[i]:ends[i]], meta, bool(parts[0]))
+                    _apply_header(text[starts[i]:ends[i]], meta, after_record)
                 except ValueError as exc:
                     raise ConfigError(f"shadows line {lineno + i + 1}: {exc}") from None
             lo = i + 1
         lineno += count
-    if not parts[0]:
-        parts = [[np.empty((0, 0))], [np.empty((0, 0))], [np.empty((0, meta["m"]))], [[]], [[]]]
-    columns = []
-    for part in parts:  # one column at a time, each chunk's part freed once copied
-        columns.append(np.concatenate(part))
-        part.clear()
-    return TrainingSet(*columns, model_name=meta["model"], lattice_json=meta["lattice"],
-                       mode=meta["mode"], seed=meta["seed"])
+        del text, buf  # not held while the chunks are used
+        yield from chunks
+        del chunks  # nor while the next chunk is read

@@ -1,0 +1,140 @@
+"""The whole-array train and predict stages that the chunked ones replaced,
+kept as the slow reference the chunk-at-a-time stages are tested against.
+
+The train stage here draws every tag, state and snapshot of the training set
+in one pass and writes it with the record-at-a-time reference writer; the
+predictor selects each cell over every row at once, a sweep size takes a
+prefix copy of the columns, and the coverage counts bin every row in one
+np.unique.  Nothing here reads ``shadows._CHUNK_ROWS``.
+"""
+
+from __future__ import annotations
+
+import io
+import math
+from dataclasses import replace
+from typing import Sequence
+
+import numpy as np
+
+import shadows_reference
+from phaselearn.errors import EmptyCellError
+from phaselearn.lattice import enlarge
+from phaselearn.learner import Prediction
+from phaselearn.lindblad import steady_states
+from phaselearn.models import generate_state
+from phaselearn.shadows import (
+    TrainingSet,
+    _stream_rows,
+    local_estimates,
+    measure_snapshot,
+    median_of_means,
+    mom_batch_count,
+)
+
+_COLUMNS = ("bases", "outcomes", "X", "taus", "omegas")
+
+
+def joined(chunks) -> TrainingSet:
+    """The chunks as one TrainingSet, rows in order (no rows: empty columns and
+    no metadata); every chunk must carry the first one's metadata."""
+    chunks = list(chunks)
+    if not chunks:
+        return TrainingSet(np.empty((0, 0)), np.empty((0, 0)), np.empty((0, 0)), [], [])
+    meta = [(c.model_name, c.lattice_json, c.mode, c.seed) for c in chunks]
+    assert len(set(meta)) == 1, meta
+    return replace(chunks[0], **{name: np.concatenate([getattr(c, name) for c in chunks])
+                                 for name in _COLUMNS})
+
+
+def sample_parameters(model, N: int, t_eps: float | None, seed: int):
+    """All N points from one generator: the tags, then the taus."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1.0, 1.0, size=(N, model.family.m))
+    if t_eps is None:
+        return xs, np.full(N, np.inf)
+    return xs, rng.uniform(0.0, t_eps, size=N)
+
+
+def training_states(model, X: np.ndarray, taus: np.ndarray, key: int):
+    """Every snapshot at once: the oracle's Bloch vectors of all N points and
+    all N stream rows compared in one pass, or each state generated (steady
+    states through ``steady_states``) and measured with its stream row."""
+    if model.oracle is not None:
+        bloch = model.oracle.bloch_vectors(X, taus)
+        bases, us = _stream_rows(key, 0, len(X), bloch.shape[1])
+        p_plus = 0.5 * (1.0 + np.take_along_axis(bloch, bases[:, :, None], axis=2)[..., 0])
+        return bases, np.where(us < p_plus, 1, -1).astype(np.int8)
+    n_sys = model.family.n_system
+    states = (steady_states(model.family, X) if np.isinf(taus).all() else
+              (generate_state(model, x, tau) for x, tau in zip(X, taus.tolist())))
+    rows = [measure_snapshot(rho, key, row=i, n_system=n_sys) for i, rho in enumerate(states)]
+    return (np.array([b for b, _ in rows], dtype=np.int8).reshape(len(X), n_sys),
+            np.array([o for _, o in rows], dtype=np.int8).reshape(len(X), n_sys))
+
+
+def training_text(cfg, model, p, sampling_seed: int, measurement_key: int) -> str:
+    """The training.shadows text of the whole training set, drawn at once."""
+    X, taus = sample_parameters(model, p.N, p.t_eps, sampling_seed)
+    bases, outcomes = training_states(model, X, taus, measurement_key)
+    training = TrainingSet(bases, outcomes, X, taus, np.full(p.N, model.omega),
+                           model_name=model.name, lattice_json=cfg.lattice.to_json(),
+                           mode=cfg.mode, seed=cfg.seed)
+    buf = io.StringIO()
+    shadows_reference.write_shadows(buf, training)
+    return buf.getvalue()
+
+
+def select_cell(x_values, t, training: TrainingSet, indices, gamma):
+    """The cell over every row: rows within gamma of (x, t) on ``indices``, or
+    the nearest row alone and its distance."""
+    if len(training) == 0:
+        raise EmptyCellError("training set is empty")
+    dist = np.abs(training.X[:, indices] - x_values[indices]).max(axis=1, initial=0.0)
+    if math.isfinite(t):
+        dist = np.maximum(dist, np.abs(training.taus - t))
+    cell = np.flatnonzero(dist <= gamma)
+    if cell.size:
+        return cell, None
+    idx = int(np.argmin(dist))
+    return np.array([idx]), float(dist[idx])
+
+
+def predict(observables: Sequence, x, t: float, training: TrainingSet, plan_,
+            family) -> Prediction:
+    """The nearest-patch median of means at (x, t) from the whole training set."""
+    x_values = family.as_values(x)
+    per_term, counts, warnings = [], [], []
+    for obs in observables:
+        indices = family.coords_for_region(enlarge(family.lattice, obs.support, plan_.r))
+        cell, dist = select_cell(x_values, t, training, indices, plan_.gamma)
+        if dist is not None:
+            warnings.append(f"empty cell for {obs.label or obs.support.sites}; "
+                            f"nearest sample {cell[0]} at distance {dist:.3g}")
+        vals = local_estimates(training.bases[cell], training.outcomes[cell],
+                               obs.support.sites, obs.matrix)
+        per_term.append(median_of_means(vals, mom_batch_count(plan_.delta_prime, len(vals))))
+        counts.append(len(vals))
+    return Prediction(float(sum(per_term)), tuple(per_term), tuple(counts), tuple(warnings))
+
+
+def row_slice(training: TrainingSet, lo: int, hi: int) -> TrainingSet:
+    """Rows lo..hi-1 as a TrainingSet: a sweep size's prefix copy, or a chunk."""
+    return replace(training, **{name: getattr(training, name)[lo:hi] for name in _COLUMNS})
+
+
+def coverage_cells(training: TrainingSet, gamma: float, regions, family,
+                   t_eps: float | None = None) -> list[tuple[int, np.ndarray]]:
+    """Per region, the occupied cell count and the sorted per-cell sample
+    counts, from one np.unique over every row."""
+    span = gamma if t_eps is None else t_eps
+    axis_cells, time_cells = math.ceil(2.0 / gamma), math.ceil(span / gamma)
+    tkeys = np.minimum(time_cells - 1, np.floor(training.taus / gamma))
+    out = []
+    for region in regions:
+        indices = family.coords_for_region(region)
+        keys = np.minimum(axis_cells - 1, np.floor((training.X[:, indices] + 1.0) / gamma))
+        keys = np.ascontiguousarray(np.column_stack([keys, tkeys]), dtype=np.int64)
+        _, counts = np.unique(keys.view(f"V{8 * keys.shape[1]}"), return_counts=True)
+        out.append((len(counts), np.sort(counts)))
+    return out

@@ -26,7 +26,7 @@ from phaselearn.diagnostics import lieb_robinson_scan, mixing_scan
 from phaselearn.errors import PlanInfeasibleError
 from phaselearn.experiment import run_diagnostic_battery, run_learning_experiment
 from phaselearn.lattice import Lattice, enlarge, observable_from_string
-from phaselearn.learner import LearnerPlan, PlanConstants, plan, predict
+from phaselearn.learner import CellFold, LearnerPlan, PlanConstants, plan, predict
 from phaselearn.lindblad import (
     DensityMatrix,
     assemble,
@@ -235,13 +235,11 @@ def test_criterion_07_end_to_end_learning(learning_bundle):
 
 
 def test_criterion_08_estimator_locality_invariant(learning_bundle):
-    """Scrambling tags outside S_i(r) changes no prediction bit."""
+    """Scrambling tags outside S_i(r) changes no prediction bit, from the whole
+    bundle or from its first 20,000 records."""
     cfg, out, _ = learning_bundle
     from phaselearn.shadows import read_shadows
 
-    with open(out / "training.shadows") as fh:
-        training = read_shadows(fh)
-    training = training.subset(20_000)
     p = LearnerPlan.from_json((out / "plan.json").read_text())
     model = instantiate("pinning", cfg.lattice)
     obs = [observable_from_string(s, cfg.lattice) for s in cfg.observables]
@@ -249,20 +247,23 @@ def test_criterion_08_estimator_locality_invariant(learning_bundle):
     for o in obs:
         patch = enlarge(cfg.lattice, o.support, p.r)
         patch_coords |= set(model.family.coords_for_region(patch).tolist())
+    outside = [c for c in range(model.family.m) if c not in patch_coords]
     rng = np.random.default_rng(800)
-    new_X = training.X.copy()
-    for row in new_X:
-        for c in range(len(row)):
-            if c not in patch_coords:
-                row[c] = rng.uniform(-1, 1)
-    scrambled_tr = replace(training, X=new_X)
-    rng_t = np.random.default_rng(801)
-    for _ in range(10):
-        xt = rng_t.uniform(-1, 1, model.family.m)
-        a = predict(obs, xt, np.inf, training, p, model.family)
-        b = predict(obs, xt, np.inf, scrambled_tr, p, model.family)
-        assert a.value == b.value
-        assert a.per_term == b.per_term and a.counts == b.counts
+    test_x = np.random.default_rng(801).uniform(-1, 1, (10, model.family.m))
+    folds = [CellFold(obs, test_x, [np.inf] * 10, p, model.family, sizes=[20_000])
+             for _ in range(2)]
+    with open(out / "training.shadows") as fh:
+        for chunk in read_shadows(fh):
+            new_X = chunk.X.copy()
+            new_X[:, outside] = rng.uniform(-1, 1, (len(chunk), len(outside)))
+            folds[0].add(chunk)
+            folds[1].add(replace(chunk, X=new_X))
+    assert folds[0].n_samples == 100_000
+    for i in range(10):
+        for size in (20_000, None):
+            a, b = predict(folds[0], i, size), predict(folds[1], i, size)
+            assert a.value == b.value
+            assert a.per_term == b.per_term and a.counts == b.counts
     _report(8, "predictions bit-identical under out-of-patch coordinate scrambling")
 
 

@@ -1,11 +1,14 @@
 import json
 import math
 import re
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselearn.cli import _build_parser
 from phaselearn.cli import main as cli_main
@@ -19,6 +22,7 @@ from phaselearn.experiment import (
     run_train_stage,
 )
 from phaselearn.learner import LearnerPlan, PlanConstants, plan
+from phaselearn.models import instantiate
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -382,7 +386,7 @@ class TestTrainingStates:
             calls.append(args)
             return _splu(*args, **kwargs)
         monkeypatch.setattr(lindblad.spla, "splu", counted)
-        bases, outcomes = experiment._training_states(model(), X, taus, key)
+        bases, outcomes = experiment._training_states(model(), X, taus, key, 0)
         assert bases.tobytes() == want_bases.tobytes()
         assert outcomes.tobytes() == want_outcomes.tobytes()
         assert len(calls) == N
@@ -741,13 +745,17 @@ class TestCli:
         assert named in capsys.readouterr().err
 
     def test_sweep_sizes_capped_at_n_run_once(self, tmp_path, monkeypatch):
-        # both sweep sizes cap at N = 50: one row, and one pass of predictions
+        # both sweep sizes cap at N = 50: one row, and one prediction per test
+        # point for each distinct size (the run's, then the sweep's), all from
+        # one pass over the bundle
         import phaselearn.experiment as experiment
 
-        calls = []
-        real_predict = experiment.predict
-        monkeypatch.setattr(experiment, "predict",
-                            lambda *a: calls.append(len(a[3])) or real_predict(*a))
+        calls, reads = [], []
+        real_predict, real_read = experiment.predict, experiment.read_shadows
+        monkeypatch.setattr(experiment, "predict", lambda fold, i, size=None: (
+            calls.append(size) or real_predict(fold, i, size)))
+        monkeypatch.setattr(experiment, "read_shadows",
+                            lambda fh: reads.append(fh.name) or real_read(fh))
         text = SMALL_LEARNING.replace("n_override = 6000", "n_override = 50")
         p = self._write_cfg(tmp_path, text)
         out = tmp_path / "o"
@@ -755,7 +763,8 @@ class TestCli:
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["50"]
         assert [n for n, _ in json.loads((out / "summary.json").read_text())["sweep"]] == [50]
-        assert calls == [50] * 24  # 12 test points, then 12 for the one sweep size
+        assert calls == [None] * 12 + [50] * 12  # 12 test points, then 12 for the one sweep size
+        assert reads == [str(out / "training.shadows")]
 
     def test_missing_sweep_list_rejected(self, tmp_path):
         text = SMALL_LEARNING.replace("sweep = [200, 1000]", "")
@@ -771,3 +780,135 @@ class TestCli:
         assert rc1 == rc2 == 0
         assert (tmp_path / "s1" / "training.shadows").read_bytes() != \
             (tmp_path / "s2" / "training.shadows").read_bytes()
+
+
+def _chunk_config(text: str, model: str, mode: str, N: int) -> str:
+    """SMALL_LEARNING-style text for ``model`` on 3 sites (TFIM) or 6 (pinning),
+    in ``mode``, with N training records."""
+    text = text.replace("n_override = 6000", f"n_override = {N}")
+    text = text.replace('mode = "steady"', f'mode = "{mode}"')
+    if model == "dissipative_tfim":
+        text = text.replace('name = "pinning"\nkappa0 = 1.0',
+                            'name = "dissipative_tfim"\ng = 0.5\nkappa = 1.0')
+        text = text.replace("extent = [6]", "extent = [3]").replace("Z@3", "Z@1")
+    return text
+
+
+class TestChunkedStages:
+    """The train and predict stages hold one chunk of ``_CHUNK_ROWS`` records
+    at a time; the bytes they write do not depend on the chunk size."""
+
+    @given(model=st.sampled_from(["pinning", "dissipative_tfim"]),
+           mode=st.sampled_from(["steady", "general"]), N=st.integers(1, 12),
+           chunk=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=24, deadline=None)
+    def test_train_bytes_match_whole_array_reference(self, model, mode, N, chunk, seed):
+        from unittest import mock
+
+        import learning_reference
+        from phaselearn import shadows
+        from phaselearn.seeding import stream_seed
+
+        text = _chunk_config(SMALL_LEARNING, model, mode, N).replace("seed = 5",
+                                                                      f"seed = {seed}")
+        with tempfile.TemporaryDirectory() as out:
+            cfg = _cfg(text, Path(out))
+            with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
+                run_train_stage(cfg)
+            written = (Path(out) / "training.shadows").read_text()
+            p = LearnerPlan.from_json((Path(out) / "plan.json").read_text())
+        m = instantiate(cfg.model_name, cfg.lattice, omega=cfg.omega, **cfg.hyper)
+        assert written == learning_reference.training_text(
+            cfg, m, p, stream_seed(seed, "sampling"), stream_seed(seed, "measurement"))
+
+    @pytest.mark.parametrize("mode", ["steady", "general"])
+    def test_predict_outputs_do_not_depend_on_chunk_size(self, tmp_path, mode):
+        # sweep sizes that end mid-chunk, on a chunk border and past N; the
+        # cells of gamma = 0.4 cross the borders of 3-record chunks
+        from unittest import mock
+
+        from phaselearn import shadows
+
+        text = _chunk_config(SMALL_LEARNING, "pinning", mode, 50).replace(
+            "sweep = [200, 1000]", "sweep = [7, 20, 21, 60]")
+        outputs = []
+        for chunk in (shadows._CHUNK_ROWS, 3):
+            cfg = _cfg(text, tmp_path / str(chunk))
+            with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
+                run_learning_experiment(cfg)
+            outputs.append({name: (tmp_path / str(chunk) / name).read_bytes() for name in (
+                "training.shadows", "predictions.csv", "sweep.csv", "coverage.json",
+                "summary.json")})
+        assert outputs[0] == outputs[1]
+        assert b"\n21," in outputs[0]["sweep.csv"] and b"\n50," in outputs[0]["sweep.csv"]
+
+    def test_omega_mismatch_in_third_chunk_names_its_record(self, tmp_path, monkeypatch):
+        # 4-line chunks: the header's six lines leave records 1-2 in the first
+        # chunk and 3-6 in the second, so record 10 lies in the third
+        from phaselearn import shadows
+
+        text = SMALL_LEARNING.replace("n_override = 6000", "n_override = 20")
+        cfg = _cfg(text, tmp_path)
+        run_train_stage(cfg)
+        path = tmp_path / "training.shadows"
+        lines = path.read_text().splitlines()
+        fields = lines[6 + 9].split(" ")
+        fields[2] = "1"
+        lines[6 + 9] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(shadows, "_CHUNK_ROWS", 4)
+        with open(path) as fh:
+            assert [len(c) for c in shadows.read_shadows(fh)][:3] == [2, 4, 4]
+        with pytest.raises(ConfigError, match="record 10 was collected at omega = 1"):
+            run_predict_stage(cfg)
+
+    def test_bad_last_line_of_multichunk_bundle_exits_before_exact_values(
+            self, tmp_path, monkeypatch, capsys):
+        from phaselearn import experiment, shadows
+
+        text = SMALL_LEARNING.replace("n_override = 6000", "n_override = 50")
+        p = tmp_path / "c.cfg"
+        p.write_text(text.replace("PLACEHOLDER", str(tmp_path / "o")))
+        assert cli_main(["train", "--config", str(p)]) == 0
+        path = tmp_path / "o" / "training.shadows"
+        lines = path.read_text().splitlines()
+        assert len(lines) == 56
+        lines[-1] = lines[-1][:-1] + "2"
+        path.write_text("\n".join(lines) + "\n")
+
+        def no_exact_values(*args):
+            raise AssertionError("exact values computed for a malformed bundle")
+
+        monkeypatch.setattr(shadows, "_CHUNK_ROWS", 8)
+        monkeypatch.setattr(experiment, "_exact_values", no_exact_values)
+        assert cli_main(["predict", "--config", str(p)]) == 2
+        assert "shadows line 56: basis letters must be X, Y or Z and outcome bits 0 or 1" in \
+            capsys.readouterr().err
+
+    def test_memory_bounded_in_n(self, tmp_path, monkeypatch):
+        # the traced peaks of train and of predict at 32 chunks of 1,024 records
+        # exceed those at 8 chunks by well under what holding the extra
+        # records' columns would add (2n + 8m + 16 bytes per record)
+        import tracemalloc
+
+        from phaselearn import shadows
+
+        monkeypatch.setattr(shadows, "_CHUNK_ROWS", 1024)
+        text = (SMALL_LEARNING.replace("extent = [6]", "extent = [4]")
+                .replace("Z@3", "Z@2").replace("n_test = 12", "n_test = 4"))
+        peaks = {}
+        for chunks in (8, 32):
+            cfg = _cfg(text.replace("n_override = 6000", f"n_override = {chunks * 1024}"),
+                       tmp_path / str(chunks))
+            for stage in (run_train_stage, run_predict_stage):
+                tracemalloc.start()
+                try:
+                    stage(cfg)
+                    peaks[stage.__name__, chunks] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        n = m = 4
+        columns = 24 * 1024 * (2 * n + 8 * m + 16)
+        for stage in (run_train_stage, run_predict_stage):
+            growth = peaks[stage.__name__, 32] - peaks[stage.__name__, 8]
+            assert growth < columns / 4, (stage.__name__, growth, columns)

@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import learning_reference
 
 from phaselearn.errors import EmptyCellError, PlanInfeasibleError
 from phaselearn.lattice import Lattice, Region, enlarge, observable_from_string
 from phaselearn.learner import (
+    CellFold,
+    CoverageCounts,
     LearnerPlan,
     PlanConstants,
     coverage_report,
@@ -35,11 +40,30 @@ def _tag_training(xs, taus=None, m=None):
     )
 
 
+def _select(x, t, tr, indices, gamma):
+    """select_cell on the training set's tags on ``indices``."""
+    return select_cell(x[indices], t, tr.X[:, indices], tr.taus, gamma)
+
+
+def _predict(observables, x, t, tr, p, family):
+    """The prediction at (x, t) from ``tr``, folded as one chunk."""
+    fold = CellFold(observables, [x], [t], p, family)
+    fold.add(tr)
+    return predict(fold, 0)
+
+
+def _coverage(tr, gamma, regions, family, q=1, t_eps=None):
+    """The coverage report of ``tr``, counted as one chunk."""
+    counts = CoverageCounts(gamma, regions, family, t_eps=t_eps)
+    counts.add(tr)
+    return coverage_report(counts, q=q)
+
+
 def _nearest(x, t, tr, indices):
     """The nearest sample by select_cell: a cell too narrow for anything but
     exact hits is empty or holds exact hits only, the lowest of which is the
     nearest sample too."""
-    cell, _ = select_cell(x, t, tr, indices, 1e-300)
+    cell, _ = _select(x, t, tr, indices, 1e-300)
     return int(cell[0])
 
 
@@ -137,14 +161,14 @@ class TestNearestPatch:
         rng = np.random.default_rng(0)
         xs = rng.uniform(-1, 1, size=(20, 6))
         tr = _tag_training(xs)
-        cell, dist = select_cell(xs[7], math.inf, tr, np.arange(6), 1e-12)
+        cell, dist = _select(xs[7], math.inf, tr, np.arange(6), 1e-12)
         assert cell.tolist() == [7] and dist is None
         assert _nearest(xs[7], math.inf, tr, np.arange(6)) == 7
 
     def test_tie_breaks_to_lowest_index(self):
         xs = [np.zeros(3), np.full(3, 0.5), np.full(3, 0.5)]
         tr = _tag_training(xs)
-        cell, dist = select_cell(np.full(3, 0.6), math.inf, tr, np.arange(3), 0.05)
+        cell, dist = _select(np.full(3, 0.6), math.inf, tr, np.arange(3), 0.05)
         assert cell.tolist() == [1] and dist == pytest.approx(0.1)
 
     def test_matches_exhaustive_scan(self):
@@ -153,7 +177,7 @@ class TestNearestPatch:
         tr = _tag_training(xs)
         indices = np.array([0, 3, 4, 7, 8, 11])
         target = rng.uniform(-1, 1, 12)
-        cell, dist = select_cell(target, math.inf, tr, indices, 1e-12)
+        cell, dist = _select(target, math.inf, tr, indices, 1e-12)
         brute = min(
             range(100),
             key=lambda k: np.max(np.abs(xs[k][indices] - target[indices])),
@@ -176,13 +200,13 @@ class TestNearestPatch:
         # a finite target time counts |tau - t|
         xs = [np.zeros(2), np.zeros(2)]
         tr = _tag_training(xs, taus=[0.1, 2.0])
-        cell, dist = select_cell(np.zeros(2), 1.9, tr, np.arange(2), 0.05)
+        cell, dist = _select(np.zeros(2), 1.9, tr, np.arange(2), 0.05)
         assert cell.tolist() == [1] and dist == pytest.approx(0.1)
 
     def test_empty_training(self):
         tr = _tag_training(np.zeros((0, 2)), m=2)
         with pytest.raises(EmptyCellError):
-            select_cell(np.zeros(2), math.inf, tr, np.arange(2), 0.5)
+            _select(np.zeros(2), math.inf, tr, np.arange(2), 0.5)
 
 
 class TestSelectCell:
@@ -190,14 +214,14 @@ class TestSelectCell:
         rng = np.random.default_rng(3)
         xs = rng.uniform(-1, 1, size=(40, 4))
         tr = _tag_training(xs)
-        cell, _ = select_cell(rng.uniform(-1, 1, 4), math.inf, tr, np.arange(4), 2.0)
+        cell, _ = _select(rng.uniform(-1, 1, 4), math.inf, tr, np.arange(4), 2.0)
         assert len(cell) == 40
 
     def test_tiny_gamma_picks_duplicates(self):
         x = np.array([0.3, -0.4])
         xs = [x, x + 0.5, x.copy(), x - 0.7]
         tr = _tag_training(xs)
-        got, _ = select_cell(x, math.inf, tr, np.arange(2), 1e-12)
+        got, _ = _select(x, math.inf, tr, np.arange(2), 1e-12)
         assert list(got) == [0, 2]
 
     def test_selected_fraction_binomial(self):
@@ -205,7 +229,7 @@ class TestSelectCell:
         n, m_r, gamma = 10_000, 4, 0.5
         xs = rng.uniform(-1, 1, size=(n, m_r))
         tr = _tag_training(xs)
-        got, _ = select_cell(np.zeros(m_r), math.inf, tr, np.arange(m_r), gamma)
+        got, _ = _select(np.zeros(m_r), math.inf, tr, np.arange(m_r), gamma)
         p = gamma**m_r
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(len(got) - n * p) <= 3 * sigma
@@ -213,7 +237,7 @@ class TestSelectCell:
     def test_time_window_in_general_mode(self):
         xs = [np.zeros(1)] * 3
         tr = _tag_training(xs, taus=[0.1, 0.5, 3.0])
-        got, _ = select_cell(np.zeros(1), 0.4, tr, np.arange(1), 0.2)
+        got, _ = _select(np.zeros(1), 0.4, tr, np.arange(1), 0.2)
         assert list(got) == [1]
 
     @given(data=st.data(), timed=st.booleans())
@@ -241,7 +265,7 @@ class TestSelectCell:
             return max(d, abs(taus[i] - t)) if timed else d
 
         dists = [distance(i) for i in range(N)]
-        cell, dist = select_cell(x, t, tr, indices, gamma)
+        cell, dist = _select(x, t, tr, indices, gamma)
         expect = [i for i in range(N) if dists[i] <= gamma]
         if expect:
             assert cell.tolist() == expect and dist is None
@@ -279,7 +303,7 @@ class TestPredict:
         from phaselearn.lattice import LocalObservable
 
         ident = LocalObservable(Region((1,)), np.eye(2, dtype=complex), "I@1")
-        pred = predict([ident], np.zeros(4), math.inf, tr, p, model.family)
+        pred = _predict([ident], np.zeros(4), math.inf, tr, p, model.family)
         assert pred.value == pytest.approx(1.0, abs=1e-12)
 
     def test_duplicate_training_equals_plain_estimate(self):
@@ -294,7 +318,7 @@ class TestPredict:
                          omegas=np.zeros(200))
         p = self._plan(model)
         obs = observable_from_string("Z@1", lat)
-        pred = predict([obs], x, math.inf, tr, p, model.family)
+        pred = _predict([obs], x, math.inf, tr, p, model.family)
         vals = [float(np.real(np.trace(obs.matrix @ snapshot_local_matrix(b, o, [1]))))
                 for b, o in zip(bases, outcomes)]
         from phaselearn.shadows import mom_batch_count
@@ -307,7 +331,7 @@ class TestPredict:
         model, tr = _pinning_training(4, 5, seed=6)
         p = self._plan(model, gamma=1e-9)
         obs = observable_from_string("Z@2", model.lattice)
-        pred = predict([obs], np.zeros(4), math.inf, tr, p, model.family)
+        pred = _predict([obs], np.zeros(4), math.inf, tr, p, model.family)
         assert pred.warnings and pred.counts == (1,)
 
     def test_locality_scramble_invariance(self):
@@ -316,7 +340,7 @@ class TestPredict:
         p = self._plan(model, r=1, gamma=0.4)
         obs = observable_from_string("Z@3", model.lattice)
         x = np.random.default_rng(8).uniform(-1, 1, 6)
-        before = predict([obs], x, math.inf, tr, p, model.family)
+        before = _predict([obs], x, math.inf, tr, p, model.family)
         patch = enlarge(model.lattice, obs.support, p.r)
         inside = set(model.family.coords_for_region(patch).tolist())
         rng = np.random.default_rng(9)
@@ -326,7 +350,7 @@ class TestPredict:
                 if c not in inside:
                     row[c] = rng.uniform(-1, 1)
         tr2 = replace(tr, X=new_X)
-        after = predict([obs], x, math.inf, tr2, p, model.family)
+        after = _predict([obs], x, math.inf, tr2, p, model.family)
         assert before.value == after.value
         assert before.per_term == after.per_term
 
@@ -403,7 +427,7 @@ class TestPredict:
         for gamma in (0.8, 0.4, 0.15):
             errs = []
             for xt in (rng.uniform(-1, 1, 6) for _ in range(40)):
-                cell, _ = select_cell(xt, math.inf, tr, idx, gamma)
+                cell, _ = _select(xt, math.inf, tr, idx, gamma)
                 est = float(np.mean([
                     pin.oracle.expectation(xs[j], math.inf, obs6) for j in cell
                 ]))
@@ -419,7 +443,7 @@ class TestCoverage:
         tr = _tag_training(list(xs))
         lat = Lattice(1, (2,), "open")
         model = instantiate("pinning", lat)
-        rep = coverage_report(tr, 0.5, [Region((0, 1))], model.family, q=1)
+        rep = _coverage(tr, 0.5, [Region((0, 1))], model.family, q=1)
         assert rep.entries[0].fraction == 1.0
         assert rep.entries[0].total_cells == 16
 
@@ -427,7 +451,7 @@ class TestCoverage:
         lat = Lattice(1, (2,), "open")
         model = instantiate("pinning", lat)
         tr = _tag_training([np.array([0.1, 0.2])])
-        rep = coverage_report(tr, 0.5, [Region((0, 1))], model.family, q=1)
+        rep = _coverage(tr, 0.5, [Region((0, 1))], model.family, q=1)
         assert rep.entries[0].covered == 1
         assert rep.entries[0].fraction == 1 / 16
 
@@ -437,7 +461,7 @@ class TestCoverage:
         xs = [np.array([0.1, 0.2])] * 10
         tr = _tag_training(xs)
         gamma = 0.5
-        rep = coverage_report(tr, gamma, [Region((0,))], model.family, q=1)
+        rep = _coverage(tr, gamma, [Region((0,))], model.family, q=1)
         m_r = 1
         expect = min(1.0, 1 * math.exp(-10 * (gamma / 2) ** m_r + m_r * math.log(2 / gamma)))
         assert rep.entries[0].failure_bound == pytest.approx(expect)
@@ -458,7 +482,7 @@ class TestCoverage:
         taus = rng.uniform(0, t_eps, N) if mode != "steady_state" else None
         tr = _tag_training(xs, taus=taus, m=3)
         regions = [Region((0,)), Region((1, 2)), Region(())]
-        rep = coverage_report(tr, gamma, regions, model.family, q=q,
+        rep = _coverage(tr, gamma, regions, model.family, q=q,
                               t_eps=None if mode == "steady_state" else t_eps)
         axis_cells = math.ceil(2.0 / gamma)
         time_cells = math.ceil(t_eps / gamma)
@@ -473,3 +497,114 @@ class TestCoverage:
                 ref[key] += 1
             assert entry.occupied == len(ref)
             assert entry.covered == sum(1 for v in ref.values() if v >= q)
+
+
+def _grid_training(data, N, n, timed):
+    """A pinning-sized training set on grid tags, so that ties, cell borders
+    and repeated cells are common, with random snapshots."""
+    grid = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.3, 0.5, 1.0])
+    X = np.array(data.draw(st.lists(st.lists(grid, min_size=n, max_size=n),
+                                    min_size=N, max_size=N)), dtype=float).reshape(N, n)
+    times = st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.5])
+    taus = data.draw(st.lists(times, min_size=N, max_size=N)) if timed else [math.inf] * N
+    bases = data.draw(hnp.arrays(np.int8, (N, n), elements=st.integers(0, 2)))
+    outcomes = data.draw(hnp.arrays(np.int8, (N, n), elements=st.sampled_from([-1, 1])))
+    return TrainingSet(bases, outcomes, X, taus=taus, omegas=[0] * N)
+
+
+def _chunks(tr, size):
+    return [learning_reference.row_slice(tr, lo, lo + size) for lo in range(0, len(tr), size)]
+
+
+class TestCellFold:
+    """Folding a training set a chunk at a time gives the whole-array
+    predictor's predictions at every size, and its coverage counts."""
+
+    def _plan(self, model, r, gamma):
+        sc = model.structural_constants()
+        consts = PlanConstants(J=sc["J"], ell=sc["ell"], r0=sc["r0"], D=sc["D"],
+                               n=sc["n"], m=sc["m"], k0=1)
+        return replace(plan(0.3, 0.1, 0.1, consts, "steady_state", n_cap=10**6),
+                       r=r, gamma=gamma)
+
+    @given(data=st.data(), timed=st.booleans(), chunk=st.integers(1, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_chunked_fold_matches_whole_array_reference(self, data, timed, chunk):
+        model = instantiate("pinning", Lattice(1, (4,), "open"))
+        N = data.draw(st.integers(1, 30))
+        tr = _grid_training(data, N, 4, timed)
+        p = self._plan(model, r=data.draw(st.integers(0, 1)),
+                       gamma=data.draw(st.sampled_from([0.1, 0.25, 0.5, 2.0])))
+        obs = [observable_from_string(s, model.lattice)
+               for s in data.draw(st.sampled_from([["Z@1"], ["Z@0", "YX@3,2"], ["Z@3", "Z@3"]]))]
+        points = data.draw(st.integers(1, 4))
+        xs = np.array(data.draw(st.lists(st.lists(st.sampled_from([-0.5, 0.0, 0.3, 0.9]),
+                                                  min_size=4, max_size=4),
+                                         min_size=points, max_size=points)))
+        ts = data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.5]) if timed else st.just(math.inf),
+                                min_size=points, max_size=points))
+        # sizes that end mid-chunk, on a chunk border and past N
+        sizes = data.draw(st.lists(st.integers(1, N + 5), max_size=4))
+        fold = CellFold(obs, xs, ts, p, model.family, sizes)
+        for piece in _chunks(tr, chunk):
+            fold.add(piece)
+        assert fold.n_samples == N
+        for i in range(points):
+            for size in [None, *sizes]:
+                want = learning_reference.predict(
+                    obs, xs[i], ts[i], learning_reference.row_slice(tr, 0, size or N), p,
+                    model.family)
+                assert predict(fold, i, size) == want, (i, size)
+
+    @given(data=st.data(), timed=st.booleans(), chunk=st.integers(1, 7),
+           gamma=st.sampled_from([0.15, 0.5, 0.7, 2.0]), q=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_coverage_matches_whole_array_reference(self, data, timed, chunk, gamma, q):
+        # a cell's samples split across chunks are counted once, together
+        model = instantiate("pinning", Lattice(1, (3,), "open"))
+        tr = _grid_training(data, data.draw(st.integers(1, 40)), 3, timed)
+        regions = [Region((0,)), Region((1, 2)), Region(())]
+        t_eps = 2.5 if timed else None
+        counts = CoverageCounts(gamma, regions, model.family, t_eps=t_eps)
+        for piece in _chunks(tr, chunk):
+            counts.add(piece)
+        whole = _coverage(tr, gamma, regions, model.family, q=q, t_eps=t_eps)
+        assert coverage_report(counts, q=q) == whole
+        reference = learning_reference.coverage_cells(tr, gamma, regions, model.family, t_eps)
+        for (cells, totals), (occupied, ref_counts) in zip(counts.cells, reference):
+            assert len(cells) == occupied
+            assert np.sort(totals).tolist() == ref_counts.tolist()
+
+    def test_ties_and_cells_across_chunk_borders(self):
+        # chunks of 2 rows: rows 1 and 3 tie as the nearest samples of x = 0 in
+        # two chunks, and rows 4 and 5, the cell of x = 0.9, straddle a border
+        model = instantiate("pinning", Lattice(1, (1,), "open"))
+        p = self._plan(model, r=0, gamma=0.05)
+        X = np.array([[0.8], [0.5], [-0.7], [-0.5], [0.9], [0.92]])
+        tr = TrainingSet(np.full((6, 1), 2), np.array([[1], [-1], [1], [1], [-1], [1]]), X,
+                         taus=[math.inf] * 6, omegas=[0] * 6)
+        obs = [observable_from_string("Z@0", model.lattice)]
+        fold = CellFold(obs, np.array([[0.0], [0.9]]), [math.inf] * 2, p, model.family,
+                        sizes=[1, 3, 5])
+        for piece in _chunks(tr, 2):
+            fold.add(piece)
+        nearest = [predict(fold, 0, size).warnings for size in (1, 3, 5, None)]
+        assert [w[0].split("; ")[1] for w in nearest] == [
+            "nearest sample 0 at distance 0.8", "nearest sample 1 at distance 0.5",
+            "nearest sample 1 at distance 0.5", "nearest sample 1 at distance 0.5"]
+        assert [predict(fold, 1, size).counts for size in (1, 3, 5, None)] == [
+            (1,), (1,), (1,), (2,)]
+        assert predict(fold, 1, 3).warnings and not predict(fold, 1, 5).warnings
+        assert predict(fold, 1).per_term == (0.0,)  # Z estimates -3 and +3, one batch
+        for size in (1, 3, 5, None):
+            for i in range(2):
+                assert predict(fold, i, size) == learning_reference.predict(
+                    obs, fold_x := np.array([[0.0], [0.9]])[i], math.inf,
+                    learning_reference.row_slice(tr, 0, size or 6), p, model.family), fold_x
+
+    def test_empty_fold_raises(self):
+        model = instantiate("pinning", Lattice(1, (2,), "open"))
+        fold = CellFold([observable_from_string("Z@0", model.lattice)], np.zeros((1, 2)),
+                        [math.inf], self._plan(model, r=0, gamma=0.5), model.family)
+        with pytest.raises(EmptyCellError):
+            predict(fold, 0)

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import shadows_reference
 from conftest import Z, full_state, random_density
+from learning_reference import joined, row_slice
 from phaselearn import shadows
 from phaselearn.errors import ConfigError, NumericalError
 from phaselearn.lattice import Lattice
@@ -95,13 +96,23 @@ def training_sets(draw, max_rows=40):
         mode="steady_state" if steady else "general_phase", seed=N)
 
 
+def _read(fileobj) -> TrainingSet:
+    """read_shadows' chunks joined into one TrainingSet; each chunk holds at
+    most ``_CHUNK_ROWS`` records."""
+    chunks = list(read_shadows(fileobj))
+    assert all(0 < len(chunk) <= shadows._CHUNK_ROWS for chunk in chunks)
+    return joined(chunks)
+
+
 def _read_outcome(read, text):
-    """read(text)'s five columns and metadata, or the type and text of what
-    it raised."""
+    """read(text)'s five columns and metadata, "no records" for a file
+    without records, or the type and text of what it raised."""
     try:
         ts = read(io.StringIO(text))
     except Exception as exc:  # compared, type and text, with the other reader's
         return type(exc).__name__, str(exc)
+    if not len(ts):  # the chunked reader yields nothing, so no metadata, for no records
+        return "no records"
     return ([getattr(ts, name).tobytes() for name in ("bases", "outcomes", "X", "taus", "omegas")],
             ts.X.shape, ts.bases.shape, ts.model_name, ts.lattice_json, ts.mode, ts.seed)
 
@@ -217,8 +228,11 @@ class TestMeasurement:
     def test_chunked_draw_matches_philox_blocks(self, data, key, n, row, rows, chunk):
         # row i of the stream is Philox blocks [i B, (i + 1) B) whatever the chunking
         bloch = data.draw(hnp.arrays(float, (rows, n, 3), elements=unit_floats))
-        with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
-            bases, outcomes = measure_snapshot_product(bloch, key)
+        # measured a chunk at a time, each call from the stream row of its first row
+        parts = [measure_snapshot_product(bloch[lo:lo + chunk], key, lo)
+                 for lo in range(0, rows, chunk)]
+        bases = np.concatenate([b for b, _ in parts]) if parts else np.empty((0, n))
+        outcomes = np.concatenate([o for _, o in parts]) if parts else np.empty((0, n))
         for i in range(rows):
             ref_bases, ref_uniforms = _philox_row(key, i, n)
             assert bases[i].tolist() == ref_bases
@@ -388,9 +402,9 @@ class TestShadowFile:
                       model_name="pinning", lattice_json="{}", mode="general_phase",
                       seed=11)
         buf = io.StringIO()
-        write_shadows(buf, ts)
+        write_shadows(buf, [ts])
         buf.seek(0)
-        back = read_shadows(buf)
+        back = _read(buf)
         assert back.model_name == "pinning"
         assert back.mode == "general_phase"
         assert back.seed == 11 and back.X.shape == (7, 5)
@@ -407,7 +421,7 @@ class TestShadowFile:
                       model_name="pinning", lattice_json='{"dim": 1}',
                       mode="general_phase", seed=2**63 + 5)
         first = io.StringIO()
-        write_shadows(first, ts)
+        write_shadows(first, [ts])
         second = io.StringIO()
         write_shadows(second, read_shadows(io.StringIO(first.getvalue())))
         assert second.getvalue() == first.getvalue()
@@ -419,20 +433,24 @@ class TestShadowFile:
     @settings(max_examples=60, deadline=None)
     def test_random_byte_roundtrip(self, ts, chunk):
         # write -> read -> write is byte-identical across chunk boundaries, and
-        # the writer's bytes are the record-at-a-time reference writer's
+        # the writer's bytes are the record-at-a-time reference writer's, whether
+        # it is handed the whole set or its chunks
         N = len(ts)
+        pieces = [row_slice(ts, lo, lo + chunk) for lo in range(0, N, chunk)] or [ts]
         with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
             first = io.StringIO()
-            write_shadows(first, ts)
+            write_shadows(first, [ts])
+            chunked = io.StringIO()
+            write_shadows(chunked, pieces)
             reference = io.StringIO()
             shadows_reference.write_shadows(reference, ts)
-            back = read_shadows(io.StringIO(first.getvalue()))
+            back = _read(io.StringIO(first.getvalue()))
             second = io.StringIO()
-            write_shadows(second, back)
-        assert first.getvalue() == reference.getvalue()
-        assert second.getvalue() == first.getvalue()
-        assert len(back) == N and back.X.shape == ts.X.shape
-        # an empty file does not record n, so its bases read back as (0, 0)
+            write_shadows(second, read_shadows(io.StringIO(first.getvalue())))
+        assert first.getvalue() == reference.getvalue() == chunked.getvalue()
+        # a file without records reads back as no chunks, so the header alone
+        assert second.getvalue() == first.getvalue() if N else second.getvalue() == ""
+        assert len(back) == N
         for name in ("bases", "outcomes", "X", "taus", "omegas") if N else ():
             assert np.array_equal(getattr(ts, name), getattr(back, name)), name
 
@@ -443,7 +461,7 @@ class TestShadowFile:
         # fields replaced, the byte-block reader returns the reference
         # reader's arrays or raises the same error with the same text
         buf = io.StringIO()
-        write_shadows(buf, ts)
+        write_shadows(buf, [ts])
         lines = buf.getvalue().split("\n")
         for _ in range(data.draw(st.integers(0, 3))):
             at = data.draw(st.integers(0, len(lines) - 1))
@@ -461,7 +479,7 @@ class TestShadowFile:
                 lines[at] = " ".join(fields)
         text = "\n".join(lines)
         with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
-            ours = _read_outcome(read_shadows, text)
+            ours = _read_outcome(_read, text)
             theirs = _read_outcome(shadows_reference.read_shadows, text)
         assert ours == theirs
 
@@ -472,7 +490,7 @@ class TestShadowFile:
     ], ids=["version_1", "negative_m", "huge_m"])
     def test_bad_header_rejected(self, header, what):
         with pytest.raises(ConfigError, match=what):
-            read_shadows(io.StringIO(header + "\n- inf 0 Z 0 7\n"))
+            _read(io.StringIO(header + "\n- inf 0 Z 0 7\n"))
 
     @pytest.mark.parametrize("record, what", [
         ("0000000000000000 inf 0 ZZ 02", "outcome bits"),
@@ -496,7 +514,7 @@ class TestShadowFile:
     def test_malformed_record_rejected(self, record, what):
         text = "# m 1\n0000000000000000 inf 0 XY 01\n" + record + "\n"
         with pytest.raises(ConfigError, match=what) as err:
-            read_shadows(io.StringIO(text))
+            _read(io.StringIO(text))
         assert "line 3" in str(err.value)
 
     @given(body=st.lists(st.sampled_from([None, None, None, *BAD_LINES]), max_size=12),
@@ -511,10 +529,10 @@ class TestShadowFile:
         bad = [i for i, line in enumerate(body) if line is not None]
         with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
             if not bad:
-                assert len(read_shadows(io.StringIO(text))) == len(lines) - 1
+                assert len(_read(io.StringIO(text))) == len(lines) - 1
                 return
             with pytest.raises(ConfigError, match=f"^shadows line {bad[0] + 3}:"):
-                read_shadows(io.StringIO(text))
+                _read(io.StringIO(text))
 
     @pytest.mark.parametrize("line", [shadows._CHUNK_ROWS, shadows._CHUNK_ROWS + 1],
                              ids=["last_of_first_chunk", "first_of_second_chunk"])
@@ -524,12 +542,12 @@ class TestShadowFile:
         ts = _columns(np.zeros((N, 2), np.int8), np.ones((N, 2), np.int8),
                       np.full((N, 1), 0.5))
         buf = io.StringIO()
-        write_shadows(buf, ts)
+        write_shadows(buf, [ts])
         lines = buf.getvalue().split("\n")
-        assert len(read_shadows(io.StringIO(buf.getvalue()))) == N
+        assert len(_read(io.StringIO(buf.getvalue()))) == N
         lines[line - 1] = "000000000000e03f inf 0 XY 02"
         with pytest.raises(ConfigError, match=f"^shadows line {line}: .*outcome bits"):
-            read_shadows(io.StringIO("\n".join(lines)))
+            _read(io.StringIO("\n".join(lines)))
 
     def test_tags_read_as_python_reads_them(self):
         # float and int take Unicode digits, underscores and surrounding
@@ -537,7 +555,7 @@ class TestShadowFile:
         # differ only in a non-ASCII digit
         text = ("# mode general_phase\n- \u0661.5 0 XY 01\n- \u0662.5 1_0 XY 01\n"
                 "- 1_0.5 \u0663 XY 01\n- \u00a02.5 0 XY 01\n")
-        ts = read_shadows(io.StringIO(text))
+        ts = _read(io.StringIO(text))
         assert ts.taus.tolist() == [1.5, 2.5, 10.5, 2.5]
         assert ts.omegas.tolist() == [0, 10, 3, 0]
 
@@ -545,13 +563,13 @@ class TestShadowFile:
     def test_bad_evolve_tau_rejected(self, tau):
         text = f"# mode general_phase\n- 0.5 0 XY 01\n- {tau} 0 ZZ 01\n"
         with pytest.raises(ConfigError, match="line 3: tau must be finite and >= 0"):
-            read_shadows(io.StringIO(text))
+            _read(io.StringIO(text))
 
     def test_format_line_shape(self):
         bases, outcomes = measure_snapshot(DensityMatrix(np.eye(4) / 4, 2), 5)
         ts = _columns([bases], [outcomes], [[0.5, -0.25]])
         buf = io.StringIO()
-        write_shadows(buf, ts)
+        write_shadows(buf, [ts])
         assert buf.getvalue().startswith("# phaselearn-shadows v2\n")
         record = [l for l in buf.getvalue().split("\n") if l and not l.startswith("#")][0]
         xhex, tau, omega, basis, bits = record.split(" ")
@@ -562,10 +580,18 @@ class TestShadowFile:
         assert len(bits) == 2 and set(bits) <= set("01")
 
     def test_prefix_subset(self):
+        # records come back chunk after chunk in file order, so the first s
+        # records read are the first s written: a sweep size's prefix
         ts = _columns([[2]] * 5, [[1]] * 5, np.zeros((5, 0)), omegas=[0, 1, 2, 3, 4])
-        sub = ts.subset(3)
-        assert len(sub) == 3
-        assert list(sub.omegas) == [0, 1, 2] and sub.X.shape == (3, 0)
+        buf = io.StringIO()
+        write_shadows(buf, [ts])
+        with mock.patch.object(shadows, "_CHUNK_ROWS", 2):
+            chunks = list(read_shadows(io.StringIO(buf.getvalue())))
+        # the header's six lines fill the first three chunks of lines
+        assert [len(chunk) for chunk in chunks] == [2, 2, 1]
+        sub = joined(chunks[:2])
+        assert len(sub) == 4
+        assert list(sub.omegas) == [0, 1, 2, 3] and sub.X.shape == (4, 0)
 
 
 class TestLocalEstimates:
