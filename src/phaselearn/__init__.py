@@ -62,7 +62,7 @@ from .learner import (
     coverage_report,
     plan,
     predict,
-    select_cell,
+    restricted_distance,
 )
 from .diagnostics import (
     DecayFit,

@@ -285,7 +285,7 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
         raise ConfigError(f"predict stage needs plan.json and training.shadows in {out}")
     test_x, test_t = sample_parameters(model, cfg.n_test, p.t_eps,
                                        stream_seed(cfg.seed, "test_points"))
-    fold = CellFold(observables, test_x, test_t, p, model.family, cfg.sweep or ())
+    fold = CellFold(observables, test_x, test_t, p, model.family)
     regions = [enlarge(cfg.lattice, o.support, p.r) for o in observables]
     counts = CoverageCounts(p.gamma, regions, model.family, t_eps=p.t_eps)
     with open(train_path) as fh:

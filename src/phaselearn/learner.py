@@ -28,11 +28,12 @@ cell degrades to the single nearest sample with a warning.  Ties break toward
 the lowest sample index everywhere.
 
 The training set streams past in chunks.  :class:`CellFold` keeps, per test
-point and term, only the cell's (basis, outcome) values on the term's support
-and, while a cell is empty, the nearest sample so far; :class:`CoverageCounts`
-keeps the occupied cells' counts.  The cell of the first s samples is a prefix
-of the whole set's cell, so one pass serves the run and every sweep size, and
-memory does not grow with N beyond the cells themselves.
+point and term, only the cell's rows and their (basis, outcome) values on the
+term's support, and the running nearest samples before the cell's first row;
+:class:`CoverageCounts` keeps the occupied cells' counts.  The cell of the
+first s samples is the whole cell's rows below s, so one pass answers every
+prefix (the run and every sweep size), and memory does not grow with N beyond
+the cells themselves.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ __all__ = [
     "LearnerPlan",
     "Prediction",
     "plan",
-    "select_cell",
+    "restricted_distance",
     "CellFold",
     "predict",
     "CoverageCounts",
@@ -283,28 +284,19 @@ def plan(epsilon: float, delta: float, delta_prime: float,
     )
 
 
-def select_cell(x_values: np.ndarray, t: float, tags: np.ndarray, taus: np.ndarray,
-                gamma: float) -> tuple[np.ndarray, float | None]:
-    """The rows within restricted distance gamma of (x, t), and None; or, when
-    none is, the nearest row alone and its distance.
+def restricted_distance(x_values: np.ndarray, t: float, tags: np.ndarray,
+                        taus: np.ndarray) -> np.ndarray:
+    """The distance of each row from the target (x, t).
 
     ``tags`` holds the rows' tags on the patch coordinates and ``x_values``
     the target's.  The distance of row i is max_j |tags[i, j] - x_j|, and
     also |taus[i] - t| when t is finite: a steady state is t = inf, where time
-    does not count.  Ties resolve to the lowest row.
+    does not count.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if len(taus) == 0:
-        raise EmptyCellError("training set is empty")
     dist = np.abs(tags - x_values).max(axis=1, initial=0.0)
     if math.isfinite(t):
         dist = np.maximum(dist, np.abs(taus - t))
-    cell = np.flatnonzero(dist <= gamma)
-    if cell.size:
-        return cell, None
-    idx = int(np.argmin(dist))
-    return np.array([idx]), float(dist[idx])
+    return dist
 
 
 @dataclass(frozen=True)
@@ -318,41 +310,36 @@ class Prediction:
 
 
 class _Cell:
-    """The cell of the target (x, t) for one term, folded a chunk at a time:
-    its samples' (basis, outcome) values on the term's sites, in row order,
-    and per size limit its count of samples below the limit and, while that
-    is 0, the nearest sample below the limit as (distance, row, bases,
-    outcomes).  ``x`` holds the target's patch coordinates."""
+    """The cell of the target (x, t) for one term, folded a chunk at a time,
+    so that it answers every prefix of the training set: its rows, ascending,
+    and their (basis, outcome) values on the term's sites, one array per
+    chunk; and, over the rows before its first row, the strict running minima
+    of the distance as (distance, row, bases, outcomes), the nearest sample of
+    every prefix the cell misses.  ``x`` holds the target's patch coordinates."""
 
-    def __init__(self, x: np.ndarray, t: float, sites: list[int], limits: list[float]):
+    def __init__(self, x: np.ndarray, t: float, sites: list[int]):
         self.x, self.t, self.sites = x, t, sites
+        self.rows: list[np.ndarray] = []
         self.bases: list[np.ndarray] = []
         self.outcomes: list[np.ndarray] = []
-        self.counts = dict.fromkeys(limits, 0)
-        self.nearest: dict[float, tuple] = {}
+        self.nearest: list[tuple] = []
 
     def add(self, chunk: TrainingSet, lo: int, tags: np.ndarray, gamma: float) -> None:
         """Fold in ``chunk``, the rows from ``lo`` on, whose patch tags are ``tags``."""
-        cell, dist = select_cell(self.x, self.t, tags, chunk.taus, gamma)
-        if dist is None:
+        dist = restricted_distance(self.x, self.t, tags, chunk.taus)
+        cell = np.flatnonzero(dist <= gamma)
+        if not self.rows:
+            # rows before the cell's first: a strict < keeps the lowest row on ties
+            head = dist[:cell[0] if cell.size else len(dist)]
+            best = self.nearest[-1][0] if self.nearest else math.inf
+            below = np.minimum.accumulate(np.r_[best, head])[:-1]  # min(best, head[:i])
+            for i in np.flatnonzero(head < below):
+                self.nearest.append((float(head[i]), lo + int(i), chunk.bases[i, self.sites],
+                                     chunk.outcomes[i, self.sites]))
+        if cell.size:
+            self.rows.append(lo + cell)
             self.bases.append(chunk.bases[np.ix_(cell, self.sites)])
             self.outcomes.append(chunk.outcomes[np.ix_(cell, self.sites)])
-        for limit in self.counts:
-            k = min(limit, lo + len(chunk)) - lo  # the chunk's rows below the limit
-            if k <= 0:
-                continue
-            if dist is None:
-                self.counts[limit] += int(np.searchsorted(cell, k))
-            if self.counts[limit]:
-                continue
-            # no sample below the limit lies in the cell: its nearest is the
-            # chunk's, unless that lies past the limit
-            near, d = ((cell, dist) if dist is not None and cell[0] < k else
-                       select_cell(self.x, self.t, tags[:k], chunk.taus[:k], gamma))
-            best = self.nearest.get(limit)
-            if best is None or d < best[0]:  # strict: a tie keeps the lower row
-                self.nearest[limit] = (d, lo + int(near[0]), chunk.bases[near[0], self.sites],
-                                       chunk.outcomes[near[0], self.sites])
 
 
 class CellFold:
@@ -361,21 +348,21 @@ class CellFold:
     held in memory is its one chunk.
 
     A term's patch is its support enlarged by the plan's radius r, and its
-    cell is :func:`select_cell` on the patch's coordinates.  ``sizes`` are
-    the training sizes, besides the whole set, that :func:`predict` is asked
-    for: the cell of the first s samples is the whole cell's rows below s.
+    cell is the rows within :func:`restricted_distance` gamma of the point on
+    the patch's coordinates.  The cell of the first s samples is the whole
+    cell's rows below s, so :func:`predict` answers every prefix.
     """
 
     def __init__(self, observables: Sequence[LocalObservable], X: np.ndarray,
-                 taus: np.ndarray, plan_: LearnerPlan, family: ParamLindbladian,
-                 sizes: Sequence[int] = ()):
+                 taus: np.ndarray, plan_: LearnerPlan, family: ParamLindbladian):
+        if not plan_.gamma > 0:
+            raise ValueError("gamma must be positive")
         self.observables = list(observables)
         self.gamma, self.delta_prime = plan_.gamma, plan_.delta_prime
         self.n_samples = 0
         self.indices = [family.coords_for_region(enlarge(family.lattice, obs.support, plan_.r))
                         for obs in self.observables]
-        limits = sorted({*sizes, math.inf})
-        self.cells = [[_Cell(x[indices], float(t), sorted(obs.support.sites), limits)
+        self.cells = [[_Cell(x[indices], float(t), sorted(obs.support.sites))
                        for obs, indices in zip(self.observables, self.indices)]
                       for x, t in zip(map(family.as_values, X), taus)]
 
@@ -391,25 +378,27 @@ class CellFold:
 def predict(fold: CellFold, point: int, size: int | None = None) -> Prediction:
     """Nearest-patch median-of-means prediction of sum_i tr[O_i rho(x, t)] at
     the fold's test point ``point``, from the first ``size`` samples folded
-    (all of them when None or at least their number; a smaller size must be
-    one of the fold's ``sizes``).
+    (all of them when None; a size past their number is all of them too).
 
     Per term: the cell's inverse-channel estimates and their median of means.
     An empty cell falls back to the single nearest sample and is flagged.
     """
     if fold.n_samples == 0:
         raise EmptyCellError("training set is empty")
-    limit = math.inf if size is None or size >= fold.n_samples else size
+    if size is not None and size < 1:
+        raise ValueError(f"a prediction needs at least 1 sample, got size {size}")
+    limit = fold.n_samples if size is None else size
     per_term: list[float] = []
     counts: list[int] = []
     warnings: list[str] = []
     for obs, cell in zip(fold.observables, fold.cells[point]):
-        k = cell.counts[limit]
+        k = int(np.searchsorted(np.concatenate(cell.rows), limit)) if cell.rows else 0
         if k:
             bases, outcomes = (np.concatenate(cell.bases)[:k],
                                np.concatenate(cell.outcomes)[:k])
         else:
-            dist, row, bases, outcomes = cell.nearest[limit]
+            # row 0 is in the cell or the first running minimum
+            dist, row, bases, outcomes = next(m for m in reversed(cell.nearest) if m[1] < limit)
             bases, outcomes = bases[None], outcomes[None]
             warnings.append(f"empty cell for {obs.label or obs.support.sites}; "
                             f"nearest sample {row} at distance {dist:.3g}")

@@ -341,9 +341,9 @@ class Superoperator:
     """The Schroedinger-picture generator of ``family`` at the point ``values``,
     as ``assemble`` makes it.
 
-    Its matrices are cached properties, each built from the family's term
-    blocks when first read: :attr:`matrix`, the Pauli transfer matrix T, and
-    :attr:`column_stacked`, the generator the integrators run on.
+    :attr:`column_stacked`, the generator the integrators run on, is a cached
+    property built from the family's term locals when first read; the steady
+    state is solved on the Pauli transfer matrix T (``steady_states``).
     """
 
     family: ParamLindbladian
@@ -356,17 +356,6 @@ class Superoperator:
     @property
     def hilbert_dim(self) -> int:
         return 2**self.n_sites
-
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """T, built as ``steady_states`` builds it (``_transfer_values``), with
-        the entries that are zero at this point dropped."""
-        fail = _FirstError(1)
-        values, indices, indptr = _transfer_values(self.family, self.values[None], fail)
-        fail.raise_first()
-        dim = self.hilbert_dim**2
-        # a copy: the pattern arrays are the family's scatter slot
-        return sp.csr_matrix(_pruned(values[0], indices, indptr), shape=(dim, dim), copy=True)
 
     @cached_property
     def column_stacked(self) -> sp.csr_matrix:
@@ -809,11 +798,12 @@ def steady_states(family: ParamLindbladian, X: np.ndarray) -> Iterator[DensityMa
     """The unique fixed point of the semigroup of ``family`` at each row of X,
     in row order, ``STEADY_CHUNK`` rows at a time.
 
-    A point's T is built as :attr:`Superoperator.matrix` builds it, for the
-    whole chunk at once (``_transfer_values``).  Row 0 of T is zero (to the
-    1e-10 that building T admits), so T with row 0 replaced by e0^T is
-    T' = T + e0 e0^T, nonsingular exactly when the kernel of T is simple;
-    then T' c = e0 / sqrt(D) gives the steady state's coefficients: T c = 0,
+    The chunk's T are built at once (``_transfer_values``), and a point's T
+    is its row of values without the entries that are zero there
+    (``_pruned``).  Row 0 of T is zero (to the 1e-10 that building T
+    admits), so T with row 0 replaced by e0^T is T' = T + e0 e0^T,
+    nonsingular exactly when the kernel of T is simple; then
+    T' c = e0 / sqrt(D) gives the steady state's coefficients: T c = 0,
     c_0 = 1/sqrt(D) makes the trace 1 and real coefficients make it
     Hermitian.  T's CSR arrays with that row are the CSC arrays of T'^T, so
     SuperLU factors T'^T once per point (threshold pivoting 0.1 in symmetric

@@ -6,7 +6,15 @@ import pytest
 import scipy.sparse as sp
 
 from phaselearn.lattice import Lattice, Region
-from phaselearn.lindblad import DensityMatrix, LindbladTerm, ParamLindbladian, Superoperator
+from phaselearn.lindblad import (
+    DensityMatrix,
+    LindbladTerm,
+    ParamLindbladian,
+    Superoperator,
+    _FirstError,
+    _pruned,
+    _transfer_values,
+)
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
 SP = SM.conj().T
@@ -53,11 +61,23 @@ def pauli_vec_basis(n: int) -> sp.csr_matrix:
                          shape=(D * D, D * D))
 
 
+def transfer_matrix(gen: Superoperator) -> sp.csr_matrix:
+    """The Pauli transfer matrix T of ``gen``, built as ``steady_states``
+    builds it (``_transfer_values``, then ``_pruned``): real CSR without the
+    entries that are zero at this point."""
+    fail = _FirstError(1)
+    values, indices, indptr = _transfer_values(gen.family, gen.values[None], fail)
+    fail.raise_first()
+    dim = gen.hilbert_dim**2
+    # a copy: the pattern arrays are the family's scatter slot
+    return sp.csr_matrix(_pruned(values[0], indices, indptr), shape=(dim, dim), copy=True)
+
+
 def vec_generator(gen: Superoperator) -> sp.csr_matrix:
     """The generator on column-stacked vec(rho), V T V^dag, from its Pauli
     transfer matrix T (sparse; ``.toarray()`` for the dense matrix)."""
     V = pauli_vec_basis(gen.n_sites)
-    return (V @ gen.matrix @ V.conj().T).tocsr()
+    return (V @ transfer_matrix(gen) @ V.conj().T).tocsr()
 
 
 def full_state(oracle, x: np.ndarray, tau: float, family: ParamLindbladian) -> DensityMatrix:

@@ -250,7 +250,7 @@ def test_criterion_08_estimator_locality_invariant(learning_bundle):
     outside = [c for c in range(model.family.m) if c not in patch_coords]
     rng = np.random.default_rng(800)
     test_x = np.random.default_rng(801).uniform(-1, 1, (10, model.family.m))
-    folds = [CellFold(obs, test_x, [np.inf] * 10, p, model.family, sizes=[20_000])
+    folds = [CellFold(obs, test_x, [np.inf] * 10, p, model.family)
              for _ in range(2)]
     with open(out / "training.shadows") as fh:
         for chunk in read_shadows(fh):

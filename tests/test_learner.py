@@ -20,7 +20,7 @@ from phaselearn.learner import (
     coverage_report,
     plan,
     predict,
-    select_cell,
+    restricted_distance,
 )
 from phaselearn.models import instantiate
 from phaselearn.shadows import TrainingSet, median_of_means, snapshot_local_matrix
@@ -40,9 +40,41 @@ def _tag_training(xs, taus=None, m=None):
     )
 
 
-def _select(x, t, tr, indices, gamma):
-    """select_cell on the training set's tags on ``indices``."""
-    return select_cell(x[indices], t, tr.X[:, indices], tr.taus, gamma)
+def _distance(x, t, tr, indices):
+    """restricted_distance of the training set's rows on ``indices``."""
+    return restricted_distance(x[indices], t, tr.X[:, indices], tr.taus)
+
+
+def _fold(x, t, tr, gamma):
+    """A one-point fold of ``tr`` whose patch is every tag coordinate: a
+    pinning chain with one coordinate per site, its radius the chain's length,
+    and the term Z@0 read from the placeholder snapshots' first column."""
+    m = tr.X.shape[1]
+    model = instantiate("pinning", Lattice(1, (m,), "open"))
+    p = replace(plan(0.6, 0.1, 0.1, SMALL, "steady_state", n_cap=10**6), r=m, gamma=gamma)
+    fold = CellFold([observable_from_string("Z@0", model.lattice)], [x], [t], p, model.family)
+    fold.add(tr)
+    return fold
+
+
+def _cell_rows(fold):
+    """The rows of the fold's one cell, read off predict at every prefix: a row
+    is in the cell when the prefix ending at it counts one more cell sample."""
+    rows, before = [], 0
+    for s in range(1, fold.n_samples + 1):
+        pred = predict(fold, 0, s)
+        k = 0 if pred.warnings else pred.counts[0]
+        if k > before:
+            rows.append(s - 1)
+        before = k
+    return rows
+
+
+def _fallback(pred):
+    """The (row, distance) that an empty cell's warning names."""
+    (warning,) = pred.warnings
+    words = warning.split("; ")[1].split()  # nearest sample <row> at distance <dist>
+    return int(words[2]), float(words[5])
 
 
 def _predict(observables, x, t, tr, p, family):
@@ -60,11 +92,16 @@ def _coverage(tr, gamma, regions, family, q=1, t_eps=None):
 
 
 def _nearest(x, t, tr, indices):
-    """The nearest sample by select_cell: a cell too narrow for anything but
-    exact hits is empty or holds exact hits only, the lowest of which is the
-    nearest sample too."""
-    cell, _ = _select(x, t, tr, indices, 1e-300)
-    return int(cell[0])
+    """The nearest sample by restricted_distance, the lowest row on ties."""
+    return int(np.argmin(_distance(x, t, tr, indices)))
+
+
+def _cell(x, t, tr, indices, gamma):
+    """The rows within gamma of (x, t) on ``indices`` or, when none is, the
+    nearest row alone."""
+    dist = _distance(x, t, tr, indices)
+    cell = np.flatnonzero(dist <= gamma)
+    return cell if cell.size else np.array([np.argmin(dist)])
 
 
 class TestPlan:
@@ -161,15 +198,18 @@ class TestNearestPatch:
         rng = np.random.default_rng(0)
         xs = rng.uniform(-1, 1, size=(20, 6))
         tr = _tag_training(xs)
-        cell, dist = _select(xs[7], math.inf, tr, np.arange(6), 1e-12)
-        assert cell.tolist() == [7] and dist is None
+        fold = _fold(xs[7], math.inf, tr, 1e-12)
+        assert _cell_rows(fold) == [7] and not predict(fold, 0).warnings
         assert _nearest(xs[7], math.inf, tr, np.arange(6)) == 7
 
     def test_tie_breaks_to_lowest_index(self):
         xs = [np.zeros(3), np.full(3, 0.5), np.full(3, 0.5)]
         tr = _tag_training(xs)
-        cell, dist = _select(np.full(3, 0.6), math.inf, tr, np.arange(3), 0.05)
-        assert cell.tolist() == [1] and dist == pytest.approx(0.1)
+        assert _distance(np.full(3, 0.6), math.inf, tr, np.arange(3)) == pytest.approx(
+            [0.6, 0.1, 0.1])
+        pred = predict(_fold(np.full(3, 0.6), math.inf, tr, 0.05), 0)
+        row, dist = _fallback(pred)
+        assert row == 1 and dist == pytest.approx(0.1) and pred.counts == (1,)
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(1)
@@ -177,13 +217,12 @@ class TestNearestPatch:
         tr = _tag_training(xs)
         indices = np.array([0, 3, 4, 7, 8, 11])
         target = rng.uniform(-1, 1, 12)
-        cell, dist = _select(target, math.inf, tr, indices, 1e-12)
-        brute = min(
-            range(100),
-            key=lambda k: np.max(np.abs(xs[k][indices] - target[indices])),
-        )
-        assert cell.tolist() == [brute]
-        assert dist == pytest.approx(np.max(np.abs(xs[brute][indices] - target[indices])))
+        dist = _distance(target, math.inf, tr, indices)
+        scan = [np.max(np.abs(xs[k][indices] - target[indices])) for k in range(100)]
+        brute = min(range(100), key=lambda k: scan[k])
+        assert dist.tolist() == scan
+        assert _nearest(target, math.inf, tr, indices) == brute
+        assert dist[brute] == pytest.approx(np.max(np.abs(xs[brute][indices] - target[indices])))
 
     def test_argmin_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(2)
@@ -200,45 +239,53 @@ class TestNearestPatch:
         # a finite target time counts |tau - t|
         xs = [np.zeros(2), np.zeros(2)]
         tr = _tag_training(xs, taus=[0.1, 2.0])
-        cell, dist = _select(np.zeros(2), 1.9, tr, np.arange(2), 0.05)
-        assert cell.tolist() == [1] and dist == pytest.approx(0.1)
+        assert _distance(np.zeros(2), 1.9, tr, np.arange(2)) == pytest.approx([1.8, 0.1])
+        assert _distance(np.zeros(2), math.inf, tr, np.arange(2)).tolist() == [0.0, 0.0]
+        row, dist = _fallback(predict(_fold(np.zeros(2), 1.9, tr, 0.05), 0))
+        assert row == 1 and dist == pytest.approx(0.1)
 
     def test_empty_training(self):
         tr = _tag_training(np.zeros((0, 2)), m=2)
+        assert _distance(np.zeros(2), math.inf, tr, np.arange(2)).shape == (0,)
+        fold = _fold(np.zeros(2), math.inf, tr, 0.5)
         with pytest.raises(EmptyCellError):
-            _select(np.zeros(2), math.inf, tr, np.arange(2), 0.5)
+            predict(fold, 0)
 
 
 class TestSelectCell:
+    """The cell is every row within restricted distance gamma, in row order."""
+
     def test_gamma_two_selects_all(self):
         rng = np.random.default_rng(3)
         xs = rng.uniform(-1, 1, size=(40, 4))
         tr = _tag_training(xs)
-        cell, _ = _select(rng.uniform(-1, 1, 4), math.inf, tr, np.arange(4), 2.0)
-        assert len(cell) == 40
+        target = rng.uniform(-1, 1, 4)
+        assert (_distance(target, math.inf, tr, np.arange(4)) <= 2.0).all()
+        pred = predict(_fold(target, math.inf, tr, 2.0), 0)
+        assert pred.counts == (40,) and not pred.warnings
 
     def test_tiny_gamma_picks_duplicates(self):
         x = np.array([0.3, -0.4])
         xs = [x, x + 0.5, x.copy(), x - 0.7]
         tr = _tag_training(xs)
-        got, _ = _select(x, math.inf, tr, np.arange(2), 1e-12)
-        assert list(got) == [0, 2]
+        assert _cell_rows(_fold(x, math.inf, tr, 1e-12)) == [0, 2]
 
     def test_selected_fraction_binomial(self):
         rng = np.random.default_rng(4)
         n, m_r, gamma = 10_000, 4, 0.5
         xs = rng.uniform(-1, 1, size=(n, m_r))
         tr = _tag_training(xs)
-        got, _ = _select(np.zeros(m_r), math.inf, tr, np.arange(m_r), gamma)
+        pred = predict(_fold(np.zeros(m_r), math.inf, tr, gamma), 0)
+        (got,) = pred.counts
         p = gamma**m_r
         sigma = math.sqrt(n * p * (1 - p))
-        assert abs(len(got) - n * p) <= 3 * sigma
+        assert not pred.warnings and abs(got - n * p) <= 3 * sigma
 
     def test_time_window_in_general_mode(self):
         xs = [np.zeros(1)] * 3
         tr = _tag_training(xs, taus=[0.1, 0.5, 3.0])
-        got, _ = _select(np.zeros(1), 0.4, tr, np.arange(1), 0.2)
-        assert list(got) == [1]
+        assert _distance(np.zeros(1), 0.4, tr, np.arange(1)) == pytest.approx([0.3, 0.1, 2.6])
+        assert _cell_rows(_fold(np.zeros(1), 0.4, tr, 0.2)) == [1]
 
     @given(data=st.data(), timed=st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -265,13 +312,20 @@ class TestSelectCell:
             return max(d, abs(taus[i] - t)) if timed else d
 
         dists = [distance(i) for i in range(N)]
-        cell, dist = _select(x, t, tr, indices, gamma)
+        assert _distance(x, t, tr, indices).tolist() == dists
+        # the fold's patch is every coordinate: the tags on ``indices``, and
+        # a column on which every row sits at the target
+        patch = _tag_training(np.column_stack([X[:, indices], np.zeros(N)]), taus=taus,
+                              m=len(indices) + 1)
+        fold = _fold(np.r_[x[indices], 0.0], t, patch, gamma)
         expect = [i for i in range(N) if dists[i] <= gamma]
         if expect:
-            assert cell.tolist() == expect and dist is None
+            assert _cell_rows(fold) == expect and not predict(fold, 0).warnings
         else:
             best = min(range(N), key=lambda i: (dists[i], i))
-            assert cell.tolist() == [best] and dist == dists[best]
+            pred = predict(fold, 0)
+            assert _fallback(pred)[0] == best and pred.counts == (1,)
+            assert pred.warnings[0].endswith(f"at distance {dists[best]:.3g}")
 
 
 def _pinning_training(n, N, seed, gamma_spread=None):
@@ -427,7 +481,7 @@ class TestPredict:
         for gamma in (0.8, 0.4, 0.15):
             errs = []
             for xt in (rng.uniform(-1, 1, 6) for _ in range(40)):
-                cell, _ = _select(xt, math.inf, tr, idx, gamma)
+                cell = _cell(xt, math.inf, tr, idx, gamma)
                 est = float(np.mean([
                     pin.oracle.expectation(xs[j], math.inf, obs6) for j in cell
                 ]))
@@ -516,9 +570,20 @@ def _chunks(tr, size):
     return [learning_reference.row_slice(tr, lo, lo + size) for lo in range(0, len(tr), size)]
 
 
+def _check_every_prefix(fold, tr, obs, xs, ts, p, family):
+    """Every prefix size, past N too, and None give the whole-array
+    reference's prediction from that prefix, at every test point."""
+    N = len(tr)
+    for i in range(len(xs)):
+        for size in [None, *range(1, N + 3)]:
+            want = learning_reference.predict(
+                obs, xs[i], ts[i], learning_reference.row_slice(tr, 0, size or N), p, family)
+            assert predict(fold, i, size) == want, (i, size)
+
+
 class TestCellFold:
     """Folding a training set a chunk at a time gives the whole-array
-    predictor's predictions at every size, and its coverage counts."""
+    predictor's predictions at every prefix, and its coverage counts."""
 
     def _plan(self, model, r, gamma):
         sc = model.structural_constants()
@@ -543,18 +608,36 @@ class TestCellFold:
                                          min_size=points, max_size=points)))
         ts = data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.5]) if timed else st.just(math.inf),
                                 min_size=points, max_size=points))
-        # sizes that end mid-chunk, on a chunk border and past N
-        sizes = data.draw(st.lists(st.integers(1, N + 5), max_size=4))
-        fold = CellFold(obs, xs, ts, p, model.family, sizes)
+        fold = CellFold(obs, xs, ts, p, model.family)
         for piece in _chunks(tr, chunk):
             fold.add(piece)
         assert fold.n_samples == N
-        for i in range(points):
-            for size in [None, *sizes]:
-                want = learning_reference.predict(
-                    obs, xs[i], ts[i], learning_reference.row_slice(tr, 0, size or N), p,
-                    model.family)
-                assert predict(fold, i, size) == want, (i, size)
+        # no size is declared: prefixes end mid-chunk, on a chunk border and past N
+        _check_every_prefix(fold, tr, obs, xs, ts, p, model.family)
+
+    @pytest.mark.parametrize("tags,chunk,nearest", [
+        # distances fall strictly: every row before the cell is a running minimum
+        ([0.9, -0.8, 0.7, -0.6, 0.5, 0.4, -0.3, 0.2, 0.1, 0.01], 3, list(range(9))),
+        # the cell's first row, 2, comes mid-chunk; row 3 is nearer than row 0
+        # but comes after the cell's first row
+        ([0.5, 0.6, 0.02, 0.3, 0.01, 0.7, -0.04], 4, [0, 0]),
+        # rows 1 and 2 tie across a chunk border: the lower one stays nearest
+        ([0.5, 0.3, -0.3, 0.3, 0.8, 0.0], 2, [0, 1, 1, 1, 1]),
+    ])
+    def test_prefixes_of_constructed_orders(self, tags, chunk, nearest):
+        model = instantiate("pinning", Lattice(1, (1,), "open"))
+        p = self._plan(model, r=0, gamma=0.05)
+        N = len(tags)
+        tr = TrainingSet(np.full((N, 1), 2), np.array([[1 - 2 * (k % 2)] for k in range(N)]),
+                         np.array(tags)[:, None], taus=[math.inf] * N, omegas=[0] * N)
+        obs = [observable_from_string("Z@0", model.lattice)]
+        fold = CellFold(obs, np.zeros((1, 1)), [math.inf], p, model.family)
+        for piece in _chunks(tr, chunk):
+            fold.add(piece)
+        # the nearest row named at each prefix before the cell's first row
+        assert [_fallback(predict(fold, 0, s))[0] for s in range(1, len(nearest) + 1)] == nearest
+        assert not predict(fold, 0, len(nearest) + 1).warnings
+        _check_every_prefix(fold, tr, obs, np.zeros((1, 1)), [math.inf], p, model.family)
 
     @given(data=st.data(), timed=st.booleans(), chunk=st.integers(1, 7),
            gamma=st.sampled_from([0.15, 0.5, 0.7, 2.0]), q=st.integers(1, 3))
@@ -584,8 +667,7 @@ class TestCellFold:
         tr = TrainingSet(np.full((6, 1), 2), np.array([[1], [-1], [1], [1], [-1], [1]]), X,
                          taus=[math.inf] * 6, omegas=[0] * 6)
         obs = [observable_from_string("Z@0", model.lattice)]
-        fold = CellFold(obs, np.array([[0.0], [0.9]]), [math.inf] * 2, p, model.family,
-                        sizes=[1, 3, 5])
+        fold = CellFold(obs, np.array([[0.0], [0.9]]), [math.inf] * 2, p, model.family)
         for piece in _chunks(tr, 2):
             fold.add(piece)
         nearest = [predict(fold, 0, size).warnings for size in (1, 3, 5, None)]
@@ -608,3 +690,17 @@ class TestCellFold:
                         [math.inf], self._plan(model, r=0, gamma=0.5), model.family)
         with pytest.raises(EmptyCellError):
             predict(fold, 0)
+
+    def test_size_below_one_and_gamma_zero_raise(self):
+        model = instantiate("pinning", Lattice(1, (2,), "open"))
+        obs = [observable_from_string("Z@0", model.lattice)]
+        fold = CellFold(obs, np.zeros((1, 2)), [math.inf], self._plan(model, r=0, gamma=0.5),
+                        model.family)
+        fold.add(_tag_training(np.zeros((3, 2))))
+        assert predict(fold, 0, 1).counts == (1,)
+        for size in (0, -1):
+            with pytest.raises(ValueError, match="at least 1 sample"):
+                predict(fold, 0, size)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            CellFold(obs, np.zeros((1, 2)), [math.inf], self._plan(model, r=0, gamma=0.0),
+                     model.family)

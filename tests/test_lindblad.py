@@ -19,6 +19,7 @@ from conftest import (
     pauli_vec_basis,
     random_density,
     random_two_site_family,
+    transfer_matrix,
     vec_generator,
 )
 from phaselearn import lindblad
@@ -100,7 +101,8 @@ def _term_triplets(family: ParamLindbladian, ti: int, x: np.ndarray) -> tuple:
 def _outcome(family: ParamLindbladian, x: np.ndarray) -> list:
     """The bytes of T at x and of its steady state, or the error type."""
     gen = assemble(family, x)
-    out = [gen.matrix.indptr.tobytes(), gen.matrix.indices.tobytes(), gen.matrix.data.tobytes()]
+    T = transfer_matrix(gen)
+    out = [T.indptr.tobytes(), T.indices.tobytes(), T.data.tobytes()]
     try:
         out.append(steady_state(gen).data.tobytes())
     except (DegenerateSteadyStateError, NumericalError) as exc:
@@ -137,7 +139,7 @@ class TestAssemble:
         lat = Lattice(1, (2,))
         term = LindbladTerm(Region((0,)), (), lambda xs: (None, []), "null")
         gen = assemble(ParamLindbladian(lat, [term]), np.zeros(0))
-        assert gen.matrix.nnz == 0
+        assert transfer_matrix(gen).nnz == 0
 
     def test_amplitude_damping_spectrum(self):
         # hand-computed 4x4 generator for the jump sigma-minus at rate 1:
@@ -150,7 +152,7 @@ class TestAssemble:
         rng = np.random.default_rng(0)
         fam = random_two_site_family(rng)
         x = rng.uniform(-1, 1, fam.m)
-        total = assemble(fam, x).matrix
+        total = transfer_matrix(assemble(fam, x))
         acc = None
         for ti, term in enumerate(fam.terms):
             rows, cols, data = _term_triplets(fam, ti, x)
@@ -162,7 +164,7 @@ class TestAssemble:
         rng = np.random.default_rng(1)
         fam = random_two_site_family(rng)
         gen = assemble(fam, rng.uniform(-1, 1, fam.m))
-        assert np.abs(gen.matrix[0].toarray()).max() <= 1e-10
+        assert np.abs(transfer_matrix(gen)[0].toarray()).max() <= 1e-10
 
     def test_out_of_bounds_rejected(self):
         fam = amplitude_damping_family()
@@ -183,7 +185,8 @@ class TestAssemble:
         assert np.abs(vec_generator(gen).toarray() - ref).max() <= 1e-13
         assert np.abs(gen.column_stacked.toarray() - ref).max() <= 1e-13
         # terms that cancel leave no explicit zeros behind
-        assert gen.matrix.nnz == np.count_nonzero(gen.matrix.toarray())
+        T = transfer_matrix(gen)
+        assert T.nnz == np.count_nonzero(T.toarray())
 
     def test_no_roundoff_residue(self):
         # every stored entry of the TFIM n=4 transfer matrix is a structural
@@ -192,7 +195,7 @@ class TestAssemble:
         x = np.random.default_rng(12).uniform(-1, 1, fam.m)
         V = pauli_vec_basis(4).toarray()
         ref = V.conj().T @ _dense_generator(fam, x) @ V
-        got = assemble(fam, x).matrix
+        got = transfer_matrix(assemble(fam, x))
         assert got.nnz == np.count_nonzero(np.abs(ref) >= 1e-14 * np.abs(ref).max())
         assert np.abs(got.toarray() - ref).max() <= 1e-13
 
@@ -206,8 +209,8 @@ class TestAssemble:
         got = assemble(fam, x)
         with mock.patch.object(lindblad, "_kron", np.kron):
             ref = assemble(fam, x)
-            ref_stacked = ref.column_stacked
-        for a, b in ((got.matrix, ref.matrix), (got.column_stacked, ref_stacked)):
+            ref_t, ref_stacked = transfer_matrix(ref), ref.column_stacked
+        for a, b in ((transfer_matrix(got), ref_t), (got.column_stacked, ref_stacked)):
             for attr in ("indptr", "indices", "data"):
                 assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
 
@@ -219,7 +222,7 @@ class TestAssemble:
         fam = instantiate(name, Lattice(1, (n,), "open")).family
         rng = np.random.default_rng(n)
         for x in (np.zeros(fam.m), rng.uniform(-1, 1, fam.m), rng.uniform(-1, 1, fam.m)):
-            got = assemble(fam, x).matrix
+            got = transfer_matrix(assemble(fam, x))
             ref = lindblad._summed([_term_triplets(fam, ti, x) for ti in range(len(fam.terms))],
                                    4**fam.n_total, float)
             for attr in ("indptr", "indices", "data"):
@@ -237,7 +240,8 @@ class TestAssemble:
                   rng.uniform(-1, 1, used.m)]
         with mock.patch.object(lindblad, "_scatter_plan", wraps=lindblad._scatter_plan) as plan:
             for x in points:
-                got, want = assemble(used, x).matrix, assemble(fresh(), x).matrix
+                got, want = (transfer_matrix(assemble(used, x)),
+                             transfer_matrix(assemble(fresh(), x)))
                 for attr in ("indptr", "indices", "data"):
                     assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
         masks = [call.args[1] for call in plan.call_args_list if call.args[0] is used]
@@ -555,8 +559,9 @@ class TestSteadyState:
         x = np.random.default_rng(8).uniform(-1, 1, fresh().m)
         gen, ref = assemble(fresh(), x), assemble(fresh(), x)
         evolve(gen, DensityMatrix(np.eye(8) / 8, 3), 0.5)
+        got, want = transfer_matrix(gen), transfer_matrix(ref)
         for attr in ("indptr", "indices", "data"):
-            assert getattr(gen.matrix, attr).tobytes() == getattr(ref.matrix, attr).tobytes()
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
         assert steady_state(gen).data.tobytes() == steady_state(ref).data.tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1),
@@ -663,7 +668,8 @@ class TestSteadyStates:
             values, indices, indptr = lindblad._transfer_values(used, X[lo:lo + chunk], fail)
             assert fail.error is None
             for k, x in enumerate(X[lo:lo + chunk]):
-                got, want = lindblad._pruned(values[k], indices, indptr), assemble(ref, x).matrix
+                got = lindblad._pruned(values[k], indices, indptr)
+                want = transfer_matrix(assemble(ref, x))
                 assert got[0].tobytes() == want.data.tobytes()
                 assert np.array_equal(got[1], want.indices) and np.array_equal(got[2], want.indptr)
 

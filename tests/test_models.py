@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import X as X_PAULI
-from conftest import Y, Z, full_state, vec_generator
+from conftest import Y, Z, full_state, transfer_matrix, vec_generator
 from phaselearn.lattice import Lattice, observable_from_string
 from phaselearn.lindblad import assemble, evolve, steady_state, trace_norm
 from phaselearn.models import (
@@ -171,7 +171,7 @@ class TestCatalog:
         for _ in range(10):
             x = rng.uniform(-1, 1, fam.m)
             gen = assemble(fam, x)
-            assert np.abs(gen.matrix[0].toarray()).max() <= 1e-10  # T preserves the trace
+            assert np.abs(transfer_matrix(gen)[0].toarray()).max() <= 1e-10  # T preserves the trace
         assert fam.J > 0
 
     def test_ancilla_menu(self):
