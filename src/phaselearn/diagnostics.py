@@ -407,7 +407,8 @@ def stability_scan(family: ParamLindbladian, x, delta: float,
 
 def calibrate_constants(family: ParamLindbladian, x, x_prime,
                         obs: LocalObservable, rho0: DensityMatrix) -> dict:
-    """Measure (gamma', c', mu, xi) from the mixing and localisation scans.
+    """Measure gamma', c' and xi, the constants the plan reads, from the
+    mixing and localisation scans.
 
     The steady state at x is solved once, for the mixing scan.  Both scans
     integrate to rtol 1e-8; the mixing scan runs on ``DEFAULT_T_GRID`` and
@@ -427,11 +428,5 @@ def calibrate_constants(family: ParamLindbladian, x, x_prime,
     lr = lieb_robinson_scan(family, x, x_prime, obs, t=1.0, rtol=1e-8)
     mu_fit = math.inf if lr.all_below_floor else max(lr.rate, FLOOR)
     inv_xi = min(gamma_p, mu_fit / 2.0)
-    return {
-        "gamma_prime": float(gamma_p),
-        "c_prime": float(c_prime),
-        "mu_fit": float(mu_fit),
-        "xi": float(1.0 / inv_xi),
-        "mixing_fit": mix,
-        "lr_fit": lr,
-    }
+    return {"gamma_prime": float(gamma_p), "c_prime": float(c_prime),
+            "xi": float(1.0 / inv_xi)}

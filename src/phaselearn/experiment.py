@@ -8,9 +8,10 @@ into the CSV/JSON data files.
 The learning stages hold one chunk of the training set at a time
 (``shadows._CHUNK_ROWS`` records).  The train stage draws a chunk's tags,
 states and measurements and writes its records before it draws the next.  The
-predict stage checks each chunk as it is read and folds it into the test
-points' cells and the coverage counts; the predictions, the sweep and the
-exact values come after the one pass.
+predict stage checks the bundle's header against the config, then checks each
+chunk as it is read and folds it into the test points' cells and the coverage
+counts; the predictions, the sweep and the exact values come after the one
+pass.
 """
 
 from __future__ import annotations
@@ -112,8 +113,7 @@ def build_plan_constants(cfg: ExperimentConfig, model: Model) -> PlanConstants:
         x, xp = _probe_points(cfg.seed, "calibration", probe.family.m)
         center = probe.lattice.n_sites // 2
         obs = observable_from_string(f"Z@{center}", probe.lattice)
-        cal = calibrate_constants(probe.family, x, xp, obs, probe.reference_state())
-        vals = {k: cal[k] for k in ("xi", "gamma_prime", "c_prime")}
+        vals = calibrate_constants(probe.family, x, xp, obs, probe.reference_state())
     return PlanConstants(
         J=sc["J"], ell=sc["ell"], r0=sc["r0"], D=sc["D"], n=sc["n"], m=sc["m"],
         k0=k0_eff, M=len(observables), W=sc["W"],
@@ -201,22 +201,22 @@ def _training_chunks(cfg: ExperimentConfig, model: Model, p: LearnerPlan
     the matching rows of the "measurement" stream, drawn only when asked for."""
     seed, key = stream_seed(cfg.seed, "sampling"), stream_seed(cfg.seed, "measurement")
     for lo in range(0, p.N, shadows._CHUNK_ROWS):
-        hi = min(lo + shadows._CHUNK_ROWS, p.N)
-        X, taus = sample_parameters(model, p.N, p.t_eps, seed, lo, hi)
-        bases, outcomes = _training_states(model, X, taus, key, lo)
-        yield TrainingSet(bases, outcomes, X, taus, np.full(hi - lo, model.omega),
-                          model_name=model.name, lattice_json=cfg.lattice.to_json(),
-                          mode=cfg.mode, seed=cfg.seed)
+        X, taus = sample_parameters(model, p.N, p.t_eps, seed, lo,
+                                    min(lo + shadows._CHUNK_ROWS, p.N))
+        yield TrainingSet(*_training_states(model, X, taus, key, lo), X, taus)
 
 
 def run_train_stage(cfg: ExperimentConfig) -> dict:
     """Plan, then sample and measure the training set a chunk at a time,
     writing each chunk before the next is drawn; writes plan.json and
-    training.shadows."""
+    training.shadows, whose header holds the run's model, lattice, mode,
+    seed, ancilla choice and tag count."""
     model, _ = _setup(cfg)
     p = _write_plan(cfg, model)
+    header = {"model": model.name, "lattice": cfg.lattice.to_json(), "mode": cfg.mode,
+              "seed": cfg.seed, "omega": model.omega, "m": model.family.m}
     with open(Path(cfg.out_dir) / "training.shadows", "w") as fh:
-        write_shadows(fh, _training_chunks(cfg, model, p))
+        write_shadows(fh, header, _training_chunks(cfg, model, p))
     return {"plan": "plan.json", "training": "training.shadows"}
 
 
@@ -233,36 +233,30 @@ def _read_plan(out: Path) -> LearnerPlan | None:
 
 def _bundle_chunks(cfg: ExperimentConfig, p: LearnerPlan, m: int,
                    fileobj) -> Iterator[TrainingSet]:
-    """training.shadows' chunks, each checked before it is handed on.  On the
-    first chunk, a model, lattice or mode other than the config's, in the
-    bundle or in plan.json, is a ConfigError naming the file and field; on
-    every chunk, so are records whose width is not the config's site count,
-    whose tag count is not the model's m, or whose ancilla choice is not the
-    config's, named by their record number in the file."""
-    offset = 0
-    for chunk in read_shadows(fileobj):
-        if offset == 0:
-            for field, found, asked in (
-                ("training.shadows model", chunk.model_name, cfg.model_name),
-                ("training.shadows lattice", chunk.lattice_json, cfg.lattice.to_json()),
-                ("training.shadows mode", chunk.mode, cfg.mode),
-                ("plan.json mode", p.mode, cfg.mode),
-            ):
-                if found != asked:
-                    raise ConfigError(f"{field} is {found!r}, config asks for {asked!r}")
-        width = chunk.bases.shape[1]
-        if width != cfg.lattice.n_sites:
-            raise ConfigError(f"training.shadows records cover {width} sites, "
+    """training.shadows' chunks, each checked before it is handed on.  Its
+    header is checked before any record is read: a model, lattice, mode,
+    ancilla choice or tag count other than the config's, or a plan.json mode
+    other than the config's, is a ConfigError naming the file and field.  So
+    are records whose width is not the config's site count."""
+    header, chunks = read_shadows(fileobj)
+    for field, found, asked in (
+        ("training.shadows model", header["model"], cfg.model_name),
+        ("training.shadows lattice", header["lattice"], cfg.lattice.to_json()),
+        ("training.shadows mode", header["mode"], cfg.mode),
+        ("plan.json mode", p.mode, cfg.mode),
+    ):
+        if found != asked:
+            raise ConfigError(f"{field} is {found!r}, config asks for {asked!r}")
+    if header["omega"] != cfg.omega:
+        raise ConfigError(f"training.shadows was collected at omega = {header['omega']}, "
+                          f"config asks for omega = {cfg.omega}")
+    if header["m"] != m:
+        raise ConfigError(f"training.shadows records carry m = {header['m']} x tags, "
+                          f"the config's model has m = {m}")
+    for chunk in chunks:
+        if chunk.bases.shape[1] != cfg.lattice.n_sites:
+            raise ConfigError(f"training.shadows records cover {chunk.bases.shape[1]} sites, "
                               f"config's lattice has {cfg.lattice.n_sites}")
-        if chunk.X.shape[1] != m:
-            raise ConfigError(f"training.shadows records carry m = {chunk.X.shape[1]} x tags, "
-                              f"the config's model has m = {m}")
-        off = np.flatnonzero(chunk.omegas != cfg.omega)
-        if off.size:
-            raise ConfigError(f"training.shadows record {offset + off[0] + 1} was collected "
-                              f"at omega = {chunk.omegas[off[0]]}, "
-                              f"config asks for omega = {cfg.omega}")
-        offset += len(chunk)
         yield chunk
         del chunk  # not held while the next chunk is read
 
@@ -274,8 +268,9 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
     One pass over training.shadows folds every chunk into the test points'
     cells (for the run and each sweep size) and the coverage counts.  A
     missing plan.json or training.shadows, a malformed or mismatched bundle
-    (:func:`_bundle_chunks`) or one without records is a ConfigError raised
-    before any exact value is computed."""
+    (:func:`_bundle_chunks`: its header is checked before its first record)
+    or one without records is a ConfigError raised before any exact value is
+    computed."""
     t_start = time.perf_counter()
     out = Path(cfg.out_dir)
     model, observables = _setup(cfg)

@@ -13,14 +13,17 @@ the stream row of the first, and compares all their uniforms with their
 outcome probabilities at once.
 
 A TrainingSet holds tagged snapshots as columns: (N, n) int8 basis codes and
-+-1 outcomes beside the per-snapshot tags.  A run never holds the whole
-training set: it is written and read ``_CHUNK_ROWS`` records at a time.
-:func:`write_shadows` writes the header and then each chunk it is handed as
-one uint8 block, and :func:`read_shadows` yields the records a chunk of
-lines at a time, each checked before it is handed on.  In a block, each field
-is placed or taken for the whole chunk at its records' offsets, tau and omega
-are formatted or parsed once per distinct value, and every check of a record
-is a mask over the chunk, so the first bad line comes straight from the
++-1 outcomes beside the per-snapshot tags x and tau.  What holds for a whole
+run (model, lattice, mode, seed, ancilla choice omega and tag count m) is
+said once, in the bundle's header.  A run never holds the whole training
+set: it is written and read ``_CHUNK_ROWS`` records at a time.
+:func:`write_shadows` writes the header it is given and then each chunk it
+is handed as one uint8 block; :func:`read_shadows` reads the header and
+returns it with a generator that reads the records a chunk of lines at a
+time, each chunk checked before it is handed on.  In a block, each field is
+placed or taken for the whole chunk at its records' offsets, tau is
+formatted or parsed once per distinct value, and every check of a record is
+a mask over the chunk, so the first bad line comes straight from the
 masks.  The inverse-channel estimate
 
     (x)_{i in B} (3 |z_i><z_i| - I)
@@ -37,7 +40,7 @@ import binascii
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
+from itertools import chain, islice
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -226,25 +229,20 @@ def required_shadow_count(epsilon: float, delta_prime: float, k0: int, n: int) -
 
 
 # the per-snapshot columns of a TrainingSet and their dtypes
-_COLUMNS = {"bases": np.int8, "outcomes": np.int8, "X": float, "taus": float,
-            "omegas": int}
+_COLUMNS = {"bases": np.int8, "outcomes": np.int8, "X": float, "taus": float}
 
 
 @dataclass
 class TrainingSet:
-    """Tagged snapshots as columns (row i is snapshot i), plus the sampling
-    metadata needed to reuse them: a chunk of a training set, or a whole one
-    held in memory, which is its one chunk."""
+    """Tagged snapshots as columns (row i is snapshot i): a chunk of a
+    training set, or a whole one held in memory, which is its one chunk.
+    What holds for every snapshot of a run is in its bundle's header
+    (``_HEADER``)."""
 
     bases: np.ndarray     # (N, n) int8 codes 0, 1, 2 for X, Y, Z
     outcomes: np.ndarray  # (N, n) int8 in {+1, -1}
     X: np.ndarray         # (N, m) float64 parameter tags
     taus: np.ndarray      # (N,) float times; inf in steady-state mode
-    omegas: np.ndarray    # (N,) int ancilla choices
-    model_name: str = ""
-    lattice_json: str = ""
-    mode: str = "steady_state"
-    seed: int = 0         # run seed; record i is row i of its "measurement" stream
 
     def __post_init__(self):
         for name, dtype in _COLUMNS.items():
@@ -257,7 +255,13 @@ class TrainingSet:
         return len(self.taus)
 
 
-_VERSION = "v2"
+_VERSION = "v3"
+# a bundle's header lines in file order, each key with the value it reads as
+# when its line is missing.  They hold for every record of the run: record i
+# is row i of the seed's "measurement" stream, at ancilla choice omega, with
+# m tags.
+_HEADER = {"phaselearn-shadows": _VERSION, "model": "", "lattice": "",
+           "mode": "steady_state", "seed": 0, "omega": 0, "m": 0}
 # the largest tag count m of an empty (0, m) float64 tag array numpy can hold
 _M_MAX = np.iinfo(np.intp).max // 8
 
@@ -274,32 +278,13 @@ def _windows(block: np.ndarray, width: int) -> np.ndarray:
                                                     writeable=block.flags.writeable)
 
 
-def _tokens(values: np.ndarray, keys: np.ndarray, fmt) -> tuple:
-    """``fmt`` of each row's value, formatted once per distinct key: the
-    tokens as rows of a NUL-padded uint8 table, and each row's token and
-    width."""
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    tokens = list(map(fmt, values[first].tolist()))
-    widths = np.fromiter(map(len, tokens), np.int64, len(tokens))
-    table = np.array(tokens, dtype=bytes)
-    return table.view(np.uint8).reshape(len(tokens), -1), index, widths[index]
-
-
-def _place(block: np.ndarray, starts: np.ndarray, table: np.ndarray, index: np.ndarray,
-           widths: np.ndarray) -> None:
-    """Write row index[r] of ``table``, cut to widths[r], at block[starts[r]:]:
-    one strided take per distinct width, so no padding lands in ``block``."""
-    for width in np.unique(widths).tolist():
-        rows = np.flatnonzero(widths == width)
-        _windows(block, width)[starts[rows]] = table[index[rows], :width]
-
-
 def _records_block(chunk: TrainingSet) -> np.ndarray:
     """The chunk's records as one uint8 block.  The x hex comes from one
-    ``binascii.hexlify`` call and the letters and bits from the int8 columns; tau
-    (repr, so "inf" in steady state) and omega are formatted once per
-    distinct value, tau by its bits so that -0.0 keeps its sign.  Each field
-    is placed at its record's offset, the running sum of the record widths."""
+    ``binascii.hexlify`` call and the letters and bits from the int8 columns;
+    tau is formatted (repr, so "inf" in steady state) once per distinct
+    value, by its bits so that -0.0 keeps its sign.  Each field is placed at
+    its record's offset, the running sum of the record widths, and the taus
+    one strided take per token width, so no padding lands in the block."""
     (rows, m), n = chunk.X.shape, chunk.bases.shape[1]
     head = np.full((rows, max(16 * m, 1) + 1), _SPACE, dtype=np.uint8)  # x and a space
     if m:
@@ -307,41 +292,38 @@ def _records_block(chunk: TrainingSet) -> np.ndarray:
                                      dtype=np.uint8).reshape(rows, 16 * m)
     else:
         head[:, 0] = ord("-")
-    # "basis bits\n" as ASCII codes: X, Y, Z are consecutive, '0' is +1
-    tail = np.full((rows, 2 * n + 2), _SPACE, dtype=np.uint8)
-    tail[:, :n] = chunk.bases + ord("X")
-    tail[:, n + 1:-1] = (chunk.outcomes < 0) + ord("0")
+    # " basis bits\n" as ASCII codes: X, Y, Z are consecutive, '0' is +1
+    tail = np.full((rows, 2 * n + 3), _SPACE, dtype=np.uint8)
+    tail[:, 1:n + 1] = chunk.bases + ord("X")
+    tail[:, n + 2:-1] = (chunk.outcomes < 0) + ord("0")
     tail[:, -1] = _NEWLINE
-    taus, omegas = chunk.taus, chunk.omegas
-    tau_table, tau_index, tau_widths = _tokens(taus, taus.view(np.int64), repr)
-    omega_table, omega_index, omega_widths = _tokens(omegas, omegas, " {} ".format)
-    widths = head.shape[1] + tau_widths + omega_widths + tail.shape[1]
+    _, first, index = np.unique(chunk.taus.view(np.int64), return_index=True,
+                                return_inverse=True)
+    tokens = list(map(repr, chunk.taus[first].tolist()))
+    table = np.array(tokens, dtype=bytes).view(np.uint8).reshape(len(tokens), -1)
+    tau_widths = np.fromiter(map(len, tokens), np.int64, len(tokens))[index]
+    widths = head.shape[1] + tau_widths + tail.shape[1]
     ends = np.cumsum(widths)
     starts = ends - widths
     block = np.empty(ends[-1], dtype=np.uint8)
     _windows(block, head.shape[1])[starts] = head
-    _place(block, starts + head.shape[1], tau_table, tau_index, tau_widths)
-    _place(block, starts + head.shape[1] + tau_widths, omega_table, omega_index, omega_widths)
+    for width in np.unique(tau_widths).tolist():
+        at = np.flatnonzero(tau_widths == width)
+        _windows(block, width)[starts[at] + head.shape[1]] = table[index[at], :width]
     _windows(block, tail.shape[1])[ends - tail.shape[1]] = tail
     return block
 
 
-def write_shadows(fileobj: IO[str], chunks: Iterable[TrainingSet]) -> None:
-    """Snapshot interchange format: a ``#`` header from the first chunk's
-    metadata, then one record per line, ``x_hex tau omega basis_string
-    outcome_bitstring``.  Each chunk is written as one block before the next
-    is drawn from ``chunks``, so a generator of chunks bounds the memory of
-    the whole write; no chunk writes nothing."""
-    first = True
+def write_shadows(fileobj: IO[str], header: dict, chunks: Iterable[TrainingSet]) -> None:
+    """Snapshot interchange format: the version line, then ``# key value``
+    for each other ``_HEADER`` key from ``header``, then one record per line,
+    ``x_hex tau basis_string outcome_bitstring``.  Each chunk is written as
+    one block before the next is drawn from ``chunks``, so a generator of
+    chunks bounds the memory of the whole write; with no chunks the header
+    is written alone."""
+    header = {**header, "phaselearn-shadows": _VERSION}
+    fileobj.write("".join(f"# {key} {header[key]}\n" for key in _HEADER))
     for chunk in chunks:
-        if first:
-            fileobj.write(f"# phaselearn-shadows {_VERSION}\n")
-            fileobj.write(f"# model {chunk.model_name}\n")
-            fileobj.write(f"# lattice {chunk.lattice_json}\n")
-            fileobj.write(f"# mode {chunk.mode}\n")
-            fileobj.write(f"# seed {chunk.seed}\n")
-            fileobj.write(f"# m {chunk.X.shape[1]}\n")
-            first = False
         if len(chunk):
             fileobj.write(str(_records_block(chunk), "ascii"))
         del chunk  # not held while the next chunk is drawn
@@ -374,28 +356,23 @@ def _distinct_fields(text: str, buf: np.ndarray, spaces: np.ndarray,
     return fields, index
 
 
-def _int64(token: str) -> np.int64:
-    """int(token) as an int64: out of range, the OverflowError np.fromiter raises."""
-    return np.int64(int(token))
-
-
-def _parse(tokens: list[str], parse, dtype) -> tuple[np.ndarray, dict]:
-    """parse(token) of each token as a ``dtype`` array, 0 where it raises
-    ValueError or OverflowError, and what it raised, by token."""
+def _floats(tokens: list[str]) -> tuple[np.ndarray, dict]:
+    """float(token) of each token, 0 where it raises ValueError, and what it
+    raised, by token."""
     values, errors = [], {}
     for j, token in enumerate(tokens):
         try:
-            values.append(parse(token))
-        except (ValueError, OverflowError) as exc:
-            values.append(0)
+            values.append(float(token))
+        except ValueError as exc:
+            values.append(0.0)
             errors[j] = exc
-    return np.array(values, dtype=dtype), errors
+    return np.array(values), errors
 
 
 def _records(text: str, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
              linenos: np.ndarray, m: int, mode: str, n: int | None) -> tuple:
-    """(bases, outcomes, X, taus, omegas) of the records buf[starts[r]:ends[r]],
-    on file lines linenos[r], with m tags and, unless n is None, n sites (else
+    """(bases, outcomes, X, taus) of the records buf[starts[r]:ends[r]], on
+    file lines linenos[r], with m tags and, unless n is None, n sites (else
     the first record's).  ``buf`` is the ASCII encoding of ``text``.
 
     Each check is a mask over the records that passed the checks before it
@@ -411,16 +388,19 @@ def _records(text: str, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
         return first.stop
 
     spaces = starts[0] + np.flatnonzero(buf[starts[0]:ends[-1]] == _SPACE)
-    fields = np.bincount(np.searchsorted(ends, spaces), minlength=len(starts)) + 1
-    k = check(fields != 5, lambda r: f"expected 5 fields, got {fields[r]}")
-    # the records before the first with another field count hold 4 spaces each
-    cuts = spaces[:4 * k].reshape(k, 4)
+    owners = np.searchsorted(ends, spaces)
+    inside = spaces >= starts[owners]  # not on a skipped line between two records
+    fields = np.bincount(owners[inside], minlength=len(starts)) + 1
+    spaces = spaces[inside]
+    k = check(fields != 4, lambda r: f"expected 4 fields, got {fields[r]}")
+    # the records before the first with another field count hold 3 spaces each
+    cuts = spaces[:3 * k].reshape(k, 3)
     starts, ends = starts[:k], ends[:k]
     x_width = cuts[:, 0] - starts
     k = check(x_width != 16 * m if m else (x_width != 1) | (buf[starts] != ord("-")),
               lambda r: f"x field does not hold m = {m} float64 values")
-    n = int(cuts[0, 3] - cuts[0, 2]) - 1 if n is None else n
-    k = check((cuts[:k, 3] - cuts[:k, 2] != n + 1) | (ends[:k] - cuts[:k, 3] != n + 1),
+    n = int(cuts[0, 2] - cuts[0, 1]) - 1 if n is None else n
+    k = check((cuts[:k, 2] - cuts[:k, 1] != n + 1) | (ends[:k] - cuts[:k, 2] != n + 1),
               lambda r: f"basis and outcome strings must have the first record's length {n}")
     # a record's basis, space and bits are its last 2n + 1 bytes
     tail = _windows(buf, 2 * n + 1)[ends[:k] - (2 * n + 1)]
@@ -435,13 +415,11 @@ def _records(text: str, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
         k = check(_NOT_HEX[hexes].any(axis=1), lambda r: "x field is not hexadecimal")
         raw = binascii.unhexlify(hexes[:k])
     X = np.frombuffer(raw, dtype="<f8").reshape(k, m)
-    columns = []  # tau lies between a record's first two spaces, omega the next two
-    for lo, hi, parse, dtype in ((0, 1, float, float), (1, 2, _int64, np.int64)):
-        tokens, index = _distinct_fields(text, buf, cuts[:k, lo], cuts[:k, hi])
-        values, errors = _parse(tokens, parse, dtype)
-        k = check(np.isin(index[:k], list(errors)), lambda r: str(errors[index[r]]))
-        columns.append(values[index[:k]])
-    taus, omegas = columns
+    # tau lies between a record's first two spaces
+    tokens, index = _distinct_fields(text, buf, cuts[:k, 0], cuts[:k, 1])
+    values, errors = _floats(tokens)
+    k = check(np.isin(index[:k], list(errors)), lambda r: str(errors[index[r]]))
+    taus = values[index[:k]]
     k = check(~np.all(np.abs(X[:k]) <= 1.0, axis=1),
               lambda r: "x tags must be finite and lie in [-1, 1]")
     if mode == "steady_state":
@@ -451,17 +429,17 @@ def _records(text: str, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
               lambda r: f"tau must be finite and >= 0 in {mode} mode")
     first.raise_first()
     return (letters.view(np.int8) - ord("X"), 1 - 2 * (bits - ord("0")).view(np.int8),
-            X, taus, omegas)
+            X, taus)
 
 
-def _apply_header(row: str, meta: dict, after_record: bool) -> None:
-    """Record the ``# key value`` header ``row`` in ``meta``; a line whose key
-    ``meta`` lacks is skipped, and a bad value raises ValueError."""
+def _apply_header(row: str, header: dict, after_record: bool) -> None:
+    """Record the ``# key value`` line ``row`` in ``header``; a line whose key
+    ``header`` lacks is skipped, and a bad value raises ValueError."""
     parts = row[1:].strip().split(" ", 1)
-    if len(parts) != 2 or parts[0] not in meta:
+    if len(parts) != 2 or parts[0] not in header:
         return
     key, value = parts
-    value = int(value) if key in ("m", "seed") else value
+    value = int(value) if key in ("m", "seed", "omega") else value
     if after_record:
         raise ValueError(f"header {key!r} after the first record")
     if key == "phaselearn-shadows" and value != _VERSION:
@@ -471,44 +449,63 @@ def _apply_header(row: str, meta: dict, after_record: bool) -> None:
         raise ValueError("negative tag count m")
     if key == "m" and value > _M_MAX:
         raise ValueError(f"tag count m = {value} exceeds {_M_MAX}")
-    meta[key] = value
+    header[key] = value
 
 
-def read_shadows(fileobj: IO[str]) -> Iterator[TrainingSet]:
-    """Parse the interchange format ``_CHUNK_ROWS`` lines at a time, each
-    chunk one uint8 block cut at its header lines, and yield the records
-    between two header lines of a chunk as one TrainingSet carrying the
-    header's metadata, once the whole chunk is checked.  The first malformed
-    line, header after the first record, or version other than v2 raises
-    ConfigError naming the line.  A file without records yields nothing."""
-    meta = {"phaselearn-shadows": _VERSION, "model": "", "lattice": "",
-            "mode": "steady_state", "seed": 0, "m": 0}
-    n, lineno, after_record = None, 0, False
-    for lines in iter(lambda: list(islice(fileobj, _CHUNK_ROWS)), []):
-        text, count = "".join(lines), len(lines)
-        del lines  # the joined text holds the chunk: drop its line strings
+def _record_chunks(lines: Iterator[str], lineno: int, m: int,
+                   mode: str) -> Iterator[TrainingSet]:
+    """The records of ``lines``, which start on file line ``lineno`` + 1,
+    with m tags in ``mode``, ``_CHUNK_ROWS`` lines at a time (see
+    :func:`read_shadows`)."""
+    n = None
+    for part in iter(lambda: list(islice(lines, _CHUNK_ROWS)), []):
+        text, count = "".join(part), len(part)
+        del part  # the joined text holds the chunk: drop its line strings
         buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
         ends = np.flatnonzero(buf == _NEWLINE)
         ends = ends if len(ends) == count else np.append(ends, len(buf))  # no final "\n"
         starts = np.concatenate([[0], ends[:-1] + 1])
-        blank, header = starts == ends, buf[starts] == ord("#")
-        chunks, lo = [], 0
-        for i in [*np.flatnonzero(header).tolist(), count]:
-            rows = lo + np.flatnonzero(~blank[lo:i])
-            if rows.size:
-                chunks.append(TrainingSet(
-                    *_records(text, buf, starts[rows], ends[rows], lineno + rows + 1,
-                              meta["m"], meta["mode"], n),
-                    model_name=meta["model"], lattice_json=meta["lattice"],
-                    mode=meta["mode"], seed=meta["seed"]))
-                n, after_record = chunks[-1].bases.shape[1], True
-            if i < count:
-                try:
-                    _apply_header(text[starts[i]:ends[i]], meta, after_record)
-                except ValueError as exc:
-                    raise ConfigError(f"shadows line {lineno + i + 1}: {exc}") from None
-            lo = i + 1
+        marked = buf[starts] == ord("#")
+        bad = count  # the first "#" line with a key of the header, if any
+        for i in np.flatnonzero(marked).tolist():
+            try:
+                _apply_header(text[starts[i]:ends[i]], dict(_HEADER), after_record=True)
+            except ValueError as exc:
+                bad, error = i, ConfigError(f"shadows line {lineno + i + 1}: {exc}")
+                break
+        rows = np.flatnonzero(~marked[:bad] & (starts != ends)[:bad])
+        if rows.size:
+            chunk = TrainingSet(*_records(text, buf, starts[rows], ends[rows],
+                                          lineno + rows + 1, m, mode, n))
+            n = chunk.bases.shape[1]
+        if bad < count:
+            raise error
         lineno += count
-        del text, buf  # not held while the chunks are used
-        yield from chunks
-        del chunks  # nor while the next chunk is read
+        del text, buf  # not held while the chunk is used
+        if rows.size:
+            yield chunk
+            del chunk  # nor while the next chunk is read
+
+
+def read_shadows(fileobj: IO[str]) -> tuple[dict, Iterator[TrainingSet]]:
+    """The header of the interchange format and a generator of its records.
+
+    The header is read at once from the lines before the first record, each
+    ``_HEADER`` key it lacks at its default; a bad value or a version other
+    than v3 raises ConfigError naming the line.  The generator reads the
+    records ``_CHUNK_ROWS`` lines at a time, each chunk one uint8 block
+    checked whole before it is yielded as one TrainingSet; the first
+    malformed line, or header line after the first record, raises ConfigError
+    naming the line.  Blank lines and ``#`` lines of other keys are skipped
+    anywhere.  A file without records yields nothing."""
+    header, lineno = dict(_HEADER), 0
+    for line in fileobj:
+        if line != "\n" and not line.startswith("#"):
+            return header, _record_chunks(chain([line], fileobj), lineno, header["m"],
+                                          header["mode"])
+        lineno += 1
+        try:
+            _apply_header(line.rstrip("\n"), header, after_record=False)
+        except ValueError as exc:
+            raise ConfigError(f"shadows line {lineno}: {exc}") from None
+    return header, iter(())

@@ -32,19 +32,16 @@ from phaselearn.shadows import (
     mom_batch_count,
 )
 
-_COLUMNS = ("bases", "outcomes", "X", "taus", "omegas")
+_COLUMNS = ("bases", "outcomes", "X", "taus")
 
 
 def joined(chunks) -> TrainingSet:
-    """The chunks as one TrainingSet, rows in order (no rows: empty columns and
-    no metadata); every chunk must carry the first one's metadata."""
+    """The chunks as one TrainingSet, rows in order (no rows: empty columns)."""
     chunks = list(chunks)
     if not chunks:
-        return TrainingSet(np.empty((0, 0)), np.empty((0, 0)), np.empty((0, 0)), [], [])
-    meta = [(c.model_name, c.lattice_json, c.mode, c.seed) for c in chunks]
-    assert len(set(meta)) == 1, meta
-    return replace(chunks[0], **{name: np.concatenate([getattr(c, name) for c in chunks])
-                                 for name in _COLUMNS})
+        return TrainingSet(np.empty((0, 0)), np.empty((0, 0)), np.empty((0, 0)), [])
+    return TrainingSet(*(np.concatenate([getattr(c, name) for c in chunks])
+                         for name in _COLUMNS))
 
 
 def sample_parameters(model, N: int, t_eps: float | None, seed: int):
@@ -77,11 +74,10 @@ def training_text(cfg, model, p, sampling_seed: int, measurement_key: int) -> st
     """The training.shadows text of the whole training set, drawn at once."""
     X, taus = sample_parameters(model, p.N, p.t_eps, sampling_seed)
     bases, outcomes = training_states(model, X, taus, measurement_key)
-    training = TrainingSet(bases, outcomes, X, taus, np.full(p.N, model.omega),
-                           model_name=model.name, lattice_json=cfg.lattice.to_json(),
-                           mode=cfg.mode, seed=cfg.seed)
+    header = {"model": model.name, "lattice": cfg.lattice.to_json(), "mode": cfg.mode,
+              "seed": cfg.seed, "omega": model.omega, "m": model.family.m}
     buf = io.StringIO()
-    shadows_reference.write_shadows(buf, training)
+    shadows_reference.write_shadows(buf, header, TrainingSet(bases, outcomes, X, taus))
     return buf.getvalue()
 
 

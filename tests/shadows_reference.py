@@ -2,9 +2,10 @@
 replaced, kept as the reference its byte-block writer and reader are tested
 against.
 
-The writer formats tau and omega one value at a time; the reader checks a
-block of records with whole-list operations and, if they fail, checks each
-record again alone to name the first bad line.  Both read
+The writer formats tau one value at a time; the reader checks a block of
+records with whole-list operations and, if they fail, checks each record
+again alone to name the first bad line.  Both take or give the header as a
+mapping of its ``# key value`` lines.  Both read
 ``shadows._CHUNK_ROWS`` at call time, so a test that patches it moves their
 chunk boundaries too.
 """
@@ -30,8 +31,7 @@ def _byte_rows(columns: Sequence[np.ndarray]) -> list[bytes]:
 
 def _records_text(training: TrainingSet, lo: int, hi: int) -> str:
     """Records lo..hi-1: the x hex, letters and bits from whole uint8 arrays,
-    tau (repr, so "inf" in steady state) and omega formatted one value at a
-    time."""
+    tau (repr, so "inf" in steady state) formatted one value at a time."""
     rows, m = hi - lo, training.X.shape[1]
     if m:
         x = np.frombuffer(training.X[lo:hi].astype("<f8").tobytes().hex().encode(),
@@ -42,22 +42,19 @@ def _records_text(training: TrainingSet, lo: int, hi: int) -> str:
     # letters and bits as ASCII codes: X, Y, Z are consecutive, '0' is +1
     letters = (training.bases[lo:hi] + ord("X")).astype(np.uint8)
     bits = ((training.outcomes[lo:hi] < 0) + ord("0")).astype(np.uint8)
-    pieces = [b" "] * (5 * rows)
-    pieces[0::5] = _byte_rows([x, space])
-    pieces[1::5] = map(str.encode, map(repr, training.taus[lo:hi].tolist()))
-    pieces[3::5] = map(str.encode, map(str, training.omegas[lo:hi].tolist()))
-    pieces[4::5] = _byte_rows([space, letters, space, bits, np.full_like(space, ord("\n"))])
+    pieces = [b""] * (3 * rows)
+    pieces[0::3] = _byte_rows([x, space])
+    pieces[1::3] = map(str.encode, map(repr, training.taus[lo:hi].tolist()))
+    pieces[2::3] = _byte_rows([space, letters, space, bits, np.full_like(space, ord("\n"))])
     return b"".join(pieces).decode("ascii")
 
 
-def write_shadows(fileobj: IO[str], training: TrainingSet) -> None:
-    """The interchange format, a chunk of records at a time."""
+def write_shadows(fileobj: IO[str], header: dict, training: TrainingSet) -> None:
+    """The interchange format: the header's lines, then the records a chunk
+    at a time."""
     fileobj.write(f"# phaselearn-shadows {shadows._VERSION}\n")
-    fileobj.write(f"# model {training.model_name}\n")
-    fileobj.write(f"# lattice {training.lattice_json}\n")
-    fileobj.write(f"# mode {training.mode}\n")
-    fileobj.write(f"# seed {training.seed}\n")
-    fileobj.write(f"# m {training.X.shape[1]}\n")
+    for key in ("model", "lattice", "mode", "seed", "omega", "m"):
+        fileobj.write(f"# {key} {header[key]}\n")
     for lo in range(0, len(training), shadows._CHUNK_ROWS):
         fileobj.write(_records_text(training, lo, min(lo + shadows._CHUNK_ROWS, len(training))))
 
@@ -80,14 +77,14 @@ def _ascii(tokens: list[str], width: int) -> np.ndarray:
 
 
 def _check_records(records: list[str], m: int, mode: str, n: int | None) -> tuple:
-    """(bases, outcomes, X, taus, omegas) of records with m tags and, unless n
-    is None, n sites.  Every check holds row by row, so ``records`` fail
-    (ValueError or OverflowError) exactly when one of them fails alone."""
+    """(bases, outcomes, X, taus) of records with m tags and, unless n is
+    None, n sites.  Every check holds row by row, so ``records`` fail
+    (ValueError) exactly when one of them fails alone."""
     count = len(records)
     fields = np.fromiter(map(str.count, records, repeat(" ")), np.int64, count) + 1
-    _require(fields == 5, f"expected 5 fields, got {fields[np.argmax(fields != 5)]}")
+    _require(fields == 4, f"expected 4 fields, got {fields[np.argmax(fields != 4)]}")
     tokens = " ".join(records).split(" ")
-    xs, basis, bits = tokens[0::5], tokens[3::5], tokens[4::5]
+    xs, basis, bits = tokens[0::4], tokens[2::4], tokens[3::4]
     _require(_lengths(xs) == 16 * m if m else np.fromiter(map("-".__eq__, xs), bool, count),
              f"x field does not hold m = {m} float64 values")
     n = len(basis[0]) if n is None else n
@@ -105,14 +102,13 @@ def _check_records(records: list[str], m: int, mode: str, n: int | None) -> tupl
     # bytes.fromhex also skips whitespace, which shortens its result
     _require(2 * len(raw) == len(hexes), "x field is not hexadecimal")
     X = np.frombuffer(raw, dtype="<f8").reshape(count, m)
-    taus = np.fromiter(map(float, tokens[1::5]), float, count)
-    omegas = np.fromiter(map(int, tokens[2::5]), np.int64, count)
+    taus = np.fromiter(map(float, tokens[1::4]), float, count)
     _require(np.all(np.abs(X) <= 1.0, axis=1), "x tags must be finite and lie in [-1, 1]")
     if mode == "steady_state":
         _require(taus == math.inf, "tau must be inf in steady_state mode")
     else:
         _require(np.isfinite(taus) & (taus >= 0.0), f"tau must be finite and >= 0 in {mode} mode")
-    return letters - ord("X"), 1 - 2 * (digits - ord("0")).astype(np.int8), X, taus, omegas
+    return letters - ord("X"), 1 - 2 * (digits - ord("0")).astype(np.int8), X, taus
 
 
 def _parse_records(rows: list[str], line: int, m: int, mode: str, n: int | None) -> tuple:
@@ -121,20 +117,20 @@ def _parse_records(rows: list[str], line: int, m: int, mode: str, n: int | None)
     fixes n), and ConfigError names the first that fails."""
     try:
         return _check_records(list(filter(None, rows)), m, mode, n)
-    except (ValueError, OverflowError):
+    except ValueError:
         for i, row in enumerate(rows):
             try:
                 n = _check_records([row], m, mode, n)[0].shape[1] if row else n
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"shadows line {line + i}: {exc}") from None
         raise
 
 
-def read_shadows(fileobj: IO[str]) -> TrainingSet:
-    """Parse the interchange format a chunk of lines at a time, cut at its
-    header lines (read by ``shadows._apply_header``)."""
-    meta = {"phaselearn-shadows": shadows._VERSION, "model": "", "lattice": "",
-            "mode": "steady_state", "seed": 0, "m": 0}
+def read_shadows(fileobj: IO[str]) -> tuple[dict, TrainingSet]:
+    """The header and records of the interchange format, read a chunk of
+    lines at a time and cut at its ``#`` lines (read by
+    ``shadows._apply_header``)."""
+    header = dict(shadows._HEADER)
     chunks, n, lineno = [], None, 0
     for lines in iter(lambda: list(islice(fileobj, shadows._CHUNK_ROWS)), []):
         start, lineno = lineno, lineno + len(lines)
@@ -143,16 +139,15 @@ def read_shadows(fileobj: IO[str]) -> TrainingSet:
         lo = 0
         for i in [*headers, len(rows)]:
             if any(rows[lo:i]):
-                chunks.append(_parse_records(rows[lo:i], start + lo + 1, meta["m"],
-                                             meta["mode"], n))
+                chunks.append(_parse_records(rows[lo:i], start + lo + 1, header["m"],
+                                             header["mode"], n))
                 n = chunks[-1][0].shape[1]
             if i < len(rows):
                 try:
-                    shadows._apply_header(rows[i], meta, bool(chunks))
+                    shadows._apply_header(rows[i], header, bool(chunks))
                 except ValueError as exc:
                     raise ConfigError(f"shadows line {start + i + 1}: {exc}") from None
             lo = i + 1
     columns = ([np.concatenate(col) for col in zip(*chunks)] if chunks else
-               [np.empty((0, 0)), np.empty((0, 0)), np.empty((0, meta["m"])), [], []])
-    return TrainingSet(*columns, model_name=meta["model"], lattice_json=meta["lattice"],
-                       mode=meta["mode"], seed=meta["seed"])
+               [np.empty((0, 0)), np.empty((0, 0)), np.empty((0, header["m"])), []])
+    return header, TrainingSet(*columns)

@@ -147,6 +147,22 @@ def _cut_tags(m: int):
     return edit
 
 
+def _as_v2(lines: list[str]) -> list[str]:
+    """The v3 shadows lines as the v2 format wrote them: no ``# omega`` line,
+    and each record's ancilla choice as its third field."""
+    out = []
+    for line in lines:
+        if line.startswith("# omega"):
+            continue
+        if line.startswith("# phaselearn-shadows"):
+            line = "# phaselearn-shadows v2"
+        elif not line.startswith("#"):
+            fields = line.split(" ")
+            line = " ".join(fields[:2] + ["0"] + fields[2:])
+        out.append(line)
+    return out
+
+
 def _cut_records(width: int):
     """An edit of the shadows lines: every record's basis and outcome strings
     cut to their first ``width`` sites."""
@@ -155,7 +171,7 @@ def _cut_records(width: int):
         for line in lines:
             fields = line.split(" ")
             if not line.startswith("#"):
-                fields[3], fields[4] = fields[3][:width], fields[4][:width]
+                fields[2], fields[3] = fields[2][:width], fields[3][:width]
             out.append(" ".join(fields))
         return out
     return edit
@@ -320,10 +336,10 @@ class TestLearningRun:
             "r": 1, "gamma": 0.4, "q": 5, "t_eps": None, "N": 4, "N_log2": 2.0,
             "capped": True, "n_cap": 4, "mom_batches": 1, "constants": constants,
         }))
-        header = ["# phaselearn-shadows v2", "# model dissipative_tfim",
+        header = ["# phaselearn-shadows v3", "# model dissipative_tfim",
                   f"# lattice {cfg.lattice.to_json()}", "# mode steady_state",
-                  "# seed 5", f"# m {m}"]
-        records = [f"{np.full(m, v).astype('<f8').tobytes().hex()} inf 0 {basis} {bits}"
+                  "# seed 5", "# omega 0", f"# m {m}"]
+        records = [f"{np.full(m, v).astype('<f8').tobytes().hex()} inf {basis} {bits}"
                    for v, basis, bits in [
                        (-0.5, "ZZZZZZZ", "0000000"), (0.0, "XXXXXXX", "0101010"),
                        (0.25, "YYYYYYY", "1111111"), (0.5, "XYZXYZX", "0011001")]]
@@ -345,12 +361,12 @@ class TestLearningRun:
         run_learning_experiment(cfg)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["used_N"] == 800
-        # snapshots still cover exactly the six system sites
-        first_record = [
-            l for l in (tmp_path / "training.shadows").read_text().split("\n")
-            if l and not l.startswith("#")
-        ][0]
-        assert len(first_record.split(" ")[3]) == 6
+        # the header names the ancilla choice once, and snapshots still cover
+        # exactly the six system sites
+        lines = (tmp_path / "training.shadows").read_text().split("\n")
+        assert [l for l in lines if l.startswith("# omega")] == ["# omega 1"]
+        first_record = [l for l in lines if l and not l.startswith("#")][0]
+        assert len(first_record.split(" ")[2]) == 6
 
     def test_ancilla_on_periodic_lattice_rejected(self):
         text = SMALL_LEARNING.replace('mode = "steady"', 'mode = "steady"\nomega = 1')
@@ -577,7 +593,7 @@ class TestCli:
         assert cli_main(["train", "--config", str(p), "--out", str(out)]) == 0
         lines = (out / "training.shadows").read_text().split("\n")
         fields = lines[-2].split(" ")
-        fields[4] = "2" + fields[4][1:]
+        fields[3] = "2" + fields[3][1:]
         lines[-2] = " ".join(fields)
         (out / "training.shadows").write_text("\n".join(lines))
         assert cli_main(["predict", "--config", str(p), "--out", str(out)]) == 2
@@ -695,15 +711,19 @@ class TestCli:
          "training.shadows records carry m = 3 x tags, the config's model has m = "),
         ("predict", lambda out, p: None, ["--mode", "general"], "training.shadows mode"),
         ("predict", lambda out, p: _edit_plan(out, mode="general_phase"), [], "plan.json mode"),
-        ("predict", lambda out, p: _edit_lines(out / "training.shadows", _edit_first_record(
-            2, lambda f: "1")), [], "record 1 was collected at omega = 1"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", lambda lines: [
-            l.replace("shadows v2", "shadows v1") for l in lines]), [],
+            l.replace("# omega 0", "# omega 1") for l in lines]), [],
+         "training.shadows was collected at omega = 1, config asks for omega = 0"),
+        ("predict", lambda out, p: _edit_lines(out / "training.shadows", lambda lines: [
+            l.replace("shadows v3", "shadows v1") for l in lines]), [],
          "line 1: shadows format v1"),
+        ("predict", lambda out, p: _edit_lines(out / "training.shadows", _as_v2), [],
+         "line 1: shadows format v2 is not readable; this reader reads v3, so rerun the "
+         "train stage"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", _edit_first_record(
-            0, lambda f: "000000000000f87f" + f[16:])), [], "line 7: x tags must be finite"),
+            0, lambda f: "000000000000f87f" + f[16:])), [], "line 8: x tags must be finite"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", _edit_first_record(
-            1, lambda f: "-3.0")), [], "line 7: tau must be inf"),
+            1, lambda f: "-3.0")), [], "line 8: tau must be inf"),
         ("predict", lambda out, p: _edit_plan(out, r="1"), [], "plan.json r: expected integer"),
         ("predict", lambda out, p: _edit_plan(out, gamma="0.2"), [],
          "plan.json gamma: expected number"),
@@ -728,7 +748,8 @@ class TestCli:
             "shadows_without_records", "lattice_mismatch", "records_too_narrow",
             "tags_too_few",
             "mode_mismatch",
-            "plan_mode_mismatch", "record_retagged", "shadows_v1", "x_nan", "tau_negative",
+            "plan_mode_mismatch", "omega_mismatch", "shadows_v1", "shadows_v2", "x_nan",
+            "tau_negative",
             "plan_r_string", "plan_gamma_string",
             "plan_capped_integer", "plan_constant_string", "plot_n_log2_string",
             "plan_gamma_zero", "plan_r_negative", "plan_delta_prime_two", "plan_n_zero",
@@ -842,24 +863,35 @@ class TestChunkedStages:
         assert outputs[0] == outputs[1]
         assert b"\n21," in outputs[0]["sweep.csv"] and b"\n50," in outputs[0]["sweep.csv"]
 
-    def test_omega_mismatch_in_third_chunk_names_its_record(self, tmp_path, monkeypatch):
-        # 4-line chunks: the header's six lines leave records 1-2 in the first
-        # chunk and 3-6 in the second, so record 10 lies in the third
+    @pytest.mark.parametrize("bad_line", [10, 20], ids=["first_chunk", "past_first_chunk"])
+    @pytest.mark.parametrize("field,value,named", [
+        ("model", "dissipative_tfim", "training.shadows model is 'dissipative_tfim'"),
+        ("omega", "1", "training.shadows was collected at omega = 1"),
+    ], ids=["model", "omega"])
+    def test_header_mismatch_reported_before_bad_records(self, tmp_path, monkeypatch,
+                                                         field, value, named, bad_line):
+        # header facts are checked before any record is read, so a header
+        # mismatch is what a bundle that also holds a malformed record reports,
+        # whichever chunk that record lies in
         from phaselearn import shadows
 
         text = SMALL_LEARNING.replace("n_override = 6000", "n_override = 20")
         cfg = _cfg(text, tmp_path)
         run_train_stage(cfg)
         path = tmp_path / "training.shadows"
-        lines = path.read_text().splitlines()
-        fields = lines[6 + 9].split(" ")
-        fields[2] = "1"
-        lines[6 + 9] = " ".join(fields)
+        lines = [f"# {field} {value}" if l.startswith(f"# {field} ") else l
+                 for l in path.read_text().splitlines()]
+        lines[bad_line - 1] = lines[bad_line - 1][:-1] + "2"
         path.write_text("\n".join(lines) + "\n")
         monkeypatch.setattr(shadows, "_CHUNK_ROWS", 4)
-        with open(path) as fh:
-            assert [len(c) for c in shadows.read_shadows(fh)][:3] == [2, 4, 4]
-        with pytest.raises(ConfigError, match="record 10 was collected at omega = 1"):
+        sizes = []
+        with open(path) as fh, pytest.raises(ConfigError, match=f"line {bad_line}: basis"):
+            for chunk in shadows.read_shadows(fh)[1]:
+                sizes.append(len(chunk))
+        # 4-line chunks from the first record, line 8: line 10 lies in the
+        # first, line 20 opens the fourth
+        assert sizes == {10: [], 20: [4, 4, 4]}[bad_line]
+        with pytest.raises(ConfigError, match=named):
             run_predict_stage(cfg)
 
     def test_bad_last_line_of_multichunk_bundle_exits_before_exact_values(
@@ -872,7 +904,7 @@ class TestChunkedStages:
         assert cli_main(["train", "--config", str(p)]) == 0
         path = tmp_path / "o" / "training.shadows"
         lines = path.read_text().splitlines()
-        assert len(lines) == 56
+        assert len(lines) == 57
         lines[-1] = lines[-1][:-1] + "2"
         path.write_text("\n".join(lines) + "\n")
 
@@ -882,7 +914,7 @@ class TestChunkedStages:
         monkeypatch.setattr(shadows, "_CHUNK_ROWS", 8)
         monkeypatch.setattr(experiment, "_exact_values", no_exact_values)
         assert cli_main(["predict", "--config", str(p)]) == 2
-        assert "shadows line 56: basis letters must be X, Y or Z and outcome bits 0 or 1" in \
+        assert "shadows line 57: basis letters must be X, Y or Z and outcome bits 0 or 1" in \
             capsys.readouterr().err
 
     def test_memory_bounded_in_n(self, tmp_path, monkeypatch):

@@ -36,7 +36,6 @@ def _tag_training(xs, taus=None, m=None):
         np.full((n, 1), 2), np.ones((n, 1)),
         np.reshape(np.asarray(xs, dtype=float), (n, m if m is not None else len(xs[0]))),
         taus=[math.inf] * n if taus is None else taus,
-        omegas=[0] * n,
     )
 
 
@@ -338,9 +337,7 @@ def _pinning_training(n, N, seed, gamma_spread=None):
 
     bases, outcomes = measure_snapshot_product(
         model.oracle.bloch_vectors(xs, np.full(N, math.inf)), stream_seed(seed, "m"))
-    return model, TrainingSet(bases, outcomes, xs, taus=np.full(N, math.inf),
-                              omegas=np.zeros(N), model_name="pinning",
-                              seed=seed)
+    return model, TrainingSet(bases, outcomes, xs, taus=np.full(N, math.inf))
 
 
 class TestPredict:
@@ -368,8 +365,7 @@ class TestPredict:
 
         bloch = model.oracle.bloch_vectors(np.tile(x, (200, 1)), np.full(200, math.inf))
         bases, outcomes = measure_snapshot_product(bloch, 0)
-        tr = TrainingSet(bases, outcomes, np.tile(x, (200, 1)), taus=np.full(200, math.inf),
-                         omegas=np.zeros(200))
+        tr = TrainingSet(bases, outcomes, np.tile(x, (200, 1)), taus=np.full(200, math.inf))
         p = self._plan(model)
         obs = observable_from_string("Z@1", lat)
         pred = _predict([obs], x, math.inf, tr, p, model.family)
@@ -563,7 +559,7 @@ def _grid_training(data, N, n, timed):
     taus = data.draw(st.lists(times, min_size=N, max_size=N)) if timed else [math.inf] * N
     bases = data.draw(hnp.arrays(np.int8, (N, n), elements=st.integers(0, 2)))
     outcomes = data.draw(hnp.arrays(np.int8, (N, n), elements=st.sampled_from([-1, 1])))
-    return TrainingSet(bases, outcomes, X, taus=taus, omegas=[0] * N)
+    return TrainingSet(bases, outcomes, X, taus=taus)
 
 
 def _chunks(tr, size):
@@ -629,7 +625,7 @@ class TestCellFold:
         p = self._plan(model, r=0, gamma=0.05)
         N = len(tags)
         tr = TrainingSet(np.full((N, 1), 2), np.array([[1 - 2 * (k % 2)] for k in range(N)]),
-                         np.array(tags)[:, None], taus=[math.inf] * N, omegas=[0] * N)
+                         np.array(tags)[:, None], taus=[math.inf] * N)
         obs = [observable_from_string("Z@0", model.lattice)]
         fold = CellFold(obs, np.zeros((1, 1)), [math.inf], p, model.family)
         for piece in _chunks(tr, chunk):
@@ -665,7 +661,7 @@ class TestCellFold:
         p = self._plan(model, r=0, gamma=0.05)
         X = np.array([[0.8], [0.5], [-0.7], [-0.5], [0.9], [0.92]])
         tr = TrainingSet(np.full((6, 1), 2), np.array([[1], [-1], [1], [1], [-1], [1]]), X,
-                         taus=[math.inf] * 6, omegas=[0] * 6)
+                         taus=[math.inf] * 6)
         obs = [observable_from_string("Z@0", model.lattice)]
         fold = CellFold(obs, np.array([[0.0], [0.9]]), [math.inf] * 2, p, model.family)
         for piece in _chunks(tr, 2):

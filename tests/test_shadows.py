@@ -34,15 +34,15 @@ def _snap(bases, outcomes):
     return np.array(bases, dtype=np.int8), np.array(outcomes, dtype=np.int8)
 
 
-def _columns(bases, outcomes, X, taus=None, omegas=None, **meta):
-    """A TrainingSet from its columns; omitted tags default to steady state."""
-    N = len(bases)
-    return TrainingSet(
-        bases, outcomes, X,
-        taus=[math.inf] * N if taus is None else taus,
-        omegas=[0] * N if omegas is None else omegas,
-        **meta,
-    )
+def _columns(bases, outcomes, X, taus=None):
+    """A TrainingSet from its columns; omitted taus default to steady state."""
+    return TrainingSet(bases, outcomes, X, taus=[math.inf] * len(bases) if taus is None else taus)
+
+
+def _header(m, mode="steady_state", omega=0, seed=0):
+    """A bundle header for a pinning run with m tags."""
+    return {"model": "pinning", "lattice": '{"dim": 1}', "mode": mode, "seed": seed,
+            "omega": omega, "m": m}
 
 
 def _philox_row(key, row, n):
@@ -56,18 +56,20 @@ def _philox_row(key, row, n):
 
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
 
-# lines that are bad after a record "000000000000f03f inf 0 XY 01" under "# m 1"
+# lines that are bad after a record "000000000000f03f inf XY 01" under "# m 1"
 BAD_LINES = [
-    "3ff0000000000000 inf 0 XY 02",
-    "3ff0000000000000 inf 0 XY",
-    "3ff000000000000g inf 0 XY 01",
-    "3ff000000000000\t inf 0 XY 01",
-    "3ff0000000000000 inf one XY 01",
-    "3ff0000000000000 1.0 0 XY 01",
-    "0000000000000040 inf 0 XY 01",
-    "3ff0000000000000 inf 0 XYZ 010",
+    "3ff0000000000000 inf XY 02",
+    "3ff0000000000000 inf XY",
+    "3ff000000000000g inf XY 01",
+    "3ff000000000000\t inf XY 01",
+    "3ff0000000000000 inf 0 XY 01",
+    "3ff0000000000000 1.0 XY 01",
+    "0000000000000040 inf XY 01",
+    "3ff0000000000000 inf XYZ 010",
     "# m one",
     "# m 1",
+    "# omega one",
+    "# omega 1",
 ]
 
 
@@ -77,44 +79,46 @@ FIELD_TOKENS = ["", "-", "inf", "nan", "-3.0", "-0.0", "1e999", "0x1", "1_0", " 
                 "0000000000000040", "ZZ", "01"]
 
 
+COLUMNS = ("bases", "outcomes", "X", "taus")
+
+
 @st.composite
 def training_sets(draw, max_rows=40):
-    """Random TrainingSets, steady or general mode, m = 0..4 and n = 1..6;
-    general-mode taus and the omegas mix values whose text widths differ."""
+    """Random (header, TrainingSet) pairs, steady or general mode, m = 0..4
+    and n = 1..6; general-mode taus mix values whose text widths differ."""
     N, m, n = draw(st.integers(0, max_rows)), draw(st.integers(0, 4)), draw(st.integers(1, 6))
     steady = draw(st.booleans())
     tau = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e16]) | st.floats(
         0.0, 1e6, allow_nan=False, allow_infinity=False)
-    omega = st.sampled_from([0, 7, 10**17]) | st.integers(0, 3)
-    return _columns(
+    omega = draw(st.sampled_from([0, 7, 10**17]) | st.integers(0, 3))
+    header = _header(m, "steady_state" if steady else "general_phase", omega, seed=N)
+    return header, _columns(
         draw(hnp.arrays(np.int8, (N, n), elements=st.integers(0, 2))),
         draw(hnp.arrays(np.int8, (N, n), elements=st.sampled_from([-1, 1]))),
         draw(hnp.arrays(float, (N, m), elements=unit_floats)),
-        taus=[math.inf] * N if steady else draw(st.lists(tau, min_size=N, max_size=N)),
-        omegas=draw(st.lists(omega, min_size=N, max_size=N)),
-        model_name="pinning", lattice_json='{"dim": 1}',
-        mode="steady_state" if steady else "general_phase", seed=N)
+        taus=[math.inf] * N if steady else draw(st.lists(tau, min_size=N, max_size=N)))
 
 
-def _read(fileobj) -> TrainingSet:
-    """read_shadows' chunks joined into one TrainingSet; each chunk holds at
-    most ``_CHUNK_ROWS`` records."""
-    chunks = list(read_shadows(fileobj))
+def _read(fileobj) -> tuple[dict, TrainingSet]:
+    """read_shadows' header, and its chunks joined into one TrainingSet; each
+    chunk holds at most ``_CHUNK_ROWS`` records."""
+    header, chunks = read_shadows(fileobj)
+    chunks = list(chunks)
     assert all(0 < len(chunk) <= shadows._CHUNK_ROWS for chunk in chunks)
-    return joined(chunks)
+    return header, joined(chunks)
 
 
 def _read_outcome(read, text):
-    """read(text)'s five columns and metadata, "no records" for a file
+    """read(text)'s header and four columns, the header alone for a file
     without records, or the type and text of what it raised."""
     try:
-        ts = read(io.StringIO(text))
+        header, ts = read(io.StringIO(text))
     except Exception as exc:  # compared, type and text, with the other reader's
         return type(exc).__name__, str(exc)
-    if not len(ts):  # the chunked reader yields nothing, so no metadata, for no records
-        return "no records"
-    return ([getattr(ts, name).tobytes() for name in ("bases", "outcomes", "X", "taus", "omegas")],
-            ts.X.shape, ts.bases.shape, ts.model_name, ts.lattice_json, ts.mode, ts.seed)
+    if not len(ts):  # the columns' widths are unknown without records
+        return header
+    return ([getattr(ts, name).tobytes() for name in COLUMNS], ts.X.shape, ts.bases.shape,
+            header)
 
 
 class TestMeasurement:
@@ -397,18 +401,16 @@ class TestShadowFile:
         bases, outcomes = map(np.array, zip(*(measure_snapshot(rho, 0, row=i)
                                                for i in range(7))))
         ts = _columns(bases, outcomes, rng.uniform(-1, 1, (7, 5)),
-                      taus=[0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 4.0],
-                      omegas=[0, 1, 0, 0, 1, 0, 0],
-                      model_name="pinning", lattice_json="{}", mode="general_phase",
-                      seed=11)
+                      taus=[0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 4.0])
         buf = io.StringIO()
-        write_shadows(buf, [ts])
+        write_shadows(buf, _header(5, "general_phase", omega=1, seed=11), [ts])
         buf.seek(0)
-        back = _read(buf)
-        assert back.model_name == "pinning"
-        assert back.mode == "general_phase"
-        assert back.seed == 11 and back.X.shape == (7, 5)
-        for name in ("bases", "outcomes", "X", "taus", "omegas"):
+        header, back = _read(buf)
+        assert header == {"phaselearn-shadows": "v3", "model": "pinning",
+                          "lattice": '{"dim": 1}', "mode": "general_phase", "seed": 11,
+                          "omega": 1, "m": 5}
+        assert back.X.shape == (7, 5)
+        for name in COLUMNS:
             assert np.array_equal(getattr(ts, name), getattr(back, name)), name
 
     @pytest.mark.parametrize("m", [0, 3])
@@ -417,57 +419,58 @@ class TestShadowFile:
         N, n = 5, 4
         ts = _columns(rng.integers(0, 3, (N, n)), rng.choice([-1, 1], (N, n)),
                       rng.uniform(-1, 1, (N, m)),
-                      taus=[7.0, 0.0, 0.1, 2.5e-17, 3.0], omegas=[0, 1, 1, 0, 1],
-                      model_name="pinning", lattice_json='{"dim": 1}',
-                      mode="general_phase", seed=2**63 + 5)
+                      taus=[7.0, 0.0, 0.1, 2.5e-17, 3.0])
         first = io.StringIO()
-        write_shadows(first, [ts])
+        write_shadows(first, _header(m, "general_phase", omega=1, seed=2**63 + 5), [ts])
         second = io.StringIO()
-        write_shadows(second, read_shadows(io.StringIO(first.getvalue())))
+        write_shadows(second, *read_shadows(io.StringIO(first.getvalue())))
         assert second.getvalue() == first.getvalue()
         if m == 0:
             assert all(line.startswith("- ") for line in first.getvalue().split("\n")
                        if line and not line.startswith("#"))
 
-    @given(ts=training_sets(), chunk=st.integers(1, 7))
+    @given(drawn=training_sets(), chunk=st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
-    def test_random_byte_roundtrip(self, ts, chunk):
-        # write -> read -> write is byte-identical across chunk boundaries, and
-        # the writer's bytes are the record-at-a-time reference writer's, whether
-        # it is handed the whole set or its chunks
+    def test_random_byte_roundtrip(self, drawn, chunk):
+        # write -> read -> write is byte-identical across chunk boundaries, a
+        # header without records included, and the writer's bytes are the
+        # record-at-a-time reference writer's, whether it is handed the whole
+        # set, its chunks or, for no records, no chunks at all
+        header, ts = drawn
         N = len(ts)
-        pieces = [row_slice(ts, lo, lo + chunk) for lo in range(0, N, chunk)] or [ts]
+        pieces = [row_slice(ts, lo, lo + chunk) for lo in range(0, N, chunk)]
         with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
             first = io.StringIO()
-            write_shadows(first, [ts])
+            write_shadows(first, header, [ts])
             chunked = io.StringIO()
-            write_shadows(chunked, pieces)
+            write_shadows(chunked, header, pieces)
             reference = io.StringIO()
-            shadows_reference.write_shadows(reference, ts)
-            back = _read(io.StringIO(first.getvalue()))
+            shadows_reference.write_shadows(reference, header, ts)
+            back_header, back = _read(io.StringIO(first.getvalue()))
             second = io.StringIO()
-            write_shadows(second, read_shadows(io.StringIO(first.getvalue())))
+            write_shadows(second, *read_shadows(io.StringIO(first.getvalue())))
         assert first.getvalue() == reference.getvalue() == chunked.getvalue()
-        # a file without records reads back as no chunks, so the header alone
-        assert second.getvalue() == first.getvalue() if N else second.getvalue() == ""
+        assert second.getvalue() == first.getvalue()
+        assert back_header == {"phaselearn-shadows": "v3", **header}
         assert len(back) == N
-        for name in ("bases", "outcomes", "X", "taus", "omegas") if N else ():
+        for name in COLUMNS if N else ():
             assert np.array_equal(getattr(ts, name), getattr(back, name)), name
 
-    @given(ts=training_sets(max_rows=12), data=st.data(), chunk=st.integers(1, 7))
+    @given(drawn=training_sets(max_rows=12), data=st.data(), chunk=st.integers(1, 7))
     @settings(max_examples=150, deadline=None)
-    def test_reader_matches_reference(self, ts, data, chunk):
+    def test_reader_matches_reference(self, drawn, data, chunk):
         # on a valid bundle, and on it with lines inserted and characters or
         # fields replaced, the byte-block reader returns the reference
-        # reader's arrays or raises the same error with the same text
+        # reader's header and arrays or raises the same error with the same text
+        header, ts = drawn
         buf = io.StringIO()
-        write_shadows(buf, [ts])
+        write_shadows(buf, header, [ts])
         lines = buf.getvalue().split("\n")
         for _ in range(data.draw(st.integers(0, 3))):
             at = data.draw(st.integers(0, len(lines) - 1))
             edit = data.draw(st.sampled_from(["insert", "char", "field"]))
             if edit == "insert":
-                lines.insert(at, data.draw(st.sampled_from(["", *BAD_LINES])))
+                lines.insert(at, data.draw(st.sampled_from(["", "# note 1", *BAD_LINES])))
             elif edit == "char" and lines[at]:
                 col = data.draw(st.integers(0, len(lines[at]) - 1))
                 char = data.draw(st.sampled_from(" \t-#0159afgXYZW.e+n_\x00?\u0661\xe9"))
@@ -490,29 +493,29 @@ class TestShadowFile:
     ], ids=["version_1", "negative_m", "huge_m"])
     def test_bad_header_rejected(self, header, what):
         with pytest.raises(ConfigError, match=what):
-            _read(io.StringIO(header + "\n- inf 0 Z 0 7\n"))
+            _read(io.StringIO(header + "\n- inf Z 0 7\n"))
 
     @pytest.mark.parametrize("record, what", [
-        ("0000000000000000 inf 0 ZZ 02", "outcome bits"),
-        ("0000000000000000 inf 0 ZZZ 011", "first record's length"),
-        ("0000000000000000 inf 0 ZZ 0", "first record's length"),
-        ("00000000 inf 0 ZZ 01", "m = 1"),
-        ("0000000000000000 inf 0 ZW 01", "basis letters"),
-        ("0000000000000000 inf 0 ZZ", "5 fields, got 4"),
-        ("0000000000000000 inf 0 ZZ 01 7", "5 fields, got 6"),
-        ("000000000000000g inf 0 ZZ 01", "hexadecimal"),
-        ("0000000000000000 inf one ZZ 01", "invalid literal"),
-        ("0000000000000000 inf 99999999999999999999 ZZ 01", "too large"),
+        ("0000000000000000 inf ZZ 02", "outcome bits"),
+        ("0000000000000000 inf ZZZ 011", "first record's length"),
+        ("0000000000000000 inf ZZ 0", "first record's length"),
+        ("00000000 inf ZZ 01", "m = 1"),
+        ("0000000000000000 inf ZW 01", "basis letters"),
+        ("0000000000000000 inf ZZ", "4 fields, got 3"),
+        ("0000000000000000 inf 0 ZZ 01", "4 fields, got 5"),
+        ("000000000000000g inf ZZ 01", "hexadecimal"),
+        ("# omega one", "invalid literal"),
+        ("# omega 1", "after the first record"),
         ("# m one", "invalid literal"),
         ("# mode general_phase", "after the first record"),
-        ("000000000000f87f inf 0 ZZ 01", "x tags"),
-        ("0000000000000040 inf 0 ZZ 01", "x tags"),
-        ("0000000000000000 -3.0 0 ZZ 01", "tau must be inf"),
+        ("000000000000f87f inf ZZ 01", "x tags"),
+        ("0000000000000040 inf ZZ 01", "x tags"),
+        ("0000000000000000 -3.0 ZZ 01", "tau must be inf"),
     ], ids=["bit_2", "ragged_long", "ragged_short", "short_x", "letter_W",
-            "four_fields", "six_fields", "bad_hex", "omega_word", "omega_huge", "header_m",
-            "header_after_record", "x_nan", "x_two", "tau_in_steady"])
+            "three_fields", "five_fields", "bad_hex", "omega_word", "omega_after_record",
+            "header_m", "header_after_record", "x_nan", "x_two", "tau_in_steady"])
     def test_malformed_record_rejected(self, record, what):
-        text = "# m 1\n0000000000000000 inf 0 XY 01\n" + record + "\n"
+        text = "# m 1\n0000000000000000 inf XY 01\n" + record + "\n"
         with pytest.raises(ConfigError, match=what) as err:
             _read(io.StringIO(text))
         assert "line 3" in str(err.value)
@@ -523,18 +526,20 @@ class TestShadowFile:
     def test_names_first_bad_line(self, body, chunk):
         # None is a good record; every other line is bad after the first record,
         # and the error names the first of them whichever checks they fail
-        good = "000000000000f03f inf 0 XY 01"
+        good = "000000000000f03f inf XY 01"
         lines = ["# m 1", good] + [good if line is None else line for line in body]
         text = "\n".join(lines) + "\n"
         bad = [i for i, line in enumerate(body) if line is not None]
         with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
             if not bad:
-                assert len(_read(io.StringIO(text))) == len(lines) - 1
+                assert len(_read(io.StringIO(text))[1]) == len(lines) - 1
                 return
             with pytest.raises(ConfigError, match=f"^shadows line {bad[0] + 3}:"):
                 _read(io.StringIO(text))
 
-    @pytest.mark.parametrize("line", [shadows._CHUNK_ROWS, shadows._CHUNK_ROWS + 1],
+    # the records' chunks of lines start at the first record, after the header
+    @pytest.mark.parametrize("line", [len(shadows._HEADER) + shadows._CHUNK_ROWS,
+                                      len(shadows._HEADER) + shadows._CHUNK_ROWS + 1],
                              ids=["last_of_first_chunk", "first_of_second_chunk"])
     def test_names_bad_line_at_full_chunk_size(self, line):
         # two full chunks of records at the shipped chunk size, one bad line
@@ -542,10 +547,11 @@ class TestShadowFile:
         ts = _columns(np.zeros((N, 2), np.int8), np.ones((N, 2), np.int8),
                       np.full((N, 1), 0.5))
         buf = io.StringIO()
-        write_shadows(buf, [ts])
+        write_shadows(buf, _header(1), [ts])
         lines = buf.getvalue().split("\n")
-        assert len(_read(io.StringIO(buf.getvalue()))) == N
-        lines[line - 1] = "000000000000e03f inf 0 XY 02"
+        chunks = read_shadows(io.StringIO(buf.getvalue()))[1]
+        assert [len(chunk) for chunk in chunks] == [shadows._CHUNK_ROWS] * 2
+        lines[line - 1] = "000000000000e03f inf XY 02"
         with pytest.raises(ConfigError, match=f"^shadows line {line}: .*outcome bits"):
             _read(io.StringIO("\n".join(lines)))
 
@@ -553,15 +559,15 @@ class TestShadowFile:
         # float and int take Unicode digits, underscores and surrounding
         # whitespace; each tau is read as float reads it, even where two
         # differ only in a non-ASCII digit
-        text = ("# mode general_phase\n- \u0661.5 0 XY 01\n- \u0662.5 1_0 XY 01\n"
-                "- 1_0.5 \u0663 XY 01\n- \u00a02.5 0 XY 01\n")
-        ts = _read(io.StringIO(text))
+        text = ("# mode general_phase\n# omega 1_\u0663\n- \u0661.5 XY 01\n- \u0662.5 XY 01\n"
+                "- 1_0.5 XY 01\n- \u00a02.5 XY 01\n")
+        header, ts = _read(io.StringIO(text))
         assert ts.taus.tolist() == [1.5, 2.5, 10.5, 2.5]
-        assert ts.omegas.tolist() == [0, 10, 3, 0]
+        assert header["omega"] == 13
 
     @pytest.mark.parametrize("tau", ["-3.0", "nan", "inf"])
     def test_bad_evolve_tau_rejected(self, tau):
-        text = f"# mode general_phase\n- 0.5 0 XY 01\n- {tau} 0 ZZ 01\n"
+        text = f"# mode general_phase\n- 0.5 XY 01\n- {tau} ZZ 01\n"
         with pytest.raises(ConfigError, match="line 3: tau must be finite and >= 0"):
             _read(io.StringIO(text))
 
@@ -569,29 +575,49 @@ class TestShadowFile:
         bases, outcomes = measure_snapshot(DensityMatrix(np.eye(4) / 4, 2), 5)
         ts = _columns([bases], [outcomes], [[0.5, -0.25]])
         buf = io.StringIO()
-        write_shadows(buf, [ts])
-        assert buf.getvalue().startswith("# phaselearn-shadows v2\n")
-        record = [l for l in buf.getvalue().split("\n") if l and not l.startswith("#")][0]
-        xhex, tau, omega, basis, bits = record.split(" ")
+        write_shadows(buf, _header(2, omega=1, seed=9), [ts])
+        *header, record, end = buf.getvalue().split("\n")
+        assert header == ["# phaselearn-shadows v3", "# model pinning", '# lattice {"dim": 1}',
+                          "# mode steady_state", "# seed 9", "# omega 1", "# m 2"]
+        assert end == ""
+        xhex, tau, basis, bits = record.split(" ")
         assert len(xhex) == 2 * 8 * 2  # two little-endian float64s in hex
         assert bytes.fromhex(xhex) == np.array([0.5, -0.25], dtype="<f8").tobytes()
-        assert tau == "inf" and omega == "0"
+        assert tau == "inf"
         assert len(basis) == 2 and set(basis) <= set("XYZ")
         assert len(bits) == 2 and set(bits) <= set("01")
 
     def test_prefix_subset(self):
         # records come back chunk after chunk in file order, so the first s
         # records read are the first s written: a sweep size's prefix
-        ts = _columns([[2]] * 5, [[1]] * 5, np.zeros((5, 0)), omegas=[0, 1, 2, 3, 4])
+        ts = _columns([[2]] * 5, [[1]] * 5, [[0.0], [0.25], [0.5], [0.75], [1.0]])
         buf = io.StringIO()
-        write_shadows(buf, [ts])
+        write_shadows(buf, _header(1), [ts])
         with mock.patch.object(shadows, "_CHUNK_ROWS", 2):
-            chunks = list(read_shadows(io.StringIO(buf.getvalue())))
-        # the header's six lines fill the first three chunks of lines
+            chunks = list(read_shadows(io.StringIO(buf.getvalue()))[1])
+        # the chunks of lines start at the first record
         assert [len(chunk) for chunk in chunks] == [2, 2, 1]
         sub = joined(chunks[:2])
-        assert len(sub) == 4
-        assert list(sub.omegas) == [0, 1, 2, 3] and sub.X.shape == (4, 0)
+        assert sub.X[:, 0].tolist() == [0.0, 0.25, 0.5, 0.75]
+
+    @given(drawn=training_sets(max_rows=12), data=st.data(), chunk=st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_note_lines_among_records_are_skipped(self, drawn, data, chunk):
+        # "#" lines of keys the header lacks, and blank lines, between records
+        # or in the header change neither the header nor the columns
+        header, ts = drawn
+        buf = io.StringIO()
+        write_shadows(buf, header, [ts])
+        lines = buf.getvalue().split("\n")
+        for _ in range(data.draw(st.integers(1, 4))):
+            lines.insert(data.draw(st.integers(0, len(lines) - 1)),
+                         data.draw(st.sampled_from(["# note", "# note 1", "#", ""])))
+        with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
+            want = _read(io.StringIO(buf.getvalue()))
+            got = _read(io.StringIO("\n".join(lines)))
+        assert got[0] == want[0]
+        for name in COLUMNS:
+            assert np.array_equal(getattr(got[1], name), getattr(want[1], name)), name
 
 
 class TestLocalEstimates:
