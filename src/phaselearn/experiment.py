@@ -8,10 +8,10 @@ into the CSV/JSON data files.
 The learning stages hold one chunk of the training set at a time
 (``shadows._CHUNK_ROWS`` records).  The train stage draws a chunk's tags,
 states and measurements and writes its records before it draws the next.  The
-predict stage checks the bundle's header against the config, then checks each
-chunk as it is read and folds it into the test points' cells and the coverage
-counts; the predictions, the sweep and the exact values come after the one
-pass.
+predict stage checks the bundle's header against the config before it reads
+a record, then checks each chunk as it is read and folds it into the test
+points' cells and the coverage counts; the predictions, the sweep and the
+exact values come after the one pass.
 """
 
 from __future__ import annotations
@@ -210,12 +210,13 @@ def run_train_stage(cfg: ExperimentConfig) -> dict:
     """Plan, then sample and measure the training set a chunk at a time,
     writing each chunk before the next is drawn; writes plan.json and
     training.shadows, whose header holds the run's model, lattice, mode,
-    seed, ancilla choice and tag count."""
+    seed, ancilla choice, tag count and site count."""
     model, _ = _setup(cfg)
     p = _write_plan(cfg, model)
     header = {"model": model.name, "lattice": cfg.lattice.to_json(), "mode": cfg.mode,
-              "seed": cfg.seed, "omega": model.omega, "m": model.family.m}
-    with open(Path(cfg.out_dir) / "training.shadows", "w") as fh:
+              "seed": cfg.seed, "omega": model.omega, "m": model.family.m,
+              "n": model.family.n_system}
+    with open(Path(cfg.out_dir) / "training.shadows", "wb") as fh:
         write_shadows(fh, header, _training_chunks(cfg, model, p))
     return {"plan": "plan.json", "training": "training.shadows"}
 
@@ -233,11 +234,11 @@ def _read_plan(out: Path) -> LearnerPlan | None:
 
 def _bundle_chunks(cfg: ExperimentConfig, p: LearnerPlan, m: int,
                    fileobj) -> Iterator[TrainingSet]:
-    """training.shadows' chunks, each checked before it is handed on.  Its
-    header is checked before any record is read: a model, lattice, mode,
-    ancilla choice or tag count other than the config's, or a plan.json mode
-    other than the config's, is a ConfigError naming the file and field.  So
-    are records whose width is not the config's site count."""
+    """training.shadows' chunks, each checked as it is read, once its header
+    has been checked: a model, lattice, mode, ancilla choice, tag count or
+    site count other than the config's, or a plan.json mode other than the
+    config's, is a ConfigError naming the file and field, raised before any
+    record is read."""
     header, chunks = read_shadows(fileobj)
     for field, found, asked in (
         ("training.shadows model", header["model"], cfg.model_name),
@@ -253,12 +254,10 @@ def _bundle_chunks(cfg: ExperimentConfig, p: LearnerPlan, m: int,
     if header["m"] != m:
         raise ConfigError(f"training.shadows records carry m = {header['m']} x tags, "
                           f"the config's model has m = {m}")
-    for chunk in chunks:
-        if chunk.bases.shape[1] != cfg.lattice.n_sites:
-            raise ConfigError(f"training.shadows records cover {chunk.bases.shape[1]} sites, "
-                              f"config's lattice has {cfg.lattice.n_sites}")
-        yield chunk
-        del chunk  # not held while the next chunk is read
+    if header["n"] != cfg.lattice.n_sites:
+        raise ConfigError(f"training.shadows records cover {header['n']} sites, "
+                          f"config's lattice has {cfg.lattice.n_sites}")
+    return chunks
 
 
 def run_predict_stage(cfg: ExperimentConfig) -> dict:
@@ -267,10 +266,10 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
 
     One pass over training.shadows folds every chunk into the test points'
     cells (for the run and each sweep size) and the coverage counts.  A
-    missing plan.json or training.shadows, a malformed or mismatched bundle
-    (:func:`_bundle_chunks`: its header is checked before its first record)
-    or one without records is a ConfigError raised before any exact value is
-    computed."""
+    missing plan.json or training.shadows, a mismatched header
+    (:func:`_bundle_chunks`, checked before the first record is read), a
+    malformed record or a bundle without records is a ConfigError raised
+    before any exact value is computed."""
     t_start = time.perf_counter()
     out = Path(cfg.out_dir)
     model, observables = _setup(cfg)
@@ -283,7 +282,7 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
     fold = CellFold(observables, test_x, test_t, p, model.family)
     regions = [enlarge(cfg.lattice, o.support, p.r) for o in observables]
     counts = CoverageCounts(p.gamma, regions, model.family, t_eps=p.t_eps)
-    with open(train_path) as fh:
+    with open(train_path, "rb") as fh:
         for chunk in _bundle_chunks(cfg, p, model.family.m, fh):
             fold.add(chunk)
             counts.add(chunk)

@@ -14,17 +14,16 @@ outcome probabilities at once.
 
 A TrainingSet holds tagged snapshots as columns: (N, n) int8 basis codes and
 +-1 outcomes beside the per-snapshot tags x and tau.  What holds for a whole
-run (model, lattice, mode, seed, ancilla choice omega and tag count m) is
-said once, in the bundle's header.  A run never holds the whole training
-set: it is written and read ``_CHUNK_ROWS`` records at a time.
-:func:`write_shadows` writes the header it is given and then each chunk it
-is handed as one uint8 block; :func:`read_shadows` reads the header and
-returns it with a generator that reads the records a chunk of lines at a
-time, each chunk checked before it is handed on.  In a block, each field is
-placed or taken for the whole chunk at its records' offsets, tau is
-formatted or parsed once per distinct value, and every check of a record is
-a mask over the chunk, so the first bad line comes straight from the
-masks.  The inverse-channel estimate
+run (model, lattice, mode, seed, ancilla choice omega, tag count m and site
+count n) is said once, in the bundle's header, and m and n fix the width of
+every record.  A run never holds the whole training set: it is written and
+read ``_CHUNK_ROWS`` records at a time.  :func:`write_shadows` writes the
+header it is given and then each chunk it is handed as one (rows, width)
+uint8 block, a field per column slice; :func:`read_shadows` reads the
+header and returns it with a generator that reads the records a chunk of
+lines at a time, takes them as one such block and checks it before it is
+handed on.  Every check of a record is a mask over the chunk, so the first
+bad line comes straight from the masks.  The inverse-channel estimate
 
     (x)_{i in B} (3 |z_i><z_i| - I)
 
@@ -255,125 +254,58 @@ class TrainingSet:
         return len(self.taus)
 
 
-_VERSION = "v3"
+_VERSION = "v4"
 # a bundle's header lines in file order, each key with the value it reads as
 # when its line is missing.  They hold for every record of the run: record i
 # is row i of the seed's "measurement" stream, at ancilla choice omega, with
-# m tags.
+# m tags and n sites.
 _HEADER = {"phaselearn-shadows": _VERSION, "model": "", "lattice": "",
-           "mode": "steady_state", "seed": 0, "omega": 0, "m": 0}
-# the largest tag count m of an empty (0, m) float64 tag array numpy can hold
-_M_MAX = np.iinfo(np.intp).max // 8
+           "mode": "steady_state", "seed": 0, "omega": 0, "m": 0, "n": 0}
+# the header's counts, and the largest a header may give: the widest empty
+# (0, m) float64 tag array numpy can hold
+_COUNTS = {"m": "tag count", "n": "site count"}
+_COUNT_MAX = np.iinfo(np.intp).max // 8
 
 _SPACE, _NEWLINE = ord(" "), ord("\n")
 # by byte value: False for a hexadecimal digit, True for any other byte
 _NOT_HEX = np.array([chr(c) not in "0123456789abcdefABCDEF" for c in range(256)])
 
 
-def _windows(block: np.ndarray, width: int) -> np.ndarray:
-    """The view whose row s is block[s:s + width]: taking its rows at the
-    records' offsets gathers a field of that width, and assigning to them
-    places one."""
-    return np.lib.stride_tricks.sliding_window_view(block, width,
-                                                    writeable=block.flags.writeable)
-
-
 def _records_block(chunk: TrainingSet) -> np.ndarray:
-    """The chunk's records as one uint8 block.  The x hex comes from one
-    ``binascii.hexlify`` call and the letters and bits from the int8 columns;
-    tau is formatted (repr, so "inf" in steady state) once per distinct
-    value, by its bits so that -0.0 keeps its sign.  Each field is placed at
-    its record's offset, the running sum of the record widths, and the taus
-    one strided take per token width, so no padding lands in the block."""
-    (rows, m), n = chunk.X.shape, chunk.bases.shape[1]
-    head = np.full((rows, max(16 * m, 1) + 1), _SPACE, dtype=np.uint8)  # x and a space
-    if m:
-        head[:, :-1] = np.frombuffer(binascii.hexlify(np.ascontiguousarray(chunk.X, "<f8")),
-                                     dtype=np.uint8).reshape(rows, 16 * m)
-    else:
-        head[:, 0] = ord("-")
-    # " basis bits\n" as ASCII codes: X, Y, Z are consecutive, '0' is +1
-    tail = np.full((rows, 2 * n + 3), _SPACE, dtype=np.uint8)
-    tail[:, 1:n + 1] = chunk.bases + ord("X")
-    tail[:, n + 2:-1] = (chunk.outcomes < 0) + ord("0")
-    tail[:, -1] = _NEWLINE
-    _, first, index = np.unique(chunk.taus.view(np.int64), return_index=True,
-                                return_inverse=True)
-    tokens = list(map(repr, chunk.taus[first].tolist()))
-    table = np.array(tokens, dtype=bytes).view(np.uint8).reshape(len(tokens), -1)
-    tau_widths = np.fromiter(map(len, tokens), np.int64, len(tokens))[index]
-    widths = head.shape[1] + tau_widths + tail.shape[1]
-    ends = np.cumsum(widths)
-    starts = ends - widths
-    block = np.empty(ends[-1], dtype=np.uint8)
-    _windows(block, head.shape[1])[starts] = head
-    for width in np.unique(tau_widths).tolist():
-        at = np.flatnonzero(tau_widths == width)
-        _windows(block, width)[starts[at] + head.shape[1]] = table[index[at], :width]
-    _windows(block, tail.shape[1])[ends - tail.shape[1]] = tail
+    """The chunk's records as one uint8 block, a record and its newline per
+    row.  The tags and tau come from one ``binascii.hexlify`` call and the
+    letters and bits from the int8 columns, each one column slice."""
+    (rows, n), h = chunk.bases.shape, 16 * (chunk.X.shape[1] + 1)
+    block = np.full((rows, h + 2 * n + 3), _SPACE, dtype=np.uint8)
+    values = np.ascontiguousarray(np.column_stack([chunk.X, chunk.taus]), "<f8")
+    block[:, :h] = np.frombuffer(binascii.hexlify(values), dtype=np.uint8).reshape(rows, h)
+    # X, Y, Z are consecutive ASCII codes, and '0' is +1
+    block[:, h + 1:h + n + 1] = chunk.bases + ord("X")
+    block[:, h + n + 2:-1] = (chunk.outcomes < 0) + ord("0")
+    block[:, -1] = _NEWLINE
     return block
 
 
-def write_shadows(fileobj: IO[str], header: dict, chunks: Iterable[TrainingSet]) -> None:
+def write_shadows(fileobj: IO[bytes], header: dict, chunks: Iterable[TrainingSet]) -> None:
     """Snapshot interchange format: the version line, then ``# key value``
     for each other ``_HEADER`` key from ``header``, then one record per line,
-    ``x_hex tau basis_string outcome_bitstring``.  Each chunk is written as
-    one block before the next is drawn from ``chunks``, so a generator of
-    chunks bounds the memory of the whole write; with no chunks the header
-    is written alone."""
+    ``values_hex basis_string outcome_bitstring``, where ``values_hex`` is
+    the m tags and then tau as little-endian float64 hex, so every record
+    is 16 (m + 1) + 2 n + 2 bytes.  Each chunk is written as one block before
+    the next is drawn from ``chunks``, so a generator of chunks bounds the
+    memory of the whole write; with no chunks the header is written alone."""
     header = {**header, "phaselearn-shadows": _VERSION}
-    fileobj.write("".join(f"# {key} {header[key]}\n" for key in _HEADER))
+    fileobj.write("".join(f"# {key} {header[key]}\n" for key in _HEADER).encode("ascii"))
     for chunk in chunks:
         if len(chunk):
-            fileobj.write(str(_records_block(chunk), "ascii"))
+            fileobj.write(_records_block(chunk))
         del chunk  # not held while the next chunk is drawn
 
 
-def _distinct_fields(text: str, buf: np.ndarray, spaces: np.ndarray,
-                     stops: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The distinct fields text[spaces[r] + 1:stops[r]], and each row's index
-    among them.  The rows are grouped by their spans buf[spaces[r]:stops[r]],
-    each field with the space before it so that no span is empty, with one
-    np.unique per span width.  ``buf`` is ``text`` encoded as ASCII with each
-    non-ASCII character written as '?', so in a text that is not ASCII a span
-    holding '?' stands for itself alone."""
-    widths = stops - spaces
-    index = np.empty(len(spaces), dtype=np.int64)
-    firsts = []
-    for width in np.unique(widths).tolist():
-        rows = np.flatnonzero(widths == width)
-        spans = _windows(buf, width)[spaces[rows]]
-        _, first, inverse = np.unique(spans.view(f"S{width}")[:, 0], return_index=True,
-                                      return_inverse=True)
-        index[rows] = len(firsts) + inverse
-        firsts += rows[first].tolist()
-        if not text.isascii():
-            odd = rows[np.any(spans == ord("?"), axis=1)]
-            index[odd] = len(firsts) + np.arange(len(odd))
-            firsts += odd.tolist()
-    fields = list(map(text.__getitem__, map(slice, (spaces[firsts] + 1).tolist(),
-                                                stops[firsts].tolist())))
-    return fields, index
-
-
-def _floats(tokens: list[str]) -> tuple[np.ndarray, dict]:
-    """float(token) of each token, 0 where it raises ValueError, and what it
-    raised, by token."""
-    values, errors = [], {}
-    for j, token in enumerate(tokens):
-        try:
-            values.append(float(token))
-        except ValueError as exc:
-            values.append(0.0)
-            errors[j] = exc
-    return np.array(values), errors
-
-
-def _records(text: str, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-             linenos: np.ndarray, m: int, mode: str, n: int | None) -> tuple:
+def _records(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, linenos: np.ndarray,
+             m: int, n: int, mode: str) -> tuple:
     """(bases, outcomes, X, taus) of the records buf[starts[r]:ends[r]], on
-    file lines linenos[r], with m tags and, unless n is None, n sites (else
-    the first record's).  ``buf`` is the ASCII encoding of ``text``.
+    file lines linenos[r], with m tags and n sites.
 
     Each check is a mask over the records that passed the checks before it
     (``_FirstError``), so the ConfigError raised names the first bad line and
@@ -387,40 +319,29 @@ def _records(text: str, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
             first.raise_first()
         return first.stop
 
-    spaces = starts[0] + np.flatnonzero(buf[starts[0]:ends[-1]] == _SPACE)
-    owners = np.searchsorted(ends, spaces)
-    inside = spaces >= starts[owners]  # not on a skipped line between two records
-    fields = np.bincount(owners[inside], minlength=len(starts)) + 1
-    spaces = spaces[inside]
-    k = check(fields != 4, lambda r: f"expected 4 fields, got {fields[r]}")
-    # the records before the first with another field count hold 3 spaces each
-    cuts = spaces[:3 * k].reshape(k, 3)
-    starts, ends = starts[:k], ends[:k]
-    x_width = cuts[:, 0] - starts
-    k = check(x_width != 16 * m if m else (x_width != 1) | (buf[starts] != ord("-")),
-              lambda r: f"x field does not hold m = {m} float64 values")
-    n = int(cuts[0, 2] - cuts[0, 1]) - 1 if n is None else n
-    k = check((cuts[:k, 2] - cuts[:k, 1] != n + 1) | (ends[:k] - cuts[:k, 2] != n + 1),
-              lambda r: f"basis and outcome strings must have the first record's length {n}")
-    # a record's basis, space and bits are its last 2n + 1 bytes
-    tail = _windows(buf, 2 * n + 1)[ends[:k] - (2 * n + 1)]
-    letters, bits = tail[:, :n], tail[:, n + 1:]
+    h, w = 16 * (m + 1), 16 * (m + 1) + 2 * n + 2
+
+    def layout(r: int) -> str:
+        return (f"expected {w} bytes, 'values basis bits' for m = {m} and n = {n}; "
+                f"the record has {ends[r] - starts[r]}")
+
+    k = check(ends - starts != w, layout)
+    # the records before the first of another width, one per row
+    block = np.lib.stride_tricks.sliding_window_view(buf, w)[starts[:k]]
+    k = check((block[:, h] != _SPACE) | (block[:, h + n + 1] != _SPACE), layout)
+    letters, bits = block[:k, h + 1:h + n + 1], block[:k, h + n + 2:]
     k = check(~(np.all((letters >= ord("X")) & (letters <= ord("Z")), axis=1)
                 & np.all((bits == ord("0")) | (bits == ord("1")), axis=1)),
               lambda r: "basis letters must be X, Y or Z and outcome bits 0 or 1")
-    try:  # one call decodes a valid chunk's x fields; the mask only names a bad line
-        raw = binascii.unhexlify(_windows(buf, 16 * m)[starts[:k]])
+    hexes = np.ascontiguousarray(block[:k, :h])
+    try:  # one call decodes a valid chunk's values; the mask only names a bad line
+        raw = binascii.unhexlify(hexes)
     except binascii.Error:
-        hexes = _windows(buf, 16 * m)[starts[:k]]
         k = check(_NOT_HEX[hexes].any(axis=1), lambda r: "x field is not hexadecimal")
         raw = binascii.unhexlify(hexes[:k])
-    X = np.frombuffer(raw, dtype="<f8").reshape(k, m)
-    # tau lies between a record's first two spaces
-    tokens, index = _distinct_fields(text, buf, cuts[:k, 0], cuts[:k, 1])
-    values, errors = _floats(tokens)
-    k = check(np.isin(index[:k], list(errors)), lambda r: str(errors[index[r]]))
-    taus = values[index[:k]]
-    k = check(~np.all(np.abs(X[:k]) <= 1.0, axis=1),
+    values = np.frombuffer(raw, dtype="<f8").reshape(k, m + 1)
+    X, taus = values[:, :m], values[:, m]
+    k = check(~np.all(np.abs(X) <= 1.0, axis=1),
               lambda r: "x tags must be finite and lie in [-1, 1]")
     if mode == "steady_state":
         check(taus[:k] != math.inf, lambda r: "tau must be inf in steady_state mode")
@@ -432,36 +353,37 @@ def _records(text: str, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
             X, taus)
 
 
-def _apply_header(row: str, header: dict, after_record: bool) -> None:
+def _apply_header(row: bytes, header: dict, after_record: bool) -> None:
     """Record the ``# key value`` line ``row`` in ``header``; a line whose key
-    ``header`` lacks is skipped, and a bad value raises ValueError."""
-    parts = row[1:].strip().split(" ", 1)
-    if len(parts) != 2 or parts[0] not in header:
+    ``header`` lacks is skipped, and a bad or non-ASCII value raises
+    ValueError."""
+    parts = row[1:].strip().split(b" ", 1)
+    key = parts[0].decode("latin-1")
+    if len(parts) != 2 or key not in header:
         return
-    key, value = parts
-    value = int(value) if key in ("m", "seed", "omega") else value
+    value = parts[1].decode("ascii")
+    value = int(value) if key in ("m", "n", "seed", "omega") else value
     if after_record:
         raise ValueError(f"header {key!r} after the first record")
     if key == "phaselearn-shadows" and value != _VERSION:
         raise ValueError(f"shadows format {value} is not readable; this reader "
                          f"reads {_VERSION}, so rerun the train stage")
-    if key == "m" and value < 0:
-        raise ValueError("negative tag count m")
-    if key == "m" and value > _M_MAX:
-        raise ValueError(f"tag count m = {value} exceeds {_M_MAX}")
+    if key in _COUNTS and value < 0:
+        raise ValueError(f"negative {_COUNTS[key]} {key}")
+    if key in _COUNTS and value > _COUNT_MAX:
+        raise ValueError(f"{_COUNTS[key]} {key} = {value} exceeds {_COUNT_MAX}")
     header[key] = value
 
 
-def _record_chunks(lines: Iterator[str], lineno: int, m: int,
+def _record_chunks(lines: Iterator[bytes], lineno: int, m: int, n: int,
                    mode: str) -> Iterator[TrainingSet]:
     """The records of ``lines``, which start on file line ``lineno`` + 1,
-    with m tags in ``mode``, ``_CHUNK_ROWS`` lines at a time (see
-    :func:`read_shadows`)."""
-    n = None
+    with m tags and n sites in ``mode``, ``_CHUNK_ROWS`` lines at a time
+    (see :func:`read_shadows`)."""
     for part in iter(lambda: list(islice(lines, _CHUNK_ROWS)), []):
-        text, count = "".join(part), len(part)
-        del part  # the joined text holds the chunk: drop its line strings
-        buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+        data, count = b"".join(part), len(part)
+        del part  # the joined bytes hold the chunk: drop its lines
+        buf = np.frombuffer(data, dtype=np.uint8)
         ends = np.flatnonzero(buf == _NEWLINE)
         ends = ends if len(ends) == count else np.append(ends, len(buf))  # no final "\n"
         starts = np.concatenate([[0], ends[:-1] + 1])
@@ -469,43 +391,43 @@ def _record_chunks(lines: Iterator[str], lineno: int, m: int,
         bad = count  # the first "#" line with a key of the header, if any
         for i in np.flatnonzero(marked).tolist():
             try:
-                _apply_header(text[starts[i]:ends[i]], dict(_HEADER), after_record=True)
+                _apply_header(data[starts[i]:ends[i]], dict(_HEADER), after_record=True)
             except ValueError as exc:
                 bad, error = i, ConfigError(f"shadows line {lineno + i + 1}: {exc}")
                 break
         rows = np.flatnonzero(~marked[:bad] & (starts != ends)[:bad])
         if rows.size:
-            chunk = TrainingSet(*_records(text, buf, starts[rows], ends[rows],
-                                          lineno + rows + 1, m, mode, n))
-            n = chunk.bases.shape[1]
+            chunk = TrainingSet(*_records(buf, starts[rows], ends[rows], lineno + rows + 1,
+                                          m, n, mode))
         if bad < count:
             raise error
         lineno += count
-        del text, buf  # not held while the chunk is used
+        del data, buf  # not held while the chunk is used
         if rows.size:
             yield chunk
             del chunk  # nor while the next chunk is read
 
 
-def read_shadows(fileobj: IO[str]) -> tuple[dict, Iterator[TrainingSet]]:
+def read_shadows(fileobj: IO[bytes]) -> tuple[dict, Iterator[TrainingSet]]:
     """The header of the interchange format and a generator of its records.
 
     The header is read at once from the lines before the first record, each
-    ``_HEADER`` key it lacks at its default; a bad value or a version other
-    than v3 raises ConfigError naming the line.  The generator reads the
-    records ``_CHUNK_ROWS`` lines at a time, each chunk one uint8 block
-    checked whole before it is yielded as one TrainingSet; the first
-    malformed line, or header line after the first record, raises ConfigError
-    naming the line.  Blank lines and ``#`` lines of other keys are skipped
-    anywhere.  A file without records yields nothing."""
+    ``_HEADER`` key it lacks at its default; a bad or non-ASCII value, a
+    negative or huge m or n, or a version other than v4 raises ConfigError
+    naming the line.  The generator reads the records ``_CHUNK_ROWS`` lines
+    at a time, each chunk one uint8 block checked whole before it is yielded
+    as one TrainingSet; the first malformed line, or header line after the
+    first record, raises ConfigError naming the line.  Blank lines and ``#``
+    lines of other keys are skipped anywhere.  A file without records
+    yields nothing."""
     header, lineno = dict(_HEADER), 0
     for line in fileobj:
-        if line != "\n" and not line.startswith("#"):
+        if line != b"\n" and not line.startswith(b"#"):
             return header, _record_chunks(chain([line], fileobj), lineno, header["m"],
-                                          header["mode"])
+                                          header["n"], header["mode"])
         lineno += 1
         try:
-            _apply_header(line.rstrip("\n"), header, after_record=False)
+            _apply_header(line.rstrip(b"\n"), header, after_record=False)
         except ValueError as exc:
             raise ConfigError(f"shadows line {lineno}: {exc}") from None
     return header, iter(())

@@ -70,13 +70,14 @@ def training_states(model, X: np.ndarray, taus: np.ndarray, key: int):
             np.array([o for _, o in rows], dtype=np.int8).reshape(len(X), n_sys))
 
 
-def training_text(cfg, model, p, sampling_seed: int, measurement_key: int) -> str:
-    """The training.shadows text of the whole training set, drawn at once."""
+def training_bytes(cfg, model, p, sampling_seed: int, measurement_key: int) -> bytes:
+    """The training.shadows bytes of the whole training set, drawn at once."""
     X, taus = sample_parameters(model, p.N, p.t_eps, sampling_seed)
     bases, outcomes = training_states(model, X, taus, measurement_key)
     header = {"model": model.name, "lattice": cfg.lattice.to_json(), "mode": cfg.mode,
-              "seed": cfg.seed, "omega": model.omega, "m": model.family.m}
-    buf = io.StringIO()
+              "seed": cfg.seed, "omega": model.omega, "m": model.family.m,
+              "n": model.family.n_system}
+    buf = io.BytesIO()
     shadows_reference.write_shadows(buf, header, TrainingSet(bases, outcomes, X, taus))
     return buf.getvalue()
 

@@ -252,7 +252,7 @@ def test_criterion_08_estimator_locality_invariant(learning_bundle):
     test_x = np.random.default_rng(801).uniform(-1, 1, (10, model.family.m))
     folds = [CellFold(obs, test_x, [np.inf] * 10, p, model.family)
              for _ in range(2)]
-    with open(out / "training.shadows") as fh:
+    with open(out / "training.shadows", "rb") as fh:
         for chunk in read_shadows(fh)[1]:
             new_X = chunk.X.copy()
             new_X[:, outside] = rng.uniform(-1, 1, (len(chunk), len(outside)))

@@ -122,7 +122,8 @@ def _edit_lines(path: Path, edit) -> None:
 
 def _edit_first_record(index: int, change):
     """An edit of the shadows lines: field ``index`` of the first record
-    replaced by ``change(field)``, the other records left alone."""
+    (0 the values, 1 the basis, 2 the bits) replaced by ``change(field)``,
+    the other records left alone."""
     def edit(lines: list[str]) -> list[str]:
         first = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         fields = lines[first].split(" ")
@@ -133,7 +134,7 @@ def _edit_first_record(index: int, change):
 
 def _cut_tags(m: int):
     """An edit of the shadows lines: the ``# m`` header set to m and every
-    record's x field cut to its first m tags."""
+    record's values field cut to its first m tags and its tau."""
     def edit(lines: list[str]) -> list[str]:
         out = []
         for line in lines:
@@ -141,17 +142,35 @@ def _cut_tags(m: int):
             if line.startswith("# m "):
                 fields[2] = str(m)
             elif not line.startswith("#"):
-                fields[0] = fields[0][:16 * m]
+                fields[0] = fields[0][:16 * m] + fields[0][-16:]
             out.append(" ".join(fields))
         return out
     return edit
 
 
-def _as_v2(lines: list[str]) -> list[str]:
-    """The v3 shadows lines as the v2 format wrote them: no ``# omega`` line,
-    and each record's ancilla choice as its third field."""
+def _as_v3(lines: list[str]) -> list[str]:
+    """The v4 shadows lines as the v3 format wrote them: no ``# n`` line,
+    and each record's tau as repr text after its x hex."""
     out = []
     for line in lines:
+        if line.startswith("# n "):
+            continue
+        if line.startswith("# phaselearn-shadows"):
+            line = "# phaselearn-shadows v3"
+        elif not line.startswith("#"):
+            values, basis, bits = line.split(" ")
+            tau = repr(float(np.frombuffer(bytes.fromhex(values[-16:]), "<f8")[0]))
+            line = " ".join([values[:-16] or "-", tau, basis, bits])
+        out.append(line)
+    return out
+
+
+def _as_v2(lines: list[str]) -> list[str]:
+    """The v4 shadows lines as the v2 format wrote them: the v3 lines
+    without the ``# omega`` line, and each record's ancilla choice as its
+    third field."""
+    out = []
+    for line in _as_v3(lines):
         if line.startswith("# omega"):
             continue
         if line.startswith("# phaselearn-shadows"):
@@ -164,14 +183,17 @@ def _as_v2(lines: list[str]) -> list[str]:
 
 
 def _cut_records(width: int):
-    """An edit of the shadows lines: every record's basis and outcome strings
-    cut to their first ``width`` sites."""
+    """An edit of the shadows lines: the ``# n`` header set to ``width`` and
+    every record's basis and outcome strings cut to their first ``width``
+    sites."""
     def edit(lines: list[str]) -> list[str]:
         out = []
         for line in lines:
             fields = line.split(" ")
-            if not line.startswith("#"):
-                fields[2], fields[3] = fields[2][:width], fields[3][:width]
+            if line.startswith("# n "):
+                fields[2] = str(width)
+            elif not line.startswith("#"):
+                fields[1], fields[2] = fields[1][:width], fields[2][:width]
             out.append(" ".join(fields))
         return out
     return edit
@@ -336,10 +358,11 @@ class TestLearningRun:
             "r": 1, "gamma": 0.4, "q": 5, "t_eps": None, "N": 4, "N_log2": 2.0,
             "capped": True, "n_cap": 4, "mom_batches": 1, "constants": constants,
         }))
-        header = ["# phaselearn-shadows v3", "# model dissipative_tfim",
+        header = ["# phaselearn-shadows v4", "# model dissipative_tfim",
                   f"# lattice {cfg.lattice.to_json()}", "# mode steady_state",
-                  "# seed 5", "# omega 0", f"# m {m}"]
-        records = [f"{np.full(m, v).astype('<f8').tobytes().hex()} inf {basis} {bits}"
+                  "# seed 5", "# omega 0", f"# m {m}", "# n 7"]
+        records = [f"{np.append(np.full(m, v), np.inf).astype('<f8').tobytes().hex()} "
+                   f"{basis} {bits}"
                    for v, basis, bits in [
                        (-0.5, "ZZZZZZZ", "0000000"), (0.0, "XXXXXXX", "0101010"),
                        (0.25, "YYYYYYY", "1111111"), (0.5, "XYZXYZX", "0011001")]]
@@ -365,8 +388,9 @@ class TestLearningRun:
         # exactly the six system sites
         lines = (tmp_path / "training.shadows").read_text().split("\n")
         assert [l for l in lines if l.startswith("# omega")] == ["# omega 1"]
+        assert [l for l in lines if l.startswith("# n ")] == ["# n 6"]
         first_record = [l for l in lines if l and not l.startswith("#")][0]
-        assert len(first_record.split(" ")[2]) == 6
+        assert len(first_record.split(" ")[1]) == 6
 
     def test_ancilla_on_periodic_lattice_rejected(self):
         text = SMALL_LEARNING.replace('mode = "steady"', 'mode = "steady"\nomega = 1')
@@ -593,7 +617,7 @@ class TestCli:
         assert cli_main(["train", "--config", str(p), "--out", str(out)]) == 0
         lines = (out / "training.shadows").read_text().split("\n")
         fields = lines[-2].split(" ")
-        fields[3] = "2" + fields[3][1:]
+        fields[2] = "2" + fields[2][1:]
         lines[-2] = " ".join(fields)
         (out / "training.shadows").write_text("\n".join(lines))
         assert cli_main(["predict", "--config", str(p), "--out", str(out)]) == 2
@@ -715,15 +739,18 @@ class TestCli:
             l.replace("# omega 0", "# omega 1") for l in lines]), [],
          "training.shadows was collected at omega = 1, config asks for omega = 0"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", lambda lines: [
-            l.replace("shadows v3", "shadows v1") for l in lines]), [],
+            l.replace("shadows v4", "shadows v1") for l in lines]), [],
          "line 1: shadows format v1"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", _as_v2), [],
-         "line 1: shadows format v2 is not readable; this reader reads v3, so rerun the "
+         "line 1: shadows format v2 is not readable; this reader reads v4, so rerun the "
+         "train stage"),
+        ("predict", lambda out, p: _edit_lines(out / "training.shadows", _as_v3), [],
+         "line 1: shadows format v3 is not readable; this reader reads v4, so rerun the "
          "train stage"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", _edit_first_record(
-            0, lambda f: "000000000000f87f" + f[16:])), [], "line 8: x tags must be finite"),
+            0, lambda f: "000000000000f87f" + f[16:])), [], "line 9: x tags must be finite"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", _edit_first_record(
-            1, lambda f: "-3.0")), [], "line 8: tau must be inf"),
+            0, lambda f: f[:-16] + "00000000000008c0")), [], "line 9: tau must be inf"),
         ("predict", lambda out, p: _edit_plan(out, r="1"), [], "plan.json r: expected integer"),
         ("predict", lambda out, p: _edit_plan(out, gamma="0.2"), [],
          "plan.json gamma: expected number"),
@@ -748,7 +775,8 @@ class TestCli:
             "shadows_without_records", "lattice_mismatch", "records_too_narrow",
             "tags_too_few",
             "mode_mismatch",
-            "plan_mode_mismatch", "omega_mismatch", "shadows_v1", "shadows_v2", "x_nan",
+            "plan_mode_mismatch", "omega_mismatch", "shadows_v1", "shadows_v2", "shadows_v3",
+            "x_nan",
             "tau_negative",
             "plan_r_string", "plan_gamma_string",
             "plan_capped_integer", "plan_constant_string", "plot_n_log2_string",
@@ -836,10 +864,10 @@ class TestChunkedStages:
             cfg = _cfg(text, Path(out))
             with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
                 run_train_stage(cfg)
-            written = (Path(out) / "training.shadows").read_text()
+            written = (Path(out) / "training.shadows").read_bytes()
             p = LearnerPlan.from_json((Path(out) / "plan.json").read_text())
         m = instantiate(cfg.model_name, cfg.lattice, omega=cfg.omega, **cfg.hyper)
-        assert written == learning_reference.training_text(
+        assert written == learning_reference.training_bytes(
             cfg, m, p, stream_seed(seed, "sampling"), stream_seed(seed, "measurement"))
 
     @pytest.mark.parametrize("mode", ["steady", "general"])
@@ -863,11 +891,12 @@ class TestChunkedStages:
         assert outputs[0] == outputs[1]
         assert b"\n21," in outputs[0]["sweep.csv"] and b"\n50," in outputs[0]["sweep.csv"]
 
-    @pytest.mark.parametrize("bad_line", [10, 20], ids=["first_chunk", "past_first_chunk"])
+    @pytest.mark.parametrize("bad_line", [10, 21], ids=["first_chunk", "past_first_chunk"])
     @pytest.mark.parametrize("field,value,named", [
         ("model", "dissipative_tfim", "training.shadows model is 'dissipative_tfim'"),
         ("omega", "1", "training.shadows was collected at omega = 1"),
-    ], ids=["model", "omega"])
+        ("n", "5", "training.shadows records cover 5 sites, config's lattice has 6"),
+    ], ids=["model", "omega", "n"])
     def test_header_mismatch_reported_before_bad_records(self, tmp_path, monkeypatch,
                                                          field, value, named, bad_line):
         # header facts are checked before any record is read, so a header
@@ -879,18 +908,19 @@ class TestChunkedStages:
         cfg = _cfg(text, tmp_path)
         run_train_stage(cfg)
         path = tmp_path / "training.shadows"
-        lines = [f"# {field} {value}" if l.startswith(f"# {field} ") else l
-                 for l in path.read_text().splitlines()]
+        lines = path.read_text().splitlines()
         lines[bad_line - 1] = lines[bad_line - 1][:-1] + "2"
         path.write_text("\n".join(lines) + "\n")
         monkeypatch.setattr(shadows, "_CHUNK_ROWS", 4)
         sizes = []
-        with open(path) as fh, pytest.raises(ConfigError, match=f"line {bad_line}: basis"):
+        with open(path, "rb") as fh, pytest.raises(ConfigError, match=f"line {bad_line}: basis"):
             for chunk in shadows.read_shadows(fh)[1]:
                 sizes.append(len(chunk))
-        # 4-line chunks from the first record, line 8: line 10 lies in the
-        # first, line 20 opens the fourth
-        assert sizes == {10: [], 20: [4, 4, 4]}[bad_line]
+        # 4-line chunks from the first record, line 9: line 10 lies in the
+        # first, line 21 opens the fourth
+        assert sizes == {10: [], 21: [4, 4, 4]}[bad_line]
+        _edit_lines(path, lambda lines: [f"# {field} {value}" if l.startswith(f"# {field} ")
+                                         else l for l in lines])
         with pytest.raises(ConfigError, match=named):
             run_predict_stage(cfg)
 
@@ -904,7 +934,7 @@ class TestChunkedStages:
         assert cli_main(["train", "--config", str(p)]) == 0
         path = tmp_path / "o" / "training.shadows"
         lines = path.read_text().splitlines()
-        assert len(lines) == 57
+        assert len(lines) == 58
         lines[-1] = lines[-1][:-1] + "2"
         path.write_text("\n".join(lines) + "\n")
 
@@ -914,7 +944,7 @@ class TestChunkedStages:
         monkeypatch.setattr(shadows, "_CHUNK_ROWS", 8)
         monkeypatch.setattr(experiment, "_exact_values", no_exact_values)
         assert cli_main(["predict", "--config", str(p)]) == 2
-        assert "shadows line 57: basis letters must be X, Y or Z and outcome bits 0 or 1" in \
+        assert "shadows line 58: basis letters must be X, Y or Z and outcome bits 0 or 1" in \
             capsys.readouterr().err
 
     def test_memory_bounded_in_n(self, tmp_path, monkeypatch):

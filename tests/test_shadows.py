@@ -39,10 +39,20 @@ def _columns(bases, outcomes, X, taus=None):
     return TrainingSet(bases, outcomes, X, taus=[math.inf] * len(bases) if taus is None else taus)
 
 
-def _header(m, mode="steady_state", omega=0, seed=0):
-    """A bundle header for a pinning run with m tags."""
+def _header(m, n, mode="steady_state", omega=0, seed=0):
+    """A bundle header for a pinning run with m tags and n sites."""
     return {"model": "pinning", "lattice": '{"dim": 1}', "mode": mode, "seed": seed,
-            "omega": omega, "m": m}
+            "omega": omega, "m": m, "n": n}
+
+
+def _hex(*values):
+    """The values as little-endian float64 hex, as a record's values field holds them."""
+    return np.array(values, dtype="<f8").tobytes().hex()
+
+
+def _record_lines(data: bytes) -> list[bytes]:
+    """The record lines of a bundle's bytes."""
+    return [line for line in data.split(b"\n") if line and not line.startswith(b"#")]
 
 
 def _philox_row(key, row, n):
@@ -56,27 +66,35 @@ def _philox_row(key, row, n):
 
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
 
-# lines that are bad after a record "000000000000f03f inf XY 01" under "# m 1"
+# tau = inf, as a record's values field ends in steady state
+INF = _hex(math.inf)
+# a good record under "# m 1" and "# n 2"
+GOOD = f"000000000000f03f{INF} XY 01"
+
+# lines that are bad after GOOD under "# m 1" and "# n 2"
 BAD_LINES = [
-    "3ff0000000000000 inf XY 02",
-    "3ff0000000000000 inf XY",
-    "3ff000000000000g inf XY 01",
-    "3ff000000000000\t inf XY 01",
-    "3ff0000000000000 inf 0 XY 01",
-    "3ff0000000000000 1.0 XY 01",
-    "0000000000000040 inf XY 01",
-    "3ff0000000000000 inf XYZ 010",
+    f"3ff0000000000000{INF} XY 02",
+    f"3ff0000000000000{INF} XY",
+    f"3ff000000000000g{INF} XY 01",
+    f"3ff000000000000\t{INF} XY 01",
+    f"3ff0000000000000{INF} 0 XY 01",
+    f"3ff0000000000000{_hex(1.0)} XY 01",
+    f"0000000000000040{INF} XY 01",
+    f"3ff0000000000000{INF} XYZ 010",
     "# m one",
     "# m 1",
+    "# n 2",
     "# omega one",
     "# omega 1",
 ]
 
 
-# field values that the checks of a record treat differently
-FIELD_TOKENS = ["", "-", "inf", "nan", "-3.0", "-0.0", "1e999", "0x1", "1_0", " 2", "\u0661.5",
-                "99999999999999999999", "-9223372036854775808", "000000000000f87f",
-                "0000000000000040", "ZZ", "01"]
+# field values, or one float64 of a values field, that the checks of a
+# record treat differently: inf, -inf, nan, -3, -0, 2 and 1, then tokens of
+# other widths or alphabets
+FIELD_TOKENS = ["", "-", INF, _hex(-math.inf), _hex(math.nan), _hex(-3.0), _hex(-0.0),
+                _hex(2.0), _hex(1.0), "000000000000000g", "00000000000000\u0661", " 2", "ZZ",
+                "01", "X\u00e9"]
 
 
 COLUMNS = ("bases", "outcomes", "X", "taus")
@@ -85,13 +103,13 @@ COLUMNS = ("bases", "outcomes", "X", "taus")
 @st.composite
 def training_sets(draw, max_rows=40):
     """Random (header, TrainingSet) pairs, steady or general mode, m = 0..4
-    and n = 1..6; general-mode taus mix values whose text widths differ."""
-    N, m, n = draw(st.integers(0, max_rows)), draw(st.integers(0, 4)), draw(st.integers(1, 6))
+    and n = 0..6; general-mode taus include -0.0, a subnormal and large ones."""
+    N, m, n = draw(st.integers(0, max_rows)), draw(st.integers(0, 4)), draw(st.integers(0, 6))
     steady = draw(st.booleans())
     tau = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e16]) | st.floats(
         0.0, 1e6, allow_nan=False, allow_infinity=False)
     omega = draw(st.sampled_from([0, 7, 10**17]) | st.integers(0, 3))
-    header = _header(m, "steady_state" if steady else "general_phase", omega, seed=N)
+    header = _header(m, n, "steady_state" if steady else "general_phase", omega, seed=N)
     return header, _columns(
         draw(hnp.arrays(np.int8, (N, n), elements=st.integers(0, 2))),
         draw(hnp.arrays(np.int8, (N, n), elements=st.sampled_from([-1, 1]))),
@@ -112,7 +130,7 @@ def _read_outcome(read, text):
     """read(text)'s header and four columns, the header alone for a file
     without records, or the type and text of what it raised."""
     try:
-        header, ts = read(io.StringIO(text))
+        header, ts = read(io.BytesIO(text.encode()))
     except Exception as exc:  # compared, type and text, with the other reader's
         return type(exc).__name__, str(exc)
     if not len(ts):  # the columns' widths are unknown without records
@@ -402,13 +420,13 @@ class TestShadowFile:
                                                for i in range(7))))
         ts = _columns(bases, outcomes, rng.uniform(-1, 1, (7, 5)),
                       taus=[0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 4.0])
-        buf = io.StringIO()
-        write_shadows(buf, _header(5, "general_phase", omega=1, seed=11), [ts])
+        buf = io.BytesIO()
+        write_shadows(buf, _header(5, 3, "general_phase", omega=1, seed=11), [ts])
         buf.seek(0)
         header, back = _read(buf)
-        assert header == {"phaselearn-shadows": "v3", "model": "pinning",
+        assert header == {"phaselearn-shadows": "v4", "model": "pinning",
                           "lattice": '{"dim": 1}', "mode": "general_phase", "seed": 11,
-                          "omega": 1, "m": 5}
+                          "omega": 1, "m": 5, "n": 3}
         assert back.X.shape == (7, 5)
         for name in COLUMNS:
             assert np.array_equal(getattr(ts, name), getattr(back, name)), name
@@ -420,14 +438,14 @@ class TestShadowFile:
         ts = _columns(rng.integers(0, 3, (N, n)), rng.choice([-1, 1], (N, n)),
                       rng.uniform(-1, 1, (N, m)),
                       taus=[7.0, 0.0, 0.1, 2.5e-17, 3.0])
-        first = io.StringIO()
-        write_shadows(first, _header(m, "general_phase", omega=1, seed=2**63 + 5), [ts])
-        second = io.StringIO()
-        write_shadows(second, *read_shadows(io.StringIO(first.getvalue())))
+        first = io.BytesIO()
+        write_shadows(first, _header(m, n, "general_phase", omega=1, seed=2**63 + 5), [ts])
+        second = io.BytesIO()
+        write_shadows(second, *read_shadows(io.BytesIO(first.getvalue())))
         assert second.getvalue() == first.getvalue()
-        if m == 0:
-            assert all(line.startswith("- ") for line in first.getvalue().split("\n")
-                       if line and not line.startswith("#"))
+        if m == 0:  # the values field holds tau alone
+            assert [line[:17] for line in _record_lines(first.getvalue())] == [
+                f"{_hex(tau)} ".encode() for tau in ts.taus]
 
     @given(drawn=training_sets(), chunk=st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
@@ -435,23 +453,26 @@ class TestShadowFile:
         # write -> read -> write is byte-identical across chunk boundaries, a
         # header without records included, and the writer's bytes are the
         # record-at-a-time reference writer's, whether it is handed the whole
-        # set, its chunks or, for no records, no chunks at all
+        # set, its chunks or, for no records, no chunks at all; every record
+        # is 16 (m + 1) + 2 n + 2 bytes
         header, ts = drawn
         N = len(ts)
         pieces = [row_slice(ts, lo, lo + chunk) for lo in range(0, N, chunk)]
         with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
-            first = io.StringIO()
+            first = io.BytesIO()
             write_shadows(first, header, [ts])
-            chunked = io.StringIO()
+            chunked = io.BytesIO()
             write_shadows(chunked, header, pieces)
-            reference = io.StringIO()
+            reference = io.BytesIO()
             shadows_reference.write_shadows(reference, header, ts)
-            back_header, back = _read(io.StringIO(first.getvalue()))
-            second = io.StringIO()
-            write_shadows(second, *read_shadows(io.StringIO(first.getvalue())))
+            back_header, back = _read(io.BytesIO(first.getvalue()))
+            second = io.BytesIO()
+            write_shadows(second, *read_shadows(io.BytesIO(first.getvalue())))
         assert first.getvalue() == reference.getvalue() == chunked.getvalue()
         assert second.getvalue() == first.getvalue()
-        assert back_header == {"phaselearn-shadows": "v3", **header}
+        width = 16 * (header["m"] + 1) + 2 * header["n"] + 2
+        assert [len(line) for line in _record_lines(first.getvalue())] == [width] * N
+        assert back_header == {"phaselearn-shadows": "v4", **header}
         assert len(back) == N
         for name in COLUMNS if N else ():
             assert np.array_equal(getattr(ts, name), getattr(back, name)), name
@@ -463,9 +484,9 @@ class TestShadowFile:
         # fields replaced, the byte-block reader returns the reference
         # reader's header and arrays or raises the same error with the same text
         header, ts = drawn
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_shadows(buf, header, [ts])
-        lines = buf.getvalue().split("\n")
+        lines = buf.getvalue().decode().split("\n")
         for _ in range(data.draw(st.integers(0, 3))):
             at = data.draw(st.integers(0, len(lines) - 1))
             edit = data.draw(st.sampled_from(["insert", "char", "field"]))
@@ -477,8 +498,12 @@ class TestShadowFile:
                 lines[at] = lines[at][:col] + char + lines[at][col + 1:]
             elif edit == "field":
                 fields = lines[at].split(" ")
-                fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
-                    st.sampled_from(FIELD_TOKENS))
+                i = data.draw(st.integers(0, len(fields) - 1))
+                token = data.draw(st.sampled_from(FIELD_TOKENS))
+                if i == 0 and not lines[at].startswith("#"):  # one float64 of the values
+                    j = 16 * data.draw(st.integers(0, len(fields[0]) // 16))
+                    token = fields[0][:j] + token + fields[0][j + 16:]
+                fields[i] = token
                 lines[at] = " ".join(fields)
         text = "\n".join(lines)
         with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
@@ -488,37 +513,42 @@ class TestShadowFile:
 
     @pytest.mark.parametrize("header, what", [
         ("# phaselearn-shadows v1", "line 1: shadows format v1"),
-        ("# m -1", "line 1: negative tag count"),
+        ("# phaselearn-shadows v3", "line 1: shadows format v3 is not readable"),
+        ("# m -1", "line 1: negative tag count m"),
         ("# m 99999999999999999999", "line 1: tag count m = 99999999999999999999 exceeds"),
-    ], ids=["version_1", "negative_m", "huge_m"])
+        ("# n -1", "line 1: negative site count n"),
+        ("# n 99999999999999999999", "line 1: site count n = 99999999999999999999 exceeds"),
+    ], ids=["version_1", "version_3", "negative_m", "huge_m", "negative_n", "huge_n"])
     def test_bad_header_rejected(self, header, what):
         with pytest.raises(ConfigError, match=what):
-            _read(io.StringIO(header + "\n- inf Z 0 7\n"))
+            _read(io.BytesIO(f"{header}\n{INF} Z 0\n".encode()))
 
     @pytest.mark.parametrize("record, what", [
-        ("0000000000000000 inf ZZ 02", "outcome bits"),
-        ("0000000000000000 inf ZZZ 011", "first record's length"),
-        ("0000000000000000 inf ZZ 0", "first record's length"),
-        ("00000000 inf ZZ 01", "m = 1"),
-        ("0000000000000000 inf ZW 01", "basis letters"),
-        ("0000000000000000 inf ZZ", "4 fields, got 3"),
-        ("0000000000000000 inf 0 ZZ 01", "4 fields, got 5"),
-        ("000000000000000g inf ZZ 01", "hexadecimal"),
+        (f"0000000000000000{INF} ZZ 02", "outcome bits"),
+        (f"0000000000000000{INF} ZZZ 011", "expected 38 bytes, .* the record has 40"),
+        (f"0000000000000000{INF} ZZ 0", "expected 38 bytes, .* the record has 37"),
+        (f"00000000{INF} ZZ 01", "expected 38 bytes, .* the record has 30"),
+        (f"0000000000000000{INF} ZZ", "expected 38 bytes, .* the record has 35"),
+        (f"0000000000000000{INF} Z Z01", "for m = 1 and n = 2; the record has 38"),
+        (f"0000000000000000{INF} ZW 01", "basis letters"),
+        (f"000000000000000g{INF} ZZ 01", "hexadecimal"),
         ("# omega one", "invalid literal"),
         ("# omega 1", "after the first record"),
         ("# m one", "invalid literal"),
         ("# mode general_phase", "after the first record"),
-        ("000000000000f87f inf ZZ 01", "x tags"),
-        ("0000000000000040 inf ZZ 01", "x tags"),
-        ("0000000000000000 -3.0 ZZ 01", "tau must be inf"),
-    ], ids=["bit_2", "ragged_long", "ragged_short", "short_x", "letter_W",
-            "three_fields", "five_fields", "bad_hex", "omega_word", "omega_after_record",
-            "header_m", "header_after_record", "x_nan", "x_two", "tau_in_steady"])
+        ("# n 2", "after the first record"),
+        (f"000000000000f87f{INF} ZZ 01", "x tags"),
+        (f"0000000000000040{INF} ZZ 01", "x tags"),
+        (f"0000000000000000{_hex(-3.0)} ZZ 01", "tau must be inf"),
+    ], ids=["bit_2", "ragged_long", "ragged_short", "short_x", "three_fields", "space_moved",
+            "letter_W", "bad_hex",
+            "omega_word", "omega_after_record", "header_m", "header_after_record",
+            "n_after_record", "x_nan", "x_two", "tau_in_steady"])
     def test_malformed_record_rejected(self, record, what):
-        text = "# m 1\n0000000000000000 inf XY 01\n" + record + "\n"
+        text = f"# m 1\n# n 2\n{GOOD}\n{record}\n"
         with pytest.raises(ConfigError, match=what) as err:
-            _read(io.StringIO(text))
-        assert "line 3" in str(err.value)
+            _read(io.BytesIO(text.encode()))
+        assert "line 4" in str(err.value)
 
     @given(body=st.lists(st.sampled_from([None, None, None, *BAD_LINES]), max_size=12),
            chunk=st.integers(1, 5))
@@ -526,16 +556,15 @@ class TestShadowFile:
     def test_names_first_bad_line(self, body, chunk):
         # None is a good record; every other line is bad after the first record,
         # and the error names the first of them whichever checks they fail
-        good = "000000000000f03f inf XY 01"
-        lines = ["# m 1", good] + [good if line is None else line for line in body]
-        text = "\n".join(lines) + "\n"
+        lines = ["# m 1", "# n 2", GOOD] + [GOOD if line is None else line for line in body]
+        text = ("\n".join(lines) + "\n").encode()
         bad = [i for i, line in enumerate(body) if line is not None]
         with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
             if not bad:
-                assert len(_read(io.StringIO(text))[1]) == len(lines) - 1
+                assert len(_read(io.BytesIO(text))[1]) == len(lines) - 2
                 return
-            with pytest.raises(ConfigError, match=f"^shadows line {bad[0] + 3}:"):
-                _read(io.StringIO(text))
+            with pytest.raises(ConfigError, match=f"^shadows line {bad[0] + 4}:"):
+                _read(io.BytesIO(text))
 
     # the records' chunks of lines start at the first record, after the header
     @pytest.mark.parametrize("line", [len(shadows._HEADER) + shadows._CHUNK_ROWS,
@@ -546,44 +575,42 @@ class TestShadowFile:
         N = 2 * shadows._CHUNK_ROWS
         ts = _columns(np.zeros((N, 2), np.int8), np.ones((N, 2), np.int8),
                       np.full((N, 1), 0.5))
-        buf = io.StringIO()
-        write_shadows(buf, _header(1), [ts])
-        lines = buf.getvalue().split("\n")
-        chunks = read_shadows(io.StringIO(buf.getvalue()))[1]
+        buf = io.BytesIO()
+        write_shadows(buf, _header(1, 2), [ts])
+        lines = buf.getvalue().split(b"\n")
+        chunks = read_shadows(io.BytesIO(buf.getvalue()))[1]
         assert [len(chunk) for chunk in chunks] == [shadows._CHUNK_ROWS] * 2
-        lines[line - 1] = "000000000000e03f inf XY 02"
+        lines[line - 1] = f"000000000000e03f{INF} XY 02".encode()
         with pytest.raises(ConfigError, match=f"^shadows line {line}: .*outcome bits"):
-            _read(io.StringIO("\n".join(lines)))
+            _read(io.BytesIO(b"\n".join(lines)))
 
-    def test_tags_read_as_python_reads_them(self):
-        # float and int take Unicode digits, underscores and surrounding
-        # whitespace; each tau is read as float reads it, even where two
-        # differ only in a non-ASCII digit
-        text = ("# mode general_phase\n# omega 1_\u0663\n- \u0661.5 XY 01\n- \u0662.5 XY 01\n"
-                "- 1_0.5 XY 01\n- \u00a02.5 XY 01\n")
-        header, ts = _read(io.StringIO(text))
-        assert ts.taus.tolist() == [1.5, 2.5, 10.5, 2.5]
-        assert header["omega"] == 13
+    @pytest.mark.parametrize("line", ["# omega 1_\u0663", "# m \u0661"], ids=["omega", "m"])
+    def test_non_ascii_header_value_rejected(self, line):
+        # a header value is ASCII, though int would read this one as 13 or 1
+        text = f"# mode general_phase\n{line}\n{_hex(0.5)} XY 01\n"
+        with pytest.raises(ConfigError, match="^shadows line 2: 'ascii' codec"):
+            _read(io.BytesIO(text.encode()))
 
-    @pytest.mark.parametrize("tau", ["-3.0", "nan", "inf"])
+    @pytest.mark.parametrize("tau", [-3.0, math.nan, math.inf])
     def test_bad_evolve_tau_rejected(self, tau):
-        text = f"# mode general_phase\n- 0.5 XY 01\n- {tau} ZZ 01\n"
-        with pytest.raises(ConfigError, match="line 3: tau must be finite and >= 0"):
-            _read(io.StringIO(text))
+        text = f"# mode general_phase\n# n 2\n{_hex(0.5)} XY 01\n{_hex(tau)} ZZ 01\n"
+        with pytest.raises(ConfigError, match="line 4: tau must be finite and >= 0"):
+            _read(io.BytesIO(text.encode()))
 
     def test_format_line_shape(self):
         bases, outcomes = measure_snapshot(DensityMatrix(np.eye(4) / 4, 2), 5)
         ts = _columns([bases], [outcomes], [[0.5, -0.25]])
-        buf = io.StringIO()
-        write_shadows(buf, _header(2, omega=1, seed=9), [ts])
-        *header, record, end = buf.getvalue().split("\n")
-        assert header == ["# phaselearn-shadows v3", "# model pinning", '# lattice {"dim": 1}',
-                          "# mode steady_state", "# seed 9", "# omega 1", "# m 2"]
+        buf = io.BytesIO()
+        write_shadows(buf, _header(2, 2, omega=1, seed=9), [ts])
+        *header, record, end = buf.getvalue().decode().split("\n")
+        assert header == ["# phaselearn-shadows v4", "# model pinning", '# lattice {"dim": 1}',
+                          "# mode steady_state", "# seed 9", "# omega 1", "# m 2", "# n 2"]
         assert end == ""
-        xhex, tau, basis, bits = record.split(" ")
-        assert len(xhex) == 2 * 8 * 2  # two little-endian float64s in hex
-        assert bytes.fromhex(xhex) == np.array([0.5, -0.25], dtype="<f8").tobytes()
-        assert tau == "inf"
+        assert len(record) == 16 * 3 + 2 * 2 + 2
+        values, basis, bits = record.split(" ")
+        assert len(values) == 2 * 8 * 3  # the two tags, then tau, as little-endian float64s
+        assert bytes.fromhex(values) == np.array([0.5, -0.25, math.inf], dtype="<f8").tobytes()
+        assert values[-16:] == "000000000000f07f"
         assert len(basis) == 2 and set(basis) <= set("XYZ")
         assert len(bits) == 2 and set(bits) <= set("01")
 
@@ -591,10 +618,10 @@ class TestShadowFile:
         # records come back chunk after chunk in file order, so the first s
         # records read are the first s written: a sweep size's prefix
         ts = _columns([[2]] * 5, [[1]] * 5, [[0.0], [0.25], [0.5], [0.75], [1.0]])
-        buf = io.StringIO()
-        write_shadows(buf, _header(1), [ts])
+        buf = io.BytesIO()
+        write_shadows(buf, _header(1, 1), [ts])
         with mock.patch.object(shadows, "_CHUNK_ROWS", 2):
-            chunks = list(read_shadows(io.StringIO(buf.getvalue()))[1])
+            chunks = list(read_shadows(io.BytesIO(buf.getvalue()))[1])
         # the chunks of lines start at the first record
         assert [len(chunk) for chunk in chunks] == [2, 2, 1]
         sub = joined(chunks[:2])
@@ -606,15 +633,15 @@ class TestShadowFile:
         # "#" lines of keys the header lacks, and blank lines, between records
         # or in the header change neither the header nor the columns
         header, ts = drawn
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_shadows(buf, header, [ts])
-        lines = buf.getvalue().split("\n")
+        lines = buf.getvalue().split(b"\n")
         for _ in range(data.draw(st.integers(1, 4))):
             lines.insert(data.draw(st.integers(0, len(lines) - 1)),
-                         data.draw(st.sampled_from(["# note", "# note 1", "#", ""])))
+                         data.draw(st.sampled_from([b"# note", b"# note 1", b"#", b""])))
         with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
-            want = _read(io.StringIO(buf.getvalue()))
-            got = _read(io.StringIO("\n".join(lines)))
+            want = _read(io.BytesIO(buf.getvalue()))
+            got = _read(io.BytesIO(b"\n".join(lines)))
         assert got[0] == want[0]
         for name in COLUMNS:
             assert np.array_equal(getattr(got[1], name), getattr(want[1], name)), name
