@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import time
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
@@ -48,7 +49,7 @@ from .learner import (
     plan,
     predict,
 )
-from .lindblad import DensityMatrix, assemble, steady_state, steady_states
+from .lindblad import STEADY_CHUNK, DensityMatrix, assemble, steady_state, steady_states
 from .models import Model, generate_state, instantiate, sample_parameters
 from .plotting import decay_plot_svg, sweep_plot_svg
 from .seeding import stream_seed
@@ -137,16 +138,20 @@ def _training_states(model: Model, X: np.ndarray, taus: np.ndarray, key: int, ro
 
     Oracle (product) states go through the batched sampler in one call: the
     closed-form Bloch vectors of every site at every point, then all their
-    stream rows at once.  Other models generate each state (``_states``) and
-    measure it with the general sampler.
+    stream rows at once.  Other models generate the states (``_states``) and
+    measure them ``STEADY_CHUNK`` at a time, one stack per call of the
+    general sampler, so a chunk whose states fail to generate measures none.
     """
     if model.oracle is not None:
         return measure_snapshot_product(model.oracle.bloch_vectors(X, taus), key, row)
     n_sys = model.family.n_system
     bases = np.empty((len(X), n_sys), dtype=np.int8)
     outcomes = np.empty_like(bases)
-    for i, rho in enumerate(_states(model, X, taus)):
-        bases[i], outcomes[i] = measure_snapshot(rho, key, row=row + i, n_system=n_sys)
+    states = _states(model, X, taus)
+    for lo in range(0, len(X), STEADY_CHUNK):
+        stack = np.array([rho.data for rho in islice(states, STEADY_CHUNK)])
+        bases[lo:lo + len(stack)], outcomes[lo:lo + len(stack)] = measure_snapshot(
+            stack, key, row + lo, n_sys)
     return bases, outcomes
 
 

@@ -2,8 +2,10 @@
 
 A generator is a family L at a point x of its parameter box, as ``assemble``
 returns it after its checks.  Each of its two matrices is built from the
-family's term blocks when first read, so a generator that is only evolved
-never builds the one the steady state needs.
+family's term locals when first read, so a generator that is only evolved
+never builds the one the steady state needs.  The locals are built one
+stacked pass per term support size, over every point and every term of
+that size at once (``ParamLindbladian._stacks``).
 
 The steady state is solved on the Pauli transfer matrix T, a real sparse
 matrix with T[mu, nu] = tr(P_mu L(P_nu)) over the normalised Pauli strings
@@ -13,9 +15,12 @@ operators to Hermitian operators, so T is real; it preserves the trace, so
 row 0 of T (the identity string) is zero.
 
 ``steady_states`` solves a family at many points, ``STEADY_CHUNK`` of them at
-a time: per chunk, one stacked pass per term builds T's entries at every
-point, SuperLU factors, probes and solves each point alone in point order,
-and the remaining checks run once on stacked arrays.  ``steady_state`` is its
+a time: per chunk, one stacked pass per support size builds T's entries at
+every point, SuperLU factors, probes and solves each point alone in point
+order, and the remaining checks run once on stacked arrays.  Per point, the
+only work outside SuperLU is one gather of the point's data into the
+factorization's matrix, whose index arrays are kept in the dtype ``splu``
+takes.  ``steady_state`` is its
 batch of one, so both give a point the same bytes, and its memory is bounded
 by the chunk, not by the number of points.
 
@@ -67,11 +72,13 @@ __all__ = [
 # leaves desk scale even in sparse storage.
 SUPEROP_SITE_CAP = 9
 
-# Points per pass of steady_states: the stacked T build and checks amortise
-# numpy's per-call overhead over a chunk, and the chunk bounds their memory
-# (TFIM n = 4 on a 2-vCPU host: T's build takes 0.10-0.15 ms per point at 16
-# points per chunk, about the same at 64, and 0.5-0.7 ms at 1).
-STEADY_CHUNK = 16
+# Points per pass of steady_states, and states per stack of the training
+# sampler: the stacked T build, checks and sampling amortise numpy's per-call
+# overhead over a chunk, and the chunk bounds their memory (TFIM n = 4 on a
+# 2-vCPU host: T's build takes 0.10-0.11 ms per point at 16 to 64 points per
+# chunk and 0.26 ms at 1; a 1,000-snapshot train stage takes 1.00 s at 16,
+# 0.93 s at 32 and 0.92 s at 64).
+STEADY_CHUNK = 32
 
 TermMatrices = tuple[np.ndarray | None, list[np.ndarray]]
 
@@ -177,7 +184,7 @@ class ParamLindbladian:
     The family also keeps the work that depends only on a generator's
     sparsity pattern, which is the same at every generic point: the scatter
     of the term blocks into T (``_transfer_values``) and the fill-reducing
-    order of T' (``_factor``).  Each is one slot.  The scatter slot grows to
+    order of T' (``_factors``).  Each is one slot.  The scatter slot grows to
     the union of its mask and a point's block nonzeros when they reach past
     it (a zero coordinate can empty a block), which is bounded by the
     blocks' size; the ordering slot is replaced when T' has another pattern.
@@ -229,6 +236,11 @@ class ParamLindbladian:
             (embed_sparse_indices(2 * n, [b for s in t.support.sites for b in (2 * s, 2 * s + 1)]),
              embed_sparse_indices(2 * n, [*t.support.sites, *(n + s for s in t.support.sites)]))
             for t in self.terms) if n <= SUPEROP_SITE_CAP else ()
+        # the term indices of each support size, sizes in order of first use
+        groups: dict[int, list[int]] = {}
+        for ti, t in enumerate(self.terms):
+            groups.setdefault(len(t.support.sites), []).append(ti)
+        self._size_groups = tuple((k, tuple(members)) for k, members in groups.items())
         self.term_centers, self.term_radii = self._support_geometry()
         self.r0 = max(self.term_radii, default=0)
         self.term_strengths = self._certify_strengths()
@@ -291,49 +303,66 @@ class ParamLindbladian:
 
     # -- assembly ----------------------------------------------------------
 
-    def _term_locals(self, term_index: int, xs: np.ndarray, fail: _FirstError) -> np.ndarray:
-        """Column-stacked generator of one term on its support at each row of
-        its parameter slices ``xs`` before ``fail.stop``, (B, d^2, d^2) ordered
-        like the term's vec-space slots.  Each point's Hamiltonian part and
-        jumps are stacked, the missing ones as zeros, which adds nothing."""
-        term = self.terms[term_index]
-        dk = 2 ** len(term.support.sites)
-        built = [term.build(x) for x in xs[:fail.stop]]
-        local = np.zeros((len(built), dk * dk, dk * dk), dtype=complex)
-        eye, zero = np.eye(dk), np.zeros((dk, dk))
-        if any(h is not None for h, _ in built):
-            h = np.array([zero if h is None else h for h, _ in built])
-            herm = np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2))
-            fail.check(herm > 1e-12, lambda k: ValueError(
-                f"term {term.label!r}: Hamiltonian part not Hermitian"))
-            local += -1j * (_kron(eye, h) - _kron(h.swapaxes(1, 2), eye))
-        for j in range(max((len(jumps) for _, jumps in built), default=0)):
-            L = np.array([jumps[j] if j < len(jumps) else zero for _, jumps in built])
-            LdL = L.conj().swapaxes(1, 2) @ L
-            local += (
-                _kron(L.conj(), L)
-                - 0.5 * _kron(eye, LdL)
-                - 0.5 * _kron(LdL.swapaxes(1, 2), eye)
-            )
-        return local
+    def _stacks(self, X: np.ndarray, fail: _FirstError, transfer: bool) -> list[np.ndarray]:
+        """Per support size, in ``_size_groups`` order, a (b, T, side, side)
+        stack over the b points of X before ``fail.stop`` and that size's T
+        terms: each term's column-stacked generator on its support, ordered
+        like its vec-space slots, or with ``transfer`` its transfer matrix
+        block, ordered like its Pauli-digit slots.
 
-    def _term_blocks(self, term_index: int, xs: np.ndarray, fail: _FirstError) -> np.ndarray:
-        """Transfer matrix of one term on its support at each row of its
-        parameter slices ``xs`` before ``fail.stop``, ordered like the term's
-        Pauli-digit slots; ``_transfer_values`` embeds and sums all terms.
-
-        A block is V^dag M V, with M the term's column-stacked generator and
-        V its vec'd Pauli strings.  Entries below 1e-14 of the block's largest
-        are roundoff of structural zeros and are set to zero; an imaginary part
-        above that bound means the term does not preserve Hermiticity.
-        """
-        vh, v = _pauli_change(len(self.terms[term_index].support.sites))
-        blocks = vh @ self._term_locals(term_index, xs, fail) @ v
-        real, bound = blocks.real, 1e-14 * np.abs(blocks).max(axis=(1, 2))
-        fail.check(np.abs(blocks.imag).max(axis=(1, 2)) > bound, lambda k: NumericalError(
-            f"term {self.terms[term_index].label!r}: generator does not preserve Hermiticity"))
-        real[np.abs(real) < bound[:, None, None]] = 0.0
-        return real
+        Every term's ``build`` runs at each of the b points.  The points'
+        Hamiltonian parts and jumps are stacked, the missing ones as zeros,
+        which adds nothing.  A block is V^dag M V, with M the column-stacked
+        generator and V the vec'd Pauli strings.  Entries below 1e-14 of the
+        block's largest are roundoff of structural zeros and are set to zero;
+        an imaginary part above that bound means the term does not preserve
+        Hermiticity.  The checks run term by term in term order, each term's
+        Hamiltonian check before its Hermiticity-preservation check, so a
+        point reports the error it would report alone."""
+        b = fail.stop
+        stacks, checks = [], []
+        for k, members in self._size_groups:
+            dk, t = 2**k, len(members)
+            eye, zero = np.eye(dk), np.zeros((dk, dk))
+            terms = [self.terms[ti] for ti in members]
+            # per point, per term: (h, jumps)
+            built = list(zip(*([term.build(x) for x in X[:b, list(term.coord_indices)]]
+                               for term in terms)))
+            local = np.zeros((b, t, dk * dk, dk * dk), dtype=complex)
+            herm = np.zeros((b, t))
+            if any(h is not None for point in built for h, _ in point):
+                h = np.array([[zero if h is None else h for h, _ in point] for point in built])
+                h = h.reshape(b, t, dk, dk)
+                herm = np.abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+                part = _kron(eye, h)  # -1j (I (x) h - h^T (x) I), in place
+                part -= _kron(h.swapaxes(-2, -1), eye)
+                part *= -1j
+                local += part
+            for j in range(max((len(jumps) for point in built for _, jumps in point), default=0)):
+                L = np.array([[jumps[j] if j < len(jumps) else zero for _, jumps in point]
+                              for point in built]).reshape(b, t, dk, dk)
+                LdL = L.conj().swapaxes(-2, -1) @ L
+                part = _kron(L.conj(), L)
+                part -= 0.5 * _kron(eye, LdL)
+                part -= 0.5 * _kron(LdL.swapaxes(-2, -1), eye)
+                local += part
+            leaks = np.zeros((b, t), dtype=bool)
+            if transfer:
+                vh, v = _pauli_change(k)
+                np.matmul(vh @ local, v, out=local)
+                bound = 1e-14 * np.abs(local).max(axis=(-2, -1))
+                leaks = np.abs(local.imag).max(axis=(-2, -1)) > bound
+                local = local.real.copy()
+                local[np.abs(local) < bound[..., None, None]] = 0.0
+            stacks.append(local)
+            checks += [(ti, herm[:, j], leaks[:, j]) for j, ti in enumerate(members)]
+        for ti, herm, leaks in sorted(checks, key=lambda check: check[0]):
+            label = self.terms[ti].label
+            fail.check(herm > 1e-12, lambda _, label=label: ValueError(
+                f"term {label!r}: Hamiltonian part not Hermitian"))
+            fail.check(leaks, lambda _, label=label: NumericalError(
+                f"term {label!r}: generator does not preserve Hermiticity"))
+        return stacks
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +371,7 @@ class Superoperator:
     as ``assemble`` makes it.
 
     :attr:`column_stacked`, the generator the integrators run on, is a cached
-    property built from the family's term locals when first read; the steady
+    property built from the family's stacked term locals when first read; the steady
     state is solved on the Pauli transfer matrix T (``steady_states``).
     """
 
@@ -362,12 +391,13 @@ class Superoperator:
         """The generator M on vec(rho) = rho.flatten(order="F"):
         -1j (I (x) h - h^T (x) I) + sum_k conj(L_k) (x) L_k
         - 1/2 I (x) L_k^dag L_k - 1/2 (L_k^dag L_k)^T (x) I per term."""
-        family, x, fail = self.family, self.values[None], _FirstError(1)
-        local = [family._term_locals(ti, x[:, list(term.coord_indices)], fail)
-                 for ti, term in enumerate(family.terms)]
+        family, fail = self.family, _FirstError(1)
+        stacks = family._stacks(self.values[None], fail, transfer=False)
         fail.raise_first()
-        return _summed([embed_triplets(m[0], *family._term_offsets[ti][1])
-                        for ti, m in enumerate(local)], self.hilbert_dim**2, complex)
+        local = {ti: stack[0, j] for (_, members), stack in zip(family._size_groups, stacks)
+                 for j, ti in enumerate(members)}
+        return _summed([embed_triplets(local[ti], *family._term_offsets[ti][1])
+                        for ti in range(len(family.terms))], self.hilbert_dim**2, complex)
 
 
 @dataclass(frozen=True)
@@ -446,23 +476,31 @@ def _summed(triplets: list, dim: int, dtype: type) -> sp.csr_matrix:
 
 def _scatter_plan(family: ParamLindbladian, mask: np.ndarray) -> tuple:
     """The scatter slot for term blocks whose raveled, concatenated entries
-    may be nonzero where ``mask`` is: that mask; per embedded entry, in term
-    order, the block entry it copies and the stored entry of T it sums into;
-    and T's CSR ``indptr`` and ``indices``."""
+    (the stacks of ``_stacks`` in order, each point's terms in a stack in
+    term order) may be nonzero where ``mask`` is: that mask; the ``_adder``
+    that sums, per embedded entry in term order, the block entry it copies
+    into the stored entry of T it lands on; T's CSR ``indptr`` and
+    ``indices``; and the ``_adder`` that sums T's stored entries over each
+    row of T."""
     dim = 4**family.n_total
     # 1-based positions of the masked entries, so embed_triplets keeps exactly those
     ids = np.where(mask, np.arange(1, mask.size + 1), 0)
-    keys, pos, start = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], 0
+    starts, start = {}, 0
+    for k, members in family._size_groups:
+        for ti in members:
+            starts[ti], start = start, start + 16**k
+    keys, pos = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for ti, term in enumerate(family.terms):
         side = 4 ** len(term.support.sites)
-        rows, cols, p = embed_triplets(ids[start:start + side * side].reshape(side, side),
+        rows, cols, p = embed_triplets(ids[starts[ti]:starts[ti] + side * side].reshape(side, side),
                                        *family._term_offsets[ti][0])
         keys.append(rows * dim + cols)
         pos.append(p - 1)
-        start += side * side
     keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
-    return mask, np.concatenate(pos), inverse, indptr, keys % dim
+    rows = np.repeat(np.arange(dim), np.diff(indptr))
+    return (mask, _adder(np.concatenate(pos), inverse, keys.size, mask.size), indptr,
+            keys % dim, _adder(np.arange(keys.size), rows, dim, keys.size))
 
 
 def _transfer_values(family: ParamLindbladian, X: np.ndarray,
@@ -471,36 +509,46 @@ def _transfer_values(family: ParamLindbladian, X: np.ndarray,
     with one row of values per point on the CSR pattern of the family's
     scatter slot, where an entry that is zero at a point is stored as 0.0.
 
-    Each term builds its blocks for all points in one pass, and one
-    ``_binned`` sums them into T in term order.  The slot grows to the union of
-    its mask and the points' nonzeros when they reach past it (a zero
+    The terms of each support size build their blocks for all points in one
+    pass (``_stacks``), and one sparse product (``_binned``) sums them into
+    T in term order.  The slot grows to the union of its mask and the
+    points' nonzeros when they reach past it (a zero
     coordinate can empty a block; the union is at most every block entry),
     and is reused otherwise: adding 0.0 changes no partial sum, so T has the
     same bytes whatever the family built before.  Row 0 is sqrt(D) times the
     trace functional, so an entry of it above 1e-10 is a NumericalError.
     """
-    blocks = [family._term_blocks(ti, X[:, list(term.coord_indices)], fail)
-              for ti, term in enumerate(family.terms)]
+    stacks = family._stacks(X, fail, transfer=True)
     b = fail.stop
-    flat = np.concatenate([np.zeros((b, 0)), *(blk[:b].reshape(b, -1) for blk in blocks)], axis=1)
+    flat = np.concatenate([np.zeros((b, 0)), *(stack[:b].reshape(b, np.prod(stack.shape[1:]))
+                                               for stack in stacks)], axis=1)
     nonzero = (flat != 0).any(axis=0)
     slot = family._scatter
     if slot is None or (nonzero & ~slot[0]).any():
         slot = family._scatter = _scatter_plan(
             family, nonzero if slot is None else nonzero | slot[0])
-    _, gather, inverse, indptr, indices = slot
-    values = _binned(flat[:, gather], inverse, indices.size)
+    _, adder, indptr, indices, _ = slot
+    values = _binned(adder, flat)
     resid = np.abs(values[:, :indptr[1]]).max(axis=1, initial=0.0)
     fail.check(resid > 1e-10, lambda k: NumericalError(
         f"trace-preservation residual {resid[k]:.2e} exceeds 1e-10"))
     return values, indices, indptr
 
 
-def _binned(weights: np.ndarray, bins: np.ndarray, size: int) -> np.ndarray:
-    """``np.bincount(bins, row, size)`` for each row of ``weights`` (B, k):
-    each bin adds its weights in order, from 0.0, as a CSR product adds the
-    entries of a row."""
-    return np.array([np.bincount(bins, row, size) for row in weights]).reshape(len(weights), size)
+def _adder(columns: np.ndarray, bins: np.ndarray, size: int, width: int) -> sp.csr_matrix:
+    """The size x width CSR matrix of ones that adds, for each e in order,
+    column ``columns[e]`` of a row of weights into bin ``bins[e]``."""
+    order = np.argsort(bins, kind="stable")
+    indptr = np.r_[0, np.cumsum(np.bincount(bins, minlength=size))]
+    return sp.csr_matrix((np.ones(bins.size), columns[order], indptr), shape=(size, width))
+
+
+def _binned(adder: sp.csr_matrix, weights: np.ndarray) -> np.ndarray:
+    """The ``_adder`` sums of each row of ``weights`` (B, width), as (B, size):
+    SciPy's CSR product adds each bin's weights times 1.0 in order, from
+    0.0, so a bin gets the bytes ``np.bincount`` gives it, for all rows in
+    one call."""
+    return (adder @ weights.T).T
 
 
 def _pruned(values: np.ndarray, indices: np.ndarray,
@@ -712,47 +760,107 @@ def _splu(matrix: sp.csc_matrix, permc_spec: str) -> spla.SuperLU:
                      options={"SymmetricMode": True})
 
 
-def _ordering_plan(pinned_t: sp.csc_matrix, perm: np.ndarray) -> tuple:
+def _ordering_plan(pinned_t: sp.csc_matrix, perm: np.ndarray, indices: np.ndarray,
+                   stored: np.ndarray) -> tuple:
     """The ordering slot for T'^T and SuperLU's column permutation ``perm``
-    of it (column j to position perm[j]): the pattern of T'^T, the order
-    that inverts ``perm``, ``perm``, the entry of T'^T that each entry of
-    T'^T with rows and columns taken in that order copies, and that matrix's
-    CSC ``indptr`` and ``indices``.  Each column keeps its row indices in
-    T'^T's order, which makes its NATURAL factor the fill-reducing factor of
-    T'^T to the bit; sorting them moved solves by up to 1.7e-16."""
+    of it (column j to position perm[j]): the pattern of T' as sorted keys
+    row * dim + column, the order that inverts ``perm``, ``perm``, the entry
+    of T'^T that each entry of T'^T with rows and columns taken in that order
+    copies, that permuted matrix, whose data each point of the pattern
+    refills (its index arrays are ``intc``, as ``splu`` takes them), and the
+    slot's view of T's stored pattern (``_slot_hits``), here of the T with
+    CSR ``indices`` whose entries past row 0 that T' keeps are ``stored``.
+    Each column keeps its row indices in T'^T's order, which makes its
+    NATURAL factor the fill-reducing factor of T'^T to the bit; sorting them
+    moved solves by up to 1.7e-16."""
+    dim = pinned_t.shape[0]
     order = np.argsort(perm)
     counts = np.diff(pinned_t.indptr)[order]
     indptr = np.r_[0, np.cumsum(counts)]
     gather = np.repeat(pinned_t.indptr[order] - indptr[:-1], counts) + np.arange(indptr[-1])
-    return (pinned_t.indptr, pinned_t.indices, order, perm, gather, indptr,
-            perm[pinned_t.indices[gather]])
+    permuted = sp.csc_matrix((np.zeros(indptr[-1]), perm[pinned_t.indices[gather]].astype(np.intc),
+                              indptr.astype(np.intc)), shape=pinned_t.shape)
+    permuted.has_canonical_format = True  # keeps splu from sorting the row indices
+    keys = np.repeat(np.arange(dim), np.diff(pinned_t.indptr)) * dim + pinned_t.indices
+    view = [indices, stored, np.r_[0, np.flatnonzero(stored) + 1][gather]]
+    return keys, order, perm, gather, permuted, view
 
 
-def _factor(pinned_t: tuple[np.ndarray, np.ndarray, np.ndarray],
-            family: ParamLindbladian) -> tuple[spla.SuperLU, np.ndarray, np.ndarray]:
-    """``(lu, order, rank)``: ``lu`` factors T'^T, given as its CSC arrays
-    ``(data, indices, indptr)``, with rows and columns taken in ``order``,
-    whose inverse is ``rank``.  The order is the family's ordering slot when
-    T' has its pattern; otherwise MMD_AT_PLUS_A orders T'^T afresh
-    (``order`` the identity) and its order replaces the slot."""
-    data, indices, indptr = pinned_t
-    shape = (indptr.size - 1,) * 2
-    slot = family._ordering
-    if slot is not None and np.array_equal(indptr, slot[0]) and np.array_equal(indices, slot[1]):
-        _, _, order, rank, gather, p_indptr, p_indices = slot
-        permuted = sp.csc_matrix((data[gather], p_indices, p_indptr), shape=shape)
-        permuted.has_canonical_format = True  # keeps splu from sorting the row indices
-        return _splu(permuted, "NATURAL"), order, rank
-    matrix = sp.csc_matrix(pinned_t, shape=shape)
-    lu = _splu(matrix, "MMD_AT_PLUS_A")
-    # a copy: lu.perm_c is a view that would keep the whole factor alive
-    family._ordering = _ordering_plan(matrix, lu.perm_c.copy())
-    identity = np.arange(shape[0])
-    return lu, identity, identity
+def _slot_hits(slot: tuple | None, indices: np.ndarray, indptr: np.ndarray,
+               stored: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Which points the ordering slot ``slot`` serves, and where their data
+    come from.  ``stored`` holds, per point, which of T's entries past row 0
+    are nonzero, on the CSR pattern ``(indices, indptr)`` of the family's
+    scatter slot; a point is served when they are the slot's pattern.  The
+    second array gives, per entry of the slot's permuted matrix, its column
+    in a point's row of ``_factors``' ``pinned``.  The slot keeps both as its
+    view of the scatter pattern it last served, and makes them again from
+    its keys when the scatter slot has grown since."""
+    if slot is None:
+        return np.zeros(len(stored), dtype=bool), None
+    view = slot[5]
+    if view[0] is not indices:
+        dim, s = indptr.size - 1, indptr[1]
+        tail = (np.repeat(np.arange(dim), np.diff(indptr)) * dim + indices)[s:]
+        want = slot[0][1:]  # row 0 of T' is e0^T
+        pos = np.searchsorted(tail, want)
+        if pos.size and (pos[-1] >= tail.size or not np.array_equal(tail[pos], want)):
+            view[:] = indices, None, None
+        else:
+            mask = np.zeros(tail.size, dtype=bool)
+            mask[pos] = True
+            view[:] = indices, mask, np.r_[0, pos + 1][slot[3]]
+    if view[1] is None:
+        return np.zeros(len(stored), dtype=bool), None
+    return (stored == view[1]).all(axis=1), view[2]
+
+
+def _factors(family: ParamLindbladian, values: np.ndarray, indices: np.ndarray,
+             indptr: np.ndarray) -> Iterator[tuple[spla.SuperLU, np.ndarray, np.ndarray]]:
+    """Per row of ``values``, T at a point on the CSR pattern ``(indices,
+    indptr)``, in row order: ``(lu, order, rank)``, where ``lu`` factors
+    T'^T, T without its zero entries and with row 0 replaced by e0^T, with
+    rows and columns taken in ``order``, whose inverse is ``rank``.
+
+    A point whose T' has the pattern of the family's ordering slot costs one
+    gather of its data into the slot's matrix and one NATURAL factorization.
+    A point of another pattern is factored in the fill-reducing
+    MMD_AT_PLUS_A order (``order`` the identity), which replaces the slot.
+    An exactly singular factor raises DegenerateSteadyStateError."""
+    dim, s = indptr.size - 1, indptr[1]
+    # per point, T'^T's data on T's pattern: e0's 1.0, then T past row 0
+    pinned = np.empty((len(values), 1 + indices.size - s))
+    pinned[:, 0] = 1.0
+    pinned[:, 1:] = values[:, s:]
+    stored = pinned[:, 1:] != 0
+    slot, hits, take = None, None, None
+    for k in range(len(values)):
+        if hits is None or family._ordering is not slot:
+            slot = family._ordering
+            hits, take = _slot_hits(slot, indices, indptr, stored)
+        if hits[k]:
+            _, order, rank, _, matrix, _ = slot
+            matrix.data = pinned[k, take]
+            spec = "NATURAL"
+        else:
+            data, cols, ptr = _pruned(values[k], indices, indptr)
+            cut = ptr[1]
+            matrix = sp.csc_matrix((np.r_[1.0, data[cut:]], np.r_[0, cols[cut:]],
+                                    np.r_[0, ptr[1:] - cut + 1]), shape=(dim, dim))
+            order = rank = np.arange(dim)
+            spec = "MMD_AT_PLUS_A"
+        try:
+            lu = _splu(matrix, spec)
+        except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+            raise DegenerateSteadyStateError(f"non-unique steady state: {exc}") from exc
+        if not hits[k]:
+            # a copy: lu.perm_c is a view that would keep the whole factor alive
+            family._ordering = _ordering_plan(matrix, lu.perm_c.copy(), indices, stored[k].copy())
+        yield lu, order, rank
 
 
 def _solve_t(factor: tuple[spla.SuperLU, np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """The solution c of T' c = rhs from the ``_factor`` of T'^T."""
+    """The solution c of T' c = rhs from a factor of T'^T (``_factors``)."""
     lu, order, rank = factor
     return lu.solve(rhs[order], trans="T")[rank]
 
@@ -769,7 +877,7 @@ def _start_vector(dim: int) -> np.ndarray:
 
 def _kernel_is_degenerate(factor: tuple[spla.SuperLU, np.ndarray, np.ndarray],
                           line: float) -> tuple[bool, float]:
-    """Whether the pinned generator T' (``factor`` from ``_factor``) is
+    """Whether the pinned generator T' (``factor`` from ``_factors``) is
     singular, and the last residual, by inverse iteration from a fixed random
     seed: solving T' w = v for a unit v leaves w / ||w|| the residual
     1 / ||w||.  A singular T' has a pivot of order 1e-16 norm_scale, so each
@@ -798,9 +906,9 @@ def steady_states(family: ParamLindbladian, X: np.ndarray) -> Iterator[DensityMa
     """The unique fixed point of the semigroup of ``family`` at each row of X,
     in row order, ``STEADY_CHUNK`` rows at a time.
 
-    The chunk's T are built at once (``_transfer_values``), and a point's T
-    is its row of values without the entries that are zero there
-    (``_pruned``).  Row 0 of T is zero (to the 1e-10 that building T
+    The chunk's T are built at once, one pass per term support size
+    (``_transfer_values``), and a point's T is its row of values without the
+    entries that are zero there.  Row 0 of T is zero (to the 1e-10 that building T
     admits), so T with row 0 replaced by e0^T is T' = T + e0 e0^T,
     nonsingular exactly when the kernel of T is simple; then
     T' c = e0 / sqrt(D) gives the steady state's coefficients: T c = 0,
@@ -810,20 +918,23 @@ def steady_states(family: ParamLindbladian, X: np.ndarray) -> Iterator[DensityMa
     mode: 53 to 78% of the fill of partial pivoting on TFIM generators of 4
     to 6 sites) and solves transposed.  The fill-reducing MMD_AT_PLUS_A order
     depends only on the pattern of T', so a point reuses the order its family
-    last computed for that pattern (``_factor``); the state has the same
+    last computed for that pattern (``_factors``); the state has the same
     bytes either way.  The factor also serves the degeneracy probe, which
     stops at its first residual below the 1e-8 * norm_scale line or once two
     solves in a row leave it 1e4 times above it (two solves on a simple
-    kernel).  The points are factored, probed and solved one by one, in row
-    order; the checks that follow run once per chunk on stacked arrays.
+    kernel).  Per point only SuperLU works, in row order: a point of the
+    reused pattern costs one gather of its data, one factorization, the
+    probe's solves and the solve.  The checks that follow run once per chunk
+    on stacked arrays.
 
     An exactly singular factor or a probe below the line is a degenerate
     kernel, an error (no silent selection); a non-finite solve or a
     trace-norm residual ||L(rho)||_1 above 1e-9 is a NumericalError; each
     state also passes the strict invariants of ``_check_states``.  A point
     that fails raises after the states of the points before it, with the
-    error a point-by-point loop would raise; an exception from a term's
-    ``build`` propagates at once.
+    error a point-by-point loop would raise.  Every term's ``build`` runs at
+    each point of a chunk before its first point outside the box, and an
+    exception from it propagates at once.
     """
     _check_size(family)
     X = np.asarray(X, dtype=float)
@@ -849,48 +960,35 @@ def _steady_chunk(family: ParamLindbladian,
             fail.stop, fail.error = k, exc
             break
     values, indices, indptr = _transfer_values(family, X, fail)
-    # sums over each row of T; its stored zeros add nothing
-    rows = np.repeat(np.arange(D * D), np.diff(indptr))
-    norm_scale = np.fmax(1.0, _binned(np.abs(values), rows, D * D).max(axis=1, initial=0.0))
+    # sums over each row of T (the scatter slot's last adder); its stored
+    # zeros add nothing
+    row_sums = family._scatter[-1]
+    norm_scale = np.fmax(1.0, _binned(row_sums, np.abs(values)).max(axis=1, initial=0.0))
     coeffs = np.empty((fail.stop, D * D))
+    rhs = np.zeros(D * D)
+    rhs[0] = 1.0 / np.sqrt(D)
+    factors = _factors(family, values[:fail.stop], indices, indptr)
     for k in range(fail.stop):
         try:
-            coeffs[k] = _fixed_point(_pruned(values[k], indices, indptr), family,
-                                     1e-8 * norm_scale[k])
+            factor = next(factors)
+            degenerate, probe = _kernel_is_degenerate(factor, 1e-8 * norm_scale[k])
+            if degenerate:
+                raise DegenerateSteadyStateError(
+                    f"non-unique steady state: kernel probe residual {probe:.2e}")
         except DegenerateSteadyStateError as exc:
             fail.stop, fail.error = k, exc
             break
+        coeffs[k] = _solve_t(factor, rhs)
     fail.check(~np.isfinite(coeffs).all(axis=1), lambda k: NumericalError(
         "steady-state solve produced non-finite values"))
     c = coeffs[:fail.stop]
-    image = _binned(values[:fail.stop] * c[:, indices], rows, D * D)  # T c per point
+    image = _binned(row_sums, values[:fail.stop] * c[:, indices])  # T c per point
     resid = np.linalg.svd(_from_pauli(image, n), compute_uv=False).sum(axis=1)
     fail.check(resid > 1e-9, lambda k: NumericalError(
         f"steady-state residual {resid[k]:.2e} exceeds 1e-9"))
     rho = _from_pauli(c, n)
     _check_states(rho, fail, strict=True)
     return [_admitted(rho[k].copy(), n) for k in range(fail.stop)], fail.error
-
-
-def _fixed_point(t_arrays: tuple[np.ndarray, np.ndarray, np.ndarray], family: ParamLindbladian,
-                 line: float) -> np.ndarray:
-    """The coefficients c of T' c = e0 / sqrt(D) for T given by its CSR
-    arrays ``(data, indices, indptr)``, after the degeneracy probe at ``line``."""
-    data, indices, indptr = t_arrays
-    s = indptr[1]
-    pinned_t = (np.concatenate(([1.0], data[s:])), np.concatenate(([0], indices[s:])),
-                np.concatenate(([0], indptr[1:] - s + 1)))
-    try:
-        factor = _factor(pinned_t, family)
-    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
-        raise DegenerateSteadyStateError(f"non-unique steady state: {exc}") from exc
-    degenerate, probe = _kernel_is_degenerate(factor, line)
-    if degenerate:
-        raise DegenerateSteadyStateError(
-            f"non-unique steady state: kernel probe residual {probe:.2e}")
-    rhs = np.zeros(indptr.size - 1)
-    rhs[0] = 1.0 / np.sqrt(2**family.n_total)
-    return _solve_t(factor, rhs)
 
 
 def steady_state(superop: Superoperator) -> DensityMatrix:
@@ -919,16 +1017,18 @@ def localize(family: ParamLindbladian, x: np.ndarray, x_prime: np.ndarray,
 
 
 def partial_trace(data: np.ndarray, n_sites: int, keep: Sequence[int]) -> np.ndarray:
-    """Reduced matrix on ``keep`` (ascending), tracing out the other sites."""
+    """Reduced matrix on ``keep`` (ascending), tracing out the other sites one
+    at a time in site order; of each matrix of a stack (..., D, D) too."""
     keep = sorted(keep)
-    t = data.reshape((2,) * (2 * n_sites))
+    lead = data.shape[:-2]
+    t = data.reshape(lead + (2,) * (2 * n_sites))
     drop = [s for s in range(n_sites) if s not in keep]
     for count, s in enumerate(drop):
         ns = n_sites - count  # sites remaining in tensor
-        pos = s - sum(1 for q in drop[:count] if q < s)
+        pos = len(lead) + s - sum(1 for q in drop[:count] if q < s)
         t = np.trace(t, axis1=pos, axis2=ns + pos)
     dk = 2 ** len(keep)
-    return t.reshape((dk, dk))
+    return t.reshape(lead + (dk, dk))
 
 
 def subfamily(family: ParamLindbladian, region: Region) -> tuple[ParamLindbladian, np.ndarray]:

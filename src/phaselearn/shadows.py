@@ -7,7 +7,9 @@ probabilities and is exact).  Every draw comes from one counter-based stream
 per run (``np.random.Philox`` keyed by the run's "measurement" stream seed):
 snapshot i reads its n bases and then its n Born uniforms from its own
 counter blocks, so it replays from (key, i) alone and does not depend on the
-other snapshots.  Product states skip the conditioning:
+other snapshots.  :func:`measure_snapshot` takes a stack of states and the
+stream row of the first, and runs the conditioning a site of every state
+at a time.  Product states skip the conditioning:
 :func:`measure_snapshot_product` takes rows of single-site Bloch vectors and
 the stream row of the first, and compares all their uniforms with their
 outcome probabilities at once.
@@ -45,7 +47,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .lindblad import DensityMatrix, _FirstError, partial_trace
+from .lindblad import _FirstError, partial_trace
 
 __all__ = [
     "MAX_LOCAL_SITES",
@@ -99,38 +101,50 @@ def _stream_rows(key: int, start: int, stop: int, n: int) -> tuple[np.ndarray, n
     return bases, top[:, n:] * 2.0**-53
 
 
-def measure_snapshot(rho: DensityMatrix, key: int, row: int = 0,
+def measure_snapshot(rho: np.ndarray, key: int, row: int = 0,
                      n_system: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One randomized product measurement of ``rho`` on its first ``n_system`` sites.
+    """Randomized product measurements of a stack of states on their first
+    ``n_system`` sites, one snapshot per state.
 
-    The draws are row ``row`` of the measurement stream ``key``.  Returns the
-    int8 basis codes and +-1 outcomes.  Ancilla slots beyond ``n_system`` are
-    traced out before measuring.  Bases are i.i.d. uniform over {X, Y, Z};
-    outcomes follow the exact Born rule via sequential conditional sampling,
-    one uniform per site.
+    ``rho`` is a (B, 2^n, 2^n) stack of density matrices; state i is
+    measured with row ``row`` + i of the measurement stream ``key``, so it
+    does not depend on the other states.  Returns (B, n_system) int8 basis
+    codes and +-1 outcomes.  Ancilla slots beyond ``n_system`` are traced
+    out, one site at a time, before measuring.  Bases are i.i.d. uniform over
+    {X, Y, Z}; outcomes follow the exact Born rule via sequential conditional
+    sampling, one uniform per site, a site of every state at a time.  A
+    negative conditional probability or a vanishing probability mass raises
+    NumericalError for the first state that has one, at its first such site.
     """
-    n = rho.n_sites if n_system is None else n_system
-    bases, us = _stream_rows(key, row, row + 1, n)
-    bases, us = bases[0], us[0]
-    work = rho.data
-    if n < rho.n_sites:
-        work = partial_trace(work, rho.n_sites, range(n))
-    outcomes = np.empty(n, dtype=np.int8)
+    rho = np.asarray(rho, dtype=complex)
+    n_sites = rho.shape[-1].bit_length() - 1
+    n = n_sites if n_system is None else n_system
+    if rho.ndim != 3 or rho.shape[1:] != (2**n_sites,) * 2 or not 0 <= n <= n_sites:
+        raise ValueError(f"expected a (B, 2^n, 2^n) stack of states with n >= {n} sites, "
+                         f"got shape {rho.shape}")
+    bases, us = _stream_rows(key, row, row + len(rho), n)
+    work = partial_trace(rho, n_sites, range(n)) if n < n_sites else rho
+    outcomes = np.empty(bases.shape, dtype=np.int8)
+    fail = _FirstError(len(rho))
     for i in range(n):
-        k = n - i
-        sub = work.reshape(2, 2 ** (k - 1), 2, 2 ** (k - 1))
-        bras = _EIG_BRAS[bases[i]]
-        blocks = np.einsum("za,aibj,zb->zij", bras, sub, bras.conj())
-        probs = np.einsum("zii->z", blocks).real
-        if probs.min() < -1e-10:
-            raise NumericalError(f"negative conditional probability {probs.min():.2e}")
+        k, b = n - i, fail.stop
+        sub = work[:b].reshape(b, 2, 2 ** (k - 1), 2, 2 ** (k - 1))
+        bras = _EIG_BRAS[bases[:b, i]]
+        blocks = np.einsum("sza,saibj,szb->szij", bras, sub, bras.conj())
+        probs = np.einsum("szii->sz", blocks).real
+        low = probs.min(axis=1)
+        fail.check(low < -1e-10, lambda r: NumericalError(
+            f"negative conditional probability {low[r]:.2e}"))
         probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if total <= 0:
-            raise NumericalError("vanishing conditional probability mass")
-        o = 0 if us[i] < probs[0] / total else 1
-        outcomes[i] = 1 if o == 0 else -1
-        work = blocks[o] / probs[o] if k > 1 else work
+        total = probs.sum(axis=1)
+        fail.check(total <= 0, lambda r: NumericalError("vanishing conditional probability mass"))
+        b = fail.stop
+        o = (~(us[:b, i] < probs[:b, 0] / total[:b])).astype(np.intp)
+        outcomes[:b, i] = 1 - 2 * o
+        if k > 1:
+            picked = np.arange(b), o
+            work = blocks[picked] / probs[picked][:, None, None]
+    fail.raise_first()
     return bases, outcomes
 
 
@@ -140,8 +154,9 @@ def measure_snapshot_product(bloch: np.ndarray, key: int,
 
     ``bloch`` is an (N, n, 3) stack of single-site Bloch vectors (<X>, <Y>, <Z>);
     its row i is measured with row ``row`` + i of the stream ``key``, the draws
-    the general sampler makes, so it matches :func:`measure_snapshot` on the
-    corresponding product state and does not depend on the other rows.  The
+    the general sampler makes for a stack's state i, so it matches
+    :func:`measure_snapshot` on the corresponding product states and does not
+    depend on the other rows.  The
     outcome is +1 where the uniform falls below p+ = (1 + r_basis) / 2.  The
     caller bounds the rows per call.  Returns (N, n) int8 bases and outcomes.
     """
@@ -337,7 +352,7 @@ def _records(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, linenos: np.
     try:  # one call decodes a valid chunk's values; the mask only names a bad line
         raw = binascii.unhexlify(hexes)
     except binascii.Error:
-        k = check(_NOT_HEX[hexes].any(axis=1), lambda r: "x field is not hexadecimal")
+        k = check(_NOT_HEX[hexes].any(axis=1), lambda r: "values field is not hexadecimal")
         raw = binascii.unhexlify(hexes[:k])
     values = np.frombuffer(raw, dtype="<f8").reshape(k, m + 1)
     X, taus = values[:, :m], values[:, m]

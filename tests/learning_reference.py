@@ -27,7 +27,6 @@ from phaselearn.shadows import (
     TrainingSet,
     _stream_rows,
     local_estimates,
-    measure_snapshot,
     median_of_means,
     mom_batch_count,
 )
@@ -56,7 +55,8 @@ def sample_parameters(model, N: int, t_eps: float | None, seed: int):
 def training_states(model, X: np.ndarray, taus: np.ndarray, key: int):
     """Every snapshot at once: the oracle's Bloch vectors of all N points and
     all N stream rows compared in one pass, or each state generated (steady
-    states through ``steady_states``) and measured with its stream row."""
+    states through ``steady_states``) and measured alone with its stream row
+    by the reference sampler."""
     if model.oracle is not None:
         bloch = model.oracle.bloch_vectors(X, taus)
         bases, us = _stream_rows(key, 0, len(X), bloch.shape[1])
@@ -65,7 +65,8 @@ def training_states(model, X: np.ndarray, taus: np.ndarray, key: int):
     n_sys = model.family.n_system
     states = (steady_states(model.family, X) if np.isinf(taus).all() else
               (generate_state(model, x, tau) for x, tau in zip(X, taus.tolist())))
-    rows = [measure_snapshot(rho, key, row=i, n_system=n_sys) for i, rho in enumerate(states)]
+    rows = [shadows_reference.measure_snapshot(rho, key, row=i, n_system=n_sys)
+            for i, rho in enumerate(states)]
     return (np.array([b for b, _ in rows], dtype=np.int8).reshape(len(X), n_sys),
             np.array([o for _, o in rows], dtype=np.int8).reshape(len(X), n_sys))
 

@@ -1,12 +1,13 @@
-"""The record-at-a-time shadow writer and reader that ``phaselearn.shadows``
-replaced, kept as the reference its byte-block writer and reader are tested
-against.
+"""The one-state-at-a-time sampler and the record-at-a-time shadow writer
+and reader that ``phaselearn.shadows`` replaced, kept as the references its
+stacked sampler and byte-block writer and reader are tested against.
 
-The writer formats one record at a time; the reader splits the file into
-lines and checks each record alone, in the order of the package's checks, so
-the first bad line it names is the first line that fails.  Both take or give
-the header as a mapping of its ``# key value`` lines, and the reader reads
-those lines with ``shadows._apply_header``.
+The sampler measures one state with one stream row, a site at a time.  The
+writer formats one record at a time; the reader splits the file into lines
+and checks each record alone, in the order of the package's checks, so the
+first bad line it names is the first line that fails.  Both take or give the
+header as a mapping of its ``# key value`` lines, and the reader reads those
+lines with ``shadows._apply_header``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,41 @@ from typing import IO
 import numpy as np
 
 from phaselearn import shadows
-from phaselearn.errors import ConfigError
-from phaselearn.shadows import TrainingSet
+from phaselearn.errors import ConfigError, NumericalError
+from phaselearn.lindblad import DensityMatrix, partial_trace
+from phaselearn.shadows import _EIG_BRAS, TrainingSet, _stream_rows
+
+
+def measure_snapshot(rho: DensityMatrix, key: int, row: int = 0,
+                     n_system: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One randomized product measurement of ``rho`` on its first
+    ``n_system`` sites with row ``row`` of the measurement stream ``key``:
+    the int8 basis codes and +-1 outcomes.  Ancilla slots are traced out
+    first; each site's outcome follows the Born rule conditioned on the
+    earlier sites' outcomes."""
+    n = rho.n_sites if n_system is None else n_system
+    bases, us = _stream_rows(key, row, row + 1, n)
+    bases, us = bases[0], us[0]
+    work = rho.data
+    if n < rho.n_sites:
+        work = partial_trace(work, rho.n_sites, range(n))
+    outcomes = np.empty(n, dtype=np.int8)
+    for i in range(n):
+        k = n - i
+        sub = work.reshape(2, 2 ** (k - 1), 2, 2 ** (k - 1))
+        bras = _EIG_BRAS[bases[i]]
+        blocks = np.einsum("za,aibj,zb->zij", bras, sub, bras.conj())
+        probs = np.einsum("zii->z", blocks).real
+        if probs.min() < -1e-10:
+            raise NumericalError(f"negative conditional probability {probs.min():.2e}")
+        probs = np.clip(probs, 0.0, None)
+        total = probs.sum()
+        if total <= 0:
+            raise NumericalError("vanishing conditional probability mass")
+        o = 0 if us[i] < probs[0] / total else 1
+        outcomes[i] = 1 if o == 0 else -1
+        work = blocks[o] / probs[o] if k > 1 else work
+    return bases, outcomes
 
 
 def _record(training: TrainingSet, i: int) -> bytes:
@@ -55,7 +89,7 @@ def _check_record(line: bytes, m: int, n: int, mode: str) -> tuple:
         raw = b""
     # bytes.fromhex also skips whitespace, which shortens its result
     if 2 * len(raw) != h:
-        raise ValueError("x field is not hexadecimal")
+        raise ValueError("values field is not hexadecimal")
     values = np.frombuffer(raw, dtype="<f8")
     x, tau = values[:m], float(values[m])
     if not np.all(np.abs(x) <= 1.0):

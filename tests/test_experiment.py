@@ -400,36 +400,57 @@ class TestLearningRun:
 
 
 class TestTrainingStates:
-    def test_chunks_match_one_state_at_a_time(self, monkeypatch):
-        # a steady-mode training set over three chunks writes the bases and
-        # outcomes of one generate_state + measure_snapshot per point, and
-        # factors each snapshot's generator once
-        from phaselearn import experiment, lindblad
+    @staticmethod
+    def _model():
         from phaselearn.lattice import Lattice
-        from phaselearn.models import generate_state, instantiate, sample_parameters
-        from phaselearn.shadows import measure_snapshot
+        from phaselearn.models import instantiate
 
-        def model():
-            return instantiate("dissipative_tfim", Lattice(1, (3,), "open"))
+        return instantiate("dissipative_tfim", Lattice(1, (3,), "open"))
+
+    def _reference(self, X, taus, key):
+        # one generate_state and one reference measurement per point
+        import shadows_reference
+        from phaselearn.models import generate_state
+
+        ref = self._model()
+        rows = [shadows_reference.measure_snapshot(generate_state(ref, X[i], float(taus[i])),
+                                                   key, row=i, n_system=3)
+                for i in range(len(X))]
+        return np.array([b for b, _ in rows]), np.array([o for _, o in rows])
+
+    def _check(self, monkeypatch, t_eps) -> int:
+        """Compare the chunked training states over three chunks with the
+        reference; the number of SuperLU factorizations they took."""
+        from phaselearn import experiment, lindblad
+        from phaselearn.models import sample_parameters
 
         N = 2 * lindblad.STEADY_CHUNK + 5
-        X, taus = sample_parameters(model(), N, None, 21)
+        X, taus = sample_parameters(self._model(), N, t_eps, 21)
+        assert np.isinf(taus).all() == (t_eps is None)
         key = 1234
-        ref = model()
-        want_bases, want_outcomes = np.empty((N, 3), np.int8), np.empty((N, 3), np.int8)
-        for i in range(N):
-            rho = generate_state(ref, X[i], float(taus[i]))
-            want_bases[i], want_outcomes[i] = measure_snapshot(rho, key, row=i, n_system=3)
+        want_bases, want_outcomes = self._reference(X, taus, key)
         calls = []
 
         def counted(*args, _splu=lindblad.spla.splu, **kwargs):
             calls.append(args)
             return _splu(*args, **kwargs)
         monkeypatch.setattr(lindblad.spla, "splu", counted)
-        bases, outcomes = experiment._training_states(model(), X, taus, key, 0)
-        assert bases.tobytes() == want_bases.tobytes()
-        assert outcomes.tobytes() == want_outcomes.tobytes()
-        assert len(calls) == N
+        bases, outcomes = experiment._training_states(self._model(), X, taus, key, 0)
+        assert bases.tobytes() == want_bases.astype(np.int8).tobytes()
+        assert outcomes.tobytes() == want_outcomes.astype(np.int8).tobytes()
+        return len(calls)
+
+    def test_chunks_match_one_state_at_a_time(self, monkeypatch):
+        # a steady-mode training set over three chunks writes the bases and
+        # outcomes of one generate_state + reference measurement per point, and
+        # factors each snapshot's generator once
+        from phaselearn import lindblad
+
+        assert self._check(monkeypatch, None) == 2 * lindblad.STEADY_CHUNK + 5
+
+    def test_general_chunks_match_one_state_at_a_time(self, monkeypatch):
+        # the same at finite tau: evolved states, measured a stack at a time
+        assert self._check(monkeypatch, 2.0) == 0
 
 
 class TestPlanOverrides:

@@ -93,7 +93,9 @@ def _term_triplets(family: ParamLindbladian, ti: int, x: np.ndarray) -> tuple:
     """COO triplets of one term's transfer block embedded in the full space,
     where site s owns the binary digits 2s and 2s + 1 of a Pauli index."""
     term = family.terms[ti]
-    block = family._term_blocks(ti, x[None, list(term.coord_indices)], lindblad._FirstError(1))[0]
+    stacks = family._stacks(x[None], lindblad._FirstError(1), transfer=True)
+    block = next(stack[0, j] for (_, members), stack in zip(family._size_groups, stacks)
+                 for j, t in enumerate(members) if t == ti)
     digits = [b for s in term.support.sites for b in (2 * s, 2 * s + 1)]
     return embed_triplets(block, *embed_sparse_indices(2 * family.n_total, digits))
 
@@ -204,10 +206,18 @@ class TestAssemble:
     @settings(max_examples=30, deadline=None)
     def test_bit_identical_to_np_kron(self, seed, n, name):
         # the broadcast outer product multiplies the same factors as np.kron
+        # of each pair of matrices of the stacks
+        def np_kron(a, b):
+            lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+            pairs = zip(np.broadcast_to(a, lead + a.shape[-2:]).reshape((-1,) + a.shape[-2:]),
+                        np.broadcast_to(b, lead + b.shape[-2:]).reshape((-1,) + b.shape[-2:]))
+            side = a.shape[-1] * b.shape[-1]
+            return np.array([np.kron(p, q) for p, q in pairs]).reshape(lead + (side, side))
+
         fam = instantiate(name, Lattice(1, (n,), "open")).family
         x = np.random.default_rng(seed).uniform(-1, 1, fam.m)
         got = assemble(fam, x)
-        with mock.patch.object(lindblad, "_kron", np.kron):
+        with mock.patch.object(lindblad, "_kron", np_kron):
             ref = assemble(fam, x)
             ref_t, ref_stacked = transfer_matrix(ref), ref.column_stacked
         for a, b in ((transfer_matrix(got), ref_t), (got.column_stacked, ref_stacked)):
@@ -227,6 +237,25 @@ class TestAssemble:
                                    4**fam.n_total, float)
             for attr in ("indptr", "indices", "data"):
                 assert getattr(got, attr).tobytes() == getattr(ref, attr).tobytes()
+
+    @given(data=st.data(), size=st.integers(1, 12), width=st.integers(1, 12),
+           rows=st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_binned_matches_bincount(self, data, size, width, rows):
+        # the adder's sparse product gives each bin the bytes np.bincount
+        # gives it, row by row: its weights in order, from 0.0
+        k = data.draw(st.integers(0, 3 * width), label="k")
+        bins = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=k, max_size=k)),
+                        dtype=np.int64)
+        columns = np.array(data.draw(st.lists(st.integers(0, width - 1), min_size=k,
+                                              max_size=k)), dtype=np.int64)
+        weights = np.array(data.draw(st.lists(
+            st.floats(allow_nan=False, width=64), min_size=rows * width,
+            max_size=rows * width))).reshape(rows, width)
+        got = lindblad._binned(lindblad._adder(columns, bins, size, width), weights)
+        want = np.array([np.bincount(bins, row[columns], size) for row in weights])
+        assert got.shape == (rows, size)
+        assert got.tobytes() == want.reshape(rows, size).tobytes()
 
     def test_scatter_slot_grows_to_the_union(self):
         # x = 0 empties blocks: the slot grows once to the union of the two
@@ -254,6 +283,8 @@ class TestAssemble:
         fam = instantiate("dissipative_tfim", Lattice(1, (4,), "open")).family
 
         def size(v):
+            if sp.issparse(v):  # the ordering slot's matrix: its arrays
+                return size((v.data, v.indices, v.indptr))
             if isinstance(v, np.ndarray):
                 return v.size
             if isinstance(v, (tuple, list)):
@@ -265,6 +296,8 @@ class TestAssemble:
 
         def holds_factor(v):
             # an array whose base is a SuperLU object keeps the whole factor alive
+            if sp.issparse(v):
+                return holds_factor((v.data, v.indices, v.indptr))
             if isinstance(v, (tuple, list)):
                 return any(holds_factor(u) for u in v)
             return isinstance(getattr(v, "base", None), spla.SuperLU)
@@ -550,6 +583,26 @@ class TestSteadyState:
                 steady_state(assemble(fam, np.array([x])))
         assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
 
+    def test_ordering_reused_after_scatter_slot_grows(self, monkeypatch):
+        # the ordering slot finds its pattern again on a grown scatter slot
+        # (here every block entry), and the state keeps a fresh family's bytes
+        def fresh():
+            return instantiate("dissipative_tfim", Lattice(1, (3,), "open")).family
+
+        fam, specs = fresh(), []
+        rng = np.random.default_rng(6)
+        x, y = rng.uniform(-1, 1, fam.m), rng.uniform(-1, 1, fam.m)
+        steady_state(assemble(fam, x))
+        fam._scatter = lindblad._scatter_plan(fam, np.ones_like(fam._scatter[0]))
+
+        def counted(*args, _splu=spla.splu, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return _splu(*args, **kwargs)
+        monkeypatch.setattr(lindblad.spla, "splu", counted)
+        got = steady_state(assemble(fam, y))
+        assert specs == ["NATURAL"]
+        assert got.data.tobytes() == steady_state(assemble(fresh(), y)).data.tobytes()
+
     def test_evolved_generator_solves_like_fresh(self):
         # building the column-stacked generator first leaves T and the state as
         # a generator on a fresh family gives them
@@ -672,6 +725,36 @@ class TestSteadyStates:
                 want = transfer_matrix(assemble(ref, x))
                 assert got[0].tobytes() == want.data.tobytes()
                 assert np.array_equal(got[1], want.indices) and np.array_equal(got[2], want.indptr)
+
+    @pytest.mark.parametrize("fails, term, point", [
+        ({0: 1, 2: 1}, "a", 1),
+        ({0: 2, 2: 1}, "c", 1),
+        ({1: 1, 2: 1}, "b", 1),
+        ({0: 0, 2: 0}, "a", 0),
+    ], ids=["same_point", "earlier_point", "across_sizes", "first_point"])
+    def test_grouped_build_reports_the_first_error(self, fails, term, point):
+        # terms a and c act on one site and are built in one stack, b on two;
+        # coordinate j = 1 makes term j's Hamiltonian part non-Hermitian.  The
+        # error is the earliest failing point's, and at that point the
+        # earliest term's, as one point at a time reports it
+        def built(sites, h):
+            def build(xs):
+                skew = np.kron(SM, np.eye(2 ** (sites - 1))) if xs[0] == 1.0 else 0.0
+                return xs[0] * h + skew, [np.kron(SM, np.eye(2 ** (sites - 1)))]
+            return build
+
+        terms = [LindbladTerm(Region((0,)), (0,), built(1, X), "a"),
+                 LindbladTerm(Region((0, 1)), (1,), built(2, np.kron(Z, Z)), "b"),
+                 LindbladTerm(Region((1,)), (2,), built(1, X), "c")]
+        fam = ParamLindbladian(Lattice(1, (2,), "open"), terms)
+        X_ = np.full((4, 3), 0.3)
+        for coord, at in fails.items():
+            X_[at, coord] = 1.0
+        got = _counted_run(lambda: lindblad.steady_states(fam, X_))
+        assert got == _counted_run(lambda: (steady_state(assemble(fam, x)) for x in X_))
+        states, error = got[0][:-1], got[0][-1]
+        assert len(states) == point
+        assert error == (ValueError, f"term {term!r}: Hamiltonian part not Hermitian")
 
     def test_points_checked_like_assemble(self):
         fam = instantiate("dissipative_tfim", Lattice(1, (2,), "open")).family

@@ -1,5 +1,6 @@
 import io
 import math
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import shadows_reference
-from conftest import Z, full_state, random_density
+from conftest import X, Y, Z, full_state, random_density
 from learning_reference import joined, row_slice
 from phaselearn import shadows
 from phaselearn.errors import ConfigError, NumericalError
 from phaselearn.lattice import Lattice
-from phaselearn.lindblad import DensityMatrix, partial_trace
+from phaselearn.lindblad import STEADY_CHUNK, DensityMatrix, _admitted, partial_trace
 from phaselearn.models import instantiate
 from phaselearn.seeding import stream_seed
 from phaselearn.shadows import (
@@ -32,6 +33,14 @@ from phaselearn.shadows import (
 
 def _snap(bases, outcomes):
     return np.array(bases, dtype=np.int8), np.array(outcomes, dtype=np.int8)
+
+
+def _repeated(rho: DensityMatrix, rows: int, key: int = 0, row: int = 0,
+              n_system: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` snapshots of ``rho``, with stream rows ``row``.. on, as one
+    stack of the general sampler."""
+    stack = np.broadcast_to(rho.data, (rows,) + rho.data.shape)
+    return measure_snapshot(stack, key, row, n_system)
 
 
 def _columns(bases, outcomes, X, taus=None):
@@ -142,18 +151,16 @@ def _read_outcome(read, text):
 class TestMeasurement:
     def test_zero_state_z_always_plus(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
-        for row in range(200):
-            bases, outcomes = measure_snapshot(rho, 0, row=row)
-            if bases[0] == 2:
-                assert outcomes[0] == 1
+        bases, outcomes = _repeated(rho, 200)
+        assert (bases == 2).any()
+        assert np.all(outcomes[bases == 2] == 1)
 
     def test_plus_state_statistics(self):
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
         rho = DensityMatrix(np.outer(plus, plus).astype(complex), 1)
         x_minus = z_plus = z_minus = z_total = 0
         n_draws = 10_000
-        for row in range(n_draws):
-            bases, outcomes = measure_snapshot(rho, 0, row=row)
+        for bases, outcomes in zip(*_repeated(rho, n_draws)):
             if bases[0] == 0 and outcomes[0] == -1:
                 x_minus += 1
             if bases[0] == 2:
@@ -172,8 +179,7 @@ class TestMeasurement:
         bell[0] = bell[3] = 1.0 / math.sqrt(2)
         rho = DensityMatrix(np.outer(bell, bell).astype(complex), 2)
         seen = 0
-        for row in range(10_000):
-            bases, outcomes = measure_snapshot(rho, 0, row=row)
+        for bases, outcomes in zip(*_repeated(rho, 10_000)):
             if bases[0] == 2 and bases[1] == 2:
                 seen += 1
                 assert outcomes[0] == outcomes[1]
@@ -182,8 +188,7 @@ class TestMeasurement:
     def test_bases_uniform(self):
         rho = DensityMatrix(np.eye(4) / 4, 2)
         counts = np.zeros(3)
-        for row in range(3000):
-            bases, _ = measure_snapshot(rho, 0, row=row)
+        for bases in _repeated(rho, 3000)[0]:
             for b in bases:
                 counts[b] += 1
         assert np.all(np.abs(counts / counts.sum() - 1 / 3) < 0.03)
@@ -197,8 +202,7 @@ class TestMeasurement:
         ]
         rho = DensityMatrix(np.eye(8) / 8, 3)
         seen = set()
-        for row in range(100):
-            bases, outcomes = measure_snapshot(rho, 0, row=row)
+        for bases, outcomes in zip(*_repeated(rho, 100)):
             for site in range(3):
                 # the estimate is 3 |z><z| - I, so (estimate + I) / 3 = |z><z|
                 proj = (snapshot_local_matrix(bases, outcomes, [site]) + np.eye(2)) / 3
@@ -212,8 +216,8 @@ class TestMeasurement:
         lat = Lattice(1, (2,), "open")
         model = instantiate("pinning", lat, omega=1)
         rho = full_state(model.oracle, np.array([0.2, -0.4]), np.inf, model.family)
-        bases, outcomes = measure_snapshot(rho, 0, row=3, n_system=2)
-        assert len(bases) == len(outcomes) == 2
+        bases, outcomes = _repeated(rho, 1, row=3, n_system=2)
+        assert bases.shape == outcomes.shape == (1, 2)
 
     def test_product_fast_path_matches_general(self):
         lat = Lattice(1, (4,), "open")
@@ -222,10 +226,9 @@ class TestMeasurement:
         bloch = model.oracle.bloch_vectors(np.tile(x, (500, 1)), np.full(500, np.inf))
         b_bases, b_outcomes = measure_snapshot_product(bloch, 0)
         rho = full_state(model.oracle, x, np.inf, model.family)
-        for row in range(500):
-            a_bases, a_outcomes = measure_snapshot(rho, 0, row=row)
-            assert np.array_equal(a_bases, b_bases[row])
-            assert np.array_equal(a_outcomes, b_outcomes[row])
+        a_bases, a_outcomes = _repeated(rho, 500)
+        assert np.array_equal(a_bases, b_bases)
+        assert np.array_equal(a_outcomes, b_outcomes)
 
     @given(data=st.data(), n=st.integers(1, 4), rows=st.integers(1, 6),
            key=st.integers(0, 2**128 - 1))
@@ -238,11 +241,11 @@ class TestMeasurement:
                       for _ in range(rows)])
         taus = np.array([data.draw(tau) for _ in range(rows)])
         bases, outcomes = measure_snapshot_product(model.oracle.bloch_vectors(X, taus), key)
-        for i in range(rows):
-            rho = full_state(model.oracle, X[i], taus[i], model.family)
-            a_bases, a_outcomes = measure_snapshot(rho, key, row=i)
-            assert np.array_equal(a_bases, bases[i])
-            assert np.array_equal(a_outcomes, outcomes[i])
+        stack = np.array([full_state(model.oracle, X[i], taus[i], model.family).data
+                          for i in range(rows)])
+        a_bases, a_outcomes = measure_snapshot(stack, key)
+        assert np.array_equal(a_bases, bases)
+        assert np.array_equal(a_outcomes, outcomes)
 
     @given(data=st.data(), key=st.integers(0, 2**128 - 1), n=st.integers(1, 9),
            row=st.integers(0, 2**40), rows=st.integers(0, 40), chunk=st.integers(1, 8))
@@ -265,9 +268,9 @@ class TestMeasurement:
         # mixed state has probability exactly 1/2
         mixed = DensityMatrix(np.eye(2**n, dtype=complex) / 2**n, n)
         ref_bases, ref_uniforms = _philox_row(key, row, n)
-        far_bases, far_outcomes = measure_snapshot(mixed, key, row=row)
-        assert far_bases.tolist() == ref_bases
-        assert far_outcomes.tolist() == [1 if u < 0.5 else -1 for u in ref_uniforms]
+        far_bases, far_outcomes = _repeated(mixed, 1, key, row)
+        assert far_bases[0].tolist() == ref_bases
+        assert far_outcomes[0].tolist() == [1 if u < 0.5 else -1 for u in ref_uniforms]
 
     def test_uniforms_are_numpys_doubles(self):
         # words n..2n-1 of a row convert exactly as Generator.random does
@@ -290,14 +293,75 @@ class TestMeasurement:
             assert np.array_equal(head_outcomes, outcomes[:M])
         for i in (40, 299):
             rho = full_state(model.oracle, X[i], taus[i], model.family)
-            row_bases, row_outcomes = measure_snapshot(rho, key, row=i)
-            assert np.array_equal(row_bases, bases[i])
-            assert np.array_equal(row_outcomes, outcomes[i])
+            row_bases, row_outcomes = _repeated(rho, 1, key, i)
+            assert np.array_equal(row_bases[0], bases[i])
+            assert np.array_equal(row_outcomes[0], outcomes[i])
         other = model.oracle.bloch_vectors(rng.uniform(-1, 1, (300, 5)), taus)
         other[77] = bloch[77]
         other_bases, other_outcomes = measure_snapshot_product(other, key)
         assert np.array_equal(other_bases, bases)
         assert np.array_equal(other_outcomes[77], outcomes[77])
+
+    @given(seed=st.integers(0, 2**32 - 1), n_sites=st.integers(1, 4), data=st.data(),
+           key=st.integers(0, 2**128 - 1), row=st.integers(0, 2**40))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_sampler_matches_reference(self, seed, n_sites, data, key, row):
+        # each state of a stack gets the bytes the one-state reference gives it
+        # with its stream row, ancilla slots traced out first; when some states
+        # have a negative conditional probability, the first row whose state
+        # raises in the reference raises the same error
+        n_system = data.draw(st.integers(1, n_sites), label="n_system")
+        size = data.draw(st.integers(1, 2 * STEADY_CHUNK + 3), label="size")
+        bad = data.draw(st.sets(st.integers(0, size - 1), max_size=4), label="bad")
+        rng = np.random.default_rng(seed)
+        stack = []
+        for i in range(size):
+            if i in bad:
+                # a product whose factor on one site has a Bloch vector with
+                # components +-(1 + a): measured in any basis, that site has
+                # the probability -a/2, unique to this row; traced out as an
+                # ancilla, it leaves a state
+                r = (1.0 + 0.05 * (i + 1)) * rng.choice([-1.0, 1.0], 3)
+                factors = [random_density(1, rng).data for _ in range(n_sites)]
+                factors[rng.integers(n_sites)] = (np.eye(2) + r[0] * X + r[1] * Y + r[2] * Z) / 2
+                stack.append(reduce(np.kron, factors))
+            elif rng.random() < 0.3:  # a pure state: some outcomes have probability 0
+                v = rng.standard_normal(2**n_sites) + 1j * rng.standard_normal(2**n_sites)
+                stack.append(np.outer(v, v.conj()) / np.vdot(v, v).real)
+            else:
+                stack.append(random_density(n_sites, rng).data)
+        want, error = [], None
+        for i, rho in enumerate(stack):
+            try:
+                want.append(shadows_reference.measure_snapshot(
+                    _admitted(rho, n_sites), key, row + i, n_system))
+            except NumericalError as exc:
+                error = str(exc)
+                break
+        if error is not None:
+            with pytest.raises(NumericalError) as err:
+                measure_snapshot(np.array(stack), key, row, n_system)
+            assert str(err.value) == error
+            return
+        bases, outcomes = measure_snapshot(np.array(stack), key, row, n_system)
+        assert bases.shape == outcomes.shape == (size, n_system)
+        assert bases.tobytes() == np.array([b for b, _ in want]).tobytes()
+        assert outcomes.tobytes() == np.array([o for _, o in want]).tobytes()
+
+    @pytest.mark.parametrize("shape, n_system", [((4, 4), None), ((2, 4, 2), None),
+                                                 ((2, 3, 3), None), ((2, 4, 4), 3)],
+                             ids=["no_stack", "not_square", "not_qubits", "too_many_sites"])
+    def test_bad_stack_rejected(self, shape, n_system):
+        with pytest.raises(ValueError, match="stack of states"):
+            measure_snapshot(np.zeros(shape), 0, n_system=n_system)
+
+    def test_vanishing_mass_raises(self):
+        # a zero matrix has no probability mass at its first site
+        stack = np.array([np.eye(4) / 4, np.zeros((4, 4)), np.eye(4) / 4], dtype=complex)
+        with pytest.raises(NumericalError, match="vanishing conditional probability mass"):
+            measure_snapshot(stack, 3)
+        bases, outcomes = measure_snapshot(stack[[0, 2]], 3)
+        assert bases.shape == outcomes.shape == (2, 2)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overlong_bloch_vector_rejected(self, sign):
@@ -331,9 +395,8 @@ class TestInverseChannel:
     def test_unbiased_single_site(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
         vals = []
-        for row in range(30_000):
-            vals.append(np.real(np.trace(
-                Z @ snapshot_local_matrix(*measure_snapshot(rho, 0, row=row), [0]))))
+        for snapshot in zip(*_repeated(rho, 30_000)):
+            vals.append(np.real(np.trace(Z @ snapshot_local_matrix(*snapshot, [0]))))
         mean = float(np.mean(vals))
         stderr = float(np.std(vals)) / math.sqrt(len(vals))
         assert abs(mean - 1.0) <= 4 * stderr
@@ -343,16 +406,16 @@ class TestInverseChannel:
         rho = random_density(2, rng)
         acc = np.zeros((2, 2), dtype=complex)
         n_draws = 60_000
-        for row in range(n_draws):
-            acc += snapshot_local_matrix(*measure_snapshot(rho, 0, row=row), [1])
+        for snapshot in zip(*_repeated(rho, n_draws)):
+            acc += snapshot_local_matrix(*snapshot, [1])
         marg = partial_trace(rho.data, 2, [1])
         assert np.max(np.abs(acc / n_draws - marg)) < 0.03
 
     def test_trace_exactly_one(self):
         rng = np.random.default_rng(2)
         rho = random_density(3, rng)
-        for row in range(50):
-            m = snapshot_local_matrix(*measure_snapshot(rho, 0, row=row), [0, 2])
+        for snapshot in zip(*_repeated(rho, 50)):
+            m = snapshot_local_matrix(*snapshot, [0, 2])
             assert abs(np.trace(m) - 1.0) <= 1e-9
 
 
@@ -416,8 +479,7 @@ class TestShadowFile:
     def test_roundtrip(self):
         rng = np.random.default_rng(4)
         rho = random_density(3, rng)
-        bases, outcomes = map(np.array, zip(*(measure_snapshot(rho, 0, row=i)
-                                               for i in range(7))))
+        bases, outcomes = _repeated(rho, 7)
         ts = _columns(bases, outcomes, rng.uniform(-1, 1, (7, 5)),
                       taus=[0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 4.0])
         buf = io.BytesIO()
@@ -531,7 +593,8 @@ class TestShadowFile:
         (f"0000000000000000{INF} ZZ", "expected 38 bytes, .* the record has 35"),
         (f"0000000000000000{INF} Z Z01", "for m = 1 and n = 2; the record has 38"),
         (f"0000000000000000{INF} ZW 01", "basis letters"),
-        (f"000000000000000g{INF} ZZ 01", "hexadecimal"),
+        (f"000000000000000g{INF} ZZ 01", "values field is not hexadecimal"),
+        (f"0000000000000000{INF[:-1]}g ZZ 01", "values field is not hexadecimal"),
         ("# omega one", "invalid literal"),
         ("# omega 1", "after the first record"),
         ("# m one", "invalid literal"),
@@ -541,7 +604,7 @@ class TestShadowFile:
         (f"0000000000000040{INF} ZZ 01", "x tags"),
         (f"0000000000000000{_hex(-3.0)} ZZ 01", "tau must be inf"),
     ], ids=["bit_2", "ragged_long", "ragged_short", "short_x", "three_fields", "space_moved",
-            "letter_W", "bad_hex",
+            "letter_W", "bad_hex", "bad_hex_in_tau",
             "omega_word", "omega_after_record", "header_m", "header_after_record",
             "n_after_record", "x_nan", "x_two", "tau_in_steady"])
     def test_malformed_record_rejected(self, record, what):
@@ -598,8 +661,8 @@ class TestShadowFile:
             _read(io.BytesIO(text.encode()))
 
     def test_format_line_shape(self):
-        bases, outcomes = measure_snapshot(DensityMatrix(np.eye(4) / 4, 2), 5)
-        ts = _columns([bases], [outcomes], [[0.5, -0.25]])
+        bases, outcomes = _repeated(DensityMatrix(np.eye(4) / 4, 2), 1, 5)
+        ts = _columns(bases, outcomes, [[0.5, -0.25]])
         buf = io.BytesIO()
         write_shadows(buf, _header(2, 2, omega=1, seed=9), [ts])
         *header, record, end = buf.getvalue().decode().split("\n")
