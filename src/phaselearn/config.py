@@ -13,7 +13,8 @@ replaces its value in ``learner.plan``, which derives the rest of the
 prescription (gamma, N_log2, m_r) at the overridden values.  Other ``[model]``
 keys are the model's hyperparameters, each a number.  A key left out keeps its
 field's default; ``[lattice]`` defaults to an open chain of 4 sites.  An
-unknown entry or a value of the wrong type is a ConfigError naming the
+unknown entry, a value of the wrong type, or NaN or +-Infinity (which
+``json.loads`` admits but JSON does not) is a ConfigError naming the
 ``[section] key``; ``validate`` then checks ranges.
 """
 
@@ -156,6 +157,9 @@ class ExperimentConfig:
             missing = {"xi", "gamma_prime", "c_prime"} - set(self.constants)
             if missing:
                 raise ConfigError(f"explicit constants missing {sorted(missing)}")
+            for name, v in self.constants.items():
+                if not v > 0:
+                    raise ConfigError(f"[constants] {name} must be positive, got {v}")
         if self.omega not in (0, 1):
             raise ConfigError("omega must be 0 or 1")
         if self.omega == 1 and not (self.lattice.dim == 1 and self.lattice.boundary == "open"):
@@ -193,6 +197,11 @@ class ExperimentConfig:
             raise ConfigError(f"diagnostics {exc}") from exc
 
 
+def _not_json(constant: str) -> None:
+    """Reject the NaN, Infinity and -Infinity that ``json.loads`` admits."""
+    raise ValueError(f"{constant} is not a JSON literal")
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
@@ -213,8 +222,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 continue
             target, kind = entry
             try:
-                value = json.loads(raw)
-            except json.JSONDecodeError as exc:
+                value = json.loads(raw, parse_constant=_not_json)
+            except ValueError as exc:  # a JSONDecodeError, or NaN or +-Infinity
                 raise ConfigError(f"value {raw!r} at {where} is not a JSON literal") from exc
             if not JSON_TYPES[kind](value):
                 raise ConfigError(f"{where}: expected {kind}, got {raw}")

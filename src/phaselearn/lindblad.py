@@ -20,9 +20,9 @@ every point, SuperLU factors, probes and solves each point alone in point
 order, and the remaining checks run once on stacked arrays.  Per point, the
 only work outside SuperLU is one gather of the point's data into the
 factorization's matrix, whose index arrays are kept in the dtype ``splu``
-takes.  ``steady_state`` is its
-batch of one, so both give a point the same bytes, and its memory is bounded
-by the chunk, not by the number of points.
+takes; the order of T' lives as long as the scatter pattern it was computed
+on.  ``steady_state`` is its batch of one, so both give a point the same
+bytes, and its memory is bounded by the chunk, not by the number of points.
 
 The integrators run on the column-stacked generator instead,
 ``vec(rho) = rho.flatten(order="F")``; the Heisenberg generator is its
@@ -187,7 +187,8 @@ class ParamLindbladian:
     order of T' (``_factors``).  Each is one slot.  The scatter slot grows to
     the union of its mask and a point's block nonzeros when they reach past
     it (a zero coordinate can empty a block), which is bounded by the
-    blocks' size; the ordering slot is replaced when T' has another pattern.
+    blocks' size, and drops the ordering slot, which is otherwise replaced
+    when T' has another pattern.
     """
 
     OVERLAP_CAP = 8
@@ -291,7 +292,7 @@ class ParamLindbladian:
         values = np.asarray(x, dtype=float)
         if values.shape != (self.m,):
             raise ValueError(f"expected {self.m} parameters, got shape {values.shape}")
-        if values.size and (values.max() > 1.0 + 1e-12 or values.min() < -1.0 - 1e-12):
+        if not (np.abs(values) <= 1.0 + 1e-12).all():
             raise ValueError("parameter values outside [-1, 1]")
         return values
 
@@ -511,12 +512,12 @@ def _transfer_values(family: ParamLindbladian, X: np.ndarray,
 
     The terms of each support size build their blocks for all points in one
     pass (``_stacks``), and one sparse product (``_binned``) sums them into
-    T in term order.  The slot grows to the union of its mask and the
-    points' nonzeros when they reach past it (a zero
-    coordinate can empty a block; the union is at most every block entry),
-    and is reused otherwise: adding 0.0 changes no partial sum, so T has the
-    same bytes whatever the family built before.  Row 0 is sqrt(D) times the
-    trace functional, so an entry of it above 1e-10 is a NumericalError.
+    T in term order.  The slot grows to the union of its mask and the points'
+    nonzeros when they reach past it (a zero coordinate can empty a block;
+    the union is at most every block entry), dropping the ordering slot, and
+    is reused otherwise: adding 0.0 changes no partial sum, so T has the same
+    bytes whatever the family built before.  Row 0 is sqrt(D) times the trace
+    functional, so an entry of it above 1e-10 is a NumericalError.
     """
     stacks = family._stacks(X, fail, transfer=True)
     b = fail.stop
@@ -527,6 +528,7 @@ def _transfer_values(family: ParamLindbladian, X: np.ndarray,
     if slot is None or (nonzero & ~slot[0]).any():
         slot = family._scatter = _scatter_plan(
             family, nonzero if slot is None else nonzero | slot[0])
+        family._ordering = None  # it indexes the old pattern
     _, adder, indptr, indices, _ = slot
     values = _binned(adder, flat)
     resid = np.abs(values[:, :indptr[1]]).max(axis=1, initial=0.0)
@@ -760,20 +762,18 @@ def _splu(matrix: sp.csc_matrix, permc_spec: str) -> spla.SuperLU:
                      options={"SymmetricMode": True})
 
 
-def _ordering_plan(pinned_t: sp.csc_matrix, perm: np.ndarray, indices: np.ndarray,
-                   stored: np.ndarray) -> tuple:
-    """The ordering slot for T'^T and SuperLU's column permutation ``perm``
-    of it (column j to position perm[j]): the pattern of T' as sorted keys
-    row * dim + column, the order that inverts ``perm``, ``perm``, the entry
-    of T'^T that each entry of T'^T with rows and columns taken in that order
-    copies, that permuted matrix, whose data each point of the pattern
-    refills (its index arrays are ``intc``, as ``splu`` takes them), and the
-    slot's view of T's stored pattern (``_slot_hits``), here of the T with
-    CSR ``indices`` whose entries past row 0 that T' keeps are ``stored``.
-    Each column keeps its row indices in T'^T's order, which makes its
-    NATURAL factor the fill-reducing factor of T'^T to the bit; sorting them
-    moved solves by up to 1.7e-16."""
-    dim = pinned_t.shape[0]
+def _ordering_plan(pinned_t: sp.csc_matrix, perm: np.ndarray, stored: np.ndarray) -> tuple:
+    """The ordering slot for T'^T, which keeps T's stored entries past row 0
+    where ``stored`` holds, and SuperLU's column permutation ``perm`` of it
+    (column j to position perm[j]): ``stored``, the order that inverts
+    ``perm``, ``perm``, the column of a point's row of ``_factors``'
+    ``pinned`` that each entry of T'^T with rows and columns taken in that
+    order copies, and that permuted matrix, whose data each point refills
+    (its index arrays are ``intc``, as ``splu`` takes them).  ``stored`` and
+    the gather index the scatter slot's pattern, so a grown scatter slot
+    drops the slot.  Each column keeps its row indices in T'^T's order, which
+    makes its NATURAL factor the fill-reducing factor of T'^T to the bit;
+    sorting them moved solves by up to 1.7e-16."""
     order = np.argsort(perm)
     counts = np.diff(pinned_t.indptr)[order]
     indptr = np.r_[0, np.cumsum(counts)]
@@ -781,38 +781,8 @@ def _ordering_plan(pinned_t: sp.csc_matrix, perm: np.ndarray, indices: np.ndarra
     permuted = sp.csc_matrix((np.zeros(indptr[-1]), perm[pinned_t.indices[gather]].astype(np.intc),
                               indptr.astype(np.intc)), shape=pinned_t.shape)
     permuted.has_canonical_format = True  # keeps splu from sorting the row indices
-    keys = np.repeat(np.arange(dim), np.diff(pinned_t.indptr)) * dim + pinned_t.indices
-    view = [indices, stored, np.r_[0, np.flatnonzero(stored) + 1][gather]]
-    return keys, order, perm, gather, permuted, view
-
-
-def _slot_hits(slot: tuple | None, indices: np.ndarray, indptr: np.ndarray,
-               stored: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Which points the ordering slot ``slot`` serves, and where their data
-    come from.  ``stored`` holds, per point, which of T's entries past row 0
-    are nonzero, on the CSR pattern ``(indices, indptr)`` of the family's
-    scatter slot; a point is served when they are the slot's pattern.  The
-    second array gives, per entry of the slot's permuted matrix, its column
-    in a point's row of ``_factors``' ``pinned``.  The slot keeps both as its
-    view of the scatter pattern it last served, and makes them again from
-    its keys when the scatter slot has grown since."""
-    if slot is None:
-        return np.zeros(len(stored), dtype=bool), None
-    view = slot[5]
-    if view[0] is not indices:
-        dim, s = indptr.size - 1, indptr[1]
-        tail = (np.repeat(np.arange(dim), np.diff(indptr)) * dim + indices)[s:]
-        want = slot[0][1:]  # row 0 of T' is e0^T
-        pos = np.searchsorted(tail, want)
-        if pos.size and (pos[-1] >= tail.size or not np.array_equal(tail[pos], want)):
-            view[:] = indices, None, None
-        else:
-            mask = np.zeros(tail.size, dtype=bool)
-            mask[pos] = True
-            view[:] = indices, mask, np.r_[0, pos + 1][slot[3]]
-    if view[1] is None:
-        return np.zeros(len(stored), dtype=bool), None
-    return (stored == view[1]).all(axis=1), view[2]
+    take = np.r_[0, np.flatnonzero(stored) + 1][gather]
+    return stored, order, perm, take, permuted
 
 
 def _factors(family: ParamLindbladian, values: np.ndarray, indices: np.ndarray,
@@ -822,24 +792,26 @@ def _factors(family: ParamLindbladian, values: np.ndarray, indices: np.ndarray,
     T'^T, T without its zero entries and with row 0 replaced by e0^T, with
     rows and columns taken in ``order``, whose inverse is ``rank``.
 
-    A point whose T' has the pattern of the family's ordering slot costs one
-    gather of its data into the slot's matrix and one NATURAL factorization.
-    A point of another pattern is factored in the fill-reducing
-    MMD_AT_PLUS_A order (``order`` the identity), which replaces the slot.
-    An exactly singular factor raises DegenerateSteadyStateError."""
+    A point whose stored entries are those of the family's ordering slot,
+    which lives as long as the scatter pattern, costs one gather of its data
+    into the slot's matrix and one NATURAL factorization.  Any other point is
+    factored in the fill-reducing MMD_AT_PLUS_A order (``order`` the
+    identity), which replaces the slot.  An exactly singular factor raises
+    DegenerateSteadyStateError."""
     dim, s = indptr.size - 1, indptr[1]
     # per point, T'^T's data on T's pattern: e0's 1.0, then T past row 0
     pinned = np.empty((len(values), 1 + indices.size - s))
     pinned[:, 0] = 1.0
     pinned[:, 1:] = values[:, s:]
     stored = pinned[:, 1:] != 0
-    slot, hits, take = None, None, None
+    slot, hits = None, None
     for k in range(len(values)):
         if hits is None or family._ordering is not slot:
             slot = family._ordering
-            hits, take = _slot_hits(slot, indices, indptr, stored)
+            hits = (np.zeros(len(values), dtype=bool) if slot is None
+                    else (stored == slot[0]).all(axis=1))
         if hits[k]:
-            _, order, rank, _, matrix, _ = slot
+            _, order, rank, take, matrix = slot
             matrix.data = pinned[k, take]
             spec = "NATURAL"
         else:
@@ -855,7 +827,7 @@ def _factors(family: ParamLindbladian, values: np.ndarray, indices: np.ndarray,
             raise DegenerateSteadyStateError(f"non-unique steady state: {exc}") from exc
         if not hits[k]:
             # a copy: lu.perm_c is a view that would keep the whole factor alive
-            family._ordering = _ordering_plan(matrix, lu.perm_c.copy(), indices, stored[k].copy())
+            family._ordering = _ordering_plan(matrix, lu.perm_c.copy(), stored[k].copy())
         yield lu, order, rank
 
 
@@ -918,14 +890,14 @@ def steady_states(family: ParamLindbladian, X: np.ndarray) -> Iterator[DensityMa
     mode: 53 to 78% of the fill of partial pivoting on TFIM generators of 4
     to 6 sites) and solves transposed.  The fill-reducing MMD_AT_PLUS_A order
     depends only on the pattern of T', so a point reuses the order its family
-    last computed for that pattern (``_factors``); the state has the same
-    bytes either way.  The factor also serves the degeneracy probe, which
-    stops at its first residual below the 1e-8 * norm_scale line or once two
-    solves in a row leave it 1e4 times above it (two solves on a simple
-    kernel).  Per point only SuperLU works, in row order: a point of the
-    reused pattern costs one gather of its data, one factorization, the
-    probe's solves and the solve.  The checks that follow run once per chunk
-    on stacked arrays.
+    last computed for that pattern, unless the scatter slot has grown since
+    (``_factors``); the state has the same bytes either way.  The factor also
+    serves the degeneracy probe, which stops at its first residual below the
+    1e-8 * norm_scale line or once two solves in a row leave it 1e4 times
+    above it (two solves on a simple kernel).  Per point only SuperLU works,
+    in row order: a point of the reused pattern costs one gather of its data,
+    one factorization, the probe's solves and the solve.  The checks that
+    follow run once per chunk on stacked arrays.
 
     An exactly singular factor or a probe below the line is a degenerate
     kernel, an error (no silent selection); a non-finite solve or a

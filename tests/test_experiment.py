@@ -239,8 +239,12 @@ class TestConfig:
             parse_config_text(SMALL_BATTERY + "\n[diagnostics]\n" + regions + "\n")
 
     def test_non_json_value_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config_text(SMALL_LEARNING.replace("seed = 5", "seed = five"))
+        # json.loads admits NaN and +-Infinity, which JSON does not
+        for old, new in (("seed = 5", "seed = five"), ("xi = 1.0", "xi = NaN"),
+                         ("kappa0 = 1.0", "kappa0 = NaN"), ("epsilon = 0.3", "epsilon = Infinity"),
+                         ("c_prime = 2.0", "c_prime = -Infinity")):
+            with pytest.raises(ConfigError, match="not a JSON literal"):
+                parse_config_text(SMALL_LEARNING.replace(old, new))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -252,7 +256,11 @@ class TestConfig:
         ("r_override = 1\n", "r_override = 1.5\n"),
         ("r_override = 1\n", "r_override = true\n"),
         ("n_override = 6000", "n_override = 0"),
-    ], ids=["gamma_zero", "r_negative", "r_fraction", "r_boolean", "n_zero"])
+        ("xi = 1.0", "xi = -1.0"),
+        ("gamma_prime = 1.0", "gamma_prime = 0"),
+        ("c_prime = 2.0", "c_prime = -2.0"),
+    ], ids=["gamma_zero", "r_negative", "r_fraction", "r_boolean", "n_zero", "xi_negative",
+            "gamma_prime_zero", "c_prime_negative"])
     def test_override_out_of_range_rejected(self, old, new):
         with pytest.raises(ConfigError, match=new.split(" ")[0]):
             parse_config_text(SMALL_LEARNING.replace(old, new))
@@ -696,9 +704,11 @@ class TestCli:
         ('specs = ["Z@3"]', 'specs = "Z@3"', "[observables] specs"),
         ('mode = "steady"', 'mode = "steady"\nomega = true', "[mode] omega"),
         ("k0 = 1", "k0 = 1.5", "[targets] k0"),
+        ("xi = 1.0", "xi = NaN", "[constants] xi"),
+        ("xi = 1.0", "xi = -1.0", "[constants] xi"),
     ], ids=["epsilon_string", "extent_scalar", "seed_fraction", "n_test_string",
             "hyperparameter_string", "sweep_scalar", "specs_scalar", "omega_boolean",
-            "k0_fraction"])
+            "k0_fraction", "xi_nan", "xi_negative"])
     def test_malformed_value_exit_code(self, tmp_path, capsys, old, new, named):
         p = self._write_cfg(tmp_path, SMALL_LEARNING.replace(old, new))
         assert cli_main(["plan", "--config", str(p), "--out", str(tmp_path / "o")]) == 2

@@ -173,8 +173,9 @@ class TestAssemble:
         lat = Lattice(1, (2,))
         term = LindbladTerm(Region((0,)), (0,), lambda xs: (float(xs[0]) * Z, []), "h")
         fam2 = ParamLindbladian(lat, [term])
-        with pytest.raises(ValueError):
-            assemble(fam2, np.array([1.5]))
+        for bad in (1.5, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                assemble(fam2, np.array([bad]))
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), cancel=st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -584,24 +585,29 @@ class TestSteadyState:
         assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
 
     def test_ordering_reused_after_scatter_slot_grows(self, monkeypatch):
-        # the ordering slot finds its pattern again on a grown scatter slot
-        # (here every block entry), and the state keeps a fresh family's bytes
+        # x = 0 empties blocks, so a chunk that also holds generic points
+        # grows the scatter slot, which drops the order x = 0 left: x = 0 and
+        # the first generic point are ordered afresh, and the second generic
+        # point reuses the order; the states keep a fresh family's bytes
         def fresh():
             return instantiate("dissipative_tfim", Lattice(1, (3,), "open")).family
 
         fam, specs = fresh(), []
         rng = np.random.default_rng(6)
-        x, y = rng.uniform(-1, 1, fam.m), rng.uniform(-1, 1, fam.m)
-        steady_state(assemble(fam, x))
-        fam._scatter = lindblad._scatter_plan(fam, np.ones_like(fam._scatter[0]))
+        points = np.array([np.zeros(fam.m), rng.uniform(-1, 1, fam.m),
+                           rng.uniform(-1, 1, fam.m)])
 
         def counted(*args, _splu=spla.splu, **kwargs):
             specs.append(kwargs["permc_spec"])
             return _splu(*args, **kwargs)
+        want = [steady_state(assemble(fresh(), x)).data.tobytes() for x in points]
         monkeypatch.setattr(lindblad.spla, "splu", counted)
-        got = steady_state(assemble(fam, y))
-        assert specs == ["NATURAL"]
-        assert got.data.tobytes() == steady_state(assemble(fresh(), y)).data.tobytes()
+        with mock.patch.object(lindblad, "_scatter_plan", wraps=lindblad._scatter_plan) as plan:
+            steady_state(assemble(fam, points[0]))
+            got = [rho.data.tobytes() for rho in lindblad.steady_states(fam, points)]
+        assert plan.call_count == 2
+        assert specs == ["MMD_AT_PLUS_A"] * 3 + ["NATURAL"]
+        assert got == want
 
     def test_evolved_generator_solves_like_fresh(self):
         # building the column-stacked generator first leaves T and the state as
@@ -760,12 +766,13 @@ class TestSteadyStates:
         fam = instantiate("dissipative_tfim", Lattice(1, (2,), "open")).family
         with pytest.raises(ValueError, match="expected points of 3 parameters"):
             next(lindblad.steady_states(fam, np.zeros((2, 4))))
-        X = np.zeros((3, fam.m))
-        X[1, 0] = 1.5
-        states = lindblad.steady_states(fam, X)
-        assert next(states).data.tobytes() == steady_state(assemble(fam, X[0])).data.tobytes()
-        with pytest.raises(ValueError, match="outside"):
-            next(states)
+        for bad in (1.5, np.nan):
+            X = np.zeros((3, fam.m))
+            X[1, 0] = bad
+            states = lindblad.steady_states(fam, X)
+            assert next(states).data.tobytes() == steady_state(assemble(fam, X[0])).data.tobytes()
+            with pytest.raises(ValueError, match="outside"):
+                next(states)
 
 
 class TestLocalize:
