@@ -13,8 +13,8 @@ replaces its value in ``learner.plan``, which derives the rest of the
 prescription (gamma, N_log2, m_r) at the overridden values.  Other ``[model]``
 keys are the model's hyperparameters, each a number.  A key left out keeps its
 field's default; ``[lattice]`` defaults to an open chain of 4 sites.  An
-unknown entry, a value of the wrong type, or NaN or +-Infinity (which
-``json.loads`` admits but JSON does not) is a ConfigError naming the
+unknown entry, a value of the wrong type, or a number that is not finite
+(``json.loads`` admits NaN, +-Infinity and 1e999) is a ConfigError naming the
 ``[section] key``; ``validate`` then checks ranges.
 """
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -197,9 +198,12 @@ class ExperimentConfig:
             raise ConfigError(f"diagnostics {exc}") from exc
 
 
-def _not_json(constant: str) -> None:
-    """Reject the NaN, Infinity and -Infinity that ``json.loads`` admits."""
-    raise ValueError(f"{constant} is not a JSON literal")
+def _finite(number: str) -> float:
+    """A JSON number as a float, rejecting the NaN, Infinity and -Infinity
+    that ``json.loads`` admits and a number that overflows to +-Infinity."""
+    if not math.isfinite(value := float(number)):
+        raise ValueError(f"{number} is not a JSON literal")
+    return value
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -222,8 +226,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 continue
             target, kind = entry
             try:
-                value = json.loads(raw, parse_constant=_not_json)
-            except ValueError as exc:  # a JSONDecodeError, or NaN or +-Infinity
+                value = json.loads(raw, parse_constant=_finite, parse_float=_finite)
+            except ValueError as exc:  # a JSONDecodeError, or a number not finite
                 raise ConfigError(f"value {raw!r} at {where} is not a JSON literal") from exc
             if not JSON_TYPES[kind](value):
                 raise ConfigError(f"{where}: expected {kind}, got {raw}")

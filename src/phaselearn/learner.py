@@ -198,8 +198,9 @@ def plan(epsilon: float, delta: float, delta_prime: float,
     (coverage_report quantifies the shortfall).
 
     Raises PlanInfeasibleError when the constants sit outside the
-    prescription's regime, or when the prescribed N overflows 2**63 and
-    neither ``n`` nor ``n_cap`` bounds it.
+    prescription's regime, when epsilon is so small that q overflows a
+    float, or when the prescribed N overflows 2**63 and neither ``n`` nor
+    ``n_cap`` bounds it.
     """
     for name, val in (("epsilon", epsilon), ("delta", delta), ("delta_prime", delta_prime)):
         if not (0.0 < val < 1.0):
@@ -212,6 +213,13 @@ def plan(epsilon: float, delta: float, delta_prime: float,
     slow = mode == "slow_mixing"
     if slow and (c.f_n is None or c.f_n <= 0):
         raise ValueError("slow-mixing mode requires a positive f_n")
+
+    # q before r: 1 / epsilon**2 overflows at a larger epsilon than r's log does
+    try:
+        q = required_shadow_count(epsilon, delta_prime, c.k0, c.n)
+    except (OverflowError, ZeroDivisionError):
+        raise PlanInfeasibleError(f"per-cell snapshot count q overflows a float at "
+                                  f"epsilon = {epsilon!r}") from None
 
     A = c.ball_volume_k0
     if r is None:
@@ -232,7 +240,6 @@ def plan(epsilon: float, delta: float, delta_prime: float,
         gamma = min(gamma, 1.0 - 1e-12)
     gamma = float(gamma)
 
-    q = required_shadow_count(epsilon, delta_prime, c.k0, c.n)
     m_r = c.m_r(r)
 
     t_eps: float | None = None

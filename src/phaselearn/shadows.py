@@ -22,8 +22,8 @@ every record.  A run never holds the whole training set: it is written and
 read ``_CHUNK_ROWS`` records at a time.  :func:`write_shadows` writes the
 header it is given and then each chunk it is handed as one (rows, width)
 uint8 block, a field per column slice; :func:`read_shadows` reads the
-header and returns it with a generator that reads the records a chunk of
-lines at a time, takes them as one such block and checks it before it is
+header a line at a time and returns it with a generator that reads the
+records a chunk at a time as one such block and checks it before it is
 handed on.  Every check of a record is a mask over the chunk, so the first
 bad line comes straight from the masks.  The inverse-channel estimate
 
@@ -41,7 +41,6 @@ import binascii
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -317,34 +316,38 @@ def write_shadows(fileobj: IO[bytes], header: dict, chunks: Iterable[TrainingSet
         del chunk  # not held while the next chunk is drawn
 
 
-def _records(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, linenos: np.ndarray,
-             m: int, n: int, mode: str) -> tuple:
-    """(bases, outcomes, X, taus) of the records buf[starts[r]:ends[r]], on
-    file lines linenos[r], with m tags and n sites.
+def _layout(m: int, n: int, length: int) -> str:
+    """What is wrong with a record line of ``length`` bytes or without its spaces."""
+    return (f"expected {16 * (m + 1) + 2 * n + 2} bytes, 'values basis bits' for m = {m} "
+            f"and n = {n}; the record has {length}")
 
-    Each check is a mask over the records that passed the checks before it
-    (``_FirstError``), so the ConfigError raised names the first bad line and
-    the first check that it fails, as checking each record alone would.
-    """
-    first = _FirstError(len(starts))
+
+def _records(data: bytes, lineno: int, rest: IO[bytes], m: int, n: int, mode: str) -> tuple:
+    """(bases, outcomes, X, taus) of the records in ``data``, each 16 (m + 1)
+    + 2 n + 2 bytes and a newline, from file line lineno + 1 on; a line that
+    runs past ``data`` runs on into ``rest``.  Each check is a mask over the
+    records that passed the checks before it (``_FirstError``), so the
+    ConfigError raised names the first bad line and the first check that it
+    fails, as checking each record alone would."""
+    h = 16 * (m + 1)
+    block = np.frombuffer(data, dtype=np.uint8).reshape(-1, h + 2 * n + 3)
+    first = _FirstError(len(block))
 
     def check(bad: np.ndarray, message) -> int:
-        first.check(bad, lambda r: ConfigError(f"shadows line {linenos[r]}: {message(r)}"))
+        first.check(bad, lambda r: ConfigError(f"shadows line {lineno + r + 1}: {message(r)}"))
         if first.stop == 0:  # nothing comes before the first record
             first.raise_first()
         return first.stop
 
-    h, w = 16 * (m + 1), 16 * (m + 1) + 2 * n + 2
+    def layout(r: int) -> str:  # row r's line runs to the next newline
+        start, end = r * block.shape[1], data.find(b"\n", r * block.shape[1])
+        end = end if end >= 0 else len(data) + len(rest.readline().rstrip(b"\n"))
+        return _layout(m, n, end - start)
 
-    def layout(r: int) -> str:
-        return (f"expected {w} bytes, 'values basis bits' for m = {m} and n = {n}; "
-                f"the record has {ends[r] - starts[r]}")
-
-    k = check(ends - starts != w, layout)
-    # the records before the first of another width, one per row
-    block = np.lib.stride_tricks.sliding_window_view(buf, w)[starts[:k]]
-    k = check((block[:, h] != _SPACE) | (block[:, h + n + 1] != _SPACE), layout)
-    letters, bits = block[:k, h + 1:h + n + 1], block[:k, h + n + 2:]
+    # a row is one line when its one newline is its last byte
+    k = check((block[:, -1] != _NEWLINE) | (block[:, :-1] == _NEWLINE).any(axis=1)
+              | (block[:, h] != _SPACE) | (block[:, h + n + 1] != _SPACE), layout)
+    letters, bits = block[:k, h + 1:h + n + 1], block[:k, h + n + 2:-1]
     k = check(~(np.all((letters >= ord("X")) & (letters <= ord("Z")), axis=1)
                 & np.all((bits == ord("0")) | (bits == ord("1")), axis=1)),
               lambda r: "basis letters must be X, Y or Z and outcome bits 0 or 1")
@@ -368,7 +371,7 @@ def _records(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, linenos: np.
             X, taus)
 
 
-def _apply_header(row: bytes, header: dict, after_record: bool) -> None:
+def _apply_header(row: bytes, header: dict) -> None:
     """Record the ``# key value`` line ``row`` in ``header``; a line whose key
     ``header`` lacks is skipped, and a bad or non-ASCII value raises
     ValueError."""
@@ -378,8 +381,6 @@ def _apply_header(row: bytes, header: dict, after_record: bool) -> None:
         return
     value = parts[1].decode("ascii")
     value = int(value) if key in ("m", "n", "seed", "omega") else value
-    if after_record:
-        raise ValueError(f"header {key!r} after the first record")
     if key == "phaselearn-shadows" and value != _VERSION:
         raise ValueError(f"shadows format {value} is not readable; this reader "
                          f"reads {_VERSION}, so rerun the train stage")
@@ -390,59 +391,46 @@ def _apply_header(row: bytes, header: dict, after_record: bool) -> None:
     header[key] = value
 
 
-def _record_chunks(lines: Iterator[bytes], lineno: int, m: int, n: int,
+def _record_chunks(fileobj: IO[bytes], line: bytes, lineno: int, m: int, n: int,
                    mode: str) -> Iterator[TrainingSet]:
-    """The records of ``lines``, which start on file line ``lineno`` + 1,
-    with m tags and n sites in ``mode``, ``_CHUNK_ROWS`` lines at a time
-    (see :func:`read_shadows`)."""
-    for part in iter(lambda: list(islice(lines, _CHUNK_ROWS)), []):
-        data, count = b"".join(part), len(part)
-        del part  # the joined bytes hold the chunk: drop its lines
-        buf = np.frombuffer(data, dtype=np.uint8)
-        ends = np.flatnonzero(buf == _NEWLINE)
-        ends = ends if len(ends) == count else np.append(ends, len(buf))  # no final "\n"
-        starts = np.concatenate([[0], ends[:-1] + 1])
-        marked = buf[starts] == ord("#")
-        bad = count  # the first "#" line with a key of the header, if any
-        for i in np.flatnonzero(marked).tolist():
-            try:
-                _apply_header(data[starts[i]:ends[i]], dict(_HEADER), after_record=True)
-            except ValueError as exc:
-                bad, error = i, ConfigError(f"shadows line {lineno + i + 1}: {exc}")
-                break
-        rows = np.flatnonzero(~marked[:bad] & (starts != ends)[:bad])
-        if rows.size:
-            chunk = TrainingSet(*_records(buf, starts[rows], ends[rows], lineno + rows + 1,
-                                          m, n, mode))
-        if bad < count:
-            raise error
-        lineno += count
-        del data, buf  # not held while the chunk is used
-        if rows.size:
-            yield chunk
-            del chunk  # nor while the next chunk is read
+    """The records from ``line``, file line ``lineno`` + 1, on through the rest
+    of ``fileobj``, ``_CHUNK_ROWS`` at a time (see :func:`read_shadows`)."""
+    width = 16 * (m + 1) + 2 * n + 3  # a record and its newline
+    length = len(line.rstrip(b"\n"))
+    if length != width - 1:  # nothing this wide is read before a record is
+        raise ConfigError(f"shadows line {lineno + 1}: {_layout(m, n, length)}")
+    data = line + fileobj.read(_CHUNK_ROWS * width - len(line))
+    while data:
+        data += b"\n" * (-len(data) % width)  # a short tail at the end of the file
+        chunk = TrainingSet(*_records(data, lineno, fileobj, m, n, mode))
+        lineno += len(data) // width
+        del data  # not held while the chunk is used
+        yield chunk
+        del chunk  # nor while the next chunk is read
+        data = fileobj.read(_CHUNK_ROWS * width)
 
 
 def read_shadows(fileobj: IO[bytes]) -> tuple[dict, Iterator[TrainingSet]]:
     """The header of the interchange format and a generator of its records.
 
     The header is read at once from the lines before the first record, each
-    ``_HEADER`` key it lacks at its default; a bad or non-ASCII value, a
-    negative or huge m or n, or a version other than v4 raises ConfigError
-    naming the line.  The generator reads the records ``_CHUNK_ROWS`` lines
-    at a time, each chunk one uint8 block checked whole before it is yielded
-    as one TrainingSet; the first malformed line, or header line after the
-    first record, raises ConfigError naming the line.  Blank lines and ``#``
-    lines of other keys are skipped anywhere.  A file without records
-    yields nothing."""
+    ``_HEADER`` key it lacks at its default; blank lines and ``#`` lines of
+    other keys are skipped, and a bad or non-ASCII value, a negative or huge
+    m or n, or a version other than v4 raises ConfigError naming the line.
+    From the first record on every line is a record: once the first has the
+    width m and n give, the generator reads and checks ``_CHUNK_ROWS``
+    records at a time as one (rows, width) block and yields it as one
+    TrainingSet, and the first malformed line raises ConfigError naming it.
+    The file's end is padded with newlines, so the last record may go
+    without its own.  A file without records yields nothing."""
     header, lineno = dict(_HEADER), 0
     for line in fileobj:
         if line != b"\n" and not line.startswith(b"#"):
-            return header, _record_chunks(chain([line], fileobj), lineno, header["m"],
-                                          header["n"], header["mode"])
+            return header, _record_chunks(fileobj, line, lineno, header["m"], header["n"],
+                                          header["mode"])
         lineno += 1
         try:
-            _apply_header(line.rstrip(b"\n"), header, after_record=False)
+            _apply_header(line.rstrip(b"\n"), header)
         except ValueError as exc:
             raise ConfigError(f"shadows line {lineno}: {exc}") from None
     return header, iter(())

@@ -5,9 +5,10 @@ stacked sampler and byte-block writer and reader are tested against.
 The sampler measures one state with one stream row, a site at a time.  The
 writer formats one record at a time; the reader splits the file into lines
 and checks each record alone, in the order of the package's checks, so the
-first bad line it names is the first line that fails.  Both take or give the
-header as a mapping of its ``# key value`` lines, and the reader reads those
-lines with ``shadows._apply_header``.
+first bad line it names is the first line that fails.  Both take or give
+the header as a mapping of its ``# key value`` lines, and the reader reads
+those lines with ``shadows._apply_header``; every line from the first record
+on is a record.
 """
 
 from __future__ import annotations
@@ -103,16 +104,19 @@ def _check_record(line: bytes, m: int, n: int, mode: str) -> tuple:
 
 def read_shadows(fileobj: IO[bytes]) -> tuple[dict, TrainingSet]:
     """The header and records of the interchange format, read a line at a
-    time: blank lines are skipped, ``#`` lines go to
-    ``shadows._apply_header`` and every other line is a record."""
+    time: before the first record blank lines are skipped and ``#`` lines go
+    to ``shadows._apply_header``; from it on every line is a record."""
     header = dict(shadows._HEADER)
     records = []
-    for lineno, line in enumerate(fileobj.read().split(b"\n"), 1):
+    lines = fileobj.read().split(b"\n")
+    if lines[-1] == b"":  # after the file's last newline
+        lines.pop()
+    for lineno, line in enumerate(lines, 1):
         try:
-            if line.startswith(b"#"):
-                shadows._apply_header(line, header, bool(records))
-            elif line:
+            if records or (line and not line.startswith(b"#")):
                 records.append(_check_record(line, header["m"], header["n"], header["mode"]))
+            elif line:
+                shadows._apply_header(line, header)
         except ValueError as exc:
             raise ConfigError(f"shadows line {lineno}: {exc}") from None
     m, n = header["m"], header["n"]

@@ -242,7 +242,10 @@ class TestConfig:
         # json.loads admits NaN and +-Infinity, which JSON does not
         for old, new in (("seed = 5", "seed = five"), ("xi = 1.0", "xi = NaN"),
                          ("kappa0 = 1.0", "kappa0 = NaN"), ("epsilon = 0.3", "epsilon = Infinity"),
-                         ("c_prime = 2.0", "c_prime = -Infinity")):
+                         ("c_prime = 2.0", "c_prime = -Infinity"),
+                         # numbers that overflow a float, which json.loads reads as +-inf
+                         ("xi = 1.0", "xi = 1e999"), ("kappa0 = 1.0", "kappa0 = 1e999"),
+                         ("gamma_override = 0.4", "gamma_override = -1e999")):
             with pytest.raises(ConfigError, match="not a JSON literal"):
                 parse_config_text(SMALL_LEARNING.replace(old, new))
 
@@ -664,7 +667,9 @@ class TestCli:
          "exceeds 2**63"),
         ({'mode = "steady"': 'mode = "general"', "gamma_prime = 1.0": "gamma_prime = 1e4"},
          "regime"),
-    ], ids=["overflow", "horizon_below_cell_width"])
+        ({"epsilon = 0.3": "epsilon = 1e-160"}, "snapshot count q overflows"),
+        ({"epsilon = 0.3": "epsilon = 1e-320"}, "snapshot count q overflows"),
+    ], ids=["overflow", "horizon_below_cell_width", "q_overflows", "eps2_underflows"])
     def test_infeasible_plan_message(self, tmp_path, capsys, edits, message):
         text = SMALL_LEARNING
         for old, new in edits.items():
@@ -706,9 +711,13 @@ class TestCli:
         ("k0 = 1", "k0 = 1.5", "[targets] k0"),
         ("xi = 1.0", "xi = NaN", "[constants] xi"),
         ("xi = 1.0", "xi = -1.0", "[constants] xi"),
+        ("xi = 1.0", "xi = 1e999", "[constants] xi"),
+        ("gamma_override = 0.4", "gamma_override = 1e999", "[training] gamma_override"),
+        ("kappa0 = 1.0", "kappa0 = 1e999", "[model] kappa0"),
     ], ids=["epsilon_string", "extent_scalar", "seed_fraction", "n_test_string",
             "hyperparameter_string", "sweep_scalar", "specs_scalar", "omega_boolean",
-            "k0_fraction", "xi_nan", "xi_negative"])
+            "k0_fraction", "xi_nan", "xi_negative", "xi_overflow", "gamma_overflow",
+            "kappa0_overflow"])
     def test_malformed_value_exit_code(self, tmp_path, capsys, old, new, named):
         p = self._write_cfg(tmp_path, SMALL_LEARNING.replace(old, new))
         assert cli_main(["plan", "--config", str(p), "--out", str(tmp_path / "o")]) == 2

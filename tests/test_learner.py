@@ -136,6 +136,12 @@ class TestPlan:
         p = plan(0.3, 0.1, 0.1, consts, "steady_state", n_cap=10**5)
         assert p.capped and p.N == 10**5
 
+    @pytest.mark.parametrize("epsilon", [1e-160, 1e-320], ids=["q_overflows", "eps2_underflows"])
+    def test_tiny_epsilon_infeasible(self, epsilon):
+        # 1 / epsilon**2 overflows a float, or epsilon**2 is 0
+        with pytest.raises(PlanInfeasibleError, match="snapshot count q overflows"):
+            plan(epsilon, 0.1, 0.1, SMALL, "steady_state", n_cap=10**5)
+
     def test_overrides_enter_the_formula(self):
         consts = PlanConstants(J=4.0, ell=1, r0=0, D=1, n=8, m=8, k0=1,
                                xi=1.0, gamma_prime=1.0, c_prime=2.0)

@@ -580,7 +580,10 @@ class TestShadowFile:
         ("# m 99999999999999999999", "line 1: tag count m = 99999999999999999999 exceeds"),
         ("# n -1", "line 1: negative site count n"),
         ("# n 99999999999999999999", "line 1: site count n = 99999999999999999999 exceeds"),
-    ], ids=["version_1", "version_3", "negative_m", "huge_m", "negative_n", "huge_n"])
+        # nothing as wide as m = 10**12 makes a record is read before such a record
+        ("# m 1000000000000", "line 2: expected 16000000000018 bytes, .* the record has 20$"),
+    ], ids=["version_1", "version_3", "negative_m", "huge_m", "negative_n", "huge_n",
+            "wide_m_short_record"])
     def test_bad_header_rejected(self, header, what):
         with pytest.raises(ConfigError, match=what):
             _read(io.BytesIO(f"{header}\n{INF} Z 0\n".encode()))
@@ -595,18 +598,20 @@ class TestShadowFile:
         (f"0000000000000000{INF} ZW 01", "basis letters"),
         (f"000000000000000g{INF} ZZ 01", "values field is not hexadecimal"),
         (f"0000000000000000{INF[:-1]}g ZZ 01", "values field is not hexadecimal"),
-        ("# omega one", "invalid literal"),
-        ("# omega 1", "after the first record"),
-        ("# m one", "invalid literal"),
-        ("# mode general_phase", "after the first record"),
-        ("# n 2", "after the first record"),
+        # from the first record on, a "#" line or a blank line is a record line
+        ("# omega one", "expected 38 bytes, .* the record has 11$"),
+        ("# omega 1", "expected 38 bytes, .* the record has 9$"),
+        ("# m one", "expected 38 bytes, .* the record has 7$"),
+        ("# mode general_phase", "expected 38 bytes, .* the record has 20$"),
+        ("# n 2", "expected 38 bytes, .* the record has 5$"),
+        ("", "expected 38 bytes, .* the record has 0$"),
         (f"000000000000f87f{INF} ZZ 01", "x tags"),
         (f"0000000000000040{INF} ZZ 01", "x tags"),
         (f"0000000000000000{_hex(-3.0)} ZZ 01", "tau must be inf"),
     ], ids=["bit_2", "ragged_long", "ragged_short", "short_x", "three_fields", "space_moved",
             "letter_W", "bad_hex", "bad_hex_in_tau",
             "omega_word", "omega_after_record", "header_m", "header_after_record",
-            "n_after_record", "x_nan", "x_two", "tau_in_steady"])
+            "n_after_record", "trailing_blank", "x_nan", "x_two", "tau_in_steady"])
     def test_malformed_record_rejected(self, record, what):
         text = f"# m 1\n# n 2\n{GOOD}\n{record}\n"
         with pytest.raises(ConfigError, match=what) as err:
@@ -692,19 +697,28 @@ class TestShadowFile:
 
     @given(drawn=training_sets(max_rows=12), data=st.data(), chunk=st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
-    def test_note_lines_among_records_are_skipped(self, drawn, data, chunk):
-        # "#" lines of keys the header lacks, and blank lines, between records
-        # or in the header change neither the header nor the columns
+    def test_note_lines_skipped_in_header_rejected_among_records(self, drawn, data, chunk):
+        # "#" lines of keys the header lacks, and blank lines, in the header
+        # change neither the header nor the columns; from the first record on
+        # the first of them is a malformed record line, named by its number
         header, ts = drawn
         buf = io.BytesIO()
         write_shadows(buf, header, [ts])
-        lines = buf.getvalue().split(b"\n")
+        lines = [(line, False) for line in buf.getvalue().split(b"\n")]
         for _ in range(data.draw(st.integers(1, 4))):
-            lines.insert(data.draw(st.integers(0, len(lines) - 1)),
-                         data.draw(st.sampled_from([b"# note", b"# note 1", b"#", b""])))
+            note = data.draw(st.sampled_from([b"# note", b"# note 1", b"#", b""]))
+            lines.insert(data.draw(st.integers(0, len(lines) - 1)), (note, True))
+        text = b"\n".join(line for line, _ in lines)
+        first = next((i for i, (line, note) in enumerate(lines)
+                      if not note and line and not line.startswith(b"#")), len(lines))
+        among = [i for i, (_, note) in enumerate(lines) if note and i > first]
         with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
+            if among:
+                with pytest.raises(ConfigError, match=f"^shadows line {among[0] + 1}: expected"):
+                    _read(io.BytesIO(text))
+                return
             want = _read(io.BytesIO(buf.getvalue()))
-            got = _read(io.BytesIO(b"\n".join(lines)))
+            got = _read(io.BytesIO(text))
         assert got[0] == want[0]
         for name in COLUMNS:
             assert np.array_equal(getattr(got[1], name), getattr(want[1], name)), name
