@@ -1,0 +1,8 @@
+"""``python -m phaselearn``: the command line of :mod:`phaselearn.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

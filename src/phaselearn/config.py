@@ -13,9 +13,10 @@ replaces its value in ``learner.plan``, which derives the rest of the
 prescription (gamma, N_log2, m_r) at the overridden values.  Other ``[model]``
 keys are the model's hyperparameters, each a number.  A key left out keeps its
 field's default; ``[lattice]`` defaults to an open chain of 4 sites.  An
-unknown entry, a value of the wrong type, or a number that is not finite
-(``json.loads`` admits NaN, +-Infinity and 1e999) is a ConfigError naming the
-``[section] key``; ``validate`` then checks ranges.
+unknown entry, a value of the wrong type, a number that is not finite
+(``json.loads`` admits NaN, +-Infinity and 1e999), or an integer in a number
+entry too large for a float is a ConfigError naming the ``[section] key``;
+``validate`` then checks ranges.
 """
 
 from __future__ import annotations
@@ -231,6 +232,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 raise ConfigError(f"value {raw!r} at {where} is not a JSON literal") from exc
             if not JSON_TYPES[kind](value):
                 raise ConfigError(f"{where}: expected {kind}, got {raw}")
+            if kind.startswith("number") and type(value) is int and not math.isfinite(float(raw)):
+                raise ConfigError(f"{where}: integer too large for a float")
             if value == "plan" and kind.endswith('"plan"'):
                 value = None  # derived from the prescription
             name, _, sub = (target or "").partition(".")

@@ -102,7 +102,10 @@ class DecayFit:
         return self.all_below_floor or self.rate_ci[0] > 0.0
 
     def to_json_dict(self) -> dict:
+        """The fields and ``passes``; a value that is not finite (an excluded
+        NaN) is written as null, since JSON has no NaN."""
         d = asdict(self)
+        d["values"] = [v if math.isfinite(v) else None for v in self.values]
         d["passes"] = self.passes
         return d
 
@@ -112,19 +115,29 @@ class DecayFit:
             yield a, v, e, u
 
 
-def _wls_logfit(s: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    """Weighted least squares of log v = log a - rate * s; returns (rate, a, R^2)."""
+def _wls_logfit(S: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Weighted least squares of log V = log a - rate S, weights V^2 clipped
+    at FLOOR, one fit per row of the (fits, points) blocks in one stacked
+    solve; returns the (fits, 2) coefficients (log a, rate).
+
+    Each fit's products keep the operand layouts of a lone 2-D fit
+    (``X.T @ WX`` and ``WX.T @ y``), which fixes their roundoff.
+    """
+    Xt = np.stack([np.ones_like(S), -S], axis=1)
+    WX = Xt.transpose(0, 2, 1) * (np.clip(V, FLOOR, None) ** 2)[:, :, None]
+    b = np.log(V)[:, None, :] @ WX
+    return np.linalg.solve(Xt @ WX, b.transpose(0, 2, 1))[:, :, 0]
+
+
+def _r_squared(s: np.ndarray, v: np.ndarray, coef: np.ndarray) -> float:
+    """Weighted R^2 of the log-linear fit ``coef`` = (log a, rate) to (s, v)."""
     w = np.clip(v, FLOOR, None) ** 2
     y = np.log(v)
-    X = np.vstack([np.ones_like(s), -s]).T
-    WX = X * w[:, None]
-    coef = np.linalg.solve(X.T @ WX, WX.T @ y)
-    resid = y - X @ coef
+    resid = y - np.vstack([np.ones_like(s), -s]).T @ coef
     ybar = np.sum(w * y) / np.sum(w)
     ss_res = float(np.sum(w * resid**2))
     ss_tot = float(np.sum(w * (y - ybar) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[1]), float(math.exp(coef[0])), r2
+    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 def fit_decay(abscissa: Sequence[float], values: Sequence[float],
@@ -137,6 +150,12 @@ def fit_decay(abscissa: Sequence[float], values: Sequence[float],
     With no point above the floor the curve is flagged ``all_below_floor`` and
     the rate is reported as 0 (a finite placeholder).  The values carry no
     error bars: ``errors`` records zeros.
+
+    The fit is :func:`_wls_logfit` on the L kept points.  Its rate CI is the
+    2.5 and 97.5 percentiles of the rates of N_BOOT resamples, whose indices
+    are one (N_BOOT, L) block drawn from ``boot_seed``; resamples with a
+    single distinct abscissa are dropped, and the rest are fitted in one
+    stacked solve.  Only the full fit computes a prefactor and R^2.
     """
     s = np.asarray(abscissa, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -156,16 +175,13 @@ def fit_decay(abscissa: Sequence[float], values: Sequence[float],
     if n_distinct == 1:
         pref = float(vm.max())
     elif n_distinct > 1:
-        rate, pref, r2 = _wls_logfit(sm, vm)
-        rng = np.random.default_rng(boot_seed)
-        boots = []
-        for _ in range(N_BOOT):
-            idx = rng.integers(0, len(sm), size=len(sm))
-            if len(np.unique(sm[idx])) < 2:
-                continue
-            b_rate, _, _ = _wls_logfit(sm[idx], vm[idx])
-            boots.append(b_rate)
-        if boots:
+        coef = _wls_logfit(sm[None], vm[None])[0]
+        rate, pref, r2 = float(coef[1]), math.exp(coef[0]), _r_squared(sm, vm, coef)
+        idx = np.random.default_rng(boot_seed).integers(0, len(sm), size=(N_BOOT, len(sm)))
+        S = sm[idx]
+        kept = np.any(S != S[:, :1], axis=1)
+        if kept.any():
+            boots = _wls_logfit(S[kept], vm[idx[kept]])[:, 1]
             lo, hi = np.percentile(boots, [2.5, 97.5])
         else:
             lo, hi = rate, rate

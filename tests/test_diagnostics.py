@@ -1,10 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fit_reference
 from conftest import SM, amplitude_damping_family, random_two_site_family
-from phaselearn import diagnostics
+from phaselearn import diagnostics, experiment, models
+from phaselearn.config import parse_config_text
 from phaselearn.lattice import Lattice, Region, embed, enlarge, observable_from_string
 from phaselearn.lindblad import (
     DensityMatrix,
@@ -17,6 +22,7 @@ from phaselearn.lindblad import (
     subfamily,
 )
 from phaselearn.diagnostics import (
+    DEFAULT_T_GRID,
     calibrate_constants,
     certify_lr_constants,
     compatibility_scan,
@@ -64,6 +70,45 @@ class TestFitDecay:
         vals = np.exp(-0.8 * ts) * np.exp(rng.normal(0, 0.05, 8))
         fit = fit_decay(ts, vals)
         assert fit.rate_ci[0] > 0
+
+    @staticmethod
+    def _outcome(fit, *args, **kwargs):
+        """The bytes of the (rate, prefactor, r_squared, rate_ci) of
+        ``fit(*args, **kwargs)``, or the LinAlgError it raises."""
+        try:
+            out = fit(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            return "LinAlgError", str(exc)
+        if isinstance(out, diagnostics.DecayFit):
+            out = out.rate, out.prefactor, out.r_squared, out.rate_ci
+        rate, pref, r2, (lo, hi) = out
+        return tuple(float.hex(float(a)) for a in (rate, pref, r2, lo, hi))
+
+    @given(abscissa=st.one_of(
+               st.lists(st.integers(0, 8), min_size=1, max_size=9),  # scan radii
+               st.lists(st.sampled_from(DEFAULT_T_GRID), min_size=1, max_size=5,
+                        unique=True).map(sorted)),
+           data=st.data(), boot_seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_stacked_fit_matches_loop_reference(self, abscissa, data, boot_seed):
+        # bit for bit, or the same LinAlgError where a normal matrix is singular
+        n = len(abscissa)
+        values = data.draw(st.lists(st.floats(-13.0, 1.0).map(lambda e: 10.0**e),
+                                    min_size=n, max_size=n))
+        excluded = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        args = abscissa, values
+        kwargs = {"boot_seed": boot_seed, "excluded": excluded}
+        assert (self._outcome(fit_decay, *args, **kwargs)
+                == self._outcome(fit_reference.fit_decay, *args, **kwargs))
+
+    def test_excluded_nan_is_json_null(self):
+        fit = fit_decay([0, 1, 2, 3], [0.5, math.nan, 0.05, 0.005], excluded=[1])
+        d = json.loads(json.dumps(fit.to_json_dict()), parse_constant=_no_constant)
+        assert d["values"] == [0.5, None, 0.05, 0.005]
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestCertifiedConstants:
@@ -202,15 +247,14 @@ class TestLtqoScan:
         assert max(fit.values) <= 1e-9
 
 
-def _two_site_damping() -> ParamLindbladian:
+def _site_damping(lat: Lattice, omega: int = 0) -> ParamLindbladian:
     """Per-site damping at rate (1 + x_j) / 2: x_j = -1 leaves site j undamped."""
-    lat = Lattice(1, (2,), "open")
     terms = [
         LindbladTerm(Region((j,)), (j,),
                      lambda xs: (None, [np.sqrt((1.0 + xs[0]) / 2.0) * SM]), f"ad{j}")
-        for j in range(2)
+        for j in range(lat.n_sites)
     ]
-    return ParamLindbladian(lat, terms, name="two_site_damping")
+    return ParamLindbladian(lat, terms, name="site_damping")
 
 
 class TestScanReuse:
@@ -251,7 +295,7 @@ class TestScanReuse:
         assert fit.values == tuple(singles)
 
     def test_ltqo_repeated_degenerate_point_stays_excluded(self, counts):
-        fam = _two_site_damping()
+        fam = _site_damping(Lattice(1, (2,), "open"))
         obs = observable_from_string("Z@0", fam.lattice)
         # at s = 0 site 1 keeps x' = -1, so the localized kernel is degenerate
         fit = ltqo_scan(fam, np.array([0.5, 0.5]), np.array([-1.0, -1.0]), obs,
@@ -259,6 +303,23 @@ class TestScanReuse:
         assert fit.excluded == (0, 1)
         assert math.isnan(fit.values[0]) and math.isnan(fit.values[1])
         assert counts["steady_state"] == 1 + 1  # s = 1 gives x itself
+
+    def test_battery_with_degenerate_point_writes_strict_json(self, tmp_path, monkeypatch):
+        # at x' = -1 every site outside the patch is undamped, so the ltqo
+        # points short of the whole chain are degenerate and excluded
+        monkeypatch.setitem(models.CATALOG, "site_damping", models.CatalogEntry(
+            name="site_damping", builder=_site_damping, ell_per_site=1,
+            default_hyper={}, oracle_factory=lambda hyper: None))
+        monkeypatch.setattr(experiment, "_probe_points",
+                            lambda seed, stream, m: (np.full(m, 0.5), np.full(m, -1.0)))
+        cfg = parse_config_text('[model]\nname = "site_damping"\n[lattice]\nextent = [5]\n'
+                                f'[run]\nout = "{tmp_path}"\n')
+        experiment.run_diagnostic_battery(cfg)
+        ltqo = json.loads((tmp_path / "diag_ltqo.json").read_text())
+        assert ltqo["excluded"] == [0, 1, 2, 3]
+        assert ltqo["values"][:4] == [None] * 4
+        for path in sorted(tmp_path.glob("*.json")):
+            json.loads(path.read_text(), parse_constant=_no_constant)
 
     def test_ltqo_given_steady_state_matches(self, counts, tfim4):
         fam, x, xp, obs = tfim4

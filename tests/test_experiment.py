@@ -714,10 +714,13 @@ class TestCli:
         ("xi = 1.0", "xi = 1e999", "[constants] xi"),
         ("gamma_override = 0.4", "gamma_override = 1e999", "[training] gamma_override"),
         ("kappa0 = 1.0", "kappa0 = 1e999", "[model] kappa0"),
+        # integers too large for a float, which json.loads reads as int
+        ("xi = 1.0", "xi = 1" + "0" * 400, "[constants] xi"),
+        ("kappa0 = 1.0", "kappa0 = 1" + "0" * 400, "[model] kappa0"),
     ], ids=["epsilon_string", "extent_scalar", "seed_fraction", "n_test_string",
             "hyperparameter_string", "sweep_scalar", "specs_scalar", "omega_boolean",
             "k0_fraction", "xi_nan", "xi_negative", "xi_overflow", "gamma_overflow",
-            "kappa0_overflow"])
+            "kappa0_overflow", "xi_huge_integer", "kappa0_huge_integer"])
     def test_malformed_value_exit_code(self, tmp_path, capsys, old, new, named):
         p = self._write_cfg(tmp_path, SMALL_LEARNING.replace(old, new))
         assert cli_main(["plan", "--config", str(p), "--out", str(tmp_path / "o")]) == 2

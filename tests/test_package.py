@@ -35,18 +35,32 @@ def test_traced_lookup_names_resolve(module, path):
     assert callable(obj)
 
 
+def _package_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(phaselearn.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_import_loads_no_integrate_or_optimize():
     # scipy.integrate pulls in scipy.optimize, about 20 MB and 0.2 s of every
     # process's start; the package integrates with its own RK45 instead
     code = ("import sys, phaselearn, phaselearn.cli, phaselearn.experiment; "
             "print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
-    src = str(Path(phaselearn.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
+                         env=_package_env(), check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("config,code", [("pinning_steady.cfg", 0), ("missing.cfg", 2)])
+def test_python_m_phaselearn_exits_with_the_cli_code(tmp_path, config, code):
+    cfg = Path(__file__).parents[1] / "scripts" / "configs" / config
+    out = subprocess.run([sys.executable, "-m", "phaselearn", "plan", "--config", str(cfg),
+                          "--out", str(tmp_path)], capture_output=True, text=True,
+                         env=_package_env())
+    assert out.returncode == code, out.stderr
+    assert (tmp_path / "plan.json").is_file() == (code == 0)
 
 
 def _loaded_names(package_dir: Path) -> set[str]:
