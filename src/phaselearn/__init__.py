@@ -55,7 +55,6 @@ from .shadows import (
 )
 from .learner import (
     CellFold,
-    CoverageCounts,
     LearnerPlan,
     PlanConstants,
     Prediction,

@@ -26,6 +26,8 @@ curve below the certified-constant envelope, never asserted tight.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -102,31 +104,37 @@ class DecayFit:
         return self.all_below_floor or self.rate_ci[0] > 0.0
 
     def to_json_dict(self) -> dict:
-        """The fields and ``passes``; a value that is not finite (an excluded
-        NaN) is written as null, since JSON has no NaN."""
-        d = asdict(self)
-        d["values"] = [v if math.isfinite(v) else None for v in self.values]
+        """The fields and ``passes``; a float that is not finite (an excluded
+        NaN) is written as null, since JSON has no NaN or Infinity."""
+        d = json.loads(json.dumps(asdict(self)), parse_constant=lambda name: None)
         d["passes"] = self.passes
         return d
 
-    def csv_rows(self):
-        env = self.envelope or [None] * len(self.values)
-        for a, v, e, u in zip(self.abscissa, self.values, self.errors, env):
-            yield a, v, e, u
 
-
-def _wls_logfit(S: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _wls_logfit(S: np.ndarray, V: np.ndarray, drop_singular: bool = False) -> np.ndarray:
     """Weighted least squares of log V = log a - rate S, weights V^2 clipped
     at FLOOR, one fit per row of the (fits, points) blocks in one stacked
     solve; returns the (fits, 2) coefficients (log a, rate).
 
     Each fit's products keep the operand layouts of a lone 2-D fit
-    (``X.T @ WX`` and ``WX.T @ y``), which fixes their roundoff.
+    (``X.T @ WX`` and ``WX.T @ y``), which fixes their roundoff.  A fit whose
+    normal matrix is exactly singular raises LinAlgError, or with
+    ``drop_singular`` is left out: the rows are then solved one at a time,
+    each to the same bytes as in the stacked solve.
     """
     Xt = np.stack([np.ones_like(S), -S], axis=1)
     WX = Xt.transpose(0, 2, 1) * (np.clip(V, FLOOR, None) ** 2)[:, :, None]
-    b = np.log(V)[:, None, :] @ WX
-    return np.linalg.solve(Xt @ WX, b.transpose(0, 2, 1))[:, :, 0]
+    A, b = Xt @ WX, (np.log(V)[:, None, :] @ WX).transpose(0, 2, 1)
+    try:
+        return np.linalg.solve(A, b)[:, :, 0]
+    except np.linalg.LinAlgError:
+        if not drop_singular:
+            raise
+    rows = []
+    for i in range(len(A)):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            rows.append(np.linalg.solve(A[i:i + 1], b[i:i + 1])[0, :, 0])
+    return np.reshape(rows, (-1, 2))
 
 
 def _r_squared(s: np.ndarray, v: np.ndarray, coef: np.ndarray) -> float:
@@ -155,7 +163,8 @@ def fit_decay(abscissa: Sequence[float], values: Sequence[float],
     2.5 and 97.5 percentiles of the rates of N_BOOT resamples, whose indices
     are one (N_BOOT, L) block drawn from ``boot_seed``; resamples with a
     single distinct abscissa are dropped, and the rest are fitted in one
-    stacked solve.  Only the full fit computes a prefactor and R^2.
+    stacked solve, which drops those whose normal matrix is exactly singular
+    too.  Only the full fit computes a prefactor and R^2.
     """
     s = np.asarray(abscissa, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -180,11 +189,8 @@ def fit_decay(abscissa: Sequence[float], values: Sequence[float],
         idx = np.random.default_rng(boot_seed).integers(0, len(sm), size=(N_BOOT, len(sm)))
         S = sm[idx]
         kept = np.any(S != S[:, :1], axis=1)
-        if kept.any():
-            boots = _wls_logfit(S[kept], vm[idx[kept]])[:, 1]
-            lo, hi = np.percentile(boots, [2.5, 97.5])
-        else:
-            lo, hi = rate, rate
+        boots = _wls_logfit(S[kept], vm[idx[kept]], drop_singular=True)[:, 1]
+        lo, hi = np.percentile(boots, [2.5, 97.5]) if boots.size else (rate, rate)
         ci = (float(lo), float(hi))
     return DecayFit(label, s_t, v_t, e_t, rate, pref, r2, ci, N_BOOT, env_t, env_ok,
                     all_below_floor=n_distinct == 0, excluded=tuple(excluded))

@@ -10,7 +10,7 @@ The learning stages hold one chunk of the training set at a time
 states and measurements and writes its records before it draws the next.  The
 predict stage checks the bundle's header against the config before it reads
 a record, then checks each chunk as it is read and folds it into the test
-points' cells and the coverage counts; the predictions, the sweep and the
+points' cells and the patches' cell counts; the predictions, the sweep and the
 exact values come after the one pass.
 """
 
@@ -39,10 +39,9 @@ from .diagnostics import (
     stability_scan,
 )
 from .errors import ConfigError
-from .lattice import Lattice, Region, ball, embed, enlarge, observable_from_string
+from .lattice import Lattice, Region, ball, embed, observable_from_string
 from .learner import (
     CellFold,
-    CoverageCounts,
     LearnerPlan,
     PlanConstants,
     coverage_report,
@@ -78,7 +77,7 @@ def _digest(x: np.ndarray) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 def _probe_model(cfg: ExperimentConfig) -> Model:
@@ -270,7 +269,7 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
     summary.json, optionally sweep.csv and error_vs_n.svg, plus timing.log.
 
     One pass over training.shadows folds every chunk into the test points'
-    cells (for the run and each sweep size) and the coverage counts.  A
+    cells (for the run and each sweep size) and the patches' cell counts.  A
     missing plan.json or training.shadows, a mismatched header
     (:func:`_bundle_chunks`, checked before the first record is read), a
     malformed record or a bundle without records is a ConfigError raised
@@ -285,12 +284,9 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
     test_x, test_t = sample_parameters(model, cfg.n_test, p.t_eps,
                                        stream_seed(cfg.seed, "test_points"))
     fold = CellFold(observables, test_x, test_t, p, model.family)
-    regions = [enlarge(cfg.lattice, o.support, p.r) for o in observables]
-    counts = CoverageCounts(p.gamma, regions, model.family, t_eps=p.t_eps)
     with open(train_path, "rb") as fh:
         for chunk in _bundle_chunks(cfg, p, model.family.m, fh):
             fold.add(chunk)
-            counts.add(chunk)
             del chunk  # not held while the next chunk is read
     N = fold.n_samples
     if N == 0:
@@ -317,8 +313,8 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
         )
     (out / "predictions.csv").write_text("\n".join(lines) + "\n")
 
-    cov = coverage_report(counts, q=p.q)
-    (out / "coverage.json").write_text(cov.to_json() + "\n")
+    cov = coverage_report(fold, q=p.q)
+    _write_json(out / "coverage.json", cov)
 
     sweep_rows = []
     if cfg.sweep:
@@ -343,14 +339,15 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
         "planned_N_capped": p.capped,
         "used_N": p.N,
         "n_test": cfg.n_test,
-        # test points with an exact value; success_fraction is null when 0
+        # test points with an exact value; success_fraction and the sweep's
+        # medians are null when 0
         "n_exact": len(errors),
         "success_fraction": success,
         "success_target": 1.0 - cfg.delta,
-        "coverage_min_fraction": cov.min_fraction,
-        "coverage_failure_bound": max(e.failure_bound for e in cov.entries),
+        "coverage_min_fraction": cov["min_fraction"],
+        "coverage_failure_bound": max(e["failure_bound"] for e in cov["entries"]),
         "empty_cell_fallbacks": sum(int(bool(pr.warnings)) for pr, _ in results),
-        "sweep": [[n, e] for n, e in sweep_rows],
+        "sweep": [[n, e if math.isfinite(e) else None] for n, e in sweep_rows],
     }
     _write_json(out / "summary.json", summary)
     manifest = emit_plots(out, model.name)
@@ -371,7 +368,8 @@ def run_learning_experiment(cfg: ExperimentConfig) -> dict:
 
 def _fit_csv(path: Path, fit: DecayFit) -> None:
     lines = [f"{fit.abscissa_label},value,error,envelope"]
-    for a, v, e, u in fit.csv_rows():
+    for a, v, e, u in zip(fit.abscissa, fit.values, fit.errors,
+                          fit.envelope or [None] * len(fit.values)):
         env = "" if u is None else repr(float(u))
         val = "nan" if not math.isfinite(v) else repr(float(v))
         lines.append(f"{a!r},{val},{e!r},{env}")

@@ -29,11 +29,11 @@ the lowest sample index everywhere.
 
 The training set streams past in chunks.  :class:`CellFold` keeps, per test
 point and term, only the cell's rows and their (basis, outcome) values on the
-term's support, and the running nearest samples before the cell's first row;
-:class:`CoverageCounts` keeps the occupied cells' counts.  The cell of the
-first s samples is the whole cell's rows below s, so one pass answers every
-prefix (the run and every sweep size), and memory does not grow with N beyond
-the cells themselves.
+term's support and the running nearest samples before the cell's first row;
+per term's patch, it keeps the occupied gamma-cells' counts, which
+:func:`coverage_report` reads.  The cell of the first s samples is the whole
+cell's rows below s, so one pass answers every prefix (the run and every sweep
+size), and memory does not grow with N beyond the cells themselves.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .config import JSON_TYPES, MODES
 from .errors import ConfigError, EmptyCellError, PlanInfeasibleError
-from .lattice import LocalObservable, Region, enlarge, l1_ball_volume
+from .lattice import LocalObservable, enlarge, l1_ball_volume
 from .lindblad import ParamLindbladian
 from .shadows import (
     TrainingSet,
@@ -65,10 +65,7 @@ __all__ = [
     "restricted_distance",
     "CellFold",
     "predict",
-    "CoverageCounts",
     "coverage_report",
-    "CoverageReport",
-    "RegionCoverage",
 ]
 
 
@@ -131,7 +128,7 @@ class LearnerPlan:
         obj = asdict(self)
         obj["m_r"] = self.m_r
         obj["t_eps"] = None if self.t_eps is None else float(self.t_eps)
-        return json.dumps(obj, sort_keys=True, indent=1)
+        return json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
 
     @staticmethod
     def from_json(text: str) -> "LearnerPlan":
@@ -350,7 +347,8 @@ class _Cell:
 
 
 class CellFold:
-    """The cells of every test point (X[i], taus[i]) and term, folded over a
+    """The cells of every test point (X[i], taus[i]) and term, and the sample
+    count of each occupied gamma-cell of every term's patch, folded over a
     training set one chunk at a time (:meth:`add`); a whole training set
     held in memory is its one chunk.
 
@@ -358,27 +356,48 @@ class CellFold:
     cell is the rows within :func:`restricted_distance` gamma of the point on
     the patch's coordinates.  The cell of the first s samples is the whole
     cell's rows below s, so :func:`predict` answers every prefix.
+
+    A row's gamma-cell is its cell index on each patch coordinate and on the
+    time axis, T = t_eps long, or one cell (T = gamma) for a steady state.
+    Only occupied cells are counted, each chunk's merged in by np.unique over
+    one byte-string key per row, however many cells there are.
     """
 
     def __init__(self, observables: Sequence[LocalObservable], X: np.ndarray,
                  taus: np.ndarray, plan_: LearnerPlan, family: ParamLindbladian):
-        if not plan_.gamma > 0:
-            raise ValueError("gamma must be positive")
+        self.span = plan_.gamma if plan_.t_eps is None else plan_.t_eps
+        if not (plan_.gamma > 0 and self.span > 0):
+            raise ValueError("gamma must be positive, and so must the time horizon t_eps")
         self.observables = list(observables)
         self.gamma, self.delta_prime = plan_.gamma, plan_.delta_prime
         self.n_samples = 0
-        self.indices = [family.coords_for_region(enlarge(family.lattice, obs.support, plan_.r))
-                        for obs in self.observables]
+        self.patches = [enlarge(family.lattice, obs.support, plan_.r) for obs in self.observables]
+        self.indices = [family.coords_for_region(patch) for patch in self.patches]
         self.cells = [[_Cell(x[indices], float(t), sorted(obs.support.sites))
                        for obs, indices in zip(self.observables, self.indices)]
                       for x, t in zip(map(family.as_values, X), taus)]
+        # per patch: its occupied gamma-cells' keys, ascending, and their counts
+        self.coverage = [(np.empty(0, f"V{8 * (indices.size + 1)}"), np.empty(0, np.int64))
+                         for indices in self.indices]
 
     def add(self, chunk: TrainingSet) -> None:
         """Fold in the next chunk of the training set."""
+        axis_cells, time_cells = math.ceil(2.0 / self.gamma), math.ceil(self.span / self.gamma)
+        tkeys = np.minimum(time_cells - 1, np.floor(chunk.taus / self.gamma))
         for j, indices in enumerate(self.indices):
-            tags = chunk.X[:, indices]  # gathered once for every test point
+            tags = chunk.X[:, indices]  # gathered once for every test point and the coverage
             for cells in self.cells:
                 cells[j].add(chunk, self.n_samples, tags, self.gamma)
+            keys = np.minimum(axis_cells - 1, np.floor((tags + 1.0) / self.gamma))
+            # one byte string per row; the time column keys a coordinate-free patch too
+            keys = np.ascontiguousarray(np.column_stack([keys, tkeys]), dtype=np.int64)
+            cells, counts = np.unique(keys.view(f"V{8 * keys.shape[1]}")[:, 0],
+                                      return_counts=True)
+            old_cells, old_counts = self.coverage[j]
+            merged, inverse = np.unique(np.concatenate([old_cells, cells]), return_inverse=True)
+            totals = np.zeros(len(merged), dtype=np.int64)
+            np.add.at(totals, inverse, np.concatenate([old_counts, counts]))
+            self.coverage[j] = merged, totals
         self.n_samples += len(chunk)
 
 
@@ -420,100 +439,21 @@ def predict(fold: CellFold, point: int, size: int | None = None) -> Prediction:
     )
 
 
-@dataclass(frozen=True)
-class RegionCoverage:
-    sites: tuple[int, ...]
-    m_r: int
-    total_cells: float
-    occupied: int
-    covered: int
-    fraction: float
-    failure_bound: float
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    gamma: float
-    q: int
-    n_samples: int
-    entries: tuple[RegionCoverage, ...]
-
-    @property
-    def min_fraction(self) -> float:
-        return min((e.fraction for e in self.entries), default=0.0)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gamma": self.gamma,
-                "q": self.q,
-                "n_samples": self.n_samples,
-                "min_fraction": self.min_fraction,
-                "entries": [asdict(e) for e in self.entries],
-            },
-            sort_keys=True,
-            indent=1,
-        )
-
-
-class CoverageCounts:
-    """The sample count of each occupied gamma-cell of each region's
-    restricted coordinates, merged a chunk at a time (:meth:`add`).
-
-    A row's cell is its cell index on every coordinate and on the time axis,
-    which spans T = t_eps, or one cell (T = gamma) for a steady state (t_eps
-    None).  Each chunk's cells are counted with np.unique over one byte-string
-    key per row and merged with the cells so far, so only occupied cells are
-    held, however many cells there are.
-    """
-
-    def __init__(self, gamma: float, regions: Sequence[Region], family: ParamLindbladian,
-                 t_eps: float | None = None):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        span = gamma if t_eps is None else t_eps
-        if not span > 0:
-            raise ValueError("the time horizon t_eps must be positive")
-        self.gamma, self.span = gamma, span
-        self.regions = list(regions)
-        self.indices = [family.coords_for_region(region) for region in self.regions]
-        self.n_samples = 0
-        # per region: its occupied cells' keys, ascending, and their counts
-        self.cells = [(np.empty(0, f"V{8 * (indices.size + 1)}"), np.empty(0, np.int64))
-                      for indices in self.indices]
-
-    def add(self, chunk: TrainingSet) -> None:
-        """Count the next chunk of the training set into the cells."""
-        axis_cells, time_cells = math.ceil(2.0 / self.gamma), math.ceil(self.span / self.gamma)
-        tkeys = np.minimum(time_cells - 1, np.floor(chunk.taus / self.gamma))
-        for j, indices in enumerate(self.indices):
-            keys = np.minimum(axis_cells - 1, np.floor((chunk.X[:, indices] + 1.0) / self.gamma))
-            # one byte string per row; the time column gives an empty region a key too
-            keys = np.ascontiguousarray(np.column_stack([keys, tkeys]), dtype=np.int64)
-            cells, counts = np.unique(keys.view(f"V{8 * keys.shape[1]}")[:, 0],
-                                      return_counts=True)
-            old_cells, old_counts = self.cells[j]
-            merged, inverse = np.unique(np.concatenate([old_cells, cells]), return_inverse=True)
-            totals = np.zeros(len(merged), dtype=np.int64)
-            np.add.at(totals, inverse, np.concatenate([old_counts, counts]))
-            self.cells[j] = merged, totals
-        self.n_samples += len(chunk)
-
-
-def coverage_report(counts: CoverageCounts, q: int = 1) -> CoverageReport:
-    """Occupancy of the gamma-cells that ``counts`` holds, region by region.
+def coverage_report(fold: CellFold, q: int = 1) -> dict:
+    """The ``coverage.json`` document: the occupancy of each term's patch's
+    gamma-cells in the training set ``fold`` has folded.
 
     A cell counts as covered when at least q samples land in it.  Unoccupied
     cells never qualify, so the exact fraction only needs the occupied cells'
-    counts even when the cell count is astronomically large.  The reported
-    failure bound is M exp(-N (gamma/2)^m_r (gamma/T) + m_r log(2/gamma) +
-    log(T/gamma)).
+    counts even when the cell count is astronomically large; a cell count past
+    exp(700) is null and its fraction 0.  The reported failure bound is
+    M exp(-N (gamma/2)^m_r (gamma/T) + m_r log(2/gamma) + log(T/gamma)).
     """
-    gamma, span, N = counts.gamma, counts.span, counts.n_samples
+    gamma, span, N = fold.gamma, fold.span, fold.n_samples
     axis_cells, time_cells = math.ceil(2.0 / gamma), math.ceil(span / gamma)
     entries = []
-    M = max(1, len(counts.regions))
-    for region, indices, (cells, totals) in zip(counts.regions, counts.indices, counts.cells):
+    M = max(1, len(fold.patches))
+    for patch, indices, (cells, totals) in zip(fold.patches, fold.indices, fold.coverage):
         m_r = int(indices.size)
         covered = int(np.count_nonzero(totals >= q))
         log_total = m_r * math.log(axis_cells) + math.log(time_cells)
@@ -522,21 +462,18 @@ def coverage_report(counts: CoverageCounts, q: int = 1) -> CoverageReport:
         elif log_total < 700.0:
             total = math.exp(log_total)
         else:
-            total = math.inf
-        fraction = covered / total if math.isfinite(total) and total > 0 else 0.0
+            total = None
         cell_prob_log = m_r * math.log(gamma / 2.0) + math.log(gamma / span)
         exponent = (-N * math.exp(cell_prob_log) + m_r * math.log(2.0 / gamma)
                     + math.log(span / gamma))
-        failure = min(1.0, M * math.exp(min(700.0, exponent)))
-        entries.append(
-            RegionCoverage(
-                sites=tuple(region.sites),
-                m_r=m_r,
-                total_cells=total,
-                occupied=len(cells),
-                covered=covered,
-                fraction=fraction,
-                failure_bound=failure,
-            )
-        )
-    return CoverageReport(gamma=gamma, q=q, n_samples=N, entries=tuple(entries))
+        entries.append({
+            "sites": list(patch.sites),
+            "m_r": m_r,
+            "total_cells": total,
+            "occupied": len(cells),
+            "covered": covered,
+            "fraction": 0.0 if total is None else covered / total,
+            "failure_bound": min(1.0, M * math.exp(min(700.0, exponent))),
+        })
+    return {"gamma": gamma, "q": q, "n_samples": N, "entries": entries,
+            "min_fraction": min((e["fraction"] for e in entries), default=0.0)}

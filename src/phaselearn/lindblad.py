@@ -46,7 +46,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DegenerateSteadyStateError, NumericalError
-from .lattice import CoordInfo, Lattice, Region, embed_sparse_indices, embed_triplets
+from .lattice import PAULI, CoordInfo, Lattice, Region, embed_sparse_indices, embed_triplets
 
 __all__ = [
     "SUPEROP_SITE_CAP",
@@ -127,8 +127,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # I, X, Y, Z over sqrt(2); per site, X[a, b] = sum_p _FROM_PAULI[2a + b, p] c_p
-_FROM_PAULI = (np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
-                         [[1, 0], [0, -1]]]) / np.sqrt(2)).reshape(4, 4).T
+_FROM_PAULI = (np.array([PAULI[c] for c in "IXYZ"]) / np.sqrt(2)).reshape(4, 4).T
 
 
 def _from_pauli(c: np.ndarray, n: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import Lattice, LocalObservable, Region
+from .lattice import PAULI, Lattice, LocalObservable, Region
 from .lindblad import (
     AncillaSpec,
     DensityMatrix,
@@ -119,8 +119,7 @@ def build_dissipative_tfim(lattice: Lattice, g: float = 0.5, kappa: float = 1.0,
     if lattice.dim != 1:
         raise ValueError("dissipative TFIM catalog entry is one-dimensional")
     n = lattice.n_sites
-    Z = np.diag([1.0, -1.0]).astype(complex)
-    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    Z, X = PAULI["Z"], PAULI["X"]
     ZZ = np.kron(Z, Z)
     sminus = np.array([[0, 1], [0, 0]], dtype=complex)
     sk = math.sqrt(kappa)

@@ -2,7 +2,8 @@
 replaced, kept as the reference its stacked fit is tested against.
 
 Each bootstrap resample draws its indices alone and runs the full 2-D fit,
-prefactor and R^2 included, of which only the rate is read.
+prefactor and R^2 included, of which only the rate is read; a resample with a
+single distinct abscissa or an exactly singular normal matrix is dropped.
 """
 
 from __future__ import annotations
@@ -52,7 +53,10 @@ def fit_decay(abscissa: Sequence[float], values: Sequence[float], boot_seed: int
             idx = rng.integers(0, len(sm), size=len(sm))
             if len(np.unique(sm[idx])) < 2:
                 continue
-            b_rate, _, _ = wls_logfit(sm[idx], vm[idx])
+            try:
+                b_rate, _, _ = wls_logfit(sm[idx], vm[idx])
+            except np.linalg.LinAlgError:  # an exactly singular normal matrix
+                continue
             boots.append(b_rate)
         if boots:
             lo, hi = np.percentile(boots, [2.5, 97.5])

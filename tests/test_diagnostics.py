@@ -91,7 +91,9 @@ class TestFitDecay:
            data=st.data(), boot_seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=300, deadline=None)
     def test_stacked_fit_matches_loop_reference(self, abscissa, data, boot_seed):
-        # bit for bit, or the same LinAlgError where a normal matrix is singular
+        # bit for bit, or the same LinAlgError where the full fit's normal
+        # matrix is exactly singular; both drop a resample whose normal matrix
+        # is exactly singular
         n = len(abscissa)
         values = data.draw(st.lists(st.floats(-13.0, 1.0).map(lambda e: 10.0**e),
                                     min_size=n, max_size=n))
@@ -105,6 +107,31 @@ class TestFitDecay:
         fit = fit_decay([0, 1, 2, 3], [0.5, math.nan, 0.05, 0.005], excluded=[1])
         d = json.loads(json.dumps(fit.to_json_dict()), parse_constant=_no_constant)
         assert d["values"] == [0.5, None, 0.05, 0.005]
+
+    def test_every_non_finite_float_is_json_null(self):
+        fit = diagnostics.DecayFit("time", (0.0, math.inf), (math.nan, 1.0), (0.0, 0.0),
+                                   math.nan, math.inf, -math.inf, (math.nan, 1.0), 200,
+                                   envelope=(math.inf, 2.0))
+        d = json.loads(json.dumps(fit.to_json_dict()), parse_constant=_no_constant)
+        assert (d["abscissa"], d["values"], d["envelope"]) == ([0.0, None], [None, 1.0],
+                                                               [None, 2.0])
+        assert (d["rate"], d["prefactor"], d["r_squared"], d["rate_ci"]) == (
+            None, None, None, [None, 1.0])
+
+    @pytest.mark.parametrize("abscissa,values,seeds", [
+        # clean steep decays: some resamples' normal matrices are exactly
+        # singular, which used to raise LinAlgError out of the stacked solve
+        (DEFAULT_T_GRID, 2 * np.exp(-6 * np.array(DEFAULT_T_GRID)), range(20)),
+        (range(7), np.exp(-5 * np.arange(7.0)), range(50)),
+    ])
+    def test_steep_decay_drops_singular_resamples(self, abscissa, values, seeds):
+        for seed in seeds:
+            fit = fit_decay(abscissa, values, boot_seed=seed)
+            assert all(map(math.isfinite, fit.rate_ci)), seed
+            assert fit.rate_ci[0] <= fit.rate <= fit.rate_ci[1]
+            assert (self._outcome(fit_decay, abscissa, values, boot_seed=seed)
+                    == self._outcome(fit_reference.fit_decay, abscissa, values,
+                                     boot_seed=seed))
 
 
 def _no_constant(name: str):

@@ -105,6 +105,14 @@ def _cfg(text: str, out: Path):
     return cfg
 
 
+def _strict_json(path: Path):
+    """The JSON document at ``path``, rejecting the non-JSON NaN and Infinity."""
+    def reject(name: str):
+        raise ValueError(f"{path.name} holds {name}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def _edit_plan(out: Path, **fields) -> None:
     """Rewrite plan.json with the given fields set, or dropped when None."""
     plan = json.loads((out / "plan.json").read_text())
@@ -385,6 +393,36 @@ class TestLearningRun:
         assert summary["success_fraction"] is None
         rows = (tmp_path / "predictions.csv").read_text().splitlines()[1:]
         assert len(rows) == 3 and all(r.split(",")[3] == "" for r in rows)
+
+    def test_sweep_without_exact_values_is_strict_json(self, tmp_path, monkeypatch):
+        # no test point has an exact value: the sweep's medians are null in
+        # summary.json and nan in sweep.csv
+        import phaselearn.experiment as experiment
+
+        monkeypatch.setattr(experiment, "_exact_values", lambda model, X, *_: [None] * len(X))
+        run_learning_experiment(_cfg(SMALL_LEARNING, tmp_path))
+        summary = _strict_json(tmp_path / "summary.json")
+        assert summary["sweep"] == [[200, None], [1000, None]]
+        assert (tmp_path / "sweep.csv").read_text() == "n,median_abs_error\n200,nan\n1000,nan\n"
+        for path in tmp_path.glob("*.json"):
+            _strict_json(path)
+
+    def test_astronomical_cell_count_is_strict_json(self, tmp_path):
+        # m_r = 128 coordinates of 2000 cells each: a cell count past exp(700)
+        # is null in coverage.json, and its fraction 0
+        text = (REPO / "scripts/configs/pinning_steady.cfg").read_text()
+        for old, new in (("extent = [8]", "extent = [128]"),
+                         ('specs = ["Z@4"]', 'specs = ["Z@64"]'),
+                         ("r_override = 1", "r_override = 127"),
+                         ("gamma_override = 0.25", "gamma_override = 0.001\nn_override = 200")):
+            assert old in text
+            text = text.replace(old, new)
+        run_learning_experiment(_cfg(text, tmp_path))
+        (entry,) = _strict_json(tmp_path / "coverage.json")["entries"]
+        assert (entry["m_r"], entry["total_cells"], entry["fraction"]) == (128, None, 0.0)
+        assert entry["occupied"] == 200
+        for path in tmp_path.glob("*.json"):
+            _strict_json(path)
 
     def test_ancilla_choice_run(self, tmp_path):
         text = SMALL_LEARNING.replace('mode = "steady"', 'mode = "steady"\nomega = 1')

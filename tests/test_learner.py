@@ -11,10 +11,9 @@ from hypothesis.extra import numpy as hnp
 import learning_reference
 
 from phaselearn.errors import EmptyCellError, PlanInfeasibleError
-from phaselearn.lattice import Lattice, Region, enlarge, observable_from_string
+from phaselearn.lattice import Lattice, LocalObservable, Region, enlarge, observable_from_string
 from phaselearn.learner import (
     CellFold,
-    CoverageCounts,
     LearnerPlan,
     PlanConstants,
     coverage_report,
@@ -83,11 +82,24 @@ def _predict(observables, x, t, tr, p, family):
     return predict(fold, 0)
 
 
-def _coverage(tr, gamma, regions, family, q=1, t_eps=None):
-    """The coverage report of ``tr``, counted as one chunk."""
-    counts = CoverageCounts(gamma, regions, family, t_eps=t_eps)
-    counts.add(tr)
-    return coverage_report(counts, q=q)
+# the identity on no sites: its patch meets no term, so its cells are the time axis's
+UNIT = LocalObservable(Region(()), np.eye(1), label="1")
+
+
+def _coverage_fold(specs, r, gamma, family, t_eps=None):
+    """A fold without test points of the observables ``specs`` (UNIT or a
+    spec string) at patch radius r, its time axis t_eps long."""
+    p = replace(plan(0.6, 0.1, 0.1, SMALL, "steady_state", n_cap=10**6), r=r, gamma=gamma,
+                t_eps=t_eps, mode="steady_state" if t_eps is None else "general_phase")
+    observables = [s if s is UNIT else observable_from_string(s, family.lattice) for s in specs]
+    return CellFold(observables, np.empty((0, family.m)), [], p, family)
+
+
+def _coverage(tr, specs, r, gamma, family, q=1, t_eps=None):
+    """The coverage report of ``tr``, folded as one chunk."""
+    fold = _coverage_fold(specs, r, gamma, family, t_eps)
+    fold.add(tr)
+    return coverage_report(fold, q=q)
 
 
 def _nearest(x, t, tr, indices):
@@ -499,17 +511,18 @@ class TestCoverage:
         tr = _tag_training(list(xs))
         lat = Lattice(1, (2,), "open")
         model = instantiate("pinning", lat)
-        rep = _coverage(tr, 0.5, [Region((0, 1))], model.family, q=1)
-        assert rep.entries[0].fraction == 1.0
-        assert rep.entries[0].total_cells == 16
+        rep = _coverage(tr, ["Z@0"], 1, 0.5, model.family, q=1)
+        assert rep["entries"][0]["sites"] == [0, 1]
+        assert rep["entries"][0]["fraction"] == 1.0
+        assert rep["entries"][0]["total_cells"] == 16
 
     def test_single_sample_covers_one_cell(self):
         lat = Lattice(1, (2,), "open")
         model = instantiate("pinning", lat)
         tr = _tag_training([np.array([0.1, 0.2])])
-        rep = _coverage(tr, 0.5, [Region((0, 1))], model.family, q=1)
-        assert rep.entries[0].covered == 1
-        assert rep.entries[0].fraction == 1 / 16
+        rep = _coverage(tr, ["Z@0"], 1, 0.5, model.family, q=1)
+        assert rep["entries"][0]["covered"] == 1
+        assert rep["entries"][0]["fraction"] == 1 / 16
 
     def test_failure_bound_formula(self):
         lat = Lattice(1, (2,), "open")
@@ -517,10 +530,10 @@ class TestCoverage:
         xs = [np.array([0.1, 0.2])] * 10
         tr = _tag_training(xs)
         gamma = 0.5
-        rep = _coverage(tr, gamma, [Region((0,))], model.family, q=1)
+        rep = _coverage(tr, ["Z@0"], 0, gamma, model.family, q=1)
         m_r = 1
         expect = min(1.0, 1 * math.exp(-10 * (gamma / 2) ** m_r + m_r * math.log(2 / gamma)))
-        assert rep.entries[0].failure_bound == pytest.approx(expect)
+        assert rep["entries"][0]["failure_bound"] == pytest.approx(expect)
 
     @given(seed=st.integers(0, 2**32 - 1), N=st.integers(0, 300),
            gamma=st.sampled_from([0.15, 0.5, 0.7, 2.0]), q=st.integers(1, 4),
@@ -537,12 +550,13 @@ class TestCoverage:
         t_eps = 1.3
         taus = rng.uniform(0, t_eps, N) if mode != "steady_state" else None
         tr = _tag_training(xs, taus=taus, m=3)
+        # each region is the patch of one observable at r = 0
         regions = [Region((0,)), Region((1, 2)), Region(())]
-        rep = _coverage(tr, gamma, regions, model.family, q=q,
-                              t_eps=None if mode == "steady_state" else t_eps)
+        rep = _coverage(tr, ["Z@0", "ZZ@1,2", UNIT], 0, gamma, model.family, q=q,
+                        t_eps=None if mode == "steady_state" else t_eps)
         axis_cells = math.ceil(2.0 / gamma)
         time_cells = math.ceil(t_eps / gamma)
-        for region, entry in zip(regions, rep.entries):
+        for region, entry in zip(regions, rep["entries"], strict=True):
             idx = model.family.coords_for_region(region)
             ref: Counter = Counter()
             for i in range(N):
@@ -551,8 +565,9 @@ class TestCoverage:
                 if mode != "steady_state":
                     key += (int(min(time_cells - 1, math.floor(taus[i] / gamma))),)
                 ref[key] += 1
-            assert entry.occupied == len(ref)
-            assert entry.covered == sum(1 for v in ref.values() if v >= q)
+            assert entry["sites"] == list(region.sites)
+            assert entry["occupied"] == len(ref)
+            assert entry["covered"] == sum(1 for v in ref.values() if v >= q)
 
 
 def _grid_training(data, N, n, timed):
@@ -648,15 +663,18 @@ class TestCellFold:
         # a cell's samples split across chunks are counted once, together
         model = instantiate("pinning", Lattice(1, (3,), "open"))
         tr = _grid_training(data, data.draw(st.integers(1, 40)), 3, timed)
+        # each region is the patch of one observable at r = 0
         regions = [Region((0,)), Region((1, 2)), Region(())]
+        specs = ["Z@0", "ZZ@1,2", UNIT]
         t_eps = 2.5 if timed else None
-        counts = CoverageCounts(gamma, regions, model.family, t_eps=t_eps)
+        fold = _coverage_fold(specs, 0, gamma, model.family, t_eps)
         for piece in _chunks(tr, chunk):
-            counts.add(piece)
-        whole = _coverage(tr, gamma, regions, model.family, q=q, t_eps=t_eps)
-        assert coverage_report(counts, q=q) == whole
+            fold.add(piece)
+        whole = _coverage(tr, specs, 0, gamma, model.family, q=q, t_eps=t_eps)
+        assert coverage_report(fold, q=q) == whole
         reference = learning_reference.coverage_cells(tr, gamma, regions, model.family, t_eps)
-        for (cells, totals), (occupied, ref_counts) in zip(counts.cells, reference):
+        for (cells, totals), (occupied, ref_counts) in zip(fold.coverage, reference,
+                                                           strict=True):
             assert len(cells) == occupied
             assert np.sort(totals).tolist() == ref_counts.tolist()
 
