@@ -7,7 +7,7 @@ Verbs::
     phaselearn predict  --config exp.cfg                 predictions from existing bundle
     phaselearn diagnose --config exp.cfg                 run the five structural scans
     phaselearn sweep    --config exp.cfg                 full experiment incl. error-vs-N sweep
-    phaselearn plot     --config exp.cfg                 rebuild SVG plots from bundle CSVs
+    phaselearn plot     --config exp.cfg                 rebuild SVG plots from bundle JSON
 
 Exit codes: 0 success, 2 config error, 3 infeasible plan, 4 numerical failure.
 """

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSteadyStateError
+from .errors import DegenerateSteadyStateError, NumericalError
 from .lattice import (
     LocalObservable,
     Region,
@@ -111,25 +111,23 @@ class DecayFit:
         return d
 
 
-def _wls_logfit(S: np.ndarray, V: np.ndarray, drop_singular: bool = False) -> np.ndarray:
+def _wls_logfit(S: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Weighted least squares of log V = log a - rate S, weights V^2 clipped
     at FLOOR, one fit per row of the (fits, points) blocks in one stacked
-    solve; returns the (fits, 2) coefficients (log a, rate).
+    solve; returns the (fits, 2) coefficients (log a, rate) of the rows whose
+    normal matrix is not exactly singular.
 
     Each fit's products keep the operand layouts of a lone 2-D fit
-    (``X.T @ WX`` and ``WX.T @ y``), which fixes their roundoff.  A fit whose
-    normal matrix is exactly singular raises LinAlgError, or with
-    ``drop_singular`` is left out: the rows are then solved one at a time,
-    each to the same bytes as in the stacked solve.
+    (``X.T @ WX`` and ``WX.T @ y``), which fixes their roundoff.  Only when
+    the stacked solve raises LinAlgError are the rows solved one at a time,
+    each to the same bytes as in the stacked solve, and the singular ones
+    left out.
     """
     Xt = np.stack([np.ones_like(S), -S], axis=1)
     WX = Xt.transpose(0, 2, 1) * (np.clip(V, FLOOR, None) ** 2)[:, :, None]
     A, b = Xt @ WX, (np.log(V)[:, None, :] @ WX).transpose(0, 2, 1)
-    try:
+    with contextlib.suppress(np.linalg.LinAlgError):
         return np.linalg.solve(A, b)[:, :, 0]
-    except np.linalg.LinAlgError:
-        if not drop_singular:
-            raise
     rows = []
     for i in range(len(A)):
         with contextlib.suppress(np.linalg.LinAlgError):
@@ -164,7 +162,9 @@ def fit_decay(abscissa: Sequence[float], values: Sequence[float],
     are one (N_BOOT, L) block drawn from ``boot_seed``; resamples with a
     single distinct abscissa are dropped, and the rest are fitted in one
     stacked solve, which drops those whose normal matrix is exactly singular
-    too.  Only the full fit computes a prefactor and R^2.
+    too.  Only the full fit computes a prefactor and R^2.  A curve with a
+    single distinct abscissa, or whose full fit's normal matrix is exactly
+    singular, gets no fit: rate, R^2 and CI are 0, so it does not pass.
     """
     s = np.asarray(abscissa, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -181,15 +181,17 @@ def fit_decay(abscissa: Sequence[float], values: Sequence[float],
     sm, vm = s[mask], v[mask]
     n_distinct = len(np.unique(sm))
     rate, pref, r2, ci = 0.0, 0.0, 0.0, (0.0, 0.0)
+    # no row when the full fit's normal matrix is exactly singular
+    full = _wls_logfit(sm[None], vm[None]) if n_distinct > 1 else ()
     if n_distinct == 1:
         pref = float(vm.max())
-    elif n_distinct > 1:
-        coef = _wls_logfit(sm[None], vm[None])[0]
+    elif len(full):
+        coef = full[0]
         rate, pref, r2 = float(coef[1]), math.exp(coef[0]), _r_squared(sm, vm, coef)
         idx = np.random.default_rng(boot_seed).integers(0, len(sm), size=(N_BOOT, len(sm)))
         S = sm[idx]
         kept = np.any(S != S[:, :1], axis=1)
-        boots = _wls_logfit(S[kept], vm[idx[kept]], drop_singular=True)[:, 1]
+        boots = _wls_logfit(S[kept], vm[idx[kept]])[:, 1]
         lo, hi = np.percentile(boots, [2.5, 97.5]) if boots.size else (rate, rate)
         ci = (float(lo), float(hi))
     return DecayFit(label, s_t, v_t, e_t, rate, pref, r2, ci, N_BOOT, env_t, env_ok,
@@ -267,7 +269,7 @@ def lieb_robinson_scan(family: ParamLindbladian, x, x_prime, obs: LocalObservabl
         r_max = Region(tuple(lat.all_sites())).diameter(lat)
     v = certify_lr_constants(family)
     if v * t > 700.0:
-        raise ValueError(f"e^(vt) overflows for certified v={v:.3g}, t={t}")
+        raise NumericalError(f"e^(vt) overflows for certified v={v:.3g}, t={t}")
     O_t = heisenberg_evolve(assemble(family, x), O_full, t, rtol=rtol)
     radii = list(range(r_max + 1))
     values = _hybrid_values(

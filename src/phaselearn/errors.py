@@ -16,7 +16,8 @@ class PlanInfeasibleError(PhaselearnError):
 
 
 class NumericalError(PhaselearnError):
-    """Integrator underflow, NaN contamination, or failed convergence."""
+    """Integrator underflow, a certified envelope that overflows, NaN
+    contamination, or failed convergence."""
 
 
 class DegenerateSteadyStateError(PhaselearnError):

@@ -210,18 +210,24 @@ def _training_chunks(cfg: ExperimentConfig, model: Model, p: LearnerPlan
         yield TrainingSet(*_training_states(model, X, taus, key, lo), X, taus)
 
 
+def _run_facts(cfg: ExperimentConfig, model: Model) -> dict:
+    """What holds for every record of the run: its model, lattice, mode,
+    seed, ancilla choice, tag count and site count.  The train stage writes
+    them as the training.shadows header, and the predict stage checks that
+    header against them."""
+    return {"model": model.name, "lattice": cfg.lattice.to_json(), "mode": cfg.mode,
+            "seed": cfg.seed, "omega": model.omega, "m": model.family.m,
+            "n": model.family.n_system}
+
+
 def run_train_stage(cfg: ExperimentConfig) -> dict:
     """Plan, then sample and measure the training set a chunk at a time,
     writing each chunk before the next is drawn; writes plan.json and
-    training.shadows, whose header holds the run's model, lattice, mode,
-    seed, ancilla choice, tag count and site count."""
+    training.shadows, whose header holds the run's facts (:func:`_run_facts`)."""
     model, _ = _setup(cfg)
     p = _write_plan(cfg, model)
-    header = {"model": model.name, "lattice": cfg.lattice.to_json(), "mode": cfg.mode,
-              "seed": cfg.seed, "omega": model.omega, "m": model.family.m,
-              "n": model.family.n_system}
     with open(Path(cfg.out_dir) / "training.shadows", "wb") as fh:
-        write_shadows(fh, header, _training_chunks(cfg, model, p))
+        write_shadows(fh, _run_facts(cfg, model), _training_chunks(cfg, model, p))
     return {"plan": "plan.json", "training": "training.shadows"}
 
 
@@ -236,31 +242,17 @@ def _read_plan(out: Path) -> LearnerPlan | None:
         raise ConfigError(f"plan.json is malformed: {exc!r}") from None
 
 
-def _bundle_chunks(cfg: ExperimentConfig, p: LearnerPlan, m: int,
-                   fileobj) -> Iterator[TrainingSet]:
+def _bundle_chunks(facts: dict, p: LearnerPlan, fileobj) -> Iterator[TrainingSet]:
     """training.shadows' chunks, each checked as it is read, once its header
-    has been checked: a model, lattice, mode, ancilla choice, tag count or
-    site count other than the config's, or a plan.json mode other than the
-    config's, is a ConfigError naming the file and field, raised before any
-    record is read."""
+    has been checked: a header fact other than the run's (:func:`_run_facts`;
+    the seed may differ), or a plan.json mode other than the config's, is a
+    ConfigError naming the file and field, raised before any record is read."""
     header, chunks = read_shadows(fileobj)
-    for field, found, asked in (
-        ("training.shadows model", header["model"], cfg.model_name),
-        ("training.shadows lattice", header["lattice"], cfg.lattice.to_json()),
-        ("training.shadows mode", header["mode"], cfg.mode),
-        ("plan.json mode", p.mode, cfg.mode),
-    ):
+    checks = [(f"training.shadows {key}", header[key], asked)
+              for key, asked in facts.items() if key != "seed"]
+    for field, found, asked in checks + [("plan.json mode", p.mode, facts["mode"])]:
         if found != asked:
             raise ConfigError(f"{field} is {found!r}, config asks for {asked!r}")
-    if header["omega"] != cfg.omega:
-        raise ConfigError(f"training.shadows was collected at omega = {header['omega']}, "
-                          f"config asks for omega = {cfg.omega}")
-    if header["m"] != m:
-        raise ConfigError(f"training.shadows records carry m = {header['m']} x tags, "
-                          f"the config's model has m = {m}")
-    if header["n"] != cfg.lattice.n_sites:
-        raise ConfigError(f"training.shadows records cover {header['n']} sites, "
-                          f"config's lattice has {cfg.lattice.n_sites}")
     return chunks
 
 
@@ -285,7 +277,7 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
                                        stream_seed(cfg.seed, "test_points"))
     fold = CellFold(observables, test_x, test_t, p, model.family)
     with open(train_path, "rb") as fh:
-        for chunk in _bundle_chunks(cfg, p, model.family.m, fh):
+        for chunk in _bundle_chunks(_run_facts(cfg, model), p, fh):
             fold.add(chunk)
             del chunk  # not held while the next chunk is read
     N = fold.n_samples
@@ -378,8 +370,9 @@ def _fit_csv(path: Path, fit: DecayFit) -> None:
 
 def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     """All five structural scans on the configured model; per-scan CSV, JSON
-    and SVG (drawn by :func:`emit_plots` from the CSV and JSON), and each
-    scan's wall seconds in timing.log.
+    and SVG (drawn by :func:`emit_plots` from the JSON), battery.json with
+    each scan's verdict fields from its JSON, and each scan's wall seconds
+    in timing.log.
 
     The steady state at x is solved once and handed to the mixing, ltqo and
     compatibility scans as their ``rho_inf``; within each scan, radii that
@@ -430,15 +423,11 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
     battery = {}
     for name, fit in fits.items():
         _fit_csv(out / f"diag_{name}.csv", fit)
-        _write_json(out / f"diag_{name}.json", fit.to_json_dict())
-        battery[name] = {
-            "passes": fit.passes,
-            "rate": fit.rate,
-            "rate_ci": list(fit.rate_ci),
-            "all_below_floor": fit.all_below_floor,
-            "envelope_ok": fit.envelope_ok,
-        }
-    battery["all_pass"] = all(v["passes"] for v in battery.values() if isinstance(v, dict))
+        doc = fit.to_json_dict()
+        _write_json(out / f"diag_{name}.json", doc)
+        battery[name] = {key: doc[key] for key in
+                         ("passes", "rate", "rate_ci", "all_below_floor", "envelope_ok")}
+    battery["all_pass"] = all(v["passes"] for v in battery.values())
     _write_json(out / "battery.json", battery)
     emit_plots(out, model.name)
     _write_timing(out, t_start, seconds)
@@ -448,48 +437,35 @@ def run_diagnostic_battery(cfg: ExperimentConfig) -> dict:
 
 
 def emit_plots(out_dir: str | Path, model_name: str) -> dict:
-    """(Re)build SVG plots from the CSV and JSON files present in the bundle.
+    """(Re)build the bundle's SVG plots from its JSON documents alone.
 
-    Each ``diag_<scan>.svg`` is titled ``"<model_name>: <scan>"``; the battery
-    draws its plots here too, so rebuilding them reproduces its bytes.  The
-    planned-N marker on the sweep plot shows the prescription in the
-    bundle's own plan.json; off-scale prescriptions fall outside the frame,
-    and one too large for a float is not drawn.
+    Each ``diag_<scan>.svg`` is drawn from ``diag_<scan>.json`` and titled
+    ``"<model_name>: <scan>"``; ``error_vs_n.svg`` is drawn from the
+    ``sweep`` list of summary.json when that list is not empty.  The
+    battery and the predict stage draw their plots here too, so rebuilding
+    them reproduces their bytes.  The planned-N marker on the sweep plot
+    shows the prescription in the bundle's own plan.json; off-scale
+    prescriptions fall outside the frame, and one too large for a float is
+    not drawn.
     """
     out = Path(out_dir)
     manifest = {}
     p = _read_plan(out)
     planned_n = 2.0**p.N_log2 if p is not None and p.N_log2 < 1024.0 else None
-    sweep = out / "sweep.csv"
-    if sweep.exists():
-        rows = sweep.read_text().strip().split("\n")[1:]
-        ns, errs = [], []
-        for row in rows:
-            n_s, e_s = row.split(",")
-            ns.append(int(n_s))
-            errs.append(float(e_s))
+    summary = out / "summary.json"
+    sweep = json.loads(summary.read_text())["sweep"] if summary.exists() else []
+    if sweep:
+        ns, errs = zip(*sweep)
         with open(out / "error_vs_n.svg", "w") as fh:
             sweep_plot_svg(fh, "median error vs training size", ns, errs, planned_n)
         manifest["error_vs_n"] = "error_vs_n.svg"
-    for csv_path in sorted(out.glob("diag_*.csv")):
-        name = csv_path.stem
-        fitfile = out / f"{name}.json"
-        rate = pref = None
-        envelope = None
-        if fitfile.exists():
-            fit = json.loads(fitfile.read_text())
-            if not fit.get("all_below_floor"):
-                rate, pref = fit.get("rate"), fit.get("prefactor")
-            envelope = fit.get("envelope")
-        rows = csv_path.read_text().strip().split("\n")
-        header = rows[0].split(",")
-        absc, vals = [], []
-        for row in rows[1:]:
-            parts = row.split(",")
-            absc.append(float(parts[0]))
-            vals.append(float(parts[1]))
-        with open(out / f"{name}.svg", "w") as fh:
-            decay_plot_svg(fh, f"{model_name}: {name.removeprefix('diag_')}", header[0],
-                           absc, vals, envelope, rate, pref)
-        manifest[name] = f"{name}.svg"
+    for path in sorted(out.glob("diag_*.json")):
+        fit = json.loads(path.read_text())
+        drawn = not fit["all_below_floor"]
+        with open(path.with_suffix(".svg"), "w") as fh:
+            decay_plot_svg(fh, f"{model_name}: {path.stem.removeprefix('diag_')}",
+                           fit["abscissa_label"], fit["abscissa"], fit["values"],
+                           fit["envelope"], fit["rate"] if drawn else None,
+                           fit["prefactor"] if drawn else None)
+        manifest[path.stem] = f"{path.stem}.svg"
     return manifest

@@ -379,8 +379,7 @@ def _apply_header(row: bytes, header: dict) -> None:
     key = parts[0].decode("latin-1")
     if len(parts) != 2 or key not in header:
         return
-    value = parts[1].decode("ascii")
-    value = int(value) if key in ("m", "n", "seed", "omega") else value
+    value = type(_HEADER[key])(parts[1].decode("ascii"))
     if key == "phaselearn-shadows" and value != _VERSION:
         raise ValueError(f"shadows format {value} is not readable; this reader "
                          f"reads {_VERSION}, so rerun the train stage")

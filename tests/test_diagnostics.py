@@ -91,17 +91,35 @@ class TestFitDecay:
            data=st.data(), boot_seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=300, deadline=None)
     def test_stacked_fit_matches_loop_reference(self, abscissa, data, boot_seed):
-        # bit for bit, or the same LinAlgError where the full fit's normal
-        # matrix is exactly singular; both drop a resample whose normal matrix
-        # is exactly singular
+        # bit for bit; both drop a resample whose normal matrix is exactly
+        # singular.  Where the full fit's is, the reference raises LinAlgError
+        # and the stacked fit gives the no-fit document: all zeros, failing
         n = len(abscissa)
         values = data.draw(st.lists(st.floats(-13.0, 1.0).map(lambda e: 10.0**e),
                                     min_size=n, max_size=n))
         excluded = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
         args = abscissa, values
         kwargs = {"boot_seed": boot_seed, "excluded": excluded}
-        assert (self._outcome(fit_decay, *args, **kwargs)
-                == self._outcome(fit_reference.fit_decay, *args, **kwargs))
+        expected = self._outcome(fit_reference.fit_decay, *args, **kwargs)
+        if expected[0] == "LinAlgError":
+            expected = (float.hex(0.0),) * 5
+            assert not fit_decay(*args, **kwargs).passes
+        assert self._outcome(fit_decay, *args, **kwargs) == expected
+
+    @pytest.mark.parametrize("abscissa,values", [
+        ([1, 2], [1, 2e-12]),
+        ([1, 2, 3], [1, 1.1e-12, 1.2e-12]),
+    ])
+    def test_singular_full_fit_fails(self, abscissa, values):
+        # the full fit's normal matrix is exactly singular (a point's weight
+        # is below an ulp of another's): no fit, and a failing verdict
+        with pytest.raises(np.linalg.LinAlgError):
+            fit_reference.fit_decay(abscissa, values)
+        fit = fit_decay(abscissa, values)
+        assert (fit.rate, fit.prefactor, fit.r_squared, fit.rate_ci) == (0.0, 0.0, 0.0,
+                                                                        (0.0, 0.0))
+        assert not fit.passes and not fit.all_below_floor
+        assert json.loads(json.dumps(fit.to_json_dict()))["passes"] is False
 
     def test_excluded_nan_is_json_null(self):
         fit = fit_decay([0, 1, 2, 3], [0.5, math.nan, 0.05, 0.005], excluded=[1])

@@ -602,19 +602,15 @@ class TestPlots:
         consts = PlanConstants(J=4.0, ell=1, r0=0, D=1, n=6, m=6)
         p = replace(plan(0.3, 0.1, 0.1, consts, n_cap=100), N_log2=n_log2)
         (tmp_path / "plan.json").write_text(p.to_json() + "\n")
-        (tmp_path / "sweep.csv").write_text("n,median_abs_error\n100,0.2\n1000,0.1\n")
+        (tmp_path / "summary.json").write_text(json.dumps({"sweep": [[100, 0.2], [1000, 0.1]]}))
         manifest = emit_plots(tmp_path, "pinning")
         assert manifest["error_vs_n"] == "error_vs_n.svg"
         assert ("planned N" in (tmp_path / "error_vs_n.svg").read_text()) == drawn
 
     def test_exponential_fit_in_legend(self, tmp_path):
-        csv = tmp_path / "diag_demo.csv"
-        ts = np.array([0.5, 1.0, 1.5, 2.0])
-        rows = ["time,value,error,envelope"]
-        rows += [f"{float(t)!r},{2.0 * math.exp(-0.7 * float(t))!r},0.0," for t in ts]
-        csv.write_text("\n".join(rows) + "\n")
         from phaselearn.diagnostics import fit_decay
 
+        ts = np.array([0.5, 1.0, 1.5, 2.0])
         fit = fit_decay(ts, 2.0 * np.exp(-0.7 * ts))
         (tmp_path / "diag_demo.json").write_text(json.dumps(fit.to_json_dict()))
         manifest = emit_plots(tmp_path, "pinning")
@@ -726,6 +722,37 @@ class TestCli:
         assert cli_main(["plot", "--config", str(p), "--out", str(out)]) == 0
         assert {f.name: f.read_bytes() for f in out.glob("diag_*.svg")} == drawn
 
+    @pytest.mark.parametrize("verb,text", [
+        ("diagnose", SMALL_BATTERY),
+        ("sweep", SMALL_LEARNING.replace("n_override = 6000", "n_override = 50").replace(
+            "sweep = [200, 1000]", "sweep = [20, 50]")),
+    ])
+    def test_plot_rebuilds_svgs_from_json_alone(self, tmp_path, verb, text):
+        # plot reads the JSON documents only: without the bundle's CSVs (and
+        # its SVGs) it draws every SVG the stage drew, byte for byte
+        p = self._write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", str(p), "--out", str(out)]) == 0
+        drawn = {f.name: f.read_bytes() for f in out.glob("*.svg")}
+        assert len(drawn) == (5 if verb == "diagnose" else 1)
+        for f in [*out.glob("*.csv"), *out.glob("*.svg")]:
+            f.unlink()
+        assert cli_main(["plot", "--config", str(p), "--out", str(out)]) == 0
+        assert {f.name: f.read_bytes() for f in out.glob("*.svg")} == drawn
+
+    @pytest.mark.parametrize("verb,text", [
+        ("plan", SMALL_LEARNING.replace(
+            'source = "explicit"\nxi = 1.0\ngamma_prime = 1.0\nc_prime = 2.0',
+            'source = "measure"')),
+        ("diagnose", SMALL_BATTERY),
+    ])
+    def test_certified_velocity_overflow_exit_code(self, tmp_path, capsys, verb, text):
+        # kappa0 = 400 certifies v = 3.2e3, so the envelope's e^(vt) at t = 1
+        # overflows in the Lieb-Robinson scan that both verbs run
+        p = self._write_cfg(tmp_path, text.replace("kappa0 = 1.0", "kappa0 = 400"))
+        assert cli_main([verb, "--config", str(p), "--out", str(tmp_path / "o")]) == 4
+        assert "numerical failure: e^(vt) overflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("old,new,named", [
         ("n_test = 12", "n_tests = 12", "[training] n_tests"),
         ("[run]", "[extras]\nx = 1\n\n[run]", "[extras]"),
@@ -799,7 +826,7 @@ class TestCli:
                                                        f'mode = "steady"\nomega = {omega}'))
             assert cli_main([verb, "--config", str(p), "--out", out]) == code
         err = capsys.readouterr().err
-        assert f"omega = {trained}" in err and f"omega = {asked}" in err
+        assert f"training.shadows omega is {trained}, config asks for {asked}" in err
 
     @pytest.mark.parametrize("verb,spoil,flags,named", [
         ("predict", lambda out, p: (out / "plan.json").write_text("not json"), [], "plan.json"),
@@ -811,14 +838,14 @@ class TestCli:
             l.replace("extent = [6]", "extent = [8]") for l in lines]), [],
          "training.shadows lattice"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", _cut_records(3)), [],
-         "training.shadows records cover 3 sites, config's lattice has 6"),
+         "training.shadows n is 3, config asks for 6"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", _cut_tags(3)), [],
-         "training.shadows records carry m = 3 x tags, the config's model has m = "),
+         "training.shadows m is 3, config asks for 6"),
         ("predict", lambda out, p: None, ["--mode", "general"], "training.shadows mode"),
         ("predict", lambda out, p: _edit_plan(out, mode="general_phase"), [], "plan.json mode"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", lambda lines: [
             l.replace("# omega 0", "# omega 1") for l in lines]), [],
-         "training.shadows was collected at omega = 1, config asks for omega = 0"),
+         "training.shadows omega is 1, config asks for 0"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", lambda lines: [
             l.replace("shadows v4", "shadows v1") for l in lines]), [],
          "line 1: shadows format v1"),
@@ -975,8 +1002,8 @@ class TestChunkedStages:
     @pytest.mark.parametrize("bad_line", [10, 21], ids=["first_chunk", "past_first_chunk"])
     @pytest.mark.parametrize("field,value,named", [
         ("model", "dissipative_tfim", "training.shadows model is 'dissipative_tfim'"),
-        ("omega", "1", "training.shadows was collected at omega = 1"),
-        ("n", "5", "training.shadows records cover 5 sites, config's lattice has 6"),
+        ("omega", "1", "training.shadows omega is 1, config asks for 0"),
+        ("n", "5", "training.shadows n is 5, config asks for 6"),
     ], ids=["model", "omega", "n"])
     def test_header_mismatch_reported_before_bad_records(self, tmp_path, monkeypatch,
                                                          field, value, named, bad_line):

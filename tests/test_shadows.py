@@ -582,8 +582,10 @@ class TestShadowFile:
         ("# n 99999999999999999999", "line 1: site count n = 99999999999999999999 exceeds"),
         # nothing as wide as m = 10**12 makes a record is read before such a record
         ("# m 1000000000000", "line 2: expected 16000000000018 bytes, .* the record has 20$"),
+        # each value is read as the type of its default: the seed is an integer
+        ("# seed 7.5", "line 1: invalid literal for int"),
     ], ids=["version_1", "version_3", "negative_m", "huge_m", "negative_n", "huge_n",
-            "wide_m_short_record"])
+            "wide_m_short_record", "seed_fraction"])
     def test_bad_header_rejected(self, header, what):
         with pytest.raises(ConfigError, match=what):
             _read(io.BytesIO(f"{header}\n{INF} Z 0\n".encode()))
