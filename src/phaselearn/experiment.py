@@ -242,6 +242,16 @@ def _read_plan(out: Path) -> LearnerPlan | None:
         raise ConfigError(f"plan.json is malformed: {exc!r}") from None
 
 
+def _read_document(path: Path, *keys: str) -> dict:
+    """The fields ``keys`` of the JSON object in ``path``; a file that is not
+    JSON, or lacks one of them, is a ConfigError naming the file."""
+    try:
+        doc = json.loads(path.read_text())
+        return {key: doc[key] for key in keys}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path.name} is malformed: {exc!r}") from None
+
+
 def _bundle_chunks(facts: dict, p: LearnerPlan, fileobj) -> Iterator[TrainingSet]:
     """training.shadows' chunks, each checked as it is read, once its header
     has been checked: a header fact other than the run's (:func:`_run_facts`;
@@ -258,7 +268,8 @@ def _bundle_chunks(facts: dict, p: LearnerPlan, fileobj) -> Iterator[TrainingSet
 
 def run_predict_stage(cfg: ExperimentConfig) -> dict:
     """Predictions from the out dir's bundle: predictions.csv, coverage.json,
-    summary.json, optionally sweep.csv and error_vs_n.svg, plus timing.log.
+    summary.json (with the sweep's medians), error_vs_n.svg when there is a
+    sweep, plus timing.log.
 
     One pass over training.shadows folds every chunk into the test points'
     cells (for the run and each sweep size) and the patches' cell counts.  A
@@ -308,15 +319,11 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
     cov = coverage_report(fold, q=p.q)
     _write_json(out / "coverage.json", cov)
 
-    sweep_rows = []
-    if cfg.sweep:
-        # sizes past the training set's are capped at it, and each size runs once
-        for n_k in sorted({min(n_k, N) for n_k in cfg.sweep}):
-            errs = [abs(pr.value - ex) for pr, ex in eval_points(n_k) if ex is not None]
-            med = float(np.median(errs)) if errs else math.nan
-            sweep_rows.append((n_k, med))
-        s_lines = ["n,median_abs_error"] + [f"{n},{e!r}" for n, e in sweep_rows]
-        (out / "sweep.csv").write_text("\n".join(s_lines) + "\n")
+    # sizes past the training set's are capped at it, and each size runs once
+    sweep = []
+    for n_k in sorted({min(n_k, N) for n_k in cfg.sweep}):
+        errs = [abs(pr.value - ex) for pr, ex in eval_points(n_k) if ex is not None]
+        sweep.append([n_k, float(np.median(errs)) if errs else None])
 
     success = (
         float(np.mean([e <= cfg.epsilon for e in errors])) if errors else None
@@ -339,7 +346,7 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
         "coverage_min_fraction": cov["min_fraction"],
         "coverage_failure_bound": max(e["failure_bound"] for e in cov["entries"]),
         "empty_cell_fallbacks": sum(int(bool(pr.warnings)) for pr, _ in results),
-        "sweep": [[n, e if math.isfinite(e) else None] for n, e in sweep_rows],
+        "sweep": sweep,
     }
     _write_json(out / "summary.json", summary)
     manifest = emit_plots(out, model.name)
@@ -348,8 +355,6 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
         predictions="predictions.csv", coverage="coverage.json",
         summary="summary.json", timing="timing.log",
     )
-    if sweep_rows:
-        manifest["sweep"] = "sweep.csv"
     return manifest
 
 
@@ -453,14 +458,15 @@ def emit_plots(out_dir: str | Path, model_name: str) -> dict:
     p = _read_plan(out)
     planned_n = 2.0**p.N_log2 if p is not None and p.N_log2 < 1024.0 else None
     summary = out / "summary.json"
-    sweep = json.loads(summary.read_text())["sweep"] if summary.exists() else []
+    sweep = _read_document(summary, "sweep")["sweep"] if summary.exists() else []
     if sweep:
         ns, errs = zip(*sweep)
         with open(out / "error_vs_n.svg", "w") as fh:
             sweep_plot_svg(fh, "median error vs training size", ns, errs, planned_n)
         manifest["error_vs_n"] = "error_vs_n.svg"
     for path in sorted(out.glob("diag_*.json")):
-        fit = json.loads(path.read_text())
+        fit = _read_document(path, "abscissa_label", "abscissa", "values", "envelope",
+                             "rate", "prefactor", "all_below_floor")
         drawn = not fit["all_below_floor"]
         with open(path.with_suffix(".svg"), "w") as fh:
             decay_plot_svg(fh, f"{model_name}: {path.stem.removeprefix('diag_')}",

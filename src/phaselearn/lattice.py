@@ -99,10 +99,9 @@ class Lattice:
 
 @dataclass(frozen=True)
 class Region:
-    """An ordered set of sites, either an explicit list or a metric ball."""
+    """An ordered set of sites."""
 
     sites: tuple[int, ...]
-    descriptor: str = "explicit"
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(sorted(set(int(s) for s in self.sites))))
@@ -136,7 +135,7 @@ def ball(lattice: Lattice, center: int, radius: int) -> Region:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     sites = np.flatnonzero(lattice.distances(center) <= radius)
-    return Region(tuple(sites.tolist()), descriptor=f"ball({center},{radius})")
+    return Region(tuple(sites.tolist()))
 
 
 def enlarge(lattice: Lattice, region: Region, r: int) -> Region:
@@ -148,8 +147,7 @@ def enlarge(lattice: Lattice, region: Region, r: int) -> Region:
     near = np.zeros(lattice.n_sites, dtype=bool)
     for s in region.sites:
         near |= lattice.distances(s) <= r
-    return Region(tuple(np.flatnonzero(near).tolist()),
-                  descriptor=f"enlarge({region.descriptor},{r})")
+    return Region(tuple(np.flatnonzero(near).tolist()))
 
 
 def check_nesting(lattice: Lattice, a: Region, r: Region, w: Region) -> None:

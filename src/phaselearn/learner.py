@@ -28,12 +28,13 @@ cell degrades to the single nearest sample with a warning.  Ties break toward
 the lowest sample index everywhere.
 
 The training set streams past in chunks.  :class:`CellFold` keeps, per test
-point and term, only the cell's rows and their (basis, outcome) values on the
-term's support and the running nearest samples before the cell's first row;
-per term's patch, it keeps the occupied gamma-cells' counts, which
-:func:`coverage_report` reads.  The cell of the first s samples is the whole
-cell's rows below s, so one pass answers every prefix (the run and every sweep
-size), and memory does not grow with N beyond the cells themselves.
+point and term, only the cell's rows and their snapshot codes on the term's
+support and the running nearest samples before the cell's first row; per
+term, the estimate of each code held; per term's patch, the occupied
+gamma-cells' counts, which :func:`coverage_report` reads.  The cell of the
+first s samples is the whole cell's rows below s, so one pass answers every
+prefix (the run and every sweep size), and memory does not grow with N beyond
+the cells themselves.
 """
 
 from __future__ import annotations
@@ -50,11 +51,12 @@ from .errors import ConfigError, EmptyCellError, PlanInfeasibleError
 from .lattice import LocalObservable, enlarge, l1_ball_volume
 from .lindblad import ParamLindbladian
 from .shadows import (
+    MAX_LOCAL_SITES,
     TrainingSet,
-    local_estimates,
     median_of_means,
     mom_batch_count,
     required_shadow_count,
+    snapshot_local_matrix,
 )
 
 __all__ = [
@@ -316,34 +318,34 @@ class Prediction:
 class _Cell:
     """The cell of the target (x, t) for one term, folded a chunk at a time,
     so that it answers every prefix of the training set: its rows, ascending,
-    and their (basis, outcome) values on the term's sites, one array per
-    chunk; and, over the rows before its first row, the strict running minima
-    of the distance as (distance, row, bases, outcomes), the nearest sample of
-    every prefix the cell misses.  ``x`` holds the target's patch coordinates."""
+    and their snapshot codes on the term's sites, one array per chunk; and,
+    over the rows before its first row, the strict running minima of the
+    distance as (distance, row, code), the nearest sample of every prefix the
+    cell misses.  ``x`` holds the target's patch coordinates."""
 
-    def __init__(self, x: np.ndarray, t: float, sites: list[int]):
-        self.x, self.t, self.sites = x, t, sites
+    def __init__(self, x: np.ndarray, t: float):
+        self.x, self.t = x, t
         self.rows: list[np.ndarray] = []
-        self.bases: list[np.ndarray] = []
-        self.outcomes: list[np.ndarray] = []
+        self.codes: list[np.ndarray] = []
         self.nearest: list[tuple] = []
 
-    def add(self, chunk: TrainingSet, lo: int, tags: np.ndarray, gamma: float) -> None:
-        """Fold in ``chunk``, the rows from ``lo`` on, whose patch tags are ``tags``."""
-        dist = restricted_distance(self.x, self.t, tags, chunk.taus)
-        cell = np.flatnonzero(dist <= gamma)
+    def add(self, lo: int, tags: np.ndarray, taus: np.ndarray, codes: np.ndarray,
+            gamma: float) -> np.ndarray:
+        """Fold in the chunk of rows from ``lo`` on; returns the chunk's rows kept."""
+        dist = restricted_distance(self.x, self.t, tags, taus)
+        cell = kept = np.flatnonzero(dist <= gamma)
         if not self.rows:
             # rows before the cell's first: a strict < keeps the lowest row on ties
             head = dist[:cell[0] if cell.size else len(dist)]
             best = self.nearest[-1][0] if self.nearest else math.inf
             below = np.minimum.accumulate(np.r_[best, head])[:-1]  # min(best, head[:i])
-            for i in np.flatnonzero(head < below):
-                self.nearest.append((float(head[i]), lo + int(i), chunk.bases[i, self.sites],
-                                     chunk.outcomes[i, self.sites]))
+            new = np.flatnonzero(head < below)
+            self.nearest += [(float(head[i]), lo + int(i), codes[i]) for i in new]
+            kept = np.r_[new, cell]
         if cell.size:
             self.rows.append(lo + cell)
-            self.bases.append(chunk.bases[np.ix_(cell, self.sites)])
-            self.outcomes.append(chunk.outcomes[np.ix_(cell, self.sites)])
+            self.codes.append(codes[cell])
+        return kept
 
 
 class CellFold:
@@ -357,6 +359,10 @@ class CellFold:
     the patch's coordinates.  The cell of the first s samples is the whole
     cell's rows below s, so :func:`predict` answers every prefix.
 
+    A row's code on a term is its (basis, outcome) pairs on the term's sites
+    as base-6 digits, the first site's most significant; the term's table
+    holds the estimate of every code a cell holds, evaluated once per run.
+
     A row's gamma-cell is its cell index on each patch coordinate and on the
     time axis, T = t_eps long, or one cell (T = gamma) for a steady state.
     Only occupied cells are counted, each chunk's merged in by np.unique over
@@ -369,13 +375,17 @@ class CellFold:
         if not (plan_.gamma > 0 and self.span > 0):
             raise ValueError("gamma must be positive, and so must the time horizon t_eps")
         self.observables = list(observables)
+        wide = max((len(obs.support) for obs in self.observables), default=0)
+        if wide > MAX_LOCAL_SITES:
+            raise ValueError(f"region of {wide} sites exceeds local cap {MAX_LOCAL_SITES}")
         self.gamma, self.delta_prime = plan_.gamma, plan_.delta_prime
         self.n_samples = 0
         self.patches = [enlarge(family.lattice, obs.support, plan_.r) for obs in self.observables]
         self.indices = [family.coords_for_region(patch) for patch in self.patches]
-        self.cells = [[_Cell(x[indices], float(t), sorted(obs.support.sites))
-                       for obs, indices in zip(self.observables, self.indices)]
+        self.cells = [[_Cell(x[indices], float(t)) for indices in self.indices]
                       for x, t in zip(map(family.as_values, X), taus)]
+        # per term: the estimate of each code, nan until a cell holds the code
+        self.tables = [np.full(6 ** len(obs.support), np.nan) for obs in self.observables]
         # per patch: its occupied gamma-cells' keys, ascending, and their counts
         self.coverage = [(np.empty(0, f"V{8 * (indices.size + 1)}"), np.empty(0, np.int64))
                          for indices in self.indices]
@@ -384,10 +394,21 @@ class CellFold:
         """Fold in the next chunk of the training set."""
         axis_cells, time_cells = math.ceil(2.0 / self.gamma), math.ceil(self.span / self.gamma)
         tkeys = np.minimum(time_cells - 1, np.floor(chunk.taus / self.gamma))
-        for j, indices in enumerate(self.indices):
+        for j, (obs, indices, table) in enumerate(zip(self.observables, self.indices,
+                                                      self.tables)):
             tags = chunk.X[:, indices]  # gathered once for every test point and the coverage
-            for cells in self.cells:
-                cells[j].add(chunk, self.n_samples, tags, self.gamma)
+            if self.cells:  # a fold without test points reads no snapshots
+                sites, place = list(obs.support.sites), 6 ** np.arange(len(obs.support))[::-1]
+                pairs = 2 * chunk.bases[:, sites].astype(np.int64) + (chunk.outcomes[:, sites] < 0)
+                codes = (pairs @ place).astype(np.uint16)  # 6^MAX_LOCAL_SITES < 2^16
+                held = np.zeros(len(table), dtype=bool)
+                for cells in self.cells:
+                    held[codes[cells[j].add(self.n_samples, tags, chunk.taus, codes,
+                                            self.gamma)]] = True
+                for code in np.flatnonzero(held & np.isnan(table)):
+                    digits = code // place % 6
+                    table[code] = float(np.real(np.trace(obs.matrix @ snapshot_local_matrix(
+                        digits // 2, 1 - 2 * (digits % 2), range(len(sites))))))
             keys = np.minimum(axis_cells - 1, np.floor((tags + 1.0) / self.gamma))
             # one byte string per row; the time column keys a coordinate-free patch too
             keys = np.ascontiguousarray(np.column_stack([keys, tkeys]), dtype=np.int64)
@@ -414,29 +435,20 @@ def predict(fold: CellFold, point: int, size: int | None = None) -> Prediction:
     if size is not None and size < 1:
         raise ValueError(f"a prediction needs at least 1 sample, got size {size}")
     limit = fold.n_samples if size is None else size
-    per_term: list[float] = []
-    counts: list[int] = []
-    warnings: list[str] = []
-    for obs, cell in zip(fold.observables, fold.cells[point]):
+    per_term, counts, warnings = [], [], []
+    for obs, cell, table in zip(fold.observables, fold.cells[point], fold.tables):
         k = int(np.searchsorted(np.concatenate(cell.rows), limit)) if cell.rows else 0
         if k:
-            bases, outcomes = (np.concatenate(cell.bases)[:k],
-                               np.concatenate(cell.outcomes)[:k])
+            vals = table[np.concatenate(cell.codes)[:k]]
         else:
             # row 0 is in the cell or the first running minimum
-            dist, row, bases, outcomes = next(m for m in reversed(cell.nearest) if m[1] < limit)
-            bases, outcomes = bases[None], outcomes[None]
+            dist, row, code = next(m for m in reversed(cell.nearest) if m[1] < limit)
+            vals = table[[code]]
             warnings.append(f"empty cell for {obs.label or obs.support.sites}; "
                             f"nearest sample {row} at distance {dist:.3g}")
-        vals = local_estimates(bases, outcomes, range(len(cell.sites)), obs.matrix)
         per_term.append(median_of_means(vals, mom_batch_count(fold.delta_prime, len(vals))))
         counts.append(len(vals))
-    return Prediction(
-        value=float(sum(per_term)),
-        per_term=tuple(per_term),
-        counts=tuple(counts),
-        warnings=tuple(warnings),
-    )
+    return Prediction(float(sum(per_term)), tuple(per_term), tuple(counts), tuple(warnings))
 
 
 def coverage_report(fold: CellFold, q: int = 1) -> dict:

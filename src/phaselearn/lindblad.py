@@ -1030,5 +1030,5 @@ def subfamily(family: ParamLindbladian, region: Region) -> tuple[ParamLindbladia
         new_terms.append(
             LindbladTerm(new_support, new_idx, term.build, label=term.label)
         )
-    sub = ParamLindbladian(sub_lat, new_terms, name=f"{family.name}|{region.descriptor}")
+    sub = ParamLindbladian(sub_lat, new_terms, name=family.name)
     return sub, np.asarray(coord_map, dtype=int)

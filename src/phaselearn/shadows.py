@@ -29,10 +29,11 @@ bad line comes straight from the masks.  The inverse-channel estimate
 
     (x)_{i in B} (3 |z_i><z_i| - I)
 
-is an unbiased estimator of the reduced state on B.  It depends on a
-snapshot only through its (basis, outcome) pairs on the k sites of B, so
-:func:`local_estimates` evaluates tr[O . estimate] once per distinct code
-(at most 6^k) and looks it up for every snapshot.
+(:func:`snapshot_local_matrix`) is an unbiased estimator of the reduced state
+on B.  It depends on a snapshot only through its (basis, outcome) pairs on
+the k sites of B, one of 6^k codes, so the learner's ``CellFold`` evaluates
+tr[O . estimate] once per distinct code per run and looks it up for every
+snapshot.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "measure_snapshot",
     "measure_snapshot_product",
     "snapshot_local_matrix",
-    "local_estimates",
     "median_of_means",
     "mom_batch_count",
     "required_shadow_count",
@@ -185,25 +185,6 @@ def snapshot_local_matrix(bases: np.ndarray, outcomes: np.ndarray,
         v = _EIG_KETS[bases[s], 0 if outcomes[s] == 1 else 1]
         mats.append(3.0 * np.outer(v, v.conj()) - np.eye(2))
     return reduce(np.kron, mats) if mats else np.eye(1, dtype=complex)
-
-
-def local_estimates(bases: np.ndarray, outcomes: np.ndarray, sites: Sequence[int],
-                    matrix: np.ndarray) -> np.ndarray:
-    """tr[matrix . snapshot_local_matrix(row, sites)] for every snapshot row.
-
-    The (basis, outcome) pairs of the k sites form a code in [0, 6^k); the
-    trace is evaluated once per distinct code, on its first row, and looked
-    up for the others.
-    """
-    sites = sorted(sites)
-    pairs = 2 * bases[:, sites].astype(np.int64) + (outcomes[:, sites] < 0)
-    codes = pairs @ 6 ** np.arange(len(sites) - 1, -1, -1, dtype=np.int64)
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    table = np.array([
-        float(np.real(np.trace(matrix @ snapshot_local_matrix(bases[j], outcomes[j], sites))))
-        for j in first
-    ])
-    return table[inverse]
 
 
 def median_of_means(values: Sequence[float], batches: int) -> float:

@@ -3,9 +3,10 @@ kept as the slow reference the chunk-at-a-time stages are tested against.
 
 The train stage here draws every tag, state and snapshot of the training set
 in one pass and writes it with the record-at-a-time reference writer; the
-predictor selects each cell over every row at once, a sweep size takes a
-prefix copy of the columns, and the coverage counts bin every row in one
-np.unique.  Nothing here reads ``shadows._CHUNK_ROWS``.
+predictor selects each cell over every row at once and evaluates its
+estimates by :func:`local_estimates`, a sweep size takes a prefix copy of the
+columns, and the coverage counts bin every row in one np.unique.  Nothing
+here reads ``shadows._CHUNK_ROWS``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from phaselearn.models import generate_state
 from phaselearn.shadows import (
     TrainingSet,
     _stream_rows,
-    local_estimates,
     median_of_means,
     mom_batch_count,
+    snapshot_local_matrix,
 )
 
 _COLUMNS = ("bases", "outcomes", "X", "taus")
@@ -81,6 +82,25 @@ def training_bytes(cfg, model, p, sampling_seed: int, measurement_key: int) -> b
     buf = io.BytesIO()
     shadows_reference.write_shadows(buf, header, TrainingSet(bases, outcomes, X, taus))
     return buf.getvalue()
+
+
+def local_estimates(bases: np.ndarray, outcomes: np.ndarray, sites: Sequence[int],
+                    matrix: np.ndarray) -> np.ndarray:
+    """tr[matrix . snapshot_local_matrix(row, sites)] for every snapshot row.
+
+    The (basis, outcome) pairs of the k sites form a code in [0, 6^k); the
+    trace is evaluated once per distinct code, on its first row, and looked
+    up for the others.
+    """
+    sites = sorted(sites)
+    pairs = 2 * bases[:, sites].astype(np.int64) + (outcomes[:, sites] < 0)
+    codes = pairs @ 6 ** np.arange(len(sites) - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    table = np.array([
+        float(np.real(np.trace(matrix @ snapshot_local_matrix(bases[j], outcomes[j], sites))))
+        for j in first
+    ])
+    return table[inverse]
 
 
 def select_cell(x_values, t, training: TrainingSet, indices, gamma):

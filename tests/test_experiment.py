@@ -25,6 +25,7 @@ from phaselearn.learner import LearnerPlan, PlanConstants, plan
 from phaselearn.models import instantiate
 
 REPO = Path(__file__).resolve().parents[1]
+SCANS = ("lieb_robinson", "mixing", "ltqo", "compatibility", "stability")
 
 SMALL_LEARNING = """
 [model]
@@ -322,8 +323,7 @@ class TestLearningRun:
         cfg = _cfg(SMALL_LEARNING, tmp_path)
         manifest = run_learning_experiment(cfg)
         for name in ("plan.json", "training.shadows", "predictions.csv",
-                     "coverage.json", "summary.json", "sweep.csv",
-                     "error_vs_n.svg", "timing.log"):
+                     "coverage.json", "summary.json", "error_vs_n.svg", "timing.log"):
             assert (tmp_path / name).exists(), name
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["used_N"] == 6000
@@ -340,7 +340,7 @@ class TestLearningRun:
         run_learning_experiment(cfg1)
         run_learning_experiment(cfg2)
         for name in ("plan.json", "training.shadows", "predictions.csv",
-                     "coverage.json", "summary.json", "sweep.csv", "error_vs_n.svg"):
+                     "coverage.json", "summary.json", "error_vs_n.svg"):
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, f"{name} differs between reruns"
@@ -396,14 +396,13 @@ class TestLearningRun:
 
     def test_sweep_without_exact_values_is_strict_json(self, tmp_path, monkeypatch):
         # no test point has an exact value: the sweep's medians are null in
-        # summary.json and nan in sweep.csv
+        # summary.json
         import phaselearn.experiment as experiment
 
         monkeypatch.setattr(experiment, "_exact_values", lambda model, X, *_: [None] * len(X))
         run_learning_experiment(_cfg(SMALL_LEARNING, tmp_path))
         summary = _strict_json(tmp_path / "summary.json")
         assert summary["sweep"] == [[200, None], [1000, None]]
-        assert (tmp_path / "sweep.csv").read_text() == "n,median_abs_error\n200,nan\n1000,nan\n"
         for path in tmp_path.glob("*.json"):
             _strict_json(path)
 
@@ -446,6 +445,27 @@ class TestLearningRun:
         text = text.replace('boundary = "open"', 'boundary = "periodic"')
         with pytest.raises(ConfigError):
             parse_config_text(text)
+
+
+class TestOutputBundle:
+    def test_readme_table_names_every_output(self, tmp_path):
+        # the files of README's "Output bundle" table, diag_* expanded per
+        # scan, are those a small sweep and the n=3 battery write
+        section = (REPO / "README.md").read_text().split("## Output bundle")[1].split("\n## ")[0]
+        named = set()
+        for cell in re.findall(r"^\| (`[^|]+`) \|", section, re.M):
+            for name in re.findall(r"`([^`]+)`", cell):
+                if name.startswith("diag_*"):
+                    named |= {f"diag_{scan}{suffix}" for scan in SCANS
+                              for suffix in name.removeprefix("diag_*").replace("/", " ").split()}
+                else:
+                    named.add(name)
+        sweep = SMALL_LEARNING.replace("n_override = 6000", "n_override = 50")
+        battery = SMALL_BATTERY.replace("extent = [5]", "extent = [3]").replace("Z@2", "Z@1")
+        run_learning_experiment(_cfg(sweep, tmp_path / "sweep"))
+        run_diagnostic_battery(_cfg(battery, tmp_path / "battery"))
+        written = {f.name for d in ("sweep", "battery") for f in (tmp_path / d).iterdir()}
+        assert named == written
 
 
 class TestTrainingStates:
@@ -879,6 +899,14 @@ class TestCli:
         ("predict", lambda out, p: _edit_plan(out, mode="general_phase", t_eps=-1.0), [],
          "plan.json t_eps"),
         ("plot", lambda out, p: _edit_plan(out, gamma=-0.5), [], "plan.json gamma"),
+        ("plot", lambda out, p: (out / "summary.json").write_text("not json"), [],
+         "summary.json is malformed"),
+        ("plot", lambda out, p: (out / "summary.json").write_text('{"used_N": 50}'), [],
+         "summary.json is malformed: KeyError('sweep')"),
+        ("plot", lambda out, p: (out / "diag_mixing.json").write_text("not json"), [],
+         "diag_mixing.json is malformed"),
+        ("plot", lambda out, p: (out / "diag_ltqo.json").write_text('{"rate": 1.0}'), [],
+         "diag_ltqo.json is malformed: KeyError('abscissa_label')"),
     ], ids=["plan_not_json", "plan_missing_field", "plot_plan_not_json",
             "shadows_without_records", "lattice_mismatch", "records_too_narrow",
             "tags_too_few",
@@ -890,7 +918,8 @@ class TestCli:
             "plan_capped_integer", "plan_constant_string", "plot_n_log2_string",
             "plan_gamma_zero", "plan_r_negative", "plan_delta_prime_two", "plan_n_zero",
             "plan_q_zero", "plan_t_eps_in_steady_mode", "plan_t_eps_negative",
-            "plot_gamma_negative"])
+            "plot_gamma_negative", "plot_summary_not_json", "plot_summary_missing_sweep",
+            "plot_diag_not_json", "plot_diag_missing_field"])
     def test_bad_bundle_exit_code(self, tmp_path, capsys, verb, spoil, flags, named):
         # spoil(out dir, config path) damages the bundle or edits the config
         text = SMALL_LEARNING.replace("n_override = 6000", "n_override = 50")
@@ -917,8 +946,6 @@ class TestCli:
         p = self._write_cfg(tmp_path, text)
         out = tmp_path / "o"
         assert cli_main(["sweep", "--config", str(p), "--out", str(out)]) == 0
-        rows = (out / "sweep.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == ["50"]
         assert [n for n, _ in json.loads((out / "summary.json").read_text())["sweep"]] == [50]
         assert calls == [None] * 12 + [50] * 12  # 12 test points, then 12 for the one sweep size
         assert reads == [str(out / "training.shadows")]
@@ -994,10 +1021,10 @@ class TestChunkedStages:
             with mock.patch.object(shadows, "_CHUNK_ROWS", chunk):
                 run_learning_experiment(cfg)
             outputs.append({name: (tmp_path / str(chunk) / name).read_bytes() for name in (
-                "training.shadows", "predictions.csv", "sweep.csv", "coverage.json",
-                "summary.json")})
+                "training.shadows", "predictions.csv", "coverage.json", "summary.json")})
         assert outputs[0] == outputs[1]
-        assert b"\n21," in outputs[0]["sweep.csv"] and b"\n50," in outputs[0]["sweep.csv"]
+        sweep = json.loads(outputs[0]["summary.json"])["sweep"]
+        assert [n for n, _ in sweep] == [7, 20, 21, 50]
 
     @pytest.mark.parametrize("bad_line", [10, 21], ids=["first_chunk", "past_first_chunk"])
     @pytest.mark.parametrize("field,value,named", [

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import learning_reference
 
+from phaselearn import learner
 from phaselearn.errors import EmptyCellError, PlanInfeasibleError
 from phaselearn.lattice import Lattice, LocalObservable, Region, enlarge, observable_from_string
 from phaselearn.learner import (
@@ -703,6 +705,73 @@ class TestCellFold:
                 assert predict(fold, i, size) == learning_reference.predict(
                     obs, fold_x := np.array([[0.0], [0.9]])[i], math.inf,
                     learning_reference.row_slice(tr, 0, size or 6), p, model.family), fold_x
+
+    @given(data=st.data(), chunk=st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_predict_between_adds_matches_reference(self, data, chunk):
+        # a predict after each chunk answers every prefix folded so far, and
+        # a later chunk's new codes still reach the table; test point 1 lies
+        # 0.25 from every grid tag, so its cells are always empty at gamma 0.1
+        model = instantiate("pinning", Lattice(1, (4,), "open"))
+        tr = _grid_training(data, data.draw(st.integers(2, 20)), 4, False)
+        p = self._plan(model, r=0, gamma=0.1)
+        obs = [observable_from_string(s, model.lattice) for s in ("Z@0", "YX@3,2")]
+        xs, ts = np.array([[0.0] * 4, [0.75] * 4]), [math.inf] * 2
+        fold = CellFold(obs, xs, ts, p, model.family)
+        seen = 0
+        for piece in _chunks(tr, chunk):
+            fold.add(piece)
+            seen += len(piece)
+            _check_every_prefix(fold, learning_reference.row_slice(tr, 0, seen), obs, xs, ts,
+                                p, model.family)
+        assert len(predict(fold, 1).warnings) == 2
+
+    def test_one_estimate_per_term_and_code(self):
+        # terms of 1, 2 and 3 sites, so a call's arguments name its term
+        model = instantiate("pinning", Lattice(1, (4,), "open"))
+        rng = np.random.default_rng(5)
+        N = 300
+        tr = TrainingSet(rng.integers(0, 3, (N, 4)), rng.choice([-1, 1], (N, 4)),
+                         rng.uniform(-1, 1, (N, 4)), [math.inf] * N)
+        obs = [observable_from_string(s, model.lattice)
+               for s in ("Z@1", "XZ@0,1", "ZZZ@1,2,3")]
+        xs = rng.uniform(-1, 1, (6, 4))
+        p = self._plan(model, r=0, gamma=0.3)
+        fold = CellFold(obs, xs, [math.inf] * 6, p, model.family)
+        with mock.patch.object(learner, "snapshot_local_matrix",
+                               wraps=learner.snapshot_local_matrix) as spy:
+            for piece in _chunks(tr, 64):
+                fold.add(piece)
+            calls = Counter((tuple(c.args[0]), tuple(c.args[1])) for c in spy.call_args_list)
+            assert calls and max(calls.values()) == 1
+            tabulated = sum(int(np.count_nonzero(~np.isnan(t))) for t in fold.tables)
+            assert spy.call_count == tabulated
+            # predict reads the tables: no estimate and no sort
+            sizes = [(i, size) for size in (None, 1, 50, 299) for i in range(len(xs))]
+            with mock.patch.object(np, "unique", side_effect=AssertionError):
+                got = [predict(fold, i, size) for i, size in sizes]
+            assert spy.call_count == tabulated
+        assert got == [learning_reference.predict(
+            obs, xs[i], math.inf, learning_reference.row_slice(tr, 0, size or N), p, model.family)
+            for i, size in sizes]
+
+    def test_coverage_fold_computes_no_codes(self):
+        # a fold without test points reads no snapshot column, so a chunk
+        # with none folds, and no estimate is evaluated
+        model = instantiate("pinning", Lattice(1, (3,), "open"))
+        fold = _coverage_fold(["Z@0", "ZZ@1,2"], 0, 0.5, model.family)
+        none = np.empty((4, 0), dtype=np.int8)
+        with mock.patch.object(learner, "snapshot_local_matrix") as spy:
+            fold.add(TrainingSet(none, none, np.zeros((4, model.family.m)), [math.inf] * 4))
+        assert spy.call_count == 0 and fold.n_samples == 4
+        assert all(np.isnan(t).all() for t in fold.tables)
+
+    def test_wide_observable_raises_before_folding(self):
+        model = instantiate("pinning", Lattice(1, (8,), "open"))
+        wide = LocalObservable(Region(tuple(range(7))), np.eye(2**7))
+        with pytest.raises(ValueError, match="region of 7 sites exceeds local cap 6"):
+            CellFold([wide], np.zeros((1, model.family.m)), [math.inf],
+                     self._plan(model, r=0, gamma=0.5), model.family)
 
     def test_empty_fold_raises(self):
         model = instantiate("pinning", Lattice(1, (2,), "open"))

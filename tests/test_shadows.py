@@ -14,13 +14,13 @@ from conftest import X, Y, Z, full_state, random_density
 from learning_reference import joined, row_slice
 from phaselearn import shadows
 from phaselearn.errors import ConfigError, NumericalError
-from phaselearn.lattice import Lattice
+from phaselearn.lattice import Lattice, LocalObservable, Region
+from phaselearn.learner import CellFold, PlanConstants, plan
 from phaselearn.lindblad import STEADY_CHUNK, DensityMatrix, _admitted, partial_trace
 from phaselearn.models import instantiate
 from phaselearn.seeding import stream_seed
 from phaselearn.shadows import (
     TrainingSet,
-    local_estimates,
     measure_snapshot,
     measure_snapshot_product,
     median_of_means,
@@ -731,7 +731,8 @@ class TestLocalEstimates:
            k=st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
     def test_lookup_matches_reference(self, data, N, n, k):
-        """Table lookup equals the per-snapshot Kronecker estimate exactly."""
+        """The learner's table holds the per-snapshot Kronecker estimate of
+        every row's code exactly."""
         k = min(k, n)
         bases = data.draw(hnp.arrays(np.int8, (N, n), elements=st.integers(0, 2)))
         outcomes = data.draw(hnp.arrays(np.int8, (N, n), elements=st.sampled_from([-1, 1])))
@@ -742,9 +743,17 @@ class TestLocalEstimates:
                                      elements=st.floats(-3, 3, allow_nan=False)))
         a = parts[0] + 1j * parts[1]
         obs = a + a.conj().T
-        got = local_estimates(bases, outcomes, sites, obs)
-        assert got.shape == (N,)
+        # one test point, its cell every row: the patch's tags are all zero
+        family = instantiate("pinning", Lattice(1, (n,), "open")).family
+        consts = PlanConstants(J=1.0, ell=1, r0=0, D=1, n=n, m=family.m)
+        p = plan(0.3, 0.1, 0.1, consts, r=0, gamma=0.5, n=1)
+        fold = CellFold([LocalObservable(Region(tuple(sites)), obs)], np.zeros((1, family.m)),
+                        [math.inf], p, family)
+        fold.add(TrainingSet(bases, outcomes, np.zeros((N, family.m)), [math.inf] * N))
+        (cell,), table = fold.cells[0], fold.tables[0]
+        codes = np.concatenate(cell.codes) if N else []
+        assert len(codes) == N
         for i in range(N):
             ref = float(np.real(np.trace(obs @ snapshot_local_matrix(
                 bases[i], outcomes[i], sites))))
-            assert got[i] == ref
+            assert table[codes[i]] == ref
