@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import time
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Iterator
@@ -135,14 +136,16 @@ def _training_states(model: Model, X: np.ndarray, taus: np.ndarray, key: int, ro
     """(N, n) bases and outcomes, one snapshot per point (X[i], taus[i]),
     measured with row ``row`` + i of the measurement stream ``key``.
 
-    Oracle (product) states go through the batched sampler in one call: the
-    closed-form Bloch vectors of every site at every point, then all their
-    stream rows at once.  Other models generate the states (``_states``) and
-    measure them ``STEADY_CHUNK`` at a time, one stack per call of the
-    general sampler, so a chunk whose states fail to generate measures none.
+    Oracle (product) states go through the batched sampler in one call: all
+    the stream rows at once, and the closed-form Bloch-vector component of
+    every site at every point along its drawn basis.  Other models generate
+    the states (``_states``) and measure them ``STEADY_CHUNK`` at a time, one
+    stack per call of the general sampler, so a chunk whose states fail to
+    generate measures none.
     """
     if model.oracle is not None:
-        return measure_snapshot_product(model.oracle.bloch_vectors(X, taus), key, row)
+        return measure_snapshot_product(partial(model.oracle.bloch_components, X, taus),
+                                        X.shape, key, row)
     n_sys = model.family.n_system
     bases = np.empty((len(X), n_sys), dtype=np.int8)
     outcomes = np.empty_like(bases)
@@ -275,8 +278,8 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
     cells (for the run and each sweep size) and the patches' cell counts.  A
     missing plan.json or training.shadows, a mismatched header
     (:func:`_bundle_chunks`, checked before the first record is read), a
-    malformed record or a bundle without records is a ConfigError raised
-    before any exact value is computed."""
+    malformed record or a record count other than plan.json's N is a
+    ConfigError raised before any exact value is computed."""
     t_start = time.perf_counter()
     out = Path(cfg.out_dir)
     model, observables = _setup(cfg)
@@ -292,8 +295,8 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
             fold.add(chunk)
             del chunk  # not held while the next chunk is read
     N = fold.n_samples
-    if N == 0:
-        raise ConfigError("training.shadows holds no records")
+    if N != p.N:
+        raise ConfigError(f"training.shadows holds {N or 'no'} records, plan.json N is {p.N}")
 
     # exact values do not depend on the training set: one per test point
     exacts = _exact_values(model, test_x, test_t, observables)
@@ -336,7 +339,7 @@ def run_predict_stage(cfg: ExperimentConfig) -> dict:
         "delta_prime": cfg.delta_prime,
         "planned_N_log2": p.N_log2,
         "planned_N_capped": p.capped,
-        "used_N": p.N,
+        "used_N": N,
         "n_test": cfg.n_test,
         # test points with an exact value; success_fraction and the sweep's
         # medians are null when 0

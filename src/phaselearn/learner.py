@@ -365,8 +365,10 @@ class CellFold:
 
     A row's gamma-cell is its cell index on each patch coordinate and on the
     time axis, T = t_eps long, or one cell (T = gamma) for a steady state.
-    Only occupied cells are counted, each chunk's merged in by np.unique over
-    one byte-string key per row, however many cells there are.
+    Only occupied cells are counted: a patch keeps each occupied cell's index
+    row and count, and a chunk's rows merge in with them by one np.unique
+    over their int64 cell codes (:func:`_cell_codes`), however many cells
+    there are.
     """
 
     def __init__(self, observables: Sequence[LocalObservable], X: np.ndarray,
@@ -386,8 +388,8 @@ class CellFold:
                       for x, t in zip(map(family.as_values, X), taus)]
         # per term: the estimate of each code, nan until a cell holds the code
         self.tables = [np.full(6 ** len(obs.support), np.nan) for obs in self.observables]
-        # per patch: its occupied gamma-cells' keys, ascending, and their counts
-        self.coverage = [(np.empty(0, f"V{8 * (indices.size + 1)}"), np.empty(0, np.int64))
+        # per patch: its occupied gamma-cells' index rows and their counts
+        self.coverage = [(np.empty((0, indices.size + 1)), np.empty(0, np.int64))
                          for indices in self.indices]
 
     def add(self, chunk: TrainingSet) -> None:
@@ -409,17 +411,37 @@ class CellFold:
                     digits = code // place % 6
                     table[code] = float(np.real(np.trace(obs.matrix @ snapshot_local_matrix(
                         digits // 2, 1 - 2 * (digits % 2), range(len(sites))))))
-            keys = np.minimum(axis_cells - 1, np.floor((tags + 1.0) / self.gamma))
-            # one byte string per row; the time column keys a coordinate-free patch too
-            keys = np.ascontiguousarray(np.column_stack([keys, tkeys]), dtype=np.int64)
-            cells, counts = np.unique(keys.view(f"V{8 * keys.shape[1]}")[:, 0],
-                                      return_counts=True)
-            old_cells, old_counts = self.coverage[j]
-            merged, inverse = np.unique(np.concatenate([old_cells, cells]), return_inverse=True)
-            totals = np.zeros(len(merged), dtype=np.int64)
-            np.add.at(totals, inverse, np.concatenate([old_counts, counts]))
-            self.coverage[j] = merged, totals
+            # the time column keys a coordinate-free patch too
+            old_index, old_counts = self.coverage[j]
+            index = np.concatenate([old_index, np.column_stack([
+                np.minimum(axis_cells - 1, np.floor((tags + 1.0) / self.gamma)), tkeys])])
+            occupied, inverse = np.unique(
+                _cell_codes(index, [axis_cells] * indices.size + [time_cells]),
+                return_inverse=True)
+            row_of = np.empty(len(occupied), dtype=np.intp)  # a row of each cell: any will do
+            row_of[inverse] = np.arange(len(index))
+            counts = np.concatenate([old_counts, np.ones(len(chunk), dtype=np.int64)])
+            self.coverage[j] = index[row_of], np.bincount(inverse, counts).astype(np.int64)
         self.n_samples += len(chunk)
+
+
+def _cell_codes(index: np.ndarray, radices: Sequence[int]) -> np.ndarray:
+    """One int64 code per row of ``index`` (column c: integer cell indices
+    below radices[c]), equal exactly for equal rows: the row in mixed radix.
+    Before a factor that would overflow int64 the code so far is renumbered
+    densely by np.unique, and so is a column whose factor still would or
+    whose indices pass 2^53, where floats stop being consecutive integers."""
+    code, size = np.zeros(len(index), dtype=np.int64), 1
+    for column, radix in zip(index.T, radices):
+        if size * radix >= 2**63:
+            values, code = np.unique(code, return_inverse=True)
+            size = len(values)
+        if radix > 2**53 or size * radix >= 2**63:
+            values, column = np.unique(column, return_inverse=True)
+            radix = len(values)
+        code = code * radix + column.astype(np.int64)
+        size *= radix
+    return code
 
 
 def predict(fold: CellFold, point: int, size: int | None = None) -> Prediction:

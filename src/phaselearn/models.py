@@ -157,16 +157,22 @@ class PinningOracle:
     def __init__(self, kappa0: float):
         self.kappa0 = kappa0
 
-    def bloch_vectors(self, X: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """(N, n, 3) Bloch vectors (<X>, <Y>, <Z>) of the site states at the
-        points (X[i], taus[i]): r = (1 - e)(sin 2 theta, 0, cos 2 theta) + e (0, 0, 1)
-        with e = exp(-kappa0 tau), which is 0 at tau = inf."""
-        theta = _theta(np.asarray(X, dtype=float))
-        e = np.exp(-self.kappa0 * np.asarray(taus, dtype=float))[:, None]
-        r = np.zeros(theta.shape + (3,))
-        r[..., 0] = (1.0 - e) * np.sin(2.0 * theta)
-        r[..., 2] = (1.0 - e) * np.cos(2.0 * theta) + e
-        return r
+    def bloch_components(self, X: np.ndarray, taus: np.ndarray,
+                         bases: np.ndarray) -> np.ndarray:
+        """(N, n) components <sigma_b> of the site states at the points
+        (X[i], taus[i]) along the bases b = bases[i, j] (0 X, 1 Y, 2 Z) of
+        their Bloch vectors r = (1 - e)(sin 2 theta, 0, cos 2 theta) + e (0, 0, 1),
+        e = exp(-kappa0 tau), which is 0 at tau = inf.  Only the asked
+        component of each site is computed, by the same expression per entry
+        whichever entries are asked."""
+        flat_x, flat_b, n = np.asarray(X, dtype=float).ravel(), bases.ravel(), bases.shape[1]
+        e = np.exp(-self.kappa0 * np.asarray(taus, dtype=float))
+        out = np.zeros(flat_b.shape)  # <Y> is 0
+        on_x, on_z = np.flatnonzero(flat_b == 0), np.flatnonzero(flat_b == 2)
+        out[on_x] = (1.0 - e[on_x // n]) * np.sin(2.0 * _theta(flat_x[on_x]))
+        e_z = e[on_z // n]
+        out[on_z] = (1.0 - e_z) * np.cos(2.0 * _theta(flat_x[on_z])) + e_z
+        return out.reshape(bases.shape)
 
     def site_state(self, xj: float, tau: float) -> np.ndarray:
         v = _target_ket(_theta(xj))

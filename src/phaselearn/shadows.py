@@ -10,9 +10,9 @@ counter blocks, so it replays from (key, i) alone and does not depend on the
 other snapshots.  :func:`measure_snapshot` takes a stack of states and the
 stream row of the first, and runs the conditioning a site of every state
 at a time.  Product states skip the conditioning:
-:func:`measure_snapshot_product` takes rows of single-site Bloch vectors and
-the stream row of the first, and compares all their uniforms with their
-outcome probabilities at once.
+:func:`measure_snapshot_product` draws the bases of a block of rows, asks
+for each site's Bloch-vector component along its drawn basis only, and
+compares all their uniforms with their outcome probabilities at once.
 
 A TrainingSet holds tagged snapshots as columns: (N, n) int8 basis codes and
 +-1 outcomes beside the per-snapshot tags x and tau.  What holds for a whole
@@ -42,7 +42,7 @@ import binascii
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -147,22 +147,23 @@ def measure_snapshot(rho: np.ndarray, key: int, row: int = 0,
     return bases, outcomes
 
 
-def measure_snapshot_product(bloch: np.ndarray, key: int,
-                             row: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Product-state fast path of :func:`measure_snapshot`, one snapshot per row.
+def measure_snapshot_product(along: Callable[[np.ndarray], np.ndarray], shape: tuple[int, int],
+                             key: int, row: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Product-state fast path of :func:`measure_snapshot`, one snapshot per row
+    of ``shape`` = (N, n) rows and sites.
 
-    ``bloch`` is an (N, n, 3) stack of single-site Bloch vectors (<X>, <Y>, <Z>);
-    its row i is measured with row ``row`` + i of the stream ``key``, the draws
+    Row i is measured with row ``row`` + i of the stream ``key``, the draws
     the general sampler makes for a stack's state i, so it matches
     :func:`measure_snapshot` on the corresponding product states and does not
-    depend on the other rows.  The
-    outcome is +1 where the uniform falls below p+ = (1 + r_basis) / 2.  The
-    caller bounds the rows per call.  Returns (N, n) int8 bases and outcomes.
+    depend on the other rows.  The bases are drawn first; ``along(bases)``
+    then gives the (N, n) Bloch-vector components r_b = <sigma_b> of each
+    row's site states along its drawn bases, and only those.  The outcome is
+    +1 where the uniform falls below p+ = (1 + r_b) / 2.  The caller bounds
+    the rows per call.  Returns (N, n) int8 bases and outcomes.
     """
-    bloch = np.asarray(bloch, dtype=float)
-    n_rows, n = bloch.shape[:2]
+    n_rows, n = shape
     bases, us = _stream_rows(key, row, row + n_rows, n)
-    p_plus = 0.5 * (1.0 + np.take_along_axis(bloch, bases[:, :, None], axis=2)[..., 0])
+    p_plus = 0.5 * (1.0 + along(bases))
     if p_plus.size and (p_plus.min() < -1e-10 or p_plus.max() > 1.0 + 1e-10):
         raise NumericalError("Bloch vector produced an out-of-range probability")
     return bases, np.where(us < p_plus, np.int8(1), np.int8(-1))

@@ -5,7 +5,8 @@ The train stage here draws every tag, state and snapshot of the training set
 in one pass and writes it with the record-at-a-time reference writer; the
 predictor selects each cell over every row at once and evaluates its
 estimates by :func:`local_estimates`, a sweep size takes a prefix copy of the
-columns, and the coverage counts bin every row in one np.unique.  Nothing
+columns, and the coverage counts bin every row's float cell indices in one
+np.unique, whatever their size.  Nothing
 here reads ``shadows._CHUNK_ROWS``.
 """
 
@@ -59,7 +60,7 @@ def training_states(model, X: np.ndarray, taus: np.ndarray, key: int):
     states through ``steady_states``) and measured alone with its stream row
     by the reference sampler."""
     if model.oracle is not None:
-        bloch = model.oracle.bloch_vectors(X, taus)
+        bloch = shadows_reference.bloch_vectors(model.oracle, X, taus)
         bases, us = _stream_rows(key, 0, len(X), bloch.shape[1])
         p_plus = 0.5 * (1.0 + np.take_along_axis(bloch, bases[:, :, None], axis=2)[..., 0])
         return bases, np.where(us < p_plus, 1, -1).astype(np.int8)
@@ -144,7 +145,7 @@ def row_slice(training: TrainingSet, lo: int, hi: int) -> TrainingSet:
 def coverage_cells(training: TrainingSet, gamma: float, regions, family,
                    t_eps: float | None = None) -> list[tuple[int, np.ndarray]]:
     """Per region, the occupied cell count and the sorted per-cell sample
-    counts, from one np.unique over every row."""
+    counts, from one np.unique over every row's float cell indices."""
     span = gamma if t_eps is None else t_eps
     axis_cells, time_cells = math.ceil(2.0 / gamma), math.ceil(span / gamma)
     tkeys = np.minimum(time_cells - 1, np.floor(training.taus / gamma))
@@ -152,7 +153,6 @@ def coverage_cells(training: TrainingSet, gamma: float, regions, family,
     for region in regions:
         indices = family.coords_for_region(region)
         keys = np.minimum(axis_cells - 1, np.floor((training.X[:, indices] + 1.0) / gamma))
-        keys = np.ascontiguousarray(np.column_stack([keys, tkeys]), dtype=np.int64)
-        _, counts = np.unique(keys.view(f"V{8 * keys.shape[1]}"), return_counts=True)
+        _, counts = np.unique(np.column_stack([keys, tkeys]), axis=0, return_counts=True)
         out.append((len(counts), np.sort(counts)))
     return out

@@ -1,6 +1,8 @@
-"""The one-state-at-a-time sampler and the record-at-a-time shadow writer
-and reader that ``phaselearn.shadows`` replaced, kept as the references its
-stacked sampler and byte-block writer and reader are tested against.
+"""The one-state-at-a-time sampler, the whole-Bloch-vector form of the
+pinning oracle, and the record-at-a-time shadow writer and reader that
+``phaselearn.shadows`` and ``phaselearn.models`` replaced, kept as the
+references their stacked sampler, per-basis oracle components and
+byte-block writer and reader are tested against.
 
 The sampler measures one state with one stream row, a site at a time.  The
 writer formats one record at a time; the reader splits the file into lines
@@ -54,6 +56,24 @@ def measure_snapshot(rho: DensityMatrix, key: int, row: int = 0,
         outcomes[i] = 1 if o == 0 else -1
         work = blocks[o] / probs[o] if k > 1 else work
     return bases, outcomes
+
+
+def bloch_vectors(oracle, X: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """(N, n, 3) Bloch vectors (<X>, <Y>, <Z>) of the pinning oracle's site
+    states at the points (X[i], taus[i]), every component of every site:
+    r = (1 - e)(sin 2 theta, 0, cos 2 theta) + e (0, 0, 1), e = exp(-kappa0 tau)."""
+    theta = (math.pi / 4.0) * (np.asarray(X, dtype=float) + 1.0)
+    e = np.exp(-oracle.kappa0 * np.asarray(taus, dtype=float))[:, None]
+    r = np.zeros(theta.shape + (3,))
+    r[..., 0] = (1.0 - e) * np.sin(2.0 * theta)
+    r[..., 2] = (1.0 - e) * np.cos(2.0 * theta) + e
+    return r
+
+
+def along(bloch: np.ndarray):
+    """The ``along`` argument of ``measure_snapshot_product`` for a stack of
+    whole Bloch vectors: each drawn basis's component, read off the stack."""
+    return lambda bases: np.take_along_axis(bloch, bases[:, :, None], axis=2)[..., 0]
 
 
 def _record(training: TrainingSet, i: int) -> bytes:

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -105,8 +106,10 @@ def pinning8_snapshots():
     model = instantiate("pinning", lat)
     x = np.clip(np.random.default_rng(300).uniform(-1, 1, 8), -0.9, 0.9)
     n_snap = 100_000
-    bloch = model.oracle.bloch_vectors(np.tile(x, (n_snap, 1)), np.full(n_snap, np.inf))
-    bases, outcomes = measure_snapshot_product(bloch, stream_seed(300, "acc3"))
+    X = np.tile(x, (n_snap, 1))
+    bases, outcomes = measure_snapshot_product(
+        partial(model.oracle.bloch_components, X, np.full(n_snap, np.inf)), X.shape,
+        stream_seed(300, "acc3"))
     return model, x, bases, outcomes
 
 

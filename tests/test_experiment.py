@@ -857,6 +857,9 @@ class TestCli:
         ("predict", lambda out, p: _edit_lines(p, lambda lines: [
             l.replace("extent = [6]", "extent = [8]") for l in lines]), [],
          "training.shadows lattice"),
+        ("predict", lambda out, p: _edit_lines(out / "training.shadows", lambda lines: lines[
+            :1 + next(i for i, l in enumerate(lines) if not l.startswith("#"))]), [],
+         "training.shadows holds 1 records, plan.json N is 50"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", _cut_records(3)), [],
          "training.shadows n is 3, config asks for 6"),
         ("predict", lambda out, p: _edit_lines(out / "training.shadows", _cut_tags(3)), [],
@@ -908,7 +911,7 @@ class TestCli:
         ("plot", lambda out, p: (out / "diag_ltqo.json").write_text('{"rate": 1.0}'), [],
          "diag_ltqo.json is malformed: KeyError('abscissa_label')"),
     ], ids=["plan_not_json", "plan_missing_field", "plot_plan_not_json",
-            "shadows_without_records", "lattice_mismatch", "records_too_narrow",
+            "shadows_without_records", "lattice_mismatch", "shadows_cut_to_one_record", "records_too_narrow",
             "tags_too_few",
             "mode_mismatch",
             "plan_mode_mismatch", "omega_mismatch", "shadows_v1", "shadows_v2", "shadows_v3",

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -356,7 +357,8 @@ def _pinning_training(n, N, seed, gamma_spread=None):
     from phaselearn.seeding import stream_seed
 
     bases, outcomes = measure_snapshot_product(
-        model.oracle.bloch_vectors(xs, np.full(N, math.inf)), stream_seed(seed, "m"))
+        partial(model.oracle.bloch_components, xs, np.full(N, math.inf)), xs.shape,
+        stream_seed(seed, "m"))
     return model, TrainingSet(bases, outcomes, xs, taus=np.full(N, math.inf))
 
 
@@ -383,8 +385,9 @@ class TestPredict:
         x = np.array([0.2, -0.5, 0.8])
         from phaselearn.shadows import measure_snapshot_product
 
-        bloch = model.oracle.bloch_vectors(np.tile(x, (200, 1)), np.full(200, math.inf))
-        bases, outcomes = measure_snapshot_product(bloch, 0)
+        X = np.tile(x, (200, 1))
+        bases, outcomes = measure_snapshot_product(
+            partial(model.oracle.bloch_components, X, np.full(200, math.inf)), X.shape, 0)
         tr = TrainingSet(bases, outcomes, np.tile(x, (200, 1)), taus=np.full(200, math.inf))
         p = self._plan(model)
         obs = observable_from_string("Z@1", lat)
@@ -659,7 +662,7 @@ class TestCellFold:
         _check_every_prefix(fold, tr, obs, np.zeros((1, 1)), [math.inf], p, model.family)
 
     @given(data=st.data(), timed=st.booleans(), chunk=st.integers(1, 7),
-           gamma=st.sampled_from([0.15, 0.5, 0.7, 2.0]), q=st.integers(1, 3))
+           gamma=st.sampled_from([0.15, 0.5, 0.7, 2.0, 1e-15, 1e-20]), q=st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_chunked_coverage_matches_whole_array_reference(self, data, timed, chunk, gamma, q):
         # a cell's samples split across chunks are counted once, together
@@ -679,6 +682,20 @@ class TestCellFold:
                                                            strict=True):
             assert len(cells) == occupied
             assert np.sort(totals).tolist() == ref_counts.tolist()
+
+    @given(data=st.data(), rows=st.integers(0, 30), radices=st.lists(
+        st.sampled_from([1, 2, 7, 2**31, 2**53, 2**54 + 4, 2**62, 2**70, 10**30]), max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_cell_codes_tell_rows_apart_exactly(self, data, rows, radices):
+        # past int64 and past 2^53 alike, two rows share a code iff they are equal
+        columns = [data.draw(st.lists(st.sampled_from(
+            [0.0, float(radix // 2), float(radix - 1), float(radix - 1) // 3]),
+            min_size=rows, max_size=rows)) for radix in radices]
+        index = np.array(columns, dtype=float).T.reshape(rows, len(radices))
+        codes = learner._cell_codes(index, radices)
+        assert codes.dtype == np.int64 and codes.shape == (rows,)
+        same_row = (index[:, None, :] == index[None, :, :]).all(axis=2)
+        assert np.array_equal(codes[:, None] == codes[None, :], same_row)
 
     def test_ties_and_cells_across_chunk_borders(self):
         # chunks of 2 rows: rows 1 and 3 tie as the nearest samples of x = 0 in

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import shadows_reference
 from conftest import X as X_PAULI
 from conftest import Y, Z, full_state, transfer_matrix, vec_generator
 from phaselearn.lattice import Lattice, observable_from_string
@@ -45,13 +49,30 @@ class TestPinning:
         model = instantiate("pinning", Lattice(1, (5,), "open"), kappa0=kappa0)
         X = np.random.default_rng(2).uniform(-1, 1, (20, 5))
         X[0] = [-1.0, 1.0, 0.0, -0.5, 0.5]
-        bloch = model.oracle.bloch_vectors(X, np.full(20, tau))
+        bloch = shadows_reference.bloch_vectors(model.oracle, X, np.full(20, tau))
         assert bloch.shape == (20, 5, 3)
         for i in range(20):
             for j in range(5):
                 rho = model.oracle.site_state(X[i, j], tau)
                 expect = [np.trace(P @ rho).real for P in (X_PAULI, Y, Z)]
                 assert np.max(np.abs(bloch[i, j] - expect)) <= 1e-14
+
+    @given(data=st.data(), rows=st.integers(0, 12), n=st.integers(1, 6),
+           kappa0=st.floats(0.1, 5.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bloch_components_are_the_full_vectors_entries(self, data, rows, n, kappa0):
+        # the drawn basis's component alone has the bits of that entry of the
+        # whole Bloch vector, on every subset of entries a draw asks for
+        model = instantiate("pinning", Lattice(1, (n,), "open"), kappa0=kappa0)
+        X = data.draw(hnp.arrays(float, (rows, n), elements=st.floats(-1.0, 1.0)))
+        tau = st.one_of(st.just(math.inf), st.just(0.0), st.floats(0.0, 30.0))
+        taus = np.array([data.draw(tau) for _ in range(rows)])
+        bases = data.draw(hnp.arrays(np.int8, (rows, n), elements=st.integers(0, 2)))
+        got = model.oracle.bloch_components(X, taus, bases)
+        full = shadows_reference.bloch_vectors(model.oracle, X, taus)
+        want = np.take_along_axis(full, bases[:, :, None].astype(np.intp), axis=2)[..., 0]
+        assert got.shape == bases.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_oracle_matches_solver(self):
         lat = Lattice(1, (4,), "open")

@@ -1,6 +1,6 @@
 import io
 import math
-from functools import reduce
+from functools import partial, reduce
 from unittest import mock
 
 import numpy as np
@@ -223,8 +223,9 @@ class TestMeasurement:
         lat = Lattice(1, (4,), "open")
         model = instantiate("pinning", lat)
         x = np.random.default_rng(0).uniform(-1, 1, 4)
-        bloch = model.oracle.bloch_vectors(np.tile(x, (500, 1)), np.full(500, np.inf))
-        b_bases, b_outcomes = measure_snapshot_product(bloch, 0)
+        X = np.tile(x, (500, 1))
+        b_bases, b_outcomes = measure_snapshot_product(
+            partial(model.oracle.bloch_components, X, np.full(500, np.inf)), X.shape, 0)
         rho = full_state(model.oracle, x, np.inf, model.family)
         a_bases, a_outcomes = _repeated(rho, 500)
         assert np.array_equal(a_bases, b_bases)
@@ -240,7 +241,8 @@ class TestMeasurement:
         X = np.array([data.draw(st.lists(unit_floats, min_size=n, max_size=n))
                       for _ in range(rows)])
         taus = np.array([data.draw(tau) for _ in range(rows)])
-        bases, outcomes = measure_snapshot_product(model.oracle.bloch_vectors(X, taus), key)
+        bases, outcomes = measure_snapshot_product(
+            partial(model.oracle.bloch_components, X, taus), X.shape, key)
         stack = np.array([full_state(model.oracle, X[i], taus[i], model.family).data
                           for i in range(rows)])
         a_bases, a_outcomes = measure_snapshot(stack, key)
@@ -254,7 +256,8 @@ class TestMeasurement:
         # row i of the stream is Philox blocks [i B, (i + 1) B) whatever the chunking
         bloch = data.draw(hnp.arrays(float, (rows, n, 3), elements=unit_floats))
         # measured a chunk at a time, each call from the stream row of its first row
-        parts = [measure_snapshot_product(bloch[lo:lo + chunk], key, lo)
+        parts = [measure_snapshot_product(shadows_reference.along(bloch[lo:lo + chunk]),
+                                          bloch[lo:lo + chunk].shape[:2], key, lo)
                  for lo in range(0, rows, chunk)]
         bases = np.concatenate([b for b, _ in parts]) if parts else np.empty((0, n))
         outcomes = np.concatenate([o for _, o in parts]) if parts else np.empty((0, n))
@@ -285,10 +288,11 @@ class TestMeasurement:
         rng = np.random.default_rng(4)
         X, taus = rng.uniform(-1, 1, (300, 5)), rng.uniform(0.0, 3.0, 300)
         key = stream_seed(11, "measurement")
-        bloch = model.oracle.bloch_vectors(X, taus)
-        bases, outcomes = measure_snapshot_product(bloch, key)
+        bases, outcomes = measure_snapshot_product(
+            partial(model.oracle.bloch_components, X, taus), X.shape, key)
         for M in (1, 17, 299):
-            head_bases, head_outcomes = measure_snapshot_product(bloch[:M], key)
+            head_bases, head_outcomes = measure_snapshot_product(
+                partial(model.oracle.bloch_components, X[:M], taus[:M]), (M, 5), key)
             assert np.array_equal(head_bases, bases[:M])
             assert np.array_equal(head_outcomes, outcomes[:M])
         for i in (40, 299):
@@ -296,9 +300,10 @@ class TestMeasurement:
             row_bases, row_outcomes = _repeated(rho, 1, key, i)
             assert np.array_equal(row_bases[0], bases[i])
             assert np.array_equal(row_outcomes[0], outcomes[i])
-        other = model.oracle.bloch_vectors(rng.uniform(-1, 1, (300, 5)), taus)
-        other[77] = bloch[77]
-        other_bases, other_outcomes = measure_snapshot_product(other, key)
+        other = shadows_reference.bloch_vectors(model.oracle, rng.uniform(-1, 1, (300, 5)), taus)
+        other[77] = shadows_reference.bloch_vectors(model.oracle, X[77:78], taus[77:78])[0]
+        other_bases, other_outcomes = measure_snapshot_product(
+            shadows_reference.along(other), X.shape, key)
         assert np.array_equal(other_bases, bases)
         assert np.array_equal(other_outcomes[77], outcomes[77])
 
@@ -369,12 +374,12 @@ class TestMeasurement:
         bloch = np.zeros((3, 2, 3))
         bloch[1, 0, :] = sign * (1.0 + 1e-9)
         with pytest.raises(NumericalError):
-            measure_snapshot_product(bloch, 0)
+            measure_snapshot_product(shadows_reference.along(bloch), (3, 2), 0)
 
     def test_unit_bloch_vector_accepted(self):
         bloch = np.zeros((2, 3, 3))
         bloch[0, :, 2], bloch[1, :, 0] = 1.0 + 1e-11, -1.0
-        bases, outcomes = measure_snapshot_product(bloch, 5)
+        bases, outcomes = measure_snapshot_product(shadows_reference.along(bloch), (2, 3), 5)
         assert np.all(outcomes[0][bases[0] == 2] == 1)
         assert np.all(outcomes[1][bases[1] == 0] == -1)
 
